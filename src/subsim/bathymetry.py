@@ -19,7 +19,8 @@ import numpy as np
 from .geodesy import GeodeticCoord, ProjectedCoord, mercator_xy
 from .geometry import WorldPoint
 
-# Bisection refinement tolerance for ray/surface intersections (step_tol).
+# Penetration past the surface that confirms a ray/terrain crossing as a hit;
+# shallower grazes are misses.
 RAYCAST_TOL_M = 1e-4
 
 
@@ -90,10 +91,6 @@ class Heightmap:
     def extent(self) -> tuple[float, float, float, float]:
         """World extent as (x_min, y_min, x_max, y_max), meters."""
         return float(self.xs[0]), float(self.ys[0]), float(self.xs[-1]), float(self.ys[-1])
-
-    def min_cell_extent_m(self) -> float:
-        """Smallest node spacing in meters, either axis."""
-        return float(min(np.diff(self.xs).min(), np.diff(self.ys).min()))
 
 
 def load_heightmap(path) -> Heightmap:
@@ -254,17 +251,51 @@ def _solve_quadratic(q2: float, q1: float, q0: float) -> list[float]:
     if disc < 0.0:
         return []
     sq = math.sqrt(disc)
-    if q1 >= 0.0:
-        tmp = -(q1 + sq) / 2.0
-    else:
-        tmp = -(q1 - sq) / 2.0
-    roots = []
-    if tmp != 0.0:
-        roots = [tmp / q2, q0 / tmp]
-    else:
-        roots = [0.0, -q1 / q2]
-    roots.sort()
-    return roots
+    tmp = -(q1 + sq) / 2.0 if q1 >= 0.0 else -(q1 - sq) / 2.0
+    return sorted([tmp / q2, q0 / tmp] if tmp != 0.0 else [0.0, -q1 / q2])
+
+
+def _segment_stops(q0, q1, q2, span) -> np.ndarray:
+    """Row-wise `_solve_quadratic` roots inside (0, span], then span,
+    padded with inf to three columns: the ends of the segments on which
+    the gap keeps one sign."""
+    sq = np.sqrt(q1 * q1 - 4.0 * q2 * q0)  # NaN: no real root
+    tmp = np.where(q1 >= 0.0, -(q1 + sq) / 2.0, -(q1 - sq) / 2.0)
+    r_a = np.where(tmp != 0.0, tmp / q2, 0.0)
+    r_b = np.where(tmp != 0.0, q0 / tmp, -q1 / q2)
+    quad = q2 != 0.0
+    roots = np.stack(
+        [np.where(quad, np.minimum(r_a, r_b), -q0 / q1), np.where(quad, np.maximum(r_a, r_b), np.nan)],
+        axis=1,
+    )
+    roots[~((roots > 0.0) & (roots <= span[:, None]))] = np.inf
+    return np.sort(np.column_stack([roots, span]), axis=1)
+
+
+def _patch_coefficients(h: Heightmap, i, j, x0, y0, z0, dn, de, dd, t_lo):
+    """Coefficients (q0, q1, q2) of the signed ray/surface gap over cell
+    (i, j)'s bilinear patch: f(s) = q2 s^2 + q1 s + q0 is the ray's depth
+    minus the surface depth at t_lo + s (s measured from the cell entry
+    for conditioning). Elementwise over arrays of cells and rays; a
+    nodata corner makes q0 NaN."""
+    wx = h.xs[j + 1] - h.xs[j]
+    wy = h.ys[i + 1] - h.ys[i]
+    d00 = h.depth[i, j]
+    bu = h.depth[i, j + 1] - d00
+    cv = h.depth[i + 1, j] - d00
+    e = d00 - h.depth[i, j + 1] - h.depth[i + 1, j] + h.depth[i + 1, j + 1]
+    u0 = (x0 + de * t_lo - h.xs[j]) / wx
+    v0 = (y0 + dn * t_lo - h.ys[i]) / wy
+    du = de / wx
+    dv = dn / wy
+    q0 = z0 + dd * t_lo - d00 - bu * u0 - cv * v0 - e * u0 * v0
+    q1 = dd - bu * du - cv * dv - e * (u0 * dv + v0 * du)
+    q2 = -e * du * dv
+    return q0, q1, q2
+
+
+def _gap(q0, q1, q2, s):
+    return q2 * s * s + q1 * s + q0
 
 
 def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> RayHit | None:
@@ -275,7 +306,8 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     ray parameter, is solved analytically per cell. A crossing becomes a
     hit once the ray penetrates the surface by at least RAYCAST_TOL_M;
     shallower grazes are misses. Cells touching nodata nodes are holes.
-    Returns None on a miss.
+    Returns None on a miss. `raycast_batch` applies the same rule to many
+    rays at once.
     """
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
@@ -311,36 +343,53 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     px, py = x0 + de * probe, y0 + dn * probe
     i, j = (int(a) for a in _cell_indices(h, np.asarray(px), np.asarray(py)))
 
-    # Crossing tracker: a sign change only becomes a hit once the ray has
-    # penetrated the surface by at least RAYCAST_TOL_M; shallower grazes
-    # (which may span cell boundaries) are misses, being within tolerance
-    # of a tangency.
-    state = {"sign": None, "crossing_t": None, "max_pen": 0.0}
-
+    # Crossing tracker: a sign change of the gap only becomes a hit once
+    # the ray has penetrated the surface by at least RAYCAST_TOL_M;
+    # shallower grazes (which may span cell boundaries) are misses, being
+    # within tolerance of a tangency. `sign` is the side the ray started
+    # on (0 until known), `crossing` where it last left that side (NaN:
+    # it has not) and `max_pen` its deepest penetration since.
+    sign, crossing, max_pen = 0.0, math.nan, 0.0
     while t_lo < t_exit - eps_t:
         # Parametric exit of the current cell.
-        t_x = math.inf
-        if de > 0.0:
-            t_x = (h.xs[j + 1] - x0) / de
-        elif de < 0.0:
-            t_x = (h.xs[j] - x0) / de
-        t_y = math.inf
-        if dn > 0.0:
-            t_y = (h.ys[i + 1] - y0) / dn
-        elif dn < 0.0:
-            t_y = (h.ys[i] - y0) / dn
+        t_x = (h.xs[j + (de > 0.0)] - x0) / de if de != 0.0 else math.inf
+        t_y = (h.ys[i + (dn > 0.0)] - y0) / dn if dn != 0.0 else math.inf
         t_hi = min(t_x, t_y, t_exit)
 
-        corners = h.depth[i : i + 2, j : j + 2]
-        if np.any(np.isnan(corners)):
-            state = {"sign": None, "crossing_t": None, "max_pen": 0.0}  # hole in the terrain
-        else:
-            hit_t = _walk_cell(h, i, j, x0, y0, z0, dn, de, dd, t_lo, min(t_hi, max_range), state)
-            if hit_t is not None and hit_t <= max_range:
-                hx, hy = x0 + de * hit_t, y0 + dn * hit_t
-                gx, gy = surface_gradient_xy(h, np.asarray(hx), np.asarray(hy))
-                normal = _surface_normal(float(gx), float(gy))
-                return RayHit(hit_t, WorldPoint(hx, hy, z0 + dd * hit_t), normal)
+        q0, q1, q2 = _patch_coefficients(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
+        if math.isnan(q0):
+            sign, crossing, max_pen = 0.0, math.nan, 0.0  # hole in the terrain
+        elif t_hi > t_lo and t_hi > 0.0:
+            if sign == 0.0:
+                sign = -1.0 if _gap(q0, q1, q2, 0.0) <= 0.0 else 1.0
+            span = t_hi - t_lo
+            seg_start = 0.0
+            for stop in [s for s in _solve_quadratic(q2, q1, q0) if 0.0 < s <= span] + [span]:
+                # Penetration beyond the surface, measured into the side
+                # opposite the ray's original one. Signed (not |f|) so that
+                # near-tangent quadratics whose second root was lost to
+                # rounding cannot count original-side depth as penetration.
+                pen = max(-sign * _gap(q0, q1, q2, seg_start), -sign * _gap(q0, q1, q2, stop), 0.0)
+                if q2 != 0.0:
+                    vertex = -q1 / (2.0 * q2)
+                    if seg_start < vertex < stop:
+                        pen = max(pen, -sign * _gap(q0, q1, q2, vertex))
+                if (_gap(q0, q1, q2, (seg_start + stop) / 2.0) <= 0.0) == (sign < 0.0):
+                    # Back (or still) on the original side: any pending
+                    # shallow crossing was a graze.
+                    crossing, max_pen = math.nan, 0.0
+                else:
+                    if math.isnan(crossing):
+                        crossing, max_pen = t_lo + seg_start, 0.0
+                    max_pen = max(max_pen, pen)
+                    if max_pen >= RAYCAST_TOL_M and crossing > 1e-9:
+                        if crossing > max_range:
+                            return None
+                        hx, hy = x0 + de * crossing, y0 + dn * crossing
+                        gx, gy = surface_gradient_xy(h, np.asarray(hx), np.asarray(hy))
+                        normal = _surface_normal(float(gx), float(gy))
+                        return RayHit(crossing, WorldPoint(hx, hy, z0 + dd * crossing), normal)
+                seg_start = stop
 
         if t_hi >= t_exit - eps_t:
             break
@@ -355,92 +404,6 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     return None
 
 
-def _walk_cell(
-    h: Heightmap,
-    i: int,
-    j: int,
-    x0: float,
-    y0: float,
-    z0: float,
-    dn: float,
-    de: float,
-    dd: float,
-    t_lo: float,
-    t_hi: float,
-    state: dict,
-) -> float | None:
-    """Advance the crossing tracker across cell (i, j)'s patch.
-
-    Inside the cell the signed ray/surface gap f(s) = q2 s^2 + q1 s + q0
-    (s measured from the cell entry for conditioning). The tracker
-    records where f last changed sign and the deepest |f| since; the
-    crossing is confirmed as a hit once that depth reaches RAYCAST_TOL_M.
-    """
-    if t_hi <= t_lo or t_hi <= 0.0:
-        return None
-    wx = h.xs[j + 1] - h.xs[j]
-    wy = h.ys[i + 1] - h.ys[i]
-    d00 = h.depth[i, j]
-    bu = h.depth[i, j + 1] - d00
-    cv = h.depth[i + 1, j] - d00
-    e = d00 - h.depth[i, j + 1] - h.depth[i + 1, j] + h.depth[i + 1, j + 1]
-
-    xl = x0 + de * t_lo
-    yl = y0 + dn * t_lo
-    zl = z0 + dd * t_lo
-    u0 = (xl - h.xs[j]) / wx
-    v0 = (yl - h.ys[i]) / wy
-    du = de / wx
-    dv = dn / wy
-    q0 = zl - d00 - bu * u0 - cv * v0 - e * u0 * v0
-    q1 = dd - bu * du - cv * dv - e * (u0 * dv + v0 * du)
-    q2 = -e * du * dv
-
-    span = t_hi - t_lo
-
-    def f(ss: float) -> float:
-        return q2 * ss * ss + q1 * ss + q0
-
-    if state["sign"] is None:
-        f0 = f(0.0)
-        state["sign"] = -1.0 if f0 <= 0.0 else 1.0
-
-    roots = [s for s in _solve_quadratic(q2, q1, q0) if 0.0 < s <= span]
-    stops = sorted(roots) + [span]
-    seg_start = 0.0
-    for stop in stops:
-        if stop < seg_start:
-            continue
-        # Penetration beyond the surface, measured into the side opposite
-        # the ray's original one. Signed (not |f|) so that near-tangent
-        # quadratics whose second root was lost to rounding cannot count
-        # original-side depth as penetration.
-        def pen(ss: float) -> float:
-            return -state["sign"] * f(ss)
-
-        depth_here = max(pen(seg_start), pen(stop), 0.0)
-        if q2 != 0.0:
-            vertex = -q1 / (2.0 * q2)
-            if seg_start < vertex < stop:
-                depth_here = max(depth_here, pen(vertex))
-        mid_sign = -1.0 if f((seg_start + stop) / 2.0) <= 0.0 else 1.0
-
-        if mid_sign == state["sign"]:
-            # Back (or still) on the original side: any pending shallow
-            # crossing was a graze.
-            state["crossing_t"] = None
-            state["max_pen"] = 0.0
-        else:
-            if state["crossing_t"] is None:
-                state["crossing_t"] = t_lo + seg_start
-                state["max_pen"] = 0.0
-            state["max_pen"] = max(state["max_pen"], depth_here)
-            if state["max_pen"] >= RAYCAST_TOL_M and state["crossing_t"] > 1e-9:
-                return state["crossing_t"]
-        seg_start = stop
-    return None
-
-
 @dataclass(eq=False)
 class BatchHits:
     """Vectorized raycast results: NaN range where a ray missed."""
@@ -450,97 +413,85 @@ class BatchHits:
     hit: np.ndarray  # (N,) bool
 
 
-def raycast_batch(
-    h: Heightmap,
-    origin: WorldPoint,
-    directions: np.ndarray,
-    max_range: float,
-    coarse_step: float | None = None,
-) -> BatchHits:
-    """March many rays from a shared origin against the terrain surface.
+def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_range: float) -> BatchHits:
+    """`raycast` for many rays from a shared origin, in lock-step.
 
-    Coarse fixed-step marching (default step: half the minimum node
-    spacing) locates sign changes of (ray depth - surface depth), then a
-    vectorized bisection refines each bracket to RAYCAST_TOL_M. Surface
-    features narrower than the coarse step can be skipped, but every
-    returned point lies on the surface. Used by the lidar and sonar ray
-    fans; the exact per-ray `raycast` is the reference implementation.
+    Each pass of the loop moves every unfinished ray one cell along its
+    own traversal and runs `raycast`'s crossing tracker over that cell's
+    patch, so hits, ranges and normals are bit-identical to one `raycast`
+    call per ray. Used by the lidar and sonar ray fans.
     """
     dirs = np.asarray(directions, dtype=float)
-    n = dirs.shape[0]
-    if coarse_step is None:
-        coarse_step = 0.5 * h.min_cell_extent_m()
-    n_steps = int(math.ceil(max_range / coarse_step))
-
-    de = dirs[:, 1]
-    dn = dirs[:, 0]
-    dd = dirs[:, 2]
-
-    # Per-ray parametric exit from the horizontal extent, so the march
-    # samples the boundary itself and cannot skip a final partial step.
+    n = len(dirs)
+    x0, y0, z0 = origin.x, origin.y, origin.depth
     x_min, y_min, x_max, y_max = h.extent
-    t_limit = np.full(n, max_range)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for comp, lo_b, hi_b, pos in ((de, x_min, x_max, origin.x), (dn, y_min, y_max, origin.y)):
-            ta = np.where(comp != 0.0, (lo_b - pos) / comp, np.inf)
-            tb = np.where(comp != 0.0, (hi_b - pos) / comp, np.inf)
-            t_far = np.maximum(ta, tb)
-            t_limit = np.minimum(t_limit, np.where(np.isfinite(t_far), t_far, max_range))
-    t_limit = np.clip(t_limit, 0.0, max_range)
-
-    def f_at(t: np.ndarray) -> np.ndarray:
-        x = origin.x + de * t
-        y = origin.y + dn * t
-        z = origin.depth + dd * t
-        return z - depth_at_xy(h, x, y)
-
-    t_prev = np.zeros(n)
-    f_prev = f_at(t_prev)
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    hit = np.zeros(n, dtype=bool)
-    for k in range(1, n_steps + 1):
-        t_cur = np.minimum(k * coarse_step, t_limit)
-        f_cur = f_at(t_cur)
-        crossed = (
-            ~hit
-            & np.isfinite(f_prev)
-            & np.isfinite(f_cur)
-            & ((f_prev < 0.0) != (f_cur < 0.0))
-        )
-        lo[crossed] = t_prev[crossed]
-        hi[crossed] = t_cur[crossed]
-        hit |= crossed
-        t_prev, f_prev = t_cur, f_cur
-        if hit.all():
-            break
-
+    eps_t = 1e-12 * max(1.0, max_range)
     ranges = np.full(n, np.nan)
     normals = np.full((n, 3), np.nan)
-    if hit.any():
-        idx = np.flatnonzero(hit)
-        blo, bhi = lo[idx], hi[idx]
-        sub_de, sub_dn, sub_dd = de[idx], dn[idx], dd[idx]
+    hit = np.zeros(n, dtype=bool)
 
-        def f_sub(t: np.ndarray) -> np.ndarray:
-            x = origin.x + sub_de * t
-            y = origin.y + sub_dn * t
-            z = origin.depth + sub_dd * t
-            return z - depth_at_xy(h, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Clip every ray to the horizontal extent.
+        t_enter, t_exit = np.zeros(n), np.full(n, float(max_range))
+        inside = np.ones(n, dtype=bool)
+        for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
+            moving = comp != 0.0
+            ta = (lo - pos) / comp
+            tb = (hi - pos) / comp
+            t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
+            t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
+            inside &= moving | (lo <= pos <= hi)
 
-        f_blo = f_sub(blo)
-        it = int(math.ceil(math.log2(max(coarse_step / RAYCAST_TOL_M, 2.0)))) + 2
-        for _ in range(it):
-            mid = 0.5 * (blo + bhi)
-            f_mid = f_sub(mid)
-            left = (f_blo < 0.0) != (f_mid < 0.0)
-            bhi = np.where(left, mid, bhi)
-            blo = np.where(left, blo, mid)
-            f_blo = np.where(left, f_blo, f_mid)
-        t_star = 0.5 * (blo + bhi)
-        ranges[idx] = t_star
-        hx = origin.x + sub_de * t_star
-        hy = origin.y + sub_dn * t_star
-        gx, gy = surface_gradient_xy(h, hx, hy)
-        normals[idx] = _surface_normal(gx, gy)
+        # Per-ray state of the unfinished rays, indexed like `ray`.
+        ray = np.flatnonzero(inside & (t_enter < t_exit - eps_t))
+        dn, de, dd = dirs[ray, 0], dirs[ray, 1], dirs[ray, 2]
+        t_lo, t_exit = t_enter[ray], t_exit[ray]
+        probe = np.minimum(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
+        i, j = _cell_indices(h, x0 + de * probe, y0 + dn * probe)
+        sign, crossing, max_pen = np.zeros(ray.size), np.full(ray.size, np.nan), np.zeros(ray.size)
+
+        while ray.size:
+            t_x = np.where(de != 0.0, (h.xs[j + (de > 0.0)] - x0) / de, np.inf)
+            t_y = np.where(dn != 0.0, (h.ys[i + (dn > 0.0)] - y0) / dn, np.inf)
+            t_hi = np.minimum(np.minimum(t_x, t_y), t_exit)
+
+            q0, q1, q2 = _patch_coefficients(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
+            hole = np.isnan(q0)
+            sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
+            walk = ~hole & (t_hi > t_lo) & (t_hi > 0.0)
+            new = walk & (sign == 0.0)
+            sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
+            stops = _segment_stops(q0, q1, q2, t_hi - t_lo)
+            fired = np.zeros(ray.size, dtype=bool)
+            for k in range(3):
+                r = np.flatnonzero(walk & ~fired & (stops[:, k] < np.inf))
+                a0, a1, a2, sg = q0[r], q1[r], q2[r], sign[r]
+                s0 = stops[r, k - 1] if k else np.zeros(r.size)
+                s1 = stops[r, k]
+                pen = np.maximum(np.maximum(-sg * _gap(a0, a1, a2, s0), -sg * _gap(a0, a1, a2, s1)), 0.0)
+                vertex = -a1 / (2.0 * a2)
+                inner = (a2 != 0.0) & (s0 < vertex) & (vertex < s1)
+                pen = np.where(inner, np.maximum(pen, -sg * _gap(a0, a1, a2, vertex)), pen)
+                graze = (_gap(a0, a1, a2, (s0 + s1) / 2.0) <= 0.0) == (sg < 0.0)
+                pending = np.isnan(crossing[r])
+                cr = np.where(pending, t_lo[r] + s0, crossing[r])
+                mp = np.maximum(np.where(pending, 0.0, max_pen[r]), pen)
+                crossing[r] = np.where(graze, np.nan, cr)
+                max_pen[r] = np.where(graze, 0.0, mp)
+                fired[r] = ~graze & (mp >= RAYCAST_TOL_M) & (cr > 1e-9)
+            got = fired & (crossing <= max_range)
+            ranges[ray[got]] = crossing[got]
+            hit[ray[got]] = True
+
+            # Advance to the neighbouring cell(s); ties cross the corner.
+            j = j + np.where(t_x <= t_y, np.where(de > 0.0, 1, -1), 0)
+            i = i + np.where(t_y <= t_x, np.where(dn > 0.0, 1, -1), 0)
+            keep = ~fired & (t_hi < t_exit - eps_t) & (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
+            ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
+                a[keep] for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
+            )
+
+    idx = np.flatnonzero(hit)
+    gx, gy = surface_gradient_xy(h, x0 + dirs[idx, 1] * ranges[idx], y0 + dirs[idx, 0] * ranges[idx])
+    normals[idx] = _surface_normal(gx, gy)
     return BatchHits(ranges=ranges, normals=normals, hit=hit)

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bathymetry, meshtools, scenario, tiling
+from . import bathymetry, currents, meshtools, scenario, tiling
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,10 +51,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (scenario.ScenarioError, bathymetry.HeightmapError, meshtools.MeshError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (
+        scenario.ScenarioError,
+        bathymetry.HeightmapError,
+        currents.CurrentError,
+        meshtools.MeshError,
+        OSError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

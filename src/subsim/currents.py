@@ -236,7 +236,3 @@ class CurrentSampler:
     def velocity(self, depth: float, time: float) -> np.ndarray:
         """Total current: interpolated mean + tide + GM perturbation."""
         return self.field.mean_velocity(depth, time) + self.state.delta_v
-
-    def velocity_at(self, position, time: float) -> np.ndarray:
-        """Current at a world position (only its depth matters)."""
-        return self.velocity(position.depth, time)

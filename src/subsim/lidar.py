@@ -20,7 +20,7 @@ from .geometry import Pose, rot_y, rot_z
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
 
-_RAY_CHUNK = 262144  # rays per raycast batch, bounds peak memory
+_RAY_CHUNK = 32768  # rays per raycast batch, bounds peak memory
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,17 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         diags.append(f"currents: {err}")
     if cfg.gauss_markov.mu < 0.0 or cfg.gauss_markov.sigma < 0.0:
         diags.append("gauss_markov parameters must be >= 0")
+    if cfg.tide is not None and cfg.tide.series_times is not None and cfg.dt > 0.0:
+        # The run queries the tide at epoch_utc + k * dt for every step k.
+        start, end = cfg.epoch_utc, cfg.epoch_utc + _step_count(cfg) * cfg.dt
+        first, last = float(cfg.tide.series_times[0]), float(cfg.tide.series_times[-1])
+        uncovered = [f"[{start}, {first})"] if start < first else []
+        uncovered += [f"({last}, {end}]"] if end > last else []
+        if uncovered:
+            diags.append(
+                f"currents: tide series spans [{first}, {last}] s UTC; "
+                f"run times {' and '.join(uncovered)} are not covered"
+            )
 
     seen_ids = set()
     for vehicle in cfg.vehicles:
@@ -426,8 +437,9 @@ class Simulation:
             gm=cfg.gauss_markov,
         )
 
-        # Deterministic seed tree: one child per vehicle sampler, then one
-        # per sensor, then one per coupling, in config order.
+        # Deterministic seed tree: for each vehicle in config order, one
+        # child for its current sampler, then one per sensor in order.
+        # Couplings draw no randomness.
         seed_seq = np.random.SeedSequence(cfg.seed)
         self._seed_iter = iter(seed_seq.spawn(_rng_slots(cfg)))
 
@@ -473,7 +485,7 @@ class Simulation:
         """Execute the fixed-step loop and write all outputs. Returns the
         manifest dictionary."""
         cfg = self.cfg
-        steps = int(round(cfg.duration / cfg.dt)) if cfg.duration > 0 else 0
+        steps = _step_count(cfg)
 
         tile_log = None
         if self.tile_manager is not None:
@@ -646,6 +658,11 @@ class Simulation:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest
+
+
+def _step_count(cfg: ScenarioConfig) -> int:
+    """Steps after t = 0; the run visits t = k * dt for k = 0..steps."""
+    return int(round(cfg.duration / cfg.dt)) if cfg.duration > 0 else 0
 
 
 def _rng_slots(cfg: ScenarioConfig) -> int:

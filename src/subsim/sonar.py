@@ -187,16 +187,16 @@ def _window(cfg: SonarConfig) -> np.ndarray | None:
 
 
 def beam_intensity(spectrum: np.ndarray, cfg: SonarConfig) -> np.ndarray:
-    """Intensity-range samples: |IDFT(windowed spectrum)|^2.
+    """Intensity-range samples: |IDFT(windowed spectrum)|^2 along axis 0,
+    for one beam's spectrum (M,) or a block of beams' spectra (M, beams).
 
     Sample k corresponds to range c*k/(2*B_w).
     """
     spectrum = np.asarray(spectrum)
     w = _window(cfg)
     if w is not None:
-        spectrum = spectrum * w
-    ts = np.fft.ifft(spectrum)
-    return np.abs(ts) ** 2
+        spectrum = spectrum * w.reshape((-1,) + (1,) * (spectrum.ndim - 1))
+    return np.abs(np.fft.ifft(spectrum, axis=0)) ** 2
 
 
 @dataclass(eq=False)
@@ -230,7 +230,6 @@ def ping(
     weights = scat.amplitudes[:, None] * beam_pattern(
         scat.azimuths[:, None] - beam_angles[None, :], cfg.beamwidth_rad
     )
-    w = _window(cfg)
 
     blocks = [
         (b0, min(b0 + _BEAM_BLOCK, cfg.n_beams)) for b0 in range(0, cfg.n_beams, _BEAM_BLOCK)
@@ -238,11 +237,7 @@ def ping(
 
     def compute(block: tuple[int, int]) -> tuple[int, int, np.ndarray]:
         b0, b1 = block
-        spectra = phases @ weights[:, b0:b1]  # (M, width)
-        if w is not None:
-            spectra = spectra * w[:, None]
-        ts = np.fft.ifft(spectra, axis=0)
-        return b0, b1, (np.abs(ts) ** 2).T
+        return b0, b1, beam_intensity(phases @ weights[:, b0:b1], cfg).T
 
     if threads <= 1:
         results = [compute(b) for b in blocks]

@@ -250,17 +250,41 @@ def test_batch_misses_outside_extent(flat50):
     assert not batch.hit.any()
 
 
+def _fan(rng, n, elevation_lo, elevation_hi):
+    """n unit rays at uniform azimuth, pointing elevation_lo..elevation_hi rad below level."""
+    el = rng.uniform(elevation_lo, elevation_hi, n)
+    az = rng.uniform(-math.pi, math.pi, n)
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+
+
 def test_batch_matches_scalar_on_rough_terrain():
+    """Both entry points apply one hit rule: same hit flag and the
+    identical range and normal on every ray, misses included."""
     from conftest import smooth_random_grid
 
     rng = np.random.default_rng(24)
-    h = make_heightmap(smooth_random_grid(rng, (21, 21), base=35.0, relief=9.0), cell_m=10.0)
-    origin = WorldPoint(float(h.xs[10]), float(h.ys[10]), 5.0)
-    dirs = rng.normal(size=(80, 3))
-    dirs[:, 2] = np.abs(dirs[:, 2]) + 0.25
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    batch = bat.raycast_batch(h, origin, dirs, 120.0)
-    for k in range(len(dirs)):
-        scalar = bat.raycast(h, origin, dirs[k], 120.0)
-        if scalar is not None and batch.hit[k]:
-            assert batch.ranges[k] == pytest.approx(scalar.range, abs=2e-3)
+    rough = make_heightmap(smooth_random_grid(rng, (21, 21), base=35.0, relief=9.0), cell_m=10.0)
+    steep = rng.normal(size=(80, 3))
+    steep[:, 2] = np.abs(steep[:, 2]) + 0.25
+    steep /= np.linalg.norm(steep, axis=1, keepdims=True)
+    # Shallow rays over uncorrelated relief cross many thin ridges.
+    jagged = make_heightmap(rng.uniform(30.0, 40.0, (60, 60)), cell_m=10.0)
+    holed_grid = rng.uniform(30.0, 40.0, (30, 30))
+    holed_grid[8:14, 10:20] = np.nan
+    holed = make_heightmap(holed_grid, cell_m=10.0)
+    cases = [
+        (rough, WorldPoint(float(rough.xs[10]), float(rough.ys[10]), 5.0), steep, 120.0),
+        (jagged, WorldPoint(float(jagged.xs[30]), float(jagged.ys[30]), 20.0), _fan(rng, 2000, 0.01, 0.3), 900.0),
+        (holed, WorldPoint(float(holed.xs[15]), float(holed.ys[11]), 20.0), _fan(rng, 400, 0.02, 0.5), 400.0),
+    ]
+    for h, origin, dirs, max_range in cases:
+        batch = bat.raycast_batch(h, origin, dirs, max_range)
+        hits = 0
+        for k in range(len(dirs)):
+            scalar = bat.raycast(h, origin, dirs[k], max_range)
+            assert batch.hit[k] == (scalar is not None)
+            if scalar is not None:
+                hits += 1
+                assert batch.ranges[k] == scalar.range
+                assert np.array_equal(batch.normals[k], scalar.normal)
+        assert 0 < hits < len(dirs)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import yaml
 
-from subsim import cli, meshtools
+from subsim import cli, currents, meshtools, scenario
 from subsim.bathymetry import save_heightmap
 
 from conftest import flat_heightmap
@@ -78,3 +78,33 @@ def test_missing_scenario_file_fails_cleanly(capsys):
     rc = cli.main(["validate", "/nonexistent/path.yaml"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_tide_series_ending_early_fails_validate_and_run(tmp_path, capsys):
+    (tmp_path / "tide.csv").write_text("epoch_seconds,speed_mps\n0,0.2\n5,0.2\n")
+    doc = {
+        "schema_version": 1, "duration": 10.0, "dt": 0.1,
+        "currents": {"tide": {"series": "tide.csv"}},
+        "vehicles": [{"id": "v1", "trajectory": [{"time": 0.0, "x": 0.0, "y": 0.0, "depth": 5.0}],
+                      "sensors": [{"type": "dvl", "rate": 5.0}]}],
+    }
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "(5.0, 10.0]" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(5.0, 10.0]" in err
+    assert not out.exists()
+
+
+def test_run_reports_current_errors_without_traceback(tmp_path, capsys, monkeypatch):
+    def failing_run(cfg, out_dir):
+        raise currents.CurrentError("time 5.2 outside tide series span [0.0, 5.0]")
+
+    monkeypatch.setattr(scenario, "run", failing_run)
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump({"schema_version": 1, "duration": 1.0, "dt": 0.1}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: time 5.2 outside tide series span [0.0, 5.0]\n"

@@ -71,6 +71,18 @@ def test_validate_rejects_non_multiple_sensor_period(tmp_path):
     assert any("integer multiple" in d for d in scenario.validate(cfg))
 
 
+def test_validate_reports_uncovered_tide_span(tmp_path):
+    (tmp_path / "tide.csv").write_text("epoch_seconds,speed_mps\n100,0.5\n105,0.5\n")
+    doc = minimal_doc(duration=10.0, epoch_utc=98.0)
+    doc["currents"] = {"tide": {"series": "tide.csv"}}
+    cfg = scenario.load_scenario(write_scenario(tmp_path, doc))
+    diags = [d for d in scenario.validate(cfg) if "tide" in d]
+    assert len(diags) == 1
+    assert "[98.0, 100.0)" in diags[0] and "(105.0, 108.0]" in diags[0]
+    covered = scenario.load_scenario(write_scenario(tmp_path, dict(doc, epoch_utc=100.0, duration=5.0)))
+    assert scenario.validate(covered) == []
+
+
 def test_validate_rejects_unknown_station(tmp_path):
     doc = small_world_doc(tmp_path)
     doc["vehicles"][0]["teleports"] = [{"time": 0.5, "station": "ghost"}]
