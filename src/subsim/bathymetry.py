@@ -18,6 +18,7 @@ import numpy as np
 
 from .geodesy import GeodeticCoord, ProjectedCoord, mercator_xy
 from .geometry import WorldPoint
+from .output import write_rows
 
 # Penetration past the surface that confirms a ray/terrain crossing as a hit;
 # shallower grazes are misses.
@@ -150,15 +151,17 @@ def save_heightmap(h: Heightmap, path) -> None:
     """Write a Heightmap back out as an ESRI ASCII grid."""
     nodata = h.nodata_value if h.nodata_value is not None else -9999.0
     grid = np.where(np.isnan(h.depth), nodata, h.depth)[::-1]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"ncols {h.cols}\n")
-        fh.write(f"nrows {h.rows}\n")
-        fh.write(f"xllcorner {h.origin.lon!r}\n")
-        fh.write(f"yllcorner {h.origin.lat!r}\n")
-        fh.write(f"cellsize {h.cell_size[1]!r}\n")
-        fh.write(f"nodata_value {float(nodata)!r}\n")
-        for row in grid:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    header = (
+        f"ncols {h.cols}\n"
+        f"nrows {h.rows}\n"
+        f"xllcorner {h.origin.lon!r}\n"
+        f"yllcorner {h.origin.lat!r}\n"
+        f"cellsize {h.cell_size[1]!r}\n"
+        f"nodata_value {float(nodata)!r}\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        write_rows(fh, b" ".join([b"%r"] * h.cols) + b"\n", grid)
 
 
 def _cell_indices(h: Heightmap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
 from .geometry import Pose, rot_y, rot_z
+from .output import write_rows
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
@@ -159,11 +160,12 @@ def write_ply(scan_result: LidarScan, path) -> None:
     """ASCII PLY export: x/y/z in meters (z up = -depth) plus integer ray
     grid indices."""
     pts = scan_result.points
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(pts)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property int h_index\nproperty int v_index\n")
-        fh.write("end_header\n")
-        for p, hi, vi in zip(pts, scan_result.h_index, scan_result.v_index):
-            fh.write(f"{p[0]:.6f} {p[1]:.6f} {-p[2]:.6f} {hi} {vi}\n")
+    rows = np.rec.fromarrays([pts[:, 0], pts[:, 1], -pts[:, 2], scan_result.h_index,
+                              scan_result.v_index])
+    with open(path, "wb") as fh:
+        fh.write(b"ply\nformat ascii 1.0\n")
+        fh.write(b"element vertex %d\n" % len(pts))
+        fh.write(b"property float x\nproperty float y\nproperty float z\n")
+        fh.write(b"property int h_index\nproperty int v_index\n")
+        fh.write(b"end_header\n")
+        write_rows(fh, b"%.6f %.6f %.6f %d %d\n", rows)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .output import write_rows
+
 
 class MeshError(ValueError):
     """Invalid mesh data."""
@@ -87,28 +89,30 @@ def subdivide(mesh: TriMesh) -> TriMesh:
     """Split every triangle into 4 at edge midpoints.
 
     Shared edges produce one shared midpoint vertex, so the subdivided
-    surface is geometrically identical to the input.
+    surface is geometrically identical to the input. Midpoints are
+    appended after the input vertices in the order their edges first
+    occur, walking triangles in order and each triangle's edges as
+    (a, b), (b, c), (c, a); triangle t becomes children 4t..4t+3.
     """
-    verts = list(mesh.vertices)
-    colors = list(mesh.colors) if mesh.colors is not None else None
-    midpoint: dict[tuple[int, int], int] = {}
+    n = len(mesh.vertices)
+    tris = mesh.triangles
+    a, b, c = tris.T
+    # Edge occurrences in walk order: triangle-major, then ab, bc, ca.
+    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique edges by first occurrence
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    edge_lo, edge_hi = lo[first[order]], hi[first[order]]
 
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = len(verts)
-            verts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-            if colors is not None:
-                colors.append(0.5 * (mesh.colors[a] + mesh.colors[b]))
-            midpoint[key] = idx
-        return idx
+    def with_midpoints(values):
+        return np.concatenate([values, 0.5 * (values[edge_lo] + values[edge_hi])])
 
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return TriMesh(np.array(verts), np.array(tris), np.array(colors) if colors is not None else None)
+    colors = None if mesh.colors is None else with_midpoints(mesh.colors)
+    return TriMesh(with_midpoints(mesh.vertices), children, colors)
 
 
 def jitter_vertices(mesh: TriMesh, params: DistortionParams) -> TriMesh:
@@ -194,19 +198,10 @@ def save_obj(mesh: TriMesh, path) -> None:
     Float formatting is repr-based, so identical meshes produce
     byte-identical files.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in enumerate(mesh.vertices):
-            if mesh.colors is not None:
-                c = mesh.colors[k]
-                fh.write(
-                    "v "
-                    + " ".join(repr(float(a)) for a in (v[0], v[1], v[2], c[0], c[1], c[2]))
-                    + "\n"
-                )
-            else:
-                fh.write("v " + " ".join(repr(float(a)) for a in v) + "\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
+    with open(path, "wb") as fh:
+        write_rows(fh, b"v" + b" %r" * rows.shape[1] + b"\n", rows)
+        write_rows(fh, b"f %d %d %d\n", mesh.triangles + 1)
 
 
 def unit_tetrahedron() -> TriMesh:

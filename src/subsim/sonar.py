@@ -23,6 +23,7 @@ import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
 from .geometry import Pose
+from .output import write_rows
 
 _BEAM_BLOCK = 16  # beams per spectrum block; fixed so results never depend on threading
 
@@ -274,13 +275,16 @@ def write_aplot_pgm(aplot: APlot, path, dynamic_range_db: float = 60.0) -> None:
         fh.write(pixels.tobytes())
 
 
+def _csv_row_format(n: int) -> bytes:
+    return b",".join([b"%.17g"] * n) + b"\n"
+
+
 def write_aplot_csv(aplot: APlot, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# aplot beams={len(aplot.beam_axis)} bins={len(aplot.range_axis)}\n")
-        fh.write("beam_axis," + ",".join(f"{a:.17g}" for a in aplot.beam_axis) + "\n")
-        fh.write("range_axis," + ",".join(f"{r:.17g}" for r in aplot.range_axis) + "\n")
-        for row in aplot.intensities:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# aplot beams=%d bins=%d\n" % (len(aplot.beam_axis), len(aplot.range_axis)))
+        for name, axis in ((b"beam_axis,", aplot.beam_axis), (b"range_axis,", aplot.range_axis)):
+            write_rows(fh, name + _csv_row_format(len(axis)), axis[None])
+        write_rows(fh, _csv_row_format(aplot.intensities.shape[1]), aplot.intensities)
 
 
 def load_aplot_csv(path) -> APlot:

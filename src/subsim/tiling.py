@@ -157,7 +157,7 @@ def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "tiles.csv"
     with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "col", "x0", "y0", "x1", "y1", "path"])
         for tile in tiles:
             name = f"tile_{tile.index[0]:03d}_{tile.index[1]:03d}.obj"

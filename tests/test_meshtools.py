@@ -41,6 +41,82 @@ def test_subdivide_preserves_area():
     assert out.surface_area() == pytest.approx(mesh.surface_area(), rel=1e-9)
 
 
+def _subdivide_reference(mesh):
+    """Dict-and-loop midpoint subdivision: the definition subdivide must match."""
+    verts = list(mesh.vertices)
+    colors = list(mesh.colors) if mesh.colors is not None else None
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = midpoint.get(key)
+        if idx is None:
+            idx = len(verts)
+            verts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+            if colors is not None:
+                colors.append(0.5 * (mesh.colors[a] + mesh.colors[b]))
+            midpoint[key] = idx
+        return idx
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return mt.TriMesh(np.array(verts), np.array(tris), np.array(colors) if colors is not None else None)
+
+
+def _random_open_lattice(rng, rows=9, cols=12):
+    """Jittered grid with random holes, triangle order and winding, and colors."""
+    node = np.arange(rows * cols).reshape(rows, cols)
+    v00, v10 = node[:-1, :-1].ravel(), node[:-1, 1:].ravel()
+    v01, v11 = node[1:, :-1].ravel(), node[1:, 1:].ravel()
+    tris = np.concatenate([np.stack([v00, v10, v11], 1), np.stack([v00, v11, v01], 1)])
+    tris = tris[rng.uniform(size=len(tris)) > 0.2]
+    flip = rng.uniform(size=len(tris)) < 0.5
+    tris[flip] = tris[flip][:, ::-1]
+    tris = tris[rng.permutation(len(tris))]
+    gx, gy = np.meshgrid(np.arange(cols, dtype=float), np.arange(rows, dtype=float))
+    verts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]) * 1000.0 + 1.3e7
+    verts = verts + rng.uniform(-300.0, 300.0, verts.shape)
+    return mt.TriMesh(verts, tris, colors=rng.uniform(0.0, 1.0, verts.shape))
+
+
+def _assert_same_mesh(got, want):
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.triangles, want.triangles)
+    if want.colors is None:
+        assert got.colors is None
+    else:
+        assert np.array_equal(got.colors, want.colors)
+
+
+def test_subdivide_matches_reference_on_tetrahedron():
+    _assert_same_mesh(mt.subdivide(mt.unit_tetrahedron()), _subdivide_reference(mt.unit_tetrahedron()))
+
+
+def test_subdivide_matches_reference_on_open_lattice_with_colors():
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        mesh = _random_open_lattice(rng)
+        _assert_same_mesh(mt.subdivide(mesh), _subdivide_reference(mesh))
+
+
+def test_subdivide_matches_reference_over_two_levels():
+    mesh = _random_open_lattice(np.random.default_rng(78))
+    _assert_same_mesh(mt.subdivide(mt.subdivide(mesh)),
+                      _subdivide_reference(_subdivide_reference(mesh)))
+    tet = mt.unit_tetrahedron()
+    _assert_same_mesh(mt.subdivide(mt.subdivide(tet)), _subdivide_reference(_subdivide_reference(tet)))
+
+
+def test_subdivide_without_triangles_keeps_vertices():
+    mesh = mt.TriMesh([[0.0, 1.0, 2.0]], np.zeros((0, 3)), colors=[[0.5, 0.5, 0.5]])
+    out = mt.subdivide(mesh)
+    assert np.array_equal(out.vertices, mesh.vertices)
+    assert out.num_triangles == 0
+    assert np.array_equal(out.colors, mesh.colors)
+
+
 def test_jitter_extent_zero_is_identity():
     mesh = mt.unit_tetrahedron()
     out = mt.jitter_vertices(mesh, mt.DistortionParams(extent=0.0, scale=0.5, seed=3))

@@ -1,0 +1,277 @@
+"""Byte contract of the file writers.
+
+Each writer is checked against a reference that formats one value per
+Python call with the rule the format documents (README "Output formats"):
+OBJ and DEM floats are ``repr``, PLY coordinates ``%.6f``, A-plot values
+``%.17g``. Golden sha256 digests of a fixed small input per writer make
+any drift in the bytes fail here, not only in a benchmark's byte count.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subsim import cli, lidar, meshtools, sonar
+from subsim.bathymetry import Heightmap, save_heightmap
+from subsim.geodesy import GeodeticCoord
+from subsim.output import CHUNK_BYTES, write_rows
+
+REPO = Path(__file__).resolve().parents[1]
+
+SUBNORMALS = [5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308 / 3.0]
+EDGE = [0.0, -0.0, 1e16, -1e16, 1e-5, -1e-5, 0.1, 1.0 / 3.0, 2.5e-7, 5e-7, 123456.0000005,
+        20037508.342789244, -20037508.342789244, 13358338.895192828, 1e22, 9.999999e-05,
+        *SUBNORMALS]
+
+
+# --- references: one value per call, as the format rules state -----------------
+
+
+def _obj_reference(mesh) -> bytes:
+    out = []
+    for k, v in enumerate(mesh.vertices):
+        vals = list(v) + ([] if mesh.colors is None else list(mesh.colors[k]))
+        out.append("v " + " ".join(repr(float(a)) for a in vals) + "\n")
+    for t in mesh.triangles:
+        out.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    return "".join(out).encode("ascii")
+
+
+def _ply_reference(scan) -> bytes:
+    out = ["ply\nformat ascii 1.0\n", f"element vertex {len(scan.points)}\n",
+           "property float x\nproperty float y\nproperty float z\n",
+           "property int h_index\nproperty int v_index\n", "end_header\n"]
+    for p, hi, vi in zip(scan.points, scan.h_index, scan.v_index):
+        out.append(f"{p[0]:.6f} {p[1]:.6f} {-p[2]:.6f} {hi} {vi}\n")
+    return "".join(out).encode("ascii")
+
+
+def _aplot_reference(aplot) -> bytes:
+    out = [f"# aplot beams={len(aplot.beam_axis)} bins={len(aplot.range_axis)}\n",
+           "beam_axis," + ",".join(f"{a:.17g}" for a in aplot.beam_axis) + "\n",
+           "range_axis," + ",".join(f"{r:.17g}" for r in aplot.range_axis) + "\n"]
+    for row in aplot.intensities:
+        out.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(out).encode("ascii")
+
+
+def _dem_reference(h) -> bytes:
+    nodata = h.nodata_value if h.nodata_value is not None else -9999.0
+    out = [f"ncols {h.cols}\n", f"nrows {h.rows}\n", f"xllcorner {h.origin.lon!r}\n",
+           f"yllcorner {h.origin.lat!r}\n", f"cellsize {h.cell_size[1]!r}\n",
+           f"nodata_value {float(nodata)!r}\n"]
+    for row in np.where(np.isnan(h.depth), nodata, h.depth)[::-1]:
+        out.append(" ".join(repr(float(v)) for v in row) + "\n")
+    return "".join(out).encode("ascii")
+
+
+def _written(writer, obj, tmp_path, name) -> bytes:
+    path = tmp_path / name
+    writer(obj, path)
+    return path.read_bytes()
+
+
+def _scan(points, h_index=None, v_index=None):
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    h_index = np.arange(n) if h_index is None else np.asarray(h_index)
+    v_index = np.arange(n)[::-1] * 7 if v_index is None else np.asarray(v_index)
+    return lidar.LidarScan(points, np.linalg.norm(points, axis=1), h_index, v_index)
+
+
+# --- the shared row writer ---------------------------------------------------------
+
+
+def _rows_per_chunk(n_floats):
+    return CHUNK_BYTES // (8 * n_floats)
+
+
+@pytest.mark.parametrize("cols, n", [
+    (3, 0), (3, 1), (3, _rows_per_chunk(3) - 1), (3, _rows_per_chunk(3)), (3, _rows_per_chunk(3) + 1),
+    (3, 2 * _rows_per_chunk(3) + 5), (1024, 9), (CHUNK_BYTES // 8 + 1, 2),
+])
+def test_write_rows_matches_per_row_formatting_across_chunk_edges(tmp_path, cols, n):
+    rows = np.arange(cols * n, dtype=float).reshape(n, cols) / 7.0
+    path = tmp_path / "rows.txt"
+    with open(path, "wb") as fh:
+        write_rows(fh, b",".join([b"%r"] * cols) + b"\n", rows)
+    expected = "".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+# --- per-writer byte contracts --------------------------------------------------------
+
+
+def test_obj_bytes_match_repr_rule_on_edge_values(tmp_path):
+    vals = np.array(EDGE + [-0.0], dtype=float).reshape(7, 3)
+    mesh = meshtools.TriMesh(vals, [[0, 1, 2], [2, 1, 3], [3, 4, 5], [6, 5, 4]],
+                             colors=vals[::-1])
+    assert _written(meshtools.save_obj, mesh, tmp_path, "e.obj") == _obj_reference(mesh)
+    plain = meshtools.TriMesh(vals, [[5, 4, 0]])
+    assert _written(meshtools.save_obj, plain, tmp_path, "p.obj") == _obj_reference(plain)
+
+
+def test_obj_bytes_on_a_large_colored_mesh(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * _rows_per_chunk(6) + 17
+    verts = rng.uniform(-2e7, 2e7, (n, 3))
+    tris = np.stack([np.arange(n - 2), np.arange(1, n - 1), np.arange(2, n)], axis=1)
+    mesh = meshtools.TriMesh(verts, tris, colors=rng.uniform(0.0, 1.0, (n, 3)))
+    assert _written(meshtools.save_obj, mesh, tmp_path, "big.obj") == _obj_reference(mesh)
+
+
+def test_obj_without_triangles_or_vertices(tmp_path):
+    verts_only = meshtools.TriMesh([[1.0, -0.0, 1e16]], np.zeros((0, 3)), colors=[[0.5, 0.25, 1.0]])
+    assert _written(meshtools.save_obj, verts_only, tmp_path, "v.obj") == b"v 1.0 -0.0 1e+16 0.5 0.25 1.0\n"
+    empty = meshtools.TriMesh(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert _written(meshtools.save_obj, empty, tmp_path, "e.obj") == b""
+
+
+def test_ply_bytes_match_fixed_rule_on_edge_values(tmp_path):
+    pts = np.vstack([np.reshape(EDGE + [-0.0], (7, 3)), [[1.0, 2.0, 0.0], [3.0, 4.0, -0.0]]])
+    scan = _scan(pts)
+    data = _written(lidar.write_ply, scan, tmp_path, "e.ply")
+    assert data == _ply_reference(scan)
+    # A depth of exactly 0 is written as up = -depth, i.e. "-0.000000".
+    assert b" -0.000000 " in data
+
+
+def test_ply_bytes_on_a_large_scan(tmp_path):
+    rng = np.random.default_rng(12)
+    n = 3 * _rows_per_chunk(5) + 1
+    pts = np.column_stack([rng.uniform(-2e7, 2e7, (n, 2)), rng.uniform(0.0, 200.0, n)])
+    scan = _scan(pts, rng.integers(0, 2000, n), rng.integers(0, 2000, n))
+    assert _written(lidar.write_ply, scan, tmp_path, "big.ply") == _ply_reference(scan)
+
+
+def test_ply_with_no_points(tmp_path):
+    scan = lidar.LidarScan(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    data = _written(lidar.write_ply, scan, tmp_path, "n.ply")
+    assert data == _ply_reference(scan)
+    assert data.endswith(b"element vertex 0\nproperty float x\nproperty float y\nproperty float z\n"
+                         b"property int h_index\nproperty int v_index\nend_header\n")
+
+
+def test_aplot_bytes_match_17g_rule_on_edge_and_nonfinite_values(tmp_path):
+    vals = np.array(EDGE + [math.nan, math.inf, -math.inf, -math.nan], dtype=float)
+    aplot = sonar.APlot(np.vstack([vals, vals[::-1] * 3.0]), vals * 0.5, np.array([-0.0, 1e-5]))
+    data = _written(sonar.write_aplot_csv, aplot, tmp_path, "e.csv")
+    assert data == _aplot_reference(aplot)
+    assert b",nan,inf,-inf," in data
+
+
+def test_aplot_bytes_on_a_large_ping(tmp_path):
+    rng = np.random.default_rng(13)
+    aplot = sonar.APlot(rng.exponential(1e-6, (48, 1024)), np.arange(1024) * 0.0125,
+                        np.linspace(-0.6, 0.6, 48))
+    assert _written(sonar.write_aplot_csv, aplot, tmp_path, "big.csv") == _aplot_reference(aplot)
+
+
+def test_aplot_one_by_one(tmp_path):
+    aplot = sonar.APlot(np.array([[1e16]]), np.array([0.1]), np.array([-0.0]))
+    data = _written(sonar.write_aplot_csv, aplot, tmp_path, "one.csv")
+    assert data == _aplot_reference(aplot)
+    assert data == b"# aplot beams=1 bins=1\nbeam_axis,-0\nrange_axis,0.10000000000000001\n10000000000000000\n"
+    back = sonar.load_aplot_csv(tmp_path / "one.csv")
+    assert back.intensities.tolist() == [[1e16]]
+
+
+def test_dem_bytes_match_repr_rule_with_nodata_cells(tmp_path):
+    depth = np.array(EDGE[:12], dtype=float).reshape(3, 4)
+    depth[2, 3] = 5e-324
+    depth[1, 2] = depth[0, 0] = np.nan
+    h = Heightmap(GeodeticCoord(-33.123456789, 151.987654321), (1e-4 / 3.0, 2e-4 / 3.0), depth)
+    data = _written(save_heightmap, h, tmp_path, "e.asc")
+    assert data == _dem_reference(h)
+    assert b"nodata_value -9999.0\n" in data
+    sentinel = Heightmap(h.origin, h.cell_size, depth, nodata_value=-32768.0)
+    assert _written(save_heightmap, sentinel, tmp_path, "s.asc") == _dem_reference(sentinel)
+
+
+def test_dem_bytes_on_a_large_grid(tmp_path):
+    rng = np.random.default_rng(14)
+    depth = rng.uniform(0.0, 6000.0, (_rows_per_chunk(5) + 3, 5))
+    depth[rng.uniform(size=depth.shape) < 0.05] = np.nan
+    h = Heightmap(GeodeticCoord(10.0, -20.0), 1e-3, depth)
+    assert _written(save_heightmap, h, tmp_path, "big.asc") == _dem_reference(h)
+
+
+# --- golden digests ------------------------------------------------------------------
+#
+# Inputs use exact arithmetic only (integer ranges, divisions, powers of two), so the
+# bytes do not depend on a platform's libm or on a random generator's stream.
+
+
+def _golden_mesh():
+    k = np.arange(18, dtype=float).reshape(6, 3)
+    verts = k / 7.0 * np.array([1000.0, 1000.0, 1.0]) + np.array([1.3e7, -4.4e6, -0.0])
+    tris = np.array([[0, 1, 2], [1, 3, 2], [2, 3, 4], [3, 5, 4]])
+    return meshtools.TriMesh(verts, tris, colors=k / 17.0)
+
+
+def _golden_scan():
+    k = np.arange(15, dtype=float).reshape(5, 3)
+    pts = k / 3.0 * np.array([10.0, 10.0, 0.5]) + np.array([-8.9e6, 2.2e6, 0.0])
+    return lidar.LidarScan(pts, np.linalg.norm(pts, axis=1), np.array([0, 0, 1, 2, 9]),
+                           np.array([5, 6, 0, 3, 1]))
+
+
+def _golden_aplot():
+    inten = (np.arange(12, dtype=float).reshape(3, 4) ** 2) / 9.0 * 2.0**-20
+    return sonar.APlot(inten, np.arange(4) * 0.0125 + 0.5, (np.arange(3) - 1.0) / 6.0)
+
+
+def _golden_dem():
+    depth = np.arange(12, dtype=float).reshape(3, 4) / 3.0 + 40.0
+    depth[2, 1] = np.nan
+    return Heightmap(GeodeticCoord(10.0, -20.0), (1e-3, 2e-3), depth)
+
+
+GOLDEN = {
+    "obj": (meshtools.save_obj, _golden_mesh, "mesh.obj",
+            "a89519fc750137baa6eb21a7b74fa8f0a97bfa90d2354f4c8bd7508bd19451d7"),
+    "ply": (lidar.write_ply, _golden_scan, "scan.ply",
+            "e8e401bd9389af087b489e89745a6d23bf92f6f6ce06c9b9b5f13b10b6b8b00c"),
+    "aplot": (sonar.write_aplot_csv, _golden_aplot, "aplot.csv",
+              "26688a878a32b69994e10391f743a9f9ce8797cd2a81340ea46223062430d2c8"),
+    "dem": (save_heightmap, _golden_dem, "dem.asc",
+            "1548abd7c5e66d270a59528ee4f562f25e4cf625af77a033e29f8333070bcdab"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_digest(tmp_path, kind):
+    writer, build, name, digest = GOLDEN[kind]
+    assert hashlib.sha256(_written(writer, build(), tmp_path, name)).hexdigest() == digest
+
+
+# --- line endings ----------------------------------------------------------------------
+
+
+def _text_files_with_cr(root):
+    # PGM pixels are raw bytes, where 13 is a grey level, not a line ending.
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                  if p.is_file() and p.suffix != ".pgm" and b"\r" in p.read_bytes())
+
+
+def test_tiles_output_has_no_carriage_returns(tmp_path):
+    from conftest import flat_heightmap
+
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), tmp_path / "dem.asc")
+    out = tmp_path / "tiles"
+    assert cli.main(["tiles", str(tmp_path / "dem.asc"), "--tile-size", "50", "--overlap", "5",
+                     "--out", str(out)]) == 0
+    assert (out / "tiles.csv").read_bytes().startswith(b"row,col,x0,y0,x1,y1,path\n")
+    assert _text_files_with_cr(out) == []
+
+
+def test_run_output_has_no_carriage_returns(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run", str(REPO / "scenarios" / "demo.yaml"), "--out", str(out),
+                     "--duration", "1.0"]) == 0
+    suffixes = {p.suffix for p in out.rglob("*") if p.is_file()}
+    assert {".csv", ".json", ".ply", ".pgm"} <= suffixes
+    assert _text_files_with_cr(out) == []
