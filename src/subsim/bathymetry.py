@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -103,28 +104,13 @@ def load_heightmap(path) -> Heightmap:
     problems, and on value-count mismatches.
     """
     path = Path(path)
-    header: dict[str, float] = {}
-    values: list[float] = []
-    header_keys = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            key = tokens[0].lower()
-            if not values and key in header_keys:
-                if len(tokens) != 2:
-                    raise HeightmapError(f"{path}:{lineno}: malformed header line {line!r}")
-                try:
-                    header[key] = float(tokens[1])
-                except ValueError:
-                    raise HeightmapError(f"{path}:{lineno}: bad header value {tokens[1]!r}") from None
-                continue
-            for tok in tokens:
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header, first = _read_header(path, fh)
+            values = _read_values(path, fh, *first) if first else np.empty(0)
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise HeightmapError(f"{path}: not an ASCII grid: non-ASCII byte {bad!r}") from None
 
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
@@ -132,12 +118,12 @@ def load_heightmap(path) -> Heightmap:
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols != header["ncols"] or nrows != header["nrows"]:
         raise HeightmapError(f"{path}: ncols/nrows must be integers")
-    if len(values) != nrows * ncols:
+    if values.size != nrows * ncols:
         raise HeightmapError(
-            f"{path}: expected {nrows * ncols} values for {nrows}x{ncols} grid, got {len(values)}"
+            f"{path}: expected {nrows * ncols} values for {nrows}x{ncols} grid, got {values.size}"
         )
 
-    grid = np.array(values, dtype=float).reshape(nrows, ncols)
+    grid = values.reshape(nrows, ncols)
     nodata = header.get("nodata_value")
     if nodata is not None:
         grid[grid == nodata] = np.nan
@@ -147,6 +133,52 @@ def load_heightmap(path) -> Heightmap:
     return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
 
 
+_HEADER_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
+
+
+def _read_header(path: Path, fh) -> tuple[dict[str, float], tuple[int, str] | None]:
+    """Parse header lines; returns the header and the line number and text
+    of the first value line (None if the file ends first)."""
+    header: dict[str, float] = {}
+    for lineno, line in enumerate(fh, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        key = tokens[0].lower()
+        if key not in _HEADER_KEYS:
+            return header, (lineno, line)
+        if len(tokens) != 2:
+            raise HeightmapError(f"{path}:{lineno}: malformed header line {line!r}")
+        try:
+            header[key] = float(tokens[1])
+        except ValueError:
+            raise HeightmapError(f"{path}:{lineno}: bad header value {tokens[1]!r}") from None
+    return header, None
+
+
+def _read_values(path: Path, fh, lineno: int, line: str) -> np.ndarray:
+    """Read the values from ``line`` (line ``lineno``) to the end of ``fh``,
+    flat, in file order.
+
+    One ``np.loadtxt`` pass parses regular rows. When it raises (rows
+    wrapped unevenly across lines, tokens such as ``1_0`` that only
+    ``float()`` accepts, or a bad token), a per-token ``float()`` pass
+    reads the body again and names the line of any bad token.
+    """
+    try:
+        return np.loadtxt(chain([line], fh), dtype=float, comments=None, ndmin=2).ravel()
+    except ValueError:
+        fh.seek(0)
+    values: list[float] = []
+    for lineno, line in enumerate(islice(fh, lineno - 1, None), start=lineno):
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
+    return np.array(values, dtype=float)
+
+
 def save_heightmap(h: Heightmap, path) -> None:
     """Write a Heightmap back out as an ESRI ASCII grid."""
     nodata = h.nodata_value if h.nodata_value is not None else -9999.0
@@ -154,8 +186,8 @@ def save_heightmap(h: Heightmap, path) -> None:
     header = (
         f"ncols {h.cols}\n"
         f"nrows {h.rows}\n"
-        f"xllcorner {h.origin.lon!r}\n"
-        f"yllcorner {h.origin.lat!r}\n"
+        f"xllcorner {float(h.origin.lon)!r}\n"
+        f"yllcorner {float(h.origin.lat)!r}\n"
         f"cellsize {h.cell_size[1]!r}\n"
         f"nodata_value {float(nodata)!r}\n"
     )

@@ -289,6 +289,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             diags.append(f"heightmap file not found: {cfg.world.heightmap_path}")
         if cfg.world.tile_size <= 2.0 * cfg.world.overlap:
             diags.append("world.tile_size must exceed twice world.overlap")
+        if cfg.world.load_radius <= 0.0:
+            diags.append("world.load_radius must be positive")
         if cfg.world.unload_radius <= cfg.world.load_radius:
             diags.append("world.unload_radius must exceed world.load_radius")
     try:

@@ -200,15 +200,32 @@ class TileManager:
             raise ValueError("unload_radius must exceed load_radius (hysteresis)")
         self.load_radius = load_radius
         self.unload_radius = unload_radius
-        self._bounds = {t.index: t.core_bounds for t in tiles}
+        bounds = {t.index: t.core_bounds for t in tiles}
+        self._indices = list(bounds)
+        self._bounds = list(bounds.values())
+        corners = np.array([(b.x0, b.y0, b.x1, b.y1) for b in self._bounds], dtype=float)
+        self._x0, self._y0, self._x1, self._y1 = corners.reshape(-1, 4).T.copy()
         self.loaded: set[tuple[int, int]] = set()
 
     def update_tiles(self, vehicles: Sequence[ProjectedCoord]) -> list[TileEvent]:
-        """Apply the hysteresis rule; returns the minimal event list."""
+        """Apply the hysteresis rule; returns the minimal event list.
+
+        A box cull picks the candidate tiles: the per-axis gaps are
+        Bounds.distance_to's own float arithmetic, and a correctly
+        rounded hypot is never below its larger argument, so a tile with
+        either gap beyond unload_radius is out of reach of that vehicle.
+        The decision itself is distance_to (math.hypot) on the candidates.
+        """
         positions = [(v.x, v.y) for v in vehicles]
+        vx, vy = np.array(positions, dtype=float).reshape(-1, 2).T
+        dx = np.maximum(np.maximum(self._x0[:, None] - vx, 0.0), vx - self._x1[:, None])
+        dy = np.maximum(np.maximum(self._y0[:, None] - vy, 0.0), vy - self._y1[:, None])
+        reach = self.unload_radius
+        candidates = np.flatnonzero(((dx <= reach) & (dy <= reach)).any(axis=1))
         needed = set()
         keep = set()
-        for index, bounds in self._bounds.items():
+        for k in candidates.tolist():
+            index, bounds = self._indices[k], self._bounds[k]
             for x, y in positions:
                 dist = bounds.distance_to(x, y)
                 if dist <= self.load_radius:

@@ -74,6 +74,140 @@ def test_grid_must_be_2x2():
         make_heightmap(np.zeros((1, 5)))
 
 
+def test_save_load_round_trip_numpy_scalar_origin(tmp_path):
+    depth = np.arange(4.0).reshape(2, 2) + 30.0
+    h = bat.Heightmap(GeodeticCoord(np.float64(10.0), np.float64(-20.0)), 0.001, depth)
+    f = tmp_path / "np.asc"
+    bat.save_heightmap(h, f)
+    assert "xllcorner -20.0\nyllcorner 10.0\n" in f.read_text()
+    h2 = bat.load_heightmap(f)
+    assert h2.origin == GeodeticCoord(10.0, -20.0)
+    assert np.array_equal(h2.depth, depth)
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_load_non_ascii_byte_names_file(tmp_path, where):
+    f = tmp_path / "mu.asc"
+    text = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n"
+    text = text.replace("cellsize 1", "cellsize 1µ") if where == "header" else text + "µ\n"
+    f.write_bytes(text.encode("utf-8"))
+    with pytest.raises(bat.HeightmapError, match="non-ASCII") as info:
+        bat.load_heightmap(f)
+    assert str(f) in str(info.value)
+
+
+# --- loader against a per-token reference ---------------------------------------
+
+
+def _load_reference(path):
+    """One float() per token, the line-by-line ESRI ASCII grid parser."""
+    header = {}
+    values = []
+    header_keys = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            key = tokens[0].lower()
+            if not values and key in header_keys:
+                header[key] = float(tokens[1])
+                continue
+            for tok in tokens:
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise bat.HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    assert len(values) == nrows * ncols
+    grid = np.array(values, dtype=float).reshape(nrows, ncols)
+    nodata = header.get("nodata_value")
+    if nodata is not None:
+        grid[grid == nodata] = np.nan
+    origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
+    return bat.Heightmap(origin, header["cellsize"], grid[::-1], nodata_value=nodata)
+
+
+def _assert_loads_like_reference(path):
+    try:
+        ref = _load_reference(path)
+    except bat.HeightmapError as err:
+        with pytest.raises(bat.HeightmapError) as info:
+            bat.load_heightmap(path)
+        assert str(info.value) == str(err)
+        return None
+    h = bat.load_heightmap(path)
+    assert np.array_equal(h.nodata_mask, ref.nodata_mask)
+    valid = ~ref.nodata_mask
+    # Bit for bit: the int64 views tell -0.0 from 0.0.
+    assert np.array_equal(h.depth[valid].view(np.int64), ref.depth[valid].view(np.int64))
+    assert (h.origin, h.cell_size, h.nodata_value) == (ref.origin, ref.cell_size, ref.nodata_value)
+    return h
+
+
+_HEADER = "ncols 4\nnrows 3\nxllcorner 10.0\nyllcorner 20.0\ncellsize 0.001\n"
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A one-line body, as write_asc writes it.
+        pytest.param(_HEADER + " ".join(_reprs(np.arange(12.0) * 1.5 + 30.0)) + "\n", id="one-line"),
+        # Each row on its own line, the save_heightmap layout.
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12\n", id="rows"),
+        # Rows wrapped across lines, evenly and unevenly.
+        pytest.param(_HEADER + "1 2\n3 4\n5 6\n7 8\n9 10\n11 12\n", id="wrapped-even"),
+        pytest.param(_HEADER + "1 2 3 4 5\n6 7 8 9 10\n11 12\n", id="wrapped-uneven"),
+        pytest.param(_HEADER + "1_0 2 3 4\n5 6 7 8\n9 10 11 1_2.5\n", id="underscores"),
+        pytest.param(_HEADER + "nan 2 NaN 4\n-nan 6 7 +nan\n9 10 11 12\n", id="nan"),
+        pytest.param(
+            _HEADER.replace("cellsize 0.001\n", "cellsize 0.001\nnodata_value inf\n")
+            + "inf 2 3 Infinity\n5 6 7 8\n9 10 11 +inf\n",
+            id="inf-nodata",
+        ),
+        pytest.param(_HEADER + "1 2 3 4\n5 -inf 7 8\n9 10 11 12\n", id="inf-depth"),
+        pytest.param((_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12\n").replace("\n", "\r\n"), id="crlf"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12\n\n\n  \n", id="trailing-blank"),
+        pytest.param(
+            "NCOLS 4\nNRows 3\nXllCorner 10.0\nyllCORNER 20.0\nCellSize 0.001\nNODATA_value -9999\n"
+            "1 2 3 4\n5 -9999 7 8\n9 10 11 -9999.0\n",
+            id="mixed-case-header-nodata",
+        ),
+        pytest.param(
+            _HEADER.replace("cellsize 0.001\n", "cellsize 0.001\nnodata_value -9999\n")
+            + "-9999 2 3 4\n5 6 7 8\n9 10 11 -9999\n",
+            id="nodata",
+        ),
+        pytest.param(
+            _HEADER
+            + " ".join(_reprs(np.random.default_rng(44).uniform(-1e4, 1e4, 8))) + "\n"
+            + "5e-324 2.2250738585072014e-308 1.5e-320 -0.0\n",
+            id="repr17-subnormal",
+        ),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12\nnodata_value 0\n", id="late-header"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 1,5\n", id="bad-token"),
+    ],
+)
+def test_load_matches_per_token_reference(tmp_path, text):
+    f = tmp_path / "g.asc"
+    f.write_bytes(text.encode("ascii"))
+    _assert_loads_like_reference(f)
+
+
+def test_load_matches_per_token_reference_on_saved_grid(tmp_path):
+    rng = np.random.default_rng(45)
+    depth = rng.uniform(1.0, 5000.0, (40, 30))
+    depth[rng.random(depth.shape) < 0.05] = np.nan
+    f = tmp_path / "saved.asc"
+    bat.save_heightmap(make_heightmap(depth), f)
+    h = _assert_loads_like_reference(f)
+    assert np.array_equal(h.depth, depth, equal_nan=True)
+
+
 # --- depth queries ------------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -108,3 +111,34 @@ def test_run_reports_current_errors_without_traceback(tmp_path, capsys, monkeypa
     path.write_text(yaml.safe_dump({"schema_version": 1, "duration": 1.0, "dt": 0.1}))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: time 5.2 outside tide series span [0.0, 5.0]\n"
+
+
+def test_nonpositive_load_radius_fails_validate_and_run(tmp_path, capsys):
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), tmp_path / "w.asc")
+    doc = {
+        "schema_version": 1, "duration": 1.0, "dt": 0.1,
+        "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0,
+                  "load_radius": 0.0, "unload_radius": 100.0},
+    }
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "world.load_radius must be positive" in capsys.readouterr().out
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subsim.cli", "run", str(path), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: world.load_radius must be positive\n"
+    assert not out.exists()
+
+
+def test_tiles_reports_non_ascii_dem_without_traceback(tmp_path, capsys):
+    dem = tmp_path / "dem.asc"
+    dem.write_bytes(
+        "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4µ\n".encode("utf-8")
+    )
+    assert cli.main(["tiles", str(dem), "--out", str(tmp_path / "tiles")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(dem) in err and "non-ASCII" in err

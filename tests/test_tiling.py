@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,108 @@ def test_radii_validation():
         tiling.TileManager(specs_grid(2), load_radius=100.0, unload_radius=100.0)
     with pytest.raises(ValueError):
         tiling.TileManager(specs_grid(2), load_radius=0.0, unload_radius=10.0)
+
+
+# --- TileManager against the full O(tiles x vehicles) loop ----------------------
+
+
+def _update_reference(bounds, loaded, load_radius, unload_radius, vehicles):
+    """The hysteresis rule applied to every tile; returns (events, loaded)."""
+    positions = [(v.x, v.y) for v in vehicles]
+    needed = set()
+    keep = set()
+    for index, b in bounds.items():
+        for x, y in positions:
+            dist = b.distance_to(x, y)
+            if dist <= load_radius:
+                needed.add(index)
+                break
+            if index in loaded and dist <= unload_radius:
+                keep.add(index)
+                break
+    new_loaded = needed | (keep & loaded)
+    events = [tiling.TileEvent("load", i) for i in sorted(needed - loaded)]
+    events += [tiling.TileEvent("unload", i) for i in sorted(loaded - new_loaded)]
+    return events, new_loaded
+
+
+def _assert_matches_reference(specs, load_radius, unload_radius, steps):
+    """Run both rules over `steps` (lists of positions); returns the event count."""
+    mgr = tiling.TileManager(specs, load_radius, unload_radius)
+    bounds = {s.index: s.core_bounds for s in specs}
+    loaded = set()
+    n_events = 0
+    for k, positions in enumerate(steps):
+        vehicles = [ProjectedCoord(x, y) for x, y in positions]
+        expected, loaded = _update_reference(bounds, loaded, load_radius, unload_radius, vehicles)
+        assert mgr.update_tiles(vehicles) == expected, f"step {k}"
+        assert mgr.loaded == loaded, f"step {k}"
+        n_events += len(expected)
+    return n_events
+
+
+@pytest.mark.parametrize("n_vehicles", [1, 3, 12])
+def test_update_matches_reference_on_random_walks(n_vehicles):
+    rng = np.random.default_rng(100 + n_vehicles)
+    specs = specs_grid(61, 100.0)
+    pos = rng.uniform(-200.0, 6300.0, (n_vehicles, 2))
+    steps = []
+    for _ in range(12):
+        steps.append(pos.tolist())
+        pos = pos + rng.normal(0.0, 120.0, pos.shape)
+    assert _assert_matches_reference(specs, 150.0, 260.0, steps) > 0
+
+
+def test_update_matches_reference_on_overlapping_bounds():
+    rng = np.random.default_rng(41)
+    specs = []
+    for k in range(300):
+        x0, y0 = rng.uniform(-500.0, 500.0, 2)
+        w, h = rng.uniform(0.0, 300.0, 2)
+        # A few repeated indices: the last bounds given for an index win.
+        index = (k % 290, int(rng.integers(0, 3)) if k >= 290 else 0)
+        specs.append(tiling.TileSpec(index, tiling.Bounds(x0, y0, x0 + w, y0 + h), 0.0))
+    steps = [rng.uniform(-800.0, 800.0, (int(rng.integers(1, 6)), 2)).tolist() for _ in range(30)]
+    assert _assert_matches_reference(specs, 90.0, 140.0, steps) > 0
+
+
+def test_update_matches_reference_at_exact_radii():
+    # 100 m tiles; a vehicle sits exactly load_radius or unload_radius from
+    # a tile edge along one axis, or one ulp either side of it.
+    specs = specs_grid(5, 100.0)
+    load_r, unload_r = 150.0, 250.0
+    steps = []
+    for r in (load_r, unload_r):
+        for gap in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+            for edge in (0.0, 100.0, 500.0):
+                for x, y in ((edge - gap, 250.0), (edge + gap, 250.0)):
+                    steps += [[(250.0, 250.0)], [(x, y)], [(y, x)]]
+    assert _assert_matches_reference(specs, load_r, unload_r, steps) > 0
+
+
+def _hypot_disagreements(alt, n):
+    """(dx, dy) pairs where `alt` differs from math.hypot in the last bit."""
+    rng = np.random.default_rng(43)
+    pairs = []
+    while len(pairs) < n:
+        dx, dy = rng.uniform(1.0, 1000.0, 2).tolist()
+        if float(alt(dx, dy)) != math.hypot(dx, dy):
+            pairs.append((dx, dy))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "alt", [np.hypot, lambda dx, dy: math.sqrt(dx * dx + dy * dy)], ids=["np.hypot", "sqrt"]
+)
+def test_update_matches_reference_off_a_corner(alt):
+    # A vehicle at (-dx, -dy) is exactly math.hypot(dx, dy) from the corner
+    # of the tile at the origin. With the radius at the smaller of the two
+    # hypot values, deciding with `alt` loads or keeps the tile wrongly.
+    specs = [tiling.TileSpec((0, 0), tiling.Bounds(0.0, 0.0, 100.0, 100.0), 0.0)]
+    for dx, dy in _hypot_disagreements(alt, 20):
+        radius = min(math.hypot(dx, dy), float(alt(dx, dy)))
+        corner = [(-dx, -dy)]
+        # Load decided at the radius, from nothing loaded.
+        _assert_matches_reference(specs, radius, 2.0 * radius, [corner, [(50.0, 50.0)]])
+        # Keep decided at the radius, once loaded from inside the tile.
+        _assert_matches_reference(specs, 0.5 * radius, radius, [[(50.0, 50.0)], corner])
