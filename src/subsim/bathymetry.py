@@ -343,15 +343,18 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     shallower grazes are misses. Cells touching nodata nodes are holes.
     Returns None on a miss. `raycast_batch` applies the same rule to many
     rays at once.
+
+    The walk runs on plain Python floats: every value is the same IEEE
+    operation, in the same order, as in `raycast_batch`, so the two agree
+    bit for bit, without numpy's per-call cost on 0-d arrays.
     """
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
+    dn, de, dd = np.asarray(direction, dtype=float).tolist()
+    norm = math.sqrt(dn * dn + de * de + dd * dd)
     if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"direction must be a unit vector, |d| = {norm}")
     if max_range <= 0.0:
         raise ValueError("max_range must be positive")
-    dn, de, dd = float(d[0]), float(d[1]), float(d[2])
-    x0, y0, z0 = origin.x, origin.y, origin.depth
+    x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
     x_min, y_min, x_max, y_max = h.extent
 
     # Clip the ray to the horizontal extent.
@@ -370,13 +373,13 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     if t_enter >= t_exit:
         return None
 
+    xs, ys, depth = h.xs, h.ys, h.depth
     rows, cols = h.rows, h.cols
     eps_t = 1e-12 * max(1.0, max_range)
     t_lo = t_enter
     # Cell containing the current position, probed slightly inside.
     probe = min(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
-    px, py = x0 + de * probe, y0 + dn * probe
-    i, j = (int(a) for a in _cell_indices(h, np.asarray(px), np.asarray(py)))
+    i, j = _cell_of(h, x0 + de * probe, y0 + dn * probe)
 
     # Crossing tracker: a sign change of the gap only becomes a hit once
     # the ray has penetrated the surface by at least RAYCAST_TOL_M;
@@ -387,11 +390,26 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     sign, crossing, max_pen = 0.0, math.nan, 0.0
     while t_lo < t_exit - eps_t:
         # Parametric exit of the current cell.
-        t_x = (h.xs[j + (de > 0.0)] - x0) / de if de != 0.0 else math.inf
-        t_y = (h.ys[i + (dn > 0.0)] - y0) / dn if dn != 0.0 else math.inf
+        t_x = (xs.item(j + (de > 0.0)) - x0) / de if de != 0.0 else math.inf
+        t_y = (ys.item(i + (dn > 0.0)) - y0) / dn if dn != 0.0 else math.inf
         t_hi = min(t_x, t_y, t_exit)
 
-        q0, q1, q2 = _patch_coefficients(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
+        # `_patch_coefficients` for one cell; a nodata corner makes q0 NaN.
+        x_j, y_i = xs.item(j), ys.item(i)
+        wx = xs.item(j + 1) - x_j
+        wy = ys.item(i + 1) - y_i
+        d00, d01 = depth.item(i, j), depth.item(i, j + 1)
+        d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
+        bu = d01 - d00
+        cv = d10 - d00
+        e = d00 - d01 - d10 + d11
+        u0 = (x0 + de * t_lo - x_j) / wx
+        v0 = (y0 + dn * t_lo - y_i) / wy
+        du = de / wx
+        dv = dn / wy
+        q0 = z0 + dd * t_lo - d00 - bu * u0 - cv * v0 - e * u0 * v0
+        q1 = dd - bu * du - cv * dv - e * (u0 * dv + v0 * du)
+        q2 = -e * du * dv
         if math.isnan(q0):
             sign, crossing, max_pen = 0.0, math.nan, 0.0  # hole in the terrain
         elif t_hi > t_lo and t_hi > 0.0:
@@ -421,9 +439,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
                         if crossing > max_range:
                             return None
                         hx, hy = x0 + de * crossing, y0 + dn * crossing
-                        gx, gy = surface_gradient_xy(h, np.asarray(hx), np.asarray(hy))
-                        normal = _surface_normal(float(gx), float(gy))
-                        return RayHit(crossing, WorldPoint(hx, hy, z0 + dd * crossing), normal)
+                        return RayHit(crossing, WorldPoint(hx, hy, z0 + dd * crossing), _normal_at(h, hx, hy))
                 seg_start = stop
 
         if t_hi >= t_exit - eps_t:
@@ -437,6 +453,31 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
             break
         t_lo = t_hi
     return None
+
+
+def _cell_of(h: Heightmap, x: float, y: float) -> tuple[int, int]:
+    """`_cell_indices` for one point, as Python ints."""
+    j = min(max(int(h.xs.searchsorted(x, side="right")) - 1, 0), h.cols - 2)
+    i = min(max(int(h.ys.searchsorted(y, side="right")) - 1, 0), h.rows - 2)
+    return i, j
+
+
+def _normal_at(h: Heightmap, x: float, y: float) -> np.ndarray:
+    """`_surface_normal` of `surface_gradient_xy` at one point, computed
+    on Python floats with the same operations."""
+    i, j = _cell_of(h, x, y)
+    xs, ys, depth = h.xs, h.ys, h.depth
+    wx = xs.item(j + 1) - xs.item(j)
+    wy = ys.item(i + 1) - ys.item(i)
+    u = (x - xs.item(j)) / wx
+    v = (y - ys.item(i)) / wy
+    d00, d01 = depth.item(i, j), depth.item(i, j + 1)
+    d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
+    cross = d00 - d01 - d10 + d11
+    gx = (d01 - d00 + cross * v) / wx
+    gy = (d10 - d00 + cross * u) / wy
+    norm = math.sqrt(gy * gy + gx * gx + 1.0)
+    return np.array([gy / norm, gx / norm, -1.0 / norm])
 
 
 @dataclass(eq=False)

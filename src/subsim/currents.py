@@ -44,10 +44,13 @@ class StratifiedCurrentDB:
         self.depths = depths
         self.velocities = velocities
 
-    def interpolate(self, depth: float) -> np.ndarray:
-        """Linear in depth between strata, clamped to the end strata."""
-        return np.array(
-            [np.interp(depth, self.depths, self.velocities[:, k]) for k in range(3)]
+    def interpolate(self, depth) -> np.ndarray:
+        """Linear in depth between strata, clamped to the end strata.
+
+        A float depth gives a (3,) velocity; an array of n depths gives
+        (n, 3), each row equal to the float query's result."""
+        return np.stack(
+            [np.interp(depth, self.depths, self.velocities[:, k]) for k in range(3)], axis=-1
         )
 
 
@@ -211,7 +214,7 @@ class CurrentField:
         self.tide = tide
         self.gm = gm
 
-    def mean_velocity(self, depth: float, time: float) -> np.ndarray:
+    def mean_velocity(self, depth, time: float) -> np.ndarray:
         v = self.db.interpolate(depth)
         if self.tide is not None:
             v = v + self.tide.velocity(time)
@@ -233,6 +236,9 @@ class CurrentSampler:
     def step(self, dt: float) -> None:
         self.state.step(dt)
 
-    def velocity(self, depth: float, time: float) -> np.ndarray:
-        """Total current: interpolated mean + tide + GM perturbation."""
+    def velocity(self, depth, time: float) -> np.ndarray:
+        """Total current: interpolated mean + tide + GM perturbation.
+
+        ``depth`` is a float, giving a (3,) NED velocity, or an array of n
+        depths, giving (n, 3) rows equal to the float calls' results."""
         return self.field.mean_velocity(depth, time) + self.state.delta_v

@@ -21,14 +21,18 @@ import numpy as np
 from .bathymetry import Heightmap, raycast
 from .geometry import Pose
 
-# current_at(depth_m) -> NED velocity; the caller binds time.
-CurrentFn = Callable[[float], np.ndarray]
+# current_at(depth_m) -> NED velocity; the caller binds time. depth_m is a
+# float, or an array of n depths whose result broadcasts to (n, 3).
+CurrentFn = Callable[[float | np.ndarray], np.ndarray]
 
 JANUS_TILT_RAD = math.radians(30.0)
 JANUS_AZIMUTHS_RAD = tuple(math.radians(a) for a in (45.0, 135.0, 225.0, 315.0))
 
 PROFILE_COMBINED = "combined"
 PROFILE_PER_BEAM = "per_beam"
+
+# Singular values at or below this make a beam set rank-deficient.
+RANK_TOL = 1e-9
 
 
 class TrackingMode(enum.Enum):
@@ -77,6 +81,13 @@ class DvlConfig:
             raise ValueError("beam vectors must be unit length")
         if np.any(beams[:, 2] >= 0.0):
             raise ValueError("beams must point below the sensor (negative z)")
+        # Every set `solve_velocity` can meet: all four beams, or any three.
+        for subset in ((0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+            rank = np.linalg.matrix_rank(beams[list(subset)], tol=RANK_TOL)
+            if rank < 3:
+                raise DegenerateBeamGeometryError(
+                    f"beams {', '.join(str(b + 1) for b in subset)} span rank {rank}, need 3"
+                )
         if not 0.0 <= self.min_range < self.max_range:
             raise ValueError("need 0 <= min_range < max_range")
         if self.bins < 0 or self.bin_size <= 0.0:
@@ -133,7 +144,9 @@ def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.nda
     """Least-squares sensor velocity v from beam projections b_i . v = s_i.
 
     Needs >= 3 valid beams spanning full rank, else raises
-    DegenerateBeamGeometryError.
+    DegenerateBeamGeometryError. The rank is read from the singular
+    values `lstsq` returns, so no separate SVD runs. `DvlConfig` rejects
+    beams for which any three or all four would fail here.
     """
     beams = np.asarray(beams, dtype=float)
     scalars = np.asarray(scalars, dtype=float)
@@ -141,12 +154,13 @@ def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.nda
         valid = np.isfinite(scalars)
     b = beams[valid]
     s = scalars[valid]
-    if len(s) < 3 or np.linalg.matrix_rank(b, tol=1e-9) < 3:
-        raise DegenerateBeamGeometryError(
-            f"{len(s)} valid beams with rank {np.linalg.matrix_rank(b) if len(s) else 0}"
-        )
-    v, *_ = np.linalg.lstsq(b, s, rcond=None)
-    return v
+    if len(s) >= 3:
+        v, _, _, singular = np.linalg.lstsq(b, s, rcond=None)
+        if np.count_nonzero(singular > RANK_TOL) == 3:
+            return v
+    raise DegenerateBeamGeometryError(
+        f"{len(s)} valid beams with rank {np.linalg.matrix_rank(b, tol=RANK_TOL) if len(s) else 0}"
+    )
 
 
 def _altitude(pose: Pose, cfg: DvlConfig, ranges: np.ndarray) -> float | None:
@@ -158,28 +172,7 @@ def _altitude(pose: Pose, cfg: DvlConfig, ranges: np.ndarray) -> float | None:
     return float(np.mean(ranges[hits] * down))
 
 
-def solution_from_ranges(
-    pose: Pose, vel_world: np.ndarray, ranges: np.ndarray, cfg: DvlConfig
-) -> DvlSolution:
-    """Noise-free bottom-track solution from per-beam ranges.
-
-    Terrain is static, so each hitting beam's scalar is the projection of
-    the sensor-frame world velocity onto the beam. Mode NONE when fewer
-    than three beams have returns.
-    """
-    ranges = np.asarray(ranges, dtype=float)
-    hits = np.isfinite(ranges)
-    v_sensor = pose.to_body(np.asarray(vel_world, dtype=float))
-    scalars = np.where(hits, cfg.beams @ v_sensor, np.nan)
-    if hits.sum() >= 3:
-        velocity = solve_velocity(cfg.beams, scalars, valid=hits)
-        return DvlSolution(
-            velocity=velocity,
-            altitude=_altitude(pose, cfg, ranges),
-            mode=TrackingMode.BOTTOM_TRACK,
-            beam_ranges=ranges,
-            beam_velocities=scalars,
-        )
+def _untracked(ranges: np.ndarray) -> DvlSolution:
     return DvlSolution(
         velocity=None,
         altitude=None,
@@ -189,6 +182,57 @@ def solution_from_ranges(
     )
 
 
+def _bottom_track_unsolved(pose: Pose, vel_world: np.ndarray, ranges: np.ndarray, cfg: DvlConfig) -> DvlSolution:
+    """`solution_from_ranges` up to the solve: mode, ranges, altitude and
+    beam scalars, with velocity None."""
+    ranges = np.asarray(ranges, dtype=float)
+    hits = np.isfinite(ranges)
+    if hits.sum() < 3:
+        return _untracked(ranges)
+    v_sensor = pose.to_body(np.asarray(vel_world, dtype=float))
+    return DvlSolution(
+        velocity=None,
+        altitude=_altitude(pose, cfg, ranges),
+        mode=TrackingMode.BOTTOM_TRACK,
+        beam_ranges=ranges,
+        beam_velocities=np.where(hits, cfg.beams @ v_sensor, np.nan),
+    )
+
+
+def _water_track_unsolved(
+    pose: Pose, vel_world: np.ndarray, current_at: CurrentFn, cfg: DvlConfig, ranges: np.ndarray
+) -> DvlSolution:
+    """`water_track` up to the solve, reporting ``ranges``; velocity None."""
+    current = np.asarray(current_at(pose.position.depth), dtype=float)
+    rel_sensor = pose.to_body(np.asarray(vel_world, dtype=float) - current)
+    return DvlSolution(
+        velocity=None,
+        altitude=None,
+        mode=TrackingMode.WATER_TRACK,
+        beam_ranges=ranges,
+        beam_velocities=cfg.beams @ rel_sensor,
+    )
+
+
+def _solved(solution: DvlSolution, cfg: DvlConfig) -> DvlSolution:
+    """Fill in the velocity from the valid beam scalars (mode NONE: as is)."""
+    if solution.mode is TrackingMode.NONE:
+        return solution
+    return replace(solution, velocity=solve_velocity(cfg.beams, solution.beam_velocities))
+
+
+def solution_from_ranges(
+    pose: Pose, vel_world: np.ndarray, ranges: np.ndarray, cfg: DvlConfig
+) -> DvlSolution:
+    """Noise-free bottom-track solution from per-beam ranges.
+
+    Terrain is static, so each hitting beam's scalar is the projection of
+    the sensor-frame world velocity onto the beam. Mode NONE when fewer
+    than three beams have returns.
+    """
+    return _solved(_bottom_track_unsolved(pose, vel_world, ranges, cfg), cfg)
+
+
 def bottom_track(pose: Pose, vel_world: np.ndarray, scene: Heightmap, cfg: DvlConfig) -> DvlSolution:
     """Noise-free bottom-track attempt against the terrain."""
     return solution_from_ranges(pose, vel_world, beam_ranges(pose, scene, cfg), cfg)
@@ -196,17 +240,7 @@ def bottom_track(pose: Pose, vel_world: np.ndarray, scene: Heightmap, cfg: DvlCo
 
 def water_track(pose: Pose, vel_world: np.ndarray, current_at: CurrentFn, cfg: DvlConfig) -> DvlSolution:
     """Velocity relative to the ambient current at the sensor's depth."""
-    current = np.asarray(current_at(pose.position.depth), dtype=float)
-    rel_sensor = pose.to_body(np.asarray(vel_world, dtype=float) - current)
-    scalars = cfg.beams @ rel_sensor
-    velocity = solve_velocity(cfg.beams, scalars)
-    return DvlSolution(
-        velocity=velocity,
-        altitude=None,
-        mode=TrackingMode.WATER_TRACK,
-        beam_ranges=np.full(4, np.nan),
-        beam_velocities=scalars,
-    )
+    return _solved(_water_track_unsolved(pose, vel_world, current_at, cfg, np.full(4, np.nan)), cfg)
 
 
 def add_beam_noise(solution: DvlSolution, noise_sigma: float, rng: np.random.Generator, cfg: DvlConfig) -> DvlSolution:
@@ -234,21 +268,19 @@ def measure(
     rng: np.random.Generator,
 ) -> DvlSolution:
     """Full measurement chain: bottom track, water track fallback when
-    enabled, then beam noise."""
+    enabled, then beam noise.
+
+    Only the noisy beam scalars are solved: the noise-free velocity would
+    be overwritten by `add_beam_noise`'s solve.
+    """
     solution = None
     if scene is not None:
-        solution = bottom_track(pose, vel_world, scene, cfg)
+        solution = _bottom_track_unsolved(pose, vel_world, beam_ranges(pose, scene, cfg), cfg)
     if (solution is None or solution.mode is TrackingMode.NONE) and cfg.water_track_enabled and current_at is not None:
         ranges = solution.beam_ranges if solution is not None else np.full(4, np.nan)
-        solution = replace(water_track(pose, vel_world, current_at, cfg), beam_ranges=ranges)
+        solution = _water_track_unsolved(pose, vel_world, current_at, cfg, ranges)
     if solution is None:
-        solution = DvlSolution(
-            velocity=None,
-            altitude=None,
-            mode=TrackingMode.NONE,
-            beam_ranges=np.full(4, np.nan),
-            beam_velocities=np.full(4, np.nan),
-        )
+        solution = _untracked(np.full(4, np.nan))
     return add_beam_noise(solution, cfg.noise_sigma, rng, cfg)
 
 
@@ -266,32 +298,32 @@ def current_profile(
     beam's world-frame downward component. Combined mode noises the four
     scalars and solves per bin exactly like the track solutions; PerBeam
     mode returns (scalar + noise) * beam unit vector per beam.
+
+    All bins x 4 beams are computed at once, with one ``current_at`` call
+    on every sampling depth and one (bins, 4) noise draw, which is the
+    stream of one 4-draw per bin. The products are the same IEEE
+    operations as per bin and beam (`Pose.to_body` on each relative
+    velocity, a dot product per beam, one `lstsq` column per bin), so the
+    profile is bit-identical to a per-bin loop.
     """
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
     world_beams = (pose.rotation @ cfg.beams.T).T
-    down = world_beams[:, 2]
-    vel_world = np.asarray(vel_world, dtype=float)
     centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
+    depths = pose.position.depth + centers[:, None] * world_beams[:, 2]  # (bins, 4)
+    current = np.broadcast_to(np.asarray(current_at(depths.ravel()), dtype=float), (depths.size, 3))
+    rel_world = np.asarray(vel_world, dtype=float) - current
+    rel_sensor = np.ascontiguousarray((pose.rotation.T @ rel_world.T).T).reshape(cfg.bins, 4, 3, 1)
+    scalars = np.matmul(cfg.beams[:, None, :], rel_sensor).reshape(cfg.bins, 4)
+    noisy = scalars + rng.normal(0.0, cfg.noise_sigma, (cfg.bins, 4))
 
     combined = None
     per_beam = None
     if cfg.profile_mode == PROFILE_COMBINED:
-        combined = np.zeros((cfg.bins, 3))
+        # The config's rank check covers the four beams; one multi-RHS solve.
+        combined = np.linalg.lstsq(cfg.beams, noisy.T, rcond=None)[0].T
     else:
-        per_beam = np.zeros((cfg.bins, 4, 3))
-
-    for k, r_k in enumerate(centers):
-        scalars = np.zeros(4)
-        for b in range(4):
-            bin_depth = pose.position.depth + r_k * down[b]
-            rel_sensor = pose.to_body(vel_world - np.asarray(current_at(bin_depth), dtype=float))
-            scalars[b] = cfg.beams[b] @ rel_sensor
-        noise = rng.normal(0.0, cfg.noise_sigma, 4)
-        if combined is not None:
-            combined[k] = solve_velocity(cfg.beams, scalars + noise)
-        else:
-            per_beam[k] = (scalars + noise)[:, None] * cfg.beams
+        per_beam = noisy[:, :, None] * cfg.beams
     return AdcpProfile(
         mode=cfg.profile_mode,
         bin_ranges=centers,

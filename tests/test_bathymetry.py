@@ -321,6 +321,19 @@ def test_unit_direction_required(flat50):
         bat.raycast(flat50, WorldPoint(0, 0, 0), ned(0.0, 0.0, 2.0), 10.0)
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0 + 2e-9), (0.6, 0.0, 0.8 - 2e-9), (math.nan, 0.0, 1.0), (0.0, 0.0, -math.inf)],
+    ids=["zero", "long", "short", "nan", "inf"],
+)
+def test_non_unit_direction_rejected(flat50, direction):
+    origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
+    with pytest.raises(ValueError, match="unit vector"):
+        bat.raycast(flat50, origin, np.array(direction), 100.0)
+    # Within the 1e-9 tolerance the ray is cast.
+    assert bat.raycast(flat50, origin, ned(0.0, 0.0, 1.0 + 5e-10), 100.0) is not None
+
+
 def test_normal_on_sloped_plane():
     # depth rises 1 m per 10 m of easting: gradient (d depth/dx) = 0.1.
     cols = np.arange(6.0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from subsim import cli, currents, meshtools, scenario
@@ -142,3 +143,34 @@ def test_tiles_reports_non_ascii_dem_without_traceback(tmp_path, capsys):
     assert cli.main(["tiles", str(dem), "--out", str(tmp_path / "tiles")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(dem) in err and "non-ASCII" in err
+
+
+COPLANAR_BEAMS = [[0.0, -0.479425538604203, -0.8775825618903728], [0.0, 0.0, -1.0],
+                  [0.0, 0.479425538604203, -0.8775825618903728],
+                  [0.479425538604203, 0.0, -0.8775825618903728]]
+
+
+@pytest.mark.parametrize(
+    "beams, problem",
+    [([[0.0, 0.0, -1.0]] * 4, "beams 1, 2, 3, 4 span rank 1, need 3"),
+     (COPLANAR_BEAMS, "beams 1, 2, 3 span rank 2, need 3")],
+    ids=["all-equal", "three-coplanar"],
+)
+def test_rank_deficient_dvl_beams_fail_validate_and_run(tmp_path, capsys, beams, problem):
+    doc = {
+        "schema_version": 1, "duration": 1.0, "dt": 0.1,
+        "vehicles": [{"id": "auv", "trajectory": [{"time": 0.0, "x": 0.0, "y": 0.0, "depth": 5.0}],
+                      "sensors": [{"type": "dvl", "name": "dvl", "rate": 5.0, "beams": beams}]}],
+    }
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"error: vehicle 'auv' sensor 'dvl': {problem}\n"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subsim.cli", "run", str(path), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: vehicle 'auv' sensor 'dvl': {problem}\n"
+    assert not out.exists()

@@ -180,3 +180,49 @@ def test_two_samplers_share_mean_but_not_noise():
         s2.step(0.5)
     assert not np.allclose(s1.velocity(50.0, 0.0), s2.velocity(50.0, 0.0))
     assert np.allclose(field.mean_velocity(50.0, 0.0), [0.5, 0.0, 0.0])
+
+
+# --- array depths ----------------------------------------------------------------
+
+# Above the first stratum, on and between strata, below the last.
+QUERY_DEPTHS = np.array([-50.0, -1e-9, 0.0, 3.0, 5.0, 7.3, 12.5, 20.0, 33.3, 59.999, 60.0, 61.0, 1e4])
+
+
+@pytest.mark.parametrize(
+    "strata",
+    [
+        [cur.Stratum(5.0, (0.3, 0.1, 0.0))],
+        [cur.Stratum(0.0, (1.0, 0.0, 0.0)), cur.Stratum(100.0, (0.0, 0.0, 0.0))],
+        [cur.Stratum(5.0, (0.3, 0.1, 0.0)), cur.Stratum(20.0, (0.1, -0.2, 0.01)),
+         cur.Stratum(60.0, (0.05, 0.0, -0.02))],
+    ],
+    ids=["one-stratum", "two-strata", "three-strata"],
+)
+def test_interpolate_array_matches_scalar_calls(strata):
+    db = cur.StratifiedCurrentDB(strata)
+    rng = np.random.default_rng(70)
+    depths = np.concatenate([QUERY_DEPTHS, rng.uniform(-10.0, 80.0, 200)])
+    got = db.interpolate(depths)
+    assert got.shape == (depths.size, 3)
+    assert np.array_equal(got, np.array([db.interpolate(float(d)) for d in depths]))
+    assert np.array_equal(db.interpolate(depths.reshape(-1, 1))[:, 0], got)
+    assert db.interpolate(7.3).shape == (3,)
+
+
+@pytest.mark.parametrize("tide", [False, True])
+def test_sampler_velocity_array_matches_scalar_calls(tide):
+    field = cur.CurrentField(
+        cur.StratifiedCurrentDB([cur.Stratum(5.0, (0.3, 0.1, 0.0)), cur.Stratum(60.0, (0.05, 0.0, -0.02))]),
+        tide=cur.TidalModel.from_constituents([cur.TidalConstituent(0.2, 44712.0, 0.4)], heading=0.3)
+        if tide else None,
+        gm=cur.GaussMarkovParams(mu=0.05, sigma=0.02),
+    )
+    sampler = field.sampler(seed=3)
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        sampler.step(0.1)
+        t = float(rng.uniform(0.0, 1e5))
+        depths = np.concatenate([QUERY_DEPTHS, rng.uniform(-10.0, 80.0, 16)])
+        got = sampler.velocity(depths, t)
+        assert got.shape == (depths.size, 3)
+        assert np.array_equal(got, np.array([sampler.velocity(float(d), t) for d in depths]))

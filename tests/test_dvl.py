@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from subsim import currents as cur
 from subsim import dvl
 from subsim.geometry import Pose, ned
 
@@ -354,3 +355,166 @@ def test_measure_full_chain_bottom_with_noise(flat100):
     assert sol.noisy
     assert np.all(np.isfinite(sol.velocity))
     assert abs(sol.velocity[0] - 0.5) < 0.05  # noise-scale deviation only
+
+
+# --- Beam-set rank and the one-pass chain ---------------------------------------
+
+
+def _coplanar_beams():
+    """Beams 1-3 lie in the sensor y-z plane (rank 2); beam 4 leaves it,
+    so the four-beam set alone has full rank."""
+    beams = [[0.0, math.sin(a), -math.cos(a)] for a in (-0.5, 0.0, 0.5)]
+    beams.append([math.sin(0.5), 0.0, -math.cos(0.5)])
+    return np.array(beams)
+
+
+@pytest.mark.parametrize(
+    "beams, message",
+    [
+        (np.tile([0.0, 0.0, -1.0], (4, 1)), "beams 1, 2, 3, 4 span rank 1"),
+        (_coplanar_beams(), "beams 1, 2, 3 span rank 2"),
+    ],
+    ids=["all-equal", "three-coplanar"],
+)
+def test_config_rejects_rank_deficient_beam_sets(beams, message):
+    with pytest.raises(dvl.DegenerateBeamGeometryError, match=message):
+        dvl.DvlConfig(beams=beams)
+
+
+def test_degenerate_message_uses_the_check_tolerance():
+    # Singular values near 1e-12: rank 3 by numpy's default tolerance,
+    # rank 2 by RANK_TOL, which is what decides.
+    tilted = np.array([1e-12, 0.0, -1.0]) / math.hypot(1e-12, 1.0)
+    beams = np.vstack([_coplanar_beams()[[0, 2]], tilted])
+    assert np.linalg.matrix_rank(beams) == 3
+    with pytest.raises(dvl.DegenerateBeamGeometryError, match="3 valid beams with rank 2"):
+        dvl.solve_velocity(beams, np.zeros(3))
+
+
+def _random_pose(rng):
+    return Pose.from_rpy(
+        0.0, 0.0, rng.uniform(0.0, 40.0),
+        roll=rng.uniform(-0.6, 0.6), pitch=rng.uniform(-0.6, 0.6), yaw=rng.uniform(-math.pi, math.pi),
+    )
+
+
+def _profile_reference(pose, vel_world, current_at, cfg, rng):
+    """The per-bin, per-beam ADCP loop that `current_profile` replaces:
+    one scalar current query per sampling depth, one 4-draw and one solve
+    per bin."""
+    world_beams = (pose.rotation @ cfg.beams.T).T
+    down = world_beams[:, 2]
+    vel_world = np.asarray(vel_world, dtype=float)
+    centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
+    combined = np.zeros((cfg.bins, 3))
+    per_beam = np.zeros((cfg.bins, 4, 3))
+    for k, r_k in enumerate(centers):
+        scalars = np.zeros(4)
+        for b in range(4):
+            bin_depth = pose.position.depth + r_k * down[b]
+            rel_sensor = pose.to_body(vel_world - np.asarray(current_at(bin_depth), dtype=float))
+            scalars[b] = cfg.beams[b] @ rel_sensor
+        noise = rng.normal(0.0, cfg.noise_sigma, 4)
+        if cfg.profile_mode == dvl.PROFILE_COMBINED:
+            combined[k] = np.linalg.lstsq(cfg.beams, scalars + noise, rcond=None)[0]
+        else:
+            per_beam[k] = (scalars + noise)[:, None] * cfg.beams
+    return centers, combined, per_beam
+
+
+def _full_field_sampler(seed):
+    """Three strata, a two-constituent tide and a Gauss-Markov part."""
+    field = cur.CurrentField(
+        cur.StratifiedCurrentDB([
+            cur.Stratum(5.0, (0.3, 0.1, 0.0)),
+            cur.Stratum(20.0, (0.1, -0.2, 0.01)),
+            cur.Stratum(60.0, (0.05, 0.0, -0.02)),
+        ]),
+        tide=cur.TidalModel.from_constituents(
+            [cur.TidalConstituent(0.2, 44712.0), cur.TidalConstituent(0.05, 86164.0, 0.7)], heading=0.3
+        ),
+        gm=cur.GaussMarkovParams(mu=0.05, sigma=0.02, bound=1.0),
+    )
+    sampler = field.sampler(seed)
+    for _ in range(5):
+        sampler.step(0.1)
+    return sampler
+
+
+@pytest.mark.parametrize("mode", [dvl.PROFILE_COMBINED, dvl.PROFILE_PER_BEAM])
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_profile_matches_per_bin_reference(mode, sigma):
+    rng = np.random.default_rng(64)
+    for trial in range(120):
+        bins = int(rng.integers(1, 9))
+        cfg = dvl.DvlConfig(bins=bins, bin_size=float(rng.uniform(1.0, 12.0)), min_range=0.5,
+                            noise_sigma=sigma, profile_mode=mode)
+        pose = _random_pose(rng)
+        vel = rng.uniform(-2.0, 2.0, 3)
+        if trial % 4:
+            sampler, t = _full_field_sampler(trial), float(rng.uniform(0.0, 1e5))
+            current_at = lambda d: sampler.velocity(d, t)
+        else:
+            constant = rng.uniform(-0.5, 0.5, 3)
+            current_at = lambda d: constant  # (3,) for any query
+        seed = int(rng.integers(1 << 30))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = dvl.current_profile(pose, vel, current_at, cfg, got_rng)
+        centers, combined, per_beam = _profile_reference(pose, vel, current_at, cfg, ref_rng)
+        assert np.array_equal(got.bin_ranges, centers)
+        if mode == dvl.PROFILE_COMBINED:
+            assert got.per_beam is None and np.array_equal(got.combined, combined)
+        else:
+            assert got.combined is None and np.array_equal(got.per_beam, per_beam)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _measure_reference(pose, vel_world, ranges, current_at, cfg, rng):
+    """The two-solve chain `measure` replaces: solve the noise-free beam
+    scalars, then let the noise step solve the noisy ones."""
+    hits = np.isfinite(ranges)
+    if hits.sum() >= 3:
+        scalars = np.where(hits, cfg.beams @ pose.to_body(vel_world), np.nan)
+        clean = dvl.DvlSolution(
+            velocity=np.linalg.lstsq(cfg.beams[hits], scalars[hits], rcond=None)[0],
+            altitude=float(np.mean(ranges[hits] * (pose.rotation @ cfg.beams.T).T[hits, 2])),
+            mode=dvl.TrackingMode.BOTTOM_TRACK, beam_ranges=ranges, beam_velocities=scalars,
+        )
+    elif cfg.water_track_enabled:
+        scalars = cfg.beams @ pose.to_body(vel_world - current_at(pose.position.depth))
+        clean = dvl.DvlSolution(
+            velocity=np.linalg.lstsq(cfg.beams, scalars, rcond=None)[0], altitude=None,
+            mode=dvl.TrackingMode.WATER_TRACK, beam_ranges=ranges, beam_velocities=scalars,
+        )
+    else:
+        clean = dvl.DvlSolution(
+            velocity=None, altitude=None, mode=dvl.TrackingMode.NONE,
+            beam_ranges=ranges, beam_velocities=np.full(4, np.nan),
+        )
+    return dvl.add_beam_noise(clean, cfg.noise_sigma, rng, cfg)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_measure_matches_two_solve_reference(monkeypatch, flat100, sigma):
+    rng = np.random.default_rng(65)
+    sampler = _full_field_sampler(1)
+    for pattern in itertools.product([True, False], repeat=4):
+        for enabled in (True, False):
+            cfg = dvl.DvlConfig(noise_sigma=sigma, water_track_enabled=enabled)
+            ranges = np.where(pattern, rng.uniform(5.0, 60.0, 4), np.nan)
+            monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: ranges.copy())
+            pose = _random_pose(rng)
+            vel = rng.uniform(-2.0, 2.0, 3)
+            current_at = lambda d: sampler.velocity(d, 100.0)
+            got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got = dvl.measure(pose, vel, flat100, current_at, cfg, got_rng)
+            ref = _measure_reference(pose, vel, ranges, current_at, cfg, ref_rng)
+            assert got.mode is ref.mode
+            assert (got.velocity is None) == (ref.velocity is None)
+            if ref.velocity is not None:
+                assert np.array_equal(got.velocity, ref.velocity)
+            assert got.altitude == ref.altitude
+            assert np.array_equal(got.beam_ranges, ref.beam_ranges, equal_nan=True)
+            assert np.array_equal(got.beam_velocities, ref.beam_velocities, equal_nan=True)
+            assert got.noisy and ref.noisy
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
