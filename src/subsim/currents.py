@@ -63,8 +63,11 @@ class TidalConstituent:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0.0:
-            raise CurrentError("constituent period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0.0):
+            raise CurrentError(f"constituent period must be finite and positive, got {self.period}")
+        for name in ("amplitude", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise CurrentError(f"constituent {name} must be finite, got {getattr(self, name)}")
 
 
 class TidalModel:
@@ -76,6 +79,8 @@ class TidalModel:
 
     def __init__(self, heading: float = 0.0, constituents=None, series_times=None, series_speeds=None):
         self.heading = float(heading)
+        if not math.isfinite(self.heading):
+            raise CurrentError(f"tide heading must be finite, got {self.heading}")
         if constituents is not None and series_times is not None:
             raise CurrentError("choose constituents or a time series, not both")
         self.constituents = list(constituents) if constituents is not None else None
@@ -84,6 +89,8 @@ class TidalModel:
             speeds = np.asarray(series_speeds, dtype=float)
             if times.size < 2 or times.size != speeds.size:
                 raise CurrentError("time series needs matching times and speeds, >= 2 samples")
+            if not (np.all(np.isfinite(times)) and np.all(np.isfinite(speeds))):
+                raise CurrentError("tide series times and speeds must be finite")
             if np.any(np.diff(times) <= 0.0):
                 raise CurrentError("series times must be strictly increasing")
             self.series_times = times

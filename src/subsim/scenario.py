@@ -24,10 +24,6 @@ from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
 
 SCHEMA_VERSION = 1
 
-# Sonar beams fan out to this many workers per ping; results are
-# bit-identical for any thread count, so this is purely a speed knob.
-SONAR_THREADS = 4
-
 
 class ScenarioError(ValueError):
     """Structurally unusable scenario document."""
@@ -600,9 +596,7 @@ class Simulation:
                 for row in dvl.adcp_rows(t, profile):
                     logs[akey].row(row)
         elif spec.kind == "sonar":
-            aplot = sonar.ping(
-                pose, self.heightmap, sensor["config"], sensor["rng"], threads=SONAR_THREADS
-            )
+            aplot = sonar.ping(pose, self.heightmap, sensor["config"], sensor["rng"])
             out = self.out_dir / vid / spec.name
             out.mkdir(parents=True, exist_ok=True)
             stem = f"ping_{sensor['count']:05d}"

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from subsim import cli, currents, meshtools, scenario
+from subsim import cli, currents, meshtools, scenario, sonar
 from subsim.bathymetry import save_heightmap
 
 from conftest import flat_heightmap
@@ -173,4 +174,70 @@ def test_rank_deficient_dvl_beams_fail_validate_and_run(tmp_path, capsys, beams,
     )
     assert proc.returncode == 1
     assert proc.stderr == f"error: vehicle 'auv' sensor 'dvl': {problem}\n"
+    assert not out.exists()
+
+
+DEMO = REPO / "scenarios" / "demo.yaml"
+
+
+def _demo_doc() -> dict:
+    doc = yaml.safe_load(DEMO.read_text())
+    doc["world"]["heightmap"] = str(REPO / "scenarios" / "demo_seafloor.asc")
+    return doc
+
+
+def _run_subprocess(path, out, *extra):
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "subsim.cli", "run", str(path),
+         "--out", str(out), *extra],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+
+
+SONAR_FIELDS = ["n_beams", "rays_per_beam", "vertical_rays", "spectral_bins",
+                "horizontal_fov_rad", "vertical_fov_rad", "center_freq_hz", "bandwidth_hz",
+                "sound_speed", "source_level", "beamwidth_rad", "reflectivity", "max_range"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "minus-one"])
+@pytest.mark.parametrize("field", SONAR_FIELDS)
+def test_sonar_field_mutation_fails_validate_or_runs_clean(tmp_path, capsys, field, value):
+    doc = _demo_doc()
+    fls = next(s for s in doc["vehicles"][0]["sensors"] if s["type"] == "sonar")
+    fls[field] = value
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    rc = cli.main(["validate", str(path)])
+    out = capsys.readouterr().out
+    if rc == 1:
+        assert f"error: vehicle 'rov1' sensor 'fls': {field} must be" in out
+        return
+    assert rc == 0 and out == "ok\n"
+    proc = _run_subprocess(path, tmp_path / "out", "--duration", "4.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    pings = sorted((tmp_path / "out" / "rov1" / "fls").glob("ping_*.csv"))
+    assert len(pings) == 2
+    for ping in pings:
+        assert np.all(np.isfinite(sonar.load_aplot_csv(ping).intensities))
+
+
+@pytest.mark.parametrize("field", ["amplitude", "phase", "heading"])
+def test_non_finite_tide_value_fails_validate_and_run(tmp_path, capsys, field):
+    doc = _demo_doc()
+    tide = doc["currents"]["tide"]
+    if field == "heading":
+        tide["heading"] = float("nan")
+    else:
+        tide["constituents"][0][field] = float("nan")
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be finite, got nan" in err
+    out = tmp_path / "out"
+    proc = _run_subprocess(path, out, "--duration", "1.0")
+    assert proc.returncode == 1
+    assert proc.stderr == err
     assert not out.exists()

@@ -144,6 +144,29 @@ def test_tide_velocity_follows_heading():
     assert v[2] == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["amplitude", "phase", "period"])
+def test_constituent_rejects_non_finite_values(field, bad):
+    values = {"amplitude": 0.2, "period": 44712.0, "phase": 0.0, field: bad}
+    with pytest.raises(cur.CurrentError, match=field):
+        cur.TidalConstituent(**values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tide_rejects_non_finite_heading(bad):
+    with pytest.raises(cur.CurrentError, match="heading"):
+        cur.TidalModel.from_constituents([cur.TidalConstituent(0.2, 100.0)], heading=bad)
+    with pytest.raises(cur.CurrentError, match="heading"):
+        cur.TidalModel.from_series([0.0, 100.0], [0.0, 2.0], heading=bad)
+
+
+def test_tide_series_rejects_non_finite_samples():
+    with pytest.raises(cur.CurrentError, match="finite"):
+        cur.TidalModel.from_series([0.0, math.nan, 200.0], [0.0, 1.0, 2.0])
+    with pytest.raises(cur.CurrentError, match="finite"):
+        cur.TidalModel.from_series([0.0, 100.0], [0.0, math.inf])
+
+
 def test_tide_series_csv_loader(tmp_path):
     f = tmp_path / "tide.csv"
     f.write_text("epoch_seconds,speed_mps\n0,0.0\n100,2.0\n")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from subsim import sonar
 from subsim.geometry import Pose
 
 from conftest import flat_heightmap
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def single_scatterer(r, azimuth=0.0, amplitude=1.0, phase=0.0):
@@ -141,6 +147,112 @@ def test_speckle_intensity_statistics():
     assert 0.85 <= cov <= 1.15
 
 
+# --- factored phase vs the exact reference --------------------------------------
+
+
+def _phase_reference(scat, cfg):
+    """The direct form: one complex exp per (bin, scatterer), shape (M, n)."""
+    tau = 2.0 * scat.ranges / cfg.sound_speed
+    phase = -2.0 * np.pi * np.outer(cfg.frequencies(), tau) + scat.micro_phases[None, :]
+    return np.exp(1j * phase)
+
+
+def _reference_intensities(scat, cfg):
+    """Ping intensities (beams, M) from the exact phase, one plain product
+    over all scatterers and a per-beam inverse DFT."""
+    angles = cfg.beam_angles()
+    weights = scat.amplitudes[:, None] * sonar.beam_pattern(
+        scat.azimuths[:, None] - angles[None, :], cfg.beamwidth_rad
+    )
+    spectra = _phase_reference(scat, cfg) @ weights
+    if cfg.window == "hann":
+        spectra = spectra * np.hanning(cfg.spectral_bins)[:, None]
+    return (np.abs(np.fft.ifft(spectra, axis=0)) ** 2).T
+
+
+def _random_scatterers(n, cfg, seed, speckle=True):
+    """n scatterers 0.5-20 m out (the demo sonar's ranges) across the fan."""
+    rng = np.random.default_rng(seed)
+    half = cfg.horizontal_fov_rad / 2.0
+    return sonar.ScattererSet(
+        rng.uniform(0.5, 20.0, n),
+        rng.uniform(-half, half, n),
+        rng.uniform(0.0, 1.2, n),
+        rng.uniform(1e-4, 1e-2, n),
+        rng.uniform(0.0, 2.0 * np.pi, n) if speckle else np.zeros(n),
+    )
+
+
+def _pgm_pixels(aplot, path):
+    sonar.write_aplot_pgm(aplot, path)
+    data = path.read_bytes()
+    return np.frombuffer(data[data.index(b"255\n") + 4 :], dtype=np.uint8).astype(int)
+
+
+BIN_COUNTS = [2, 31, 32, 33, 1000, 1024]
+SCATTERER_COUNTS = [0, 1, 127, 128, 129, 1000]
+
+
+@pytest.mark.parametrize("n", SCATTERER_COUNTS)
+@pytest.mark.parametrize("m", BIN_COUNTS)
+def test_factored_phase_matches_exact_reference(m, n):
+    cfg = sonar.SonarConfig(n_beams=4, spectral_bins=m, bandwidth_hz=40e3)
+    scat = _random_scatterers(n, cfg, seed=m * 7919 + n)
+    phases = sonar._phase_matrix(scat, cfg)
+    assert phases.shape == (n, m)
+    if n:
+        assert np.max(np.abs(phases - _phase_reference(scat, cfg).T)) <= 1e-10
+
+
+@pytest.mark.parametrize("window, speckle", [("none", True), ("hann", False)])
+@pytest.mark.parametrize("n", SCATTERER_COUNTS)
+@pytest.mark.parametrize("m", BIN_COUNTS)
+def test_ping_matches_exact_reference(monkeypatch, tmp_path, m, n, window, speckle):
+    cfg = sonar.SonarConfig(n_beams=16, spectral_bins=m, bandwidth_hz=40e3, window=window,
+                            speckle_enabled=speckle)
+    scat = _random_scatterers(n, cfg, seed=m * 7919 + n, speckle=speckle)
+    monkeypatch.setattr(sonar, "gather_scatterers", lambda *args: scat)
+    h = flat_heightmap(30.0, n=11, cell_m=10.0)
+    aplot = sonar.ping(Pose.level(0.0, 0.0, 10.0), h, cfg, np.random.default_rng(0))
+    expected = _reference_intensities(scat, cfg)
+    assert aplot.intensities.shape == expected.shape == (cfg.n_beams, m)
+    assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
+    reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
+    pixels = _pgm_pixels(aplot, tmp_path / "fast.pgm")
+    assert np.max(np.abs(pixels - _pgm_pixels(reference, tmp_path / "exact.pgm"))) <= 1
+
+
+@pytest.mark.parametrize("window", ["none", "hann"])
+@pytest.mark.parametrize("speckle", [True, False])
+def test_terrain_ping_matches_exact_reference(tmp_path, window, speckle):
+    h = flat_heightmap(30.0, n=41, cell_m=5.0)
+    cfg = sonar.SonarConfig(
+        n_beams=64, rays_per_beam=3, vertical_rays=5, spectral_bins=1000,
+        horizontal_fov_rad=math.radians(60.0), bandwidth_hz=40e3, window=window,
+        speckle_enabled=speckle,
+    )
+    pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 18.0, pitch=-math.radians(60.0))
+    aplot = sonar.ping(pose, h, cfg, np.random.default_rng(5))
+    scat = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(5))
+    assert len(scat) > 900
+    expected = _reference_intensities(scat, cfg)
+    assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
+    reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
+    pixels = _pgm_pixels(aplot, tmp_path / "fast.pgm")
+    assert np.max(np.abs(pixels - _pgm_pixels(reference, tmp_path / "exact.pgm"))) <= 1
+
+
+def test_beam_spectrum_matches_exact_reference():
+    cfg = sonar.SonarConfig(n_beams=8, spectral_bins=1000, bandwidth_hz=40e3)
+    scat = _random_scatterers(300, cfg, seed=84)
+    angle = float(cfg.beam_angles()[3])
+    weights = scat.amplitudes * sonar.beam_pattern(scat.azimuths - angle, cfg.beamwidth_rad)
+    expected = _phase_reference(scat, cfg) @ weights
+    spectrum = sonar.beam_spectrum(angle, scat, cfg)
+    assert spectrum.shape == (cfg.spectral_bins,)
+    assert np.max(np.abs(spectrum - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 # --- gathering -----------------------------------------------------------------
 
 
@@ -228,16 +340,41 @@ def test_ping_flat_bottom_arc():
         assert lo <= peak_range <= hi
 
 
-def test_ping_bit_identical_across_thread_counts():
-    h = flat_heightmap(30.0, n=21, cell_m=10.0)
-    cfg = sonar.SonarConfig(n_beams=24, rays_per_beam=2, vertical_rays=3, spectral_bins=256,
-                            bandwidth_hz=15e3)
-    pose = down_pose(h, 10.0)
-    plots = [
-        sonar.ping(pose, h, cfg, np.random.default_rng(3), threads=t) for t in (1, 2, 4, 8)
-    ]
-    for other in plots[1:]:
-        assert np.array_equal(plots[0].intensities, other.intensities)
+# Demo sonar pings at rov1's poses at t = 0 and 12 s, with the demo's 48
+# beams and with 128 (371, 990, 366 and 978 scatterers). A single
+# contraction over all scatterers gave different A-plot bytes for these
+# with one and with two OpenBLAS threads.
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from subsim import bathymetry, scenario, sonar
+cfg = scenario.load_scenario(sys.argv[1])
+heightmap = bathymetry.load_heightmap(cfg.world.heightmap_path)
+rov = cfg.vehicles[0]
+params = next(s for s in rov.sensors if s.kind == "sonar").params
+for t in (0.0, 12.0):
+    pose, _ = scenario.interpolate_trajectory(rov.waypoints, t)
+    for n_beams in (48, 128):
+        scfg = sonar.SonarConfig(**{**params, "n_beams": n_beams})
+        aplot = sonar.ping(pose, heightmap, scfg, np.random.default_rng(3))
+        n = len(sonar.gather_scatterers(pose, heightmap, scfg, np.random.default_rng(3)))
+        print(t, n_beams, n, hashlib.sha256(aplot.intensities.tobytes()).hexdigest())
+"""
+
+
+def test_ping_bit_identical_across_blas_thread_counts():
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(REPO / "scenarios" / "demo.yaml")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 4
+    assert [line.split()[2] for line in outputs[0]] == ["371", "990", "366", "978"]
+    assert outputs[0] == outputs[1]
 
 
 def test_ping_deterministic_under_seed():
@@ -253,6 +390,15 @@ def test_ping_deterministic_under_seed():
 def test_config_range_ambiguity_guard():
     with pytest.raises(ValueError):
         sonar.SonarConfig(spectral_bins=64, bandwidth_hz=60e3, max_range=50.0)
+
+
+@pytest.mark.parametrize("field", ["n_beams", "rays_per_beam", "vertical_rays", "spectral_bins"])
+@pytest.mark.parametrize("value", [48.0, 2.5, True, float("nan")])
+def test_config_counts_must_be_integers(field, value):
+    # A float count used to pass and then fail in np.linspace/np.arange mid-run.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        sonar.SonarConfig(**{field: value})
+    assert getattr(sonar.SonarConfig(**{field: np.int64(48)}), field) == 48
 
 
 # --- export --------------------------------------------------------------------
