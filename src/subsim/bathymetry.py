@@ -355,6 +355,8 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     if max_range <= 0.0:
         raise ValueError("max_range must be positive")
     x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
+    if not math.isfinite(x0 + y0 + z0):
+        raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
     x_min, y_min, x_max, y_max = h.extent
 
     # Clip the ray to the horizontal extent.
@@ -500,6 +502,8 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     dirs = np.asarray(directions, dtype=float)
     n = len(dirs)
     x0, y0, z0 = origin.x, origin.y, origin.depth
+    if not math.isfinite(x0 + y0 + z0):
+        raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
     x_min, y_min, x_max, y_max = h.extent
     eps_t = 1e-12 * max(1.0, max_range)
     ranges = np.full(n, np.nan)

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bathymetry, currents, meshtools, scenario, tiling
+from . import bathymetry, currents, dvl, meshtools, scenario, tiling
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,51 +50,40 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        problems = _dispatch(args)
     except (
         scenario.ScenarioError,
         bathymetry.HeightmapError,
         currents.CurrentError,
+        dvl.DegenerateBeamGeometryError,
         meshtools.MeshError,
         OSError,
     ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        problems = [str(err)]
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
-def _dispatch(args) -> int:
-    if args.command == "validate":
-        cfg = scenario.load_scenario(args.scenario)
+def _dispatch(args) -> list[str]:
+    """Run one subcommand; returns the problems that stopped it."""
+    if args.command in ("validate", "run"):
+        overrides = {key: getattr(args, key, None) for key in ("seed", "duration", "dt")}
+        cfg = dataclasses.replace(scenario.load_scenario(args.scenario),
+                                  **{key: value for key, value in overrides.items() if value is not None})
         problems = scenario.validate(cfg)
-        for p in problems:
-            print(f"error: {p}")
-        if not problems:
+        if not problems and args.command == "validate":
             print("ok")
-        return 0 if not problems else 1
-
-    if args.command == "run":
-        cfg = scenario.load_scenario(args.scenario)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.duration is not None:
-            cfg = dataclasses.replace(cfg, duration=args.duration)
-        if args.dt is not None:
-            cfg = dataclasses.replace(cfg, dt=args.dt)
-        problems = scenario.validate(cfg)
-        if problems:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
-            return 1
-        scenario.run(cfg, args.out)
-        print(f"wrote {args.out}")
-        return 0
+        elif not problems:
+            scenario.run(cfg, args.out)
+            print(f"wrote {args.out}")
+        return problems
 
     if args.command == "tiles":
         heightmap = bathymetry.load_heightmap(args.dem)
         tiles = tiling.generate_tiles(heightmap, args.tile_size, args.overlap)
         manifest = tiling.write_tiles(tiles, args.out)
         print(f"wrote {len(tiles)} tiles, manifest {manifest}")
-        return 0
 
     if args.command == "distort":
         mesh = meshtools.load_obj(args.mesh)
@@ -106,9 +95,7 @@ def _dispatch(args) -> int:
         )
         meshtools.save_obj(meshtools.distort(mesh, params), args.out)
         print(f"wrote {args.out}")
-        return 0
-
-    return 2
+    return []
 
 
 if __name__ == "__main__":

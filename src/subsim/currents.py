@@ -207,6 +207,11 @@ class GaussMarkovParams:
     sigma: float = 0.0
     bound: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "bound"):
+            if not getattr(self, name) >= 0.0:
+                raise CurrentError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 class CurrentField:
     """Immutable mean field (database + tide) plus sampler parameters."""

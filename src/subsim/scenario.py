@@ -5,13 +5,23 @@ evaluates each configured sensor at its own rate, steps coupling state
 machines from scripted force timelines, manages terrain tiles around the
 vehicles, and writes all logs. Runs are deterministic: the same config
 and seed produce byte-identical output directories.
+
+`load_scenario` parses a document in one pass: each YAML mapping becomes
+a config dataclass through `_build`, which rejects unknown keys, converts
+every value by the field's declared type and runs the class's own
+checks. The sensors a run evaluates are the classes in `SENSORS`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,10 +33,12 @@ from .geodesy import ProjectedCoord
 from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
 
 SCHEMA_VERSION = 1
+STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
+POSE_HEADER = ["time", "x", "y", "depth", "roll", "pitch", "yaw", "vn", "ve", "vd"]
 
 
 class ScenarioError(ValueError):
-    """Structurally unusable scenario document."""
+    """Unusable scenario document; the message names the offending place."""
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,7 @@ class Waypoint:
     time: float
     x: float
     y: float
-    depth: float
+    depth: float = 0.0
     roll: float = 0.0
     pitch: float = 0.0
     yaw: float = 0.0
@@ -46,18 +58,32 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    kind: str  # dvl | sonar | lidar
-    rate_hz: float
+    kind: str  # a key of SENSORS
     name: str
-    params: dict = field(default_factory=dict)
+    rate: float  # Hz
+    config: object  # SENSORS[kind].config_type, built and checked
     pan_deg: float = 0.0  # lidar mount command
     tilt_deg: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.rate <= 0.0:
+            raise ValueError("rate must be positive")
 
 
 @dataclass(frozen=True)
 class TeleportAction:
     time: float
     station: str
+
+
+@dataclass(frozen=True)
+class Force:
+    """One entry of a force timeline; it holds until the next entry."""
+
+    time: float
+    fx: float = 0.0
+    fy: float = 0.0
+    fz: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -70,11 +96,16 @@ class VehicleSpec:
 
 @dataclass(frozen=True)
 class WorldSpec:
-    heightmap_path: Path
+    heightmap: str  # relative to base_dir, the scenario file's directory
+    base_dir: Path = Path(".")
     tile_size: float = tiling.DEFAULT_TILE_SIZE_M
     overlap: float = tiling.DEFAULT_OVERLAP_M
     load_radius: float = tiling.DEFAULT_LOAD_RADIUS_M
     unload_radius: float = tiling.DEFAULT_UNLOAD_RADIUS_M
+
+    @property
+    def heightmap_path(self) -> Path:
+        return (self.base_dir / self.heightmap).resolve()
 
 
 @dataclass(frozen=True)
@@ -83,7 +114,7 @@ class CouplingSpec:
     plug_vehicle: str
     receptacle: Pose
     config: coupling.CouplingConfig
-    forces: tuple[tuple[float, float, float, float], ...]  # (time, fx, fy, fz)
+    forces: tuple[Force, ...]
 
 
 @dataclass
@@ -94,9 +125,9 @@ class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
     epoch_utc: float = 0.0
     world: WorldSpec | None = None
-    current_strata: tuple[currents.Stratum, ...] = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)
-    tide: currents.TidalModel | None = None
-    gauss_markov: currents.GaussMarkovParams = currents.GaussMarkovParams()
+    current_field: currents.CurrentField = field(
+        default_factory=lambda: currents.CurrentField(currents.StratifiedCurrentDB(STILL_WATER))
+    )
     stations: dict[str, Pose] = field(default_factory=dict)
     vehicles: tuple[VehicleSpec, ...] = ()
     couplings: tuple[CouplingSpec, ...] = ()
@@ -104,201 +135,235 @@ class ScenarioConfig:
     source_bytes: bytes | None = None
 
 
-def _pose_from_mapping(node: dict) -> Pose:
-    return Pose.from_rpy(
-        float(node["x"]),
-        float(node["y"]),
-        float(node.get("depth", 0.0)),
-        float(node.get("roll", 0.0)),
-        float(node.get("pitch", 0.0)),
-        float(node.get("yaw", 0.0)),
+# -- parsing -------------------------------------------------------------------
+
+_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+# libyaml's scanner when PyYAML has it; it builds the same objects.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _error(where: str, problem) -> ScenarioError:
+    return ScenarioError(f"{where}: {problem}" if where else str(problem))
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, frozenset]:
+    """Field types of a dataclass, and the fields without a default."""
+    required = frozenset(
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     )
+    return typing.get_type_hints(cls), required
+
+
+def _convert(tp, value, name: str):
+    """One YAML value as the declared type `tp`; ValueError names the field.
+
+    A float takes what float() takes, except bool, and must be finite; an
+    int must be an int and not a bool; a tuple needs one item per type."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+    if tp is float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be finite, got {number}")
+        return number
+    if typing.get_origin(tp) is tuple:
+        items = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)) or len(value) != len(items):
+            raise ValueError(f"{name} must be a list of {len(items)} numbers, got {value!r}")
+        return tuple(_convert(t, v, name) for t, v in zip(items, value))
+    if tp is np.ndarray:
+        try:
+            array = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            array = np.array(math.nan)
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite numbers, got {value!r}")
+        return array
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise ValueError(f"{name} must be {_KINDS[tp]}, got {value!r}")
+    return value
+
+
+def _mapping(node, where: str, keys=None, required=()) -> dict:
+    if not isinstance(node, dict):
+        raise _error(where, f"must be a mapping, got {node!r}")
+    for key in node:
+        if keys is not None and key not in keys:
+            raise _error(where, f"unknown field {key!r}")
+    for key in sorted(required):
+        if key not in node:
+            raise _error(where, f"missing required field {key!r}")
+    return node
+
+
+def _items(node, where: str) -> list:
+    if node is None:
+        return []
+    if not isinstance(node, list):
+        raise _error(where, f"must be a list, got {node!r}")
+    return node
+
+
+def _build(cls, mapping, where: str, **fixed):
+    """A `cls` from a YAML mapping: every key a field of `cls`, every value
+    converted by the field's type, then `cls`'s own checks. Fields in
+    `fixed` are given by the caller and may not appear in the mapping."""
+    hints, required = _schema(cls)
+    node = _mapping(mapping, where, hints.keys() - fixed.keys(), required - fixed.keys())
+    try:
+        return cls(**{key: _convert(hints[key], value, key) for key, value in node.items()}, **fixed)
+    except ValueError as err:
+        raise _error(where, err) from None
+
+
+def _built(cls, node, where: str) -> tuple:
+    return tuple(_build(cls, item, f"{where}[{i}]") for i, item in enumerate(_items(node, where)))
+
+
+def _pose(node, where: str) -> Pose:
+    """A station or receptacle: a waypoint's pose fields, without time or velocity."""
+    return _build(Waypoint, node, where, time=0.0, velocity=None).pose()
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a scenario YAML file. Structural problems raise
-    ScenarioError; value-level problems are left for validate()."""
+    """Parse a scenario YAML file into checked, built configs.
+
+    A problem with any one field raises ScenarioError naming its place;
+    checks that span sections, or that a run override can change, are
+    left for validate()."""
     path = Path(path)
     raw = path.read_bytes()
     try:
-        doc = yaml.safe_load(raw)
+        doc = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
-        raise ScenarioError(f"{path}: not valid YAML: {err}") from None
+        raise ScenarioError(f"{path}: not valid YAML: {' '.join(str(err).split())}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: scenario document must be a mapping")
-    version = int(doc.get("schema_version", SCHEMA_VERSION))
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(f"{path}: unsupported schema_version {version}")
-    try:
-        return _parse_document(path, raw, doc, version)
-    except KeyError as err:
-        raise ScenarioError(f"{path}: missing required field {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"{path}: {err}") from None
-
-
-def _parse_document(path: Path, raw: bytes, doc: dict, version: int) -> ScenarioConfig:
-
-    world = None
-    if "world" in doc:
-        w = doc["world"]
-        world = WorldSpec(
-            heightmap_path=(path.parent / w["heightmap"]).resolve(),
-            tile_size=float(w.get("tile_size", tiling.DEFAULT_TILE_SIZE_M)),
-            overlap=float(w.get("overlap", tiling.DEFAULT_OVERLAP_M)),
-            load_radius=float(w.get("load_radius", tiling.DEFAULT_LOAD_RADIUS_M)),
-            unload_radius=float(w.get("unload_radius", tiling.DEFAULT_UNLOAD_RADIUS_M)),
-        )
-
-    strata = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)
-    tide = None
-    gm = currents.GaussMarkovParams()
-    if "currents" in doc:
-        c = doc["currents"]
-        if "strata" in c:
-            strata = tuple(
-                currents.Stratum(float(s["depth"]), tuple(float(v) for v in s["velocity"]))
-                for s in c["strata"]
-            )
-        if "tide" in c:
-            t = c["tide"]
-            heading = float(t.get("heading", 0.0))
-            if "constituents" in t:
-                cons = [
-                    currents.TidalConstituent(
-                        float(k["amplitude"]), float(k["period"]), float(k.get("phase", 0.0))
-                    )
-                    for k in t["constituents"]
-                ]
-                tide = currents.TidalModel.from_constituents(cons, heading=heading)
-            elif "series" in t:
-                times, speeds = currents.load_tide_series_csv(path.parent / t["series"])
-                tide = currents.TidalModel.from_series(times, speeds, heading=heading)
-        if "gauss_markov" in c:
-            g = c["gauss_markov"]
-            gm = currents.GaussMarkovParams(
-                mu=float(g.get("mu", 0.0)),
-                sigma=float(g.get("sigma", 0.0)),
-                bound=float(g.get("bound", 1.0)),
-            )
-
-    stations = {
-        str(name): _pose_from_mapping(node) for name, node in (doc.get("stations") or {}).items()
-    }
-
-    vehicles = []
-    for v in doc.get("vehicles") or []:
-        waypoints = tuple(
-            Waypoint(
-                time=float(w["time"]),
-                x=float(w["x"]),
-                y=float(w["y"]),
-                depth=float(w.get("depth", 0.0)),
-                roll=float(w.get("roll", 0.0)),
-                pitch=float(w.get("pitch", 0.0)),
-                yaw=float(w.get("yaw", 0.0)),
-                velocity=tuple(float(a) for a in w["velocity"]) if "velocity" in w else None,
-            )
-            for w in v.get("trajectory") or []
-        )
-        sensors = []
-        for s in v.get("sensors") or []:
-            s = dict(s)
-            kind = str(s.pop("type"))
-            rate = float(s.pop("rate"))
-            name = str(s.pop("name", kind))
-            pan = float(s.pop("pan_deg", 0.0))
-            tilt = float(s.pop("tilt_deg", 0.0))
-            sensors.append(SensorSpec(kind, rate, name, params=s, pan_deg=pan, tilt_deg=tilt))
-        teleports = tuple(
-            TeleportAction(float(a["time"]), str(a["station"])) for a in v.get("teleports") or []
-        )
-        vehicles.append(
-            VehicleSpec(str(v["id"]), waypoints, tuple(sensors), teleports)
-        )
-
-    couplings_spec = []
-    for c in doc.get("couplings") or []:
-        cfg_node = dict(c["config"])
-        ccfg = coupling.CouplingConfig(
-            linear_tol=float(cfg_node["linear_tol"]),
-            angular_tol=float(cfg_node["angular_tol"]),
-            insertion_force=float(cfg_node["insertion_force"]),
-            extraction_force=float(cfg_node["extraction_force"]),
-            travel_max=float(cfg_node["travel_max"]),
-            align_duration=float(cfg_node.get("align_duration", 2.0)),
-            cooldown=float(cfg_node.get("cooldown", 2.0)),
-        )
-        forces = tuple(
-            (
-                float(f["time"]),
-                float(f.get("fx", 0.0)),
-                float(f.get("fy", 0.0)),
-                float(f.get("fz", 0.0)),
-            )
-            for f in c.get("forces") or []
-        )
-        couplings_spec.append(
-            CouplingSpec(
-                coupling_id=str(c["id"]),
-                plug_vehicle=str(c["plug_vehicle"]),
-                receptacle=_pose_from_mapping(c["receptacle"]),
-                config=ccfg,
-                forces=forces,
-            )
-        )
-
-    return ScenarioConfig(
-        duration=float(doc.get("duration", 0.0)),
-        dt=float(doc.get("dt", 0.0)),
-        seed=int(doc.get("seed", 0)),
-        schema_version=version,
-        epoch_utc=float(doc.get("epoch_utc", 0.0)),
-        world=world,
-        current_strata=strata,
-        tide=tide,
-        gauss_markov=gm,
-        stations=stations,
-        vehicles=tuple(vehicles),
-        couplings=tuple(couplings_spec),
+    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ScenarioError(f"{path}: unsupported schema_version {doc['schema_version']}")
+    sections = ("world", "currents", "stations", "vehicles", "couplings")
+    stations = _mapping(doc.get("stations") or {}, "stations")
+    return _build(
+        ScenarioConfig,
+        {key: value for key, value in doc.items() if key not in sections},
+        "",
+        world=_build(WorldSpec, doc["world"], "world", base_dir=path.parent) if "world" in doc else None,
+        current_field=_current_field(doc.get("currents") or {}, path.parent),
+        stations={str(name): _pose(node, f"station {name!r}") for name, node in stations.items()},
+        vehicles=tuple(_vehicle(node, i) for i, node in enumerate(_items(doc.get("vehicles"), "vehicles"))),
+        couplings=tuple(_coupling(node, i) for i, node in enumerate(_items(doc.get("couplings"), "couplings"))),
         source_path=path,
         source_bytes=raw,
     )
 
 
-_SENSOR_BUILDERS = {
-    "dvl": lambda params: dvl.DvlConfig(**params),
-    "sonar": lambda params: sonar.SonarConfig(**params),
-    "lidar": lambda params: lidar.LidarConfig(**params),
-}
+def _current_field(node, base_dir: Path) -> currents.CurrentField:
+    node = _mapping(node, "currents", ("strata", "tide", "gauss_markov"))
+    strata = _built(currents.Stratum, node["strata"], "currents strata") if "strata" in node else STILL_WATER
+    gm = _build(currents.GaussMarkovParams, node.get("gauss_markov") or {}, "currents gauss_markov")
+    tide = _tide(node["tide"], base_dir) if "tide" in node else None
+    try:
+        return currents.CurrentField(currents.StratifiedCurrentDB(strata), tide=tide, gm=gm)
+    except currents.CurrentError as err:
+        raise _error("currents", err) from None
+
+
+def _tide(node, base_dir: Path) -> currents.TidalModel | None:
+    where = "currents tide"
+    node = _mapping(node, where, ("heading", "constituents", "series"))
+    if "constituents" not in node and "series" not in node:
+        return None
+    constituents = None
+    if "constituents" in node:
+        constituents = _built(currents.TidalConstituent, node["constituents"], f"{where} constituents")
+    try:
+        heading = _convert(float, node.get("heading", 0.0), "heading")
+        series = (None, None)
+        if "series" in node:
+            series = currents.load_tide_series_csv(base_dir / _convert(str, node["series"], "series"))
+        return currents.TidalModel(heading, constituents, *series)
+    except ValueError as err:
+        raise _error(where, err) from None
+
+
+def _vehicle(node, index: int) -> VehicleSpec:
+    node = _mapping(node, f"vehicles[{index}]", ("id", "trajectory", "sensors", "teleports"), ("id",))
+    vid = str(node["id"])
+    where = f"vehicle {vid!r}"
+    return VehicleSpec(
+        vid,
+        _built(Waypoint, node.get("trajectory"), f"{where} trajectory"),
+        tuple(_sensor(s, where) for s in _items(node.get("sensors"), f"{where} sensors")),
+        _built(TeleportAction, node.get("teleports"), f"{where} teleports"),
+    )
+
+
+def _sensor(node, where: str) -> SensorSpec:
+    """The SensorSpec fields of a sensor entry build the spec; `type`
+    picks the kind, and every other key belongs to the kind's config."""
+    node = _mapping(node, f"{where} sensors")
+    kind = str(node.get("type"))
+    label = f"{where} sensor {str(node.get('name', kind))!r}"
+    if kind not in SENSORS:
+        raise _error(label, f"unknown type {kind!r}")
+    spec_fields = _schema(SensorSpec)[0]
+    config = {key: value for key, value in node.items() if key not in spec_fields and key != "type"}
+    spec = {key: value for key, value in node.items() if key in spec_fields}
+    return _build(SensorSpec, {"name": kind, **spec}, label, kind=kind,
+                  config=_build(SENSORS[kind].config_type, config, label))
+
+
+def _coupling(node, index: int) -> CouplingSpec:
+    keys = ("id", "plug_vehicle", "receptacle", "config", "forces")
+    node = _mapping(node, f"couplings[{index}]", keys, keys[:4])
+    where = f"coupling {str(node['id'])!r}"
+    return CouplingSpec(
+        coupling_id=str(node["id"]),
+        plug_vehicle=str(node["plug_vehicle"]),
+        receptacle=_pose(node["receptacle"], f"{where} receptacle"),
+        config=_build(coupling.CouplingConfig, node["config"], f"{where} config"),
+        forces=_built(Force, node.get("forces"), f"{where} forces"),
+    )
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
-    """Check every scenario invariant; an empty list means runnable."""
+    """Checks that span fields or sections, and checks on what a run can
+    override (seed, dt, duration); load_scenario checked every single
+    field. An empty list means runnable."""
     diags: list[str] = []
-    if cfg.dt <= 0.0:
-        diags.append("dt must be positive")
-    if cfg.duration < 0.0:
-        diags.append("duration must be >= 0")
+    dt_ok = math.isfinite(cfg.dt) and cfg.dt > 0.0
+    duration_ok = math.isfinite(cfg.duration) and cfg.duration >= 0.0
+    if not dt_ok:
+        diags.append(f"dt must be positive and finite, got {cfg.dt}")
+    if not duration_ok:
+        diags.append(f"duration must be >= 0 and finite, got {cfg.duration}")
+    if cfg.seed < 0:
+        diags.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.world is not None:
         if not cfg.world.heightmap_path.exists():
             diags.append(f"heightmap file not found: {cfg.world.heightmap_path}")
+        if cfg.world.overlap < 0.0:
+            diags.append("world.overlap must be >= 0")
         if cfg.world.tile_size <= 2.0 * cfg.world.overlap:
             diags.append("world.tile_size must exceed twice world.overlap")
         if cfg.world.load_radius <= 0.0:
             diags.append("world.load_radius must be positive")
         if cfg.world.unload_radius <= cfg.world.load_radius:
             diags.append("world.unload_radius must exceed world.load_radius")
-    try:
-        currents.StratifiedCurrentDB(list(cfg.current_strata))
-    except currents.CurrentError as err:
-        diags.append(f"currents: {err}")
-    if cfg.gauss_markov.mu < 0.0 or cfg.gauss_markov.sigma < 0.0:
-        diags.append("gauss_markov parameters must be >= 0")
-    if cfg.tide is not None and cfg.tide.series_times is not None and cfg.dt > 0.0:
+    tide = cfg.current_field.tide
+    if tide is not None and tide.series_times is not None and dt_ok and duration_ok:
         # The run queries the tide at epoch_utc + k * dt for every step k.
         start, end = cfg.epoch_utc, cfg.epoch_utc + _step_count(cfg) * cfg.dt
-        first, last = float(cfg.tide.series_times[0]), float(cfg.tide.series_times[-1])
+        first, last = float(tide.series_times[0]), float(tide.series_times[-1])
         uncovered = [f"[{start}, {first})"] if start < first else []
         uncovered += [f"({last}, {end}]"] if end > last else []
         if uncovered:
@@ -320,23 +385,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             diags.append(f"vehicle {vid!r} trajectory times must be strictly increasing")
         for sensor in vehicle.sensors:
             label = f"vehicle {vid!r} sensor {sensor.name!r}"
-            if sensor.kind not in _SENSOR_BUILDERS:
-                diags.append(f"{label}: unknown type {sensor.kind!r}")
-                continue
-            if sensor.rate_hz <= 0.0:
-                diags.append(f"{label}: rate must be positive")
-            elif cfg.dt > 0.0:
-                period = 1.0 / sensor.rate_hz
+            if dt_ok:
+                period = 1.0 / sensor.rate
                 steps = round(period / cfg.dt)
                 if steps < 1 or abs(period - steps * cfg.dt) > 1e-9 * max(1.0, period):
-                    diags.append(
-                        f"{label}: period {period} is not an integer multiple of dt {cfg.dt}"
-                    )
-            try:
-                _SENSOR_BUILDERS[sensor.kind](sensor.params)
-            except (TypeError, ValueError) as err:
-                diags.append(f"{label}: {err}")
-            if sensor.kind in ("sonar", "lidar") and cfg.world is None:
+                    diags.append(f"{label}: period {period} is not an integer multiple of dt {cfg.dt}")
+            if SENSORS[sensor.kind].needs_world and cfg.world is None:
                 diags.append(f"{label}: requires a world heightmap")
         for action in vehicle.teleports:
             if action.station not in cfg.stations:
@@ -345,7 +399,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     for spec in cfg.couplings:
         if spec.plug_vehicle not in seen_ids:
             diags.append(f"coupling {spec.coupling_id!r}: unknown plug vehicle {spec.plug_vehicle!r}")
-        ftimes = [f[0] for f in spec.forces]
+        ftimes = [f.time for f in spec.forces]
         if any(b <= a for a, b in zip(ftimes, ftimes[1:])):
             diags.append(f"coupling {spec.coupling_id!r}: force times must be strictly increasing")
     return diags
@@ -409,6 +463,101 @@ class _CsvLog:
         self._fh.close()
 
 
+# -- sensors -------------------------------------------------------------------
+
+
+class Sensor:
+    """One configured sensor on one vehicle, evaluated every `steps` steps.
+
+    A subclass per kind names its config type and whether it needs the
+    world heightmap, opens its logs, and turns one evaluation into
+    products under the vehicle's output directory."""
+
+    config_type: type
+    needs_world = True
+
+    def __init__(self, spec: SensorSpec, rng: np.random.Generator, steps: int, heightmap, out_dir: Path):
+        self.spec, self.config, self.rng, self.steps = spec, spec.config, rng, steps
+        self.heightmap = heightmap
+        self.out = out_dir / spec.name
+        self.count = 0  # products written
+
+    def open(self) -> None:
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    def close(self) -> None:
+        pass
+
+
+class DvlSensor(Sensor):
+    """Velocity log rows, plus ADCP profile rows when the config has bins."""
+
+    config_type = dvl.DvlConfig
+    needs_world = False
+
+    def open(self) -> None:
+        self.log = _CsvLog(self.out.parent / f"{self.spec.name}.csv", dvl.LOG_HEADER)
+        self.adcp_log = None
+        if self.config.bins > 0:
+            self.adcp_log = _CsvLog(self.out.parent / f"{self.spec.name}_adcp.csv", dvl.ADCP_HEADER,
+                                    preamble=dvl.adcp_metadata_row(self.config))
+
+    def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
+        sampler = vehicle.sampler
+        current_fn = lambda depth: sampler.velocity(depth, time_utc)
+        sol = dvl.measure(vehicle.pose, vehicle.velocity, self.heightmap, current_fn, self.config, self.rng)
+        self.log.row(dvl.log_row(t, sol))
+        if self.adcp_log is not None:
+            profile = dvl.current_profile(vehicle.pose, vehicle.velocity, current_fn, self.config, self.rng)
+            for row in dvl.adcp_rows(t, profile):
+                self.adcp_log.row(row)
+
+    def close(self) -> None:
+        self.log.close()
+        if self.adcp_log is not None:
+            self.adcp_log.close()
+
+
+class SonarSensor(Sensor):
+    """One PGM + CSV A-plot per ping."""
+
+    config_type = sonar.SonarConfig
+
+    def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
+        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng)
+        stem = f"ping_{self.count:05d}"
+        sonar.export_aplot(aplot, self.out / f"{stem}.pgm", self.out / f"{stem}.csv")
+        self.count += 1
+
+
+class LidarSensor(Sensor):
+    """One PLY point cloud per scan, from a mount commanded once."""
+
+    config_type = lidar.LidarConfig
+
+    def __init__(self, spec: SensorSpec, *args):
+        super().__init__(spec, *args)
+        self.mount, _ = lidar.command_mount(lidar.PanTiltState(), spec.pan_deg, spec.tilt_deg)
+
+    def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
+        cloud = lidar.scan(vehicle.pose, self.mount, self.heightmap, self.config, self.rng)
+        lidar.write_ply(cloud, self.out / f"scan_{self.count:05d}.ply")
+        self.count += 1
+
+
+SENSORS: dict[str, type[Sensor]] = {"dvl": DvlSensor, "sonar": SonarSensor, "lidar": LidarSensor}
+
+
+class _Vehicle:
+    """Run state of one vehicle: its current sampler, sensors and pose."""
+
+    def __init__(self, spec: VehicleSpec, sampler: currents.CurrentSampler, sensors: list[Sensor]):
+        self.spec, self.sampler, self.sensors = spec, sampler, sensors
+        self.hold: Pose | None = None  # station pose after a teleport
+        self.pose: Pose | None = None
+        self.velocity = np.zeros(3)
+
+
 class Simulation:
     """One configured scenario run; create, then call run()."""
 
@@ -429,44 +578,20 @@ class Simulation:
                 specs, cfg.world.load_radius, cfg.world.unload_radius
             )
 
-        self.field = currents.CurrentField(
-            currents.StratifiedCurrentDB(list(cfg.current_strata)),
-            tide=cfg.tide,
-            gm=cfg.gauss_markov,
-        )
-
         # Deterministic seed tree: for each vehicle in config order, one
         # child for its current sampler, then one per sensor in order.
         # Couplings draw no randomness.
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        self._seed_iter = iter(seed_seq.spawn(_rng_slots(cfg)))
-
-        self._vehicles: dict[str, dict] = {}
+        seeds = np.random.SeedSequence(cfg.seed)
+        self._vehicles: dict[str, _Vehicle] = {}
         for vspec in cfg.vehicles:
-            sampler = self.field.sampler(next(self._seed_iter))
+            sampler = cfg.current_field.sampler(seeds.spawn(1)[0])
             sensors = []
-            for sspec in vspec.sensors:
-                sensors.append(
-                    {
-                        "spec": sspec,
-                        "config": _SENSOR_BUILDERS[sspec.kind](sspec.params),
-                        "rng": np.random.default_rng(next(self._seed_iter)),
-                        "steps": round((1.0 / sspec.rate_hz) / cfg.dt),
-                        "count": 0,
-                    }
-                )
-            self._vehicles[vspec.vehicle_id] = {
-                "spec": vspec,
-                "sampler": sampler,
-                "sensors": sensors,
-                "hold": None,  # station Pose after a teleport
-                "pose": None,
-                "velocity": np.zeros(3),
-            }
-
-        self._couplings = [
-            {"spec": cspec, "state": coupling.CouplingState()} for cspec in cfg.couplings
-        ]
+            for s in vspec.sensors:
+                rng = np.random.default_rng(seeds.spawn(1)[0])
+                steps = round((1.0 / s.rate) / cfg.dt)
+                sensors.append(SENSORS[s.kind](s, rng, steps, self.heightmap, self.out_dir / vspec.vehicle_id))
+            self._vehicles[vspec.vehicle_id] = _Vehicle(vspec, sampler, sensors)
+        self._coupling_states = {c.coupling_id: coupling.CouplingState() for c in cfg.couplings}
 
     # -- public API ---------------------------------------------------------
 
@@ -477,7 +602,7 @@ class Simulation:
             raise KeyError(f"unknown vehicle {vehicle_id!r}")
         if station_name not in self.cfg.stations:
             raise KeyError(f"unknown station {station_name!r}")
-        self._vehicles[vehicle_id]["hold"] = self.cfg.stations[station_name]
+        self._vehicles[vehicle_id].hold = self.cfg.stations[station_name]
 
     def run(self) -> dict:
         """Execute the fixed-step loop and write all outputs. Returns the
@@ -488,19 +613,14 @@ class Simulation:
         tile_log = None
         if self.tile_manager is not None:
             tile_log = _CsvLog(self.out_dir / "tile_events.csv", ["time", "action", "row", "col"])
-        logs: dict[tuple[str, str], _CsvLog] = {}
-        pose_logs: dict[str, _CsvLog] = {}
-        for vid in self._vehicles:
-            pose_logs[vid] = _CsvLog(
-                self.out_dir / vid / "pose.csv",
-                ["time", "x", "y", "depth", "roll", "pitch", "yaw", "vn", "ve", "vd"],
-            )
+        pose_logs = {vid: _CsvLog(self.out_dir / vid / "pose.csv", POSE_HEADER) for vid in self._vehicles}
         coupling_logs = {
-            c["spec"].coupling_id: _CsvLog(
-                self.out_dir / f"coupling_{c['spec'].coupling_id}.csv", coupling.LOG_HEADER
-            )
-            for c in self._couplings
+            cid: _CsvLog(self.out_dir / f"coupling_{cid}.csv", coupling.LOG_HEADER)
+            for cid in self._coupling_states
         }
+        sensors = [s for v in self._vehicles.values() for s in v.sensors]
+        for sensor in sensors:
+            sensor.open()
 
         try:
             for k in range(steps + 1):
@@ -509,111 +629,60 @@ class Simulation:
                 self._advance_vehicles(t)
                 if self.tile_manager is not None:
                     events = self.tile_manager.update_tiles(
-                        [
-                            ProjectedCoord(v["pose"].position.x, v["pose"].position.y)
-                            for v in self._vehicles.values()
-                        ]
+                        [ProjectedCoord(v.pose.position.x, v.pose.position.y) for v in self._vehicles.values()]
                     )
                     for ev in events:
                         tile_log.row([_fmt(t), ev.action, ev.index[0], ev.index[1]])
+                time_utc = cfg.epoch_utc + t
                 for vid, v in self._vehicles.items():
                     pose_logs[vid].row(self._pose_row(t, v))
-                    for sensor in v["sensors"]:
-                        if k % sensor["steps"] == 0:
-                            self._evaluate_sensor(t, vid, v, sensor, logs)
-                for c in self._couplings:
+                    for sensor in v.sensors:
+                        if k % sensor.steps == 0:
+                            sensor.evaluate(t, time_utc, v)
+                for spec in cfg.couplings:
                     # The step at t advances over the preceding interval,
                     # so the logged row holds the state valid at t.
-                    self._step_coupling(t, c, coupling_logs[c["spec"].coupling_id], advance=k > 0)
+                    self._step_coupling(t, spec, coupling_logs[spec.coupling_id], advance=k > 0)
                 if k < steps:
                     for v in self._vehicles.values():
-                        v["sampler"].step(cfg.dt)
+                        v.sampler.step(cfg.dt)
         finally:
-            for log in logs.values():
-                log.close()
-            for log in pose_logs.values():
-                log.close()
-            for log in coupling_logs.values():
+            for log in [*pose_logs.values(), *coupling_logs.values(), *sensors]:
                 log.close()
             if tile_log is not None:
                 tile_log.close()
 
-        manifest = self._write_manifest()
-        return manifest
+        return self._write_manifest()
 
     # -- internals ----------------------------------------------------------
 
     def _apply_teleports(self, t: float) -> None:
         for vid, v in self._vehicles.items():
-            for action in v["spec"].teleports:
+            for action in v.spec.teleports:
                 if abs(action.time - t) < self.cfg.dt / 2.0:
                     self.teleport(vid, action.station)
 
     def _advance_vehicles(self, t: float) -> None:
         for v in self._vehicles.values():
-            if v["hold"] is not None:
-                v["pose"], v["velocity"] = v["hold"], np.zeros(3)
+            if v.hold is not None:
+                v.pose, v.velocity = v.hold, np.zeros(3)
             else:
-                v["pose"], v["velocity"] = interpolate_trajectory(v["spec"].waypoints, t)
+                v.pose, v.velocity = interpolate_trajectory(v.spec.waypoints, t)
 
-    def _pose_row(self, t: float, v: dict) -> list[str]:
-        p = v["pose"].position
+    def _pose_row(self, t: float, v: _Vehicle) -> list[str]:
+        p = v.pose.position
         # Report the body attitude relative to the level FLU pose.
-        rel = v["pose"].rotation @ body_to_ned_rotation().T
+        rel = v.pose.rotation @ body_to_ned_rotation().T
         roll, pitch, yaw = rpy_from_rotation(rel)
-        vel = v["velocity"]
+        vel = v.velocity
         return [
             _fmt(t), _fmt(p.x), _fmt(p.y), _fmt(p.depth),
             _fmt(roll), _fmt(pitch), _fmt(yaw),
             _fmt(vel[0]), _fmt(vel[1]), _fmt(vel[2]),
         ]
 
-    def _evaluate_sensor(self, t: float, vid: str, v: dict, sensor: dict, logs: dict) -> None:
-        spec: SensorSpec = sensor["spec"]
-        pose: Pose = v["pose"]
-        time_utc = self.cfg.epoch_utc + t
-        key = (vid, spec.name)
-        if spec.kind == "dvl":
-            sampler: currents.CurrentSampler = v["sampler"]
-            current_fn = lambda depth: sampler.velocity(depth, time_utc)
-            sol = dvl.measure(
-                pose, v["velocity"], self.heightmap, current_fn, sensor["config"], sensor["rng"]
-            )
-            if key not in logs:
-                logs[key] = _CsvLog(self.out_dir / vid / f"{spec.name}.csv", dvl.LOG_HEADER)
-            logs[key].row(dvl.log_row(t, sol))
-            if sensor["config"].bins > 0:
-                akey = (vid, spec.name + "_adcp")
-                if akey not in logs:
-                    logs[akey] = _CsvLog(
-                        self.out_dir / vid / f"{spec.name}_adcp.csv",
-                        dvl.ADCP_HEADER,
-                        preamble=dvl.adcp_metadata_row(sensor["config"]),
-                    )
-                profile = dvl.current_profile(
-                    pose, v["velocity"], current_fn, sensor["config"], sensor["rng"]
-                )
-                for row in dvl.adcp_rows(t, profile):
-                    logs[akey].row(row)
-        elif spec.kind == "sonar":
-            aplot = sonar.ping(pose, self.heightmap, sensor["config"], sensor["rng"])
-            out = self.out_dir / vid / spec.name
-            out.mkdir(parents=True, exist_ok=True)
-            stem = f"ping_{sensor['count']:05d}"
-            sonar.export_aplot(aplot, out / f"{stem}.pgm", out / f"{stem}.csv")
-            sensor["count"] += 1
-        elif spec.kind == "lidar":
-            mount, _ = lidar.command_mount(lidar.PanTiltState(), spec.pan_deg, spec.tilt_deg)
-            cloud = lidar.scan(pose, mount, self.heightmap, sensor["config"], sensor["rng"])
-            out = self.out_dir / vid / spec.name
-            out.mkdir(parents=True, exist_ok=True)
-            lidar.write_ply(cloud, out / f"scan_{sensor['count']:05d}.ply")
-            sensor["count"] += 1
-
-    def _step_coupling(self, t: float, c: dict, log: _CsvLog, advance: bool) -> None:
-        spec: CouplingSpec = c["spec"]
-        vehicle = self._vehicles.get(spec.plug_vehicle)
-        plug_pose: Pose = vehicle["pose"]
+    def _step_coupling(self, t: float, spec: CouplingSpec, log: _CsvLog, advance: bool) -> None:
+        plug_pose: Pose = self._vehicles[spec.plug_vehicle].pose
         recep: Pose = spec.receptacle
         r_rel = recep.rotation.T @ plug_pose.rotation
         delta_ned = np.array(
@@ -627,11 +696,11 @@ class Simulation:
         rel_pose = coupling.RelativePose(offset, r_rel)
         force = _force_at(spec.forces, t)
         events: list[str] = []
+        state = self._coupling_states[spec.coupling_id]
         if advance:
-            c["state"], events = coupling.step(
-                c["state"], rel_pose, force[0], self.cfg.dt, spec.config
-            )
-        log.row(coupling.log_row(t, c["state"], force, events))
+            state, events = coupling.step(state, rel_pose, force[0], self.cfg.dt, spec.config)
+            self._coupling_states[spec.coupling_id] = state
+        log.row(coupling.log_row(t, state, force, events))
 
     def _write_manifest(self) -> dict:
         cfg = self.cfg
@@ -661,19 +730,12 @@ def _step_count(cfg: ScenarioConfig) -> int:
     return int(round(cfg.duration / cfg.dt)) if cfg.duration > 0 else 0
 
 
-def _rng_slots(cfg: ScenarioConfig) -> int:
-    n = 0
-    for v in cfg.vehicles:
-        n += 1 + len(v.sensors)
-    return max(n, 1)
-
-
 def _force_at(forces, t: float) -> np.ndarray:
     """Piecewise-constant force timeline: the last entry at or before t."""
     current = np.zeros(3)
     for entry in forces:
-        if entry[0] <= t + 1e-12:
-            current = np.array(entry[1:])
+        if entry.time <= t + 1e-12:
+            current = np.array([entry.fx, entry.fy, entry.fz])
         else:
             break
     return current

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,40 @@ def test_non_unit_direction_rejected(flat50, direction):
         bat.raycast(flat50, origin, np.array(direction), 100.0)
     # Within the 1e-9 tolerance the ray is cast.
     assert bat.raycast(flat50, origin, ned(0.0, 0.0, 1.0 + 5e-10), 100.0) is not None
+
+
+# A NaN origin coordinate once sent `raycast` into an endless cell walk
+# while `raycast_batch` reported a miss. The probe runs in a child process
+# under a timeout, so a regression fails instead of hanging the suite.
+_NON_FINITE_ORIGIN_PROBE = """
+import math
+import numpy as np
+from conftest import flat_heightmap
+from subsim import bathymetry as bat
+from subsim.geometry import WorldPoint
+h = flat_heightmap(50.0)
+d = np.array([0.48, 0.36, 0.8])  # slanted in both horizontal axes
+for origin in (WorldPoint(50.0, math.nan, 0.0), WorldPoint(math.inf, 50.0, 0.0),
+               WorldPoint(50.0, 50.0, -math.inf)):
+    for cast in (lambda: bat.raycast(h, origin, d, 100.0),
+                 lambda: bat.raycast_batch(h, origin, d[None], 100.0)):
+        try:
+            cast()
+            print("no error")
+        except ValueError as err:
+            print(err)
+"""
+
+
+def test_non_finite_origin_rejected_by_both_raycasters():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_ORIGIN_PROBE], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("ray origin must be finite, got (") for line in lines), lines
 
 
 def test_normal_on_sloped_plane():

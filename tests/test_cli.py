@@ -1,14 +1,17 @@
+import collections
+import copy
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from subsim import cli, currents, meshtools, scenario, sonar
+from subsim import cli, currents, dvl, lidar, meshtools, scenario, sonar
 from subsim.bathymetry import save_heightmap
 
 from conftest import flat_heightmap
@@ -27,7 +30,7 @@ def test_validate_reports_problems(tmp_path, capsys):
     bad.write_text(yaml.safe_dump({"schema_version": 1, "duration": 5.0, "dt": 0.0}))
     rc = cli.main(["validate", str(bad)])
     assert rc == 1
-    assert "dt must be positive" in capsys.readouterr().out
+    assert "dt must be positive" in capsys.readouterr().err
 
 
 def test_run_with_overrides(tmp_path, capsys):
@@ -85,6 +88,14 @@ def test_missing_scenario_file_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_yaml_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("duration: [1, 2\n")
+    assert cli.main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid YAML: ") and err.count("\n") == 1
+
+
 def test_tide_series_ending_early_fails_validate_and_run(tmp_path, capsys):
     (tmp_path / "tide.csv").write_text("epoch_seconds,speed_mps\n0,0.2\n5,0.2\n")
     doc = {
@@ -96,7 +107,7 @@ def test_tide_series_ending_early_fails_validate_and_run(tmp_path, capsys):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert cli.main(["validate", str(path)]) == 1
-    assert "(5.0, 10.0]" in capsys.readouterr().out
+    assert "(5.0, 10.0]" in capsys.readouterr().err
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -125,7 +136,7 @@ def test_nonpositive_load_radius_fails_validate_and_run(tmp_path, capsys):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert cli.main(["validate", str(path)]) == 1
-    assert "world.load_radius must be positive" in capsys.readouterr().out
+    assert "world.load_radius must be positive" in capsys.readouterr().err
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "subsim.cli", "run", str(path), "--out", str(out)],
@@ -166,7 +177,7 @@ def test_rank_deficient_dvl_beams_fail_validate_and_run(tmp_path, capsys, beams,
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert cli.main(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"error: vehicle 'auv' sensor 'dvl': {problem}\n"
+    assert capsys.readouterr().err == f"error: vehicle 'auv' sensor 'dvl': {problem}\n"
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "subsim.cli", "run", str(path), "--out", str(out)],
@@ -209,11 +220,11 @@ def test_sonar_field_mutation_fails_validate_or_runs_clean(tmp_path, capsys, fie
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(doc))
     rc = cli.main(["validate", str(path)])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     if rc == 1:
-        assert f"error: vehicle 'rov1' sensor 'fls': {field} must be" in out
+        assert f"error: vehicle 'rov1' sensor 'fls': {field} must be" in captured.err
         return
-    assert rc == 0 and out == "ok\n"
+    assert rc == 0 and captured.out == "ok\n"
     proc = _run_subprocess(path, tmp_path / "out", "--duration", "4.5")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -241,3 +252,127 @@ def test_non_finite_tide_value_fails_validate_and_run(tmp_path, capsys, field):
     assert proc.returncode == 1
     assert proc.stderr == err
     assert not out.exists()
+
+
+# Every scalar of the demo (ids, names, types and the heightmap path
+# aside) replaced in turn by each value below: the scenario must either
+# fail `validate` with `error:` lines on stderr, or run cleanly.
+MUTATIONS = {"nan": float("nan"), "inf": float("inf"), "minus-one": -1, "zero": 0, "abc": "abc",
+             "pair": [1, 2]}
+_NOT_MUTATED = {"id", "name", "type", "heightmap", "station", "plug_vehicle"}
+
+
+def _leaves(node, path=()):
+    """Paths to the scalars of a YAML tree; a list of numbers is one leaf."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and all(isinstance(item, dict) for item in node):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, value in items if key not in _NOT_MUTATED for leaf in _leaves(value, path + (key,))]
+
+
+_DEMO_DOC = _demo_doc()
+# libyaml's emitter where PyYAML has it: the same text, faster.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _write_mutated(tmp_path, path, value):
+    doc = copy.deepcopy(_DEMO_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario_path = tmp_path / "s.yaml"
+    scenario_path.write_text(yaml.dump(doc, Dumper=_DUMPER))
+    return scenario_path
+
+
+# The probes that passed `validate` and then failed, or hung, in `run`.
+REPORTED = {
+    "waypoint-x-nan": (("vehicles", 0, "trajectory", 0, "x"), float("nan")),
+    "waypoint-y-nan": (("vehicles", 0, "trajectory", 0, "y"), float("nan")),
+    "waypoint-depth-nan": (("vehicles", 0, "trajectory", 0, "depth"), float("nan")),
+    "waypoint-pitch-nan": (("vehicles", 0, "trajectory", 0, "pitch"), float("nan")),
+    "waypoint-yaw-nan": (("vehicles", 0, "trajectory", 0, "yaw"), float("nan")),
+    "dt-nan": (("dt",), float("nan")),
+    "seed-minus-one": (("seed",), -1),
+    "world-tile-size-nan": (("world", "tile_size"), float("nan")),
+    "lidar-rays-h-inf": (("vehicles", 0, "sensors", 2, "rays_h"), float("inf")),
+    "gauss-markov-bound-minus-one": (("currents", "gauss_markov", "bound"), -1),
+    "duration-typo": (("duratoin",), 60.0),
+}
+_REPORTED_PAIRS = {(path, repr(value)) for path, value in REPORTED.values()}
+DEMO_MUTATIONS = [
+    pytest.param(path, value, id=".".join(map(str, path)) + "-" + value_id)
+    for path in _leaves(_DEMO_DOC)
+    for value_id, value in MUTATIONS.items()
+    if (path, repr(value)) not in _REPORTED_PAIRS
+]
+
+
+@pytest.mark.parametrize("path, value", DEMO_MUTATIONS)
+def test_demo_mutation_fails_validate_or_runs_clean(tmp_path, capsys, path, value):
+    scenario_path = _write_mutated(tmp_path, path, value)
+    rc = cli.main(["validate", str(scenario_path)])
+    captured = capsys.readouterr()
+    if rc == 1:
+        assert captured.out == "" and captured.err
+        assert all(line.startswith("error: ") for line in captured.err.splitlines())
+        return
+    assert rc == 0 and captured.out == "ok\n" and captured.err == ""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(scenario_path), "--out", str(out), "--duration", "1"]) == 0
+    pings = sorted((out / "rov1" / "fls").glob("ping_*.csv"))
+    assert pings
+    for ping in pings:
+        assert np.all(np.isfinite(sonar.load_aplot_csv(ping).intensities))
+
+
+@pytest.mark.parametrize("path, value", REPORTED.values(), ids=REPORTED.keys())
+def test_reported_mutation_fails_validate_and_run(tmp_path, capsys, path, value):
+    scenario_path = _write_mutated(tmp_path, path, value)
+    assert cli.main(["validate", str(scenario_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    out = tmp_path / "out"
+    # A subprocess under a timeout: the waypoint-y-nan run once never ended.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "subsim.cli", "run", str(scenario_path),
+         "--out", str(out), "--duration", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, problem",
+    [("--dt", "nan", "dt must be positive and finite, got nan"),
+     ("--seed", "-1", "seed must be >= 0, got -1"),
+     ("--duration", "inf", "duration must be >= 0 and finite, got inf"),
+     ("--duration", "nan", "duration must be >= 0 and finite, got nan")],
+    ids=["dt-nan", "seed-minus-one", "duration-inf", "duration-nan"],
+)
+def test_run_override_fails_validate(tmp_path, capsys, flag, value, problem):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMO), "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_each_sensor_config_is_built_once_per_run(tmp_path, monkeypatch):
+    built = collections.Counter()
+    for cls in (dvl.DvlConfig, sonar.SonarConfig, lidar.LidarConfig):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert cli.main(["run", str(DEMO), "--out", str(tmp_path / "out"), "--duration", "1"]) == 0
+    assert built == {"DvlConfig": 1, "SonarConfig": 1, "LidarConfig": 1}

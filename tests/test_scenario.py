@@ -93,8 +93,8 @@ def test_validate_rejects_unknown_station(tmp_path):
 def test_validate_rejects_bad_sensor_params(tmp_path):
     doc = small_world_doc(tmp_path)
     doc["vehicles"][0]["sensors"][0]["min_range"] = 500.0
-    cfg = scenario.load_scenario(write_scenario(tmp_path, doc))
-    assert any("min_range" in d for d in scenario.validate(cfg))
+    with pytest.raises(scenario.ScenarioError, match="min_range"):
+        scenario.load_scenario(write_scenario(tmp_path, doc))
 
 
 def test_validate_rejects_decreasing_trajectory(tmp_path):
@@ -105,6 +105,39 @@ def test_validate_rejects_decreasing_trajectory(tmp_path):
     ]
     cfg = scenario.load_scenario(write_scenario(tmp_path, doc))
     assert any("strictly increasing" in d for d in scenario.validate(cfg))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda d: d.update(duratoin=1.0), "unknown field 'duratoin'"),
+     (lambda d: d["vehicles"][0]["trajectory"][0].update(x=True),
+      "vehicle 'v1' trajectory[0]: x must be a number, got True"),
+     (lambda d: d["vehicles"][0]["trajectory"][0].update(velocity=[1.0, 2.0]),
+      "vehicle 'v1' trajectory[0]: velocity must be a list of 3 numbers, got [1.0, 2.0]"),
+     (lambda d: d["vehicles"][0]["sensors"][0].update(bins=4.0),
+      "vehicle 'v1' sensor 'dvl': bins must be an integer, got 4.0"),
+     (lambda d: d["vehicles"][0]["sensors"][0].update(pan=1.0),
+      "vehicle 'v1' sensor 'dvl': unknown field 'pan'"),
+     (lambda d: d["world"].pop("heightmap"), "world: missing required field 'heightmap'"),
+     (lambda d: d.update(currents={"gauss_markov": {"bound": -1.0}}),
+      "currents gauss_markov: bound must be >= 0, got -1.0")],
+    ids=["unknown-top-level-key", "bool-as-float", "short-velocity", "float-as-int",
+         "unknown-sensor-key", "missing-heightmap", "negative-gm-bound"],
+)
+def test_load_rejects_field_with_its_place(tmp_path, edit, message):
+    doc = small_world_doc(tmp_path)
+    edit(doc)
+    with pytest.raises(scenario.ScenarioError) as err:
+        scenario.load_scenario(write_scenario(tmp_path, doc))
+    assert str(err.value) == message
+
+
+def test_yaml_exponent_without_dot_is_a_number(tmp_path):
+    # YAML 1.1 reads `5e-3` as a string; float fields take what float() reads.
+    path = write_scenario(tmp_path, small_world_doc(tmp_path))
+    path.write_text(path.read_text().replace("noise_sigma: 0.0", "noise_sigma: 5e-3"))
+    cfg = scenario.load_scenario(path)
+    assert cfg.vehicles[0].sensors[0].config.noise_sigma == 0.005
 
 
 def test_shipped_demo_validates_clean():
@@ -234,7 +267,7 @@ def test_unknown_station_teleport_raises_and_preserves_state(tmp_path):
         sim.teleport("v1", "ghost")
     with pytest.raises(KeyError):
         sim.teleport("ghost", "far")
-    assert sim._vehicles["v1"]["hold"] is None
+    assert sim._vehicles["v1"].hold is None
 
 
 def test_sensor_ticks_have_no_drift(tmp_path):

@@ -347,11 +347,14 @@ def test_ping_flat_bottom_arc():
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
+import yaml
 from subsim import bathymetry, scenario, sonar
 cfg = scenario.load_scenario(sys.argv[1])
 heightmap = bathymetry.load_heightmap(cfg.world.heightmap_path)
 rov = cfg.vehicles[0]
-params = next(s for s in rov.sensors if s.kind == "sonar").params
+with open(sys.argv[1]) as fh:
+    entry = next(s for s in yaml.safe_load(fh)["vehicles"][0]["sensors"] if s["type"] == "sonar")
+params = {k: v for k, v in entry.items() if k not in ("type", "name", "rate")}
 for t in (0.0, 12.0):
     pose, _ = scenario.interpolate_trajectory(rov.waypoints, t)
     for n_beams in (48, 128):
