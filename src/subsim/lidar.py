@@ -10,13 +10,14 @@ a full 360 x 90 degrees.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
 from .geometry import Pose, rot_y, rot_z
-from .output import write_rows
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
@@ -156,16 +157,41 @@ def scan(
     )
 
 
+# One PLY vertex: x/y/z in meters (z up = -depth) as float64, which keeps
+# Mercator-scale coordinates exact, plus the ray grid indices.
+PLY_DTYPE = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("h_index", "<i4"), ("v_index", "<i4")])
+_PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
+               b"property double x\nproperty double y\nproperty double z\n"
+               b"property int h_index\nproperty int v_index\nend_header\n")
+_PLY_HEADER_RE = re.compile(re.escape(_PLY_HEADER).replace(b"%d", rb"(\d+)"))
+
+
 def write_ply(scan_result: LidarScan, path) -> None:
-    """ASCII PLY export: x/y/z in meters (z up = -depth) plus integer ray
-    grid indices."""
+    """Binary little-endian PLY export: one PLY_DTYPE record per point."""
     pts = scan_result.points
-    rows = np.rec.fromarrays([pts[:, 0], pts[:, 1], -pts[:, 2], scan_result.h_index,
-                              scan_result.v_index])
+    rows = np.empty(len(pts), dtype=PLY_DTYPE)
+    rows["x"] = pts[:, 0]
+    rows["y"] = pts[:, 1]
+    rows["z"] = -pts[:, 2]
+    rows["h_index"] = scan_result.h_index
+    rows["v_index"] = scan_result.v_index
     with open(path, "wb") as fh:
-        fh.write(b"ply\nformat ascii 1.0\n")
-        fh.write(b"element vertex %d\n" % len(pts))
-        fh.write(b"property float x\nproperty float y\nproperty float z\n")
-        fh.write(b"property int h_index\nproperty int v_index\n")
-        fh.write(b"end_header\n")
-        write_rows(fh, b"%.6f %.6f %.6f %d %d\n", rows)
+        fh.write(_PLY_HEADER % len(rows))
+        fh.write(rows.tobytes())
+
+
+def read_ply(path) -> np.ndarray:
+    """The PLY_DTYPE records of a file written by write_ply.
+
+    Only write_ply's exact header is accepted; any other header, or a
+    body that is not the header's point count times 32 bytes, raises
+    ValueError naming the file."""
+    data = Path(path).read_bytes()
+    header = _PLY_HEADER_RE.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary lidar PLY with write_ply's header")
+    count, body = int(header[1]), len(data) - header.end()
+    if body != count * PLY_DTYPE.itemsize:
+        raise ValueError(f"{path}: body is {body} bytes, expected {count} points x "
+                         f"{PLY_DTYPE.itemsize} bytes")
+    return np.frombuffer(data, dtype=PLY_DTYPE, offset=header.end()).copy()

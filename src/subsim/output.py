@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Array bytes converted and joined per write: about 800 PLY points or 4
+# Array bytes converted and joined per write: about 680 colored OBJ vertices or 4
 # rows of a 1024-bin A-plot. As Python objects and formatted text a
 # chunk takes some 10x its array size, so it is bounded by bytes, not
 # rows, to keep wide rows from holding a whole ping or grid at once.

@@ -62,8 +62,8 @@ class SensorSpec:
     name: str
     rate: float  # Hz
     config: object  # SENSORS[kind].config_type, built and checked
-    pan_deg: float = 0.0  # lidar mount command
-    tilt_deg: float = 0.0
+    pan_deg: float | None = None  # lidar mount command; None when not given
+    tilt_deg: float | None = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0.0:
@@ -392,6 +392,14 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                     diags.append(f"{label}: period {period} is not an integer multiple of dt {cfg.dt}")
             if SENSORS[sensor.kind].needs_world and cfg.world is None:
                 diags.append(f"{label}: requires a world heightmap")
+            for name, limit in (("pan_deg", lidar.PAN_LIMIT_DEG), ("tilt_deg", lidar.TILT_LIMIT_DEG)):
+                angle = getattr(sensor, name)
+                if angle is None:
+                    continue
+                if sensor.kind != "lidar":
+                    diags.append(f"{label}: {name} applies only to lidar")
+                elif abs(angle) > limit:
+                    diags.append(f"{label}: {name} {angle} is outside the mount limit +/-{limit}")
         for action in vehicle.teleports:
             if action.station not in cfg.stations:
                 diags.append(f"vehicle {vid!r}: unknown teleport station {action.station!r}")
@@ -531,13 +539,14 @@ class SonarSensor(Sensor):
 
 
 class LidarSensor(Sensor):
-    """One PLY point cloud per scan, from a mount commanded once."""
+    """One PLY point cloud per scan, from the mount angles of its spec."""
 
     config_type = lidar.LidarConfig
 
     def __init__(self, spec: SensorSpec, *args):
         super().__init__(spec, *args)
-        self.mount, _ = lidar.command_mount(lidar.PanTiltState(), spec.pan_deg, spec.tilt_deg)
+        # validate() kept the command inside the mechanical limits.
+        self.mount = lidar.PanTiltState(spec.pan_deg or 0.0, spec.tilt_deg or 0.0)
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         cloud = lidar.scan(vehicle.pose, self.mount, self.heightmap, self.config, self.rng)

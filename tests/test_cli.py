@@ -376,3 +376,32 @@ def test_each_sensor_config_is_built_once_per_run(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     assert cli.main(["run", str(DEMO), "--out", str(tmp_path / "out"), "--duration", "1"]) == 0
     assert built == {"DvlConfig": 1, "SonarConfig": 1, "LidarConfig": 1}
+
+
+def _assert_fails_validate_and_run(tmp_path, capsys, scenario_path, problem):
+    assert cli.main(["validate", str(scenario_path)]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario_path), "--out", str(out), "--duration", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sensor, name, field", [(0, "dvl", "pan_deg"), (0, "dvl", "tilt_deg"),
+                                                 (1, "fls", "pan_deg"), (1, "fls", "tilt_deg")])
+def test_mount_field_on_a_sensor_without_mount_fails_validate(tmp_path, capsys, sensor, name, field):
+    scenario_path = _write_mutated(tmp_path, ("vehicles", 0, "sensors", sensor, field), 45.0)
+    _assert_fails_validate_and_run(tmp_path, capsys, scenario_path,
+                                   f"vehicle 'rov1' sensor {name!r}: {field} applies only to lidar")
+
+
+@pytest.mark.parametrize("field, limit", [("pan_deg", 175.0), ("tilt_deg", 30.0)])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_lidar_mount_beyond_its_limit_fails_validate(tmp_path, capsys, field, limit, sign):
+    path = ("vehicles", 0, "sensors", 2, field)
+    assert cli.main(["validate", str(_write_mutated(tmp_path, path, sign * limit))]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    beyond = sign * (limit + 0.5)
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_mutated(tmp_path, path, beyond),
+                                   f"vehicle 'rov1' sensor 'lidar': {field} {beyond} is outside "
+                                   f"the mount limit +/-{limit}")

@@ -141,11 +141,14 @@ def test_ply_export(tmp_path):
                        lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0))
     out = tmp_path / "scan.ply"
     lidar.write_ply(cloud, out)
-    text = out.read_text().splitlines()
-    assert text[0] == "ply"
-    assert f"element vertex {len(cloud.points)}" in text
-    header_end = text.index("end_header")
-    assert len(text) - header_end - 1 == len(cloud.points)
+    assert out.read_bytes().startswith(b"ply\nformat binary_little_endian 1.0\n")
+    back = lidar.read_ply(out)
+    assert len(back) == len(cloud.points) > 0
+    assert np.array_equal(back["x"], cloud.points[:, 0])
+    assert np.array_equal(back["y"], cloud.points[:, 1])
+    assert np.array_equal(back["z"], -cloud.points[:, 2])
+    assert np.array_equal(back["h_index"], cloud.h_index)
+    assert np.array_equal(back["v_index"], cloud.v_index)
 
 
 def test_config_validation():

@@ -1,14 +1,17 @@
 """Byte contract of the file writers.
 
-Each writer is checked against a reference that formats one value per
-Python call with the rule the format documents (README "Output formats"):
-OBJ and DEM floats are ``repr``, PLY coordinates ``%.6f``, A-plot values
-``%.17g``. Golden sha256 digests of a fixed small input per writer make
-any drift in the bytes fail here, not only in a benchmark's byte count.
+Each writer is checked against a reference that encodes one value (or,
+for PLY, one point) per Python call with the rule the format documents
+(README "Output formats"): OBJ and DEM floats are ``repr``, A-plot
+values ``%.17g``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
+its header. Golden sha256 digests of a fixed small input per writer
+make any drift in the bytes fail here, not only in a benchmark's byte
+count. PLY files are also read back bit for bit through ``read_ply``.
 """
 
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +43,17 @@ def _obj_reference(mesh) -> bytes:
     return "".join(out).encode("ascii")
 
 
+def _ply_header(count) -> bytes:
+    return (f"ply\nformat binary_little_endian 1.0\nelement vertex {count}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property int h_index\nproperty int v_index\nend_header\n").encode("ascii")
+
+
 def _ply_reference(scan) -> bytes:
-    out = ["ply\nformat ascii 1.0\n", f"element vertex {len(scan.points)}\n",
-           "property float x\nproperty float y\nproperty float z\n",
-           "property int h_index\nproperty int v_index\n", "end_header\n"]
-    for p, hi, vi in zip(scan.points, scan.h_index, scan.v_index):
-        out.append(f"{p[0]:.6f} {p[1]:.6f} {-p[2]:.6f} {hi} {vi}\n")
-    return "".join(out).encode("ascii")
+    out = [_ply_header(len(scan.points))]
+    for p, hi, vi in zip(scan.points.tolist(), scan.h_index.tolist(), scan.v_index.tolist()):
+        out.append(struct.pack("<3d2i", p[0], p[1], -p[2], hi, vi))
+    return b"".join(out)
 
 
 def _aplot_reference(aplot) -> bytes:
@@ -130,18 +137,22 @@ def test_obj_without_triangles_or_vertices(tmp_path):
     assert _written(meshtools.save_obj, empty, tmp_path, "e.obj") == b""
 
 
-def test_ply_bytes_match_fixed_rule_on_edge_values(tmp_path):
+def _edge_scan():
     pts = np.vstack([np.reshape(EDGE + [-0.0], (7, 3)), [[1.0, 2.0, 0.0], [3.0, 4.0, -0.0]]])
-    scan = _scan(pts)
+    return _scan(pts)
+
+
+def test_ply_bytes_match_fixed_rule_on_edge_values(tmp_path):
+    scan = _edge_scan()
     data = _written(lidar.write_ply, scan, tmp_path, "e.ply")
     assert data == _ply_reference(scan)
-    # A depth of exactly 0 is written as up = -depth, i.e. "-0.000000".
-    assert b" -0.000000 " in data
+    # A depth of exactly 0 is written as up = -depth, i.e. -0.0.
+    assert struct.pack("<3d", 1.0, 2.0, -0.0) in data
 
 
 def test_ply_bytes_on_a_large_scan(tmp_path):
     rng = np.random.default_rng(12)
-    n = 3 * _rows_per_chunk(5) + 1
+    n = 5001
     pts = np.column_stack([rng.uniform(-2e7, 2e7, (n, 2)), rng.uniform(0.0, 200.0, n)])
     scan = _scan(pts, rng.integers(0, 2000, n), rng.integers(0, 2000, n))
     assert _written(lidar.write_ply, scan, tmp_path, "big.ply") == _ply_reference(scan)
@@ -150,9 +161,47 @@ def test_ply_bytes_on_a_large_scan(tmp_path):
 def test_ply_with_no_points(tmp_path):
     scan = lidar.LidarScan(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     data = _written(lidar.write_ply, scan, tmp_path, "n.ply")
-    assert data == _ply_reference(scan)
-    assert data.endswith(b"element vertex 0\nproperty float x\nproperty float y\nproperty float z\n"
-                         b"property int h_index\nproperty int v_index\nend_header\n")
+    assert data == _ply_reference(scan) == _ply_header(0)
+    assert len(lidar.read_ply(tmp_path / "n.ply")) == 0
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+
+
+def test_ply_round_trip_is_bit_exact(tmp_path):
+    scan = _edge_scan()
+    lidar.write_ply(scan, tmp_path / "e.ply")
+    back = lidar.read_ply(tmp_path / "e.ply")
+    assert back.dtype == lidar.PLY_DTYPE
+    assert _bits(back["x"]) == _bits(scan.points[:, 0])
+    assert _bits(back["y"]) == _bits(scan.points[:, 1])
+    assert _bits(back["z"]) == _bits(-scan.points[:, 2])
+    assert back["h_index"].tolist() == scan.h_index.tolist()
+    assert back["v_index"].tolist() == scan.v_index.tolist()
+    # The edge values include -0.0 and subnormals; each comes back as its bits.
+    written = set(np.concatenate([back["x"], back["y"], -back["z"]]).view("<u8").tolist())
+    for value in SUBNORMALS + [-0.0]:
+        assert struct.unpack("<Q", struct.pack("<d", value))[0] in written
+
+
+@pytest.mark.parametrize("damage", ["truncated", "extra-byte", "ascii", "float-x", "extra-property",
+                                    "no-header"])
+def test_read_ply_rejects_other_files(tmp_path, damage):
+    good = _written(lidar.write_ply, _edge_scan(), tmp_path, "good.ply")
+    header, body = good[:len(_ply_header(9))], good[len(_ply_header(9)):]
+    bad = {
+        "truncated": good[:-1],
+        "extra-byte": good + b"\0",
+        "ascii": header.replace(b"binary_little_endian", b"ascii") + body,
+        "float-x": header.replace(b"double x", b"float x") + body,
+        "extra-property": header.replace(b"end_header", b"property uchar red\nend_header") + body,
+        "no-header": body,
+    }[damage]
+    path = tmp_path / f"{damage}.ply"
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=f"{damage}.ply"):
+        lidar.read_ply(path)
 
 
 def test_aplot_bytes_match_17g_rule_on_edge_and_nonfinite_values(tmp_path):
@@ -234,7 +283,7 @@ GOLDEN = {
     "obj": (meshtools.save_obj, _golden_mesh, "mesh.obj",
             "a89519fc750137baa6eb21a7b74fa8f0a97bfa90d2354f4c8bd7508bd19451d7"),
     "ply": (lidar.write_ply, _golden_scan, "scan.ply",
-            "e8e401bd9389af087b489e89745a6d23bf92f6f6ce06c9b9b5f13b10b6b8b00c"),
+            "f97b46bb0c7c8336e00bb111ac761bc3cc145f5fb933b665eada347344ff5517"),
     "aplot": (sonar.write_aplot_csv, _golden_aplot, "aplot.csv",
               "26688a878a32b69994e10391f743a9f9ce8797cd2a81340ea46223062430d2c8"),
     "dem": (save_heightmap, _golden_dem, "dem.asc",
@@ -251,10 +300,17 @@ def test_golden_digest(tmp_path, kind):
 # --- line endings ----------------------------------------------------------------------
 
 
+def _text(path) -> bytes:
+    """The text of an output file. PGM pixels and a PLY body are raw bytes,
+    where 13 is data, not a line ending; a PLY header ends at "end_header\\n"."""
+    if path.suffix == ".pgm":
+        return b""
+    data = path.read_bytes()
+    return data.partition(b"end_header\n")[0] if path.suffix == ".ply" else data
+
+
 def _text_files_with_cr(root):
-    # PGM pixels are raw bytes, where 13 is a grey level, not a line ending.
-    return sorted(str(p.relative_to(root)) for p in root.rglob("*")
-                  if p.is_file() and p.suffix != ".pgm" and b"\r" in p.read_bytes())
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file() and b"\r" in _text(p))
 
 
 def test_tiles_output_has_no_carriage_returns(tmp_path):
