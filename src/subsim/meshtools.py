@@ -8,6 +8,7 @@ per-vertex RGB extension (``v x y z r g b``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +80,8 @@ class DistortionParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.extent <= 1.0:
             raise MeshError(f"extent must be in [0, 1], got {self.extent}")
-        if self.scale is not None and self.scale < 0.0:
-            raise MeshError("scale must be >= 0")
+        if self.scale is not None and not (math.isfinite(self.scale) and self.scale >= 0.0):
+            raise MeshError(f"scale must be finite and >= 0, got {self.scale}")
         if self.subdivision_levels < 0:
             raise MeshError("subdivision_levels must be >= 0")
 

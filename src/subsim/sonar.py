@@ -19,13 +19,15 @@ divides the work.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
 from .geometry import Pose
-from .output import write_rows
+from .output import write_g17
 
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
 _SCATTER_BLOCK = 128  # scatterers per partial sum in _coherent_sum
@@ -306,33 +308,49 @@ def write_aplot_pgm(aplot: APlot, path, dynamic_range_db: float = 60.0) -> None:
         fh.write(pixels.tobytes())
 
 
-def _csv_row_format(n: int) -> bytes:
-    return b",".join([b"%.17g"] * n) + b"\n"
-
-
 def write_aplot_csv(aplot: APlot, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"# aplot beams=%d bins=%d\n" % (len(aplot.beam_axis), len(aplot.range_axis)))
         for name, axis in ((b"beam_axis,", aplot.beam_axis), (b"range_axis,", aplot.range_axis)):
-            write_rows(fh, name + _csv_row_format(len(axis)), axis[None])
-        write_rows(fh, _csv_row_format(aplot.intensities.shape[1]), aplot.intensities)
+            fh.write(name)
+            write_g17(fh, np.reshape(axis, (1, -1)))
+        write_g17(fh, aplot.intensities)
+
+
+_APLOT_HEADER_RE = re.compile(rb"# aplot beams=(\d+) bins=(\d+)")
 
 
 def load_aplot_csv(path) -> APlot:
-    """Re-ingest a CSV written by write_aplot_csv."""
-    beam_axis = range_axis = None
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("beam_axis,"):
-                beam_axis = np.array([float(v) for v in line.split(",")[1:]])
-            elif line.startswith("range_axis,"):
-                range_axis = np.array([float(v) for v in line.split(",")[1:]])
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    if beam_axis is None or range_axis is None:
-        raise ValueError(f"{path}: missing beam_axis/range_axis rows")
-    return APlot(np.array(rows), range_axis, beam_axis)
+    """Re-ingest a CSV written by write_aplot_csv.
+
+    The file must hold its ``# aplot beams=B bins=M`` header line, the
+    beam_axis row (B values), the range_axis row (M values) and B
+    intensity rows of M values, each ended by a newline. Any other
+    layout raises ValueError naming the file."""
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n")
+    header = _APLOT_HEADER_RE.fullmatch(lines[0])
+    if header is None:
+        raise ValueError(f"{path}: line 1 is not an '# aplot beams=B bins=M' header")
+    beams, bins = int(header[1]), int(header[2])
+    if lines.pop() != b"":
+        raise ValueError(f"{path}: the last line has no newline (file cut short?)")
+    if len(lines) != 3 + beams:
+        raise ValueError(f"{path}: {len(lines) - 3} intensity rows, header says beams={beams}")
+
+    def row(index: int, name: bytes, count: int) -> list[float]:
+        line = lines[index]
+        if not line.startswith(name):
+            raise ValueError(f"{path}: line {index + 1} does not start with {name.decode()!r}")
+        fields = line[len(name):].split(b",") if len(line) > len(name) else []
+        if len(fields) != count:
+            raise ValueError(f"{path}: line {index + 1} has {len(fields)} values, expected {count}")
+        try:
+            return [float(v) for v in fields]
+        except ValueError:
+            raise ValueError(f"{path}: line {index + 1} holds a value that is not a number") from None
+
+    beam_axis = np.array(row(1, b"beam_axis,", beams))
+    range_axis = np.array(row(2, b"range_axis,", bins))
+    intensities = np.array([row(3 + b, b"", bins) for b in range(beams)]).reshape(beams, bins)
+    return APlot(intensities, range_axis, beam_axis)

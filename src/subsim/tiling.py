@@ -65,6 +65,10 @@ class Tile:
 
 def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[TileSpec]:
     """Partition the heightmap extent into tile cores, row-major order."""
+    if not math.isfinite(tile_size):
+        raise HeightmapError(f"tile_size must be finite, got {tile_size}")
+    if not (math.isfinite(overlap) and overlap >= 0.0):
+        raise HeightmapError(f"overlap must be finite and >= 0, got {overlap}")
     if tile_size <= 2.0 * overlap:
         raise HeightmapError("tile_size must exceed twice the overlap")
     x_min, y_min, x_max, y_max = h.extent

@@ -157,6 +157,30 @@ def test_tiles_reports_non_ascii_dem_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and str(dem) in err and "non-ASCII" in err
 
 
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--tile-size", "nan", "tile_size must be finite, got nan"),
+    ("--tile-size", "inf", "tile_size must be finite, got inf"),
+    ("--overlap", "-5", "overlap must be finite and >= 0, got -5.0"),
+    ("--overlap", "nan", "overlap must be finite and >= 0, got nan"),
+])
+def test_tiles_rejects_bad_tile_geometry(tmp_path, capsys, flag, value, problem):
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), tmp_path / "dem.asc")
+    out = tmp_path / "tiles"
+    assert cli.main(["tiles", str(tmp_path / "dem.asc"), flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_distort_rejects_non_finite_scale(tmp_path, capsys, scale):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--scale", scale, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: scale must be finite and >= 0, got {scale}\n"
+    assert not out.exists()
+
+
 COPLANAR_BEAMS = [[0.0, -0.479425538604203, -0.8775825618903728], [0.0, 0.0, -1.0],
                   [0.0, 0.479425538604203, -0.8775825618903728],
                   [0.479425538604203, 0.0, -0.8775825618903728]]

@@ -4,12 +4,15 @@ Each writer is checked against a reference that encodes one value (or,
 for PLY, one point) per Python call with the rule the format documents
 (README "Output formats"): OBJ and DEM floats are ``repr``, A-plot
 values ``%.17g``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
-its header. Golden sha256 digests of a fixed small input per writer
+its header. The array ``%.17g`` encoder behind the A-plot writer is also
+checked on its own against Python's formatting, about 10^6 values over
+the whole double range and every case its arithmetic treats apart. Golden sha256 digests of a fixed small input per writer
 make any drift in the bytes fail here, not only in a benchmark's byte
 count. PLY files are also read back bit for bit through ``read_ply``.
 """
 
 import hashlib
+import io
 import math
 import struct
 from pathlib import Path
@@ -20,7 +23,7 @@ import pytest
 from subsim import cli, lidar, meshtools, sonar
 from subsim.bathymetry import Heightmap, save_heightmap
 from subsim.geodesy import GeodeticCoord
-from subsim.output import CHUNK_BYTES, write_rows
+from subsim.output import CHUNK_BYTES, G17_CHUNK, write_g17, write_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -107,6 +110,127 @@ def test_write_rows_matches_per_row_formatting_across_chunk_edges(tmp_path, cols
         write_rows(fh, b",".join([b"%r"] * cols) + b"\n", rows)
     expected = "".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+# --- the %.17g encoder ---------------------------------------------------------------
+
+
+def _g17_reference(rows) -> bytes:
+    return b"".join(b",".join([b"%.17g" % v for v in row]) + b"\n" for row in rows.tolist())
+
+
+def _g17(rows) -> bytes:
+    buf = io.BytesIO()
+    write_g17(buf, rows)
+    return buf.getvalue()
+
+
+def _with_neighbours(values):
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+
+
+def _ulp_walk(center, steps=40):
+    """The 2 * steps + 1 doubles around center, both signs."""
+    v = [center]
+    for _ in range(steps):
+        v = [np.nextafter(v[0], -np.inf), *v, np.nextafter(v[-1], np.inf)]
+    return np.concatenate([v, np.negative(v)])
+
+
+def _exact_ties(per_k=200):
+    """Values x = j / 2^(k+1), j odd, whose x * 10^k = j * 5^k / 2 is a tie
+    between 17-digit integers, per_k of them for each k = 1..40: k <= 22 is
+    the exact-power regime, k > 22 the double-double one (2^-25 has k = 24)."""
+    ties = []
+    for k in range(1, 41):
+        first = -(-2 * 10**16 // 5**k) | 1  # least odd j with j * 5^k / 2 >= 10^16
+        last = min((2 * 10**17 - 1) // 5**k, 2**53 - 1)
+        for j in np.linspace(first, last, per_k, dtype=np.int64).tolist():
+            j |= 1
+            if j <= last:
+                ties.append(j / 2 ** (k + 1))
+    return np.array(ties)
+
+
+def _near_ties():
+    """Values x = m / 2^(k+b) with x * 10^k = (m * 5^k) / 2^b within r / 2^b of a
+    tie, 0 < |r| <= 16, for k = 23..40: closer to one half than the error of the
+    double-double product, so only the near-tie fallback formats them right."""
+    ties = []
+    for k in range(23, 41):
+        for bits in range(40, 54):
+            inverse = pow(5**k, -1, 2**bits)
+            for r in range(-16, 17):
+                m = ((2 ** (bits - 1) + r) * inverse) % 2**bits
+                if r and m < 2**53 and 10**16 * 2**bits <= m * 5**k < 10**17 * 2**bits:
+                    ties.append(m / 2 ** (k + bits))
+    return np.array(ties)
+
+
+def _g17_case(name):
+    rng = np.random.default_rng(17)
+    if name == "bit-patterns":  # every exponent, subnormals, nan and inf included
+        bits = rng.integers(0, 2**64, 600_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        return np.concatenate([bits, [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]])
+    if name == "powers-of-ten":
+        p = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        return _with_neighbours(np.concatenate([p, -p]))
+    if name == "ties":
+        return np.concatenate([_exact_ties(), _near_ties(), [1492670192443979.75, 2.0**-25]])
+    if name == "format-switches":  # %g switches form at X = -5 / -4 and 16 / 17
+        return np.concatenate([_ulp_walk(c) for c in (1e-5, 1e-4, 1e16, 1e17, 1.0, 1e-282, 1e300)])
+    if name == "integers":
+        ints = np.concatenate([rng.integers(0, 10**17, 100_000), np.arange(-2000, 2000),
+                               [10**k + d for k in range(18) for d in (-1, 0, 1)]])
+        return ints.astype(float)
+    if name == "sonar-like":  # A-plot intensities and axes
+        return np.concatenate([rng.exponential(1e-6, 48 * 1024), np.arange(1024) * 0.0125,
+                               np.linspace(-math.pi / 4, math.pi / 4, 128)])
+    if name == "uniform-decades":
+        return rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300, 300, 200_000)
+    raise KeyError(name)
+
+
+G17_CASES = ["bit-patterns", "powers-of-ten", "ties", "format-switches", "integers",
+             "sonar-like", "uniform-decades"]
+
+
+@pytest.mark.parametrize("name", G17_CASES)
+def test_g17_matches_python_formatting(name):
+    values = _g17_case(name)
+    cols = 1000
+    values = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    assert _g17(values) == _g17_reference(values)
+
+
+def test_g17_named_values():
+    # An exact tie in each regime, rounded half-even. The double 1e-200 lies
+    # below 10^-200: with the exponent taken as -200 its product rounds up to
+    # 10^16 and looks valid, but Python prints it with exponent -201.
+    assert _g17(np.array([[1492670192443979.75, 2.0**-25, 1e-200]])) == (
+        b"1492670192443979.8,2.9802322387695312e-08,9.9999999999999998e-201\n")
+
+
+@pytest.mark.parametrize("where", [0, 511, 1023])
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 5e-324, 2.0**-25, 1e-300, -1e300])
+def test_g17_row_with_a_single_fallback_value(where, value):
+    rows = np.random.default_rng(5).exponential(1e-6, (3, 1024))
+    rows[1, where] = value
+    assert _g17(rows) == _g17_reference(rows)
+
+
+@pytest.mark.parametrize("shape", [
+    (0, 5), (3, 0), (1, 1), (1, G17_CHUNK - 1), (1, G17_CHUNK), (1, G17_CHUNK + 1),
+    (G17_CHUNK + 1, 1), (3, G17_CHUNK // 2 + 1), (2, 2 * G17_CHUNK + 3), (7, 1000),
+])
+def test_g17_across_chunk_edges(shape):
+    n = shape[0] * shape[1]
+    rows = ((np.arange(n) - n / 3.0) / 7.0 * 10.0 ** (np.arange(n) % 41 - 20)).reshape(shape)
+    if n > G17_CHUNK:
+        flat = rows.reshape(-1)
+        flat[G17_CHUNK - 1:G17_CHUNK + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
+    assert _g17(rows) == _g17_reference(rows)
 
 
 # --- per-writer byte contracts --------------------------------------------------------

@@ -441,6 +441,32 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.beam_axis, aplot.beam_axis)
 
 
+@pytest.mark.parametrize("damage", ["cut-at-row", "cut-mid-row", "cut-in-last-value", "extra-row",
+                                    "no-header", "short-beam-axis", "long-range-axis", "short-row",
+                                    "not-a-number"])
+def test_load_aplot_csv_rejects_damaged_files(tmp_path, damage):
+    aplot = sonar.APlot(np.arange(72.0).reshape(6, 12) / 7.0, np.arange(12.0) * 0.0125,
+                        np.linspace(-0.5, 0.5, 6))
+    sonar.write_aplot_csv(aplot, tmp_path / "good.csv")
+    good = (tmp_path / "good.csv").read_bytes()
+    lines = good.split(b"\n")  # header, beam_axis, range_axis, 6 rows, ""
+    bad = {
+        "cut-at-row": b"\n".join(lines[:3 + 3]) + b"\n",
+        "cut-mid-row": good[:good.index(lines[5]) + len(lines[5]) // 2],
+        "cut-in-last-value": good[:-3],
+        "extra-row": good + lines[4] + b"\n",
+        "no-header": b"\n".join(lines[1:]),
+        "short-beam-axis": good.replace(lines[1], lines[1].rpartition(b",")[0]),
+        "long-range-axis": good.replace(lines[2], lines[2] + b",0.5"),
+        "short-row": good.replace(lines[7], lines[7].rpartition(b",")[0]),
+        "not-a-number": good.replace(lines[7], lines[7].replace(b",", b",x", 1)),
+    }[damage]
+    path = tmp_path / f"{damage}.csv"
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=f"{damage}.csv"):
+        sonar.load_aplot_csv(path)
+
+
 def test_range_axis_spacing_is_half_wavelength_per_bandwidth():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=128, bandwidth_hz=50e3)
     h = flat_heightmap(500.0, n=11, cell_m=10.0)
