@@ -146,12 +146,8 @@ def constrained_pose(state: CouplingState, proposed: RelativePose, cfg: Coupling
 LOG_HEADER = ["time", "phase", "fx", "fy", "fz", "event"]
 
 
-def log_row(time: float, state: CouplingState, force, events: list[str]) -> list[str]:
+def log_row(time: float, state: CouplingState, force, events: list[str]) -> list:
     """One per-step record. The applied force is published only in the
     Joined and Fixed phases; Free rows leave the force fields empty."""
-    if state.phase is Phase.FREE:
-        fx = fy = fz = ""
-    else:
-        f = np.asarray(force, dtype=float)
-        fx, fy, fz = (f"{a:.9g}" for a in f)
-    return [f"{time:.9g}", state.phase.value, fx, fy, fz, "+".join(events)]
+    published = ["", "", ""] if state.phase is Phase.FREE else np.asarray(force, dtype=float).tolist()
+    return [time, state.phase.value, *published, "+".join(events)]

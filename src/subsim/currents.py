@@ -142,15 +142,18 @@ def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (epoch_seconds, speed_mps) rows; a header row is skipped."""
     times, speeds = [], []
     with open(path, "r", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise CurrentError(f"{path}:{reader.line_num}: expected 2 fields (time, speed), got {row}")
             try:
                 t, s = float(row[0]), float(row[1])
             except ValueError:
                 if not times:
                     continue  # header
-                raise CurrentError(f"bad tide series row: {row}") from None
+                raise CurrentError(f"{path}:{reader.line_num}: bad tide series row: {row}") from None
             times.append(t)
             speeds.append(s)
     return np.array(times), np.array(speeds)

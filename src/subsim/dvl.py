@@ -20,6 +20,7 @@ import numpy as np
 
 from .bathymetry import Heightmap, raycast
 from .geometry import Pose
+from .output import log_text
 
 # current_at(depth_m) -> NED velocity; the caller binds time. depth_m is a
 # float, or an array of n depths whose result broadcasts to (n, 3).
@@ -343,46 +344,28 @@ LOG_HEADER = [
 ]
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"{value:.9g}"
-
-
-def log_row(time: float, sol: DvlSolution) -> list[str]:
-    """One per-tick log record matching LOG_HEADER."""
-    v = sol.velocity if sol.velocity is not None else [math.nan] * 3
-    return (
-        [_fmt(time), sol.mode.value]
-        + [_fmt(float(a)) for a in v]
-        + [_fmt(sol.altitude)]
-        + [_fmt(float(r)) for r in sol.beam_ranges]
-        + [_fmt(float(s)) for s in sol.beam_velocities]
-    )
+def log_row(time: float, sol: DvlSolution) -> list:
+    """One per-tick log record matching LOG_HEADER; nan where a value is missing."""
+    velocity = sol.velocity if sol.velocity is not None else [math.nan] * 3
+    altitude = sol.altitude if sol.altitude is not None else math.nan
+    return [time, sol.mode.value, *velocity, altitude, *sol.beam_ranges, *sol.beam_velocities]
 
 
 ADCP_HEADER = ["time", "bin", "beam", "center_range", "vx", "vy", "vz"]
 
 
 def adcp_metadata_row(cfg: DvlConfig) -> str:
-    beams = ";".join(
-        ",".join(f"{c:.9g}" for c in beam) for beam in np.asarray(cfg.beams)
-    )
-    return (
-        f"# adcp mode={cfg.profile_mode} bins={cfg.bins} "
-        f"bin_size={cfg.bin_size:.9g} beams={beams}"
-    )
+    beams = ";".join(",".join(map(log_text, beam)) for beam in cfg.beams.tolist())
+    return f"# adcp mode={cfg.profile_mode} bins={cfg.bins} bin_size={log_text(cfg.bin_size)} beams={beams}"
 
 
-def adcp_rows(time: float, profile: AdcpProfile) -> list[list[str]]:
+def adcp_rows(time: float, profile: AdcpProfile) -> list[list]:
     """Flatten a profile into CSV records; beam is 'all' in Combined mode."""
     rows = []
-    for k, r_k in enumerate(profile.bin_ranges):
+    for k, r_k in enumerate(profile.bin_ranges.tolist()):
         if profile.combined is not None:
-            v = profile.combined[k]
-            rows.append([_fmt(time), str(k), "all", _fmt(float(r_k))] + [_fmt(float(a)) for a in v])
+            rows.append([time, k, "all", r_k, *profile.combined[k].tolist()])
         else:
             for b in range(4):
-                v = profile.per_beam[k, b]
-                rows.append([_fmt(time), str(k), str(b), _fmt(float(r_k))] + [_fmt(float(a)) for a in v])
+                rows.append([time, k, b, r_k, *profile.per_beam[k, b].tolist()])
     return rows

@@ -1,5 +1,10 @@
 """Text number formatting shared by the file writers.
 
+``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
+a header line, then one comma-separated row per call, each ended by
+``\n``. ``log_text`` is its one cell rule: a float as ``%.9g`` (nan
+prints ``nan``), anything else as ``str``.
+
 ``write_rows`` formats each row of an array with one bytes ``%``
 operation, so a row costs one Python call instead of one per value.
 Values come from ``ndarray.tolist()``, i.e. as Python floats and ints,
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -227,6 +233,31 @@ def write_g17(fh, rows) -> None:
         n = len(chunk)
         row_end = np.arange(start + 1, start + n + 1) % n_cols == 0
         fh.write(_encode_g17(tables, chunk, row_end, out[:n], mask[:n]))
+
+
+def log_text(value) -> str:
+    """One run-log cell: a float as ``%.9g``, anything else as ``str``."""
+    return "%.9g" % value if isinstance(value, float) else str(value)
+
+
+class CsvLog:
+    """A run log file, written row by row; closes as a context manager."""
+
+    def __init__(self, path: Path, header, preamble: str | None = None):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(path, "wb")
+        if preamble is not None:
+            self._fh.write(preamble.encode("ascii") + b"\n")
+        self.row(header)
+
+    def row(self, cells) -> None:
+        self._fh.write(",".join([log_text(c) for c in cells]).encode("ascii") + b"\n")
+
+    def __enter__(self) -> CsvLog:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
 
 def write_rows(fh, fmt: bytes, rows: np.ndarray) -> None:

@@ -14,6 +14,7 @@ checks. The sensors a run evaluates are the classes in `SENSORS`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -31,6 +32,7 @@ import yaml
 from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
 from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
+from .output import CsvLog
 
 SCHEMA_VERSION = 1
 STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
@@ -335,6 +337,20 @@ def _coupling(node, index: int) -> CouplingSpec:
     )
 
 
+def _name_problems(what: str, name: str, seen: set) -> list[str]:
+    """Problems with a vehicle id, sensor name or coupling id: each names a
+    file or directory under the output directory, so it must be one path
+    component, and must not repeat a name in `seen` (which it joins)."""
+    problems = []
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        problems.append(f"{what} {name!r} must be a plain file name: not empty, '.' or '..', "
+                        "and without '/', '\\' or NUL")
+    if name in seen:
+        problems.append(f"duplicate {what} {name!r}")
+    seen.add(name)
+    return problems
+
+
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Checks that span fields or sections, and checks on what a run can
     override (seed, dt, duration); load_scenario checked every single
@@ -375,16 +391,16 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     seen_ids = set()
     for vehicle in cfg.vehicles:
         vid = vehicle.vehicle_id
-        if vid in seen_ids:
-            diags.append(f"duplicate vehicle id {vid!r}")
-        seen_ids.add(vid)
+        diags += _name_problems("vehicle id", vid, seen_ids)
         times = [w.time for w in vehicle.waypoints]
         if not times:
             diags.append(f"vehicle {vid!r} needs at least one trajectory waypoint")
         elif any(b <= a for a, b in zip(times, times[1:])):
             diags.append(f"vehicle {vid!r} trajectory times must be strictly increasing")
+        sensor_names = set()
         for sensor in vehicle.sensors:
             label = f"vehicle {vid!r} sensor {sensor.name!r}"
+            diags += _name_problems(f"vehicle {vid!r} sensor name", sensor.name, sensor_names)
             if dt_ok:
                 period = 1.0 / sensor.rate
                 steps = round(period / cfg.dt)
@@ -404,7 +420,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             if action.station not in cfg.stations:
                 diags.append(f"vehicle {vid!r}: unknown teleport station {action.station!r}")
 
+    coupling_ids = set()
     for spec in cfg.couplings:
+        diags += _name_problems("coupling id", spec.coupling_id, coupling_ids)
         if spec.plug_vehicle not in seen_ids:
             diags.append(f"coupling {spec.coupling_id!r}: unknown plug vehicle {spec.plug_vehicle!r}")
         ftimes = [f.time for f in spec.forces]
@@ -452,25 +470,6 @@ def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
     return pose, vel
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
-class _CsvLog:
-    def __init__(self, path: Path, header: list[str], preamble: str | None = None):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "w", encoding="ascii", newline="\n")
-        if preamble is not None:
-            self._fh.write(preamble + "\n")
-        self._fh.write(",".join(header) + "\n")
-
-    def row(self, fields) -> None:
-        self._fh.write(",".join(str(f) for f in fields) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 # -- sensors -------------------------------------------------------------------
 
 
@@ -478,8 +477,8 @@ class Sensor:
     """One configured sensor on one vehicle, evaluated every `steps` steps.
 
     A subclass per kind names its config type and whether it needs the
-    world heightmap, opens its logs, and turns one evaluation into
-    products under the vehicle's output directory."""
+    world heightmap, opens its logs into the run's ExitStack, and turns
+    one evaluation into products under the vehicle's output directory."""
 
     config_type: type
     needs_world = True
@@ -490,11 +489,8 @@ class Sensor:
         self.out = out_dir / spec.name
         self.count = 0  # products written
 
-    def open(self) -> None:
+    def open(self, stack: contextlib.ExitStack) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
-
-    def close(self) -> None:
-        pass
 
 
 class DvlSensor(Sensor):
@@ -503,12 +499,12 @@ class DvlSensor(Sensor):
     config_type = dvl.DvlConfig
     needs_world = False
 
-    def open(self) -> None:
-        self.log = _CsvLog(self.out.parent / f"{self.spec.name}.csv", dvl.LOG_HEADER)
+    def open(self, stack: contextlib.ExitStack) -> None:
+        self.log = stack.enter_context(CsvLog(self.out.parent / f"{self.spec.name}.csv", dvl.LOG_HEADER))
         self.adcp_log = None
         if self.config.bins > 0:
-            self.adcp_log = _CsvLog(self.out.parent / f"{self.spec.name}_adcp.csv", dvl.ADCP_HEADER,
-                                    preamble=dvl.adcp_metadata_row(self.config))
+            self.adcp_log = stack.enter_context(CsvLog(self.out.parent / f"{self.spec.name}_adcp.csv",
+                                                       dvl.ADCP_HEADER, dvl.adcp_metadata_row(self.config)))
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         sampler = vehicle.sampler
@@ -520,11 +516,6 @@ class DvlSensor(Sensor):
             for row in dvl.adcp_rows(t, profile):
                 self.adcp_log.row(row)
 
-    def close(self) -> None:
-        self.log.close()
-        if self.adcp_log is not None:
-            self.adcp_log.close()
-
 
 class SonarSensor(Sensor):
     """One PGM + CSV A-plot per ping."""
@@ -534,7 +525,8 @@ class SonarSensor(Sensor):
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng)
         stem = f"ping_{self.count:05d}"
-        sonar.export_aplot(aplot, self.out / f"{stem}.pgm", self.out / f"{stem}.csv")
+        sonar.write_aplot_pgm(aplot, self.out / f"{stem}.pgm")
+        sonar.write_aplot_csv(aplot, self.out / f"{stem}.csv")
         self.count += 1
 
 
@@ -576,7 +568,6 @@ class Simulation:
             raise ScenarioError("invalid scenario: " + "; ".join(problems))
         self.cfg = cfg
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
 
         self.heightmap = None
         self.tile_manager = None
@@ -619,19 +610,20 @@ class Simulation:
         cfg = self.cfg
         steps = _step_count(cfg)
 
-        tile_log = None
-        if self.tile_manager is not None:
-            tile_log = _CsvLog(self.out_dir / "tile_events.csv", ["time", "action", "row", "col"])
-        pose_logs = {vid: _CsvLog(self.out_dir / vid / "pose.csv", POSE_HEADER) for vid in self._vehicles}
-        coupling_logs = {
-            cid: _CsvLog(self.out_dir / f"coupling_{cid}.csv", coupling.LOG_HEADER)
-            for cid in self._coupling_states
-        }
-        sensors = [s for v in self._vehicles.values() for s in v.sensors]
-        for sensor in sensors:
-            sensor.open()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        with contextlib.ExitStack() as stack:
+            def log(path: Path, header: list[str]) -> CsvLog:
+                return stack.enter_context(CsvLog(path, header))
 
-        try:
+            if self.tile_manager is not None:
+                tile_log = log(self.out_dir / "tile_events.csv", ["time", "action", "row", "col"])
+            pose_logs = {vid: log(self.out_dir / vid / "pose.csv", POSE_HEADER) for vid in self._vehicles}
+            coupling_logs = {cid: log(self.out_dir / f"coupling_{cid}.csv", coupling.LOG_HEADER)
+                             for cid in self._coupling_states}
+            for v in self._vehicles.values():
+                for sensor in v.sensors:
+                    sensor.open(stack)
+
             for k in range(steps + 1):
                 t = k * cfg.dt
                 self._apply_teleports(t)
@@ -641,7 +633,7 @@ class Simulation:
                         [ProjectedCoord(v.pose.position.x, v.pose.position.y) for v in self._vehicles.values()]
                     )
                     for ev in events:
-                        tile_log.row([_fmt(t), ev.action, ev.index[0], ev.index[1]])
+                        tile_log.row([t, ev.action, *ev.index])
                 time_utc = cfg.epoch_utc + t
                 for vid, v in self._vehicles.items():
                     pose_logs[vid].row(self._pose_row(t, v))
@@ -655,11 +647,6 @@ class Simulation:
                 if k < steps:
                     for v in self._vehicles.values():
                         v.sampler.step(cfg.dt)
-        finally:
-            for log in [*pose_logs.values(), *coupling_logs.values(), *sensors]:
-                log.close()
-            if tile_log is not None:
-                tile_log.close()
 
         return self._write_manifest()
 
@@ -678,19 +665,13 @@ class Simulation:
             else:
                 v.pose, v.velocity = interpolate_trajectory(v.spec.waypoints, t)
 
-    def _pose_row(self, t: float, v: _Vehicle) -> list[str]:
+    def _pose_row(self, t: float, v: _Vehicle) -> list[float]:
         p = v.pose.position
         # Report the body attitude relative to the level FLU pose.
         rel = v.pose.rotation @ body_to_ned_rotation().T
-        roll, pitch, yaw = rpy_from_rotation(rel)
-        vel = v.velocity
-        return [
-            _fmt(t), _fmt(p.x), _fmt(p.y), _fmt(p.depth),
-            _fmt(roll), _fmt(pitch), _fmt(yaw),
-            _fmt(vel[0]), _fmt(vel[1]), _fmt(vel[2]),
-        ]
+        return [t, p.x, p.y, p.depth, *rpy_from_rotation(rel), *v.velocity.tolist()]
 
-    def _step_coupling(self, t: float, spec: CouplingSpec, log: _CsvLog, advance: bool) -> None:
+    def _step_coupling(self, t: float, spec: CouplingSpec, log: CsvLog, advance: bool) -> None:
         plug_pose: Pose = self._vehicles[spec.plug_vehicle].pose
         recep: Pose = spec.receptacle
         r_rel = recep.rotation.T @ plug_pose.rotation

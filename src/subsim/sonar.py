@@ -31,6 +31,7 @@ from .output import write_g17
 
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
 _SCATTER_BLOCK = 128  # scatterers per partial sum in _coherent_sum
+PGM_DYNAMIC_RANGE_DB = 60.0  # dB below the ping's peak that map to PGM level 0
 
 # SonarConfig count fields and their least values, and the float fields
 # that must be finite and > 0 (None, where allowed, selects a derived
@@ -286,14 +287,9 @@ def ping(
 # --- Export -----------------------------------------------------------------
 
 
-def export_aplot(aplot: APlot, pgm_path, csv_path, dynamic_range_db: float = 60.0) -> None:
-    """Write the A-plot as a P5 PGM (log-scaled over dynamic_range_db,
-    beams as rows) and as a lossless CSV."""
-    write_aplot_pgm(aplot, pgm_path, dynamic_range_db)
-    write_aplot_csv(aplot, csv_path)
-
-
-def write_aplot_pgm(aplot: APlot, path, dynamic_range_db: float = 60.0) -> None:
+def write_aplot_pgm(aplot: APlot, path) -> None:
+    """Write the A-plot as a P5 PGM, beams as rows, intensities log-scaled
+    from the peak (255) down to PGM_DYNAMIC_RANGE_DB below it (0)."""
     inten = aplot.intensities
     peak = inten.max() if inten.size else 0.0
     if peak <= 0.0:
@@ -301,7 +297,7 @@ def write_aplot_pgm(aplot: APlot, path, dynamic_range_db: float = 60.0) -> None:
     else:
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(inten / peak)
-        level = 255.0 * (1.0 + db / dynamic_range_db)
+        level = 255.0 * (1.0 + db / PGM_DYNAMIC_RANGE_DB)
         pixels = np.clip(np.nan_to_num(level, nan=0.0, neginf=0.0), 0.0, 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))

@@ -10,7 +10,6 @@ with a dual-radius hysteresis so boundary oscillation cannot thrash.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,18 +159,14 @@ def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "tiles.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col", "x0", "y0", "x1", "y1", "path"])
+    with open(manifest, "wb") as fh:
+        fh.write(b"row,col,x0,y0,x1,y1,path\n")
         for tile in tiles:
             name = f"tile_{tile.index[0]:03d}_{tile.index[1]:03d}.obj"
             save_obj(tile.mesh, out_dir / name)
             b = tile.core_bounds
-            writer.writerow(
-                [tile.index[0], tile.index[1]]
-                + [repr(float(v)) for v in (b.x0, b.y0, b.x1, b.y1)]
-                + [name]
-            )
+            fh.write(b"%d,%d,%r,%r,%r,%r,%s\n" % (*tile.index, *map(float, (b.x0, b.y0, b.x1, b.y1)),
+                                                   name.encode("ascii")))
     return manifest
 
 

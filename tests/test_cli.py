@@ -429,3 +429,100 @@ def test_lidar_mount_beyond_its_limit_fails_validate(tmp_path, capsys, field, li
     _assert_fails_validate_and_run(tmp_path, capsys, _write_mutated(tmp_path, path, beyond),
                                    f"vehicle 'rov1' sensor 'lidar': {field} {beyond} is outside "
                                    f"the mount limit +/-{limit}")
+
+
+# A vehicle id, sensor name or coupling id names a file or directory under
+# --out; "<abs>" stands for an absolute path inside the test's directory.
+UNSAFE_NAMES = {"empty": "", "dot": ".", "dotdot": "..", "escape": "../../escaped", "absolute": "<abs>",
+                "slash": "a/b", "backslash": "a\\b", "nul": "a\0b"}
+NAMED = {
+    "vehicle": (("vehicles", 0, "id"), "vehicle id {name!r}"),
+    "sensor": (("vehicles", 0, "sensors", 2, "name"), "vehicle 'rov1' sensor name {name!r}"),
+    "coupling": (("couplings", 0, "id"), "coupling id {name!r}"),
+}
+
+
+@pytest.mark.parametrize("name", UNSAFE_NAMES.values(), ids=UNSAFE_NAMES.keys())
+@pytest.mark.parametrize("path, label", NAMED.values(), ids=NAMED.keys())
+def test_ids_and_names_must_stay_inside_out(tmp_path, capsys, path, label, name):
+    name = str(tmp_path / "abs") if name == "<abs>" else name
+    scenario_path = _write_mutated(tmp_path, path, name)
+    problem = f"error: {label.format(name=name)} must be a plain file name"
+    assert cli.main(["validate", str(scenario_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(problem) and err.count("\n") == 1
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["run", str(scenario_path), "--out", str(out), "--duration", "1"]) == 1
+    assert capsys.readouterr().err == err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
+
+
+def _write_doc(tmp_path, doc):
+    scenario_path = tmp_path / "s.yaml"
+    scenario_path.write_text(yaml.dump(doc, Dumper=_DUMPER))
+    return scenario_path
+
+
+def test_duplicate_sensor_names_fail_validate(tmp_path, capsys):
+    doc = copy.deepcopy(_DEMO_DOC)
+    sensors = doc["vehicles"][0]["sensors"]
+    sensors.append(dict(sensors[2], tilt_deg=0.0))  # a second lidar named "lidar"
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   "duplicate vehicle 'rov1' sensor name 'lidar'")
+
+
+def test_duplicate_coupling_ids_fail_validate(tmp_path, capsys):
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["couplings"].append(copy.deepcopy(doc["couplings"][0]))
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc), "duplicate coupling id 'lead1'")
+
+
+@pytest.mark.parametrize("row, problem", [("5", "expected 2 fields (time, speed), got ['5']"),
+                                          ("5,0.2,1", "expected 2 fields (time, speed), got ['5', '0.2', '1']"),
+                                          ("5,abc", "bad tide series row: ['5', 'abc']")],
+                         ids=["one-field", "three-fields", "bad-value"])
+def test_malformed_tide_series_row_fails_validate_and_run(tmp_path, capsys, row, problem):
+    (tmp_path / "tide.csv").write_text(f"epoch_seconds,speed_mps\n0,0.2\n{row}\n10,0.2\n")
+    doc = {
+        "schema_version": 1, "duration": 1.0, "dt": 0.1,
+        "currents": {"tide": {"series": "tide.csv"}},
+        "vehicles": [{"id": "v1", "trajectory": [{"time": 0.0, "x": 0.0, "y": 0.0, "depth": 5.0}],
+                      "sensors": [{"type": "dvl", "rate": 5.0}]}],
+    }
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"currents tide: {tmp_path / 'tide.csv'}:3: {problem}")
+
+
+def test_bad_dem_token_leaves_no_output_directory(tmp_path, capsys):
+    dem = tmp_path / "w.asc"
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), dem)
+    lines = dem.read_text().split("\n")
+    lines[6] = "x" + lines[6][lines[6].index(" "):]  # the first depth value of line 7
+    dem.write_text("\n".join(lines))
+    doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
+           "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0}}
+    scenario_path = _write_doc(tmp_path, doc)
+    assert cli.main(["validate", str(scenario_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {dem}:7: bad depth value 'x'\n"
+    assert not out.exists()
+
+
+def test_failed_open_closes_the_logs_opened_before_it(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    (out / "rov1").mkdir(parents=True)
+    (out / "rov1" / "fls").write_text("")  # a file where the sonar's directory goes
+    handles = []
+
+    def recording_open(*args, real_open=open, **kwargs):
+        handles.append(real_open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists:")
+    written = {Path(fh.name).relative_to(out).as_posix() for fh in handles if Path(fh.name).is_relative_to(out)}
+    assert {"tile_events.csv", "rov1/pose.csv", "rov1/dvl.csv"} <= written
+    assert all(fh.closed for fh in handles)

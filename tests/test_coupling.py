@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subsim import coupling as cpl
+from subsim.output import CsvLog
 
 
 def config(**overrides):
@@ -199,14 +200,16 @@ def test_step_is_deterministic():
 # --- log format --------------------------------------------------------------------
 
 
-def test_force_published_only_when_joined_or_fixed():
-    free_row = cpl.log_row(1.0, cpl.CouplingState(), [5.0, 0.0, 0.0], [])
-    assert free_row[2:5] == ["", "", ""]
-    joined_row = cpl.log_row(
-        2.0, cpl.CouplingState(phase=cpl.Phase.JOINED), [5.0, 1.0, -1.0], ["joined"]
-    )
-    assert joined_row[2:5] == ["5", "1", "-1"]
-    assert joined_row[5] == "joined"
+def test_force_published_only_when_joined_or_fixed(tmp_path):
+    path = tmp_path / "coupling.csv"
+    with CsvLog(path, cpl.LOG_HEADER) as log:
+        log.row(cpl.log_row(1.0, cpl.CouplingState(), [5.0, 0.0, 0.0], []))
+        log.row(cpl.log_row(2.0, cpl.CouplingState(phase=cpl.Phase.JOINED), [5.0, 1.0, -1.0], ["joined"]))
+        log.row(cpl.log_row(2.5, cpl.CouplingState(phase=cpl.Phase.FIXED), [0.1, 0.0, 0.0], ["fixed", "x"]))
+    assert path.read_bytes() == (b"time,phase,fx,fy,fz,event\n"
+                                 b"1,free,,,,\n"
+                                 b"2,joined,5,1,-1,joined\n"
+                                 b"2.5,fixed,0.1,0,0,fixed+x\n")
 
 
 def test_no_join_while_cooldown_runs_even_if_aligned():

@@ -7,6 +7,7 @@ import pytest
 from subsim import currents as cur
 from subsim import dvl
 from subsim.geometry import Pose, ned
+from subsim.output import CsvLog
 
 from conftest import make_heightmap, flat_heightmap
 
@@ -336,13 +337,23 @@ def test_config_validation():
         dvl.DvlConfig(beams=up)
 
 
-def test_log_row_format(flat100):
+def test_log_row_format(flat100, tmp_path):
     cfg = dvl.DvlConfig()
-    sol = dvl.bottom_track(level_pose(flat100), ned(0, 0, 0), flat100, cfg)
-    row = dvl.log_row(12.5, sol)
-    assert len(row) == len(dvl.LOG_HEADER)
-    assert row[0] == "12.5"
-    assert row[1] == "bottom_track"
+    pose = level_pose(flat100)
+    sol = dvl.bottom_track(pose, ned(0, 0, 0), flat100, cfg)
+    untracked = dvl.solution_from_ranges(pose, ned(0, 0, 0), np.full(4, np.nan), cfg)
+    with CsvLog(tmp_path / "dvl.csv", dvl.LOG_HEADER) as log:
+        log.row(dvl.log_row(12.5, sol))
+        log.row(dvl.log_row(13.0, untracked))
+    header, row, none_row, end = (tmp_path / "dvl.csv").read_bytes().split(b"\n")
+    assert header == ",".join(dvl.LOG_HEADER).encode()
+    cells = row.split(b",")
+    assert len(cells) == len(dvl.LOG_HEADER)
+    assert cells[:2] == [b"12.5", b"bottom_track"]
+    assert cells[2:] == [b"%.9g" % v for v in (*sol.velocity, sol.altitude, *sol.beam_ranges,
+                                                *sol.beam_velocities)]
+    assert none_row == b"13,none," + b",".join([b"nan"] * 12)  # None and missing values print nan
+    assert end == b""
 
 
 def test_measure_full_chain_bottom_with_noise(flat100):

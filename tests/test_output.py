@@ -6,9 +6,11 @@ for PLY, one point) per Python call with the rule the format documents
 values ``%.17g``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
 its header. The array ``%.17g`` encoder behind the A-plot writer is also
 checked on its own against Python's formatting, about 10^6 values over
-the whole double range and every case its arithmetic treats apart. Golden sha256 digests of a fixed small input per writer
-make any drift in the bytes fail here, not only in a benchmark's byte
-count. PLY files are also read back bit for bit through ``read_ply``.
+the whole double range and every case its arithmetic treats apart.
+Golden sha256 digests of a fixed small input per writer, and of every
+run log of one small scenario, make any drift in the bytes fail here,
+not only in a benchmark's byte count. PLY files are also read back bit
+for bit through ``read_ply``.
 """
 
 import hashlib
@@ -20,10 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsim import cli, lidar, meshtools, sonar
+from subsim import cli, lidar, meshtools, sonar, tiling
 from subsim.bathymetry import Heightmap, save_heightmap
 from subsim.geodesy import GeodeticCoord
-from subsim.output import CHUNK_BYTES, G17_CHUNK, write_g17, write_rows
+from subsim.output import CHUNK_BYTES, G17_CHUNK, CsvLog, log_text, write_g17, write_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -372,6 +374,16 @@ def test_dem_bytes_on_a_large_grid(tmp_path):
     assert _written(save_heightmap, h, tmp_path, "big.asc") == _dem_reference(h)
 
 
+def test_csv_log_bytes(tmp_path):
+    cells = [0.1, -0.0, math.nan, -math.inf, np.float64(1.0) / 3.0, 123456789012.0, 5e-324, 7, "x", ""]
+    with CsvLog(tmp_path / "sub" / "log.csv", ["a", "b"], preamble="# meta x=1") as log:
+        log.row(cells)
+    assert (tmp_path / "sub" / "log.csv").read_bytes() == (
+        b"# meta x=1\na,b\n" + b",".join(b"%.9g" % c if isinstance(c, float) else str(c).encode() for c in cells)
+        + b"\n")
+    assert log_text(-0.0) + log_text(math.nan) + log_text(1.0 / 3.0) == "-0nan0.333333333"
+
+
 # --- golden digests ------------------------------------------------------------------
 #
 # Inputs use exact arithmetic only (integer ranges, divisions, powers of two), so the
@@ -403,6 +415,13 @@ def _golden_dem():
     return Heightmap(GeodeticCoord(10.0, -20.0), (1e-3, 2e-3), depth)
 
 
+def _golden_tiles():
+    mesh = _golden_mesh()
+    return [tiling.Tile((r, c), tiling.Bounds(c * 100.0 / 3.0, r * -0.125, (c + 1) * 100.0 / 3.0, 1e7 / (r + 3.0)),
+                        5.0, mesh, (0, 0, 1, 1))
+            for r in range(2) for c in range(3)]
+
+
 GOLDEN = {
     "obj": (meshtools.save_obj, _golden_mesh, "mesh.obj",
             "a89519fc750137baa6eb21a7b74fa8f0a97bfa90d2354f4c8bd7508bd19451d7"),
@@ -412,6 +431,8 @@ GOLDEN = {
               "26688a878a32b69994e10391f743a9f9ce8797cd2a81340ea46223062430d2c8"),
     "dem": (save_heightmap, _golden_dem, "dem.asc",
             "1548abd7c5e66d270a59528ee4f562f25e4cf625af77a033e29f8333070bcdab"),
+    "tiles": (lambda tiles, path: tiling.write_tiles(tiles, path.parent), _golden_tiles, "tiles.csv",
+              "f53997e6e1bbbbf1b4915ef990609945cd85d3972a0ead19b5b4c81ef5878565"),
 }
 
 
@@ -419,6 +440,81 @@ GOLDEN = {
 def test_golden_digest(tmp_path, kind):
     writer, build, name, digest = GOLDEN[kind]
     assert hashlib.sha256(_written(writer, build(), tmp_path, name)).hexdigest() == digest
+
+
+# The run logs of one small scenario: pose rows, a DVL in every tracking mode
+# (a blind one logs nan), ADCP profiles in both modes, a coupling that goes
+# FREE -> JOINED -> FIXED -> FREE (Free rows leave the force fields empty)
+# and tile loads and unloads. The values pass through trigonometry and the
+# seeded noise streams, so these digests pin this platform's bytes.
+GOLDEN_SCENARIO = """\
+seed: 5
+duration: 1.0
+dt: 0.1
+world: {heightmap: dem.asc, tile_size: 30.0, overlap: 2.0, load_radius: 20.0, unload_radius: 40.0}
+currents:
+  strata:
+    - {depth: 0.0, velocity: [0.25, -0.125, 0.0]}
+    - {depth: 60.0, velocity: [0.0625, 0.0, 0.0]}
+  gauss_markov: {mu: 0.05, sigma: 0.01, bound: 1.0}
+vehicles:
+  - id: auv
+    trajectory:
+      - {time: 0.0, x: 10.0, y: 50.0, depth: 20.0}
+      - {time: 1.0, x: 90.0, y: 50.0, depth: 25.0, yaw: 0.5}
+    sensors:
+      - {type: dvl, name: dvl, rate: 5.0, noise_sigma: 0.01, bins: 3, bin_size: 5.0}
+      - {type: dvl, name: beams, rate: 10.0, noise_sigma: 0.01, bins: 2, bin_size: 4.0,
+         profile_mode: per_beam}
+      - {type: dvl, name: blind, rate: 10.0, max_range: 5.0, water_track_enabled: false}
+  - id: plug
+    trajectory:
+      - {time: 0.0, x: 50.0, y: 20.0, depth: 10.0}
+couplings:
+  - id: lead
+    plug_vehicle: plug
+    receptacle: {x: 50.0, y: 20.0, depth: 10.0}
+    config: {linear_tol: 0.05, angular_tol: 0.1, insertion_force: 60.0, extraction_force: 80.0,
+             travel_max: 0.3, align_duration: 0.3, cooldown: 0.2}
+    forces:
+      - {time: 0.0, fx: 0.0}
+      - {time: 0.5, fx: 70.0, fy: 1.5, fz: -0.25}
+      - {time: 0.7, fx: 90.0}
+      - {time: 0.8, fx: 0.0}
+"""
+
+GOLDEN_LOGS = {
+    "auv/pose.csv":
+        "29a1e1f573c7bbebace9800872d4339cc78024f73841d2db2f8e8d7bbcdbc59d",
+    "auv/dvl.csv":
+        "bb9ec2e7dc94743dadd993d19180989f6f5f00c77fc2976dd8f8b86ef93952cc",
+    "auv/dvl_adcp.csv":
+        "223593be7272c520b427b373e6c0c192009f5bdd84968c746d984c103782a581",
+    "auv/beams_adcp.csv":
+        "bd35ab7285e98a905c746787cab121a1d0c3821c26fc89b73e6c6fb6ebfae900",
+    "auv/blind.csv":
+        "7b97be068b94072c34cbcc4e3f5115e6449c6e93565f855cd5e69d0249608f2f",
+    "coupling_lead.csv":
+        "ddc8fd97de2b98750f1c42154e4c777825a22810121f583411dd8f31650aa136",
+    "tile_events.csv":
+        "43ea5344248a95413acb739ad2e1911a33416a77ca2b4cc67fe9771454310205",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    from conftest import flat_heightmap
+
+    root = tmp_path_factory.mktemp("golden")
+    save_heightmap(flat_heightmap(50.0, n=11, cell_m=10.0), root / "dem.asc")
+    (root / "scenario.yaml").write_text(GOLDEN_SCENARIO)
+    assert cli.main(["run", str(root / "scenario.yaml"), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
+def test_golden_run_log_digest(golden_run, name):
+    assert hashlib.sha256((golden_run / name).read_bytes()).hexdigest() == GOLDEN_LOGS[name]
 
 
 # --- line endings ----------------------------------------------------------------------
