@@ -19,7 +19,7 @@ import numpy as np
 
 from .geodesy import GeodeticCoord, ProjectedCoord, mercator_xy
 from .geometry import WorldPoint
-from .output import write_rows
+from .output import write_repr
 
 # Penetration past the surface that confirms a ray/terrain crossing as a hit;
 # shallower grazes are misses.
@@ -193,7 +193,7 @@ def save_heightmap(h: Heightmap, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        write_rows(fh, b" ".join([b"%r"] * h.cols) + b"\n", grid)
+        write_repr(fh, grid, b" ")
 
 
 def _cell_indices(h: Heightmap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .output import write_rows
+from .output import write_ints, write_repr
 
 
 class MeshError(ValueError):
@@ -196,13 +196,13 @@ def load_obj(path) -> TriMesh:
 def save_obj(mesh: TriMesh, path) -> None:
     """Write an OBJ file; per-vertex colors use the x y z r g b extension.
 
-    Float formatting is repr-based, so identical meshes produce
-    byte-identical files.
+    Floats are written as their ``repr``, so identical meshes produce
+    byte-identical files that read back bit for bit.
     """
     rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
     with open(path, "wb") as fh:
-        write_rows(fh, b"v" + b" %r" * rows.shape[1] + b"\n", rows)
-        write_rows(fh, b"f %d %d %d\n", mesh.triangles + 1)
+        write_repr(fh, rows, b" ", prefix=b"v ")
+        write_ints(fh, mesh.triangles + 1, b" ", prefix=b"f ")
 
 
 def unit_tetrahedron() -> TriMesh:

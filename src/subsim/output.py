@@ -5,23 +5,41 @@ a header line, then one comma-separated row per call, each ended by
 ``\n``. ``log_text`` is its one cell rule: a float as ``%.9g`` (nan
 prints ``nan``), anything else as ``str``.
 
-``write_rows`` formats each row of an array with one bytes ``%``
-operation, so a row costs one Python call instead of one per value.
-Values come from ``ndarray.tolist()``, i.e. as Python floats and ints,
-and bytes ``%r`` is ``ascii()``, which for a float equals ``repr``: the
-bytes are those of formatting every value on its own with the same rule.
+Three array encoders write rows of numbers with the same bytes as
+formatting every value on its own in Python, but compute them with
+array arithmetic over chunks of ``CHUNK_VALUES`` values: ``write_g17``
+(``%.17g``, the A-plot CSV), ``write_repr`` (``repr``, OBJ vertices and
+DEM grids) and ``write_ints`` (``%d``, OBJ faces).
 
-``write_g17`` writes comma-separated ``%.17g`` rows, the same bytes as
-Python's own formatting, but computes them with array arithmetic over
-bounded chunks. A positive double x with decimal exponent E (10^E <= x <
-10^(E+1)) has the 17 significant digits N = round(x * 10^(16 - E)). The
-product is formed as a double-double: x times an exact (hi, lo) pair for
-10^(16 - E), with the x * hi part split exactly (Dekker's TwoProduct).
-For 0 <= 16 - E <= 22 the power is a double, the product is exact and
-rounding is half-even as Python's. Otherwise the product is within
-3 * 2^-49 of the true value (see ``_TIE_MARGIN``); a value whose fraction
-lies within 2^-46 of one half is flagged, and Python formats it, like
-nan, inf, subnormals and magnitudes outside [1e-282, 1e300).
+Digits of a float. A positive double x with decimal exponent E (10^E <=
+x < 10^(E+1)) is scaled to V = x * 10^(16 - E), in [10^16, 10^17): its
+17 significant digits before rounding. V is formed as a double-double:
+x times an exact (hi, lo) pair for 10^(16 - E), with the x * hi part
+split exactly (Dekker's TwoProduct). For 0 <= 16 - E <= 22 the power is
+a double and V is exact. Otherwise V is within 3 * 2^-49 (see
+``_TIE_MARGIN``).
+
+- ``%.17g`` takes V rounded half-even, as Python does. A value whose V
+  lies within 2^-46 of a tie is flagged.
+- ``repr`` takes the shortest digits that read back as x (the rule of
+  Steele & White, PLDI 1990, as Python's dtoa applies it). A decimal
+  reads back as x when it lies strictly inside x's rounding interval,
+  whose half-width is half an ulp of x (the half-gap). The interval is
+  narrower than a quarter of the spacing of 15-digit decimals, so at
+  most one of those fits in it. When the shortest form has at most 15
+  digits it is therefore V rounded to 15 digits, trailing zeros
+  removed. Otherwise it is V rounded to 16 digits if that decimal reads
+  back, and V rounded to 17 digits if not. A candidate is accepted only
+  when its distance to V is below the half-gap by more than
+  ``_ROUND_TRIP_MARGIN``. A value is flagged when a distance it depends
+  on lies within that margin of the half-gap or of a tie between two
+  candidates, and when x is a power of two, whose gap below is half the
+  gap above. This is Grisu3's plan (Loitsch, PLDI 2010): fast digits,
+  and the cases they cannot settle detected and left to an exact
+  algorithm.
+
+Python formats the flagged values, and nan, inf, subnormals and
+magnitudes outside [1e-282, 1e300), on its own.
 """
 
 from __future__ import annotations
@@ -32,14 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Array bytes converted and joined per write: about 680 colored OBJ vertices or 4
-# rows of a 1024-bin A-plot. As Python objects and formatted text a
-# chunk takes some 10x its array size, so it is bounded by bytes, not
-# rows, to keep wide rows from holding a whole ping or grid at once.
-CHUNK_BYTES = 32 * 1024
-
-# Values per write_g17 chunk. Its buffers take about 200 bytes a value.
-G17_CHUNK = 4096
+# Values per encoded chunk. The float buffers take about 250 bytes a value.
+CHUNK_VALUES = 4096
 
 # Decimal exponents on the array path: there neither x nor 10^(16 - E)
 # overflows when split, and the lo part of the power stays a normal double.
@@ -50,17 +62,31 @@ _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit hal
 # correction sum once at < 32, each adding at most 2^-49 for a product < 2^57.
 # A fraction within this margin of one half is left to Python.
 _TIE_MARGIN = 2.0**-46
+# Error of the distances the shortest-digit test compares, in the same
+# units: V's error above, one rounding each of a distance below 64, of its
+# difference to the half-gap (2^-47 each) and of the half-gap, below 12
+# (2^-49). A distance within this margin of the half-gap, or of the
+# midpoint between two candidates, is left to Python.
+_ROUND_TRIP_MARGIN = 2.0**-40
+_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
+_MANTISSA_BITS = np.uint64(2**52 - 1)
 
-# Byte columns of one encoded value (W = 32, eight 4-byte words):
+# Byte columns of one encoded float (W = 32, eight 4-byte words):
 #   0 sign | 1-5 "0.000" prefix of fixed notation below 1 | 6 d0 | 7 "." |
-#   8-23 d1..d16 | 24-28 "e+XX" or "e+XXX" | 29 separator | 30-31 unused.
-# Every value writes the same columns; a per-row mask drops the bytes its
-# form does not use, and one boolean compress of the matrix yields the text.
+#   8-23 d1..d16 | 24-28 "e+XX" or "e+XXX" | 29-31 the tail.
+# Every value writes the same columns; a per-row mask keeps the bytes its
+# form uses, and one boolean index of the matrix yields the text. Fixed
+# notation with X >= 1 first moves d1..dX one column down and the point
+# after them. The tail of every layout is its last three columns: the
+# separator, or "\n" at a row end, then the next row's prefix.
 _W = 32
-_REGION = slice(6, 24)  # d0, point, d1..d16; fixed notation moves the point
+_REGION = slice(6, 24)  # d0, point, d1..d16
 # Form classes: 0..20 fixed notation with X = class - 4, 21 scientific with a
 # 2-digit exponent, 22 with a 3-digit one; each times 17 digit counts.
 _N_CLASSES = 23 * 17
+# Byte columns of one encoded integer (W = 28, seven 4-byte words): 3 sign |
+# 4-23 twenty digits | 25-27 the tail.
+_INT_W = 28
 
 
 def _split(a):
@@ -73,8 +99,45 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-class _G17Tables:
-    """Exact tables for write_g17, built from integers; see _g17_tables."""
+class _Rule:
+    """The text layout of one float format: per printed exponent X, the
+    form class, and per form class and digit count, the byte mask.
+
+    Fixed notation holds for -4 <= X < ``fixed_end``. ``%.17g`` drops a
+    point with no digit after it; ``repr`` (``point_zero``) writes
+    ``.0`` on an integral value instead."""
+
+    def __init__(self, exps, fixed_end: int, point_zero: bool, fallback: bytes, digits):
+        self.fixed_end, self.fallback, self.digits = fixed_end, fallback, digits
+        # 17 * (form class) - 1 per printed exponent X
+        self.form = np.array([17 * (x + 4 if -4 <= x < fixed_end else 21 if abs(x) < 100 else 22) - 1
+                              for x in exps])
+        masks = np.zeros((_N_CLASSES, _W), dtype=bool)
+        # region columns: d0, point, d1..d16, or in fixed notation with X >= 1,
+        # once moved, d0..dX, point, d(X+1)..d16
+        r = np.arange(18)
+        for c in range(23):
+            for nd in range(1, 18):
+                m = masks[c * 17 + nd - 1]
+                if c >= 21:  # scientific: d0 "." d1..d(nd-1) "e+XX"
+                    region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
+                    m[24:28] = True
+                    m[28] = c == 22
+                elif c < 4:  # X < 0: "0." then -X - 1 zeros then the digits
+                    m[1:3] = True
+                    m[3:3 + 3 - c] = True
+                    region = (r == 0) | ((r >= 2) & (r <= nd))
+                elif point_zero:  # d0..dX "." and the rest, at least one digit
+                    region = r <= max(nd, c - 2)
+                else:  # d0..dX, then "." and the rest if any remain
+                    x = c - 4
+                    region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
+                m[_REGION] = region
+        self.masks = masks.view("<u4")  # (classes, 8): the byte mask of each form class
+
+
+class _Tables:
+    """Exact tables for the array encoders, built from integers; see _tables."""
 
     def __init__(self) -> None:
         exps = range(_E_MIN, _E_MAX + 2)  # a carry can print _E_MAX + 1
@@ -94,8 +157,18 @@ class _G17Tables:
             hi.append(h)
             lo.append((num * hd - hn * den) / (den * hd))
         self.thresholds = np.array(thresholds)  # per E index, and one past _E_MAX
-        self.pow_hi_hi, self.pow_hi_lo = _split(np.array(hi))  # Dekker halves of hi = 10^(16-E)
+        # per biased binary exponent: the E index of 2^e, clipped to the tables
+        binade = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
+        e_index = np.searchsorted(self.thresholds, binade, side="right") - 1
+        self.binade_e = np.clip(e_index, 0, _E_MAX - _E_MIN)
+        self.pow_hi = np.array(hi)  # 10^(16-E), rounded
+        self.pow_hi_hi, self.pow_hi_lo = _split(self.pow_hi)  # its Dekker halves
         self.pow_lo = np.array(lo)  # 10^(16-E) - hi, rounded
+        self.half_ulp_scale = self.pow_hi * 2.0**-53
+        # per whole % 100: the offset to the nearest multiple of 100 and of 10
+        rem = np.arange(100)
+        self.round15 = np.where(rem >= 50, 100 - rem, -rem).astype(np.float64)
+        self.round16 = np.where(rem % 10 >= 5, 10 - rem % 10, -(rem % 10)).astype(np.float64)
 
         groups = np.arange(10000)
         chars = np.stack([groups // 10**p % 10 for p in (3, 2, 1, 0)], axis=1) + ord("0")
@@ -105,58 +178,52 @@ class _G17Tables:
             tz += (groups % p == 0)
         # significant digits of a 4-digit group, -16 for 0000
         self.sig4 = np.where(groups == 0, -16, 4 - tz).astype(np.int8)
-        self.lead = np.array([_word(b"00%d." % d) for d in range(10)], dtype="<u4")
-
+        self.lead = np.array([_word(b"00%d." % d) for d in range(10)], dtype="<u4")  # columns 4-7
         texts = [b"e%+03d" % x for x in exps]
         self.exp_word = np.array([_word(t[:4]) for t in texts], dtype="<u4")  # "e-XX", or "e-XX" of "e-XXX"
         self.exp_tail = np.array([_word(t[4:]) for t in texts], dtype="<u4")  # the third exponent digit
-        # 17 * (form class) - 1 per printed exponent X; Python's %g rule is
-        # fixed notation for -4 <= X < 17, else scientific
-        self.form = np.array([17 * (x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22) - 1 for x in exps])
+        # Moving the point after d_X, X = 0..16, on the 8-byte words 0-2 of a
+        # value: word k takes the next column's byte where ``shift``, keeps
+        # its own where ``keep``, and gains the point from ``point``.
+        shift = np.zeros((17, 24), dtype=np.uint8)
+        point = np.zeros((17, 24), dtype=np.uint8)
+        for x in range(1, 17):
+            shift[x, 7:7 + x] = 0xFF
+            point[x, 7 + x] = ord(".")
+        keep = np.where((shift | point) > 0, 0, 0xFF).astype(np.uint8)
+        self.shift, self.keep, self.point = (a.view("<u8").T.copy() for a in (shift, keep, point))  # (3, 17)
+        self.g17 = _Rule(exps, 17, False, b"%.17g", _round17)
+        self.repr = _Rule(exps, 16, True, b"%r", _shortest)
 
-        masks = np.zeros((_N_CLASSES, _W), dtype=bool)
-        r = np.arange(18)
-        for c in range(23):
-            for nd in range(1, 18):
-                m = masks[c * 17 + nd - 1]
-                m[6] = m[29] = True
-                if c >= 21:  # scientific: d0 "." d1..d(nd-1) "e+XX"
-                    region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
-                    m[24:28] = True
-                    m[28] = c == 22
-                else:
-                    x = c - 4
-                    if x < 0:  # "0." then -x - 1 zeros then the digits
-                        m[1:3] = True
-                        m[3:6] = np.arange(3) < -x - 1
-                        region = (r == 0) | ((r >= 2) & (r <= nd))
-                    else:  # d0..dX, then "." and the rest if any remain
-                        region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
-                m[_REGION] = region
-        self.masks = masks.view("<u8")  # (classes, 4): the byte mask of each form class
-        # region order with the point after d_X, for fixed notation with X >= 1
-        self.shift = np.array([[0, *range(2, x + 2), 1, *range(x + 2, 18)] for x in range(17)])
+        # integers: 10^k for k = 0..19, and the mask of each digit count
+        self.pow10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+        int_masks = np.zeros((21, _INT_W), dtype=bool)
+        for nd in range(21):
+            int_masks[nd, 24 - nd:24] = True
+        self.int_masks = int_masks.view("<u4")
 
 
 @functools.cache
-def _g17_tables() -> _G17Tables:
+def _tables() -> _Tables:
     """The tables, built on first use (about 10 ms), not at import."""
-    return _G17Tables()
+    return _Tables()
 
 
-def _round17(t: _G17Tables, x: np.ndarray):
-    """(N, X, fallback) per value of x: the 17 significant digits of |x| as
-    an integer N, the printed exponent X, and where Python must format x
-    instead. Zeros have N = 0 and X = 0."""
+def _scaled(t: _Tables, x: np.ndarray):
+    """V = |x| * 10^(16 - E) per value of x, as p + frac with p a double
+    and frac its remainder. Returns (a, ei, p, frac, inexact, slow, zero):
+    a is |x| where the arrays apply and 1.0 elsewhere, ei indexes E in the
+    tables, inexact marks a rounded V, slow the values Python must format
+    (nan, inf, subnormals, magnitudes outside the tables) and zero the
+    zeros."""
     ax = np.abs(x)
     zero = ax == 0.0
     fast = (ax >= t.thresholds[0]) & (ax < t.thresholds[-1])
     a = np.where(fast, ax, 1.0)
-    # ei indexes the decimal exponent E: log10 is within one of it, and the
-    # least doubles >= 10^E decide exactly.
-    ei = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(ei - _E_MIN, 0, _E_MAX - _E_MIN, out=ei)
-    ei -= a < t.thresholds[ei]
+    # ei indexes the decimal exponent E. A binade [2^e, 2^(e+1)) holds at most
+    # one power of ten, so E is that of 2^e or one more; the least doubles
+    # >= 10^E decide exactly.
+    ei = t.binade_e[a.view(np.uint64) >> np.uint64(52)]
     ei += a >= t.thresholds[ei + 1]
 
     bhi, blo = t.pow_hi_hi[ei], t.pow_hi_lo[ei]
@@ -165,24 +232,61 @@ def _round17(t: _G17Tables, x: np.ndarray):
     frac = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo  # a * hi = p + frac exactly
     lo = t.pow_lo[ei]
     frac += a * lo
-    r = np.rint(frac)  # p is an even integer (>= 2^53): half-even as a whole
-    near_tie = (np.abs(frac - r) > 0.5 - _TIE_MARGIN) & (lo != 0.0)
-    digits = p.astype(np.int64) + r.astype(np.int64)
-    x_exp = ei + _E_MIN
+    return a, ei, p, frac, lo != 0.0, ~(fast | zero), zero
+
+
+def _normalized(digits, ei, zero):
+    """(N, X): 17 significant digits N, with a carry to 10^17 moved into the
+    printed exponent X; zeros have N = 0 and X = 0."""
     carry = digits == 10**17
-    digits[carry] = 10**16
-    x_exp += carry
-    digits[zero] = 0
-    x_exp[zero] = 0
-    return digits, x_exp, ~(fast | zero) | near_tie
+    live = ~zero
+    return np.where(carry, 10**16, digits) * live, (ei + (carry + _E_MIN)) * live
 
 
-def _encode_g17(t: _G17Tables, x: np.ndarray, row_end: np.ndarray, out: np.ndarray,
-                mask: np.ndarray) -> np.ndarray:
-    """The %.17g text of each value of x, followed by "\\n" where row_end, else ",".
+def _round17(t: _Tables, x: np.ndarray):
+    """(N, X, fallback) per value of x: the 17 significant digits of |x| as
+    an integer N, the printed exponent X, and where Python must format x
+    instead."""
+    a, ei, p, frac, inexact, slow, zero = _scaled(t, x)
+    r = np.rint(frac)  # p is an even integer (>= 2^53): half-even as a whole
+    near_tie = (np.abs(frac - r) > 0.5 - _TIE_MARGIN) & inexact
+    digits, x_exp = _normalized(p.astype(np.int64) + r.astype(np.int64), ei, zero)
+    return digits, x_exp, slow | near_tie
 
-    ``out`` (uint8) and ``mask`` (bool) are (len(x), _W) scratch buffers."""
-    digits, x_exp, fallback = _round17(t, x)
+
+def _shortest(t: _Tables, x: np.ndarray):
+    """(N, X, fallback) as _round17 gives them, for the shortest digits that
+    read back as x: N is 10^(17 - n) times the n-digit decimal."""
+    a, ei, p, frac, _, slow, zero = _scaled(t, x)
+    floor = np.floor(frac)
+    below = frac - floor  # V = whole + below, 0 <= below < 1, exactly
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    rem = whole - whole // 100 * 100
+    # half an ulp of a, 2^e * 2^-53 for a in [2^e, 2^(e+1)), scaled as V
+    half_gap = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64) * t.half_ulp_scale[ei]
+    # Offsets from whole to V rounded to 17, 16 and 15 digits, and their
+    # distances to V; each shorter candidate is taken when it reads back.
+    up = (below >= 0.5).astype(np.float64)
+    k16, k15 = t.round16[rem], t.round15[rem]
+    d16, d15 = np.abs(k16 - below), np.abs(k15 - below)
+    s16, s15 = half_gap - d16, half_gap - d15
+    ok16, ok15 = s16 > _ROUND_TRIP_MARGIN, s15 > _ROUND_TRIP_MARGIN
+    offset = np.where(ok15, k15, np.where(ok16, k16, up))
+    # Unsure: a distance at the half-gap, or the chosen candidate at a tie
+    # (V midway between two 16- or two 17-digit decimals).
+    at_edge = (np.abs(s15) <= _ROUND_TRIP_MARGIN) | (~ok15 & (np.abs(s16) <= _ROUND_TRIP_MARGIN))
+    at_tie = np.where(ok16, np.abs(d16 - 5.0), np.abs(below - 0.5)) <= _ROUND_TRIP_MARGIN
+    power_of_two = (a.view(np.uint64) & _MANTISSA_BITS) == 0
+    unsure = at_edge | (~ok15 & at_tie) | power_of_two
+    digits, x_exp = _normalized(whole + offset.astype(np.int64), ei, zero)
+    return digits, x_exp, slow | (unsure & ~zero)
+
+
+def _encode(t: _Tables, rule: _Rule, x, tail, tail_mask, out: np.ndarray, mask: np.ndarray) -> None:
+    """Write the text of each value of x by ``rule``, then its tail, into the
+    (len(x), _W) scratch buffers ``out`` (uint8) and ``mask`` (bool). ``tail``
+    and ``tail_mask`` are each value's last word of bytes and of mask."""
+    digits, x_exp, fallback = rule.digits(t, x)
     # The leading digit, then four 4-digit groups; nd counts digits up to the
     # last nonzero one, at least 1.
     top = digits // 10**8
@@ -199,40 +303,104 @@ def _encode_g17(t: _G17Tables, x: np.ndarray, row_end: np.ndarray, out: np.ndarr
             word += 1
     xi = x_exp - _E_MIN
     words[:, 6] = t.exp_word[xi]
-    words[:, 7] = t.exp_tail[xi]
-    out[:, 29] = np.where(row_end, ord("\n"), ord(","))
-    t.masks.take(t.form[xi] + nd, axis=0, out=mask.view("<u8"), mode="clip")
+    words[:, 7] = t.exp_tail[xi] | tail
+    mask_words = mask.view("<u4")
+    rule.masks.take(rule.form[xi] + nd, axis=0, out=mask_words, mode="clip")
+    mask_words[:, 7] |= tail_mask
     mask[:, 0] = np.signbit(x)
 
-    moved = np.flatnonzero((x_exp >= 1) & (x_exp < 17))
-    if len(moved):
-        region = out[moved, _REGION]
-        out[moved, _REGION] = np.take_along_axis(region, t.shift[x_exp[moved]], axis=1)
+    # Fixed notation with X >= 1: d1..dX move one column down and the point
+    # follows them; X = 0 leaves a value as it is.
+    moved = np.where((x_exp >= 1) & (x_exp < rule.fixed_end), x_exp, 0)
+    if moved.any():
+        w = out.view("<u8")
+        old = w.T.copy()  # the four 8-byte words, each contiguous
+        for k in range(3):
+            shifted = (old[k] >> np.uint64(8)) | (old[k + 1] << np.uint64(56))
+            w[:, k] = (shifted & t.shift[k][moved]) | (old[k] & t.keep[k][moved]) | t.point[k][moved]
 
-    for i in np.flatnonzero(fallback).tolist():
-        text = b"%.17g" % x[i]
+    index = np.flatnonzero(fallback)
+    for i, value in zip(index.tolist(), x[index].tolist()):
+        text = rule.fallback % value
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        mask[i, :29] = np.arange(29) < len(text)  # at most 24 bytes
-    return out[mask]
+        mask[i, :_W - 3] = np.arange(_W - 3) < len(text)  # at most 24 bytes
+
+
+def _encode_ints(t: _Tables, x: np.ndarray, tail, tail_mask, out: np.ndarray, mask: np.ndarray) -> None:
+    """Write the %d text of each value of the int64 array x, then its tail,
+    into the (len(x), _INT_W) scratch buffers; see _encode."""
+    negative = x < 0
+    u = x.view(np.uint64)
+    rest = np.where(negative, np.negative(u), u)  # |x| mod 2^64, exact for -2^63 too
+    nd = np.maximum(np.searchsorted(t.pow10, rest, side="right"), 1)
+    mask_words = mask.view("<u4")
+    t.int_masks.take(nd, axis=0, out=mask_words)
+    mask_words[:, 6] = tail_mask
+    mask[:, 3] = negative
+    words = out.view("<u4")
+    words[:, 0] = _word(b"   -")
+    words[:, 6] = tail
+    for word in range(5, 0, -1):  # 4-digit groups from the last; the masks skip unset ones
+        high = rest // 10**4
+        words[:, word] = t.digits4[rest - high * 10**4]
+        if not high.any():
+            break
+        rest = high
+
+
+def _write(fh, rows, dtype, width: int, encode, sep: bytes, prefix: bytes) -> None:
+    """Encode the 2-D array ``rows`` chunk by chunk into the binary file
+    ``fh``: ``prefix``, the values joined by ``sep``, ``"\\n"``, per row.
+    The tail is the last three of the ``width`` columns: bytes 1-3 of the
+    last 4-byte word of each value."""
+    if len(sep) != 1 or len(prefix) > 2:
+        raise ValueError("sep must be one byte and prefix at most two")
+    rows = np.asarray(rows, dtype=dtype)
+    n_rows, n_cols = rows.shape
+    values = rows.reshape(-1)
+    if not values.size:
+        fh.write((prefix + b"\n") * n_rows)
+        return
+    size = min(CHUNK_VALUES, len(values))
+    out, mask = np.empty((size, width), dtype=np.uint8), np.empty((size, width), dtype=bool)
+    # the last word's bytes and mask: within a row, then at a row end
+    tails = np.array([_word(b"\0" + sep), _word(b"\0\n" + prefix)], dtype="<u4")
+    tail_masks = np.array([_word(b"\0\1"), _word(b"\0" + b"\1" * (1 + len(prefix)))], dtype="<u4")
+    fh.write(prefix)
+    for start in range(0, len(values), size):
+        chunk = values[start:start + size]
+        n = len(chunk)
+        row_end = np.zeros(n, dtype=np.intp)
+        row_end[-(start + 1) % n_cols::n_cols] = 1  # value start + j ends a row
+        o, m = out[:n], mask[:n]
+        encode(chunk, tails[row_end], tail_masks[row_end], o, m)
+        if start + n == len(values):
+            m[-1, width - 2:] = False  # no prefix after the last row
+        fh.write(o[m])
 
 
 def write_g17(fh, rows) -> None:
     """Write each row of the 2-D float array ``rows`` to the binary file ``fh`` as
     ``b",".join(b"%.17g" % v for v in row) + b"\\n"``, byte for byte."""
-    rows = np.asarray(rows, dtype=np.float64)
-    n_rows, n_cols = rows.shape
-    values = rows.reshape(-1)
-    if not values.size:
-        fh.write(b"\n" * n_rows)
-        return
-    tables = _g17_tables()
-    size = min(G17_CHUNK, len(values))
-    out, mask = np.empty((size, _W), dtype=np.uint8), np.empty((size, _W), dtype=bool)
-    for start in range(0, len(values), size):
-        chunk = values[start:start + size]
-        n = len(chunk)
-        row_end = np.arange(start + 1, start + n + 1) % n_cols == 0
-        fh.write(_encode_g17(tables, chunk, row_end, out[:n], mask[:n]))
+    t = _tables()
+    _write(fh, rows, np.float64, _W, functools.partial(_encode, t, t.g17), b",", b"")
+
+
+def write_repr(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
+    """Write each row of the 2-D float array ``rows`` to the binary file ``fh`` as
+    ``prefix + sep.join(repr(v).encode() for v in row) + b"\\n"``, byte for byte.
+
+    ``sep`` is one byte and ``prefix`` at most two."""
+    t = _tables()
+    _write(fh, rows, np.float64, _W, functools.partial(_encode, t, t.repr), sep, prefix)
+
+
+def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
+    """Write each row of the 2-D integer array ``rows`` to the binary file ``fh`` as
+    ``prefix + sep.join(b"%d" % v for v in row) + b"\\n"``, byte for byte.
+
+    ``sep`` is one byte and ``prefix`` at most two."""
+    _write(fh, rows, np.int64, _INT_W, functools.partial(_encode_ints, _tables()), sep, prefix)
 
 
 def log_text(value) -> str:
@@ -258,15 +426,3 @@ class CsvLog:
 
     def __exit__(self, *exc) -> None:
         self._fh.close()
-
-
-def write_rows(fh, fmt: bytes, rows: np.ndarray) -> None:
-    """Write ``fmt % tuple(row)`` for each row of ``rows`` to the binary file ``fh``.
-
-    ``rows`` is a 2-D array, or a record array for rows that mix floats
-    and ints (its ``tolist()`` yields tuples).
-    """
-    step = max(1, CHUNK_BYTES // max(1, rows[:1].nbytes))
-    for start in range(0, len(rows), step):
-        chunk = rows[start:start + step].tolist()
-        fh.write(b"".join([fmt % tuple(row) for row in chunk]))

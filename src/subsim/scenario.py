@@ -37,6 +37,11 @@ from .output import CsvLog
 SCHEMA_VERSION = 1
 STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
 POSE_HEADER = ["time", "x", "y", "depth", "roll", "pitch", "yaw", "vn", "ve", "vd"]
+# Most steps (duration / dt) a run may take: about 1,700 times the demo's 600.
+MAX_STEPS = 1_000_000
+# Files every run writes under --out; coupling and vehicle files are named by id.
+MANIFEST = "manifest.json"
+TILE_LOG = "tile_events.csv"
 
 
 class ScenarioError(ValueError):
@@ -337,17 +342,26 @@ def _coupling(node, index: int) -> CouplingSpec:
     )
 
 
-def _name_problems(what: str, name: str, seen: set) -> list[str]:
-    """Problems with a vehicle id, sensor name or coupling id: each names a
+def _name_problems(cfg: ScenarioConfig) -> list[str]:
+    """Problems with vehicle ids, sensor names and coupling ids: each names a
     file or directory under the output directory, so it must be one path
-    component, and must not repeat a name in `seen` (which it joins)."""
+    component, and unique among the names of its kind."""
     problems = []
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        problems.append(f"{what} {name!r} must be a plain file name: not empty, '.' or '..', "
-                        "and without '/', '\\' or NUL")
-    if name in seen:
-        problems.append(f"duplicate {what} {name!r}")
-    seen.add(name)
+
+    def check(what: str, names) -> None:
+        seen = set()
+        for name in names:
+            if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                problems.append(f"{what} {name!r} must be a plain file name: not empty, '.' or '..', "
+                                "and without '/', '\\' or NUL")
+            if name in seen:
+                problems.append(f"duplicate {what} {name!r}")
+            seen.add(name)
+
+    check("vehicle id", [v.vehicle_id for v in cfg.vehicles])
+    for vehicle in cfg.vehicles:
+        check(f"vehicle {vehicle.vehicle_id!r} sensor name", [s.name for s in vehicle.sensors])
+    check("coupling id", [c.coupling_id for c in cfg.couplings])
     return problems
 
 
@@ -362,6 +376,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         diags.append(f"dt must be positive and finite, got {cfg.dt}")
     if not duration_ok:
         diags.append(f"duration must be >= 0 and finite, got {cfg.duration}")
+    steps_ok = dt_ok and duration_ok and cfg.duration / cfg.dt <= MAX_STEPS + 0.5
+    if dt_ok and duration_ok and not steps_ok:
+        diags.append(f"duration / dt is {cfg.duration / cfg.dt:.6g} steps; a run takes at most {MAX_STEPS}")
     if cfg.seed < 0:
         diags.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.world is not None:
@@ -376,7 +393,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         if cfg.world.unload_radius <= cfg.world.load_radius:
             diags.append("world.unload_radius must exceed world.load_radius")
     tide = cfg.current_field.tide
-    if tide is not None and tide.series_times is not None and dt_ok and duration_ok:
+    if tide is not None and tide.series_times is not None and steps_ok:
         # The run queries the tide at epoch_utc + k * dt for every step k.
         start, end = cfg.epoch_utc, cfg.epoch_utc + _step_count(cfg) * cfg.dt
         first, last = float(tide.series_times[0]), float(tide.series_times[-1])
@@ -388,22 +405,21 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                 f"run times {' and '.join(uncovered)} are not covered"
             )
 
-    seen_ids = set()
+    name_problems = _name_problems(cfg)
+    diags += name_problems
     for vehicle in cfg.vehicles:
         vid = vehicle.vehicle_id
-        diags += _name_problems("vehicle id", vid, seen_ids)
         times = [w.time for w in vehicle.waypoints]
         if not times:
             diags.append(f"vehicle {vid!r} needs at least one trajectory waypoint")
         elif any(b <= a for a, b in zip(times, times[1:])):
             diags.append(f"vehicle {vid!r} trajectory times must be strictly increasing")
-        sensor_names = set()
         for sensor in vehicle.sensors:
             label = f"vehicle {vid!r} sensor {sensor.name!r}"
-            diags += _name_problems(f"vehicle {vid!r} sensor name", sensor.name, sensor_names)
-            if dt_ok:
+            if steps_ok:
                 period = 1.0 / sensor.rate
-                steps = round(period / cfg.dt)
+                ratio = period / cfg.dt  # inf for a subnormal dt
+                steps = round(ratio) if math.isfinite(ratio) else 0
                 if steps < 1 or abs(period - steps * cfg.dt) > 1e-9 * max(1.0, period):
                     diags.append(f"{label}: period {period} is not an integer multiple of dt {cfg.dt}")
             if SENSORS[sensor.kind].needs_world and cfg.world is None:
@@ -420,15 +436,49 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             if action.station not in cfg.stations:
                 diags.append(f"vehicle {vid!r}: unknown teleport station {action.station!r}")
 
-    coupling_ids = set()
+    vehicle_ids = {v.vehicle_id for v in cfg.vehicles}
     for spec in cfg.couplings:
-        diags += _name_problems("coupling id", spec.coupling_id, coupling_ids)
-        if spec.plug_vehicle not in seen_ids:
+        if spec.plug_vehicle not in vehicle_ids:
             diags.append(f"coupling {spec.coupling_id!r}: unknown plug vehicle {spec.plug_vehicle!r}")
         ftimes = [f.time for f in spec.forces]
         if any(b <= a for a, b in zip(ftimes, ftimes[1:])):
             diags.append(f"coupling {spec.coupling_id!r}: force times must be strictly increasing")
+    if not name_problems:  # plain, unique names; now no two may name one path
+        diags += _path_clashes(run_paths(cfg))
     return diags
+
+
+def run_paths(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+    """Every path a run of ``cfg`` writes, relative to its output directory,
+    with the owner that writes it. A directory of products ends in "/"."""
+    paths = [(MANIFEST, "the run manifest")]
+    if cfg.world is not None:
+        paths.append((TILE_LOG, "the tile event log"))
+    paths += [(_coupling_log(c.coupling_id), f"coupling {c.coupling_id!r}") for c in cfg.couplings]
+    for vehicle in cfg.vehicles:
+        vid = vehicle.vehicle_id
+        paths.append((_pose_log(vid), f"vehicle {vid!r} pose log"))
+        for sensor in vehicle.sensors:
+            owner = f"vehicle {vid!r} sensor {sensor.name!r}"
+            paths += [(f"{vid}/{name}", owner) for name in SENSORS[sensor.kind].files(sensor)]
+    return paths
+
+
+def _path_clashes(paths) -> list[str]:
+    """One problem per path with two owners, where a file is also the
+    directory of another path."""
+    owners: dict[str, list[str]] = {}
+    for path, owner in paths:
+        owners.setdefault(path.rstrip("/"), []).append(owner)
+    files = {path: owner for path, owner in paths if not path.endswith("/")}
+    for path, owner in paths:
+        parts = path.rstrip("/").split("/")
+        for depth in range(1, len(parts)):
+            parent = "/".join(parts[:depth])
+            if parent in files and owner not in owners[parent]:
+                owners[parent].append(owner)
+    return [f"output path {path!r} is written by both {who[0]} and {who[1]}"
+            for path, who in owners.items() if len(who) > 1]
 
 
 def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
@@ -486,10 +536,17 @@ class Sensor:
     def __init__(self, spec: SensorSpec, rng: np.random.Generator, steps: int, heightmap, out_dir: Path):
         self.spec, self.config, self.rng, self.steps = spec, spec.config, rng, steps
         self.heightmap = heightmap
-        self.out = out_dir / spec.name
+        self.vehicle_dir = out_dir
         self.count = 0  # products written
 
+    @staticmethod
+    def files(spec: SensorSpec) -> list[str]:
+        """The paths the sensor writes under its vehicle's directory: here one
+        directory of numbered products."""
+        return [f"{spec.name}/"]
+
     def open(self, stack: contextlib.ExitStack) -> None:
+        self.out = self.vehicle_dir / self.files(self.spec)[0]
         self.out.mkdir(parents=True, exist_ok=True)
 
 
@@ -499,12 +556,18 @@ class DvlSensor(Sensor):
     config_type = dvl.DvlConfig
     needs_world = False
 
+    @staticmethod
+    def files(spec: SensorSpec) -> list[str]:
+        """The velocity log, then the ADCP log when the config has bins."""
+        return [f"{spec.name}.csv"] + ([f"{spec.name}_adcp.csv"] if spec.config.bins > 0 else [])
+
     def open(self, stack: contextlib.ExitStack) -> None:
-        self.log = stack.enter_context(CsvLog(self.out.parent / f"{self.spec.name}.csv", dvl.LOG_HEADER))
+        log, *adcp = self.files(self.spec)
+        self.log = stack.enter_context(CsvLog(self.vehicle_dir / log, dvl.LOG_HEADER))
         self.adcp_log = None
-        if self.config.bins > 0:
-            self.adcp_log = stack.enter_context(CsvLog(self.out.parent / f"{self.spec.name}_adcp.csv",
-                                                       dvl.ADCP_HEADER, dvl.adcp_metadata_row(self.config)))
+        if adcp:
+            self.adcp_log = stack.enter_context(CsvLog(self.vehicle_dir / adcp[0], dvl.ADCP_HEADER,
+                                                       dvl.adcp_metadata_row(self.config)))
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         sampler = vehicle.sampler
@@ -616,9 +679,9 @@ class Simulation:
                 return stack.enter_context(CsvLog(path, header))
 
             if self.tile_manager is not None:
-                tile_log = log(self.out_dir / "tile_events.csv", ["time", "action", "row", "col"])
-            pose_logs = {vid: log(self.out_dir / vid / "pose.csv", POSE_HEADER) for vid in self._vehicles}
-            coupling_logs = {cid: log(self.out_dir / f"coupling_{cid}.csv", coupling.LOG_HEADER)
+                tile_log = log(self.out_dir / TILE_LOG, ["time", "action", "row", "col"])
+            pose_logs = {vid: log(self.out_dir / _pose_log(vid), POSE_HEADER) for vid in self._vehicles}
+            coupling_logs = {cid: log(self.out_dir / _coupling_log(cid), coupling.LOG_HEADER)
                              for cid in self._coupling_states}
             for v in self._vehicles.values():
                 for sensor in v.sensors:
@@ -709,10 +772,18 @@ class Simulation:
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
             },
         }
-        with open(self.out_dir / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
+        with open(self.out_dir / MANIFEST, "w", encoding="ascii", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest
+
+
+def _pose_log(vehicle_id: str) -> str:
+    return f"{vehicle_id}/pose.csv"
+
+
+def _coupling_log(coupling_id: str) -> str:
+    return f"coupling_{coupling_id}.csv"
 
 
 def _step_count(cfg: ScenarioConfig) -> int:

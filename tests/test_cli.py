@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -475,6 +476,85 @@ def test_duplicate_coupling_ids_fail_validate(tmp_path, capsys):
     doc = copy.deepcopy(_DEMO_DOC)
     doc["couplings"].append(copy.deepcopy(doc["couplings"][0]))
     _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc), "duplicate coupling id 'lead1'")
+
+
+# Each kind of path that two owners can claim: a sensor log on the pose log,
+# an ADCP log on another DVL's log, and a vehicle directory on the manifest.
+def _dvl_named_pose(doc):
+    doc["vehicles"][0]["sensors"][0]["name"] = "pose"
+
+
+def _dvl_next_to_its_adcp_name(doc):
+    sensors = doc["vehicles"][0]["sensors"]
+    sensors[0]["name"] = "a"  # the demo DVL has ADCP bins, so it writes a.csv and a_adcp.csv
+    sensors.append({"type": "dvl", "name": "a_adcp", "rate": 5.0})
+
+
+def _vehicle_named_manifest(doc):
+    doc["vehicles"][0]["id"] = "manifest.json"
+
+
+PATH_CLASHES = {
+    "dvl-pose": (_dvl_named_pose, "output path 'rov1/pose.csv' is written by both vehicle 'rov1' pose log "
+                                  "and vehicle 'rov1' sensor 'pose'"),
+    "adcp-log": (_dvl_next_to_its_adcp_name, "output path 'rov1/a_adcp.csv' is written by both "
+                                             "vehicle 'rov1' sensor 'a' and vehicle 'rov1' sensor 'a_adcp'"),
+    "vehicle-manifest": (_vehicle_named_manifest, "output path 'manifest.json' is written by both "
+                                                  "the run manifest and vehicle 'manifest.json' pose log"),
+}
+
+
+@pytest.mark.parametrize("mutate, problem", PATH_CLASHES.values(), ids=PATH_CLASHES.keys())
+def test_two_owners_of_one_output_path_fail_validate(tmp_path, capsys, mutate, problem):
+    doc = copy.deepcopy(_DEMO_DOC)
+    mutate(doc)
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc), problem)
+
+
+def test_run_paths_lists_every_file_of_a_demo_run(tmp_path):
+    cfg = scenario.load_scenario(DEMO)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "4"]) == 0
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    declared = dict(scenario.run_paths(cfg))
+    files = {p for p in declared if not p.endswith("/")}
+    assert files <= written
+    assert all(any(p.startswith(d) for d in declared if d.endswith("/")) for p in written - files)
+    assert sorted(declared) == ["coupling_lead1.csv", "manifest.json", "rov1/dvl.csv", "rov1/dvl_adcp.csv",
+                                "rov1/fls/", "rov1/lidar/", "rov1/pose.csv", "rov2/pose.csv",
+                                "tile_events.csv"]
+
+
+@pytest.mark.parametrize("dt, duration", [("1e-6", "60"), ("5e-324", "60")], ids=["tiny-dt", "subnormal-dt"])
+def test_step_count_beyond_the_limit_fails_validate_and_run(tmp_path, capsys, dt, duration):
+    steps = float(duration) / float(dt)
+    problem = f"error: duration / dt is {steps:.6g} steps; a run takes at most {scenario.MAX_STEPS}\n"
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["dt"], doc["duration"] = float(dt), float(duration)
+    assert cli.main(["validate", str(_write_doc(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == problem
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--dt", dt, "--duration", duration]) == 1
+    assert capsys.readouterr().err == problem
+    assert not out.exists()
+
+
+def test_subnormal_dt_with_zero_duration_reports_sensor_periods(tmp_path, capsys):
+    # period / dt overflows; each sensor's period is then no multiple of dt
+    assert cli.main(["run", str(DEMO), "--out", str(tmp_path / "out"), "--dt", "5e-324", "--duration", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "".join(f"error: vehicle 'rov1' sensor {name!r}: period {1.0 / rate} is not an integer "
+                          "multiple of dt 5e-324\n" for name, rate in (("dvl", 5.0), ("fls", 0.25), ("lidar", 1.0)))
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_count_at_the_limit_passes_the_step_check():
+    cfg = scenario.load_scenario(DEMO)
+    at_limit = dataclasses.replace(cfg, dt=60.0 / scenario.MAX_STEPS, duration=60.0)
+    beyond = dataclasses.replace(at_limit, duration=60.0 * (1.0 + 1.0 / scenario.MAX_STEPS))
+    assert [p for p in scenario.validate(at_limit) if "steps" in p] == []
+    assert [p for p in scenario.validate(beyond) if "steps" in p] == [
+        f"duration / dt is 1e+06 steps; a run takes at most {scenario.MAX_STEPS}"]
 
 
 @pytest.mark.parametrize("row, problem", [("5", "expected 2 fields (time, speed), got ['5']"),

@@ -4,9 +4,11 @@ Each writer is checked against a reference that encodes one value (or,
 for PLY, one point) per Python call with the rule the format documents
 (README "Output formats"): OBJ and DEM floats are ``repr``, A-plot
 values ``%.17g``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
-its header. The array ``%.17g`` encoder behind the A-plot writer is also
-checked on its own against Python's formatting, about 10^6 values over
-the whole double range and every case its arithmetic treats apart.
+its header. The array encoders behind the writers are also checked on
+their own against Python's formatting: ``%.17g`` and ``repr`` on about
+10^6 values over the whole double range and every case their arithmetic
+treats apart, ``%d`` on every digit count and the int64 extremes. OBJ
+and DEM files are read back bit for bit.
 Golden sha256 digests of a fixed small input per writer, and of every
 run log of one small scenario, make any drift in the bytes fail here,
 not only in a benchmark's byte count. PLY files are also read back bit
@@ -23,9 +25,9 @@ import numpy as np
 import pytest
 
 from subsim import cli, lidar, meshtools, sonar, tiling
-from subsim.bathymetry import Heightmap, save_heightmap
+from subsim.bathymetry import Heightmap, load_heightmap, save_heightmap
 from subsim.geodesy import GeodeticCoord
-from subsim.output import CHUNK_BYTES, G17_CHUNK, CsvLog, log_text, write_g17, write_rows
+from subsim.output import CHUNK_VALUES, CsvLog, log_text, write_g17, write_ints, write_repr
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -94,24 +96,11 @@ def _scan(points, h_index=None, v_index=None):
     return lidar.LidarScan(points, np.linalg.norm(points, axis=1), h_index, v_index)
 
 
-# --- the shared row writer ---------------------------------------------------------
+# --- chunks -----------------------------------------------------------------------
 
 
 def _rows_per_chunk(n_floats):
-    return CHUNK_BYTES // (8 * n_floats)
-
-
-@pytest.mark.parametrize("cols, n", [
-    (3, 0), (3, 1), (3, _rows_per_chunk(3) - 1), (3, _rows_per_chunk(3)), (3, _rows_per_chunk(3) + 1),
-    (3, 2 * _rows_per_chunk(3) + 5), (1024, 9), (CHUNK_BYTES // 8 + 1, 2),
-])
-def test_write_rows_matches_per_row_formatting_across_chunk_edges(tmp_path, cols, n):
-    rows = np.arange(cols * n, dtype=float).reshape(n, cols) / 7.0
-    path = tmp_path / "rows.txt"
-    with open(path, "wb") as fh:
-        write_rows(fh, b",".join([b"%r"] * cols) + b"\n", rows)
-    expected = "".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows)
-    assert path.read_bytes() == expected.encode("ascii")
+    return CHUNK_VALUES // n_floats
 
 
 # --- the %.17g encoder ---------------------------------------------------------------
@@ -223,16 +212,131 @@ def test_g17_row_with_a_single_fallback_value(where, value):
 
 
 @pytest.mark.parametrize("shape", [
-    (0, 5), (3, 0), (1, 1), (1, G17_CHUNK - 1), (1, G17_CHUNK), (1, G17_CHUNK + 1),
-    (G17_CHUNK + 1, 1), (3, G17_CHUNK // 2 + 1), (2, 2 * G17_CHUNK + 3), (7, 1000),
+    (0, 5), (3, 0), (1, 1), (1, CHUNK_VALUES - 1), (1, CHUNK_VALUES), (1, CHUNK_VALUES + 1),
+    (CHUNK_VALUES + 1, 1), (3, CHUNK_VALUES // 2 + 1), (2, 2 * CHUNK_VALUES + 3), (7, 1000),
 ])
 def test_g17_across_chunk_edges(shape):
     n = shape[0] * shape[1]
     rows = ((np.arange(n) - n / 3.0) / 7.0 * 10.0 ** (np.arange(n) % 41 - 20)).reshape(shape)
-    if n > G17_CHUNK:
+    if n > CHUNK_VALUES:
         flat = rows.reshape(-1)
-        flat[G17_CHUNK - 1:G17_CHUNK + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
+        flat[CHUNK_VALUES - 1:CHUNK_VALUES + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
     assert _g17(rows) == _g17_reference(rows)
+
+
+# --- the repr encoder ----------------------------------------------------------------
+
+
+def _repr_reference(rows, sep=b",", prefix=b"") -> bytes:
+    return b"".join(prefix + sep.join([repr(v).encode() for v in row]) + b"\n" for row in rows.tolist())
+
+
+def _repr(rows, sep=b",", prefix=b"") -> bytes:
+    buf = io.BytesIO()
+    write_repr(buf, rows, sep, prefix)
+    return buf.getvalue()
+
+
+def _digit_count(value) -> int:
+    """Significant digits of repr(value)."""
+    mantissa = repr(value).lstrip("-").partition("e")[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+def _by_digit_count():
+    """Values whose shortest form has n digits, n = 1..17, both signs: n-digit
+    mantissas times powers of ten for n <= 15, drawn doubles for 16 and 17."""
+    rng = np.random.default_rng(18)
+    values = []
+    for n in range(1, 16):
+        mantissas = rng.integers(10 ** (n - 1), 10**n, 300)
+        mantissas += mantissas % 10 == 0  # a last digit of 0 would shorten the form
+        values += [float(f"{m}e{k}") for m, k in zip(mantissas.tolist(), rng.integers(-40, 40, 300).tolist())]
+    drawn = (rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-30, 30, 20_000)).tolist()
+    counts = {n: [v for v in drawn if _digit_count(v) == n][:2000] for n in (16, 17)}
+    values += counts[16] + counts[17]
+    assert sorted({_digit_count(v) for v in values}) == list(range(1, 18))
+    return np.array(values + [-v for v in values])
+
+
+def _repr_case(name):
+    if name in G17_CASES:
+        return _g17_case(name)
+    if name == "powers-of-two":  # their gap below is half the gap above
+        p = 2.0 ** np.arange(-1074, 1024)
+        near = [p]
+        for direction in (np.inf, -np.inf):
+            q = p
+            for _ in range(3):
+                q = np.nextafter(q, direction)
+                near.append(q)
+        return np.concatenate([*near, -p])
+    if name == "digit-counts":
+        return _by_digit_count()
+    if name == "repr-switches":  # repr switches form at X = -5 / -4 and 15 / 16
+        return np.concatenate([_ulp_walk(c) for c in (1e-5, 1e-4, 1e15, 1e16)])
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", G17_CASES + ["powers-of-two", "digit-counts", "repr-switches"])
+def test_repr_matches_python_formatting(name):
+    values = _repr_case(name)
+    cols = 1000
+    values = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    assert _repr(values) == _repr_reference(values)
+
+
+def test_repr_named_values():
+    values = np.array([[0.0, -0.0, 1e16, 1e15, 9999999999999998.0, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.0**-25,
+                        5e-324, math.nan, -math.inf, 1e22, 100.0, 0.5]])
+    assert _repr(values, b" ", b"v ") == (
+        b"v 0.0 -0.0 1e+16 1000000000000000.0 9999999999999998.0 0.0001 1e-05 0.1 0.3333333333333333 "
+        b"2.9802322387695312e-08 5e-324 nan -inf 1e+22 100.0 0.5\n")
+
+
+@pytest.mark.parametrize("cols, n", [
+    (3, 0), (3, 1), (3, _rows_per_chunk(3) - 1), (3, _rows_per_chunk(3)), (3, _rows_per_chunk(3) + 1),
+    (3, 2 * _rows_per_chunk(3) + 5), (1024, 9), (CHUNK_VALUES + 1, 2),
+])
+def test_repr_across_chunk_edges(cols, n):
+    rows = ((np.arange(cols * n) - n) / 7.0 * 10.0 ** (np.arange(cols * n) % 41 - 20)).reshape(n, cols)
+    if rows.size > CHUNK_VALUES:
+        flat = rows.reshape(-1)
+        flat[CHUNK_VALUES - 1:CHUNK_VALUES + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
+    for sep, prefix in ((b",", b""), (b" ", b"v ")):
+        assert _repr(rows, sep, prefix) == _repr_reference(rows, sep, prefix)
+
+
+def test_repr_rejects_a_long_separator_or_prefix():
+    with pytest.raises(ValueError):
+        _repr(np.ones((1, 2)), b", ")
+    with pytest.raises(ValueError):
+        _repr(np.ones((1, 2)), b" ", b"vn ")
+
+
+# --- the integer encoder -----------------------------------------------------------------
+
+
+INT_EDGES = [0, 1, 9, 10, *[10**k + d for k in range(2, 19) for d in (-1, 1)], 2**63 - 1, -2**63,
+             -1, -9, -10, -(10**18) + 1]
+
+
+@pytest.mark.parametrize("shape", [(1, len(INT_EDGES)), (len(INT_EDGES), 1), (0, 3), (2, 0)])
+def test_ints_match_percent_d(shape):
+    rows = np.resize(np.array(INT_EDGES, dtype=np.int64), shape)
+    buf = io.BytesIO()
+    write_ints(buf, rows, b" ", b"f ")
+    assert buf.getvalue() == b"".join(b"f " + b" ".join([b"%d" % v for v in row]) + b"\n" for row in rows.tolist())
+
+
+def test_ints_across_chunk_edges():
+    rng = np.random.default_rng(19)
+    n = 3 * (CHUNK_VALUES // 3 * 2 + 7)
+    values = rng.integers(-2**63, 2**63 - 1, n, endpoint=True) >> rng.integers(0, 64, n)  # every length
+    rows = values.reshape(-1, 3)
+    buf = io.BytesIO()
+    write_ints(buf, rows, b",")
+    assert buf.getvalue() == b"".join(b",".join([b"%d" % v for v in row]) + b"\n" for row in rows.tolist())
 
 
 # --- per-writer byte contracts --------------------------------------------------------
@@ -293,6 +397,45 @@ def test_ply_with_no_points(tmp_path):
 
 def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
+
+
+# Values whose repr must read back bit for bit: signed zero, subnormals, the
+# repr form switches, Mercator-scale coordinates, powers of two and their
+# neighbours, and 16- and 17-digit values.
+ROUND_TRIP = np.array(EDGE + [2.0**-1074, 2.0**-1022, 2.0**1023, 0.5, 1024.0, -2.0**-30,
+                              np.nextafter(2.0**-30, 1.0), np.nextafter(1024.0, 0.0), 1e15 + 0.5,
+                              9007199254740993.0, 0.1 + 0.2, -1e-300, 1.7976931348623157e308])
+
+
+def _int64(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_obj_round_trip_is_bit_exact(tmp_path):
+    verts = np.resize(ROUND_TRIP, 3 * len(ROUND_TRIP)).reshape(-1, 3)
+    colors = np.roll(verts, 1)
+    tris = np.arange(3 * (len(verts) // 3)).reshape(-1, 3)
+    for mesh in (meshtools.TriMesh(verts, tris, colors=colors), meshtools.TriMesh(verts, tris)):
+        meshtools.save_obj(mesh, tmp_path / "r.obj")
+        back = meshtools.load_obj(tmp_path / "r.obj")
+        assert np.array_equal(_int64(back.vertices), _int64(mesh.vertices))
+        assert np.array_equal(back.triangles, mesh.triangles)
+        if mesh.colors is not None:
+            assert np.array_equal(_int64(back.colors), _int64(mesh.colors))
+
+
+def test_dem_round_trip_is_bit_exact(tmp_path):
+    finite = ROUND_TRIP[np.abs(ROUND_TRIP) < 1e300]
+    depth = np.resize(finite, (5, len(finite))).copy()
+    depth[1, 3] = depth[4, 0] = np.nan
+    h = Heightmap(GeodeticCoord(-33.123456789, 151.987654321), 1e-4 / 3.0, depth, nodata_value=-32768.0)
+    save_heightmap(h, tmp_path / "r.asc")
+    back = load_heightmap(tmp_path / "r.asc")
+    assert np.array_equal(np.isnan(back.depth), np.isnan(depth))
+    assert np.array_equal(_int64(back.depth[~np.isnan(depth)]), _int64(depth[~np.isnan(depth)]))
+    assert _int64([back.origin.lat, back.origin.lon, *back.cell_size]).tolist() == _int64(
+        [h.origin.lat, h.origin.lon, *h.cell_size]).tolist()
+    assert back.nodata_value == -32768.0
 
 
 def test_ply_round_trip_is_bit_exact(tmp_path):
