@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geodesy import GeodeticCoord, ProjectedCoord, mercator_xy
+from .geodesy import GeodeticCoord, mercator_xy
 from .geometry import WorldPoint
 from .output import write_repr
 
@@ -28,10 +28,6 @@ RAYCAST_TOL_M = 1e-4
 
 class HeightmapError(ValueError):
     """Malformed heightmap data or file."""
-
-
-class OutOfExtentError(HeightmapError):
-    """Query outside the heightmap's horizontal extent."""
 
 
 class NodataError(HeightmapError):
@@ -225,21 +221,6 @@ def depth_at_xy(h: Heightmap, x, y, clamp: bool = False) -> np.ndarray:
     if not clamp:
         outside = (x < x_min) | (x > x_max) | (y < y_min) | (y > y_max)
         d = np.where(outside, np.nan, d)
-    return d
-
-
-def depth_at(h: Heightmap, p: ProjectedCoord) -> float:
-    """Bilinear depth at a world position.
-
-    Raises OutOfExtentError outside the grid and NodataError when any of
-    the four surrounding nodes is nodata.
-    """
-    x_min, y_min, x_max, y_max = h.extent
-    if not (x_min <= p.x <= x_max and y_min <= p.y <= y_max):
-        raise OutOfExtentError(f"({p.x}, {p.y}) outside heightmap extent {h.extent}")
-    d = float(depth_at_xy(h, p.x, p.y))
-    if math.isnan(d):
-        raise NodataError(f"nodata cells surround ({p.x}, {p.y})")
     return d
 
 

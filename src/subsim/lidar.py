@@ -1,4 +1,4 @@
-"""Underwater 3D pulse lidar on a limit-enforced pan/tilt mount.
+"""Underwater 3D pulse lidar on a pan/tilt mount.
 
 The sensor emits a fixed angular sector of rays (default 145 x 145 over
 a 30 x 30 degree field, 20 m range) with 10x angular supersampling per
@@ -34,6 +34,8 @@ class LidarConfig:
     max_range: float = 20.0
     range_noise_sigma: float = 0.0
     supersample: int = 10
+    pan_deg: float = 0.0  # mount angles, inside +/-PAN_LIMIT_DEG and +/-TILT_LIMIT_DEG
+    tilt_deg: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rays_h < 2 or self.rays_v < 2:
@@ -46,35 +48,16 @@ class LidarConfig:
             raise ValueError("supersample must be >= 1")
         if self.range_noise_sigma < 0.0:
             raise ValueError("range_noise_sigma must be >= 0")
+        for name, limit in (("pan_deg", PAN_LIMIT_DEG), ("tilt_deg", TILT_LIMIT_DEG)):
+            angle = getattr(self, name)
+            if not abs(angle) <= limit:
+                raise ValueError(f"{name} {angle} is outside the mount limit +/-{limit}")
 
 
-@dataclass(frozen=True)
-class PanTiltState:
-    """Mount angles, degrees; always inside the mechanical limits."""
-
-    pan_deg: float = 0.0
-    tilt_deg: float = 0.0
-
-    def __post_init__(self) -> None:
-        if abs(self.pan_deg) > PAN_LIMIT_DEG or abs(self.tilt_deg) > TILT_LIMIT_DEG:
-            raise ValueError("mount state outside mechanical limits")
-
-
-def command_mount(state: PanTiltState, pan_deg: float, tilt_deg: float) -> tuple[PanTiltState, bool]:
-    """Drive the mount toward commanded angles, clamping at the limits.
-
-    Returns the new state and whether any clamping occurred.
-    """
-    pan = min(max(pan_deg, -PAN_LIMIT_DEG), PAN_LIMIT_DEG)
-    tilt = min(max(tilt_deg, -TILT_LIMIT_DEG), TILT_LIMIT_DEG)
-    clamped = (pan != pan_deg) or (tilt != tilt_deg)
-    return PanTiltState(pan, tilt), clamped
-
-
-def mount_rotation(state: PanTiltState) -> np.ndarray:
+def mount_rotation(cfg: LidarConfig) -> np.ndarray:
     """Sensor-to-body rotation for the mount: pan about body z (up,
     positive left), then tilt (positive up)."""
-    return rot_z(math.radians(state.pan_deg)) @ rot_y(-math.radians(state.tilt_deg))
+    return rot_z(math.radians(cfg.pan_deg)) @ rot_y(-math.radians(cfg.tilt_deg))
 
 
 @dataclass(eq=False)
@@ -89,7 +72,6 @@ class LidarScan:
 
 def scan(
     pose: Pose,
-    mount: PanTiltState,
     scene: Heightmap,
     cfg: LidarConfig,
     rng: np.random.Generator | None = None,
@@ -98,8 +80,8 @@ def scan(
 
     Rays form a uniform angular grid of (rays_h * supersample) x
     (rays_v * supersample) directions spanning the field of view,
-    oriented by pose and mount. Hits inside max_range each emit one
-    point, optionally displaced along the ray by N(0, range_noise_sigma).
+    oriented by pose and cfg's mount angles. Hits inside max_range each
+    emit one point, optionally displaced along the ray by N(0, range_noise_sigma).
     """
     n_h = cfg.rays_h * cfg.supersample
     n_v = cfg.rays_v * cfg.supersample
@@ -116,7 +98,7 @@ def scan(
         ],
         axis=-1,
     )
-    rot = pose.rotation @ mount_rotation(mount)
+    rot = pose.rotation @ mount_rotation(cfg)
     dirs_world = dirs_body @ rot.T
 
     h_idx_all = np.repeat(np.arange(n_h), n_v)

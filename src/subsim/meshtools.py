@@ -82,6 +82,8 @@ class DistortionParams:
             raise MeshError(f"extent must be in [0, 1], got {self.extent}")
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise MeshError(f"scale must be finite and >= 0, got {self.scale}")
+        if self.seed < 0:
+            raise MeshError(f"seed must be >= 0, got {self.seed}")
         if self.subdivision_levels < 0:
             raise MeshError("subdivision_levels must be >= 0")
 

@@ -69,8 +69,6 @@ class SensorSpec:
     name: str
     rate: float  # Hz
     config: object  # SENSORS[kind].config_type, built and checked
-    pan_deg: float | None = None  # lidar mount command; None when not given
-    tilt_deg: float | None = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0.0:
@@ -424,14 +422,6 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                     diags.append(f"{label}: period {period} is not an integer multiple of dt {cfg.dt}")
             if SENSORS[sensor.kind].needs_world and cfg.world is None:
                 diags.append(f"{label}: requires a world heightmap")
-            for name, limit in (("pan_deg", lidar.PAN_LIMIT_DEG), ("tilt_deg", lidar.TILT_LIMIT_DEG)):
-                angle = getattr(sensor, name)
-                if angle is None:
-                    continue
-                if sensor.kind != "lidar":
-                    diags.append(f"{label}: {name} applies only to lidar")
-                elif abs(angle) > limit:
-                    diags.append(f"{label}: {name} {angle} is outside the mount limit +/-{limit}")
         for action in vehicle.teleports:
             if action.station not in cfg.stations:
                 diags.append(f"vehicle {vid!r}: unknown teleport station {action.station!r}")
@@ -594,17 +584,12 @@ class SonarSensor(Sensor):
 
 
 class LidarSensor(Sensor):
-    """One PLY point cloud per scan, from the mount angles of its spec."""
+    """One PLY point cloud per scan, from the mount angles of its config."""
 
     config_type = lidar.LidarConfig
 
-    def __init__(self, spec: SensorSpec, *args):
-        super().__init__(spec, *args)
-        # validate() kept the command inside the mechanical limits.
-        self.mount = lidar.PanTiltState(spec.pan_deg or 0.0, spec.tilt_deg or 0.0)
-
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        cloud = lidar.scan(vehicle.pose, self.mount, self.heightmap, self.config, self.rng)
+        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng)
         lidar.write_ply(cloud, self.out / f"scan_{self.count:05d}.ply")
         self.count += 1
 
@@ -668,11 +653,14 @@ class Simulation:
         self._vehicles[vehicle_id].hold = self.cfg.stations[station_name]
 
     def run(self) -> dict:
-        """Execute the fixed-step loop and write all outputs. Returns the
-        manifest dictionary."""
+        """Execute the fixed-step loop and write all outputs into a new or
+        empty output directory; a non-empty one raises ScenarioError before
+        anything is written. Returns the manifest dictionary."""
         cfg = self.cfg
         steps = _step_count(cfg)
 
+        if self.out_dir.is_dir() and any(self.out_dir.iterdir()):
+            raise ScenarioError(f"output directory {self.out_dir} is not empty")
         self.out_dir.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as stack:
             def log(path: Path, header: list[str]) -> CsvLog:

@@ -206,9 +206,8 @@ def _phase_matrix(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
 
 
 def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> np.ndarray:
-    """Spectra sum_i weights[i, ...] * phase[i, m]: (M,) for a weight
-    vector (n_scatterers,), (beams, M) for a weight matrix
-    (n_scatterers, beams).
+    """Spectra sum_i weights[i, b] * phase[i, m], shape (beams, M), for a
+    weight matrix (n_scatterers, beams).
 
     The weights are real, so the product runs on the phases' float view
     (re and im interleaved along M), half the arithmetic of a complex
@@ -226,11 +225,15 @@ def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> 
     return spectra.view(np.complex128)
 
 
-def beam_spectrum(beam_angle: float, scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
-    """Coherent spectrum of one beam over all scatterers (M samples)."""
-    if len(scat) == 0:
-        return np.zeros(cfg.spectral_bins, dtype=complex)
-    weights = scat.amplitudes * beam_pattern(scat.azimuths - beam_angle, cfg.beamwidth_rad)
+def beam_spectra(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
+    """Coherent spectra of every beam over all scatterers, shape
+    (n_beams, M): each scatterer's amplitude weighted by the beam pattern
+    at its bearing from the beam's steering angle. No scatterers give
+    zero spectra."""
+    # (n_scatterers, n_beams) beam-pattern-weighted amplitudes.
+    weights = scat.amplitudes[:, None] * beam_pattern(
+        scat.azimuths[:, None] - cfg.beam_angles()[None, :], cfg.beamwidth_rad
+    )
     return _coherent_sum(scat, weights, cfg)
 
 
@@ -271,17 +274,8 @@ def ping(
     """One full ping: gather scatterers once, then every beam's spectrum
     as one (n_beams, M) array and their intensities in one pass."""
     scat = gather_scatterers(pose, scene, cfg, rng)
-    beam_angles = cfg.beam_angles()
-    m = cfg.spectral_bins
-    range_axis = np.arange(m) * cfg.range_bin_width
-    if len(scat) == 0:
-        return APlot(np.zeros((cfg.n_beams, m)), range_axis, beam_angles)
-    # (n_scatterers, n_beams) beam-pattern-weighted amplitudes.
-    weights = scat.amplitudes[:, None] * beam_pattern(
-        scat.azimuths[:, None] - beam_angles[None, :], cfg.beamwidth_rad
-    )
-    intensities = beam_intensity(_coherent_sum(scat, weights, cfg), cfg)
-    return APlot(intensities, range_axis, beam_angles)
+    intensities = beam_intensity(beam_spectra(scat, cfg), cfg)
+    return APlot(intensities, np.arange(cfg.spectral_bins) * cfg.range_bin_width, cfg.beam_angles())
 
 
 # --- Export -----------------------------------------------------------------

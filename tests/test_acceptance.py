@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from subsim import coupling as cpl
 from subsim import currents as cur
@@ -238,12 +239,14 @@ def test_criterion_6_adcp_two_strata_fixture():
 
 def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     # Range-bin law at the desk configuration.
+    # Each target sits on beam 64's axis; row 64 of the spectra is its echo.
     cfg = sonar.SonarConfig()  # 128 beams, M=512, B_w=60 kHz
+    axis = float(cfg.beam_angles()[64])
     rng = np.random.default_rng(107)
     for _ in range(50):
         r = rng.uniform(0.2, cfg.max_range * 0.95)
-        scat = sonar.ScattererSet([r], [0.0], [0.0], [1.0], [0.0])
-        intensity = sonar.beam_intensity(sonar.beam_spectrum(0.0, scat, cfg), cfg)
+        scat = sonar.ScattererSet([r], [axis], [0.0], [1.0], [0.0])
+        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, cfg)[64], cfg)
         expected_bin = round(2.0 * r * cfg.bandwidth_hz / cfg.sound_speed)
         assert abs(int(np.argmax(intensity)) - expected_bin) <= 1
 
@@ -255,10 +258,10 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     for trial in range(500):
         ranges = r0 + rng.uniform(0.0, scfg.range_bin_width * 0.25, n_scat)
         scat = sonar.ScattererSet(
-            ranges, np.zeros(n_scat), np.zeros(n_scat), np.ones(n_scat),
+            ranges, np.full(n_scat, scfg.beam_angles()[0]), np.zeros(n_scat), np.ones(n_scat),
             rng.uniform(0.0, 2.0 * np.pi, n_scat),
         )
-        intensity = sonar.beam_intensity(sonar.beam_spectrum(0.0, scat, scfg), scfg)
+        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, scfg)[0], scfg)
         peaks[trial] = intensity[round(2.0 * r0 * scfg.bandwidth_hz / scfg.sound_speed)]
     cov = float(peaks.std() / peaks.mean())
     assert 0.85 <= cov <= 1.15
@@ -267,10 +270,7 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     lcfg = sonar.SonarConfig(n_beams=32, spectral_bins=256, speckle_enabled=False)
     angles = lcfg.beam_angles()
     target = sonar.ScattererSet([2.0], [float(angles[16])], [0.0], [1.0], [0.0])
-    peak = [
-        sonar.beam_intensity(sonar.beam_spectrum(float(a), target, lcfg), lcfg).max()
-        for a in (angles[16], angles[17])
-    ]
+    peak = sonar.beam_intensity(sonar.beam_spectra(target, lcfg)[16:18], lcfg).max(axis=1)
     ratio = math.sqrt(peak[1] / peak[0])
     expected = float(sonar.beam_pattern(angles[17] - angles[16], lcfg.beamwidth_rad))
     assert abs(ratio - expected) / expected < 0.05
@@ -340,11 +340,11 @@ def test_criterion_8_coupling_trace_and_fuzz():
     report(8, f"gate/cooldown trace exact; 1e6-step fuzz legal ({transitions} transitions)")
 
 
-def test_criterion_9_lidar_defaults_and_clamping():
+def test_criterion_9_lidar_defaults_and_mount_limits():
     h = flat_heightmap(40.0, n=41, cell_m=10.0)
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 30.0, pitch=-math.pi / 2.0)
     cfg = lidar.LidarConfig()  # 145x145 rays, 30x30 deg, 20 m, supersample 10
-    cloud = lidar.scan(pose, lidar.PanTiltState(), h, cfg)
+    cloud = lidar.scan(pose, h, cfg)
     assert len(cloud.points) <= 1450 * 1450
     assert len(cloud.points) > 0
     assert np.all(cloud.ranges <= 20.0)
@@ -352,16 +352,23 @@ def test_criterion_9_lidar_defaults_and_clamping():
     residual = float(np.nanmax(np.abs(surface - cloud.points[:, 2])))
     assert residual <= 10.0 * bat.RAYCAST_TOL_M
 
+    # The mount accepts exactly the angles inside +/-175 (pan) and +/-30 (tilt).
     rng = np.random.default_rng(109)
-    state = lidar.PanTiltState()
-    for _ in range(2000):
-        state, _ = lidar.command_mount(state, rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
-        assert abs(state.pan_deg) <= 175.0
-        assert abs(state.tilt_deg) <= 30.0
-    state, clamped = lidar.command_mount(state, 1e9, -1e9)
-    assert clamped and state == lidar.PanTiltState(175.0, -30.0)
+    for pan, tilt in zip(rng.uniform(-250.0, 250.0, 2000).tolist(), rng.uniform(-50.0, 50.0, 2000).tolist()):
+        try:
+            lidar.LidarConfig(pan_deg=pan, tilt_deg=tilt)
+        except ValueError:
+            assert abs(pan) > 175.0 or abs(tilt) > 30.0
+        else:
+            assert abs(pan) <= 175.0 and abs(tilt) <= 30.0
+    corner = lidar.LidarConfig(pan_deg=175.0, tilt_deg=-30.0)
+    assert (corner.pan_deg, corner.tilt_deg) == (175.0, -30.0)
+    for pan, tilt in ((1e9, 0.0), (0.0, -1e9), (math.nextafter(175.0, 180.0), 0.0),
+                      (0.0, math.nextafter(-30.0, -31.0))):
+        with pytest.raises(ValueError, match="outside the mount limit"):
+            lidar.LidarConfig(pan_deg=pan, tilt_deg=tilt)
     report(9, f"default scan: {len(cloud.points)} points (max {1450 * 1450}), "
-              f"on-surface residual {residual:.1e} m; mount clamped to +/-175/+/-30")
+              f"on-surface residual {residual:.1e} m; mount limited to +/-175/+/-30")
 
 
 def test_criterion_10_mesh_distortion():

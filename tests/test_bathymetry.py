@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subsim import bathymetry as bat
-from subsim.geodesy import GeodeticCoord, ProjectedCoord
+from subsim.geodesy import GeodeticCoord
 from subsim.geometry import WorldPoint, ned
 
 from conftest import make_heightmap
@@ -220,14 +220,13 @@ def test_depth_exact_at_node():
     h = make_heightmap(grid, cell_m=10.0)
     for i in range(4):
         for j in range(4):
-            p = ProjectedCoord(float(h.xs[j]), float(h.ys[i]))
-            assert bat.depth_at(h, p) == grid[i, j]
+            assert bat.depth_at_xy(h, h.xs[j], h.ys[i]) == grid[i, j]
 
 
 def test_depth_bilinear_midpoint():
     h = make_heightmap([[0.0, 10.0], [0.0, 10.0]], cell_m=10.0)
-    mid = ProjectedCoord((h.xs[0] + h.xs[1]) / 2.0, (h.ys[0] + h.ys[1]) / 2.0)
-    assert bat.depth_at(h, mid) == pytest.approx(5.0, abs=1e-12)
+    mid = ((h.xs[0] + h.xs[1]) / 2.0, (h.ys[0] + h.ys[1]) / 2.0)
+    assert bat.depth_at_xy(h, *mid) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_depth_matches_independent_bilinear_oracle():
@@ -248,17 +247,21 @@ def test_depth_matches_independent_bilinear_oracle():
         top = grid[i, j] * (1 - fx) + grid[i, j + 1] * fx
         bot = grid[i + 1, j] * (1 - fx) + grid[i + 1, j + 1] * fx
         expected = top * (1 - fy) + bot * fy
-        assert bat.depth_at(h, ProjectedCoord(x, y)) == pytest.approx(expected, abs=1e-9)
+        assert bat.depth_at_xy(h, x, y) == pytest.approx(expected, abs=1e-9)
 
 
 def test_depth_out_of_extent_and_nodata():
-    grid = np.full((3, 3), 5.0)
+    grid = np.full((4, 4), 5.0)
     grid[1, 1] = np.nan
     h = make_heightmap(grid, cell_m=10.0)
-    with pytest.raises(bat.OutOfExtentError):
-        bat.depth_at(h, ProjectedCoord(h.xs[-1] + 1.0, h.ys[0]))
-    with pytest.raises(bat.NodataError):
-        bat.depth_at(h, ProjectedCoord((h.xs[0] + h.xs[1]) / 2.0, (h.ys[0] + h.ys[1]) / 2.0))
+    outside = [(h.xs[-1] + 1.0, h.ys[0]), (h.xs[0] - 1.0, h.ys[0]), (h.xs[0], h.ys[-1] + 1.0),
+               (h.xs[0], h.ys[0] - 1.0)]
+    # Any point of a cell with a nodata corner is nodata, the cell's far corner included.
+    over_nodata = [((h.xs[0] + h.xs[1]) / 2.0, (h.ys[0] + h.ys[1]) / 2.0), (h.xs[1], h.ys[1]),
+                   (h.xs[0], h.ys[0])]
+    assert np.isnan(bat.depth_at_xy(h, *np.transpose(outside + over_nodata))).all()
+    clear = [((h.xs[2] + h.xs[3]) / 2.0, (h.ys[2] + h.ys[3]) / 2.0), (h.xs[-1], h.ys[-1])]
+    assert np.array_equal(bat.depth_at_xy(h, *np.transpose(clear)), [5.0, 5.0])
 
 
 # --- ray casting ----------------------------------------------------------------

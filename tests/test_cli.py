@@ -172,6 +172,15 @@ def test_tiles_rejects_bad_tile_geometry(tmp_path, capsys, flag, value, problem)
     assert not out.exists()
 
 
+def test_distort_rejects_a_negative_seed(tmp_path, capsys):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_distort_rejects_non_finite_scale(tmp_path, capsys, scale):
     src = tmp_path / "tet.obj"
@@ -417,7 +426,7 @@ def _assert_fails_validate_and_run(tmp_path, capsys, scenario_path, problem):
 def test_mount_field_on_a_sensor_without_mount_fails_validate(tmp_path, capsys, sensor, name, field):
     scenario_path = _write_mutated(tmp_path, ("vehicles", 0, "sensors", sensor, field), 45.0)
     _assert_fails_validate_and_run(tmp_path, capsys, scenario_path,
-                                   f"vehicle 'rov1' sensor {name!r}: {field} applies only to lidar")
+                                   f"vehicle 'rov1' sensor {name!r}: unknown field {field!r}")
 
 
 @pytest.mark.parametrize("field, limit", [("pan_deg", 175.0), ("tilt_deg", 30.0)])
@@ -592,17 +601,50 @@ def test_bad_dem_token_leaves_no_output_directory(tmp_path, capsys):
 
 def test_failed_open_closes_the_logs_opened_before_it(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    (out / "rov1").mkdir(parents=True)
-    (out / "rov1" / "fls").write_text("")  # a file where the sonar's directory goes
     handles = []
+
+    def blocked_sonar_open(self, stack, real_open=scenario.SonarSensor.open):
+        (self.vehicle_dir / "fls").write_text("")  # a file where the sonar's directory goes
+        real_open(self, stack)
 
     def recording_open(*args, real_open=open, **kwargs):
         handles.append(real_open(*args, **kwargs))
         return handles[-1]
 
+    monkeypatch.setattr(scenario.SonarSensor, "open", blocked_sonar_open)
     monkeypatch.setattr("builtins.open", recording_open)
     assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 17] File exists:")
     written = {Path(fh.name).relative_to(out).as_posix() for fh in handles if Path(fh.name).is_relative_to(out)}
     assert {"tile_events.csv", "rov1/pose.csv", "rov1/dvl.csv"} <= written
     assert all(fh.closed for fh in handles)
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def test_run_into_a_non_empty_out_fails_and_leaves_it_untouched(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "6"]) == 0
+    before = _tree(out)
+    assert {"rov1/fls/ping_00001.csv", "rov1/lidar/scan_00006.ply"} <= before.keys()
+    capsys.readouterr()
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "2"]) == 1
+    assert capsys.readouterr() == ("", f"error: output directory {out} is not empty\n")
+    assert _tree(out) == before
+
+
+def test_run_into_an_out_holding_only_an_empty_directory_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "rov1").mkdir(parents=True)
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: output directory {out} is not empty\n")
+    assert _tree(out) == {"rov1": None}
+
+
+def test_run_into_an_empty_existing_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["duration"] == 1.0

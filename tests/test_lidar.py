@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,30 +25,46 @@ SMALL = lidar.LidarConfig(rays_h=12, rays_v=12, supersample=2)
 
 
 def test_command_within_limits_passes_through():
-    state, clamped = lidar.command_mount(lidar.PanTiltState(), 0.0, 0.0)
-    assert state == lidar.PanTiltState(0.0, 0.0)
-    assert not clamped
+    assert (SMALL.pan_deg, SMALL.tilt_deg) == (0.0, 0.0)
+    for pan, tilt in ((0.0, 0.0), (-10.0, 20.0), (174.5, -29.5)):
+        cfg = lidar.LidarConfig(pan_deg=pan, tilt_deg=tilt)
+        assert (cfg.pan_deg, cfg.tilt_deg) == (pan, tilt)
 
 
-def test_pan_clamps_at_175():
-    state, clamped = lidar.command_mount(lidar.PanTiltState(), 200.0, 0.0)
-    assert state.pan_deg == 175.0
-    assert clamped
+def _beyond_limit(field, value):
+    limit = {"pan_deg": lidar.PAN_LIMIT_DEG, "tilt_deg": lidar.TILT_LIMIT_DEG}[field]
+    return pytest.raises(ValueError, match=re.escape(f"{field} {value} is outside the mount limit +/-{limit}"))
 
 
-def test_tilt_clamps_at_30():
-    state, clamped = lidar.command_mount(lidar.PanTiltState(), -10.0, -45.0)
-    assert state == lidar.PanTiltState(-10.0, -30.0)
-    assert clamped
+def test_pan_limit_is_175():
+    for pan in (175.0, -175.0):
+        assert lidar.LidarConfig(pan_deg=pan).pan_deg == pan
+    for pan in (math.nextafter(175.0, math.inf), -175.5, 200.0, -1e9):
+        with _beyond_limit("pan_deg", pan):
+            lidar.LidarConfig(pan_deg=pan)
+
+
+def test_tilt_limit_is_30():
+    for tilt in (30.0, -30.0):
+        assert lidar.LidarConfig(pan_deg=-10.0, tilt_deg=tilt).tilt_deg == tilt
+    for tilt in (math.nextafter(-30.0, -math.inf), 30.5, -45.0, 1e9):
+        with _beyond_limit("tilt_deg", tilt):
+            lidar.LidarConfig(pan_deg=-10.0, tilt_deg=tilt)
 
 
 def test_mount_never_exits_limit_box():
     rng = np.random.default_rng(71)
-    state = lidar.PanTiltState()
-    for _ in range(1000):
-        state, _ = lidar.command_mount(state, rng.uniform(-720, 720), rng.uniform(-720, 720))
-        assert abs(state.pan_deg) <= lidar.PAN_LIMIT_DEG
-        assert abs(state.tilt_deg) <= lidar.TILT_LIMIT_DEG
+    accepted = 0
+    for pan, tilt in zip(rng.uniform(-360, 360, 1000).tolist(), rng.uniform(-60, 60, 1000).tolist()):
+        inside = abs(pan) <= lidar.PAN_LIMIT_DEG and abs(tilt) <= lidar.TILT_LIMIT_DEG
+        try:
+            lidar.LidarConfig(pan_deg=pan, tilt_deg=tilt)
+        except ValueError:
+            assert not inside
+        else:
+            assert inside
+            accepted += 1
+    assert 100 < accepted < 900
 
 
 def test_pan_sweep_covers_full_circle():
@@ -64,14 +82,13 @@ def test_pan_sweep_covers_full_circle():
 
 def test_empty_scene_gives_empty_cloud():
     h = flat_heightmap(500.0, n=11, cell_m=10.0)  # bottom far beyond range
-    cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0),
-                       lidar.PanTiltState(), h, SMALL)
+    cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h, SMALL)
     assert len(cloud.points) == 0
 
 
 def test_wall_beyond_max_range_gives_empty_cloud():
     h = flat_heightmap(50.0, n=11, cell_m=10.0)
-    cloud = lidar.scan(down_pose(h, 25.0), lidar.PanTiltState(), h,
+    cloud = lidar.scan(down_pose(h, 25.0), h,
                        lidar.LidarConfig(rays_h=8, rays_v=8, supersample=1, max_range=20.0))
     assert len(cloud.points) == 0  # floor 25 m away, range 20 m
 
@@ -79,7 +96,7 @@ def test_wall_beyond_max_range_gives_empty_cloud():
 def test_perpendicular_wall_at_10m():
     h = flat_heightmap(50.0, n=41, cell_m=5.0)
     cfg = lidar.LidarConfig(rays_h=10, rays_v=10, supersample=3, max_range=20.0)
-    cloud = lidar.scan(down_pose(h, 40.0), lidar.PanTiltState(), h, cfg)
+    cloud = lidar.scan(down_pose(h, 40.0), h, cfg)
     n_rays = (cfg.rays_h * cfg.supersample) * (cfg.rays_v * cfg.supersample)
     assert len(cloud.points) == n_rays  # every ray lands on the floor
     # Sector geometry: ranges between 10 and 10/cos(15 deg * sqrt(2)).
@@ -95,7 +112,7 @@ def test_points_lie_on_surface_zero_noise():
 
     h = make_heightmap(rng.uniform(20.0, 35.0, (21, 21)), cell_m=10.0)
     pose = down_pose(h, 5.0)
-    cloud = lidar.scan(pose, lidar.PanTiltState(), h, lidar.LidarConfig(
+    cloud = lidar.scan(pose, h, lidar.LidarConfig(
         rays_h=12, rays_v=12, supersample=2, max_range=40.0))
     assert len(cloud.points) > 0
     surface = depth_at_xy(h, cloud.points[:, 0], cloud.points[:, 1])
@@ -105,7 +122,7 @@ def test_points_lie_on_surface_zero_noise():
 def test_point_count_and_range_bounds():
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, max_range=35.0)
-    cloud = lidar.scan(down_pose(h, 0.0), lidar.PanTiltState(), h, cfg)
+    cloud = lidar.scan(down_pose(h, 0.0), h, cfg)
     assert len(cloud.points) <= (9 * 2) * (7 * 2)
     assert np.all(cloud.ranges <= 35.0)
 
@@ -117,10 +134,14 @@ def test_mount_steers_the_sector():
     # 30-deg sector. Tilting down 30 deg brings it in at ~40 m... use a
     # short range so only the tilted mount sees returns.
     cfg = lidar.LidarConfig(rays_h=8, rays_v=8, supersample=1, max_range=60.0)
-    level_cloud = lidar.scan(pose, lidar.PanTiltState(), h, cfg)
-    tilted, _ = lidar.command_mount(lidar.PanTiltState(), 0.0, -30.0)
-    tilted_cloud = lidar.scan(pose, tilted, h, cfg)
+    level_cloud = lidar.scan(pose, h, cfg)
+    tilted_cloud = lidar.scan(pose, h, dataclasses.replace(cfg, tilt_deg=-30.0))
     assert len(tilted_cloud.points) > len(level_cloud.points)
+    assert np.all(tilted_cloud.points[:, 1] > pose.position.y)  # ahead, to the north
+    # Panning 90 deg left turns the tilted sector to the west.
+    panned_cloud = lidar.scan(pose, h, dataclasses.replace(cfg, pan_deg=90.0, tilt_deg=-30.0))
+    assert len(panned_cloud.points) == len(tilted_cloud.points)
+    assert np.all(panned_cloud.points[:, 0] < pose.position.x)
 
 
 def test_range_noise_deterministic_under_seed():
@@ -128,16 +149,16 @@ def test_range_noise_deterministic_under_seed():
     cfg = lidar.LidarConfig(rays_h=6, rays_v=6, supersample=1, max_range=40.0,
                             range_noise_sigma=0.05)
     pose = down_pose(h, 5.0)
-    a = lidar.scan(pose, lidar.PanTiltState(), h, cfg, np.random.default_rng(5))
-    b = lidar.scan(pose, lidar.PanTiltState(), h, cfg, np.random.default_rng(5))
-    c = lidar.scan(pose, lidar.PanTiltState(), h, cfg, np.random.default_rng(6))
+    a = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    b = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    c = lidar.scan(pose, h, cfg, np.random.default_rng(6))
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_ply_export(tmp_path):
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
-    cloud = lidar.scan(down_pose(h, 5.0), lidar.PanTiltState(), h,
+    cloud = lidar.scan(down_pose(h, 5.0), h,
                        lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0))
     out = tmp_path / "scan.ply"
     lidar.write_ply(cloud, out)
@@ -157,4 +178,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         lidar.LidarConfig(supersample=0)
     with pytest.raises(ValueError):
-        lidar.PanTiltState(200.0, 0.0)
+        lidar.LidarConfig(pan_deg=200.0)

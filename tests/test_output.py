@@ -587,9 +587,10 @@ def test_golden_digest(tmp_path, kind):
 
 # The run logs of one small scenario: pose rows, a DVL in every tracking mode
 # (a blind one logs nan), ADCP profiles in both modes, a coupling that goes
-# FREE -> JOINED -> FIXED -> FREE (Free rows leave the force fields empty)
-# and tile loads and unloads. The values pass through trigonometry and the
-# seeded noise streams, so these digests pin this platform's bytes.
+# FREE -> JOINED -> FIXED -> FREE (Free rows leave the force fields empty),
+# tile loads and unloads, and lidar scans from a panned and tilted mount that
+# hit the floor. The values pass through trigonometry and the seeded noise
+# streams, so these digests pin this platform's bytes.
 GOLDEN_SCENARIO = """\
 seed: 5
 duration: 1.0
@@ -610,6 +611,8 @@ vehicles:
       - {type: dvl, name: beams, rate: 10.0, noise_sigma: 0.01, bins: 2, bin_size: 4.0,
          profile_mode: per_beam}
       - {type: dvl, name: blind, rate: 10.0, max_range: 5.0, water_track_enabled: false}
+      - {type: lidar, name: lidar, rate: 2.5, rays_h: 4, rays_v: 3, supersample: 1, fov_h_deg: 40.0,
+         max_range: 60.0, range_noise_sigma: 0.01, pan_deg: 40.0, tilt_deg: -30.0}
   - id: plug
     trajectory:
       - {time: 0.0, x: 50.0, y: 20.0, depth: 10.0}
@@ -641,6 +644,12 @@ GOLDEN_LOGS = {
         "ddc8fd97de2b98750f1c42154e4c777825a22810121f583411dd8f31650aa136",
     "tile_events.csv":
         "43ea5344248a95413acb739ad2e1911a33416a77ca2b4cc67fe9771454310205",
+    "auv/lidar/scan_00000.ply":
+        "76e7ed4f61b3d766a6ea51e84d40d1d241f51537878a21dcb7272729ede628de",
+    "auv/lidar/scan_00001.ply":
+        "b09af40aa13dd3a396378d54b7be5b5ae0031e1b02954e6b8fa655e8e8da8985",
+    "auv/lidar/scan_00002.ply":
+        "416b8ad33073c31d5af35eb2b918fb5019f560f7d96ca156db8bb35ac93ce5cf",
 }
 
 

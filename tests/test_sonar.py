@@ -15,8 +15,13 @@ from conftest import flat_heightmap
 REPO = Path(__file__).resolve().parents[1]
 
 
-def single_scatterer(r, azimuth=0.0, amplitude=1.0, phase=0.0):
-    return sonar.ScattererSet([r], [azimuth], [0.0], [amplitude], [phase])
+def on_beam(cfg, k, ranges, amplitudes=None, phases=None):
+    """Scatterers at beam k's steering angle, whose spectrum is row k of
+    beam_spectra: each weighted by its amplitude alone."""
+    n = len(ranges)
+    return sonar.ScattererSet(ranges, np.full(n, cfg.beam_angles()[k]), np.zeros(n),
+                              np.ones(n) if amplitudes is None else amplitudes,
+                              np.zeros(n) if phases is None else phases)
 
 
 def brute_force_intensity(spectrum):
@@ -41,13 +46,14 @@ def test_beam_pattern_peak_and_null():
 
 
 def test_zero_scatterers_zero_spectrum():
-    s = sonar.beam_spectrum(0.0, sonar.ScattererSet.empty(), SMALL)
+    s = sonar.beam_spectra(sonar.ScattererSet.empty(), SMALL)
+    assert s.shape == (SMALL.n_beams, SMALL.spectral_bins)
     assert np.all(s == 0.0)
 
 
 def test_single_on_axis_scatterer_flat_magnitude():
     amp = 0.7
-    s = sonar.beam_spectrum(0.0, single_scatterer(3.0, amplitude=amp), SMALL)
+    s = sonar.beam_spectra(on_beam(SMALL, 3, [3.0], [amp]), SMALL)[3]
     assert np.allclose(np.abs(s), amp, atol=1e-12)
 
 
@@ -56,8 +62,7 @@ def test_two_phasor_cancellation_at_center_freq():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=512, speckle_enabled=False)
     r1 = 3.0
     r2 = r1 + cfg.sound_speed / (4.0 * cfg.center_freq_hz)
-    both = sonar.ScattererSet([r1, r2], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    s = sonar.beam_spectrum(0.0, both, cfg)
+    s = sonar.beam_spectra(on_beam(cfg, 1, [r1, r2]), cfg)[1]
     m_center = cfg.spectral_bins // 2  # f_c is exactly on the grid
     assert abs(cfg.frequencies()[m_center] - cfg.center_freq_hz) < 1e-6
     # Hand-evaluated two-phasor sum: 1 + exp(-j pi) = 0.
@@ -77,7 +82,7 @@ def test_range_bin_law_against_dft_oracle():
     rng = np.random.default_rng(81)
     for _ in range(20):
         r = rng.uniform(0.3, cfg.max_range * 0.95)
-        spectrum = sonar.beam_spectrum(0.0, single_scatterer(r), cfg)
+        spectrum = sonar.beam_spectra(on_beam(cfg, 2, [r]), cfg)[2]
         intensity = sonar.beam_intensity(spectrum, cfg)
         expected_bin = round(2.0 * r * cfg.bandwidth_hz / cfg.sound_speed)
         assert abs(int(np.argmax(intensity)) - expected_bin) <= 1
@@ -88,8 +93,7 @@ def test_two_targets_at_twice_range_resolution_resolve():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=512, speckle_enabled=False)
     r1 = 2.0
     r2 = r1 + 2.0 * cfg.range_bin_width
-    both = sonar.ScattererSet([r1, r2], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    intensity = sonar.beam_intensity(sonar.beam_spectrum(0.0, both, cfg), cfg)
+    intensity = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 0, [r1, r2]), cfg)[0], cfg)
     b1 = round(2.0 * r1 * cfg.bandwidth_hz / cfg.sound_speed)
     b2 = round(2.0 * r2 * cfg.bandwidth_hz / cfg.sound_speed)
     top_two = set(np.argsort(intensity)[-2:])
@@ -99,21 +103,17 @@ def test_two_targets_at_twice_range_resolution_resolve():
 
 def test_intensity_linearity():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=256, speckle_enabled=False)
-    one = sonar.beam_intensity(sonar.beam_spectrum(0.0, single_scatterer(2.5), cfg), cfg)
-    double = sonar.beam_intensity(
-        sonar.beam_spectrum(0.0, single_scatterer(2.5, amplitude=2.0), cfg), cfg
-    )
+    one = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 3, [2.5]), cfg), cfg)
+    double = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 3, [2.5], [2.0]), cfg), cfg)
+    assert one[3].max() > 0.0
     assert np.allclose(double, 4.0 * one, rtol=1e-12)
 
 
 def test_adjacent_beam_leakage_matches_pattern():
     cfg = sonar.SonarConfig(n_beams=16, spectral_bins=256, speckle_enabled=False)
     angles = cfg.beam_angles()
-    target = single_scatterer(2.0, azimuth=float(angles[8]))
-    peak = []
-    for beam in (angles[8], angles[9]):
-        intensity = sonar.beam_intensity(sonar.beam_spectrum(float(beam), target, cfg), cfg)
-        peak.append(intensity.max())
+    intensity = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 8, [2.0]), cfg), cfg)
+    peak = intensity[8:10].max(axis=1)
     ratio = math.sqrt(peak[1] / peak[0])
     expected = float(
         sonar.beam_pattern(angles[9] - angles[8], cfg.beamwidth_rad)
@@ -134,14 +134,8 @@ def test_speckle_intensity_statistics():
     peaks = np.empty(400)
     for trial in range(len(peaks)):
         ranges = r0 + rng.uniform(0.0, cfg.range_bin_width * 0.2, n_scat)
-        scat = sonar.ScattererSet(
-            ranges,
-            np.zeros(n_scat),
-            np.zeros(n_scat),
-            np.ones(n_scat),
-            rng.uniform(0.0, 2.0 * np.pi, n_scat),
-        )
-        intensity = sonar.beam_intensity(sonar.beam_spectrum(0.0, scat, cfg), cfg)
+        scat = on_beam(cfg, 0, ranges, phases=rng.uniform(0.0, 2.0 * np.pi, n_scat))
+        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, cfg)[0], cfg)
         peaks[trial] = intensity[round(2.0 * r0 * cfg.bandwidth_hz / cfg.sound_speed)]
     cov = peaks.std() / peaks.mean()
     assert 0.85 <= cov <= 1.15
@@ -157,17 +151,23 @@ def _phase_reference(scat, cfg):
     return np.exp(1j * phase)
 
 
-def _reference_intensities(scat, cfg):
-    """Ping intensities (beams, M) from the exact phase, one plain product
-    over all scatterers and a per-beam inverse DFT."""
+def _reference_spectra(scat, cfg):
+    """Beam spectra (beams, M) from the exact phase, one plain product over
+    all scatterers."""
     angles = cfg.beam_angles()
     weights = scat.amplitudes[:, None] * sonar.beam_pattern(
         scat.azimuths[:, None] - angles[None, :], cfg.beamwidth_rad
     )
-    spectra = _phase_reference(scat, cfg) @ weights
+    return (_phase_reference(scat, cfg) @ weights).T
+
+
+def _reference_intensities(scat, cfg):
+    """Ping intensities (beams, M): the reference spectra through a per-beam
+    inverse DFT."""
+    spectra = _reference_spectra(scat, cfg)
     if cfg.window == "hann":
-        spectra = spectra * np.hanning(cfg.spectral_bins)[:, None]
-    return (np.abs(np.fft.ifft(spectra, axis=0)) ** 2).T
+        spectra = spectra * np.hanning(cfg.spectral_bins)
+    return np.abs(np.fft.ifft(spectra, axis=1)) ** 2
 
 
 def _random_scatterers(n, cfg, seed, speckle=True):
@@ -242,15 +242,13 @@ def test_terrain_ping_matches_exact_reference(tmp_path, window, speckle):
     assert np.max(np.abs(pixels - _pgm_pixels(reference, tmp_path / "exact.pgm"))) <= 1
 
 
-def test_beam_spectrum_matches_exact_reference():
+def test_beam_spectra_match_exact_reference():
     cfg = sonar.SonarConfig(n_beams=8, spectral_bins=1000, bandwidth_hz=40e3)
     scat = _random_scatterers(300, cfg, seed=84)
-    angle = float(cfg.beam_angles()[3])
-    weights = scat.amplitudes * sonar.beam_pattern(scat.azimuths - angle, cfg.beamwidth_rad)
-    expected = _phase_reference(scat, cfg) @ weights
-    spectrum = sonar.beam_spectrum(angle, scat, cfg)
-    assert spectrum.shape == (cfg.spectral_bins,)
-    assert np.max(np.abs(spectrum - expected)) <= 1e-10 * np.max(np.abs(expected))
+    expected = _reference_spectra(scat, cfg)
+    spectra = sonar.beam_spectra(scat, cfg)
+    assert spectra.shape == expected.shape == (cfg.n_beams, cfg.spectral_bins)
+    assert np.max(np.abs(spectra - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 # --- gathering -----------------------------------------------------------------
