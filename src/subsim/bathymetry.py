@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geodesy import GeodeticCoord, mercator_xy
+from .geodesy import GeodeticCoord, ProjectionError, mercator_xy
 from .geometry import WorldPoint
 from .output import write_repr
 
@@ -97,7 +97,8 @@ def load_heightmap(path) -> Heightmap:
     Header keys: ncols, nrows, xllcorner, yllcorner, cellsize, and an
     optional nodata_value; values follow row-major with the north row
     first. Raises HeightmapError naming the offending line on parse
-    problems, and on value-count mismatches.
+    problems, and naming the file on value-count mismatches and on a grid
+    outside the Pseudo-Mercator domain.
     """
     path = Path(path)
     try:
@@ -125,8 +126,11 @@ def load_heightmap(path) -> Heightmap:
         grid[grid == nodata] = np.nan
     # File rows run north to south; store south row first.
     grid = grid[::-1]
-    origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
-    return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
+    try:
+        origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
+        return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
+    except ProjectionError as err:
+        raise HeightmapError(f"{path}: {err}") from None
 
 
 _HEADER_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
@@ -248,15 +252,6 @@ def _surface_normal(gx, gy) -> np.ndarray:
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True, eq=False)
-class RayHit:
-    """Result of a ray/terrain intersection."""
-
-    range: float
-    point: WorldPoint
-    normal: np.ndarray  # NED unit vector, points up off the surface
-
-
 def _solve_quadratic(q2: float, q1: float, q0: float) -> list[float]:
     """Real roots of q2 s^2 + q1 s + q0, ascending."""
     if q2 == 0.0:
@@ -314,8 +309,9 @@ def _gap(q0, q1, q2, s):
     return q2 * s * s + q1 * s + q0
 
 
-def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> RayHit | None:
-    """First intersection of a ray with the bilinear terrain surface.
+def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> float | None:
+    """Range to the first intersection of a ray with the bilinear terrain
+    surface.
 
     Exact 2D grid traversal: the ray's horizontal footprint is walked
     cell by cell and the ray/bilinear-patch equation, a quadratic in the
@@ -323,7 +319,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
     hit once the ray penetrates the surface by at least RAYCAST_TOL_M;
     shallower grazes are misses. Cells touching nodata nodes are holes.
     Returns None on a miss. `raycast_batch` applies the same rule to many
-    rays at once.
+    rays at once and also gives the surface normals.
 
     The walk runs on plain Python floats: every value is the same IEEE
     operation, in the same order, as in `raycast_batch`, so the two agree
@@ -419,10 +415,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> Ra
                         crossing, max_pen = t_lo + seg_start, 0.0
                     max_pen = max(max_pen, pen)
                     if max_pen >= RAYCAST_TOL_M and crossing > 1e-9:
-                        if crossing > max_range:
-                            return None
-                        hx, hy = x0 + de * crossing, y0 + dn * crossing
-                        return RayHit(crossing, WorldPoint(hx, hy, z0 + dd * crossing), _normal_at(h, hx, hy))
+                        return crossing if crossing <= max_range else None
                 seg_start = stop
 
         if t_hi >= t_exit - eps_t:
@@ -445,24 +438,6 @@ def _cell_of(h: Heightmap, x: float, y: float) -> tuple[int, int]:
     return i, j
 
 
-def _normal_at(h: Heightmap, x: float, y: float) -> np.ndarray:
-    """`_surface_normal` of `surface_gradient_xy` at one point, computed
-    on Python floats with the same operations."""
-    i, j = _cell_of(h, x, y)
-    xs, ys, depth = h.xs, h.ys, h.depth
-    wx = xs.item(j + 1) - xs.item(j)
-    wy = ys.item(i + 1) - ys.item(i)
-    u = (x - xs.item(j)) / wx
-    v = (y - ys.item(i)) / wy
-    d00, d01 = depth.item(i, j), depth.item(i, j + 1)
-    d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
-    cross = d00 - d01 - d10 + d11
-    gx = (d01 - d00 + cross * v) / wx
-    gy = (d10 - d00 + cross * u) / wy
-    norm = math.sqrt(gy * gy + gx * gx + 1.0)
-    return np.array([gy / norm, gx / norm, -1.0 / norm])
-
-
 @dataclass(eq=False)
 class BatchHits:
     """Vectorized raycast results: NaN range where a ray missed."""
@@ -477,8 +452,9 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
 
     Each pass of the loop moves every unfinished ray one cell along its
     own traversal and runs `raycast`'s crossing tracker over that cell's
-    patch, so hits, ranges and normals are bit-identical to one `raycast`
-    call per ray. Used by the lidar and sonar ray fans.
+    patch, so hits and ranges are bit-identical to one `raycast` call per
+    ray. The normals are the bilinear surface's at each hit point. Used
+    by the lidar and sonar ray fans.
     """
     dirs = np.asarray(directions, dtype=float)
     n = len(dirs)

@@ -99,22 +99,6 @@ class TidalModel:
             self.series_times = None
             self.series_speeds = None
 
-    @classmethod
-    def from_constituents(cls, constituents: Sequence[TidalConstituent], heading: float = 0.0):
-        return cls(heading=heading, constituents=constituents)
-
-    @classmethod
-    def from_series(cls, times, speeds, heading: float = 0.0):
-        return cls(heading=heading, series_times=times, series_speeds=speeds)
-
-    @property
-    def mode(self) -> str:
-        if self.constituents is not None:
-            return "constituents"
-        if self.series_times is not None:
-            return "timeseries"
-        return "none"
-
     def speed(self, time: float) -> float:
         """Signed flood speed (m/s) at a UTC time in seconds."""
         if self.constituents is not None:

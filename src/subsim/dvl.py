@@ -5,15 +5,15 @@ Beam geometry lives in the sensor FLU frame (z up, beams pointing
 down-ish with negative z). Beam scalar velocities are the projections of
 the sensor-frame relative velocity onto the beam unit vectors; the
 velocity solution inverts that projection by least squares over the
-valid beams. Gaussian noise enters in the beam-scalar domain only and
-the solution is then recomputed.
+valid beams. Gaussian noise enters in the beam-scalar domain only, and
+the solution is computed from the noisy scalars.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -113,7 +113,6 @@ class DvlSolution:
     mode: TrackingMode
     beam_ranges: np.ndarray  # (4,)
     beam_velocities: np.ndarray  # (4,) scalar m/s
-    noisy: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +133,9 @@ def beam_ranges(pose: Pose, scene: Heightmap, cfg: DvlConfig) -> np.ndarray:
     inside [min_range, max_range]."""
     out = np.full(4, np.nan)
     for k in range(4):
-        world_dir = pose.to_world(cfg.beams[k])
-        hit = raycast(scene, pose.position, world_dir, cfg.max_range)
-        if hit is not None and hit.range >= cfg.min_range:
-            out[k] = hit.range
+        r = raycast(scene, pose.position, pose.to_world(cfg.beams[k]), cfg.max_range)
+        if r is not None and r >= cfg.min_range:
+            out[k] = r
     return out
 
 
@@ -173,93 +171,6 @@ def _altitude(pose: Pose, cfg: DvlConfig, ranges: np.ndarray) -> float | None:
     return float(np.mean(ranges[hits] * down))
 
 
-def _untracked(ranges: np.ndarray) -> DvlSolution:
-    return DvlSolution(
-        velocity=None,
-        altitude=None,
-        mode=TrackingMode.NONE,
-        beam_ranges=ranges,
-        beam_velocities=np.full(4, np.nan),
-    )
-
-
-def _bottom_track_unsolved(pose: Pose, vel_world: np.ndarray, ranges: np.ndarray, cfg: DvlConfig) -> DvlSolution:
-    """`solution_from_ranges` up to the solve: mode, ranges, altitude and
-    beam scalars, with velocity None."""
-    ranges = np.asarray(ranges, dtype=float)
-    hits = np.isfinite(ranges)
-    if hits.sum() < 3:
-        return _untracked(ranges)
-    v_sensor = pose.to_body(np.asarray(vel_world, dtype=float))
-    return DvlSolution(
-        velocity=None,
-        altitude=_altitude(pose, cfg, ranges),
-        mode=TrackingMode.BOTTOM_TRACK,
-        beam_ranges=ranges,
-        beam_velocities=np.where(hits, cfg.beams @ v_sensor, np.nan),
-    )
-
-
-def _water_track_unsolved(
-    pose: Pose, vel_world: np.ndarray, current_at: CurrentFn, cfg: DvlConfig, ranges: np.ndarray
-) -> DvlSolution:
-    """`water_track` up to the solve, reporting ``ranges``; velocity None."""
-    current = np.asarray(current_at(pose.position.depth), dtype=float)
-    rel_sensor = pose.to_body(np.asarray(vel_world, dtype=float) - current)
-    return DvlSolution(
-        velocity=None,
-        altitude=None,
-        mode=TrackingMode.WATER_TRACK,
-        beam_ranges=ranges,
-        beam_velocities=cfg.beams @ rel_sensor,
-    )
-
-
-def _solved(solution: DvlSolution, cfg: DvlConfig) -> DvlSolution:
-    """Fill in the velocity from the valid beam scalars (mode NONE: as is)."""
-    if solution.mode is TrackingMode.NONE:
-        return solution
-    return replace(solution, velocity=solve_velocity(cfg.beams, solution.beam_velocities))
-
-
-def solution_from_ranges(
-    pose: Pose, vel_world: np.ndarray, ranges: np.ndarray, cfg: DvlConfig
-) -> DvlSolution:
-    """Noise-free bottom-track solution from per-beam ranges.
-
-    Terrain is static, so each hitting beam's scalar is the projection of
-    the sensor-frame world velocity onto the beam. Mode NONE when fewer
-    than three beams have returns.
-    """
-    return _solved(_bottom_track_unsolved(pose, vel_world, ranges, cfg), cfg)
-
-
-def bottom_track(pose: Pose, vel_world: np.ndarray, scene: Heightmap, cfg: DvlConfig) -> DvlSolution:
-    """Noise-free bottom-track attempt against the terrain."""
-    return solution_from_ranges(pose, vel_world, beam_ranges(pose, scene, cfg), cfg)
-
-
-def water_track(pose: Pose, vel_world: np.ndarray, current_at: CurrentFn, cfg: DvlConfig) -> DvlSolution:
-    """Velocity relative to the ambient current at the sensor's depth."""
-    return _solved(_water_track_unsolved(pose, vel_world, current_at, cfg, np.full(4, np.nan)), cfg)
-
-
-def add_beam_noise(solution: DvlSolution, noise_sigma: float, rng: np.random.Generator, cfg: DvlConfig) -> DvlSolution:
-    """Perturb each beam scalar with N(0, sigma^2) and re-solve.
-
-    Four draws are consumed in beam order regardless of which beams are
-    valid, keeping noise streams aligned across modes. Mode NONE passes
-    through untouched.
-    """
-    noise = rng.normal(0.0, noise_sigma, 4)
-    if solution.mode is TrackingMode.NONE:
-        return replace(solution, noisy=True)
-    valid = np.isfinite(solution.beam_velocities)
-    noisy_scalars = np.where(valid, solution.beam_velocities + noise, np.nan)
-    velocity = solve_velocity(cfg.beams, noisy_scalars, valid=valid)
-    return replace(solution, velocity=velocity, beam_velocities=noisy_scalars, noisy=True)
-
-
 def measure(
     pose: Pose,
     vel_world: np.ndarray,
@@ -268,21 +179,35 @@ def measure(
     cfg: DvlConfig,
     rng: np.random.Generator,
 ) -> DvlSolution:
-    """Full measurement chain: bottom track, water track fallback when
-    enabled, then beam noise.
+    """One measurement: beam ranges, then the tracking mode, then beam
+    noise and one solve.
 
-    Only the noisy beam scalars are solved: the noise-free velocity would
-    be overwritten by `add_beam_noise`'s solve.
+    Bottom track when at least three beams return: terrain is static, so
+    each hitting beam's scalar is the projection of the sensor-frame
+    world velocity onto the beam. Otherwise water track when enabled and
+    a current is given: all four scalars are projections of the velocity
+    relative to the current at the sensor's depth. Otherwise mode NONE.
+    Four N(0, noise_sigma^2) draws are consumed in beam order in every
+    mode, keeping noise streams aligned across modes; the noisy valid
+    scalars are solved once.
     """
-    solution = None
-    if scene is not None:
-        solution = _bottom_track_unsolved(pose, vel_world, beam_ranges(pose, scene, cfg), cfg)
-    if (solution is None or solution.mode is TrackingMode.NONE) and cfg.water_track_enabled and current_at is not None:
-        ranges = solution.beam_ranges if solution is not None else np.full(4, np.nan)
-        solution = _water_track_unsolved(pose, vel_world, current_at, cfg, ranges)
-    if solution is None:
-        solution = _untracked(np.full(4, np.nan))
-    return add_beam_noise(solution, cfg.noise_sigma, rng, cfg)
+    ranges = beam_ranges(pose, scene, cfg) if scene is not None else np.full(4, np.nan)
+    hits = np.isfinite(ranges)
+    vel_world = np.asarray(vel_world, dtype=float)
+    mode, altitude, scalars = TrackingMode.NONE, None, np.full(4, np.nan)
+    if hits.sum() >= 3:
+        mode, altitude = TrackingMode.BOTTOM_TRACK, _altitude(pose, cfg, ranges)
+        scalars = np.where(hits, cfg.beams @ pose.to_body(vel_world), np.nan)
+    elif cfg.water_track_enabled and current_at is not None:
+        mode = TrackingMode.WATER_TRACK
+        current = np.asarray(current_at(pose.position.depth), dtype=float)
+        scalars = cfg.beams @ pose.to_body(vel_world - current)
+    noise = rng.normal(0.0, cfg.noise_sigma, 4)
+    if mode is TrackingMode.NONE:
+        return DvlSolution(None, None, mode, ranges, scalars)
+    valid = np.isfinite(scalars)
+    scalars = np.where(valid, scalars + noise, np.nan)
+    return DvlSolution(solve_velocity(cfg.beams, scalars, valid=valid), altitude, mode, ranges, scalars)
 
 
 def current_profile(

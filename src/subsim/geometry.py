@@ -35,14 +35,6 @@ class WorldPoint:
     y: float
     depth: float
 
-    def moved(self, vec_ned: np.ndarray, distance: float) -> "WorldPoint":
-        """Return the point displaced ``distance`` m along a NED vector."""
-        return WorldPoint(
-            self.x + vec_ned[1] * distance,
-            self.y + vec_ned[0] * distance,
-            self.depth + vec_ned[2] * distance,
-        )
-
 
 def rot_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
@@ -78,6 +70,19 @@ def rpy_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
         roll = 0.0
         yaw = math.atan2(-rot[0, 1], rot[1, 1])
     return roll, pitch, yaw
+
+
+def fan_directions(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Unit FLU directions of the (azimuth x elevation) ray grid, shape
+    (len(az) * len(el), 3), azimuth-major: row a * len(el) + e points at
+    azimuth az[a] (radians, positive left) and elevation el[e] (positive up)."""
+    az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
+    az_flat = az_grid.ravel()
+    el_flat = el_grid.ravel()
+    return np.stack(
+        [np.cos(el_flat) * np.cos(az_flat), np.cos(el_flat) * np.sin(az_flat), np.sin(el_flat)],
+        axis=-1,
+    )
 
 
 def body_to_ned_rotation(roll: float = 0.0, pitch: float = 0.0, yaw: float = 0.0) -> np.ndarray:

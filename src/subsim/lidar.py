@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
-from .geometry import Pose, rot_y, rot_z
+from .geometry import Pose, fan_directions, rot_y, rot_z
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
@@ -87,19 +87,8 @@ def scan(
     n_v = cfg.rays_v * cfg.supersample
     az = np.radians(np.linspace(-cfg.fov_h_deg / 2.0, cfg.fov_h_deg / 2.0, n_h))
     el = np.radians(np.linspace(-cfg.fov_v_deg / 2.0, cfg.fov_v_deg / 2.0, n_v))
-    az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
-    az_flat = az_grid.ravel()
-    el_flat = el_grid.ravel()
-    dirs_body = np.stack(
-        [
-            np.cos(el_flat) * np.cos(az_flat),
-            np.cos(el_flat) * np.sin(az_flat),
-            np.sin(el_flat),
-        ],
-        axis=-1,
-    )
     rot = pose.rotation @ mount_rotation(cfg)
-    dirs_world = dirs_body @ rot.T
+    dirs_world = fan_directions(az, el) @ rot.T
 
     h_idx_all = np.repeat(np.arange(n_h), n_v)
     v_idx_all = np.tile(np.arange(n_v), n_h)
@@ -110,8 +99,6 @@ def scan(
         block = dirs_world[start:stop]
         hits = raycast_batch(scene, pose.position, block, cfg.max_range)
         mask = hits.hit
-        if not mask.any():
-            continue
         r = hits.ranges[mask]
         if cfg.range_noise_sigma > 0.0 and rng is not None:
             r = r + rng.normal(0.0, cfg.range_noise_sigma, r.shape)
@@ -124,18 +111,11 @@ def scan(
         h_idx.append(h_idx_all[start:stop][mask])
         v_idx.append(v_idx_all[start:stop][mask])
 
-    if points:
-        return LidarScan(
-            points=np.concatenate(points),
-            ranges=np.concatenate(ranges),
-            h_index=np.concatenate(h_idx),
-            v_index=np.concatenate(v_idx),
-        )
     return LidarScan(
-        points=np.zeros((0, 3)),
-        ranges=np.zeros(0),
-        h_index=np.zeros(0, dtype=int),
-        v_index=np.zeros(0, dtype=int),
+        points=np.concatenate(points),
+        ranges=np.concatenate(ranges),
+        h_index=np.concatenate(h_idx),
+        v_index=np.concatenate(v_idx),
     )
 
 

@@ -152,43 +152,47 @@ def load_obj(path) -> TriMesh:
     colors: list[list[float]] = []
     tris: list[tuple[int, int, int]] = []
     saw_color = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            tag = tokens[0]
-            if tag == "v":
-                if len(tokens) not in (4, 7):
-                    raise ObjParseError(f"{path}:{lineno}: vertex needs 3 or 6 floats")
-                try:
-                    nums = [float(t) for t in tokens[1:]]
-                except ValueError:
-                    raise ObjParseError(f"{path}:{lineno}: bad vertex number") from None
-                verts.append(nums[:3])
-                if len(nums) == 6:
-                    saw_color = True
-                    colors.append(nums[3:])
-                else:
-                    colors.append([1.0, 1.0, 1.0])
-            elif tag == "f":
-                if len(tokens) < 4:
-                    raise ObjParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-                idx = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                tag = tokens[0]
+                if tag == "v":
+                    if len(tokens) not in (4, 7):
+                        raise ObjParseError(f"{path}:{lineno}: vertex needs 3 or 6 floats")
                     try:
-                        k = int(head)
+                        nums = [float(t) for t in tokens[1:]]
                     except ValueError:
-                        raise ObjParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
-                    if k <= 0:
-                        raise ObjParseError(f"{path}:{lineno}: only positive indices supported")
-                    if k > len(verts):
-                        raise ObjParseError(f"{path}:{lineno}: face index {k} out of range")
-                    idx.append(k - 1)
-                for a, b in zip(idx[1:-1], idx[2:]):
-                    tris.append((idx[0], a, b))
-            # Other record types (vn, vt, o, g, usemtl, ...) are ignored.
+                        raise ObjParseError(f"{path}:{lineno}: bad vertex number") from None
+                    verts.append(nums[:3])
+                    if len(nums) == 6:
+                        saw_color = True
+                        colors.append(nums[3:])
+                    else:
+                        colors.append([1.0, 1.0, 1.0])
+                elif tag == "f":
+                    if len(tokens) < 4:
+                        raise ObjParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+                    idx = []
+                    for tok in tokens[1:]:
+                        head = tok.split("/")[0]
+                        try:
+                            k = int(head)
+                        except ValueError:
+                            raise ObjParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
+                        if k <= 0:
+                            raise ObjParseError(f"{path}:{lineno}: only positive indices supported")
+                        if k > len(verts):
+                            raise ObjParseError(f"{path}:{lineno}: face index {k} out of range")
+                        idx.append(k - 1)
+                    for a, b in zip(idx[1:-1], idx[2:]):
+                        tris.append((idx[0], a, b))
+                # Other record types (vn, vt, o, g, usemtl, ...) are ignored.
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise ObjParseError(f"{path}: not a UTF-8 OBJ file: byte {bad!r}") from None
     if not verts:
         raise ObjParseError(f"{path}: no vertices found")
     return TriMesh(np.array(verts), np.array(tris) if tris else np.zeros((0, 3), dtype=np.int64),

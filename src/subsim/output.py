@@ -1,4 +1,8 @@
-"""Text number formatting shared by the file writers.
+"""Text number formatting shared by the file writers, and the rule for
+output directories.
+
+``make_out_dir`` creates a run's or a tile export's ``--out``, and
+refuses a non-empty one, so no earlier output is left next to the new.
 
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
 a header line, then one comma-separated row per call, each ended by
@@ -401,6 +405,16 @@ def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
 
     ``sep`` is one byte and ``prefix`` at most two."""
     _write(fh, rows, np.int64, _INT_W, functools.partial(_encode_ints, _tables()), sep, prefix)
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory ``path``, or accept an empty one; a
+    non-empty one raises FileExistsError before anything is written."""
+    path = Path(path)
+    if path.is_dir() and any(path.iterdir()):
+        raise FileExistsError(f"output directory {path} is not empty")
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def log_text(value) -> str:

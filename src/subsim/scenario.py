@@ -32,7 +32,7 @@ import yaml
 from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
 from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
-from .output import CsvLog
+from .output import CsvLog, make_out_dir
 
 SCHEMA_VERSION = 1
 STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
@@ -654,14 +654,12 @@ class Simulation:
 
     def run(self) -> dict:
         """Execute the fixed-step loop and write all outputs into a new or
-        empty output directory; a non-empty one raises ScenarioError before
-        anything is written. Returns the manifest dictionary."""
+        empty output directory; a non-empty one raises FileExistsError
+        before anything is written. Returns the manifest dictionary."""
         cfg = self.cfg
         steps = _step_count(cfg)
 
-        if self.out_dir.is_dir() and any(self.out_dir.iterdir()):
-            raise ScenarioError(f"output directory {self.out_dir} is not empty")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        make_out_dir(self.out_dir)
         with contextlib.ExitStack() as stack:
             def log(path: Path, header: list[str]) -> CsvLog:
                 return stack.enter_context(CsvLog(path, header))

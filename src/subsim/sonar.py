@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
-from .geometry import Pose
+from .geometry import Pose, fan_directions
 from .output import write_g17
 
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
@@ -123,11 +123,6 @@ class ScattererSet:
     def __len__(self) -> int:
         return len(self.ranges)
 
-    @classmethod
-    def empty(cls) -> "ScattererSet":
-        z = np.zeros(0)
-        return cls(z, z, z, z, z)
-
 
 def beam_pattern(delta_rad, beamwidth_rad: float) -> np.ndarray:
     """One-way amplitude response |sinc(pi * delta / beamwidth)| with the
@@ -154,22 +149,9 @@ def gather_scatterers(
     """
     az = cfg.ray_azimuths()
     el = cfg.ray_elevations()
-    az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
-    az_flat = az_grid.ravel()
-    el_flat = el_grid.ravel()
-    dirs_body = np.stack(
-        [
-            np.cos(el_flat) * np.cos(az_flat),
-            np.cos(el_flat) * np.sin(az_flat),
-            np.sin(el_flat),
-        ],
-        axis=-1,
-    )
-    dirs_world = dirs_body @ pose.rotation.T
+    dirs_world = fan_directions(az, el) @ pose.rotation.T
     hits = raycast_batch(scene, pose.position, dirs_world, cfg.max_range)
     mask = hits.hit
-    if not mask.any():
-        return ScattererSet.empty()
     ranges = hits.ranges[mask]
     normals = hits.normals[mask]
     d = dirs_world[mask]
@@ -182,7 +164,7 @@ def gather_scatterers(
         micro = rng.uniform(0.0, 2.0 * np.pi, ranges.shape)
     else:
         micro = np.zeros_like(ranges)
-    return ScattererSet(ranges, az_flat[mask], incidence, amplitude, micro)
+    return ScattererSet(ranges, np.repeat(az, len(el))[mask], incidence, amplitude, micro)
 
 
 def _phase_matrix(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .bathymetry import Heightmap, HeightmapError, NodataError, depth_at_xy
 from .geodesy import ProjectedCoord
 from .meshtools import TriMesh, save_obj
+from .output import make_out_dir
 
 DEFAULT_TILE_SIZE_M = 1000.0
 DEFAULT_OVERLAP_M = 50.0
@@ -155,9 +156,10 @@ def _lattice_triangles(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
-    """Write one OBJ per tile plus a manifest CSV (index, bounds, path)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write one OBJ per tile plus a manifest CSV (index, bounds, path)
+    into a new or empty directory; a non-empty one raises FileExistsError
+    before anything is written."""
+    out_dir = make_out_dir(out_dir)
     manifest = out_dir / "tiles.csv"
     with open(manifest, "wb") as fh:
         fh.write(b"row,col,x0,y0,x1,y1,path\n")

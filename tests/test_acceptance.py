@@ -97,8 +97,8 @@ def test_criterion_2_raycast_matches_brute_force_oracle():
             assert got is None
         else:
             assert got is not None
-            worst = max(worst, abs(got.range - expected))
-            assert abs(got.range - expected) < 1e-3
+            worst = max(worst, abs(got - expected))
+            assert abs(got - expected) < 1e-3
             hits += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -166,7 +166,7 @@ def test_criterion_4_ou_current_statistics():
     )
 
 
-def test_criterion_5_dvl_round_trip_and_mode_rule():
+def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
     h = flat_heightmap(50.0, n=21, cell_m=10.0)
     cfg = dvl.DvlConfig()
     rng = np.random.default_rng(105)
@@ -178,7 +178,7 @@ def test_criterion_5_dvl_round_trip_and_mode_rule():
             yaw=rng.uniform(-math.pi, math.pi),
         )
         vel = rng.uniform(-2.0, 2.0, 3)
-        sol = dvl.bottom_track(pose, vel, h, cfg)
+        sol = dvl.measure(pose, vel, h, None, cfg, np.random.default_rng(0))  # noise_sigma 0
         assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
         worst = max(worst, float(np.max(np.abs(sol.velocity - pose.to_body(vel)))))
     assert worst < 1e-9
@@ -187,9 +187,10 @@ def test_criterion_5_dvl_round_trip_and_mode_rule():
     vel = ned(0.4, -0.1, 0.05)
     for pattern in itertools.product([True, False], repeat=4):
         ranges = np.where(pattern, 45.0, np.nan)
+        monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: ranges.copy())
         for enabled in (True, False):
             c = dvl.DvlConfig(water_track_enabled=enabled)
-            sol = dvl.solution_from_ranges(pose, vel, ranges, c)
+            sol = dvl.measure(pose, vel, h, None, c, np.random.default_rng(0))
             if sum(pattern) >= 3:
                 assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
             else:

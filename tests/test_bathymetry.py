@@ -299,8 +299,10 @@ def test_vertical_ray_over_flat_terrain(flat50):
     origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
     hit = bat.raycast(flat50, origin, ned(0.0, 0.0, 1.0), 100.0)
     assert hit is not None
-    assert hit.range == pytest.approx(50.0, abs=1e-6)
-    assert np.allclose(hit.normal, [0.0, 0.0, -1.0])  # straight up
+    assert hit == pytest.approx(50.0, abs=1e-6)
+    batch = bat.raycast_batch(flat50, origin, ned(0.0, 0.0, 1.0)[None], 100.0)
+    assert batch.ranges[0] == hit
+    assert np.allclose(batch.normals[0], [0.0, 0.0, -1.0])  # straight up
 
 
 def test_45_degree_ray_over_flat_terrain(flat50):
@@ -308,9 +310,9 @@ def test_45_degree_ray_over_flat_terrain(flat50):
     d = ned(0.0, 1.0, 1.0) / math.sqrt(2.0)
     hit = bat.raycast(flat50, origin, d, 200.0)
     assert hit is not None
-    assert hit.range == pytest.approx(50.0 * math.sqrt(2.0), abs=1e-4)
+    assert hit == pytest.approx(50.0 * math.sqrt(2.0), abs=1e-4)
     oracle = brute_force_raycast(flat50, origin, d, 200.0, step=0.1)
-    assert hit.range == pytest.approx(oracle, abs=1e-3)
+    assert hit == pytest.approx(oracle, abs=1e-3)
 
 
 def test_horizontal_ray_above_terrain_misses(flat50):
@@ -381,10 +383,11 @@ def test_normal_on_sloped_plane():
     grid = np.tile(40.0 + cols, (6, 1))
     h = make_heightmap(grid, cell_m=10.0)
     origin = WorldPoint(float(h.xs[2] + 3.0), float(h.ys[2]), 0.0)
-    hit = bat.raycast(h, origin, ned(0.0, 0.0, 1.0), 100.0)
+    batch = bat.raycast_batch(h, origin, ned(0.0, 0.0, 1.0)[None], 100.0)
+    assert batch.hit[0]
     expected = np.array([0.0, 0.1, -1.0])
     expected /= np.linalg.norm(expected)
-    assert np.allclose(hit.normal, expected, atol=1e-6)
+    assert np.allclose(batch.normals[0], expected, atol=1e-6)
 
 
 def test_raycast_agrees_with_brute_force_on_random_terrain():
@@ -409,7 +412,7 @@ def test_raycast_agrees_with_brute_force_on_random_terrain():
             assert got is None
         else:
             assert got is not None
-            assert got.range == pytest.approx(expected, abs=1e-3)
+            assert got == pytest.approx(expected, abs=1e-3)
     assert 60 - misses >= 20  # geometry sanity: a healthy share of hits
 
 
@@ -424,10 +427,11 @@ def test_batch_matches_scalar(flat50):
         scalar = bat.raycast(flat50, origin, dirs[k], 150.0)
         if scalar is None:
             assert not batch.hit[k]
+            assert np.isnan(batch.normals[k]).all()
         else:
             assert batch.hit[k]
-            assert batch.ranges[k] == pytest.approx(scalar.range, abs=1e-3)
-            assert np.allclose(batch.normals[k], scalar.normal, atol=1e-6)
+            assert batch.ranges[k] == scalar
+            assert np.allclose(batch.normals[k], [0.0, 0.0, -1.0], atol=1e-6)  # flat: straight up
 
 
 def test_batch_misses_outside_extent(flat50):
@@ -445,9 +449,30 @@ def _fan(rng, n, elevation_lo, elevation_hi):
     return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
 
 
+def _normal_at(h, x, y):
+    """Reference bilinear-surface normal at one point, on Python floats:
+    the depth gradient of the cell holding (x, y), as an upward NED unit
+    vector."""
+    j = min(max(int(h.xs.searchsorted(x, side="right")) - 1, 0), h.cols - 2)
+    i = min(max(int(h.ys.searchsorted(y, side="right")) - 1, 0), h.rows - 2)
+    xs, ys, depth = h.xs, h.ys, h.depth
+    wx = xs.item(j + 1) - xs.item(j)
+    wy = ys.item(i + 1) - ys.item(i)
+    u = (x - xs.item(j)) / wx
+    v = (y - ys.item(i)) / wy
+    d00, d01 = depth.item(i, j), depth.item(i, j + 1)
+    d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
+    cross = d00 - d01 - d10 + d11
+    gx = (d01 - d00 + cross * v) / wx
+    gy = (d10 - d00 + cross * u) / wy
+    norm = math.sqrt(gy * gy + gx * gx + 1.0)
+    return np.array([gy / norm, gx / norm, -1.0 / norm])
+
+
 def test_batch_matches_scalar_on_rough_terrain():
     """Both entry points apply one hit rule: same hit flag and the
-    identical range and normal on every ray, misses included."""
+    identical range on every ray, misses included. The batch's normal is
+    the bilinear surface's at the hit point, bit for bit."""
     from conftest import smooth_random_grid
 
     rng = np.random.default_rng(24)
@@ -473,6 +498,7 @@ def test_batch_matches_scalar_on_rough_terrain():
             assert batch.hit[k] == (scalar is not None)
             if scalar is not None:
                 hits += 1
-                assert batch.ranges[k] == scalar.range
-                assert np.array_equal(batch.normals[k], scalar.normal)
+                assert batch.ranges[k] == scalar
+                x, y = origin.x + dirs[k, 1] * scalar, origin.y + dirs[k, 0] * scalar
+                assert np.array_equal(batch.normals[k], _normal_at(h, x, y))
         assert 0 < hits < len(dirs)

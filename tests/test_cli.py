@@ -158,6 +158,53 @@ def test_tiles_reports_non_ascii_dem_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and str(dem) in err and "non-ASCII" in err
 
 
+def test_tiles_into_a_non_empty_out_fails_and_leaves_it_untouched(tmp_path, capsys):
+    dem = tmp_path / "dem.asc"
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), dem)
+    out = tmp_path / "tiles"
+    assert cli.main(["tiles", str(dem), "--tile-size", "50", "--overlap", "5", "--out", str(out)]) == 0
+    before = _tree(out)
+    assert len(before) == 5  # tiles.csv and 4 tiles
+    capsys.readouterr()
+    # A second export with larger tiles would leave the first export's
+    # tiles next to a manifest that does not list them.
+    assert cli.main(["tiles", str(dem), "--tile-size", "100", "--overlap", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: output directory {out} is not empty\n")
+    assert _tree(out) == before
+
+
+def test_tiles_into_an_empty_existing_out(tmp_path):
+    dem = tmp_path / "dem.asc"
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), dem)
+    out = tmp_path / "tiles"
+    out.mkdir()
+    assert cli.main(["tiles", str(dem), "--tile-size", "50", "--overlap", "5", "--out", str(out)]) == 0
+    assert len(list(out.glob("*.obj"))) == 4
+
+
+# (header, problem): grids that reach beyond the Pseudo-Mercator domain.
+OFF_MERCATOR_DEMS = {
+    "north-of-85": ("xllcorner 0\nyllcorner 86\n", "latitude beyond +/-85.051129 deg cannot be projected"),
+    "rows-cross-85": ("xllcorner 0\nyllcorner 85\n", "latitude beyond +/-85.051129 deg cannot be projected"),
+    "east-of-180": ("xllcorner 200\nyllcorner 0\n", "longitude 200.0 outside [-180, 180]"),
+}
+
+
+@pytest.mark.parametrize("corner, problem", OFF_MERCATOR_DEMS.values(), ids=OFF_MERCATOR_DEMS.keys())
+def test_dem_outside_the_mercator_domain_fails_tiles_and_run(tmp_path, capsys, corner, problem):
+    dem = tmp_path / "w.asc"
+    dem.write_text(f"ncols 2\nnrows 2\n{corner}cellsize 0.1\n40 41\n42 43\n")
+    out = tmp_path / "out"
+    assert cli.main(["tiles", str(dem), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {dem}: {problem}\n")
+    assert not out.exists()
+    doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
+           "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0}}
+    assert cli.main(["run", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {dem}: {problem}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, problem", [
     ("--tile-size", "nan", "tile_size must be finite, got nan"),
     ("--tile-size", "inf", "tile_size must be finite, got inf"),
@@ -178,6 +225,16 @@ def test_distort_rejects_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "distorted.obj"
     assert cli.main(["distort", str(src), "--extent", "0.5", "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+def test_distort_reports_a_non_utf8_obj_without_traceback(tmp_path, capsys):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    src.write_bytes(src.read_bytes() + b"# made by \xff\n")
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {src}: not a UTF-8 OBJ file: byte b'\\xff'\n")
     assert not out.exists()
 
 

@@ -113,31 +113,29 @@ def test_gm_rejects_bad_dt():
 
 def test_single_constituent_anchors():
     period = 12.42 * 3600.0
-    tide = cur.TidalModel.from_constituents([cur.TidalConstituent(1.0, period, 0.0)])
+    tide = cur.TidalModel(constituents=[cur.TidalConstituent(1.0, period, 0.0)])
     assert tide.speed(0.0) == pytest.approx(1.0, abs=1e-12)
     assert tide.speed(period / 2.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_constituents_periodicity():
     # Rational period ratio 2:3 repeats every lcm = 6 s.
-    tide = cur.TidalModel.from_constituents(
-        [cur.TidalConstituent(0.5, 2.0, 0.3), cur.TidalConstituent(0.2, 3.0, -0.8)]
+    tide = cur.TidalModel(
+        constituents=[cur.TidalConstituent(0.5, 2.0, 0.3), cur.TidalConstituent(0.2, 3.0, -0.8)]
     )
     for t in np.linspace(0.0, 10.0, 23):
         assert tide.speed(t) == pytest.approx(tide.speed(t + 6.0), abs=1e-9)
 
 
 def test_series_interpolation_and_span_error():
-    tide = cur.TidalModel.from_series([0.0, 100.0], [0.0, 2.0])
+    tide = cur.TidalModel(series_times=[0.0, 100.0], series_speeds=[0.0, 2.0])
     assert tide.speed(25.0) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(cur.CurrentError):
         tide.speed(150.0)
 
 
 def test_tide_velocity_follows_heading():
-    tide = cur.TidalModel.from_constituents(
-        [cur.TidalConstituent(2.0, 10.0, 0.0)], heading=math.pi / 2.0
-    )
+    tide = cur.TidalModel(heading=math.pi / 2.0, constituents=[cur.TidalConstituent(2.0, 10.0, 0.0)])
     v = tide.velocity(0.0)  # east-flowing flood
     assert v[0] == pytest.approx(0.0, abs=1e-12)
     assert v[1] == pytest.approx(2.0, abs=1e-12)
@@ -155,16 +153,16 @@ def test_constituent_rejects_non_finite_values(field, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_tide_rejects_non_finite_heading(bad):
     with pytest.raises(cur.CurrentError, match="heading"):
-        cur.TidalModel.from_constituents([cur.TidalConstituent(0.2, 100.0)], heading=bad)
+        cur.TidalModel(constituents=[cur.TidalConstituent(0.2, 100.0)], heading=bad)
     with pytest.raises(cur.CurrentError, match="heading"):
-        cur.TidalModel.from_series([0.0, 100.0], [0.0, 2.0], heading=bad)
+        cur.TidalModel(series_times=[0.0, 100.0], series_speeds=[0.0, 2.0], heading=bad)
 
 
 def test_tide_series_rejects_non_finite_samples():
     with pytest.raises(cur.CurrentError, match="finite"):
-        cur.TidalModel.from_series([0.0, math.nan, 200.0], [0.0, 1.0, 2.0])
+        cur.TidalModel(series_times=[0.0, math.nan, 200.0], series_speeds=[0.0, 1.0, 2.0])
     with pytest.raises(cur.CurrentError, match="finite"):
-        cur.TidalModel.from_series([0.0, 100.0], [0.0, math.inf])
+        cur.TidalModel(series_times=[0.0, 100.0], series_speeds=[0.0, math.inf])
 
 
 def test_tide_series_csv_loader(tmp_path):
@@ -189,7 +187,7 @@ def test_zero_field_is_zero_everywhere():
 def test_field_sums_db_and_tide():
     field = cur.CurrentField(
         two_layer_db(),
-        tide=cur.TidalModel.from_constituents([cur.TidalConstituent(1.0, 100.0, 0.0)], heading=0.0),
+        tide=cur.TidalModel(constituents=[cur.TidalConstituent(1.0, 100.0, 0.0)], heading=0.0),
     )
     sampler = field.sampler(seed=0)
     assert np.allclose(sampler.velocity(50.0, 0.0), [1.5, 0.0, 0.0])
@@ -236,7 +234,7 @@ def test_interpolate_array_matches_scalar_calls(strata):
 def test_sampler_velocity_array_matches_scalar_calls(tide):
     field = cur.CurrentField(
         cur.StratifiedCurrentDB([cur.Stratum(5.0, (0.3, 0.1, 0.0)), cur.Stratum(60.0, (0.05, 0.0, -0.02))]),
-        tide=cur.TidalModel.from_constituents([cur.TidalConstituent(0.2, 44712.0, 0.4)], heading=0.3)
+        tide=cur.TidalModel(constituents=[cur.TidalConstituent(0.2, 44712.0, 0.4)], heading=0.3)
         if tide else None,
         gm=cur.GaussMarkovParams(mu=0.05, sigma=0.02),
     )

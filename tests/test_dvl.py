@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -15,6 +16,18 @@ from conftest import make_heightmap, flat_heightmap
 def level_pose(h, depth=0.0):
     """Sensor centered over the map at the given depth, facing north."""
     return Pose.level(float(h.xs[len(h.xs) // 2]), float(h.ys[len(h.ys) // 2]), depth)
+
+
+def measure0(pose, vel, scene, cfg, current_at=None):
+    """`measure` at the config's noise_sigma, 0 by default: numpy then
+    draws exact zeros, so the solution is the noise-free one."""
+    return dvl.measure(pose, vel, scene, current_at, cfg, np.random.default_rng(0))
+
+
+def patch_ranges(monkeypatch, ranges):
+    """Make every `measure` call see these beam ranges (it still needs a
+    scene that is not None to ask for them)."""
+    monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: np.array(ranges, dtype=float))
 
 
 @pytest.fixture
@@ -102,7 +115,7 @@ def test_degenerate_geometry_raises():
 
 def test_bottom_track_stationary(flat100):
     cfg = dvl.DvlConfig()
-    sol = dvl.bottom_track(level_pose(flat100), ned(0, 0, 0), flat100, cfg)
+    sol = measure0(level_pose(flat100), ned(0, 0, 0), flat100, cfg)
     assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
     assert np.allclose(sol.velocity, 0.0, atol=1e-12)
     assert sol.altitude == pytest.approx(50.0, abs=1e-3)
@@ -111,7 +124,7 @@ def test_bottom_track_stationary(flat100):
 def test_bottom_track_recovers_world_velocity(flat100):
     cfg = dvl.DvlConfig()
     pose = level_pose(flat100)
-    sol = dvl.bottom_track(pose, ned(1.0, 0.0, 0.0), flat100, cfg)
+    sol = measure0(pose, ned(1.0, 0.0, 0.0), flat100, cfg)
     # Level pose: sensor x is north, so the sensor-frame solution is (1,0,0).
     assert np.allclose(sol.velocity, [1.0, 0.0, 0.0], atol=1e-9)
 
@@ -129,32 +142,36 @@ def test_bottom_track_random_attitudes(flat100):
             yaw=rng.uniform(-math.pi, math.pi),
         )
         vel = rng.uniform(-1.5, 1.5, 3)
-        sol = dvl.bottom_track(pose, vel, flat100, cfg)
+        sol = measure0(pose, vel, flat100, cfg)
         assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
         assert np.allclose(sol.velocity, pose.to_body(vel), atol=1e-9)
 
 
-def test_two_beam_hit_is_not_bottom_track():
+def test_two_beam_hit_is_not_bottom_track(monkeypatch, flat100):
     pose = Pose.level(0.0, 0.0, 0.0)
     cfg = dvl.DvlConfig()
-    ranges = np.array([40.0, 40.0, np.nan, np.nan])
-    sol = dvl.solution_from_ranges(pose, ned(1, 0, 0), ranges, cfg)
+    patch_ranges(monkeypatch, [40.0, 40.0, np.nan, np.nan])
+    sol = measure0(pose, ned(1, 0, 0), flat100, cfg)
     assert sol.mode is not dvl.TrackingMode.BOTTOM_TRACK
 
 
-def test_mode_priority_all_16_patterns():
+def test_mode_priority_all_16_patterns(monkeypatch, flat100):
     pose = Pose.level(0.0, 0.0, 0.0)
     vel = ned(0.5, -0.2, 0.1)
     for pattern in itertools.product([True, False], repeat=4):
-        ranges = np.where(pattern, 45.0, np.nan)
+        patch_ranges(monkeypatch, np.where(pattern, 45.0, np.nan))
         n_hits = sum(pattern)
         for enabled in (True, False):
             cfg = dvl.DvlConfig(water_track_enabled=enabled)
-            sol = dvl.solution_from_ranges(pose, vel, ranges, cfg)
+            sol = measure0(pose, vel, flat100, cfg)  # no current: no water track
+            with_current = measure0(pose, vel, flat100, cfg, lambda depth: np.zeros(3))
             if n_hits >= 3:
                 assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
+                assert with_current.mode is dvl.TrackingMode.BOTTOM_TRACK
             else:
                 assert sol.mode is dvl.TrackingMode.NONE
+                expected = dvl.TrackingMode.WATER_TRACK if enabled else dvl.TrackingMode.NONE
+                assert with_current.mode is expected
                 fallback = dvl.measure(
                     pose, vel, None, lambda depth: np.zeros(3), cfg,
                     np.random.default_rng(0),
@@ -166,16 +183,14 @@ def test_mode_priority_all_16_patterns():
 def test_water_track_drifting_with_current_reads_zero():
     cfg = dvl.DvlConfig()
     current = ned(0.3, -0.1, 0.0)
-    sol = dvl.water_track(Pose.level(0, 0, 10.0), current, lambda depth: current, cfg)
+    sol = measure0(Pose.level(0, 0, 10.0), current, None, cfg, lambda depth: current)
     assert sol.mode is dvl.TrackingMode.WATER_TRACK
     assert np.allclose(sol.velocity, 0.0, atol=1e-12)
 
 
 def test_water_track_stationary_in_current():
     cfg = dvl.DvlConfig()
-    sol = dvl.water_track(
-        Pose.level(0, 0, 10.0), ned(0, 0, 0), lambda depth: ned(0.3, 0.0, 0.0), cfg
-    )
+    sol = measure0(Pose.level(0, 0, 10.0), ned(0, 0, 0), None, cfg, lambda depth: ned(0.3, 0.0, 0.0))
     # Level pose: sensor x axis is north, so -0.3 on x.
     assert np.allclose(sol.velocity, [-0.3, 0.0, 0.0], atol=1e-12)
 
@@ -188,7 +203,7 @@ def test_water_track_samples_sensor_depth():
         seen.append(depth)
         return ned(0, 0, 0)
 
-    dvl.water_track(Pose.level(0, 0, 23.5), ned(0, 0, 0), current, cfg)
+    measure0(Pose.level(0, 0, 23.5), ned(0, 0, 0), None, cfg, current)
     assert seen == [23.5]
 
 
@@ -205,33 +220,36 @@ def test_measure_none_when_water_track_disabled():
 def test_zero_noise_is_identity(flat100):
     cfg = dvl.DvlConfig()
     pose = level_pose(flat100)
-    clean = dvl.bottom_track(pose, ned(0.7, 0.2, 0.0), flat100, cfg)
-    noisy = dvl.add_beam_noise(clean, 0.0, np.random.default_rng(3), cfg)
-    assert noisy.noisy
-    assert np.allclose(noisy.velocity, clean.velocity, atol=0.0)
-    assert np.array_equal(noisy.beam_velocities, clean.beam_velocities)
+    vel = ned(0.7, 0.2, 0.0)
+    rng = np.random.default_rng(3)
+    sol = dvl.measure(pose, vel, flat100, None, cfg, rng)
+    clean = cfg.beams @ pose.to_body(vel)
+    assert np.array_equal(sol.beam_velocities, clean)
+    assert np.array_equal(sol.velocity, dvl.solve_velocity(cfg.beams, clean))
+    ref = np.random.default_rng(3)
+    ref.normal(0.0, 0.0, 4)
+    assert rng.bit_generator.state == ref.bit_generator.state  # the 4 draws are still made
 
 
 def test_noise_deterministic_under_seed(flat100):
-    cfg = dvl.DvlConfig()
+    cfg = dvl.DvlConfig(noise_sigma=0.01)
     pose = level_pose(flat100)
-    clean = dvl.bottom_track(pose, ned(0.7, 0.2, 0.0), flat100, cfg)
-    a = dvl.add_beam_noise(clean, 0.01, np.random.default_rng(42), cfg)
-    b = dvl.add_beam_noise(clean, 0.01, np.random.default_rng(42), cfg)
+    a = dvl.measure(pose, ned(0.7, 0.2, 0.0), flat100, None, cfg, np.random.default_rng(42))
+    b = dvl.measure(pose, ned(0.7, 0.2, 0.0), flat100, None, cfg, np.random.default_rng(42))
     assert np.array_equal(a.velocity, b.velocity)
 
 
-def test_noise_covariance_matches_linear_propagation():
+def test_noise_covariance_matches_linear_propagation(monkeypatch, flat100):
     # Velocity noise should follow (B^T B)^-1 sigma^2 through the solve.
-    cfg = dvl.DvlConfig()
-    pose = Pose.level(0.0, 0.0, 0.0)
-    clean = dvl.solution_from_ranges(pose, ned(0, 0, 0), np.full(4, 40.0), cfg)
     sigma = 0.01
+    cfg = dvl.DvlConfig(noise_sigma=sigma)
+    pose = Pose.level(0.0, 0.0, 0.0)
+    patch_ranges(monkeypatch, np.full(4, 40.0))
     rng = np.random.default_rng(63)
     trials = 10_000
     vs = np.empty((trials, 3))
     for k in range(trials):
-        vs[k] = dvl.add_beam_noise(clean, sigma, rng, cfg).velocity
+        vs[k] = dvl.measure(pose, ned(0, 0, 0), flat100, None, cfg, rng).velocity
     b = np.asarray(cfg.beams)
     cov_expected = np.linalg.inv(b.T @ b) * sigma**2
     assert np.allclose(np.abs(vs.mean(axis=0)), 0.0, atol=5e-4)
@@ -340,8 +358,8 @@ def test_config_validation():
 def test_log_row_format(flat100, tmp_path):
     cfg = dvl.DvlConfig()
     pose = level_pose(flat100)
-    sol = dvl.bottom_track(pose, ned(0, 0, 0), flat100, cfg)
-    untracked = dvl.solution_from_ranges(pose, ned(0, 0, 0), np.full(4, np.nan), cfg)
+    sol = measure0(pose, ned(0, 0, 0), flat100, cfg)
+    untracked = measure0(pose, ned(0, 0, 0), None, cfg)
     with CsvLog(tmp_path / "dvl.csv", dvl.LOG_HEADER) as log:
         log.row(dvl.log_row(12.5, sol))
         log.row(dvl.log_row(13.0, untracked))
@@ -363,7 +381,6 @@ def test_measure_full_chain_bottom_with_noise(flat100):
         cfg, np.random.default_rng(12),
     )
     assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
-    assert sol.noisy
     assert np.all(np.isfinite(sol.velocity))
     assert abs(sol.velocity[0] - 0.5) < 0.05  # noise-scale deviation only
 
@@ -441,8 +458,9 @@ def _full_field_sampler(seed):
             cur.Stratum(20.0, (0.1, -0.2, 0.01)),
             cur.Stratum(60.0, (0.05, 0.0, -0.02)),
         ]),
-        tide=cur.TidalModel.from_constituents(
-            [cur.TidalConstituent(0.2, 44712.0), cur.TidalConstituent(0.05, 86164.0, 0.7)], heading=0.3
+        tide=cur.TidalModel(
+            heading=0.3,
+            constituents=[cur.TidalConstituent(0.2, 44712.0), cur.TidalConstituent(0.05, 86164.0, 0.7)],
         ),
         gm=cur.GaussMarkovParams(mu=0.05, sigma=0.02, bound=1.0),
     )
@@ -481,8 +499,9 @@ def test_profile_matches_per_bin_reference(mode, sigma):
 
 
 def _measure_reference(pose, vel_world, ranges, current_at, cfg, rng):
-    """The two-solve chain `measure` replaces: solve the noise-free beam
-    scalars, then let the noise step solve the noisy ones."""
+    """The two-solve chain `measure` replaced: solve the noise-free beam
+    scalars, then draw four noise values in every mode and solve the
+    noisy scalars of the valid beams."""
     hits = np.isfinite(ranges)
     if hits.sum() >= 3:
         scalars = np.where(hits, cfg.beams @ pose.to_body(vel_world), np.nan)
@@ -502,7 +521,13 @@ def _measure_reference(pose, vel_world, ranges, current_at, cfg, rng):
             velocity=None, altitude=None, mode=dvl.TrackingMode.NONE,
             beam_ranges=ranges, beam_velocities=np.full(4, np.nan),
         )
-    return dvl.add_beam_noise(clean, cfg.noise_sigma, rng, cfg)
+    noise = rng.normal(0.0, cfg.noise_sigma, 4)
+    if clean.mode is dvl.TrackingMode.NONE:
+        return clean
+    valid = np.isfinite(clean.beam_velocities)
+    noisy = np.where(valid, clean.beam_velocities + noise, np.nan)
+    return dataclasses.replace(clean, velocity=np.linalg.lstsq(cfg.beams[valid], noisy[valid], rcond=None)[0],
+                               beam_velocities=noisy)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
@@ -513,7 +538,7 @@ def test_measure_matches_two_solve_reference(monkeypatch, flat100, sigma):
         for enabled in (True, False):
             cfg = dvl.DvlConfig(noise_sigma=sigma, water_track_enabled=enabled)
             ranges = np.where(pattern, rng.uniform(5.0, 60.0, 4), np.nan)
-            monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: ranges.copy())
+            patch_ranges(monkeypatch, ranges)
             pose = _random_pose(rng)
             vel = rng.uniform(-2.0, 2.0, 3)
             current_at = lambda d: sampler.velocity(d, 100.0)
@@ -527,5 +552,4 @@ def test_measure_matches_two_solve_reference(monkeypatch, flat100, sigma):
             assert got.altitude == ref.altitude
             assert np.array_equal(got.beam_ranges, ref.beam_ranges, equal_nan=True)
             assert np.array_equal(got.beam_velocities, ref.beam_velocities, equal_nan=True)
-            assert got.noisy and ref.noisy
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -5,9 +5,8 @@ import pytest
 
 from subsim.geometry import (
     Pose,
-    WorldPoint,
     body_to_ned_rotation,
-    ned,
+    fan_directions,
     rotation_zyx,
     rpy_from_rotation,
 )
@@ -49,11 +48,18 @@ def test_rpy_round_trip():
         assert np.allclose(recovered, angles, atol=1e-9)
 
 
-def test_world_point_moves_along_ned():
-    p = WorldPoint(100.0, 200.0, 30.0).moved(ned(1.0, 0.0, 0.0), 5.0)
-    assert (p.x, p.y, p.depth) == (100.0, 205.0, 30.0)
-    p = WorldPoint(0.0, 0.0, 0.0).moved(ned(0.0, 2.0, -1.0), 1.0)
-    assert (p.x, p.y, p.depth) == (2.0, 0.0, -1.0)
+def test_fan_directions_are_azimuth_major_unit_vectors():
+    az = np.radians([-30.0, 0.0, 45.0])
+    el = np.radians([-10.0, 20.0])
+    dirs = fan_directions(az, el)
+    assert dirs.shape == (6, 3)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+    for a in range(3):
+        for e in range(2):
+            d = dirs[a * 2 + e]
+            assert math.atan2(d[1], d[0]) == pytest.approx(az[a], abs=1e-15)  # positive left
+            assert math.asin(d[2]) == pytest.approx(el[e], abs=1e-15)  # positive up
+    assert np.array_equal(fan_directions(np.zeros(1), np.zeros(1)), [[1.0, 0.0, 0.0]])
 
 
 def test_pose_world_body_round_trip():

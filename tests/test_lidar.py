@@ -84,6 +84,17 @@ def test_empty_scene_gives_empty_cloud():
     h = flat_heightmap(500.0, n=11, cell_m=10.0)  # bottom far beyond range
     cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h, SMALL)
     assert len(cloud.points) == 0
+    # No hits take the same path as any other scan: size-0 arrays, and a
+    # range-noise draw of size 0 leaves the rng where it was.
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h,
+                       dataclasses.replace(SMALL, range_noise_sigma=0.05), rng)
+    assert cloud.points.shape == (0, 3) and cloud.points.dtype == np.float64
+    assert cloud.ranges.shape == (0,) and cloud.ranges.dtype == np.float64
+    assert cloud.h_index.shape == cloud.v_index.shape == (0,)
+    assert cloud.h_index.dtype == cloud.v_index.dtype == np.int64
+    assert rng.bit_generator.state == state
 
 
 def test_wall_beyond_max_range_gives_empty_cloud():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -46,7 +47,7 @@ def test_beam_pattern_peak_and_null():
 
 
 def test_zero_scatterers_zero_spectrum():
-    s = sonar.beam_spectra(sonar.ScattererSet.empty(), SMALL)
+    s = sonar.beam_spectra(sonar.ScattererSet(*[np.zeros(0)] * 5), SMALL)
     assert s.shape == (SMALL.n_beams, SMALL.spectral_bins)
     assert np.all(s == 0.0)
 
@@ -265,6 +266,15 @@ def test_gather_open_water_is_empty():
                             speckle_enabled=False)
     scat = sonar.gather_scatterers(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, cfg)
     assert len(scat) == 0
+    # No hits take the same path as any other fan: size-0 arrays, and a
+    # speckle draw of size 0 leaves the rng where it was.
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    scat = sonar.gather_scatterers(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h,
+                                   dataclasses.replace(cfg, speckle_enabled=True), rng)
+    for a in (scat.ranges, scat.azimuths, scat.incidences, scat.amplitudes, scat.micro_phases):
+        assert a.shape == (0,) and a.dtype == np.float64
+    assert rng.bit_generator.state == state
 
 
 def test_gather_normal_plate_at_10m():
