@@ -10,6 +10,7 @@ against the bilinear surface over those world-space nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -73,6 +74,11 @@ class Heightmap:
         self.xs.setflags(write=False)
         self.ys.setflags(write=False)
 
+    @functools.cached_property
+    def _flat_depth(self) -> np.ndarray:
+        """`depth` in C order as one flat array, for the raycasts' corner gathers."""
+        return np.ascontiguousarray(self.depth).ravel()
+
     @property
     def rows(self) -> int:
         return self.depth.shape[0]
@@ -97,8 +103,8 @@ def load_heightmap(path) -> Heightmap:
     Header keys: ncols, nrows, xllcorner, yllcorner, cellsize, and an
     optional nodata_value; values follow row-major with the north row
     first. Raises HeightmapError naming the offending line on parse
-    problems, and naming the file on value-count mismatches and on a grid
-    outside the Pseudo-Mercator domain.
+    problems, and naming the file on value-count mismatches, on a grid
+    outside the Pseudo-Mercator domain, and on a grid `Heightmap` refuses.
     """
     path = Path(path)
     try:
@@ -129,7 +135,7 @@ def load_heightmap(path) -> Heightmap:
     try:
         origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
         return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
-    except ProjectionError as err:
+    except (ProjectionError, HeightmapError) as err:
         raise HeightmapError(f"{path}: {err}") from None
 
 
@@ -228,27 +234,15 @@ def depth_at_xy(h: Heightmap, x, y, clamp: bool = False) -> np.ndarray:
     return d
 
 
-def surface_gradient_xy(h: Heightmap, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """d(depth)/dx and d(depth)/dy of the bilinear surface (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def surface_normals(h: Heightmap, x, y) -> np.ndarray:
+    """Upward unit normals of the bilinear surface at points (x, y), as
+    (..., 3) NED vectors from its depth gradients (vectorized)."""
     i, j = _cell_indices(h, x, y)
-    wx = h.xs[j + 1] - h.xs[j]
-    wy = h.ys[i + 1] - h.ys[i]
-    u = (x - h.xs[j]) / wx
-    v = (y - h.ys[i]) / wy
-    d00 = h.depth[i, j]
-    dx10 = h.depth[i, j + 1] - d00
-    dy01 = h.depth[i + 1, j] - d00
-    cross = d00 - h.depth[i, j + 1] - h.depth[i + 1, j] + h.depth[i + 1, j + 1]
-    gx = (dx10 + cross * v) / wx
-    gy = (dy01 + cross * u) / wy
-    return gx, gy
-
-
-def _surface_normal(gx, gy) -> np.ndarray:
-    """Upward unit normal as a NED vector from surface depth gradients."""
-    n = np.stack(np.broadcast_arrays(gy, gx, -np.ones_like(np.asarray(gx, dtype=float))), axis=-1)
+    wx, wy = h.xs[j + 1] - h.xs[j], h.ys[i + 1] - h.ys[i]
+    _, bu, cv, e = _patch_terms(h, i, j)
+    gx = (bu + e * ((y - h.ys[i]) / wy)) / wx
+    gy = (cv + e * ((x - h.xs[j]) / wx)) / wy
+    n = np.stack([gy, gx, -np.ones_like(gx)], axis=-1)
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
@@ -266,43 +260,49 @@ def _solve_quadratic(q2: float, q1: float, q0: float) -> list[float]:
     return sorted([tmp / q2, q0 / tmp] if tmp != 0.0 else [0.0, -q1 / q2])
 
 
-def _segment_stops(q0, q1, q2, span) -> np.ndarray:
+def _segment_stops(q0, q1, q2, span) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise `_solve_quadratic` roots inside (0, span], then span,
-    padded with inf to three columns: the ends of the segments on which
-    the gap keeps one sign."""
+    padded with inf to three stops: the ends of the segments on which
+    the gap keeps one sign. A second stop of inf means no root."""
     sq = np.sqrt(q1 * q1 - 4.0 * q2 * q0)  # NaN: no real root
     tmp = np.where(q1 >= 0.0, -(q1 + sq) / 2.0, -(q1 - sq) / 2.0)
     r_a = np.where(tmp != 0.0, tmp / q2, 0.0)
     r_b = np.where(tmp != 0.0, q0 / tmp, -q1 / q2)
     quad = q2 != 0.0
-    roots = np.stack(
-        [np.where(quad, np.minimum(r_a, r_b), -q0 / q1), np.where(quad, np.maximum(r_a, r_b), np.nan)],
-        axis=1,
-    )
-    roots[~((roots > 0.0) & (roots <= span[:, None]))] = np.inf
-    return np.sort(np.column_stack([roots, span]), axis=1)
+    lo = np.where(quad, np.minimum(r_a, r_b), -q0 / q1)
+    hi = np.where(quad, np.maximum(r_a, r_b), np.nan)
+    lo_in, hi_in = (lo > 0.0) & (lo <= span), (hi > 0.0) & (hi <= span)
+    # lo <= hi: the roots inside come first, in this order, then span.
+    first = np.where(lo_in, lo, np.where(hi_in, hi, span))
+    second = np.where(lo_in & hi_in, hi, np.where(lo_in | hi_in, span, np.inf))
+    return first, second, np.where(lo_in & hi_in, span, np.inf)
 
 
-def _patch_coefficients(h: Heightmap, i, j, x0, y0, z0, dn, de, dd, t_lo):
-    """Coefficients (q0, q1, q2) of the signed ray/surface gap over cell
-    (i, j)'s bilinear patch: f(s) = q2 s^2 + q1 s + q0 is the ray's depth
-    minus the surface depth at t_lo + s (s measured from the cell entry
-    for conditioning). Elementwise over arrays of cells and rays; a
-    nodata corner makes q0 NaN."""
-    wx = h.xs[j + 1] - h.xs[j]
-    wy = h.ys[i + 1] - h.ys[i]
-    d00 = h.depth[i, j]
-    bu = h.depth[i, j + 1] - d00
-    cv = h.depth[i + 1, j] - d00
-    e = d00 - h.depth[i, j + 1] - h.depth[i + 1, j] + h.depth[i + 1, j + 1]
-    u0 = (x0 + de * t_lo - h.xs[j]) / wx
-    v0 = (y0 + dn * t_lo - h.ys[i]) / wy
-    du = de / wx
-    dv = dn / wy
+def _cell_patches(h: Heightmap, i, j, x0, y0, z0, dn, de, dd, t_lo):
+    """For rays in cells (i, j) entered at t_lo: the ray parameters t_x
+    and t_y at which each leaves its cell through an x and a y edge, and
+    the gap f(s) = q2 s^2 + q1 s + q0 of the ray's depth over the cell's
+    bilinear surface at t_lo + s (s counts from the cell entry, for
+    conditioning) as (q0, q1, q2); a nodata corner makes q0 NaN."""
+    x_j, x_j1, y_i, y_i1 = h.xs.take(j), h.xs[1:].take(j), h.ys.take(i), h.ys[1:].take(i)
+    t_x = np.where(de != 0.0, (np.where(de > 0.0, x_j1, x_j) - x0) / de, np.inf)
+    t_y = np.where(dn != 0.0, (np.where(dn > 0.0, y_i1, y_i) - y0) / dn, np.inf)
+    wx, wy = x_j1 - x_j, y_i1 - y_i
+    u0, v0, du, dv = (x0 + de * t_lo - x_j) / wx, (y0 + dn * t_lo - y_i) / wy, de / wx, dn / wy
+    del x_j, x_j1, y_i, y_i1, wx, wy  # a large fan's peak memory is here
+    d00, bu, cv, e = _patch_terms(h, i, j)
     q0 = z0 + dd * t_lo - d00 - bu * u0 - cv * v0 - e * u0 * v0
     q1 = dd - bu * du - cv * dv - e * (u0 * dv + v0 * du)
     q2 = -e * du * dv
-    return q0, q1, q2
+    return t_x, t_y, q0, q1, q2
+
+
+def _patch_terms(h: Heightmap, i, j):
+    """The bilinear depth d00 + bu u + cv v + e u v of cells (i, j) over
+    the unit square, as (d00, bu, cv, e); NaN at a nodata corner."""
+    f, cols, depth = h.cols * i + j, h.cols, h._flat_depth
+    d00, d01, d10 = depth.take(f), depth[1:].take(f), depth[cols:].take(f)
+    return d00, d01 - d00, d10 - d00, d00 - d01 - d10 + depth[cols + 1 :].take(f)
 
 
 def _gap(q0, q1, q2, s):
@@ -319,7 +319,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     hit once the ray penetrates the surface by at least RAYCAST_TOL_M;
     shallower grazes are misses. Cells touching nodata nodes are holes.
     Returns None on a miss. `raycast_batch` applies the same rule to many
-    rays at once and also gives the surface normals.
+    rays at once.
 
     The walk runs on plain Python floats: every value is the same IEEE
     operation, in the same order, as in `raycast_batch`, so the two agree
@@ -373,7 +373,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
         t_y = (ys.item(i + (dn > 0.0)) - y0) / dn if dn != 0.0 else math.inf
         t_hi = min(t_x, t_y, t_exit)
 
-        # `_patch_coefficients` for one cell; a nodata corner makes q0 NaN.
+        # `_cell_patches` for one cell; a nodata corner makes q0 NaN.
         x_j, y_i = xs.item(j), ys.item(i)
         wx = xs.item(j + 1) - x_j
         wy = ys.item(i + 1) - y_i
@@ -438,13 +438,15 @@ def _cell_of(h: Heightmap, x: float, y: float) -> tuple[int, int]:
     return i, j
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BatchHits:
-    """Vectorized raycast results: NaN range where a ray missed."""
+    """A ray fan's `raycast` ranges: NaN where a ray missed."""
 
     ranges: np.ndarray  # (N,)
-    normals: np.ndarray  # (N, 3) NED, NaN rows on miss
-    hit: np.ndarray  # (N,) bool
+
+    @property
+    def hit(self) -> np.ndarray:
+        return ~np.isnan(self.ranges)
 
 
 def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_range: float) -> BatchHits:
@@ -453,82 +455,91 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     Each pass of the loop moves every unfinished ray one cell along its
     own traversal and runs `raycast`'s crossing tracker over that cell's
     patch, so hits and ranges are bit-identical to one `raycast` call per
-    ray. The normals are the bilinear surface's at each hit point. Used
-    by the lidar and sonar ray fans.
+    ray. Used by the lidar and sonar ray fans; `surface_normals` gives the
+    terrain normals at the hit points.
     """
     dirs = np.asarray(directions, dtype=float)
-    n = len(dirs)
     x0, y0, z0 = origin.x, origin.y, origin.depth
     if not math.isfinite(x0 + y0 + z0):
         raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
-    x_min, y_min, x_max, y_max = h.extent
     eps_t = 1e-12 * max(1.0, max_range)
-    ranges = np.full(n, np.nan)
-    normals = np.full((n, 3), np.nan)
-    hit = np.zeros(n, dtype=bool)
+    ranges = np.full(len(dirs), np.nan)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Clip every ray to the horizontal extent.
-        t_enter, t_exit = np.zeros(n), np.full(n, float(max_range))
-        inside = np.ones(n, dtype=bool)
-        for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
-            moving = comp != 0.0
-            ta = (lo - pos) / comp
-            tb = (hi - pos) / comp
-            t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
-            t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
-            inside &= moving | (lo <= pos <= hi)
-
         # Per-ray state of the unfinished rays, indexed like `ray`.
-        ray = np.flatnonzero(inside & (t_enter < t_exit - eps_t))
-        dn, de, dd = dirs[ray, 0], dirs[ray, 1], dirs[ray, 2]
-        t_lo, t_exit = t_enter[ray], t_exit[ray]
-        probe = np.minimum(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
-        i, j = _cell_indices(h, x0 + de * probe, y0 + dn * probe)
+        ray, dn, de, dd, t_lo, t_exit, i, j = _entries(h, x0, y0, dirs, max_range, eps_t)
         sign, crossing, max_pen = np.zeros(ray.size), np.full(ray.size, np.nan), np.zeros(ray.size)
 
         while ray.size:
-            t_x = np.where(de != 0.0, (h.xs[j + (de > 0.0)] - x0) / de, np.inf)
-            t_y = np.where(dn != 0.0, (h.ys[i + (dn > 0.0)] - y0) / dn, np.inf)
+            t_x, t_y, q0, q1, q2 = _cell_patches(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
             t_hi = np.minimum(np.minimum(t_x, t_y), t_exit)
-
-            q0, q1, q2 = _patch_coefficients(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
             hole = np.isnan(q0)
             sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
             walk = ~hole & (t_hi > t_lo) & (t_hi > 0.0)
             new = walk & (sign == 0.0)
             sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
             stops = _segment_stops(q0, q1, q2, t_hi - t_lo)
+            # A first segment whose midpoint is on the ray's original side
+            # is a graze, which resets the tracker. Only rays with a root in
+            # the cell, or off their side in it, enter the segment loop.
+            graze = walk & ((_gap(q0, q1, q2, stops[0] / 2.0) <= 0.0) == (sign < 0.0))
+            crossing[graze], max_pen[graze] = np.nan, 0.0
             fired = np.zeros(ray.size, dtype=bool)
+            r = np.flatnonzero(walk & ~(graze & (stops[1] == np.inf)))
             for k in range(3):
-                r = np.flatnonzero(walk & ~fired & (stops[:, k] < np.inf))
-                a0, a1, a2, sg = q0[r], q1[r], q2[r], sign[r]
-                s0 = stops[r, k - 1] if k else np.zeros(r.size)
-                s1 = stops[r, k]
+                m = r[~graze[r]] if k == 0 else r[~fired[r] & (stops[k][r] < np.inf)]
+                a0, a1, a2, sg = q0[m], q1[m], q2[m], sign[m]
+                s0 = stops[k - 1][m] if k else np.zeros(m.size)
+                s1 = stops[k][m]
                 pen = np.maximum(np.maximum(-sg * _gap(a0, a1, a2, s0), -sg * _gap(a0, a1, a2, s1)), 0.0)
                 vertex = -a1 / (2.0 * a2)
                 inner = (a2 != 0.0) & (s0 < vertex) & (vertex < s1)
                 pen = np.where(inner, np.maximum(pen, -sg * _gap(a0, a1, a2, vertex)), pen)
-                graze = (_gap(a0, a1, a2, (s0 + s1) / 2.0) <= 0.0) == (sg < 0.0)
-                pending = np.isnan(crossing[r])
-                cr = np.where(pending, t_lo[r] + s0, crossing[r])
-                mp = np.maximum(np.where(pending, 0.0, max_pen[r]), pen)
-                crossing[r] = np.where(graze, np.nan, cr)
-                max_pen[r] = np.where(graze, 0.0, mp)
-                fired[r] = ~graze & (mp >= RAYCAST_TOL_M) & (cr > 1e-9)
+                off = (_gap(a0, a1, a2, (s0 + s1) / 2.0) <= 0.0) != (sg < 0.0)
+                pending = np.isnan(crossing[m])
+                cr = np.where(pending, t_lo[m] + s0, crossing[m])
+                mp = np.maximum(np.where(pending, 0.0, max_pen[m]), pen)
+                crossing[m] = np.where(off, cr, np.nan)
+                max_pen[m] = np.where(off, mp, 0.0)
+                fired[m] = off & (mp >= RAYCAST_TOL_M) & (cr > 1e-9)
             got = fired & (crossing <= max_range)
             ranges[ray[got]] = crossing[got]
-            hit[ray[got]] = True
 
             # Advance to the neighbouring cell(s); ties cross the corner.
             j = j + np.where(t_x <= t_y, np.where(de > 0.0, 1, -1), 0)
             i = i + np.where(t_y <= t_x, np.where(dn > 0.0, 1, -1), 0)
-            keep = ~fired & (t_hi < t_exit - eps_t) & (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
+            on_grid = (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
+            keep = np.flatnonzero(~fired & (t_hi < t_exit - eps_t) & on_grid)
             ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
-                a[keep] for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
+                a.take(keep) for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
             )
+    return BatchHits(ranges)
 
-    idx = np.flatnonzero(hit)
-    gx, gy = surface_gradient_xy(h, x0 + dirs[idx, 1] * ranges[idx], y0 + dirs[idx, 0] * ranges[idx])
-    normals[idx] = _surface_normal(gx, gy)
-    return BatchHits(ranges=ranges, normals=normals, hit=hit)
+
+def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: float):
+    """The rays that cross the horizontal extent within max_range, as
+    (ray, dn, de, dd, t_lo, t_exit, i, j): index, direction, the ray
+    parameters where each enters and leaves the extent, and the cell
+    holding its position probed slightly past t_lo, as in `raycast`
+    (searched for only where the probe leaves the origin's cell)."""
+    n = len(dirs)
+    x_min, y_min, x_max, y_max = h.extent
+    t_enter, t_exit = np.zeros(n), np.full(n, float(max_range))
+    inside = np.ones(n, dtype=bool)
+    for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
+        moving = comp != 0.0
+        ta = (lo - pos) / comp
+        tb = (hi - pos) / comp
+        t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
+        t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
+        inside &= moving | (lo <= pos <= hi)
+    ray = np.flatnonzero(inside & (t_enter < t_exit - eps_t))
+    dn, de, dd = dirs[ray, 0], dirs[ray, 1], dirs[ray, 2]
+    t_lo, t_exit = t_enter[ray], t_exit[ray]
+    probe = np.minimum(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
+    x, y = x0 + de * probe, y0 + dn * probe
+    i0, j0 = _cell_of(h, x0, y0)
+    i, j = np.full(ray.size, i0), np.full(ray.size, j0)
+    out = np.flatnonzero(~((h.xs[j0] <= x) & (x < h.xs[j0 + 1]) & (h.ys[i0] <= y) & (y < h.ys[i0 + 1])))
+    i[out], j[out] = _cell_indices(h, x[out], y[out])
+    return ray, dn, de, dd, t_lo, t_exit, i, j

@@ -123,23 +123,27 @@ class TidalModel:
 
 
 def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (epoch_seconds, speed_mps) rows; a header row is skipped."""
+    """Read (epoch_seconds, speed_mps) rows of a UTF-8 CSV; a header row is skipped."""
     times, speeds = [], []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CurrentError(f"{path}:{reader.line_num}: expected 2 fields (time, speed), got {row}")
-            try:
-                t, s = float(row[0]), float(row[1])
-            except ValueError:
-                if not times:
-                    continue  # header
-                raise CurrentError(f"{path}:{reader.line_num}: bad tide series row: {row}") from None
-            times.append(t)
-            speeds.append(s)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CurrentError(f"{path}:{reader.line_num}: expected 2 fields (time, speed), got {row}")
+                try:
+                    t, s = float(row[0]), float(row[1])
+                except ValueError:
+                    if not times:
+                        continue  # header
+                    raise CurrentError(f"{path}:{reader.line_num}: bad tide series row: {row}") from None
+                times.append(t)
+                speeds.append(s)
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise CurrentError(f"{path}: not a UTF-8 CSV file: byte {bad!r}") from None
     return np.array(times), np.array(speeds)
 
 

@@ -90,33 +90,18 @@ def scan(
     rot = pose.rotation @ mount_rotation(cfg)
     dirs_world = fan_directions(az, el) @ rot.T
 
-    h_idx_all = np.repeat(np.arange(n_h), n_v)
-    v_idx_all = np.tile(np.arange(n_v), n_h)
-
-    points, ranges, h_idx, v_idx = [], [], [], []
-    for start in range(0, len(dirs_world), _RAY_CHUNK):
-        stop = min(start + _RAY_CHUNK, len(dirs_world))
-        block = dirs_world[start:stop]
-        hits = raycast_batch(scene, pose.position, block, cfg.max_range)
-        mask = hits.hit
-        r = hits.ranges[mask]
-        if cfg.range_noise_sigma > 0.0 and rng is not None:
-            r = r + rng.normal(0.0, cfg.range_noise_sigma, r.shape)
-        d = block[mask]
-        px = pose.position.x + d[:, 1] * r
-        py = pose.position.y + d[:, 0] * r
-        pz = pose.position.depth + d[:, 2] * r
-        points.append(np.stack([px, py, pz], axis=-1))
-        ranges.append(r)
-        h_idx.append(h_idx_all[start:stop][mask])
-        v_idx.append(v_idx_all[start:stop][mask])
-
-    return LidarScan(
-        points=np.concatenate(points),
-        ranges=np.concatenate(ranges),
-        h_index=np.concatenate(h_idx),
-        v_index=np.concatenate(v_idx),
-    )
+    o = pose.position
+    ranges = np.concatenate([
+        raycast_batch(scene, o, dirs_world[start : start + _RAY_CHUNK], cfg.max_range).ranges
+        for start in range(0, len(dirs_world), _RAY_CHUNK)
+    ])
+    hit = np.flatnonzero(~np.isnan(ranges))
+    r = ranges[hit]
+    if cfg.range_noise_sigma > 0.0 and rng is not None:
+        r = r + rng.normal(0.0, cfg.range_noise_sigma, r.shape)
+    d = dirs_world[hit]
+    points = np.stack([o.x + d[:, 1] * r, o.y + d[:, 0] * r, o.depth + d[:, 2] * r], axis=-1)
+    return LidarScan(points=points, ranges=r, h_index=hit // n_v, v_index=hit % n_v)
 
 
 # One PLY vertex: x/y/z in meters (z up = -depth) as float64, which keeps

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bathymetry import Heightmap, raycast_batch
+from .bathymetry import Heightmap, raycast_batch, surface_normals
 from .geometry import Pose, fan_directions
 from .output import write_g17
 
@@ -153,8 +153,8 @@ def gather_scatterers(
     hits = raycast_batch(scene, pose.position, dirs_world, cfg.max_range)
     mask = hits.hit
     ranges = hits.ranges[mask]
-    normals = hits.normals[mask]
     d = dirs_world[mask]
+    normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
     cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
     incidence = np.arccos(cos_inc)
     amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2

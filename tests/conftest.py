@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,26 @@ def smooth_random_grid(rng, shape, base=40.0, relief=8.0, passes=4):
     for _ in range(passes):
         g = (g + np.roll(g, 1, 0) + np.roll(g, -1, 0) + np.roll(g, 1, 1) + np.roll(g, -1, 1)) / 5.0
     return base + relief * g / np.max(np.abs(g))
+
+
+def normal_at(h, x, y):
+    """Reference bilinear-surface normal at one point, on Python floats:
+    the depth gradient of the cell holding (x, y), as an upward NED unit
+    vector."""
+    j = min(max(int(h.xs.searchsorted(x, side="right")) - 1, 0), h.cols - 2)
+    i = min(max(int(h.ys.searchsorted(y, side="right")) - 1, 0), h.rows - 2)
+    xs, ys, depth = h.xs, h.ys, h.depth
+    wx = xs.item(j + 1) - xs.item(j)
+    wy = ys.item(i + 1) - ys.item(i)
+    u = (x - xs.item(j)) / wx
+    v = (y - ys.item(i)) / wy
+    d00, d01 = depth.item(i, j), depth.item(i, j + 1)
+    d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
+    cross = d00 - d01 - d10 + d11
+    gx = (d01 - d00 + cross * v) / wx
+    gy = (d10 - d00 + cross * u) / wy
+    norm = math.sqrt(gy * gy + gx * gx + 1.0)
+    return np.array([gy / norm, gx / norm, -1.0 / norm])
 
 
 @pytest.fixture

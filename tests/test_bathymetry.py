@@ -11,7 +11,7 @@ from subsim import bathymetry as bat
 from subsim.geodesy import GeodeticCoord
 from subsim.geometry import WorldPoint, ned
 
-from conftest import make_heightmap
+from conftest import make_heightmap, normal_at
 
 
 # --- loading ----------------------------------------------------------------
@@ -129,7 +129,10 @@ def _load_reference(path):
     if nodata is not None:
         grid[grid == nodata] = np.nan
     origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
-    return bat.Heightmap(origin, header["cellsize"], grid[::-1], nodata_value=nodata)
+    try:
+        return bat.Heightmap(origin, header["cellsize"], grid[::-1], nodata_value=nodata)
+    except bat.HeightmapError as err:
+        raise bat.HeightmapError(f"{path}: {err}") from None
 
 
 def _assert_loads_like_reference(path):
@@ -302,7 +305,7 @@ def test_vertical_ray_over_flat_terrain(flat50):
     assert hit == pytest.approx(50.0, abs=1e-6)
     batch = bat.raycast_batch(flat50, origin, ned(0.0, 0.0, 1.0)[None], 100.0)
     assert batch.ranges[0] == hit
-    assert np.allclose(batch.normals[0], [0.0, 0.0, -1.0])  # straight up
+    assert np.allclose(bat.surface_normals(flat50, origin.x, origin.y), [0.0, 0.0, -1.0])  # straight up
 
 
 def test_45_degree_ray_over_flat_terrain(flat50):
@@ -387,7 +390,7 @@ def test_normal_on_sloped_plane():
     assert batch.hit[0]
     expected = np.array([0.0, 0.1, -1.0])
     expected /= np.linalg.norm(expected)
-    assert np.allclose(batch.normals[0], expected, atol=1e-6)
+    assert np.allclose(bat.surface_normals(h, origin.x, origin.y), expected, atol=1e-6)
 
 
 def test_raycast_agrees_with_brute_force_on_random_terrain():
@@ -427,11 +430,12 @@ def test_batch_matches_scalar(flat50):
         scalar = bat.raycast(flat50, origin, dirs[k], 150.0)
         if scalar is None:
             assert not batch.hit[k]
-            assert np.isnan(batch.normals[k]).all()
+            assert np.isnan(batch.ranges[k])
         else:
             assert batch.hit[k]
             assert batch.ranges[k] == scalar
-            assert np.allclose(batch.normals[k], [0.0, 0.0, -1.0], atol=1e-6)  # flat: straight up
+            x, y = origin.x + dirs[k, 1] * scalar, origin.y + dirs[k, 0] * scalar
+            assert np.allclose(bat.surface_normals(flat50, x, y), [0.0, 0.0, -1.0], atol=1e-6)  # flat: straight up
 
 
 def test_batch_misses_outside_extent(flat50):
@@ -449,30 +453,24 @@ def _fan(rng, n, elevation_lo, elevation_hi):
     return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
 
 
-def _normal_at(h, x, y):
-    """Reference bilinear-surface normal at one point, on Python floats:
-    the depth gradient of the cell holding (x, y), as an upward NED unit
-    vector."""
-    j = min(max(int(h.xs.searchsorted(x, side="right")) - 1, 0), h.cols - 2)
-    i = min(max(int(h.ys.searchsorted(y, side="right")) - 1, 0), h.rows - 2)
-    xs, ys, depth = h.xs, h.ys, h.depth
-    wx = xs.item(j + 1) - xs.item(j)
-    wy = ys.item(i + 1) - ys.item(i)
-    u = (x - xs.item(j)) / wx
-    v = (y - ys.item(i)) / wy
-    d00, d01 = depth.item(i, j), depth.item(i, j + 1)
-    d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
-    cross = d00 - d01 - d10 + d11
-    gx = (d01 - d00 + cross * v) / wx
-    gy = (d10 - d00 + cross * u) / wy
-    norm = math.sqrt(gy * gy + gx * gx + 1.0)
-    return np.array([gy / norm, gx / norm, -1.0 / norm])
+def _assert_batch_matches_scalar(h, origin, dirs, max_range) -> int:
+    """Both entry points apply one hit rule: the same hit flag and the
+    identical range on every ray, misses included (NaN). The surface
+    normal at each hit is the reference's, bit for bit. Returns the
+    number of hits."""
+    batch = bat.raycast_batch(h, origin, dirs, max_range)
+    scalar = np.array([np.nan if r is None else r for r in (bat.raycast(h, origin, d, max_range) for d in dirs)])
+    assert np.array_equal(batch.hit, ~np.isnan(scalar))
+    assert np.array_equal(batch.ranges, scalar, equal_nan=True)
+    hit = batch.hit
+    x = origin.x + dirs[hit, 1] * batch.ranges[hit]
+    y = origin.y + dirs[hit, 0] * batch.ranges[hit]
+    expected = np.array([normal_at(h, a, b) for a, b in zip(x, y)]).reshape(-1, 3)
+    assert np.array_equal(bat.surface_normals(h, x, y), expected)
+    return int(hit.sum())
 
 
 def test_batch_matches_scalar_on_rough_terrain():
-    """Both entry points apply one hit rule: same hit flag and the
-    identical range on every ray, misses included. The batch's normal is
-    the bilinear surface's at the hit point, bit for bit."""
     from conftest import smooth_random_grid
 
     rng = np.random.default_rng(24)
@@ -491,14 +489,84 @@ def test_batch_matches_scalar_on_rough_terrain():
         (holed, WorldPoint(float(holed.xs[15]), float(holed.ys[11]), 20.0), _fan(rng, 400, 0.02, 0.5), 400.0),
     ]
     for h, origin, dirs, max_range in cases:
-        batch = bat.raycast_batch(h, origin, dirs, max_range)
-        hits = 0
-        for k in range(len(dirs)):
-            scalar = bat.raycast(h, origin, dirs[k], max_range)
-            assert batch.hit[k] == (scalar is not None)
-            if scalar is not None:
-                hits += 1
-                assert batch.ranges[k] == scalar
-                x, y = origin.x + dirs[k, 1] * scalar, origin.y + dirs[k, 0] * scalar
-                assert np.array_equal(batch.normals[k], _normal_at(h, x, y))
+        hits = _assert_batch_matches_scalar(h, origin, dirs, max_range)
         assert 0 < hits < len(dirs)
+
+
+def _rough(seed, n=21):
+    from conftest import smooth_random_grid
+
+    return make_heightmap(smooth_random_grid(np.random.default_rng(seed), (n, n), base=35.0, relief=9.0))
+
+
+def _axis_fan(down_lo, down_hi, n=9):
+    """Rays with an exact zero north or east component (both signs of
+    the other) and the vertical rays, pointing down_lo..down_hi rad below
+    level."""
+    a = np.linspace(down_lo, down_hi, n)
+    c, s, z = np.cos(a), np.sin(a), np.zeros(n)
+    rays = [np.stack([z, c, s], 1), np.stack([z, -c, s], 1), np.stack([c, z, s], 1), np.stack([-c, z, s], 1)]
+    return np.concatenate(rays + [[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+
+
+def _edge_crossings(h, origin, edges, gaps):
+    """East-going rays over a flat bottom that cross it `gap` meters
+    (horizontally) short of the x edge `edges`: too close to the edge to
+    penetrate RAYCAST_TOL_M inside that cell, so the crossing is only
+    confirmed in the next one, which holds no root."""
+    height = float(h.depth[0, 0]) - origin.depth
+    rays = []
+    for k in edges:
+        for gap in gaps:
+            a = math.atan2(height, float(h.xs[k]) - gap - origin.x)
+            rays.append([0.0, math.cos(a), math.sin(a)])
+    return np.array(rays)
+
+
+def _shortcut_cases():
+    """(heightmap, origin, rays, max_range) exercising each shortcut of the
+    batch's lock-step pass."""
+    rng = np.random.default_rng(31)
+    rough, flat = _rough(32), make_heightmap(np.full((21, 21), 50.0))
+    holed_grid = rng.uniform(30.0, 40.0, (30, 30))
+    holed_grid[8:14, 10:20] = np.nan
+    holed_grid[20, 5] = np.nan
+    holed = make_heightmap(holed_grid)
+    x_min, y_min, x_max, y_max = rough.extent
+    near = WorldPoint(float(rough.xs[10]) - 4e-10, float(rough.ys[10]) + 4e-10, 10.0)
+    node = WorldPoint(float(rough.xs[7]), float(rough.ys[12]), 10.0)
+    x, y = float(rough.xs[10]) + 3.0, float(rough.ys[10]) - 4.0
+    under = WorldPoint(x, y, float(bat.depth_at_xy(rough, x, y)) + 2.0)  # 2 m into the ground
+    up = _fan(rng, 600, -1.2, 0.4)
+    west = WorldPoint(x_min - 40.0, (y_min + y_max) / 2.0, 0.0)
+    toward_east = _fan(rng, 4000, 0.05, 0.6)
+    toward_east = toward_east[toward_east[:, 1] > 0.3]
+    flat_origin = WorldPoint(float(flat.xs[2]) + 0.37, float(flat.ys[10]), 40.0)
+    return {
+        "origin-near-cell-edge": (rough, near, _fan(rng, 1500, 0.02, 1.2), 200.0),
+        "origin-on-node-axis-rays": (rough, node, _axis_fan(0.05, 1.5), 200.0),
+        "axis-rays": (rough, near, _axis_fan(0.02, 1.2, n=25), 200.0),
+        "origin-below-terrain": (rough, under, up, 200.0),
+        "origin-outside-extent": (rough, west, toward_east, 300.0),
+        "holed-fan": (holed, WorldPoint(float(holed.xs[15]) + 1.0, float(holed.ys[11]) - 2.0, 25.0),
+                      _fan(rng, 1500, 0.05, 1.0), 400.0),
+        "crossing-at-cell-edge": (flat, flat_origin,
+                                  _edge_crossings(flat, flat_origin, range(4, 20), (1e-6, 3e-5, 9e-5)), 300.0),
+    }
+
+
+@pytest.mark.parametrize("case", _shortcut_cases().keys())
+def test_batch_matches_scalar_at_each_shortcut(case):
+    h, origin, dirs, max_range = _shortcut_cases()[case]
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert _assert_batch_matches_scalar(h, origin, dirs, max_range) > 0
+
+
+def test_surface_normals_on_cell_edges_match_reference():
+    """On a cell edge the normal is the cell's east or north of it, as
+    `_cell_indices` picks it, bit for bit."""
+    h = _rough(33)
+    x = np.concatenate([h.xs, h.xs[:-1] + 0.25 * np.diff(h.xs), np.full(h.rows, h.xs[4])])
+    y = np.concatenate([h.ys, np.full(h.cols - 1, h.ys[6]), h.ys])
+    expected = np.array([normal_at(h, a, b) for a, b in zip(x, y)])
+    assert np.array_equal(bat.surface_normals(h, x, y), expected)

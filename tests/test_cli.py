@@ -194,12 +194,36 @@ OFF_MERCATOR_DEMS = {
 def test_dem_outside_the_mercator_domain_fails_tiles_and_run(tmp_path, capsys, corner, problem):
     dem = tmp_path / "w.asc"
     dem.write_text(f"ncols 2\nnrows 2\n{corner}cellsize 0.1\n40 41\n42 43\n")
+    _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem, problem)
+
+
+# (header and values, problem): grids the Heightmap constructor refuses.
+REFUSED_DEMS = {
+    "cellsize-0": ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n40 41\n42 43\n",
+                   "cell_size must be positive"),
+    "one-row": ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 41\n",
+                "depth grid must be at least 2x2, got (1, 2)"),
+    "inf-depth": ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 inf\n42 43\n",
+                  "non-nodata depths must be finite"),
+}
+
+
+@pytest.mark.parametrize("text, problem", REFUSED_DEMS.values(), ids=REFUSED_DEMS.keys())
+def test_dem_the_heightmap_refuses_fails_tiles_and_run_naming_the_file(tmp_path, capsys, text, problem):
+    dem = tmp_path / "w.asc"
+    dem.write_text(text)
+    _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem, problem)
+
+
+def _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem, problem):
+    """`tiles` on the DEM and `run` on a scenario over it each end with
+    one error line naming the file, and write no output."""
     out = tmp_path / "out"
     assert cli.main(["tiles", str(dem), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {dem}: {problem}\n")
     assert not out.exists()
     doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
-           "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0}}
+           "world": {"heightmap": dem.name, "tile_size": 50.0, "overlap": 5.0}}
     assert cli.main(["run", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {dem}: {problem}\n")
     assert not out.exists()
@@ -637,6 +661,18 @@ def test_malformed_tide_series_row_fails_validate_and_run(tmp_path, capsys, row,
     }
     _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
                                    f"currents tide: {tmp_path / 'tide.csv'}:3: {problem}")
+
+
+def test_non_utf8_tide_series_fails_validate_and_run_naming_the_file(tmp_path, capsys):
+    (tmp_path / "tide.csv").write_bytes(b"epoch_seconds,speed_mps\n0,0.2\n5,0.\xff\n")
+    doc = {
+        "schema_version": 1, "duration": 1.0, "dt": 0.1,
+        "currents": {"tide": {"series": "tide.csv"}},
+        "vehicles": [{"id": "v1", "trajectory": [{"time": 0.0, "x": 0.0, "y": 0.0, "depth": 5.0}],
+                      "sensors": [{"type": "dvl", "rate": 5.0}]}],
+    }
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"currents tide: {tmp_path / 'tide.csv'}: not a UTF-8 CSV file: byte b'\\xff'")
 
 
 def test_bad_dem_token_leaves_no_output_directory(tmp_path, capsys):

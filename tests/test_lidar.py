@@ -167,6 +167,22 @@ def test_range_noise_deterministic_under_seed():
     assert not np.array_equal(a.points, c.points)
 
 
+def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
+    """Rays are cast in chunks of _RAY_CHUNK, but the points, their ray
+    indices and the range noise (one draw per hit, in ray order) are the
+    same as from one chunk."""
+    h = flat_heightmap(30.0, n=21, cell_m=10.0)
+    cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, fov_h_deg=120.0, fov_v_deg=60.0,
+                            max_range=40.0, range_noise_sigma=0.05)
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 5.0, pitch=-0.6)
+    whole = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    monkeypatch.setattr(lidar, "_RAY_CHUNK", 25)
+    chunked = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    assert 0 < len(whole.ranges) < 18 * 14
+    for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(chunked)):
+        assert np.array_equal(a, b)
+
+
 def test_ply_export(tmp_path):
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cloud = lidar.scan(down_pose(h, 5.0), h,

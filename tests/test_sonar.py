@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsim import sonar
-from subsim.geometry import Pose
+from subsim import bathymetry, sonar
+from subsim.geometry import Pose, fan_directions
 
-from conftest import flat_heightmap
+from conftest import flat_heightmap, make_heightmap, normal_at, smooth_random_grid
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -305,6 +305,26 @@ def test_gather_amplitude_formula_and_grazing():
     expected = cfg.source_level * cfg.reflectivity * np.cos(scat.incidences) / scat.ranges**2
     assert np.allclose(scat.amplitudes, expected, rtol=1e-9)
     assert np.all(np.cos(scat.incidences) < 0.25)  # near-grazing geometry
+
+
+def test_gather_incidence_uses_the_surface_normal_at_each_hit():
+    """Ranges are the exact raycast's and each incidence comes from the
+    bilinear surface normal at the scatterer's own hit point, bit for bit."""
+    h = make_heightmap(smooth_random_grid(np.random.default_rng(8), (21, 21), base=35.0, relief=9.0))
+    cfg = sonar.SonarConfig(n_beams=16, rays_per_beam=3, vertical_rays=5, spectral_bins=4096,
+                            horizontal_fov_rad=math.radians(120.0), vertical_fov_rad=math.radians(40.0),
+                            speckle_enabled=False)
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 12.0, pitch=-math.radians(30.0))
+    scat = sonar.gather_scatterers(pose, h, cfg)
+    dirs = fan_directions(cfg.ray_azimuths(), cfg.ray_elevations()) @ pose.rotation.T
+    ranges = np.array([bathymetry.raycast(h, pose.position, d, cfg.max_range) for d in dirs], dtype=float)
+    hit = ~np.isnan(ranges)
+    assert 0 < hit.sum() < len(dirs)
+    assert np.array_equal(scat.ranges, ranges[hit])
+    d, r = dirs[hit], ranges[hit]
+    normals = np.array([normal_at(h, x, y) for x, y in zip(pose.position.x + d[:, 1] * r,
+                                                            pose.position.y + d[:, 0] * r)])
+    assert np.array_equal(scat.incidences, np.arccos(np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)))
 
 
 def test_gather_speckle_phases_seeded():
