@@ -56,8 +56,7 @@ class Heightmap:
         cell_lat, cell_lon = float(cell_size[0]), float(cell_size[1])
         if cell_lat <= 0.0 or cell_lon <= 0.0:
             raise HeightmapError("cell_size must be positive")
-        finite = depth[~np.isnan(depth)]
-        if finite.size and not np.all(np.isfinite(finite)):
+        if np.isinf(depth).any():  # NaN marks nodata; any other non-finite depth is an error
             raise HeightmapError("non-nodata depths must be finite")
 
         self.origin = origin
@@ -309,6 +308,15 @@ def _gap(q0, q1, q2, s):
     return q2 * s * s + q1 * s + q0
 
 
+def _check_ray(norm: float, max_range: float) -> None:
+    """The input rule `raycast` and `raycast_batch` share: a unit direction
+    (``norm`` is its length) and a positive range."""
+    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+        raise ValueError(f"direction must be a unit vector, |d| = {norm}")
+    if not max_range > 0.0:
+        raise ValueError("max_range must be positive")
+
+
 def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> float | None:
     """Range to the first intersection of a ray with the bilinear terrain
     surface.
@@ -325,12 +333,11 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     operation, in the same order, as in `raycast_batch`, so the two agree
     bit for bit, without numpy's per-call cost on 0-d arrays.
     """
-    dn, de, dd = np.asarray(direction, dtype=float).tolist()
-    norm = math.sqrt(dn * dn + de * de + dd * dd)
-    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"direction must be a unit vector, |d| = {norm}")
-    if max_range <= 0.0:
-        raise ValueError("max_range must be positive")
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != (3,):
+        raise ValueError(f"direction must have shape (3,), got {direction.shape}")
+    dn, de, dd = direction.tolist()
+    _check_ray(math.sqrt(dn * dn + de * de + dd * dd), max_range)
     x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
     if not math.isfinite(x0 + y0 + z0):
         raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
@@ -459,6 +466,11 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     terrain normals at the hit points.
     """
     dirs = np.asarray(directions, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
+    norms = np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1] + dirs[:, 2] * dirs[:, 2])
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    _check_ray(float(norms[bad[0]]) if bad.size else 1.0, max_range)
     x0, y0, z0 = origin.x, origin.y, origin.depth
     if not math.isfinite(x0 + y0 + z0):
         raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")

@@ -17,6 +17,13 @@ import numpy as np
 from .output import write_ints, write_repr
 
 
+# Most triangles `distort` may make. Each subdivision level multiplies the
+# count by 4: four levels of a 9,522-triangle terrain tile, 2.4 M triangles,
+# peak at 375 MiB and write a 179 MB OBJ, so the bound keeps a run to a few
+# GiB rather than ending in a MemoryError a few levels later.
+MAX_TRIANGLES = 10_000_000
+
+
 class MeshError(ValueError):
     """Invalid mesh data."""
 
@@ -134,65 +141,125 @@ def jitter_vertices(mesh: TriMesh, params: DistortionParams) -> TriMesh:
 
 
 def distort(mesh: TriMesh, params: DistortionParams) -> TriMesh:
-    """Subdivide ``subdivision_levels`` times, then jitter."""
+    """Subdivide ``subdivision_levels`` times, then jitter. Refuses, before
+    any work, a result of more than MAX_TRIANGLES triangles."""
+    levels = params.subdivision_levels
+    made = len(mesh.triangles) * 4**levels
+    if made > MAX_TRIANGLES:
+        raise MeshError(f"{levels} subdivision levels make {made} triangles from "
+                        f"{len(mesh.triangles)}; distort makes at most {MAX_TRIANGLES}")
     out = mesh
-    for _ in range(params.subdivision_levels):
+    for _ in range(levels):
         out = subdivide(out)
     return jitter_vertices(out, params)
 
 
 def load_obj(path) -> TriMesh:
-    """Read an OBJ file: v records (with optional r g b) and f records.
+    """Read an OBJ file: ``v`` records (x y z, with optional r g b) and
+    ``f`` records; every other record type is ignored.
 
     Faces with more than three vertices are fan-triangulated. Texture and
-    normal indices in ``f`` entries are ignored; indices must be positive.
+    normal indices in ``f`` entries are ignored; indices must be positive
+    and name a vertex defined on an earlier line.
+
+    The text is read once, with universal newlines, and each line is
+    sorted by its first whitespace token. All ``v`` bodies are then
+    parsed by one ``np.loadtxt`` and all ``f`` bodies by another. A file
+    that pass cannot take (polygon or ``a/b/c`` faces, mixed 3- and
+    6-float vertices, tokens such as ``1_0`` that only ``float()`` and
+    ``int()`` accept, and every error) is read again line by line, which
+    names the line at fault. Both paths give the same mesh, bit for bit.
     """
     path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # Not str.splitlines(): that also breaks lines at \v, \f,
+            # \x1c-\x1e, \x85, \u2028 and \u2029, which inside a line
+            # are whitespace between tokens.
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise ObjParseError(f"{path}: not a UTF-8 OBJ file: byte {bad!r}") from None
+    mesh = _parse_bulk(lines)
+    return mesh if mesh is not None else _parse_lines(path, lines)
+
+
+def _parse_bulk(lines: list[str]) -> TriMesh | None:
+    """The mesh of ``lines`` from one ``np.loadtxt`` per record kind, or
+    None where `_parse_lines` must read it."""
+    v_rows: list[str] = []
+    f_rows: list[str] = []
+    f_known: list[int] = []  # v lines before each f line
+    for line in lines:
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if parts[0] == "v":
+            v_rows.append(parts[1] if len(parts) == 2 else "")
+        elif parts[0] == "f":
+            f_rows.append(parts[1] if len(parts) == 2 else "")
+            f_known.append(len(v_rows))
+    # loadtxt skips empty rows, and warns on a block without data.
+    if not v_rows or "" in v_rows or "" in f_rows:
+        return None
+    try:
+        verts = np.loadtxt(v_rows, dtype=np.float64, comments=None, ndmin=2)
+        faces = (np.loadtxt(f_rows, dtype=np.int64, comments=None, ndmin=2) if f_rows
+                 else np.zeros((0, 3), dtype=np.int64))
+    except ValueError:
+        return None
+    if verts.shape[0] != len(v_rows) or verts.shape[1] not in (3, 6):
+        return None
+    if faces.shape != (len(f_rows), 3) or not (
+        (faces > 0).all() and (faces <= np.array(f_known)[:, None]).all()
+    ):
+        return None
+    colors = np.ascontiguousarray(verts[:, 3:]) if verts.shape[1] == 6 else None
+    return TriMesh(np.ascontiguousarray(verts[:, :3]), faces - 1, colors)
+
+
+def _parse_lines(path: Path, lines: list[str]) -> TriMesh:
+    """The mesh of ``lines``, read one line at a time; errors name ``path:line``."""
     verts: list[list[float]] = []
     colors: list[list[float]] = []
     tris: list[tuple[int, int, int]] = []
     saw_color = False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                tokens = line.split()
-                if not tokens or tokens[0].startswith("#"):
-                    continue
-                tag = tokens[0]
-                if tag == "v":
-                    if len(tokens) not in (4, 7):
-                        raise ObjParseError(f"{path}:{lineno}: vertex needs 3 or 6 floats")
-                    try:
-                        nums = [float(t) for t in tokens[1:]]
-                    except ValueError:
-                        raise ObjParseError(f"{path}:{lineno}: bad vertex number") from None
-                    verts.append(nums[:3])
-                    if len(nums) == 6:
-                        saw_color = True
-                        colors.append(nums[3:])
-                    else:
-                        colors.append([1.0, 1.0, 1.0])
-                elif tag == "f":
-                    if len(tokens) < 4:
-                        raise ObjParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-                    idx = []
-                    for tok in tokens[1:]:
-                        head = tok.split("/")[0]
-                        try:
-                            k = int(head)
-                        except ValueError:
-                            raise ObjParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
-                        if k <= 0:
-                            raise ObjParseError(f"{path}:{lineno}: only positive indices supported")
-                        if k > len(verts):
-                            raise ObjParseError(f"{path}:{lineno}: face index {k} out of range")
-                        idx.append(k - 1)
-                    for a, b in zip(idx[1:-1], idx[2:]):
-                        tris.append((idx[0], a, b))
-                # Other record types (vn, vt, o, g, usemtl, ...) are ignored.
-    except UnicodeDecodeError as err:
-        bad = err.object[err.start : err.end]
-        raise ObjParseError(f"{path}: not a UTF-8 OBJ file: byte {bad!r}") from None
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        tag = tokens[0]
+        if tag == "v":
+            if len(tokens) not in (4, 7):
+                raise ObjParseError(f"{path}:{lineno}: vertex needs 3 or 6 floats")
+            try:
+                nums = [float(t) for t in tokens[1:]]
+            except ValueError:
+                raise ObjParseError(f"{path}:{lineno}: bad vertex number") from None
+            verts.append(nums[:3])
+            if len(nums) == 6:
+                saw_color = True
+                colors.append(nums[3:])
+            else:
+                colors.append([1.0, 1.0, 1.0])
+        elif tag == "f":
+            if len(tokens) < 4:
+                raise ObjParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+            idx = []
+            for tok in tokens[1:]:
+                head = tok.split("/")[0]
+                try:
+                    k = int(head)
+                except ValueError:
+                    raise ObjParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
+                if k <= 0:
+                    raise ObjParseError(f"{path}:{lineno}: only positive indices supported")
+                if k > len(verts):
+                    raise ObjParseError(f"{path}:{lineno}: face index {k} out of range")
+                idx.append(k - 1)
+            for a, b in zip(idx[1:-1], idx[2:]):
+                tris.append((idx[0], a, b))
+        # Other record types (vn, vt, o, g, usemtl, ...) are ignored.
     if not verts:
         raise ObjParseError(f"{path}: no vertices found")
     return TriMesh(np.array(verts), np.array(tris) if tris else np.zeros((0, 3), dtype=np.int64),

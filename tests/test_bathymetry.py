@@ -73,6 +73,16 @@ def test_save_load_round_trip(tmp_path):
     assert h2.origin.lat == pytest.approx(h.origin.lat, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_depth_rejected_and_nan_is_nodata(bad):
+    grid = np.full((3, 3), 40.0)
+    grid[1, 1] = math.nan
+    assert np.isnan(make_heightmap(grid.copy()).depth[1, 1])
+    grid[2, 0] = bad
+    with pytest.raises(bat.HeightmapError, match="^non-nodata depths must be finite$"):
+        make_heightmap(grid)
+
+
 def test_grid_must_be_2x2():
     with pytest.raises(bat.HeightmapError):
         make_heightmap(np.zeros((1, 5)))
@@ -344,6 +354,48 @@ def test_non_unit_direction_rejected(flat50, direction):
         bat.raycast(flat50, origin, np.array(direction), 100.0)
     # Within the 1e-9 tolerance the ray is cast.
     assert bat.raycast(flat50, origin, ned(0.0, 0.0, 1.0 + 5e-10), 100.0) is not None
+
+
+@pytest.mark.parametrize(
+    "direction, max_range, problem",
+    [((0.0, 0.0, 2.0), 100.0, "direction must be a unit vector, |d| = 2.0"),
+     ((0.0, 0.0, 1.0 + 2e-9), 100.0, "direction must be a unit vector, |d| = 1.000000002"),
+     ((0.0, math.nan, 1.0), 100.0, "direction must be a unit vector, |d| = nan"),
+     ((0.0, 0.0, 1.0), -1.0, "max_range must be positive"),
+     ((0.0, 0.0, 1.0), 0.0, "max_range must be positive"),
+     ((0.0, 0.0, 1.0), math.nan, "max_range must be positive")],
+    ids=["double-length", "just-too-long", "nan-direction", "negative-range", "zero-range", "nan-range"],
+)
+def test_raycast_and_batch_reject_the_same_bad_input(flat50, direction, max_range, problem):
+    origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
+    with pytest.raises(ValueError) as single:
+        bat.raycast(flat50, origin, np.array(direction), max_range)
+    # In a fan, one bad ray among good ones is enough.
+    fan = np.array([ned(0.0, 0.0, 1.0), direction, ned(0.6, 0.0, 0.8)])
+    with pytest.raises(ValueError) as batch:
+        bat.raycast_batch(flat50, origin, fan, max_range)
+    assert str(single.value) == str(batch.value) == problem
+
+
+@pytest.mark.parametrize(
+    "directions, problem",
+    [(np.array([0.0, 0.0, 1.0]), "directions must have shape (N, 3), got (3,)"),
+     (np.zeros((4, 2)), "directions must have shape (N, 3), got (4, 2)"),
+     (np.zeros((2, 3, 1)), "directions must have shape (N, 3), got (2, 3, 1)")],
+    ids=["one-direction", "two-columns", "three-dims"],
+)
+def test_batch_rejects_directions_not_shaped_n_by_3(flat50, directions, problem):
+    origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
+    with pytest.raises(ValueError) as err:
+        bat.raycast_batch(flat50, origin, directions, 100.0)
+    assert str(err.value) == problem
+    with pytest.raises(ValueError, match=r"direction must have shape \(3,\)"):
+        bat.raycast(flat50, origin, directions[..., 0], 100.0)
+
+
+def test_batch_accepts_an_empty_fan(flat50):
+    origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
+    assert bat.raycast_batch(flat50, origin, np.zeros((0, 3)), 100.0).ranges.shape == (0,)
 
 
 # A NaN origin coordinate once sent `raycast` into an endless cell walk

@@ -262,6 +262,39 @@ def test_distort_reports_a_non_utf8_obj_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_distort_at_extent_zero_writes_the_tile_back_byte_for_byte(tmp_path):
+    save_heightmap(flat_heightmap(30.0, n=21, cell_m=5.0), tmp_path / "dem.asc")
+    tiles = tmp_path / "tiles"
+    assert cli.main(["tiles", str(tmp_path / "dem.asc"), "--tile-size", "50", "--overlap", "5",
+                     "--out", str(tiles)]) == 0
+    for tile in sorted(tiles.glob("*.obj")):
+        out = tmp_path / f"again_{tile.name}"
+        assert cli.main(["distort", str(tile), "--extent", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == tile.read_bytes()
+
+
+def test_distort_reports_a_bad_face_in_a_crlf_obj_by_line(tmp_path, capsys):
+    src = tmp_path / "bad.obj"
+    src.write_bytes(b"v 0 0 0\r\nv 1 0 0\r\nf 1 2 x\r\nv 0 1 0\r\n")
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {src}:3: bad face index 'x'\n")
+    assert not out.exists()
+
+
+def test_distort_refuses_too_many_subdivision_levels(tmp_path, capsys, monkeypatch):
+    # Should the bound regress, fail here rather than try to allocate.
+    monkeypatch.setattr(meshtools, "subdivide", lambda mesh: pytest.fail("subdivided past the bound"))
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--subdivide", "30", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: 30 subdivision levels make 4611686018427387904 triangles from 4; "
+            f"distort makes at most {meshtools.MAX_TRIANGLES}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_distort_rejects_non_finite_scale(tmp_path, capsys, scale):
     src = tmp_path / "tet.obj"

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,3 +242,189 @@ def test_face_index_out_of_range(tmp_path):
 def test_degenerate_triangle_rejected():
     with pytest.raises(mt.MeshError):
         mt.TriMesh([[0, 0, 0], [1, 0, 0]], [[0, 1, 1]])
+
+
+def test_distort_refuses_more_than_max_triangles_before_subdividing(monkeypatch):
+    def no_subdivide(mesh):
+        raise AssertionError("subdivided before the size check")
+
+    monkeypatch.setattr(mt, "subdivide", no_subdivide)
+    params = mt.DistortionParams(extent=0.5, subdivision_levels=30)
+    with pytest.raises(mt.MeshError, match=f"4611686018427387904 triangles from 4; distort makes at most {mt.MAX_TRIANGLES}"):
+        mt.distort(mt.unit_tetrahedron(), params)
+
+
+def test_distort_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(mt, "MAX_TRIANGLES", 64)
+    tet = mt.unit_tetrahedron()
+    assert mt.distort(tet, mt.DistortionParams(extent=0.0, subdivision_levels=2)).num_triangles == 64
+    with pytest.raises(mt.MeshError, match="make 256 triangles"):
+        mt.distort(tet, mt.DistortionParams(extent=0.0, subdivision_levels=3))
+
+
+# --- load_obj against the per-line reader it replaced --------------------
+
+
+def _load_obj_reference(path):
+    """The per-line OBJ reader: the definition load_obj must match."""
+    verts, colors, tris = [], [], []
+    saw_color = False
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                tag = tokens[0]
+                if tag == "v":
+                    if len(tokens) not in (4, 7):
+                        raise mt.ObjParseError(f"{path}:{lineno}: vertex needs 3 or 6 floats")
+                    try:
+                        nums = [float(t) for t in tokens[1:]]
+                    except ValueError:
+                        raise mt.ObjParseError(f"{path}:{lineno}: bad vertex number") from None
+                    verts.append(nums[:3])
+                    saw_color = saw_color or len(nums) == 6
+                    colors.append(nums[3:] if len(nums) == 6 else [1.0, 1.0, 1.0])
+                elif tag == "f":
+                    if len(tokens) < 4:
+                        raise mt.ObjParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+                    idx = []
+                    for tok in tokens[1:]:
+                        try:
+                            k = int(tok.split("/")[0])
+                        except ValueError:
+                            raise mt.ObjParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
+                        if k <= 0:
+                            raise mt.ObjParseError(f"{path}:{lineno}: only positive indices supported")
+                        if k > len(verts):
+                            raise mt.ObjParseError(f"{path}:{lineno}: face index {k} out of range")
+                        idx.append(k - 1)
+                    tris.extend((idx[0], a, b) for a, b in zip(idx[1:-1], idx[2:]))
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise mt.ObjParseError(f"{path}: not a UTF-8 OBJ file: byte {bad!r}") from None
+    if not verts:
+        raise mt.ObjParseError(f"{path}: no vertices found")
+    return mt.TriMesh(np.array(verts), np.array(tris) if tris else np.zeros((0, 3), dtype=np.int64),
+                      np.array(colors) if saw_color else None)
+
+
+def _outcome(read, path):
+    """Everything a reader gives: each array's dtype, shape, layout and
+    bytes (so NaN payloads and -0.0 count), or the error's type and text."""
+    try:
+        mesh = read(path)
+    except mt.MeshError as err:
+        return type(err).__name__, str(err)
+    if mesh is None:
+        return None
+
+    def exact(a):
+        return None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+
+    return exact(mesh.vertices), exact(mesh.triangles), exact(mesh.colors)
+
+
+_ODD_FLOATS = [[-0.0, 5e-324, 1e16], [1.3e7 + 0.1, -1e-5, 2.0**-1074 * 3],
+               [math.nan, math.inf, -math.inf], [0.1, 0.2, 0.30000000000000004]]
+_TRI = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+# name: (file bytes, or a mesh to save_obj, and whether the bulk parse takes the file)
+OBJ_CORPUS = {
+    "saved-colors": (_random_open_lattice(np.random.default_rng(5)), True),
+    "saved-plain": (mt.TriMesh(_random_open_lattice(np.random.default_rng(6)).vertices,
+                               _random_open_lattice(np.random.default_rng(6)).triangles), True),
+    "saved-odd-floats": (mt.TriMesh(_ODD_FLOATS, [[0, 1, 2], [1, 3, 2]], colors=np.flipud(_ODD_FLOATS)), True),
+    "saved-tetrahedron": (mt.unit_tetrahedron(), True),
+    "vertices-only": (_TRI, True),
+    "one-vertex-one-row": (b"v 1 2 3", True),
+    "mixed-3-and-6-floats": (b"v 0 0 0 1 0 0\nv 1 0 0\nv 0 1 0 0 0 1\nf 1 2 3\n", False),
+    "quad": (b"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n", False),
+    "slashed-faces": (_TRI + b"vt 0 0\nvn 0 0 1\nf 1/1/1 2/1/1 3/1/1\nf 1//1 3//1 2//1\n", False),
+    "comments-blanks-vn-o": (b"# made by hand\n\no tri\n" + _TRI.replace(b"\n", b"\n\n", 1)
+                             + b"vn 0 0 1\n#v 9 9 9\n   # indented\nvt 0.5 0.5\ng g1\nusemtl m\nf 1 2 3\n", True),
+    "tab-and-blank-tags": (b"v\t0 0 0\n  v 1\t0 0\n\tv  0 1 0  \n \tf\t1 2\t3\t\n", True),
+    "other-tags-like-v": (_TRI + b"vv 1 2 3\nv1 2 3 4\nff 1 2 3\nf1 2 3\nf 3 2 1\n", True),
+    "crlf": (_TRI.replace(b"\n", b"\r\n") + b"f 1 2 3\r\n", True),
+    "lone-cr": (_TRI.replace(b"\n", b"\r") + b"f 1 2 3", True),
+    "mixed-line-ends": (b"v 0 0 0\r\nv 1 0 0\rv 0 1 0\nf 1 2 3\r\n\r\n", True),
+    "formfeed-inside-line": (b"v 0\x0c0 0\nv 1 0\x0b0\nv 0 1 0\x0c\nf 1\x0c2 3\n", True),
+    "unicode-separators": ("v 0\x1c0 0\nv 1\x850 0\nv 0\u20281\u20290\nf 1\xa02 3\n".encode(), True),
+    "underscore-floats": (b"v 1_0 0 0\nv 0 1_0 0\nv 0 0 1_0\nf 1 2 3\n", False),
+    "underscore-faces": (b"v 0 0 0\n" * 9 + b"v 1 0 0\nv 0 1 0\nf 1 1_0 1_1\n", False),
+    "non-ascii-digits": ("v ٣ 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n".encode(), False),
+    "face-before-its-vertex": (b"v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", False),
+    "no-faces": (b"# points\n" + _TRI, True),
+    # Every error the reader raises.
+    "short-vertex": (b"v 0 0 0\nv 1 0\n", False),
+    "bare-v": (_TRI + b"v\n", False),
+    "bad-vertex-number": (b"v 0 0 0\nv 1 0 x\n", False),
+    "vertex-with-trailing-comment": (b"v 0 0 0 # origin\n", False),
+    "short-face": (_TRI + b"f 1 2\n", False),
+    "bare-f": (_TRI + b"f\n", False),
+    "bad-face-index": (_TRI + b"f 1 2 oops\n", False),
+    "float-face-index": (_TRI + b"f 1.0 2 3\n", False),
+    "zero-face-index": (_TRI + b"f 0 1 2\n", False),
+    "negative-face-index": (_TRI + b"f -1 -2 -3\n", False),
+    "face-index-out-of-range": (_TRI + b"f 1 2 4\n", False),
+    "face-index-beyond-int64": (_TRI + b"f 1 2 99999999999999999999\n", False),
+    "degenerate-face": (_TRI + b"f 1 1 2\n", True),
+    "no-vertices": (b"# nothing here\n\n", False),
+    "empty-file": (b"", False),
+    "not-utf8": (_TRI + b"# made by \xff\n", False),
+    "crlf-bad-face-on-line-3": (b"v 0 0 0\r\nv 1 0 0\r\nf 1 2 x\r\nv 0 1 0\r\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(OBJ_CORPUS))
+def test_load_obj_matches_per_line_reference(tmp_path, name):
+    data, bulk = OBJ_CORPUS[name]
+    path = tmp_path / "m.obj"
+    if isinstance(data, mt.TriMesh):
+        mt.save_obj(data, path)
+    else:
+        path.write_bytes(data)
+    want = _outcome(_load_obj_reference, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a block without data
+        assert _outcome(mt.load_obj, path) == want
+    # Each path on its own: the bulk parse takes the files the corpus says
+    # it takes (the rest it gives up, returning None), and the line loop
+    # reads every file.
+    if name != "not-utf8":
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert _outcome(lambda _: mt._parse_bulk(lines), path) == (want if bulk else None)
+        assert _outcome(lambda _: mt._parse_lines(path, lines), path) == want
+
+
+def test_load_obj_reads_saved_meshes_without_the_line_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(mt, "_parse_lines", lambda path, lines: pytest.fail("read line by line"))
+    for name, mesh in [("plain.obj", mt.unit_tetrahedron()),
+                       ("colors.obj", _random_open_lattice(np.random.default_rng(3)))]:
+        mt.save_obj(mesh, tmp_path / name)
+        _assert_same_mesh(mt.load_obj(tmp_path / name), mesh)
+
+
+def test_load_obj_matches_reference_on_random_lines(tmp_path):
+    """Random files over a small alphabet of tags, tokens and separators."""
+    rng = np.random.default_rng(15)
+    tags = ["v", "v", "v", "f", "f", "vn", "#", "o", "", " v", "\tf"]
+    tokens = ["1", "2", "3", "0", "-1", "1.5", "-0.0", "1e3", "nan", "inf", "1_0", "x", "1/2", "+2", "07"]
+    seps = [" ", " ", " ", "\t", "\x0c", "\x0b", "\x1c", "\xa0", "  "]
+    ends = ["\n", "\n", "\r\n", "\r"]
+    bulk = 0
+    for case in range(300):
+        lines = []
+        for _ in range(rng.integers(1, 9)):
+            tag = str(rng.choice(tags))
+            width = 3 if tag.strip() in ("v", "f") and rng.uniform() < 0.7 else int(rng.integers(0, 7))
+            pool = tokens[:4] if rng.uniform() < 0.6 else tokens
+            body = [str(rng.choice(pool)) for _ in range(width)]
+            lines.append(str(rng.choice(seps)).join([tag] + body) + str(rng.choice(ends)))
+        path = tmp_path / f"r{case}.obj"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        assert _outcome(mt.load_obj, path) == _outcome(_load_obj_reference, path), "".join(lines)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        bulk += _outcome(lambda _: mt._parse_bulk(lines), path) is not None
+    assert bulk >= 30  # the bulk parse is exercised, not only the line loop
