@@ -43,7 +43,9 @@ class Heightmap:
     origin : grid node (0, 0), the south-west corner.
     cell_size : degrees per cell as (lat, lon), or a single float for both.
     depth : (rows, cols) array of meters positive down, row 0 southernmost.
-            NaN marks nodata cells.
+            NaN marks nodata cells. A float64 array is not copied: ``depth``
+            is a read-only view of it, so a later write to the caller's array
+            changes this heightmap too.
     nodata_value : sentinel recorded from the source file, if any.
     """
 
@@ -61,7 +63,7 @@ class Heightmap:
 
         self.origin = origin
         self.cell_size = (cell_lat, cell_lon)
-        self.depth = depth
+        self.depth = depth.view()  # a read-only view: the caller's array stays writable
         self.depth.setflags(write=False)
         self.nodata_value = nodata_value
 

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bathymetry, currents, dvl, meshtools, scenario, tiling
+from . import bathymetry, currents, dvl, meshtools, output, scenario, tiling
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +93,9 @@ def _dispatch(args) -> list[str]:
             seed=args.seed,
             subdivision_levels=args.subdivide,
         )
-        meshtools.save_obj(meshtools.distort(mesh, params), args.out)
+        distorted = meshtools.distort(mesh, params)
+        with output.replaced_when_done(args.out) as partial:
+            meshtools.save_obj(distorted, partial)
         print(f"wrote {args.out}")
     return []
 

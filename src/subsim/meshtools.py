@@ -8,6 +8,7 @@ per-vertex RGB extension (``v x y z r g b``).
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,10 +273,22 @@ def save_obj(mesh: TriMesh, path) -> None:
     Floats are written as their ``repr``, so identical meshes produce
     byte-identical files that read back bit for bit.
     """
+    _write_obj(mesh, path, _face_text(mesh.triangles))
+
+
+def _face_text(triangles: np.ndarray) -> bytes:
+    """The ``f`` rows of an OBJ file for ``triangles``: 1-based indices."""
+    buf = io.BytesIO()
+    write_ints(buf, triangles + 1, b" ", prefix=b"f ")
+    return buf.getvalue()
+
+
+def _write_obj(mesh: TriMesh, path, faces: bytes) -> None:
+    """Write ``mesh``'s vertex rows, then ``faces``, its `_face_text`, to ``path``."""
     rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
     with open(path, "wb") as fh:
         write_repr(fh, rows, b" ", prefix=b"v ")
-        write_ints(fh, mesh.triangles + 1, b" ", prefix=b"f ")
+        fh.write(faces)
 
 
 def unit_tetrahedron() -> TriMesh:

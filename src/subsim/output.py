@@ -3,6 +3,8 @@ output directories.
 
 ``make_out_dir`` creates a run's or a tile export's ``--out``, and
 refuses a non-empty one, so no earlier output is left next to the new.
+``replaced_when_done`` writes one file (``distort``'s ``--out``) under a
+temporary name and renames it into place only once it is complete.
 
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
 a header line, then one comma-separated row per call, each ended by
@@ -13,7 +15,8 @@ Three array encoders write rows of numbers with the same bytes as
 formatting every value on its own in Python, but compute them with
 array arithmetic over chunks of ``CHUNK_VALUES`` values: ``write_g17``
 (``%.17g``, the A-plot CSV), ``write_repr`` (``repr``, OBJ vertices and
-DEM grids) and ``write_ints`` (``%d``, OBJ faces).
+DEM grids) and ``write_ints`` (``%d``, OBJ faces). Each call allocates
+its temporaries once (``_Scratch``) and reuses them for every chunk.
 
 Digits of a float. A positive double x with decimal exponent E (10^E <=
 x < 10^(E+1)) is scaled to V = x * 10^(16 - E), in [10^16, 10^17): its
@@ -48,13 +51,16 @@ magnitudes outside [1e-282, 1e300), on its own.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-# Values per encoded chunk. The float buffers take about 250 bytes a value.
+# Values per encoded chunk.
 CHUNK_VALUES = 4096
 
 # Decimal exponents on the array path: there neither x nor 10^(16 - E)
@@ -93,10 +99,13 @@ _N_CLASSES = 23 * 17
 _INT_W = 28
 
 
-def _split(a):
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
+def _split(a, hi, lo):
+    """Dekker's split of a into hi + lo, 26 bits each, written into hi and lo."""
+    np.multiply(a, _SPLIT, out=hi)  # c
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)  # c - (c - a)
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 def _word(text: bytes) -> int:
@@ -166,7 +175,7 @@ class _Tables:
         e_index = np.searchsorted(self.thresholds, binade, side="right") - 1
         self.binade_e = np.clip(e_index, 0, _E_MAX - _E_MIN)
         self.pow_hi = np.array(hi)  # 10^(16-E), rounded
-        self.pow_hi_hi, self.pow_hi_lo = _split(self.pow_hi)  # its Dekker halves
+        self.pow_hi_hi, self.pow_hi_lo = _split(self.pow_hi, *np.empty((2, len(hi))))  # its Dekker halves
         self.pow_lo = np.array(lo)  # 10^(16-E) - hi, rounded
         self.half_ulp_scale = self.pow_hi * 2.0**-53
         # per whole % 100: the offset to the nearest multiple of 100 and of 10
@@ -213,115 +222,226 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-def _scaled(t: _Tables, x: np.ndarray):
+class _Scratch(NamedTuple):
+    """The temporaries of one encoder call, allocated once and reused for
+    every chunk, so that the encoders' cost does not depend on what the
+    process freed before.
+
+    ``out`` and ``mask`` are the (chunk, width) text and byte-mask
+    matrices and ``gather`` a uint32 row; ``f``, ``i`` and ``b`` are
+    stacks of float64, int64 and bool rows, one value per chunk position.
+    Each function below unpacks the rows it uses by name and says which
+    they are; a function's rows are those its callee returns and the rows
+    after them."""
+
+    out: np.ndarray
+    mask: np.ndarray
+    gather: np.ndarray
+    f: np.ndarray
+    i: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int, width: int) -> _Scratch:
+        """The buffers for chunks of ``size`` values, carved from one block
+        (8-byte rows first, so every row is aligned): about 250 bytes a
+        value, in one allocation. glibc maps the first such block; freeing
+        it raises glibc's mmap and trim thresholds above its size, so later
+        calls take their block from the heap and reuse its pages."""
+        layout = [("f", (13, size), np.float64), ("i", (8, size), np.int64),
+                  ("out", (size, width), np.uint8), ("mask", (size, width), np.bool_),
+                  ("gather", (size,), np.uint32), ("b", (10, size), np.bool_)]
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
+        block = np.empty(sum(sizes), dtype=np.uint8)
+        parts, start = {}, 0
+        for (name, shape, dtype), n in zip(layout, sizes):
+            parts[name] = block[start:start + n].view(dtype).reshape(shape)
+            start += n
+        return cls(**parts)
+
+    def head(self, n: int) -> _Scratch:
+        """The same buffers, cut to a chunk of ``n`` values."""
+        return _Scratch(self.out[:n], self.mask[:n], self.gather[:n],
+                        *(rows[:, :n] for rows in (self.f, self.i, self.b)))
+
+
+def _scaled(t: _Tables, x: np.ndarray, s: _Scratch):
     """V = |x| * 10^(16 - E) per value of x, as p + frac with p a double
     and frac its remainder. Returns (a, ei, p, frac, inexact, slow, zero):
     a is |x| where the arrays apply and 1.0 elsewhere, ei indexes E in the
     tables, inexact marks a rounded V, slow the values Python must format
     (nan, inf, subnormals, magnitudes outside the tables) and zero the
-    zeros."""
-    ax = np.abs(x)
-    zero = ax == 0.0
-    fast = (ax >= t.thresholds[0]) & (ax < t.thresholds[-1])
-    a = np.where(fast, ax, 1.0)
+    zeros. Returns rows f[:3], i[0] and b[:3], and works in f[3:8] and i[1]."""
+    a, p, frac, bhi, blo, ahi, alo, term = s.f[:8]
+    ei, ei1 = s.i[:2]
+    zero, fast, test = s.b[:3]
+    np.abs(x, out=a)
+    np.equal(a, 0.0, out=zero)
+    np.greater_equal(a, t.thresholds[0], out=fast)
+    fast &= np.less(a, t.thresholds[-1], out=test)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=test))
     # ei indexes the decimal exponent E. A binade [2^e, 2^(e+1)) holds at most
     # one power of ten, so E is that of 2^e or one more; the least doubles
     # >= 10^E decide exactly.
-    ei = t.binade_e[a.view(np.uint64) >> np.uint64(52)]
-    ei += a >= t.thresholds[ei + 1]
+    np.right_shift(a.view(np.uint64), np.uint64(52), out=ei1.view(np.uint64))
+    t.binade_e.take(ei1, out=ei, mode="clip")
+    t.thresholds.take(np.add(ei, 1, out=ei1), out=term, mode="clip")
+    ei += np.greater_equal(a, term, out=test)
 
-    bhi, blo = t.pow_hi_hi[ei], t.pow_hi_lo[ei]
-    p = a * (bhi + blo)
-    ahi, alo = _split(a)
-    frac = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo  # a * hi = p + frac exactly
-    lo = t.pow_lo[ei]
-    frac += a * lo
-    return a, ei, p, frac, lo != 0.0, ~(fast | zero), zero
+    t.pow_hi_hi.take(ei, out=bhi, mode="clip")
+    t.pow_hi_lo.take(ei, out=blo, mode="clip")
+    np.add(bhi, blo, out=p)
+    p *= a
+    _split(a, ahi, alo)
+    # a * hi = p + frac exactly: ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    np.multiply(ahi, bhi, out=frac)
+    frac -= p
+    frac += np.multiply(ahi, blo, out=term)
+    frac += np.multiply(alo, bhi, out=term)
+    frac += np.multiply(alo, blo, out=term)
+    lo = t.pow_lo.take(ei, out=bhi, mode="clip")
+    frac += np.multiply(a, lo, out=term)
+    inexact = np.not_equal(lo, 0.0, out=test)
+    slow = np.logical_not(np.logical_or(fast, zero, out=fast), out=fast)
+    return a, ei, p, frac, inexact, slow, zero
 
 
-def _normalized(digits, ei, zero):
-    """(N, X): 17 significant digits N, with a carry to 10^17 moved into the
-    printed exponent X; zeros have N = 0 and X = 0."""
-    carry = digits == 10**17
-    live = ~zero
-    return np.where(carry, 10**16, digits) * live, (ei + (carry + _E_MIN)) * live
+def _normalized(digits, ei, zero, carry):
+    """(N, X) in place of (digits, ei): 17 significant digits N, with a
+    carry to 10^17 moved into the printed exponent X; zeros have N = 0 and
+    X = 0. ``carry`` is a bool row to work in."""
+    np.equal(digits, 10**17, out=carry)
+    np.copyto(digits, 10**16, where=carry)
+    ei += carry
+    ei += _E_MIN
+    np.copyto(digits, 0, where=zero)
+    np.copyto(ei, 0, where=zero)
+    return digits, ei
 
 
-def _round17(t: _Tables, x: np.ndarray):
+def _round17(t: _Tables, x: np.ndarray, s: _Scratch):
     """(N, X, fallback) per value of x: the 17 significant digits of |x| as
     an integer N, the printed exponent X, and where Python must format x
-    instead."""
-    a, ei, p, frac, inexact, slow, zero = _scaled(t, x)
-    r = np.rint(frac)  # p is an even integer (>= 2^53): half-even as a whole
-    near_tie = (np.abs(frac - r) > 0.5 - _TIE_MARGIN) & inexact
-    digits, x_exp = _normalized(p.astype(np.int64) + r.astype(np.int64), ei, zero)
-    return digits, x_exp, slow | near_tie
+    instead. Returns rows i[:2] and b[1], and works in f[3:5], i[2] and b[3:5]."""
+    a, ei, p, frac, inexact, slow, zero = _scaled(t, x, s)
+    r, dist = s.f[3:5]
+    digits, r_int = s.i[1:3]
+    near_tie, carry = s.b[3:5]
+    np.rint(frac, out=r)  # p is an even integer (>= 2^53): half-even as a whole
+    np.abs(np.subtract(frac, r, out=dist), out=dist)
+    np.greater(dist, 0.5 - _TIE_MARGIN, out=near_tie)
+    near_tie &= inexact
+    np.copyto(digits, p, casting="unsafe")
+    np.copyto(r_int, r, casting="unsafe")
+    digits += r_int
+    _normalized(digits, ei, zero, carry)
+    slow |= near_tie
+    return digits, ei, slow
 
 
-def _shortest(t: _Tables, x: np.ndarray):
+def _shortest(t: _Tables, x: np.ndarray, s: _Scratch):
     """(N, X, fallback) as _round17 gives them, for the shortest digits that
-    read back as x: N is 10^(17 - n) times the n-digit decimal."""
-    a, ei, p, frac, _, slow, zero = _scaled(t, x)
-    floor = np.floor(frac)
-    below = frac - floor  # V = whole + below, 0 <= below < 1, exactly
-    whole = p.astype(np.int64) + floor.astype(np.int64)
-    rem = whole - whole // 100 * 100
+    read back as x: N is 10^(17 - n) times the n-digit decimal. Returns rows
+    i[:2] and b[1], and works in f[3:13], i[2] and b[3:8]."""
+    a, ei, p, frac, _, slow, zero = _scaled(t, x, s)
+    floor, half_gap, scale, up, k16, k15, d16, d15, s16, s15 = s.f[3:13]
+    whole, rem = s.i[1:3]
+    test, ok16, ok15, not15, unsure = s.b[3:8]
+    np.floor(frac, out=floor)
+    below = np.subtract(frac, floor, out=frac)  # V = whole + below, 0 <= below < 1, exactly
+    np.copyto(whole, p, casting="unsafe")
+    np.copyto(rem, floor, casting="unsafe")
+    whole += rem
+    np.floor_divide(whole, 100, out=rem)
+    rem *= 100
+    np.subtract(whole, rem, out=rem)  # whole % 100
     # half an ulp of a, 2^e * 2^-53 for a in [2^e, 2^(e+1)), scaled as V
-    half_gap = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64) * t.half_ulp_scale[ei]
+    np.bitwise_and(a.view(np.uint64), _EXPONENT_BITS, out=half_gap.view(np.uint64))
+    half_gap *= t.half_ulp_scale.take(ei, out=scale, mode="clip")
     # Offsets from whole to V rounded to 17, 16 and 15 digits, and their
     # distances to V; each shorter candidate is taken when it reads back.
-    up = (below >= 0.5).astype(np.float64)
-    k16, k15 = t.round16[rem], t.round15[rem]
-    d16, d15 = np.abs(k16 - below), np.abs(k15 - below)
-    s16, s15 = half_gap - d16, half_gap - d15
-    ok16, ok15 = s16 > _ROUND_TRIP_MARGIN, s15 > _ROUND_TRIP_MARGIN
-    offset = np.where(ok15, k15, np.where(ok16, k16, up))
+    np.copyto(up, np.greater_equal(below, 0.5, out=test))
+    t.round16.take(rem, out=k16, mode="clip")
+    t.round15.take(rem, out=k15, mode="clip")
+    np.abs(np.subtract(k16, below, out=d16), out=d16)
+    np.abs(np.subtract(k15, below, out=d15), out=d15)
+    np.subtract(half_gap, d16, out=s16)
+    np.subtract(half_gap, d15, out=s15)
+    np.greater(s16, _ROUND_TRIP_MARGIN, out=ok16)
+    np.greater(s15, _ROUND_TRIP_MARGIN, out=ok15)
+    offset = up
+    np.copyto(offset, k16, where=ok16)
+    np.copyto(offset, k15, where=ok15)
     # Unsure: a distance at the half-gap, or the chosen candidate at a tie
     # (V midway between two 16- or two 17-digit decimals).
-    at_edge = (np.abs(s15) <= _ROUND_TRIP_MARGIN) | (~ok15 & (np.abs(s16) <= _ROUND_TRIP_MARGIN))
-    at_tie = np.where(ok16, np.abs(d16 - 5.0), np.abs(below - 0.5)) <= _ROUND_TRIP_MARGIN
-    power_of_two = (a.view(np.uint64) & _MANTISSA_BITS) == 0
-    unsure = at_edge | (~ok15 & at_tie) | power_of_two
-    digits, x_exp = _normalized(whole + offset.astype(np.int64), ei, zero)
-    return digits, x_exp, slow | (unsure & ~zero)
+    np.logical_not(ok15, out=not15)
+    np.less_equal(np.abs(s15, out=s15), _ROUND_TRIP_MARGIN, out=unsure)
+    np.less_equal(np.abs(s16, out=s16), _ROUND_TRIP_MARGIN, out=test)
+    unsure |= np.logical_and(test, not15, out=test)
+    tie = np.abs(np.subtract(below, 0.5, out=s15), out=s15)
+    np.copyto(tie, np.abs(np.subtract(d16, 5.0, out=s16), out=s16), where=ok16)
+    np.less_equal(tie, _ROUND_TRIP_MARGIN, out=test)
+    unsure |= np.logical_and(test, not15, out=test)
+    power_of_two = np.bitwise_and(a.view(np.uint64), _MANTISSA_BITS, out=half_gap.view(np.uint64))
+    unsure |= np.equal(power_of_two, 0, out=test)
+    np.copyto(rem, offset, casting="unsafe")
+    whole += rem
+    _normalized(whole, ei, zero, test)
+    unsure &= np.logical_not(zero, out=test)
+    slow |= unsure
+    return whole, ei, slow
 
 
-def _encode(t: _Tables, rule: _Rule, x, tail, tail_mask, out: np.ndarray, mask: np.ndarray) -> None:
-    """Write the text of each value of x by ``rule``, then its tail, into the
-    (len(x), _W) scratch buffers ``out`` (uint8) and ``mask`` (bool). ``tail``
-    and ``tail_mask`` are each value's last word of bytes and of mask."""
-    digits, x_exp, fallback = rule.digits(t, x)
+def _encode(t: _Tables, rule: _Rule, x: np.ndarray, s: _Scratch) -> None:
+    """Write the text of each value of x by ``rule`` into ``s.out``, with its
+    byte mask in ``s.mask``; the tail bytes are left zero. Works in f[:6],
+    i[2:8], ``gather`` and b[8:10] besides the digit rule's rows."""
+    digits, x_exp, fallback = rule.digits(t, x, s)
+    out, mask = s.out, s.mask
+    top, lead, half, high, low, nd = s.i[2:8]
+    gather = s.gather
+    inside, test = s.b[8:10]
+    sig = test.view(np.int8)
     # The leading digit, then four 4-digit groups; nd counts digits up to the
     # last nonzero one, at least 1.
-    top = digits // 10**8
-    lead = top // 10**8
+    np.floor_divide(digits, 10**8, out=top)
+    np.floor_divide(top, 10**8, out=lead)
     words = out.view("<u4")
     words[:, 0] = _word(b"-0.0")
-    words[:, 1] = t.lead[lead]
-    nd = np.ones(len(x), dtype=np.intp)
-    for word, half in ((2, top - lead * 10**8), (4, digits - top * 10**8)):
-        high = half // 10**4
-        for group in (high, half - high * 10**4):
-            words[:, word] = t.digits4[group]
-            np.maximum(nd, t.sig4[group] + (4 * word - 7), out=nd)
+    words[:, 1] = t.lead.take(lead, out=gather, mode="clip")
+    nd.fill(1)
+    for word, upper, lower in ((2, lead, top), (4, top, digits)):
+        np.subtract(lower, np.multiply(upper, 10**8, out=half), out=half)  # the 8 digits below upper
+        np.floor_divide(half, 10**4, out=high)
+        np.subtract(half, np.multiply(high, 10**4, out=low), out=low)
+        for group in (high, low):
+            words[:, word] = t.digits4.take(group, out=gather, mode="clip")
+            np.maximum(nd, np.add(t.sig4.take(group, out=sig, mode="clip"), 4 * word - 7, out=sig), out=nd)
             word += 1
-    xi = x_exp - _E_MIN
-    words[:, 6] = t.exp_word[xi]
-    words[:, 7] = t.exp_tail[xi] | tail
-    mask_words = mask.view("<u4")
-    rule.masks.take(rule.form[xi] + nd, axis=0, out=mask_words, mode="clip")
-    mask_words[:, 7] |= tail_mask
-    mask[:, 0] = np.signbit(x)
+    xi = np.subtract(x_exp, _E_MIN, out=half)
+    words[:, 6] = t.exp_word.take(xi, out=gather, mode="clip")
+    words[:, 7] = t.exp_tail.take(xi, out=gather, mode="clip")
+    form = rule.form.take(xi, out=high, mode="clip")
+    form += nd
+    rule.masks.take(form, axis=0, out=mask.view("<u4"), mode="clip")
+    mask[:, 0] = np.signbit(x, out=test)  # not out=mask[:, 0]: numpy 2.4 writes wrong bits to a strided out
 
     # Fixed notation with X >= 1: d1..dX move one column down and the point
     # follows them; X = 0 leaves a value as it is.
-    moved = np.where((x_exp >= 1) & (x_exp < rule.fixed_end), x_exp, 0)
-    if moved.any():
+    np.greater_equal(x_exp, 1, out=inside)
+    inside &= np.less(x_exp, rule.fixed_end, out=test)
+    if inside.any():
+        moved = np.multiply(x_exp, inside, out=low)
         w = out.view("<u8")
-        old = w.T.copy()  # the four 8-byte words, each contiguous
+        old, shifted, part = (rows.view(np.uint64) for rows in (s.f[:4], s.f[4], s.f[5]))
+        np.copyto(old, w.T)  # the four 8-byte words, each contiguous
         for k in range(3):
-            shifted = (old[k] >> np.uint64(8)) | (old[k + 1] << np.uint64(56))
-            w[:, k] = (shifted & t.shift[k][moved]) | (old[k] & t.keep[k][moved]) | t.point[k][moved]
+            np.right_shift(old[k], np.uint64(8), out=shifted)
+            shifted |= np.left_shift(old[k + 1], np.uint64(56), out=part)
+            shifted &= t.shift[k].take(moved, out=part, mode="clip")
+            shifted |= np.bitwise_and(old[k], t.keep[k].take(moved, out=part, mode="clip"), out=part)
+            shifted |= t.point[k].take(moved, out=part, mode="clip")
+            w[:, k] = shifted
 
     index = np.flatnonzero(fallback)
     for i, value in zip(index.tolist(), x[index].tolist()):
@@ -330,33 +450,35 @@ def _encode(t: _Tables, rule: _Rule, x, tail, tail_mask, out: np.ndarray, mask: 
         mask[i, :_W - 3] = np.arange(_W - 3) < len(text)  # at most 24 bytes
 
 
-def _encode_ints(t: _Tables, x: np.ndarray, tail, tail_mask, out: np.ndarray, mask: np.ndarray) -> None:
-    """Write the %d text of each value of the int64 array x, then its tail,
-    into the (len(x), _INT_W) scratch buffers; see _encode."""
-    negative = x < 0
-    u = x.view(np.uint64)
-    rest = np.where(negative, np.negative(u), u)  # |x| mod 2^64, exact for -2^63 too
-    nd = np.maximum(np.searchsorted(t.pow10, rest, side="right"), 1)
-    mask_words = mask.view("<u4")
-    t.int_masks.take(nd, axis=0, out=mask_words)
-    mask_words[:, 6] = tail_mask
+def _encode_ints(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
+    """Write the %d text of each value of the int64 array x into ``s.out``;
+    see _encode. Works in i[:3], ``gather`` and b[0]."""
+    out, mask = s.out, s.mask
+    rest, high, low = (row.view(np.uint64) for row in s.i[:3])
+    gather, negative = s.gather, s.b[0]
+    np.less(x, 0, out=negative)
+    np.copyto(rest, x.view(np.uint64))
+    np.negative(rest, out=rest, where=negative)  # |x| mod 2^64, exact for -2^63 too
+    nd = np.searchsorted(t.pow10, rest, side="right")
+    t.int_masks.take(np.maximum(nd, 1, out=nd), axis=0, out=mask.view("<u4"), mode="clip")
     mask[:, 3] = negative
     words = out.view("<u4")
     words[:, 0] = _word(b"   -")
-    words[:, 6] = tail
+    words[:, 6] = 0
     for word in range(5, 0, -1):  # 4-digit groups from the last; the masks skip unset ones
-        high = rest // 10**4
-        words[:, word] = t.digits4[rest - high * 10**4]
+        np.floor_divide(rest, 10**4, out=high)
+        np.subtract(rest, np.multiply(high, 10**4, out=low), out=low)
+        words[:, word] = t.digits4.take(low.view(np.int64), out=gather, mode="clip")
         if not high.any():
             break
-        rest = high
+        rest, high = high, rest
 
 
 def _write(fh, rows, dtype, width: int, encode, sep: bytes, prefix: bytes) -> None:
     """Encode the 2-D array ``rows`` chunk by chunk into the binary file
     ``fh``: ``prefix``, the values joined by ``sep``, ``"\\n"``, per row.
     The tail is the last three of the ``width`` columns: bytes 1-3 of the
-    last 4-byte word of each value."""
+    last 4-byte word of each value, which ``encode`` leaves zero."""
     if len(sep) != 1 or len(prefix) > 2:
         raise ValueError("sep must be one byte and prefix at most two")
     rows = np.asarray(rows, dtype=dtype)
@@ -366,21 +488,25 @@ def _write(fh, rows, dtype, width: int, encode, sep: bytes, prefix: bytes) -> No
         fh.write((prefix + b"\n") * n_rows)
         return
     size = min(CHUNK_VALUES, len(values))
-    out, mask = np.empty((size, width), dtype=np.uint8), np.empty((size, width), dtype=bool)
+    scratch = _Scratch.empty(size, width)
     # the last word's bytes and mask: within a row, then at a row end
-    tails = np.array([_word(b"\0" + sep), _word(b"\0\n" + prefix)], dtype="<u4")
-    tail_masks = np.array([_word(b"\0\1"), _word(b"\0" + b"\1" * (1 + len(prefix)))], dtype="<u4")
+    tail, end_tail = _word(b"\0" + sep), _word(b"\0\n" + prefix)
+    tail_mask, end_mask = _word(b"\0\1"), _word(b"\0" + b"\1" * (1 + len(prefix)))
     fh.write(prefix)
     for start in range(0, len(values), size):
         chunk = values[start:start + size]
         n = len(chunk)
-        row_end = np.zeros(n, dtype=np.intp)
-        row_end[-(start + 1) % n_cols::n_cols] = 1  # value start + j ends a row
-        o, m = out[:n], mask[:n]
-        encode(chunk, tails[row_end], tail_masks[row_end], o, m)
+        s = scratch if n == size else scratch.head(n)
+        encode(chunk, s)
+        last, last_mask = s.out.view("<u4")[:, -1], s.mask.view("<u4")[:, -1]
+        last |= tail
+        last_mask |= tail_mask
+        ends = slice(-(start + 1) % n_cols, None, n_cols)  # value start + j ends a row
+        last[ends] ^= tail ^ end_tail
+        last_mask[ends] |= end_mask
         if start + n == len(values):
-            m[-1, width - 2:] = False  # no prefix after the last row
-        fh.write(o[m])
+            s.mask[-1, width - 2:] = False  # no prefix after the last row
+        fh.write(s.out[s.mask])
 
 
 def write_g17(fh, rows) -> None:
@@ -415,6 +541,24 @@ def make_out_dir(path) -> Path:
         raise FileExistsError(f"output directory {path} is not empty")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+@contextlib.contextmanager
+def replaced_when_done(path):
+    """Yield a temporary path next to ``path`` to write one file to. When
+    the block ends, the file replaces ``path`` in one step (os.replace);
+    on any exception, KeyboardInterrupt included, it is removed instead,
+    so ``path`` is never left half-written."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory {path.parent} does not exist")
+    partial = path.with_name(f".{path.name}.partial-{os.getpid()}")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def log_text(value) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bathymetry import Heightmap, HeightmapError, NodataError, depth_at_xy
 from .geodesy import ProjectedCoord
-from .meshtools import TriMesh, save_obj
+from .meshtools import TriMesh, _face_text, _write_obj
 from .output import make_out_dir
 
 DEFAULT_TILE_SIZE_M = 1000.0
@@ -158,14 +158,24 @@ def _lattice_triangles(n_rows: int, n_cols: int) -> np.ndarray:
 def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     """Write one OBJ per tile plus a manifest CSV (index, bounds, path)
     into a new or empty directory; a non-empty one raises FileExistsError
-    before anything is written."""
+    before anything is written.
+
+    Each tile file has the bytes ``save_obj(tile.mesh, path)`` writes.
+    Tiles of one shape share their triangles, so the face rows of each
+    distinct triangle array are encoded once and written for every tile
+    that has it."""
     out_dir = make_out_dir(out_dir)
     manifest = out_dir / "tiles.csv"
+    faces: dict[bytes, bytes] = {}  # triangles.tobytes() -> the OBJ face rows
     with open(manifest, "wb") as fh:
         fh.write(b"row,col,x0,y0,x1,y1,path\n")
         for tile in tiles:
             name = f"tile_{tile.index[0]:03d}_{tile.index[1]:03d}.obj"
-            save_obj(tile.mesh, out_dir / name)
+            triangles = tile.mesh.triangles
+            key = triangles.tobytes()
+            if key not in faces:
+                faces[key] = _face_text(triangles)
+            _write_obj(tile.mesh, out_dir / name, faces[key])
             b = tile.core_bounds
             fh.write(b"%d,%d,%r,%r,%r,%r,%s\n" % (*tile.index, *map(float, (b.x0, b.y0, b.x1, b.y1)),
                                                    name.encode("ascii")))

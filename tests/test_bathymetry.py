@@ -77,10 +77,20 @@ def test_save_load_round_trip(tmp_path):
 def test_infinite_depth_rejected_and_nan_is_nodata(bad):
     grid = np.full((3, 3), 40.0)
     grid[1, 1] = math.nan
-    assert np.isnan(make_heightmap(grid.copy()).depth[1, 1])
+    assert np.isnan(make_heightmap(grid).depth[1, 1])
     grid[2, 0] = bad
     with pytest.raises(bat.HeightmapError, match="^non-nodata depths must be finite$"):
         make_heightmap(grid)
+
+
+def test_caller_grid_stays_writable_and_is_shared_not_copied():
+    grid = np.full((3, 4), 40.0)
+    h = bat.Heightmap(GeodeticCoord(10.0, -20.0), 1e-3, grid)
+    grid[0, 0] = 1.0
+    assert h.depth[0, 0] == 1.0 and np.shares_memory(h.depth, grid)
+    assert grid.flags.writeable and not h.depth.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        h.depth[0, 0] = 2.0
 
 
 def test_grid_must_be_2x2():

@@ -83,6 +83,38 @@ def test_distort_subcommand(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("writer", ["write_repr", "write_ints"])
+@pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()], ids=repr)
+def test_distort_failing_mid_write_leaves_no_out_and_no_partial_file(tmp_path, capsys, monkeypatch,
+                                                                     writer, failure):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    real = getattr(meshtools, writer)
+
+    def write_then_fail(fh, *args, **kwargs):
+        real(fh, *args, **kwargs)
+        raise failure
+
+    monkeypatch.setattr(meshtools, writer, write_then_fail)
+    argv = ["distort", str(src), "--extent", "0.5", "--subdivide", "2", "--out", str(tmp_path / "out.obj")]
+    if isinstance(failure, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "error: disk full\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["tet.obj"]
+
+
+def test_distort_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    out = tmp_path / "missing" / "out.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: output directory {out.parent} does not exist\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["tet.obj"]
+
+
 def test_missing_scenario_file_fails_cleanly(capsys):
     rc = cli.main(["validate", "/nonexistent/path.yaml"])
     assert rc == 1

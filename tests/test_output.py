@@ -339,6 +339,33 @@ def test_ints_across_chunk_edges():
     assert buf.getvalue() == b"".join(b",".join([b"%d" % v for v in row]) + b"\n" for row in rows.tolist())
 
 
+def test_interleaved_encoder_calls_keep_their_bytes():
+    """Each call works in its own scratch: a call of another size or kind in
+    between, or a chunk shorter than the last, leaves nothing behind."""
+    rng = np.random.default_rng(23)
+    large = rng.integers(0, 2**64, 7 * (CHUNK_VALUES // 2 + 3), dtype=np.uint64).view(np.float64).reshape(-1, 7)
+    small = np.array([[0.1, -2.5e-7, 123456.0000005], [5e-324, math.nan, -0.0]])
+
+    def ints(n):  # n values, in rows as short as divide n but not CHUNK_VALUES
+        cols = next(c for c in range(2, n + 1) if n % c == 0 and CHUNK_VALUES % c)
+        values = rng.integers(-2**63, 2**63 - 1, n, endpoint=True) >> rng.integers(0, 64, n)
+        return values.reshape(-1, cols)
+
+    calls = [(write_g17, large, lambda v: b"%.17g" % v, b","),
+             (write_repr, small, lambda v: repr(v).encode(), b" "),
+             *((write_ints, ints(n), lambda v: b"%d" % v, b" ")
+               for n in (CHUNK_VALUES - 1, CHUNK_VALUES + 1, 2 * CHUNK_VALUES + 3)),
+             (write_repr, small[:1, :2], lambda v: repr(v).encode(), b" "),
+             (write_g17, large, lambda v: b"%.17g" % v, b",")]
+    for write, rows, text, sep in calls:
+        buf = io.BytesIO()
+        if write is write_g17:
+            write(buf, rows)
+        else:
+            write(buf, rows, sep)
+        assert buf.getvalue() == b"".join(sep.join([text(v) for v in row]) + b"\n" for row in rows.tolist())
+
+
 # --- per-writer byte contracts --------------------------------------------------------
 
 
@@ -583,6 +610,47 @@ GOLDEN = {
 def test_golden_digest(tmp_path, kind):
     writer, build, name, digest = GOLDEN[kind]
     assert hashlib.sha256(_written(writer, build(), tmp_path, name)).hexdigest() == digest
+
+
+# Every tile OBJ of one export, in name order: 12 tiles in two face-block shapes.
+# The vertices pass through the Mercator projection, so this digest pins this
+# platform's bytes.
+GOLDEN_TILE_OBJS = "301fadd882e45672e573860d25803cc76730a8021852086cf3ee4be04c9aaa49"
+
+
+def _golden_tile_export():
+    depth = np.arange(88, dtype=float).reshape(8, 11) / 4.0 + 40.0
+    return tiling.generate_tiles(Heightmap(GeodeticCoord(10.0, -20.0), 1e-3, depth), 300.0, 20.0)
+
+
+def test_golden_tile_export_digest(tmp_path):
+    tiles = _golden_tile_export()
+    assert sorted({t.mesh.triangles.shape for t in tiles}) == [(24, 3), (32, 3)]
+    tiling.write_tiles(tiles, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.obj")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_TILE_OBJS
+
+
+def _same_shape_other_faces():
+    """Tiles whose meshes share a triangle shape but not always its content."""
+    mesh = _golden_mesh()
+    flipped = meshtools.TriMesh(mesh.vertices, mesh.triangles[:, ::-1], mesh.colors)
+    plain = meshtools.TriMesh(mesh.vertices, mesh.triangles[::-1])
+    return [tiling.Tile((0, c), tiling.Bounds(c, 0.0, c + 1.0, 1.0), 0.5, m, (0, 0, 1, 1))
+            for c, m in enumerate([mesh, flipped, mesh, plain, flipped])]
+
+
+@pytest.mark.parametrize("build", [_golden_tile_export, _same_shape_other_faces])
+def test_each_tile_file_is_what_save_obj_writes(tmp_path, build):
+    tiles = build()
+    tiling.write_tiles(tiles, tmp_path / "tiles")
+    for tile in tiles:
+        name = "tile_%03d_%03d.obj" % tile.index
+        meshtools.save_obj(tile.mesh, tmp_path / name)
+        assert (tmp_path / "tiles" / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == _obj_reference(tile.mesh)
 
 
 # The run logs of one small scenario: pose rows, a DVL in every tracking mode
