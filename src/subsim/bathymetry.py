@@ -20,7 +20,7 @@ import numpy as np
 
 from .geodesy import GeodeticCoord, ProjectionError, mercator_xy
 from .geometry import WorldPoint
-from .output import write_repr
+from .output import write_g17
 
 # Penetration past the surface that confirms a ray/terrain crossing as a hit;
 # shallower grazes are misses.
@@ -111,17 +111,12 @@ def load_heightmap(path) -> Heightmap:
     try:
         with open(path, "r", encoding="ascii") as fh:
             header, first = _read_header(path, fh)
+            nrows, ncols = _grid_shape(path, header)
             values = _read_values(path, fh, *first) if first else np.empty(0)
     except UnicodeDecodeError as err:
         bad = err.object[err.start : err.end]
         raise HeightmapError(f"{path}: not an ASCII grid: non-ASCII byte {bad!r}") from None
 
-    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
-        if key not in header:
-            raise HeightmapError(f"{path}: missing header key {key!r}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if ncols != header["ncols"] or nrows != header["nrows"]:
-        raise HeightmapError(f"{path}: ncols/nrows must be integers")
     if values.size != nrows * ncols:
         raise HeightmapError(
             f"{path}: expected {nrows * ncols} values for {nrows}x{ncols} grid, got {values.size}"
@@ -163,6 +158,20 @@ def _read_header(path: Path, fh) -> tuple[dict[str, float], tuple[int, str] | No
     return header, None
 
 
+def _grid_shape(path: Path, header: dict[str, float]) -> tuple[int, int]:
+    """(nrows, ncols) of a parsed header, once every required key is there
+    and both counts are positive integers."""
+    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if key not in header:
+            raise HeightmapError(f"{path}: missing header key {key!r}")
+    nrows, ncols = header["nrows"], header["ncols"]
+    if not (nrows.is_integer() and ncols.is_integer()):
+        raise HeightmapError(f"{path}: ncols/nrows must be integers")
+    if nrows < 1 or ncols < 1:
+        raise HeightmapError(f"{path}: ncols/nrows must be positive, got {ncols:g} and {nrows:g}")
+    return int(nrows), int(ncols)
+
+
 def _read_values(path: Path, fh, lineno: int, line: str) -> np.ndarray:
     """Read the values from ``line`` (line ``lineno``) to the end of ``fh``,
     flat, in file order.
@@ -187,7 +196,8 @@ def _read_values(path: Path, fh, lineno: int, line: str) -> np.ndarray:
 
 
 def save_heightmap(h: Heightmap, path) -> None:
-    """Write a Heightmap back out as an ESRI ASCII grid."""
+    """Write a Heightmap back out as an ESRI ASCII grid: depths as ``%.17g``,
+    which `load_heightmap` reads back bit for bit, header floats as ``repr``."""
     nodata = h.nodata_value if h.nodata_value is not None else -9999.0
     grid = np.where(np.isnan(h.depth), nodata, h.depth)[::-1]
     header = (
@@ -200,7 +210,7 @@ def save_heightmap(h: Heightmap, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        write_repr(fh, grid, b" ")
+        write_g17(fh, grid, b" ")
 
 
 def _cell_indices(h: Heightmap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

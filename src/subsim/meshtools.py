@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .output import write_ints, write_repr
+from .output import write_g17, write_ints
 
 
 # Most triangles `distort` may make. Each subdivision level multiplies the
@@ -270,7 +270,7 @@ def _parse_lines(path: Path, lines: list[str]) -> TriMesh:
 def save_obj(mesh: TriMesh, path) -> None:
     """Write an OBJ file; per-vertex colors use the x y z r g b extension.
 
-    Floats are written as their ``repr``, so identical meshes produce
+    Floats are written as ``%.17g``, so identical meshes produce
     byte-identical files that read back bit for bit.
     """
     _write_obj(mesh, path, _face_text(mesh.triangles))
@@ -287,7 +287,7 @@ def _write_obj(mesh: TriMesh, path, faces: bytes) -> None:
     """Write ``mesh``'s vertex rows, then ``faces``, its `_face_text`, to ``path``."""
     rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
     with open(path, "wb") as fh:
-        write_repr(fh, rows, b" ", prefix=b"v ")
+        write_g17(fh, rows, b" ", prefix=b"v ")
         fh.write(faces)
 
 

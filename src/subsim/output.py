@@ -11,12 +11,13 @@ a header line, then one comma-separated row per call, each ended by
 ``\n``. ``log_text`` is its one cell rule: a float as ``%.9g`` (nan
 prints ``nan``), anything else as ``str``.
 
-Three array encoders write rows of numbers with the same bytes as
+Two array encoders write rows of numbers with the same bytes as
 formatting every value on its own in Python, but compute them with
 array arithmetic over chunks of ``CHUNK_VALUES`` values: ``write_g17``
-(``%.17g``, the A-plot CSV), ``write_repr`` (``repr``, OBJ vertices and
-DEM grids) and ``write_ints`` (``%d``, OBJ faces). Each call allocates
-its temporaries once (``_Scratch``) and reuses them for every chunk.
+(``%.17g``: OBJ vertices, DEM grids and the A-plot CSV, all of which
+read back bit for bit) and ``write_ints`` (``%d``, OBJ faces). Each call
+allocates its temporaries once (``_Scratch``) and reuses them for every
+chunk.
 
 Digits of a float. A positive double x with decimal exponent E (10^E <=
 x < 10^(E+1)) is scaled to V = x * 10^(16 - E), in [10^16, 10^17): its
@@ -24,26 +25,8 @@ x < 10^(E+1)) is scaled to V = x * 10^(16 - E), in [10^16, 10^17): its
 x times an exact (hi, lo) pair for 10^(16 - E), with the x * hi part
 split exactly (Dekker's TwoProduct). For 0 <= 16 - E <= 22 the power is
 a double and V is exact. Otherwise V is within 3 * 2^-49 (see
-``_TIE_MARGIN``).
-
-- ``%.17g`` takes V rounded half-even, as Python does. A value whose V
-  lies within 2^-46 of a tie is flagged.
-- ``repr`` takes the shortest digits that read back as x (the rule of
-  Steele & White, PLDI 1990, as Python's dtoa applies it). A decimal
-  reads back as x when it lies strictly inside x's rounding interval,
-  whose half-width is half an ulp of x (the half-gap). The interval is
-  narrower than a quarter of the spacing of 15-digit decimals, so at
-  most one of those fits in it. When the shortest form has at most 15
-  digits it is therefore V rounded to 15 digits, trailing zeros
-  removed. Otherwise it is V rounded to 16 digits if that decimal reads
-  back, and V rounded to 17 digits if not. A candidate is accepted only
-  when its distance to V is below the half-gap by more than
-  ``_ROUND_TRIP_MARGIN``. A value is flagged when a distance it depends
-  on lies within that margin of the half-gap or of a tie between two
-  candidates, and when x is a power of two, whose gap below is half the
-  gap above. This is Grisu3's plan (Loitsch, PLDI 2010): fast digits,
-  and the cases they cannot settle detected and left to an exact
-  algorithm.
+``_TIE_MARGIN``). ``%.17g`` takes V rounded half-even, as Python does;
+a value whose V lies within 2^-46 of a tie is flagged.
 
 Python formats the flagged values, and nan, inf, subnormals and
 magnitudes outside [1e-282, 1e300), on its own.
@@ -72,14 +55,8 @@ _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit hal
 # correction sum once at < 32, each adding at most 2^-49 for a product < 2^57.
 # A fraction within this margin of one half is left to Python.
 _TIE_MARGIN = 2.0**-46
-# Error of the distances the shortest-digit test compares, in the same
-# units: V's error above, one rounding each of a distance below 64, of its
-# difference to the half-gap (2^-47 each) and of the half-gap, below 12
-# (2^-49). A distance within this margin of the half-gap, or of the
-# midpoint between two candidates, is left to Python.
-_ROUND_TRIP_MARGIN = 2.0**-40
-_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
-_MANTISSA_BITS = np.uint64(2**52 - 1)
+# %.17g prints fixed notation for printed exponents -4 <= X < 17.
+_FIXED_END = 17
 
 # Byte columns of one encoded float (W = 32, eight 4-byte words):
 #   0 sign | 1-5 "0.000" prefix of fixed notation below 1 | 6 d0 | 7 "." |
@@ -112,43 +89,6 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-class _Rule:
-    """The text layout of one float format: per printed exponent X, the
-    form class, and per form class and digit count, the byte mask.
-
-    Fixed notation holds for -4 <= X < ``fixed_end``. ``%.17g`` drops a
-    point with no digit after it; ``repr`` (``point_zero``) writes
-    ``.0`` on an integral value instead."""
-
-    def __init__(self, exps, fixed_end: int, point_zero: bool, fallback: bytes, digits):
-        self.fixed_end, self.fallback, self.digits = fixed_end, fallback, digits
-        # 17 * (form class) - 1 per printed exponent X
-        self.form = np.array([17 * (x + 4 if -4 <= x < fixed_end else 21 if abs(x) < 100 else 22) - 1
-                              for x in exps])
-        masks = np.zeros((_N_CLASSES, _W), dtype=bool)
-        # region columns: d0, point, d1..d16, or in fixed notation with X >= 1,
-        # once moved, d0..dX, point, d(X+1)..d16
-        r = np.arange(18)
-        for c in range(23):
-            for nd in range(1, 18):
-                m = masks[c * 17 + nd - 1]
-                if c >= 21:  # scientific: d0 "." d1..d(nd-1) "e+XX"
-                    region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
-                    m[24:28] = True
-                    m[28] = c == 22
-                elif c < 4:  # X < 0: "0." then -X - 1 zeros then the digits
-                    m[1:3] = True
-                    m[3:3 + 3 - c] = True
-                    region = (r == 0) | ((r >= 2) & (r <= nd))
-                elif point_zero:  # d0..dX "." and the rest, at least one digit
-                    region = r <= max(nd, c - 2)
-                else:  # d0..dX, then "." and the rest if any remain
-                    x = c - 4
-                    region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
-                m[_REGION] = region
-        self.masks = masks.view("<u4")  # (classes, 8): the byte mask of each form class
-
-
 class _Tables:
     """Exact tables for the array encoders, built from integers; see _tables."""
 
@@ -174,14 +114,9 @@ class _Tables:
         binade = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
         e_index = np.searchsorted(self.thresholds, binade, side="right") - 1
         self.binade_e = np.clip(e_index, 0, _E_MAX - _E_MIN)
-        self.pow_hi = np.array(hi)  # 10^(16-E), rounded
-        self.pow_hi_hi, self.pow_hi_lo = _split(self.pow_hi, *np.empty((2, len(hi))))  # its Dekker halves
-        self.pow_lo = np.array(lo)  # 10^(16-E) - hi, rounded
-        self.half_ulp_scale = self.pow_hi * 2.0**-53
-        # per whole % 100: the offset to the nearest multiple of 100 and of 10
-        rem = np.arange(100)
-        self.round15 = np.where(rem >= 50, 100 - rem, -rem).astype(np.float64)
-        self.round16 = np.where(rem % 10 >= 5, 10 - rem % 10, -(rem % 10)).astype(np.float64)
+        # 10^(16-E) rounded, as its Dekker halves, and the rest 10^(16-E) - hi, rounded
+        self.pow_hi_hi, self.pow_hi_lo = _split(np.array(hi), *np.empty((2, len(hi))))
+        self.pow_lo = np.array(lo)
 
         groups = np.arange(10000)
         chars = np.stack([groups // 10**p % 10 for p in (3, 2, 1, 0)], axis=1) + ord("0")
@@ -205,8 +140,31 @@ class _Tables:
             point[x, 7 + x] = ord(".")
         keep = np.where((shift | point) > 0, 0, 0xFF).astype(np.uint8)
         self.shift, self.keep, self.point = (a.view("<u8").T.copy() for a in (shift, keep, point))  # (3, 17)
-        self.g17 = _Rule(exps, 17, False, b"%.17g", _round17)
-        self.repr = _Rule(exps, 16, True, b"%r", _shortest)
+
+        # The text layout: per printed exponent X, 17 * (form class) - 1, and
+        # per form class and digit count, the byte mask.
+        self.form = np.array([17 * (x + 4 if -4 <= x < _FIXED_END else 21 if abs(x) < 100 else 22) - 1
+                              for x in exps])
+        masks = np.zeros((_N_CLASSES, _W), dtype=bool)
+        # region columns: d0, point, d1..d16, or in fixed notation with X >= 1,
+        # once moved, d0..dX, point, d(X+1)..d16
+        r = np.arange(18)
+        for c in range(23):
+            for nd in range(1, 18):
+                m = masks[c * 17 + nd - 1]
+                if c >= 21:  # scientific: d0 "." d1..d(nd-1) "e+XX"
+                    region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
+                    m[24:28] = True
+                    m[28] = c == 22
+                elif c < 4:  # X < 0: "0." then -X - 1 zeros then the digits
+                    m[1:3] = True
+                    m[3:3 + 3 - c] = True
+                    region = (r == 0) | ((r >= 2) & (r <= nd))
+                else:  # d0..dX, then "." and the rest if any remain
+                    x = c - 4
+                    region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
+                m[_REGION] = region
+        self.masks = masks.view("<u4")  # (classes, 8): the byte mask of each form class
 
         # integers: 10^k for k = 0..19, and the mask of each digit count
         self.pow10 = np.array([10**k for k in range(20)], dtype=np.uint64)
@@ -231,8 +189,7 @@ class _Scratch(NamedTuple):
     matrices and ``gather`` a uint32 row; ``f``, ``i`` and ``b`` are
     stacks of float64, int64 and bool rows, one value per chunk position.
     Each function below unpacks the rows it uses by name and says which
-    they are; a function's rows are those its callee returns and the rows
-    after them."""
+    they are."""
 
     out: np.ndarray
     mask: np.ndarray
@@ -244,13 +201,13 @@ class _Scratch(NamedTuple):
     @classmethod
     def empty(cls, size: int, width: int) -> _Scratch:
         """The buffers for chunks of ``size`` values, carved from one block
-        (8-byte rows first, so every row is aligned): about 250 bytes a
+        (8-byte rows first, so every row is aligned): about 185 bytes a
         value, in one allocation. glibc maps the first such block; freeing
         it raises glibc's mmap and trim thresholds above its size, so later
         calls take their block from the heap and reuse its pages."""
-        layout = [("f", (13, size), np.float64), ("i", (8, size), np.int64),
+        layout = [("f", (6, size), np.float64), ("i", (8, size), np.int64),
                   ("out", (size, width), np.uint8), ("mask", (size, width), np.bool_),
-                  ("gather", (size,), np.uint32), ("b", (10, size), np.bool_)]
+                  ("gather", (size,), np.uint32), ("b", (5, size), np.bool_)]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
         block = np.empty(sum(sizes), dtype=np.uint8)
         parts, start = {}, 0
@@ -266,14 +223,14 @@ class _Scratch(NamedTuple):
 
 
 def _scaled(t: _Tables, x: np.ndarray, s: _Scratch):
-    """V = |x| * 10^(16 - E) per value of x, as p + frac with p a double
-    and frac its remainder. Returns (a, ei, p, frac, inexact, slow, zero):
-    a is |x| where the arrays apply and 1.0 elsewhere, ei indexes E in the
-    tables, inexact marks a rounded V, slow the values Python must format
-    (nan, inf, subnormals, magnitudes outside the tables) and zero the
-    zeros. Returns rows f[:3], i[0] and b[:3], and works in f[3:8] and i[1]."""
-    a, p, frac, bhi, blo, ahi, alo, term = s.f[:8]
-    ei, ei1 = s.i[:2]
+    """V = |x| * 10^(16 - E) per value of x, as p + frac with p an integral
+    double, held as an int64, and frac its remainder. Returns (ei, p, frac,
+    inexact, slow, zero): ei indexes E in the tables, inexact marks a
+    rounded V, slow the values Python must format (nan, inf, subnormals,
+    magnitudes outside the tables) and zero the zeros; their V is that of
+    1.0. Returns rows i[:2], f[1] and b[:3], and works in f, i[2]."""
+    a, frac, bhi, blo, ahi, alo = s.f
+    ei, p, ei1 = s.i[:3]
     zero, fast, test = s.b[:3]
     np.abs(x, out=a)
     np.equal(a, 0.0, out=zero)
@@ -285,122 +242,64 @@ def _scaled(t: _Tables, x: np.ndarray, s: _Scratch):
     # >= 10^E decide exactly.
     np.right_shift(a.view(np.uint64), np.uint64(52), out=ei1.view(np.uint64))
     t.binade_e.take(ei1, out=ei, mode="clip")
-    t.thresholds.take(np.add(ei, 1, out=ei1), out=term, mode="clip")
-    ei += np.greater_equal(a, term, out=test)
+    t.thresholds.take(np.add(ei, 1, out=ei1), out=frac, mode="clip")
+    ei += np.greater_equal(a, frac, out=test)
 
     t.pow_hi_hi.take(ei, out=bhi, mode="clip")
     t.pow_hi_lo.take(ei, out=blo, mode="clip")
-    np.add(bhi, blo, out=p)
-    p *= a
+    np.add(bhi, blo, out=frac)
+    frac *= a
+    np.copyto(p, frac, casting="unsafe")  # an integer below 2^57: exact
     _split(a, ahi, alo)
-    # a * hi = p + frac exactly: ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    # a * hi = p + frac exactly: ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo;
+    # each product is formed in a factor's row once that factor is spent.
     np.multiply(ahi, bhi, out=frac)
     frac -= p
-    frac += np.multiply(ahi, blo, out=term)
-    frac += np.multiply(alo, bhi, out=term)
-    frac += np.multiply(alo, blo, out=term)
+    frac += np.multiply(ahi, blo, out=ahi)
+    np.multiply(alo, blo, out=blo)
+    frac += np.multiply(alo, bhi, out=bhi)
+    frac += blo
     lo = t.pow_lo.take(ei, out=bhi, mode="clip")
-    frac += np.multiply(a, lo, out=term)
+    frac += np.multiply(a, lo, out=blo)
     inexact = np.not_equal(lo, 0.0, out=test)
     slow = np.logical_not(np.logical_or(fast, zero, out=fast), out=fast)
-    return a, ei, p, frac, inexact, slow, zero
+    return ei, p, frac, inexact, slow, zero
 
 
-def _normalized(digits, ei, zero, carry):
-    """(N, X) in place of (digits, ei): 17 significant digits N, with a
-    carry to 10^17 moved into the printed exponent X; zeros have N = 0 and
-    X = 0. ``carry`` is a bool row to work in."""
+def _round17(t: _Tables, x: np.ndarray, s: _Scratch):
+    """(N, X, fallback) per value of x: the 17 significant digits of |x| as
+    an integer N, with a carry to 10^17 moved into the printed exponent X
+    (zeros have N = 0 and X = 0), and where Python must format x instead.
+    Returns rows i[:2] and b[1], and works in f[2:4], i[2] and b[3:5]."""
+    ei, digits, frac, inexact, slow, zero = _scaled(t, x, s)
+    r, dist = s.f[2:4]
+    r_int = s.i[2]
+    near_tie, carry = s.b[3:5]
+    np.rint(frac, out=r)  # p is an even integer (>= 2^53): half-even as a whole
+    np.abs(np.subtract(frac, r, out=dist), out=dist)
+    np.greater(dist, 0.5 - _TIE_MARGIN, out=near_tie)
+    near_tie &= inexact
+    np.copyto(r_int, r, casting="unsafe")
+    digits += r_int
     np.equal(digits, 10**17, out=carry)
     np.copyto(digits, 10**16, where=carry)
     ei += carry
     ei += _E_MIN
     np.copyto(digits, 0, where=zero)
     np.copyto(ei, 0, where=zero)
-    return digits, ei
-
-
-def _round17(t: _Tables, x: np.ndarray, s: _Scratch):
-    """(N, X, fallback) per value of x: the 17 significant digits of |x| as
-    an integer N, the printed exponent X, and where Python must format x
-    instead. Returns rows i[:2] and b[1], and works in f[3:5], i[2] and b[3:5]."""
-    a, ei, p, frac, inexact, slow, zero = _scaled(t, x, s)
-    r, dist = s.f[3:5]
-    digits, r_int = s.i[1:3]
-    near_tie, carry = s.b[3:5]
-    np.rint(frac, out=r)  # p is an even integer (>= 2^53): half-even as a whole
-    np.abs(np.subtract(frac, r, out=dist), out=dist)
-    np.greater(dist, 0.5 - _TIE_MARGIN, out=near_tie)
-    near_tie &= inexact
-    np.copyto(digits, p, casting="unsafe")
-    np.copyto(r_int, r, casting="unsafe")
-    digits += r_int
-    _normalized(digits, ei, zero, carry)
     slow |= near_tie
     return digits, ei, slow
 
 
-def _shortest(t: _Tables, x: np.ndarray, s: _Scratch):
-    """(N, X, fallback) as _round17 gives them, for the shortest digits that
-    read back as x: N is 10^(17 - n) times the n-digit decimal. Returns rows
-    i[:2] and b[1], and works in f[3:13], i[2] and b[3:8]."""
-    a, ei, p, frac, _, slow, zero = _scaled(t, x, s)
-    floor, half_gap, scale, up, k16, k15, d16, d15, s16, s15 = s.f[3:13]
-    whole, rem = s.i[1:3]
-    test, ok16, ok15, not15, unsure = s.b[3:8]
-    np.floor(frac, out=floor)
-    below = np.subtract(frac, floor, out=frac)  # V = whole + below, 0 <= below < 1, exactly
-    np.copyto(whole, p, casting="unsafe")
-    np.copyto(rem, floor, casting="unsafe")
-    whole += rem
-    np.floor_divide(whole, 100, out=rem)
-    rem *= 100
-    np.subtract(whole, rem, out=rem)  # whole % 100
-    # half an ulp of a, 2^e * 2^-53 for a in [2^e, 2^(e+1)), scaled as V
-    np.bitwise_and(a.view(np.uint64), _EXPONENT_BITS, out=half_gap.view(np.uint64))
-    half_gap *= t.half_ulp_scale.take(ei, out=scale, mode="clip")
-    # Offsets from whole to V rounded to 17, 16 and 15 digits, and their
-    # distances to V; each shorter candidate is taken when it reads back.
-    np.copyto(up, np.greater_equal(below, 0.5, out=test))
-    t.round16.take(rem, out=k16, mode="clip")
-    t.round15.take(rem, out=k15, mode="clip")
-    np.abs(np.subtract(k16, below, out=d16), out=d16)
-    np.abs(np.subtract(k15, below, out=d15), out=d15)
-    np.subtract(half_gap, d16, out=s16)
-    np.subtract(half_gap, d15, out=s15)
-    np.greater(s16, _ROUND_TRIP_MARGIN, out=ok16)
-    np.greater(s15, _ROUND_TRIP_MARGIN, out=ok15)
-    offset = up
-    np.copyto(offset, k16, where=ok16)
-    np.copyto(offset, k15, where=ok15)
-    # Unsure: a distance at the half-gap, or the chosen candidate at a tie
-    # (V midway between two 16- or two 17-digit decimals).
-    np.logical_not(ok15, out=not15)
-    np.less_equal(np.abs(s15, out=s15), _ROUND_TRIP_MARGIN, out=unsure)
-    np.less_equal(np.abs(s16, out=s16), _ROUND_TRIP_MARGIN, out=test)
-    unsure |= np.logical_and(test, not15, out=test)
-    tie = np.abs(np.subtract(below, 0.5, out=s15), out=s15)
-    np.copyto(tie, np.abs(np.subtract(d16, 5.0, out=s16), out=s16), where=ok16)
-    np.less_equal(tie, _ROUND_TRIP_MARGIN, out=test)
-    unsure |= np.logical_and(test, not15, out=test)
-    power_of_two = np.bitwise_and(a.view(np.uint64), _MANTISSA_BITS, out=half_gap.view(np.uint64))
-    unsure |= np.equal(power_of_two, 0, out=test)
-    np.copyto(rem, offset, casting="unsafe")
-    whole += rem
-    _normalized(whole, ei, zero, test)
-    unsure &= np.logical_not(zero, out=test)
-    slow |= unsure
-    return whole, ei, slow
-
-
-def _encode(t: _Tables, rule: _Rule, x: np.ndarray, s: _Scratch) -> None:
-    """Write the text of each value of x by ``rule`` into ``s.out``, with its
-    byte mask in ``s.mask``; the tail bytes are left zero. Works in f[:6],
-    i[2:8], ``gather`` and b[8:10] besides the digit rule's rows."""
-    digits, x_exp, fallback = rule.digits(t, x, s)
+def _encode(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
+    """Write the %.17g text of each value of x into ``s.out``, with its
+    byte mask in ``s.mask``; the tail bytes are left zero. Works in f,
+    i[2:8], ``gather`` and b[3:5] besides _round17's rows."""
+    digits, x_exp, fallback = _round17(t, x, s)
     out, mask = s.out, s.mask
     top, lead, half, high, low, nd = s.i[2:8]
     gather = s.gather
-    inside, test = s.b[8:10]
+    inside, test = s.b[3:5]
     sig = test.view(np.int8)
     # The leading digit, then four 4-digit groups; nd counts digits up to the
     # last nonzero one, at least 1.
@@ -421,15 +320,15 @@ def _encode(t: _Tables, rule: _Rule, x: np.ndarray, s: _Scratch) -> None:
     xi = np.subtract(x_exp, _E_MIN, out=half)
     words[:, 6] = t.exp_word.take(xi, out=gather, mode="clip")
     words[:, 7] = t.exp_tail.take(xi, out=gather, mode="clip")
-    form = rule.form.take(xi, out=high, mode="clip")
+    form = t.form.take(xi, out=high, mode="clip")
     form += nd
-    rule.masks.take(form, axis=0, out=mask.view("<u4"), mode="clip")
+    t.masks.take(form, axis=0, out=mask.view("<u4"), mode="clip")
     mask[:, 0] = np.signbit(x, out=test)  # not out=mask[:, 0]: numpy 2.4 writes wrong bits to a strided out
 
     # Fixed notation with X >= 1: d1..dX move one column down and the point
     # follows them; X = 0 leaves a value as it is.
     np.greater_equal(x_exp, 1, out=inside)
-    inside &= np.less(x_exp, rule.fixed_end, out=test)
+    inside &= np.less(x_exp, _FIXED_END, out=test)
     if inside.any():
         moved = np.multiply(x_exp, inside, out=low)
         w = out.view("<u8")
@@ -445,7 +344,7 @@ def _encode(t: _Tables, rule: _Rule, x: np.ndarray, s: _Scratch) -> None:
 
     index = np.flatnonzero(fallback)
     for i, value in zip(index.tolist(), x[index].tolist()):
-        text = rule.fallback % value
+        text = b"%.17g" % value
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
         mask[i, :_W - 3] = np.arange(_W - 3) < len(text)  # at most 24 bytes
 
@@ -509,20 +408,12 @@ def _write(fh, rows, dtype, width: int, encode, sep: bytes, prefix: bytes) -> No
         fh.write(s.out[s.mask])
 
 
-def write_g17(fh, rows) -> None:
+def write_g17(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
     """Write each row of the 2-D float array ``rows`` to the binary file ``fh`` as
-    ``b",".join(b"%.17g" % v for v in row) + b"\\n"``, byte for byte."""
-    t = _tables()
-    _write(fh, rows, np.float64, _W, functools.partial(_encode, t, t.g17), b",", b"")
-
-
-def write_repr(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
-    """Write each row of the 2-D float array ``rows`` to the binary file ``fh`` as
-    ``prefix + sep.join(repr(v).encode() for v in row) + b"\\n"``, byte for byte.
+    ``prefix + sep.join(b"%.17g" % v for v in row) + b"\\n"``, byte for byte.
 
     ``sep`` is one byte and ``prefix`` at most two."""
-    t = _tables()
-    _write(fh, rows, np.float64, _W, functools.partial(_encode, t, t.repr), sep, prefix)
+    _write(fh, rows, np.float64, _W, functools.partial(_encode, _tables()), sep, prefix)
 
 
 def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:

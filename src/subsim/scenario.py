@@ -136,7 +136,6 @@ class ScenarioConfig:
     stations: dict[str, Pose] = field(default_factory=dict)
     vehicles: tuple[VehicleSpec, ...] = ()
     couplings: tuple[CouplingSpec, ...] = ()
-    source_path: Path | None = None
     source_bytes: bytes | None = None
 
 
@@ -266,7 +265,6 @@ def load_scenario(path) -> ScenarioConfig:
         stations={str(name): _pose(node, f"station {name!r}") for name, node in stations.items()},
         vehicles=tuple(_vehicle(node, i) for i, node in enumerate(_items(doc.get("vehicles"), "vehicles"))),
         couplings=tuple(_coupling(node, i) for i, node in enumerate(_items(doc.get("couplings"), "couplings"))),
-        source_path=path,
         source_bytes=raw,
     )
 

@@ -285,8 +285,8 @@ def write_aplot_csv(aplot: APlot, path) -> None:
         fh.write(b"# aplot beams=%d bins=%d\n" % (len(aplot.beam_axis), len(aplot.range_axis)))
         for name, axis in ((b"beam_axis,", aplot.beam_axis), (b"range_axis,", aplot.range_axis)):
             fh.write(name)
-            write_g17(fh, np.reshape(axis, (1, -1)))
-        write_g17(fh, aplot.intensities)
+            write_g17(fh, np.reshape(axis, (1, -1)), b",")
+        write_g17(fh, aplot.intensities, b",")
 
 
 _APLOT_HEADER_RE = re.compile(rb"# aplot beams=(\d+) bins=(\d+)")

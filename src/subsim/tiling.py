@@ -26,6 +26,10 @@ DEFAULT_TILE_SIZE_M = 1000.0
 DEFAULT_OVERLAP_M = 50.0
 DEFAULT_LOAD_RADIUS_M = 1500.0
 DEFAULT_UNLOAD_RADIUS_M = 2000.0
+# Most tiles one partition may have: about 270 times the 3,721 of a
+# 2000x2000-node DEM cut into 1 km tiles. A tiny tile size would otherwise
+# build an unbounded spec list.
+MAX_TILES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class TileSpec:
 
     index: tuple[int, int]  # (row, col)
     core_bounds: Bounds
-    overlap_margin: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +61,7 @@ class Tile:
 
     index: tuple[int, int]
     core_bounds: Bounds
-    overlap_margin: float
     mesh: TriMesh
-    source_region: tuple[int, int, int, int]  # node range (row0, col0, row1, col1)
 
 
 def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[TileSpec]:
@@ -76,18 +77,20 @@ def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[Tile
     if width <= 0.0 or height <= 0.0:
         raise HeightmapError("degenerate heightmap extent")
     # The 1e-6 slack absorbs sub-micrometre slivers from Mercator stretch.
-    nx = max(1, math.ceil(width / tile_size - 1e-6))
-    ny = max(1, math.ceil(height / tile_size - 1e-6))
+    nx, ny = (max(1.0, np.ceil(extent / tile_size - 1e-6)) for extent in (width, height))
+    if not nx * ny <= MAX_TILES:  # an infinite count too
+        raise HeightmapError(f"tile_size {tile_size} m cuts the {width:.6g} x {height:.6g} m extent "
+                             f"into more than {MAX_TILES} tiles")
     specs = []
-    for r in range(ny):
-        for c in range(nx):
+    for r in range(int(ny)):
+        for c in range(int(nx)):
             core = Bounds(
                 x_min + c * tile_size,
                 y_min + r * tile_size,
                 min(x_min + (c + 1) * tile_size, x_max),
                 min(y_min + (r + 1) * tile_size, y_max),
             )
-            specs.append(TileSpec((r, c), core, overlap))
+            specs.append(TileSpec((r, c), core))
     return specs
 
 
@@ -128,19 +131,7 @@ def generate_tiles(h: Heightmap, tile_size: float, overlap: float) -> list[Tile]
         verts = np.stack([gx.ravel(), gy.ravel(), -depths], axis=-1)
         colors = _depth_color(depths, d_min, d_max)
         tris = _lattice_triangles(len(sy), len(sx))
-        col0 = int(np.searchsorted(h.xs, ex[0]))
-        row0 = int(np.searchsorted(h.ys, ey[0]))
-        col1 = int(np.searchsorted(h.xs, ex[1], side="right") - 1)
-        row1 = int(np.searchsorted(h.ys, ey[1], side="right") - 1)
-        tiles.append(
-            Tile(
-                index=spec.index,
-                core_bounds=b,
-                overlap_margin=overlap,
-                mesh=TriMesh(verts, tris, colors),
-                source_region=(row0, col0, row1, col1),
-            )
-        )
+        tiles.append(Tile(spec.index, b, TriMesh(verts, tris, colors)))
     return tiles
 
 

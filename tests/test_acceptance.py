@@ -111,11 +111,8 @@ def test_criterion_3_tile_hysteresis_vs_naive_oracle():
     tile = 100.0
     for r in range(6):
         for c in range(6):
-            specs.append(
-                tiling.TileSpec(
-                    (r, c), tiling.Bounds(c * tile, r * tile, (c + 1) * tile, (r + 1) * tile), 0.0
-                )
-            )
+            bounds = tiling.Bounds(c * tile, r * tile, (c + 1) * tile, (r + 1) * tile)
+            specs.append(tiling.TileSpec((r, c), bounds))
     mgr = tiling.TileManager(specs, load_radius=400.0, unload_radius=420.0)
     positions = [ProjectedCoord(99.0, 50.0), ProjectedCoord(101.0, 50.0)]
     mgr.update_tiles([positions[0]])

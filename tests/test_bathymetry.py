@@ -49,6 +49,22 @@ def test_load_count_mismatch(tmp_path):
         bat.load_heightmap(f)
 
 
+@pytest.mark.parametrize("ncols, nrows", [("-2", "-2"), ("3", "0")])
+def test_load_refuses_a_non_positive_shape_before_reading_values(tmp_path, ncols, nrows):
+    f = tmp_path / "bad.asc"
+    f.write_text(f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 oops\n")
+    with pytest.raises(bat.HeightmapError, match=f"^{f}: ncols/nrows must be positive, got {ncols} and {nrows}$"):
+        bat.load_heightmap(f)
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
+def test_load_refuses_a_shape_that_is_not_an_integer(tmp_path, count):
+    f = tmp_path / "bad.asc"
+    f.write_text(f"ncols {count}\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n")
+    with pytest.raises(bat.HeightmapError, match="ncols/nrows must be integers"):
+        bat.load_heightmap(f)
+
+
 def test_load_bad_token_names_line(tmp_path):
     f = tmp_path / "bad.asc"
     f.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 oops\n")

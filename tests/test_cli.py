@@ -83,7 +83,7 @@ def test_distort_subcommand(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("writer", ["write_repr", "write_ints"])
+@pytest.mark.parametrize("writer", ["write_g17", "write_ints"])
 @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()], ids=repr)
 def test_distort_failing_mid_write_leaves_no_out_and_no_partial_file(tmp_path, capsys, monkeypatch,
                                                                      writer, failure):
@@ -247,6 +247,14 @@ def test_dem_the_heightmap_refuses_fails_tiles_and_run_naming_the_file(tmp_path,
     _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem, problem)
 
 
+@pytest.mark.parametrize("ncols, nrows", [("-2", "-2"), ("2", "0")])
+def test_dem_with_a_non_positive_shape_fails_tiles_and_run(tmp_path, capsys, ncols, nrows):
+    dem = tmp_path / "w.asc"
+    dem.write_text(f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 41\n42 43\n")
+    _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem,
+                                    f"ncols/nrows must be positive, got {ncols} and {nrows}")
+
+
 def _assert_dem_fails_tiles_and_run(tmp_path, capsys, dem, problem):
     """`tiles` on the DEM and `run` on a scenario over it each end with
     one error line naming the file, and write no output."""
@@ -272,6 +280,21 @@ def test_tiles_rejects_bad_tile_geometry(tmp_path, capsys, flag, value, problem)
     out = tmp_path / "tiles"
     assert cli.main(["tiles", str(tmp_path / "dem.asc"), flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_a_tile_size_too_small_to_count_fails_tiles_and_run(tmp_path, capsys):
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), tmp_path / "dem.asc")
+    problem = "tile_size 1e-320 m cuts the 100 x 100 m extent into more than 1000000 tiles"
+    out = tmp_path / "out"
+    argv = ["tiles", str(tmp_path / "dem.asc"), "--tile-size", "1e-320", "--overlap", "0", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
+    assert not out.exists()
+    doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
+           "world": {"heightmap": "dem.asc", "tile_size": 1e-320, "overlap": 0.0}}
+    assert cli.main(["run", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
     assert not out.exists()
 
 

@@ -2,13 +2,14 @@
 
 Each writer is checked against a reference that encodes one value (or,
 for PLY, one point) per Python call with the rule the format documents
-(README "Output formats"): OBJ and DEM floats are ``repr``, A-plot
-values ``%.17g``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
+(README "Output formats"): OBJ, DEM and A-plot floats are ``%.17g``,
+OBJ faces ``%d``, and a PLY point is ``struct.pack("<3d2i", ...)`` after
 its header. The array encoders behind the writers are also checked on
-their own against Python's formatting: ``%.17g`` and ``repr`` on about
-10^6 values over the whole double range and every case their arithmetic
-treats apart, ``%d`` on every digit count and the int64 extremes. OBJ
-and DEM files are read back bit for bit.
+their own against Python's formatting: ``%.17g`` on about 10^6 values
+over the whole double range and every case its arithmetic treats apart,
+with each separator and prefix a writer uses, ``%d`` on every digit
+count and the int64 extremes. OBJ and DEM files are read back bit for
+bit.
 Golden sha256 digests of a fixed small input per writer, and of every
 run log of one small scenario, make any drift in the bytes fail here,
 not only in a benchmark's byte count. PLY files are also read back bit
@@ -27,7 +28,7 @@ import pytest
 from subsim import cli, lidar, meshtools, sonar, tiling
 from subsim.bathymetry import Heightmap, load_heightmap, save_heightmap
 from subsim.geodesy import GeodeticCoord
-from subsim.output import CHUNK_VALUES, CsvLog, log_text, write_g17, write_ints, write_repr
+from subsim.output import CHUNK_VALUES, CsvLog, log_text, write_g17, write_ints
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -44,7 +45,7 @@ def _obj_reference(mesh) -> bytes:
     out = []
     for k, v in enumerate(mesh.vertices):
         vals = list(v) + ([] if mesh.colors is None else list(mesh.colors[k]))
-        out.append("v " + " ".join(repr(float(a)) for a in vals) + "\n")
+        out.append("v " + " ".join("%.17g" % a for a in vals) + "\n")
     for t in mesh.triangles:
         out.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
     return "".join(out).encode("ascii")
@@ -78,7 +79,7 @@ def _dem_reference(h) -> bytes:
            f"yllcorner {h.origin.lat!r}\n", f"cellsize {h.cell_size[1]!r}\n",
            f"nodata_value {float(nodata)!r}\n"]
     for row in np.where(np.isnan(h.depth), nodata, h.depth)[::-1]:
-        out.append(" ".join(repr(float(v)) for v in row) + "\n")
+        out.append(" ".join("%.17g" % v for v in row) + "\n")
     return "".join(out).encode("ascii")
 
 
@@ -106,13 +107,13 @@ def _rows_per_chunk(n_floats):
 # --- the %.17g encoder ---------------------------------------------------------------
 
 
-def _g17_reference(rows) -> bytes:
-    return b"".join(b",".join([b"%.17g" % v for v in row]) + b"\n" for row in rows.tolist())
+def _g17_reference(rows, sep=b",", prefix=b"") -> bytes:
+    return b"".join(prefix + sep.join([b"%.17g" % v for v in row]) + b"\n" for row in rows.tolist())
 
 
-def _g17(rows) -> bytes:
+def _g17(rows, sep=b",", prefix=b"") -> bytes:
     buf = io.BytesIO()
-    write_g17(buf, rows)
+    write_g17(buf, rows, sep, prefix)
     return buf.getvalue()
 
 
@@ -201,6 +202,11 @@ def test_g17_named_values():
     # 10^16 and looks valid, but Python prints it with exponent -201.
     assert _g17(np.array([[1492670192443979.75, 2.0**-25, 1e-200]])) == (
         b"1492670192443979.8,2.9802322387695312e-08,9.9999999999999998e-201\n")
+    # An OBJ vertex row: integral values print no point, -0.0 prints "-0".
+    values = np.array([[0.0, -0.0, 1e16, 1e17, 100.0, 0.5, 0.1, 1e-4, 1e-5, 5e-324, math.nan, -math.inf]])
+    assert _g17(values, b" ", b"v ") == (
+        b"v 0 -0 10000000000000000 1e+17 100 0.5 0.10000000000000001 0.0001 1.0000000000000001e-05 "
+        b"4.9406564584124654e-324 nan -inf\n")
 
 
 @pytest.mark.parametrize("where", [0, 511, 1023])
@@ -214,6 +220,9 @@ def test_g17_row_with_a_single_fallback_value(where, value):
 @pytest.mark.parametrize("shape", [
     (0, 5), (3, 0), (1, 1), (1, CHUNK_VALUES - 1), (1, CHUNK_VALUES), (1, CHUNK_VALUES + 1),
     (CHUNK_VALUES + 1, 1), (3, CHUNK_VALUES // 2 + 1), (2, 2 * CHUNK_VALUES + 3), (7, 1000),
+    # OBJ vertex rows: a row count on either side of one chunk's, and two chunks' and more
+    (0, 3), (1, 3), (_rows_per_chunk(3) - 1, 3), (_rows_per_chunk(3), 3), (_rows_per_chunk(3) + 1, 3),
+    (2 * _rows_per_chunk(3) + 5, 3), (9, 1024), (2, CHUNK_VALUES + 1),
 ])
 def test_g17_across_chunk_edges(shape):
     n = shape[0] * shape[1]
@@ -221,97 +230,15 @@ def test_g17_across_chunk_edges(shape):
     if n > CHUNK_VALUES:
         flat = rows.reshape(-1)
         flat[CHUNK_VALUES - 1:CHUNK_VALUES + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
-    assert _g17(rows) == _g17_reference(rows)
-
-
-# --- the repr encoder ----------------------------------------------------------------
-
-
-def _repr_reference(rows, sep=b",", prefix=b"") -> bytes:
-    return b"".join(prefix + sep.join([repr(v).encode() for v in row]) + b"\n" for row in rows.tolist())
-
-
-def _repr(rows, sep=b",", prefix=b"") -> bytes:
-    buf = io.BytesIO()
-    write_repr(buf, rows, sep, prefix)
-    return buf.getvalue()
-
-
-def _digit_count(value) -> int:
-    """Significant digits of repr(value)."""
-    mantissa = repr(value).lstrip("-").partition("e")[0]
-    return len(mantissa.replace(".", "").strip("0"))
-
-
-def _by_digit_count():
-    """Values whose shortest form has n digits, n = 1..17, both signs: n-digit
-    mantissas times powers of ten for n <= 15, drawn doubles for 16 and 17."""
-    rng = np.random.default_rng(18)
-    values = []
-    for n in range(1, 16):
-        mantissas = rng.integers(10 ** (n - 1), 10**n, 300)
-        mantissas += mantissas % 10 == 0  # a last digit of 0 would shorten the form
-        values += [float(f"{m}e{k}") for m, k in zip(mantissas.tolist(), rng.integers(-40, 40, 300).tolist())]
-    drawn = (rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-30, 30, 20_000)).tolist()
-    counts = {n: [v for v in drawn if _digit_count(v) == n][:2000] for n in (16, 17)}
-    values += counts[16] + counts[17]
-    assert sorted({_digit_count(v) for v in values}) == list(range(1, 18))
-    return np.array(values + [-v for v in values])
-
-
-def _repr_case(name):
-    if name in G17_CASES:
-        return _g17_case(name)
-    if name == "powers-of-two":  # their gap below is half the gap above
-        p = 2.0 ** np.arange(-1074, 1024)
-        near = [p]
-        for direction in (np.inf, -np.inf):
-            q = p
-            for _ in range(3):
-                q = np.nextafter(q, direction)
-                near.append(q)
-        return np.concatenate([*near, -p])
-    if name == "digit-counts":
-        return _by_digit_count()
-    if name == "repr-switches":  # repr switches form at X = -5 / -4 and 15 / 16
-        return np.concatenate([_ulp_walk(c) for c in (1e-5, 1e-4, 1e15, 1e16)])
-    raise KeyError(name)
-
-
-@pytest.mark.parametrize("name", G17_CASES + ["powers-of-two", "digit-counts", "repr-switches"])
-def test_repr_matches_python_formatting(name):
-    values = _repr_case(name)
-    cols = 1000
-    values = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
-    assert _repr(values) == _repr_reference(values)
-
-
-def test_repr_named_values():
-    values = np.array([[0.0, -0.0, 1e16, 1e15, 9999999999999998.0, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.0**-25,
-                        5e-324, math.nan, -math.inf, 1e22, 100.0, 0.5]])
-    assert _repr(values, b" ", b"v ") == (
-        b"v 0.0 -0.0 1e+16 1000000000000000.0 9999999999999998.0 0.0001 1e-05 0.1 0.3333333333333333 "
-        b"2.9802322387695312e-08 5e-324 nan -inf 1e+22 100.0 0.5\n")
-
-
-@pytest.mark.parametrize("cols, n", [
-    (3, 0), (3, 1), (3, _rows_per_chunk(3) - 1), (3, _rows_per_chunk(3)), (3, _rows_per_chunk(3) + 1),
-    (3, 2 * _rows_per_chunk(3) + 5), (1024, 9), (CHUNK_VALUES + 1, 2),
-])
-def test_repr_across_chunk_edges(cols, n):
-    rows = ((np.arange(cols * n) - n) / 7.0 * 10.0 ** (np.arange(cols * n) % 41 - 20)).reshape(n, cols)
-    if rows.size > CHUNK_VALUES:
-        flat = rows.reshape(-1)
-        flat[CHUNK_VALUES - 1:CHUNK_VALUES + 1] = [math.nan, 2.0**-25]  # fallbacks either side of the edge
     for sep, prefix in ((b",", b""), (b" ", b"v ")):
-        assert _repr(rows, sep, prefix) == _repr_reference(rows, sep, prefix)
+        assert _g17(rows, sep, prefix) == _g17_reference(rows, sep, prefix)
 
 
-def test_repr_rejects_a_long_separator_or_prefix():
+def test_g17_rejects_a_long_separator_or_prefix():
     with pytest.raises(ValueError):
-        _repr(np.ones((1, 2)), b", ")
+        _g17(np.ones((1, 2)), b", ")
     with pytest.raises(ValueError):
-        _repr(np.ones((1, 2)), b" ", b"vn ")
+        _g17(np.ones((1, 2)), b" ", b"vn ")
 
 
 # --- the integer encoder -----------------------------------------------------------------
@@ -351,25 +278,22 @@ def test_interleaved_encoder_calls_keep_their_bytes():
         values = rng.integers(-2**63, 2**63 - 1, n, endpoint=True) >> rng.integers(0, 64, n)
         return values.reshape(-1, cols)
 
-    calls = [(write_g17, large, lambda v: b"%.17g" % v, b","),
-             (write_repr, small, lambda v: repr(v).encode(), b" "),
-             *((write_ints, ints(n), lambda v: b"%d" % v, b" ")
+    calls = [(write_g17, large, b"%.17g", b","),
+             (write_g17, small, b"%.17g", b" "),
+             *((write_ints, ints(n), b"%d", b" ")
                for n in (CHUNK_VALUES - 1, CHUNK_VALUES + 1, 2 * CHUNK_VALUES + 3)),
-             (write_repr, small[:1, :2], lambda v: repr(v).encode(), b" "),
-             (write_g17, large, lambda v: b"%.17g" % v, b",")]
-    for write, rows, text, sep in calls:
+             (write_g17, small[:1, :2], b"%.17g", b" "),
+             (write_g17, large, b"%.17g", b",")]
+    for write, rows, rule, sep in calls:
         buf = io.BytesIO()
-        if write is write_g17:
-            write(buf, rows)
-        else:
-            write(buf, rows, sep)
-        assert buf.getvalue() == b"".join(sep.join([text(v) for v in row]) + b"\n" for row in rows.tolist())
+        write(buf, rows, sep)
+        assert buf.getvalue() == b"".join(sep.join([rule % v for v in row]) + b"\n" for row in rows.tolist())
 
 
 # --- per-writer byte contracts --------------------------------------------------------
 
 
-def test_obj_bytes_match_repr_rule_on_edge_values(tmp_path):
+def test_obj_bytes_match_g17_rule_on_edge_values(tmp_path):
     vals = np.array(EDGE + [-0.0], dtype=float).reshape(7, 3)
     mesh = meshtools.TriMesh(vals, [[0, 1, 2], [2, 1, 3], [3, 4, 5], [6, 5, 4]],
                              colors=vals[::-1])
@@ -389,7 +313,7 @@ def test_obj_bytes_on_a_large_colored_mesh(tmp_path):
 
 def test_obj_without_triangles_or_vertices(tmp_path):
     verts_only = meshtools.TriMesh([[1.0, -0.0, 1e16]], np.zeros((0, 3)), colors=[[0.5, 0.25, 1.0]])
-    assert _written(meshtools.save_obj, verts_only, tmp_path, "v.obj") == b"v 1.0 -0.0 1e+16 0.5 0.25 1.0\n"
+    assert _written(meshtools.save_obj, verts_only, tmp_path, "v.obj") == b"v 1 -0 10000000000000000 0.5 0.25 1\n"
     empty = meshtools.TriMesh(np.zeros((0, 3)), np.zeros((0, 3)))
     assert _written(meshtools.save_obj, empty, tmp_path, "e.obj") == b""
 
@@ -426,9 +350,9 @@ def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-# Values whose repr must read back bit for bit: signed zero, subnormals, the
-# repr form switches, Mercator-scale coordinates, powers of two and their
-# neighbours, and 16- and 17-digit values.
+# Values whose text must read back bit for bit: signed zero, subnormals, the
+# form switches, Mercator-scale coordinates, powers of two and their
+# neighbours, and values that need 16 and 17 digits.
 ROUND_TRIP = np.array(EDGE + [2.0**-1074, 2.0**-1022, 2.0**1023, 0.5, 1024.0, -2.0**-30,
                               np.nextafter(2.0**-30, 1.0), np.nextafter(1024.0, 0.0), 1e15 + 0.5,
                               9007199254740993.0, 0.1 + 0.2, -1e-300, 1.7976931348623157e308])
@@ -524,7 +448,7 @@ def test_aplot_one_by_one(tmp_path):
     assert back.intensities.tolist() == [[1e16]]
 
 
-def test_dem_bytes_match_repr_rule_with_nodata_cells(tmp_path):
+def test_dem_bytes_match_g17_rule_with_nodata_cells(tmp_path):
     depth = np.array(EDGE[:12], dtype=float).reshape(3, 4)
     depth[2, 3] = 5e-324
     depth[1, 2] = depth[0, 0] = np.nan
@@ -588,19 +512,19 @@ def _golden_dem():
 def _golden_tiles():
     mesh = _golden_mesh()
     return [tiling.Tile((r, c), tiling.Bounds(c * 100.0 / 3.0, r * -0.125, (c + 1) * 100.0 / 3.0, 1e7 / (r + 3.0)),
-                        5.0, mesh, (0, 0, 1, 1))
+                        mesh)
             for r in range(2) for c in range(3)]
 
 
 GOLDEN = {
     "obj": (meshtools.save_obj, _golden_mesh, "mesh.obj",
-            "a89519fc750137baa6eb21a7b74fa8f0a97bfa90d2354f4c8bd7508bd19451d7"),
+            "38f7203b204815f0a6707dc2fa810c6640704ae7ee74a2bac464c18540f76187"),
     "ply": (lidar.write_ply, _golden_scan, "scan.ply",
             "f97b46bb0c7c8336e00bb111ac761bc3cc145f5fb933b665eada347344ff5517"),
     "aplot": (sonar.write_aplot_csv, _golden_aplot, "aplot.csv",
               "26688a878a32b69994e10391f743a9f9ce8797cd2a81340ea46223062430d2c8"),
     "dem": (save_heightmap, _golden_dem, "dem.asc",
-            "1548abd7c5e66d270a59528ee4f562f25e4cf625af77a033e29f8333070bcdab"),
+            "c8e17f9864d8fa56c679cd06531131728e27e3c5ae8653f606235fc9fd5b4bc1"),
     "tiles": (lambda tiles, path: tiling.write_tiles(tiles, path.parent), _golden_tiles, "tiles.csv",
               "f53997e6e1bbbbf1b4915ef990609945cd85d3972a0ead19b5b4c81ef5878565"),
 }
@@ -615,7 +539,7 @@ def test_golden_digest(tmp_path, kind):
 # Every tile OBJ of one export, in name order: 12 tiles in two face-block shapes.
 # The vertices pass through the Mercator projection, so this digest pins this
 # platform's bytes.
-GOLDEN_TILE_OBJS = "301fadd882e45672e573860d25803cc76730a8021852086cf3ee4be04c9aaa49"
+GOLDEN_TILE_OBJS = "96c819625b9d18fa4cb41f9f36b7e24221c059199c619a34d068de7b643f71cf"
 
 
 def _golden_tile_export():
@@ -638,7 +562,7 @@ def _same_shape_other_faces():
     mesh = _golden_mesh()
     flipped = meshtools.TriMesh(mesh.vertices, mesh.triangles[:, ::-1], mesh.colors)
     plain = meshtools.TriMesh(mesh.vertices, mesh.triangles[::-1])
-    return [tiling.Tile((0, c), tiling.Bounds(c, 0.0, c + 1.0, 1.0), 0.5, m, (0, 0, 1, 1))
+    return [tiling.Tile((0, c), tiling.Bounds(c, 0.0, c + 1.0, 1.0), m)
             for c, m in enumerate([mesh, flipped, mesh, plain, flipped])]
 
 

@@ -68,6 +68,16 @@ def test_tile_size_must_exceed_overlap(map100):
         tiling.generate_tiles(map100, tile_size=8.0, overlap=5.0)
 
 
+def test_tile_count_is_bounded_before_any_spec_is_built(map100, monkeypatch):
+    with pytest.raises(tiling.HeightmapError, match="into more than 1000000 tiles"):
+        tiling.grid_tile_specs(map100, 1e-320, 0.0)  # the count overflows to inf
+    monkeypatch.setattr(tiling, "MAX_TILES", 4)
+    assert len(tiling.grid_tile_specs(map100, 50.0, 5.0)) == 4
+    monkeypatch.setattr(tiling, "MAX_TILES", 3)
+    with pytest.raises(tiling.HeightmapError, match="into more than 3 tiles"):
+        tiling.grid_tile_specs(map100, 50.0, 5.0)
+
+
 def test_write_tiles_manifest_and_objs(tmp_path, map100):
     tiles = tiling.generate_tiles(map100, tile_size=50.0, overlap=5.0)
     manifest = tiling.write_tiles(tiles, tmp_path)
@@ -86,11 +96,8 @@ def specs_grid(n=6, tile=100.0):
     out = []
     for r in range(n):
         for c in range(n):
-            out.append(
-                tiling.TileSpec(
-                    (r, c), tiling.Bounds(c * tile, r * tile, (c + 1) * tile, (r + 1) * tile), 0.0
-                )
-            )
+            bounds = tiling.Bounds(c * tile, r * tile, (c + 1) * tile, (r + 1) * tile)
+            out.append(tiling.TileSpec((r, c), bounds))
     return out
 
 
@@ -221,7 +228,7 @@ def test_update_matches_reference_on_overlapping_bounds():
         w, h = rng.uniform(0.0, 300.0, 2)
         # A few repeated indices: the last bounds given for an index win.
         index = (k % 290, int(rng.integers(0, 3)) if k >= 290 else 0)
-        specs.append(tiling.TileSpec(index, tiling.Bounds(x0, y0, x0 + w, y0 + h), 0.0))
+        specs.append(tiling.TileSpec(index, tiling.Bounds(x0, y0, x0 + w, y0 + h)))
     steps = [rng.uniform(-800.0, 800.0, (int(rng.integers(1, 6)), 2)).tolist() for _ in range(30)]
     assert _assert_matches_reference(specs, 90.0, 140.0, steps) > 0
 
@@ -258,7 +265,7 @@ def test_update_matches_reference_off_a_corner(alt):
     # A vehicle at (-dx, -dy) is exactly math.hypot(dx, dy) from the corner
     # of the tile at the origin. With the radius at the smaller of the two
     # hypot values, deciding with `alt` loads or keeps the tile wrongly.
-    specs = [tiling.TileSpec((0, 0), tiling.Bounds(0.0, 0.0, 100.0, 100.0), 0.0)]
+    specs = [tiling.TileSpec((0, 0), tiling.Bounds(0.0, 0.0, 100.0, 100.0))]
     for dx, dy in _hypot_disagreements(alt, 20):
         radius = min(math.hypot(dx, dy), float(alt(dx, dy)))
         corner = [(-dx, -dy)]
