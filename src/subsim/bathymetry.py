@@ -35,6 +35,14 @@ class NodataError(HeightmapError):
     """Query over cells flagged as nodata."""
 
 
+def _check_grid(shape: tuple[int, ...], cell_lat: float, cell_lon: float) -> None:
+    """The checks a Heightmap makes on its grid shape and cell size."""
+    if len(shape) != 2 or shape[0] < 2 or shape[1] < 2:
+        raise HeightmapError(f"depth grid must be at least 2x2, got {shape}")
+    if cell_lat <= 0.0 or cell_lon <= 0.0:
+        raise HeightmapError("cell_size must be positive")
+
+
 class Heightmap:
     """Immutable georeferenced depth grid.
 
@@ -51,13 +59,10 @@ class Heightmap:
 
     def __init__(self, origin: GeodeticCoord, cell_size, depth, nodata_value: float | None = None):
         depth = np.asarray(depth, dtype=float)
-        if depth.ndim != 2 or depth.shape[0] < 2 or depth.shape[1] < 2:
-            raise HeightmapError(f"depth grid must be at least 2x2, got {depth.shape}")
         if np.isscalar(cell_size):
             cell_size = (float(cell_size), float(cell_size))
         cell_lat, cell_lon = float(cell_size[0]), float(cell_size[1])
-        if cell_lat <= 0.0 or cell_lon <= 0.0:
-            raise HeightmapError("cell_size must be positive")
+        _check_grid(depth.shape, cell_lat, cell_lon)
         if np.isinf(depth).any():  # NaN marks nodata; any other non-finite depth is an error
             raise HeightmapError("non-nodata depths must be finite")
 
@@ -108,15 +113,7 @@ def load_heightmap(path) -> Heightmap:
     outside the Pseudo-Mercator domain, and on a grid `Heightmap` refuses.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header, first = _read_header(path, fh)
-            nrows, ncols = _grid_shape(path, header)
-            values = _read_values(path, fh, *first) if first else np.empty(0)
-    except UnicodeDecodeError as err:
-        bad = err.object[err.start : err.end]
-        raise HeightmapError(f"{path}: not an ASCII grid: non-ASCII byte {bad!r}") from None
-
+    header, (nrows, ncols), values = _read_grid(path, values=True)
     if values.size != nrows * ncols:
         raise HeightmapError(
             f"{path}: expected {nrows * ncols} values for {nrows}x{ncols} grid, got {values.size}"
@@ -133,6 +130,34 @@ def load_heightmap(path) -> Heightmap:
         return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
     except (ProjectionError, HeightmapError) as err:
         raise HeightmapError(f"{path}: {err}") from None
+
+
+def grid_extent(path) -> tuple[float, float, float, float]:
+    """The extent `load_heightmap(path)` has, read from the header alone; raises
+    the HeightmapError `load_heightmap` raises for a header it or `Heightmap` refuses."""
+    path = Path(path)
+    header, (nrows, ncols), _ = _read_grid(path, values=False)
+    cell = header["cellsize"]
+    try:
+        _check_grid((nrows, ncols), cell, cell)
+        corner = GeodeticCoord(header["yllcorner"], header["xllcorner"])
+        (x0, x1), (y0, y1) = mercator_xy(corner.lat + cell * np.array([0.0, nrows - 1]),
+                                         corner.lon + cell * np.array([0.0, ncols - 1]))
+    except (ProjectionError, HeightmapError) as err:
+        raise HeightmapError(f"{path}: {err}") from None
+    return float(x0), float(y0), float(x1), float(y1)
+
+
+def _read_grid(path: Path, values: bool):
+    """The header, (nrows, ncols) and, if ``values``, the flat values of a grid file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header, first = _read_header(path, fh)
+            shape = _grid_shape(path, header)
+            return header, shape, _read_values(path, fh, *first) if first and values else np.empty(0)
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.end]
+        raise HeightmapError(f"{path}: not an ASCII grid: non-ASCII byte {bad!r}") from None
 
 
 _HEADER_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bathymetry, currents, dvl, meshtools, output, scenario, tiling
+from . import bathymetry, meshtools, output, scenario, tiling
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,15 +51,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         problems = _dispatch(args)
-    except (
-        scenario.ScenarioError,
-        bathymetry.HeightmapError,
-        currents.CurrentError,
-        dvl.DegenerateBeamGeometryError,
-        meshtools.MeshError,
-        OSError,
-    ) as err:
+    except (ValueError, OSError) as err:  # every subsim error class is a ValueError
         problems = [str(err)]
+    except KeyboardInterrupt:
+        problems = ["interrupted"]
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if problems else 0
@@ -87,15 +82,9 @@ def _dispatch(args) -> list[str]:
 
     if args.command == "distort":
         mesh = meshtools.load_obj(args.mesh)
-        params = meshtools.DistortionParams(
-            extent=args.extent,
-            scale=args.scale,
-            seed=args.seed,
-            subdivision_levels=args.subdivide,
-        )
-        distorted = meshtools.distort(mesh, params)
-        with output.replaced_when_done(args.out) as partial:
-            meshtools.save_obj(distorted, partial)
+        params = meshtools.DistortionParams(args.extent, args.scale, args.seed, args.subdivide)
+        with output.staged(args.out, directory=False) as partial:
+            meshtools.save_obj(meshtools.distort(mesh, params), partial)
         print(f"wrote {args.out}")
     return []
 

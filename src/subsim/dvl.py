@@ -34,6 +34,10 @@ PROFILE_PER_BEAM = "per_beam"
 
 # Singular values at or below this make a beam set rank-deficient.
 RANK_TOL = 1e-9
+# Most ADCP bins per profile. Each bin is one log row per profile (four in
+# per-beam mode), so a 5 Hz ADCP at this bound logs 50,000 rows per
+# simulated second; more would end in memory or hours of logging.
+MAX_ADCP_BINS = 10_000
 
 
 class TrackingMode(enum.Enum):
@@ -93,6 +97,8 @@ class DvlConfig:
             raise ValueError("need 0 <= min_range < max_range")
         if self.bins < 0 or self.bin_size <= 0.0:
             raise ValueError("bins must be >= 0 and bin_size positive")
+        if self.bins > MAX_ADCP_BINS:
+            raise ValueError(f"bins must be <= {MAX_ADCP_BINS}, got {self.bins}")
         if self.bins * self.bin_size > self.max_range + 1e-9:
             raise ValueError("bins * bin_size must not exceed max_range")
         if self.profile_mode not in (PROFILE_COMBINED, PROFILE_PER_BEAM):

@@ -23,6 +23,11 @@ PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
 
 _RAY_CHUNK = 32768  # rays per raycast batch, bounds peak memory
+# Most rays one scan may cast, (rays_h * rays_v) * supersample^2: 2^22,
+# twice the 1450 x 1450 of the default config. A scan holds 70 to 170
+# bytes per ray at once (directions, ranges, points, PLY rows), so the
+# bound keeps one to about 700 MiB rather than ending in a MemoryError.
+MAX_SCAN_RAYS = 4_194_304
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class LidarConfig:
             raise ValueError("max_range must be positive")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
+        rays = int(self.rays_h) * int(self.rays_v) * int(self.supersample) ** 2  # Python ints: no wrap
+        if rays > MAX_SCAN_RAYS:
+            raise ValueError(f"rays_h * rays_v * supersample^2 is {rays}, more than {MAX_SCAN_RAYS}")
         if self.range_noise_sigma < 0.0:
             raise ValueError("range_noise_sigma must be >= 0")
         for name, limit in (("pan_deg", PAN_LIMIT_DEG), ("tilt_deg", TILT_LIMIT_DEG)):

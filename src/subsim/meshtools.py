@@ -132,13 +132,10 @@ def jitter_vertices(mesh: TriMesh, params: DistortionParams) -> TriMesh:
     fixed seed; extent 0 returns the input unchanged."""
     scale = params.scale if params.scale is not None else 0.02 * mesh.bbox_diagonal()
     bound = params.extent * scale
-    if bound == 0.0:
-        return TriMesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                       None if mesh.colors is None else mesh.colors.copy())
-    rng = np.random.default_rng(params.seed)
-    disp = rng.uniform(-bound, bound, size=mesh.vertices.shape)
-    return TriMesh(mesh.vertices + disp, mesh.triangles.copy(),
-                   None if mesh.colors is None else mesh.colors.copy())
+    vertices = mesh.vertices.copy()
+    if bound != 0.0:
+        vertices += np.random.default_rng(params.seed).uniform(-bound, bound, size=vertices.shape)
+    return TriMesh(vertices, mesh.triangles.copy(), None if mesh.colors is None else mesh.colors.copy())
 
 
 def distort(mesh: TriMesh, params: DistortionParams) -> TriMesh:

@@ -1,10 +1,10 @@
-"""Text number formatting shared by the file writers, and the rule for
-output directories.
+"""Text number formatting shared by the file writers, and the one rule
+for command outputs.
 
-``make_out_dir`` creates a run's or a tile export's ``--out``, and
-refuses a non-empty one, so no earlier output is left next to the new.
-``replaced_when_done`` writes one file (``distort``'s ``--out``) under a
-temporary name and renames it into place only once it is complete.
+``staged`` is that rule, for ``run`` and ``tiles`` (a directory) and
+``distort`` (one file): the output is written to a sibling of ``--out``
+and renamed onto it when whole, and removed on any failure, Ctrl-C
+included, so ``--out`` is either the whole output or absent (as it was).
 
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
 a header line, then one comma-separated row per call, each ended by
@@ -38,6 +38,7 @@ import contextlib
 import functools
 import math
 import os
+import shutil
 from pathlib import Path
 from typing import NamedTuple
 
@@ -424,31 +425,39 @@ def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
     _write(fh, rows, np.int64, _INT_W, functools.partial(_encode_ints, _tables()), sep, prefix)
 
 
-def make_out_dir(path) -> Path:
-    """Create the output directory ``path``, or accept an empty one; a
-    non-empty one raises FileExistsError before anything is written."""
-    path = Path(path)
-    if path.is_dir() and any(path.iterdir()):
-        raise FileExistsError(f"output directory {path} is not empty")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 @contextlib.contextmanager
-def replaced_when_done(path):
-    """Yield a temporary path next to ``path`` to write one file to. When
-    the block ends, the file replaces ``path`` in one step (os.replace);
-    on any exception, KeyboardInterrupt included, it is removed instead,
-    so ``path`` is never left half-written."""
+def staged(path, *, directory: bool):
+    """Yield the sibling ``.<name>.partial-<pid>`` of ``path`` (created if a
+    ``directory``) to write one output to; rename it onto ``path`` when the
+    block ends, or remove it on any exception, KeyboardInterrupt included.
+
+    Refused first: the working directory, an existing ``path`` of the other
+    kind, and a non-empty directory, as rename(2) replaces only a missing or
+    empty one. A directory's missing parents are created; a file needs its
+    parent."""
     path = Path(path)
-    if not path.parent.is_dir():
+    if path.is_symlink():  # write where the link points; rename(2) would replace the link
+        path = path.resolve()
+    if path.resolve() == Path.cwd().resolve():
+        raise FileExistsError(f"output {path} is the working directory")
+    if path.exists() and path.is_dir() != directory:
+        raise FileExistsError(f"output {path} exists and is not a {'directory' if directory else 'file'}")
+    if directory and path.exists() and any(path.iterdir()):
+        raise FileExistsError(f"output directory {path} is not empty")
+    if not (directory or path.parent.is_dir()):
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
+    path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.partial-{os.getpid()}")
     try:
+        if directory:
+            partial.mkdir()
         yield partial
         os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        if directory:
+            shutil.rmtree(partial, ignore_errors=True)
+        else:
+            partial.unlink(missing_ok=True)
         raise
 
 

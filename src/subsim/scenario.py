@@ -32,7 +32,7 @@ import yaml
 from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
 from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
-from .output import CsvLog, make_out_dir
+from .output import CsvLog, staged
 
 SCHEMA_VERSION = 1
 STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
@@ -378,15 +378,14 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if cfg.seed < 0:
         diags.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.world is not None:
-        if not cfg.world.heightmap_path.exists():
-            diags.append(f"heightmap file not found: {cfg.world.heightmap_path}")
-        if cfg.world.overlap < 0.0:
-            diags.append("world.overlap must be >= 0")
-        if cfg.world.tile_size <= 2.0 * cfg.world.overlap:
-            diags.append("world.tile_size must exceed twice world.overlap")
-        if cfg.world.load_radius <= 0.0:
+        world = cfg.world
+        try:  # the DEM header and the tiling, as a run checks them; no depth value is read
+            tiling.tile_counts(bathymetry.grid_extent(world.heightmap_path), world.tile_size, world.overlap)
+        except (bathymetry.HeightmapError, OSError) as err:
+            diags.append(str(err))
+        if world.load_radius <= 0.0:
             diags.append("world.load_radius must be positive")
-        if cfg.world.unload_radius <= cfg.world.load_radius:
+        if world.unload_radius <= world.load_radius:
             diags.append("world.unload_radius must exceed world.load_radius")
     tide = cfg.current_field.tide
     if tide is not None and tide.series_times is not None and steps_ok:
@@ -515,16 +514,15 @@ class Sensor:
     """One configured sensor on one vehicle, evaluated every `steps` steps.
 
     A subclass per kind names its config type and whether it needs the
-    world heightmap, opens its logs into the run's ExitStack, and turns
-    one evaluation into products under the vehicle's output directory."""
+    world heightmap, opens its logs under its vehicle's output directory
+    into the run's ExitStack, and turns one evaluation into products there."""
 
     config_type: type
     needs_world = True
 
-    def __init__(self, spec: SensorSpec, rng: np.random.Generator, steps: int, heightmap, out_dir: Path):
+    def __init__(self, spec: SensorSpec, rng: np.random.Generator, steps: int, heightmap):
         self.spec, self.config, self.rng, self.steps = spec, spec.config, rng, steps
         self.heightmap = heightmap
-        self.vehicle_dir = out_dir
         self.count = 0  # products written
 
     @staticmethod
@@ -533,8 +531,8 @@ class Sensor:
         directory of numbered products."""
         return [f"{spec.name}/"]
 
-    def open(self, stack: contextlib.ExitStack) -> None:
-        self.out = self.vehicle_dir / self.files(self.spec)[0]
+    def open(self, stack: contextlib.ExitStack, vehicle_dir: Path) -> None:
+        self.out = vehicle_dir / self.files(self.spec)[0]
         self.out.mkdir(parents=True, exist_ok=True)
 
 
@@ -549,12 +547,12 @@ class DvlSensor(Sensor):
         """The velocity log, then the ADCP log when the config has bins."""
         return [f"{spec.name}.csv"] + ([f"{spec.name}_adcp.csv"] if spec.config.bins > 0 else [])
 
-    def open(self, stack: contextlib.ExitStack) -> None:
+    def open(self, stack: contextlib.ExitStack, vehicle_dir: Path) -> None:
         log, *adcp = self.files(self.spec)
-        self.log = stack.enter_context(CsvLog(self.vehicle_dir / log, dvl.LOG_HEADER))
+        self.log = stack.enter_context(CsvLog(vehicle_dir / log, dvl.LOG_HEADER))
         self.adcp_log = None
         if adcp:
-            self.adcp_log = stack.enter_context(CsvLog(self.vehicle_dir / adcp[0], dvl.ADCP_HEADER,
+            self.adcp_log = stack.enter_context(CsvLog(vehicle_dir / adcp[0], dvl.ADCP_HEADER,
                                                        dvl.adcp_metadata_row(self.config)))
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
@@ -612,17 +610,12 @@ class Simulation:
         problems = validate(cfg)
         if problems:
             raise ScenarioError("invalid scenario: " + "; ".join(problems))
-        self.cfg = cfg
-        self.out_dir = Path(out_dir)
-
-        self.heightmap = None
-        self.tile_manager = None
+        self.cfg, self.out_dir = cfg, out_dir
+        self.heightmap = self.tile_manager = None
         if cfg.world is not None:
             self.heightmap = bathymetry.load_heightmap(cfg.world.heightmap_path)
             specs = tiling.grid_tile_specs(self.heightmap, cfg.world.tile_size, cfg.world.overlap)
-            self.tile_manager = tiling.TileManager(
-                specs, cfg.world.load_radius, cfg.world.unload_radius
-            )
+            self.tile_manager = tiling.TileManager(specs, cfg.world.load_radius, cfg.world.unload_radius)
 
         # Deterministic seed tree: for each vehicle in config order, one
         # child for its current sampler, then one per sensor in order.
@@ -635,7 +628,7 @@ class Simulation:
             for s in vspec.sensors:
                 rng = np.random.default_rng(seeds.spawn(1)[0])
                 steps = round((1.0 / s.rate) / cfg.dt)
-                sensors.append(SENSORS[s.kind](s, rng, steps, self.heightmap, self.out_dir / vspec.vehicle_id))
+                sensors.append(SENSORS[s.kind](s, rng, steps, self.heightmap))
             self._vehicles[vspec.vehicle_id] = _Vehicle(vspec, sampler, sensors)
         self._coupling_states = {c.coupling_id: coupling.CouplingState() for c in cfg.couplings}
 
@@ -651,25 +644,24 @@ class Simulation:
         self._vehicles[vehicle_id].hold = self.cfg.stations[station_name]
 
     def run(self) -> dict:
-        """Execute the fixed-step loop and write all outputs into a new or
-        empty output directory; a non-empty one raises FileExistsError
-        before anything is written. Returns the manifest dictionary."""
+        """Execute the fixed-step loop and write all outputs, the manifest
+        last, into the output directory through ``output.staged``: a new or
+        empty directory that holds the whole run or, on any failure, is
+        left as it was. Returns the manifest dictionary."""
         cfg = self.cfg
         steps = _step_count(cfg)
 
-        make_out_dir(self.out_dir)
-        with contextlib.ExitStack() as stack:
-            def log(path: Path, header: list[str]) -> CsvLog:
-                return stack.enter_context(CsvLog(path, header))
+        with staged(self.out_dir, directory=True) as root, contextlib.ExitStack() as stack:
+            def log(path: str, header: list[str]) -> CsvLog:
+                return stack.enter_context(CsvLog(root / path, header))
 
             if self.tile_manager is not None:
-                tile_log = log(self.out_dir / TILE_LOG, ["time", "action", "row", "col"])
-            pose_logs = {vid: log(self.out_dir / _pose_log(vid), POSE_HEADER) for vid in self._vehicles}
-            coupling_logs = {cid: log(self.out_dir / _coupling_log(cid), coupling.LOG_HEADER)
-                             for cid in self._coupling_states}
-            for v in self._vehicles.values():
+                tile_log = log(TILE_LOG, ["time", "action", "row", "col"])
+            pose_logs = {vid: log(_pose_log(vid), POSE_HEADER) for vid in self._vehicles}
+            coupling_logs = {cid: log(_coupling_log(cid), coupling.LOG_HEADER) for cid in self._coupling_states}
+            for vid, v in self._vehicles.items():
                 for sensor in v.sensors:
-                    sensor.open(stack)
+                    sensor.open(stack, root / vid)
 
             for k in range(steps + 1):
                 t = k * cfg.dt
@@ -694,8 +686,7 @@ class Simulation:
                 if k < steps:
                     for v in self._vehicles.values():
                         v.sampler.step(cfg.dt)
-
-        return self._write_manifest()
+            return self._write_manifest(root)
 
     # -- internals ----------------------------------------------------------
 
@@ -739,24 +730,15 @@ class Simulation:
             self._coupling_states[spec.coupling_id] = state
         log.row(coupling.log_row(t, state, force, events))
 
-    def _write_manifest(self) -> dict:
+    def _write_manifest(self, root: Path) -> dict:
         cfg = self.cfg
-        config_hash = (
-            hashlib.sha256(cfg.source_bytes).hexdigest() if cfg.source_bytes is not None else None
-        )
         manifest = {
-            "schema_version": cfg.schema_version,
-            "seed": cfg.seed,
-            "duration": cfg.duration,
-            "dt": cfg.dt,
-            "config_sha256": config_hash,
-            "versions": {
-                "subsim": __version__,
-                "numpy": np.__version__,
-                "python": ".".join(str(v) for v in sys.version_info[:3]),
-            },
+            "schema_version": cfg.schema_version, "seed": cfg.seed, "duration": cfg.duration, "dt": cfg.dt,
+            "config_sha256": None if cfg.source_bytes is None else hashlib.sha256(cfg.source_bytes).hexdigest(),
+            "versions": {"subsim": __version__, "numpy": np.__version__,
+                         "python": ".".join(str(v) for v in sys.version_info[:3])},
         }
-        with open(self.out_dir / MANIFEST, "w", encoding="ascii", newline="\n") as fh:
+        with open(root / MANIFEST, "w", encoding="ascii", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest

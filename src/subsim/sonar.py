@@ -32,6 +32,11 @@ from .output import write_g17
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
 _SCATTER_BLOCK = 128  # scatterers per partial sum in _coherent_sum
 PGM_DYNAMIC_RANGE_DB = 60.0  # dB below the ping's peak that map to PGM level 0
+# Most entries of a ping's per-ray matrices, rays * (spectral_bins +
+# n_beams): one complex phase per ray and bin (16 bytes), one float weight
+# per ray and beam. 2^26 is about 30 times dense_scan's 128-beam, 1024-bin
+# sonar and keeps one ping to about 1 GiB rather than a MemoryError.
+MAX_PING_ENTRIES = 67_108_864
 
 # SonarConfig count fields and their least values, and the float fields
 # that must be finite and > 0 (None, where allowed, selects a derived
@@ -66,6 +71,10 @@ class SonarConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        beams, bins = int(self.n_beams), int(self.spectral_bins)  # Python ints: a numpy product could wrap
+        entries = beams * int(self.rays_per_beam) * int(self.vertical_rays) * (bins + beams)
+        if entries > MAX_PING_ENTRIES:
+            raise ValueError(f"rays * (spectral_bins + n_beams) is {entries}, more than {MAX_PING_ENTRIES}")
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):

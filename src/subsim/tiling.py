@@ -20,7 +20,7 @@ import numpy as np
 from .bathymetry import Heightmap, HeightmapError, NodataError, depth_at_xy
 from .geodesy import ProjectedCoord
 from .meshtools import TriMesh, _face_text, _write_obj
-from .output import make_out_dir
+from .output import staged
 
 DEFAULT_TILE_SIZE_M = 1000.0
 DEFAULT_OVERLAP_M = 50.0
@@ -64,34 +64,35 @@ class Tile:
     mesh: TriMesh
 
 
-def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[TileSpec]:
-    """Partition the heightmap extent into tile cores, row-major order."""
+def tile_counts(extent: tuple[float, float, float, float], tile_size: float, overlap: float) -> tuple[int, int]:
+    """Columns and rows of the tile cores that cut ``extent`` (x_min, y_min, x_max, y_max); raises
+    HeightmapError for an unusable tile size or overlap, a degenerate extent, or over MAX_TILES tiles."""
     if not math.isfinite(tile_size):
         raise HeightmapError(f"tile_size must be finite, got {tile_size}")
     if not (math.isfinite(overlap) and overlap >= 0.0):
         raise HeightmapError(f"overlap must be finite and >= 0, got {overlap}")
     if tile_size <= 2.0 * overlap:
         raise HeightmapError("tile_size must exceed twice the overlap")
-    x_min, y_min, x_max, y_max = h.extent
+    x_min, y_min, x_max, y_max = extent
     width, height = x_max - x_min, y_max - y_min
     if width <= 0.0 or height <= 0.0:
         raise HeightmapError("degenerate heightmap extent")
     # The 1e-6 slack absorbs sub-micrometre slivers from Mercator stretch.
-    nx, ny = (max(1.0, np.ceil(extent / tile_size - 1e-6)) for extent in (width, height))
+    nx, ny = (max(1.0, np.ceil(side / tile_size - 1e-6)) for side in (width, height))
     if not nx * ny <= MAX_TILES:  # an infinite count too
         raise HeightmapError(f"tile_size {tile_size} m cuts the {width:.6g} x {height:.6g} m extent "
                              f"into more than {MAX_TILES} tiles")
-    specs = []
-    for r in range(int(ny)):
-        for c in range(int(nx)):
-            core = Bounds(
-                x_min + c * tile_size,
-                y_min + r * tile_size,
-                min(x_min + (c + 1) * tile_size, x_max),
-                min(y_min + (r + 1) * tile_size, y_max),
-            )
-            specs.append(TileSpec((r, c), core))
-    return specs
+    return int(nx), int(ny)
+
+
+def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[TileSpec]:
+    """Partition the heightmap extent into tile cores, row-major order."""
+    nx, ny = tile_counts(h.extent, tile_size, overlap)
+    x_min, y_min, x_max, y_max = h.extent
+    xs = [(x_min + c * tile_size, min(x_min + (c + 1) * tile_size, x_max)) for c in range(nx)]
+    ys = [(y_min + r * tile_size, min(y_min + (r + 1) * tile_size, y_max)) for r in range(ny)]
+    return [TileSpec((r, c), Bounds(x0, y0, x1, y1))
+            for r, (y0, y1) in enumerate(ys) for c, (x0, x1) in enumerate(xs)]
 
 
 def _tile_axis_samples(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -148,29 +149,26 @@ def _lattice_triangles(n_rows: int, n_cols: int) -> np.ndarray:
 
 def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     """Write one OBJ per tile plus a manifest CSV (index, bounds, path)
-    into a new or empty directory; a non-empty one raises FileExistsError
-    before anything is written.
+    into ``out_dir`` through ``output.staged``: a new or empty directory
+    that holds the whole export or, on any failure, is left as it was.
 
     Each tile file has the bytes ``save_obj(tile.mesh, path)`` writes.
     Tiles of one shape share their triangles, so the face rows of each
     distinct triangle array are encoded once and written for every tile
     that has it."""
-    out_dir = make_out_dir(out_dir)
-    manifest = out_dir / "tiles.csv"
     faces: dict[bytes, bytes] = {}  # triangles.tobytes() -> the OBJ face rows
-    with open(manifest, "wb") as fh:
+    with staged(out_dir, directory=True) as root, open(root / "tiles.csv", "wb") as fh:
         fh.write(b"row,col,x0,y0,x1,y1,path\n")
         for tile in tiles:
             name = f"tile_{tile.index[0]:03d}_{tile.index[1]:03d}.obj"
-            triangles = tile.mesh.triangles
-            key = triangles.tobytes()
+            key = tile.mesh.triangles.tobytes()
             if key not in faces:
-                faces[key] = _face_text(triangles)
-            _write_obj(tile.mesh, out_dir / name, faces[key])
+                faces[key] = _face_text(tile.mesh.triangles)
+            _write_obj(tile.mesh, root / name, faces[key])
             b = tile.core_bounds
             fh.write(b"%d,%d,%r,%r,%r,%r,%s\n" % (*tile.index, *map(float, (b.x0, b.y0, b.x1, b.y1)),
                                                    name.encode("ascii")))
-    return manifest
+    return Path(out_dir) / "tiles.csv"
 
 
 @dataclass(frozen=True)

@@ -648,3 +648,38 @@ def test_surface_normals_on_cell_edges_match_reference():
     y = np.concatenate([h.ys, np.full(h.cols - 1, h.ys[6]), h.ys])
     expected = np.array([normal_at(h, a, b) for a, b in zip(x, y)])
     assert np.array_equal(bat.surface_normals(h, x, y), expected)
+
+
+@pytest.mark.parametrize("corner, cellsize, shape", [
+    ((10.0, 20.0), 0.001, (3, 2)),
+    ((179.8, 84.96), 0.01, (9, 15)),  # the far edges reach 85.04 and 179.94 degrees
+    ((100.0, 1.0), 0.000123, (257, 301)),
+], ids=["small", "mercator-edge", "odd-cell"])
+def test_grid_extent_is_the_loaded_extent_without_reading_a_value(tmp_path, monkeypatch, corner, cellsize, shape):
+    f = tmp_path / "g.asc"
+    nrows, ncols = shape
+    f.write_text(f"ncols {ncols}\nnrows {nrows}\nxllcorner {corner[0]}\nyllcorner {corner[1]}\n"
+                 f"cellsize {cellsize}\n" + "\n".join(" ".join(["7.5"] * ncols) for _ in range(nrows)) + "\n")
+    loaded = bat.load_heightmap(f).extent
+
+    def no_values(*args):
+        raise AssertionError("grid_extent read a depth value")
+
+    monkeypatch.setattr(bat, "_read_values", no_values)
+    assert bat.grid_extent(f) == loaded
+
+
+@pytest.mark.parametrize("header, problem", [
+    ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "depth grid must be at least 2x2, got (1, 2)"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", "cell_size must be positive"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 85\ncellsize 0.1\n",
+     "latitude beyond +/-85.051129 deg cannot be projected"),
+    ("ncols -2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "ncols/nrows must be positive, got -2 and 2"),
+], ids=["one-row", "zero-cell", "beyond-85", "negative-ncols"])
+def test_grid_extent_refuses_what_load_heightmap_refuses_with_its_message(tmp_path, header, problem):
+    f = tmp_path / "g.asc"
+    f.write_text(header + ("40 41\n" if "nrows 1\n" in header else "40 41\n42 43\n"))
+    for read in (bat.load_heightmap, bat.grid_extent):
+        with pytest.raises(bat.HeightmapError) as info:
+            read(f)
+        assert str(info.value) == f"{f}: {problem}"

@@ -3,8 +3,10 @@ import copy
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from subsim import cli, currents, dvl, lidar, meshtools, scenario, sonar
+from subsim import bathymetry, cli, currents, dvl, lidar, meshtools, scenario, sonar, tiling
 from subsim.bathymetry import save_heightmap
 
 from conftest import flat_heightmap
@@ -97,12 +99,10 @@ def test_distort_failing_mid_write_leaves_no_out_and_no_partial_file(tmp_path, c
 
     monkeypatch.setattr(meshtools, writer, write_then_fail)
     argv = ["distort", str(src), "--extent", "0.5", "--subdivide", "2", "--out", str(tmp_path / "out.obj")]
-    if isinstance(failure, KeyboardInterrupt):
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(argv)
-    else:
-        assert cli.main(argv) == 1
-        assert capsys.readouterr() == ("", "error: disk full\n")
+    # Ctrl-C is one error line and exit 1, as any other failure
+    problem = "interrupted" if isinstance(failure, KeyboardInterrupt) else "disk full"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["tet.obj"]
 
 
@@ -782,11 +782,12 @@ def test_bad_dem_token_leaves_no_output_directory(tmp_path, capsys):
 
 def test_failed_open_closes_the_logs_opened_before_it(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
+    root = tmp_path / f".out.partial-{os.getpid()}"  # where the run is staged
     handles = []
 
-    def blocked_sonar_open(self, stack, real_open=scenario.SonarSensor.open):
-        (self.vehicle_dir / "fls").write_text("")  # a file where the sonar's directory goes
-        real_open(self, stack)
+    def blocked_sonar_open(self, stack, vehicle_dir, real_open=scenario.SonarSensor.open):
+        (vehicle_dir / "fls").write_text("")  # a file where the sonar's directory goes
+        real_open(self, stack, vehicle_dir)
 
     def recording_open(*args, real_open=open, **kwargs):
         handles.append(real_open(*args, **kwargs))
@@ -796,9 +797,10 @@ def test_failed_open_closes_the_logs_opened_before_it(tmp_path, capsys, monkeypa
     monkeypatch.setattr("builtins.open", recording_open)
     assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 17] File exists:")
-    written = {Path(fh.name).relative_to(out).as_posix() for fh in handles if Path(fh.name).is_relative_to(out)}
+    written = {Path(fh.name).relative_to(root).as_posix() for fh in handles if Path(fh.name).is_relative_to(root)}
     assert {"tile_events.csv", "rov1/pose.csv", "rov1/dvl.csv"} <= written
     assert all(fh.closed for fh in handles)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _tree(root):
@@ -829,3 +831,168 @@ def test_run_into_an_empty_existing_out(tmp_path):
     out.mkdir()
     assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "1"]) == 0
     assert json.loads((out / "manifest.json").read_text())["duration"] == 1.0
+
+
+def test_sigint_mid_run_is_one_error_line_and_leaves_nothing(tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subsim.cli", "run", str(DEMO), "--duration", "600", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(tmp_path.glob(".out.partial-*")):  # the run has begun writing
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert (stdout, stderr) == ("", "error: interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fail_on_call(monkeypatch, module, name, call):
+    """Make ``module.name`` raise OSError on its ``call``-th call; the calls
+    before it run as they would."""
+    real, calls = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    return calls
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "empty-out"])
+def test_run_failing_after_the_first_sonar_product_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        before = os.stat(out)
+    calls = _fail_on_call(monkeypatch, sonar, "write_aplot_pgm", 2)
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--duration", "6"]) == 1
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert len(calls) == 2
+    if existing:
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+        assert os.stat(out).st_ino == before.st_ino
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_tiles_failing_on_the_third_tile_leaves_nothing(tmp_path, capsys, monkeypatch):
+    dem = tmp_path / "dem.asc"
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), dem)
+    calls = _fail_on_call(monkeypatch, tiling, "_write_obj", 3)
+    out = tmp_path / "mesh" / "tiles"
+    assert cli.main(["tiles", str(dem), "--tile-size", "50", "--overlap", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert len(calls) == 3
+    assert list((tmp_path / "mesh").iterdir()) == []
+
+
+def _no_work(monkeypatch):
+    """Fail the test if a run steps or a tile export writes a tile."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the output should have been refused before this")
+
+    monkeypatch.setattr(scenario.Simulation, "_advance_vehicles", refused)
+    monkeypatch.setattr(tiling, "_write_obj", refused)
+
+
+def _output_argv(command, tmp_path, out):
+    dem = tmp_path / "dem.asc"
+    save_heightmap(flat_heightmap(40.0, n=11, cell_m=10.0), dem)
+    return {"run": ["run", str(DEMO), "--duration", "1", "--out", out],
+            "tiles": ["tiles", str(dem), "--tile-size", "50", "--overlap", "5", "--out", out]}[command]
+
+
+@pytest.mark.parametrize("command", ["run", "tiles"])
+def test_out_that_is_the_working_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    argv = _output_argv(command, tmp_path, ".")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # empty: only the working-directory rule refuses it
+    _no_work(monkeypatch)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: output . is the working directory\n")
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, problem", [(".", "output . is the working directory"),
+                                          ("meshes", "output meshes exists and is not a file")])
+def test_distort_into_a_directory_is_refused_before_distorting(tmp_path, capsys, monkeypatch, out, problem):
+    src = tmp_path / "tet.obj"
+    meshtools.save_obj(meshtools.unit_tetrahedron(), src)
+    (tmp_path / "meshes").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(meshtools, "distort", lambda *args: pytest.fail("the mesh was distorted"))
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["meshes", "tet.obj"]
+
+
+@pytest.mark.parametrize("command", ["run", "tiles"])
+def test_out_that_is_an_existing_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    out.write_bytes(b"an earlier file\n")
+    argv = _output_argv(command, tmp_path, str(out))
+    _no_work(monkeypatch)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: output {out} exists and is not a directory\n")
+    assert out.read_bytes() == b"an earlier file\n"
+    assert not list(tmp_path.glob(".out.partial-*"))
+
+
+def test_validate_reports_the_tile_count_from_the_dem_header_alone(tmp_path, capsys, monkeypatch):
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["world"]["tile_size"], doc["world"]["overlap"] = 1e-320, 0.0
+    scenario_path = _write_doc(tmp_path, doc)
+    problem = "error: tile_size 1e-320 m cuts the 3005.63 x 3005.63 m extent into more than 1000000 tiles\n"
+    with monkeypatch.context() as m:
+        m.setattr(bathymetry, "_read_values", lambda *args: pytest.fail("validate read a depth value"))
+        assert cli.main(["validate", str(scenario_path)]) == 1
+    assert capsys.readouterr() == ("", problem)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", problem)
+    assert not out.exists()
+
+
+def test_validate_reports_a_bad_dem_header_as_run_does(tmp_path, capsys):
+    dem = tmp_path / "w.asc"
+    dem.write_text("ncols -2\nnrows -2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 41\n42 43\n")
+    doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
+           "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0}}
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"{dem}: ncols/nrows must be positive, got -2 and -2")
+
+
+@pytest.mark.parametrize("sensor, fields, problem", [
+    (2, {"rays_h": 200_000, "rays_v": 200_000, "supersample": 10},
+     "rays_h * rays_v * supersample^2 is 4000000000000, more than 4194304"),
+    (1, {"n_beams": 4096, "rays_per_beam": 4, "vertical_rays": 9},
+     "rays * (spectral_bins + n_beams) is 754974720, more than 67108864"),
+    (0, {"bins": 20_000, "bin_size": 0.001}, "bins must be <= 10000, got 20000"),
+], ids=["lidar-rays", "sonar-entries", "adcp-bins"])
+def test_a_sensor_too_large_to_evaluate_fails_validate_and_run(tmp_path, capsys, sensor, fields, problem):
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["vehicles"][0]["sensors"][sensor].update(fields)
+    name = doc["vehicles"][0]["sensors"][sensor]["name"]
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"vehicle 'rov1' sensor {name!r}: {problem}")
+
+
+def test_run_into_a_symlink_to_an_empty_directory_writes_where_it_points(tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real")
+    assert cli.main(["run", str(DEMO), "--out", str(tmp_path / "link"), "--duration", "1"]) == 0
+    assert (tmp_path / "link").is_symlink()
+    assert json.loads((tmp_path / "real" / "manifest.json").read_text())["duration"] == 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]

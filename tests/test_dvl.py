@@ -553,3 +553,10 @@ def test_measure_matches_two_solve_reference(monkeypatch, flat100, sigma):
             assert np.array_equal(got.beam_ranges, ref.beam_ranges, equal_nan=True)
             assert np.array_equal(got.beam_velocities, ref.beam_velocities, equal_nan=True)
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_adcp_bins_are_bounded_at_max_adcp_bins():
+    assert dvl.MAX_ADCP_BINS == 10_000
+    assert dvl.DvlConfig(bins=10_000, bin_size=0.005, max_range=100.0).bins == 10_000
+    with pytest.raises(ValueError, match="^bins must be <= 10000, got 10001$"):
+        dvl.DvlConfig(bins=10_001, bin_size=0.005, max_range=100.0)

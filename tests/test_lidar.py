@@ -206,3 +206,16 @@ def test_config_validation():
         lidar.LidarConfig(supersample=0)
     with pytest.raises(ValueError):
         lidar.LidarConfig(pan_deg=200.0)
+
+
+def test_rays_per_scan_are_bounded_at_max_scan_rays():
+    assert lidar.MAX_SCAN_RAYS == 2**22
+    default = lidar.LidarConfig()  # the paper's 1450 x 1450 rays
+    assert (default.rays_h * default.supersample) * (default.rays_v * default.supersample) == 1450 * 1450
+    assert lidar.LidarConfig(rays_h=2048, rays_v=2048, supersample=1).rays_h == 2048  # at the bound
+    with pytest.raises(ValueError, match=re.escape("rays_h * rays_v * supersample^2 is 4196352, more than 4194304")):
+        lidar.LidarConfig(rays_h=2049, rays_v=2048, supersample=1)
+    with pytest.raises(ValueError, match="more than 4194304"):
+        lidar.LidarConfig(rays_h=200_000, rays_v=200_000, supersample=10)
+    with pytest.raises(ValueError, match="is 18446744073709551616, more than"):  # no int64 wrap to 0
+        lidar.LidarConfig(rays_h=np.int64(2**32), rays_v=np.int64(2**32), supersample=np.int64(1))

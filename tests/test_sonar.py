@@ -502,3 +502,16 @@ def test_range_axis_spacing_is_half_wavelength_per_bandwidth():
                        np.random.default_rng(0))
     spacing = np.diff(aplot.range_axis)
     assert np.allclose(spacing, cfg.sound_speed / (2.0 * cfg.bandwidth_hz))
+
+
+def test_ping_matrix_entries_are_bounded_at_max_ping_entries():
+    assert sonar.MAX_PING_ENTRIES == 2**26
+    sonar.SonarConfig()  # 1,920 rays x (512 bins + 128 beams)
+    at_bound = sonar.SonarConfig(n_beams=64, rays_per_beam=1, vertical_rays=1, spectral_bins=2**20 - 64)
+    assert 64 * (at_bound.spectral_bins + 64) == sonar.MAX_PING_ENTRIES
+    with pytest.raises(ValueError, match="rays \\* \\(spectral_bins \\+ n_beams\\) is 67108928, more than 67108864"):
+        sonar.SonarConfig(n_beams=64, rays_per_beam=1, vertical_rays=1, spectral_bins=2**20 - 63)
+    with pytest.raises(ValueError, match="more than 67108864"):  # beams alone: the weight matrix
+        sonar.SonarConfig(n_beams=8193, rays_per_beam=1, vertical_rays=1, spectral_bins=2)
+    with pytest.raises(ValueError, match="is 42535295904731389190053994725743001600, more than"):  # no int64 wrap
+        sonar.SonarConfig(n_beams=np.int64(2**31), rays_per_beam=np.int64(2**31), vertical_rays=2**32, spectral_bins=2)
