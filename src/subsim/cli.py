@@ -75,12 +75,14 @@ def _dispatch(args) -> list[str]:
         return problems
 
     if args.command == "tiles":
+        output.check_out(args.out, directory=True)
         heightmap = bathymetry.load_heightmap(args.dem)
         tiles = tiling.generate_tiles(heightmap, args.tile_size, args.overlap)
         manifest = tiling.write_tiles(tiles, args.out)
         print(f"wrote {len(tiles)} tiles, manifest {manifest}")
 
     if args.command == "distort":
+        output.check_out(args.out, directory=False)
         mesh = meshtools.load_obj(args.mesh)
         params = meshtools.DistortionParams(args.extent, args.scale, args.seed, args.subdivide)
         with output.staged(args.out, directory=False) as partial:

@@ -4,7 +4,9 @@ for command outputs.
 ``staged`` is that rule, for ``run`` and ``tiles`` (a directory) and
 ``distort`` (one file): the output is written to a sibling of ``--out``
 and renamed onto it when whole, and removed on any failure, Ctrl-C
-included, so ``--out`` is either the whole output or absent (as it was).
+included, with the parents it created, so ``--out`` is either the whole
+output or absent (as it was). ``check_out`` is its refusal rule, which
+a command applies before its expensive work.
 
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
 a header line, then one comma-separated row per call, each ended by
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import shutil
@@ -425,18 +428,16 @@ def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
     _write(fh, rows, np.int64, _INT_W, functools.partial(_encode_ints, _tables()), sep, prefix)
 
 
-@contextlib.contextmanager
-def staged(path, *, directory: bool):
-    """Yield the sibling ``.<name>.partial-<pid>`` of ``path`` (created if a
-    ``directory``) to write one output to; rename it onto ``path`` when the
-    block ends, or remove it on any exception, KeyboardInterrupt included.
-
-    Refused first: the working directory, an existing ``path`` of the other
-    kind, and a non-empty directory, as rename(2) replaces only a missing or
-    empty one. A directory's missing parents are created; a file needs its
-    parent."""
+def check_out(path, *, directory: bool) -> Path:
+    """``path`` as ``staged`` writes it, a symlink resolved (rename(2)
+    would replace the link). Raises FileExistsError or FileNotFoundError
+    for an output ``staged`` refuses: the working directory, an existing
+    ``path`` of the other kind, a non-empty directory (rename(2) replaces
+    only a missing or empty one), and a file whose parent is missing. A
+    command calls it before it reads its input, so a bad ``--out`` costs
+    no work."""
     path = Path(path)
-    if path.is_symlink():  # write where the link points; rename(2) would replace the link
+    if path.is_symlink():
         path = path.resolve()
     if path.resolve() == Path.cwd().resolve():
         raise FileExistsError(f"output {path} is the working directory")
@@ -446,9 +447,23 @@ def staged(path, *, directory: bool):
         raise FileExistsError(f"output directory {path} is not empty")
     if not (directory or path.parent.is_dir()):
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+@contextlib.contextmanager
+def staged(path, *, directory: bool):
+    """Yield the sibling ``.<name>.partial-<pid>`` of ``path`` (created if a
+    ``directory``) to write one output to; rename it onto ``path`` when the
+    block ends, or remove it on any exception, KeyboardInterrupt included.
+
+    ``path`` is checked first (``check_out``). A directory's missing
+    parents are created; on failure they are removed again, deepest
+    first, while they are empty. A file needs its parent."""
+    path = check_out(path, directory=directory)
+    created = list(itertools.takewhile(lambda parent: not parent.exists(), path.parents))  # deepest first
     partial = path.with_name(f".{path.name}.partial-{os.getpid()}")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         if directory:
             partial.mkdir()
         yield partial
@@ -458,6 +473,11 @@ def staged(path, *, directory: bool):
             shutil.rmtree(partial, ignore_errors=True)
         else:
             partial.unlink(missing_ok=True)
+        for parent in created:
+            try:
+                parent.rmdir()
+            except OSError:  # not empty, so neither are its ancestors
+                break
         raise
 
 

@@ -32,11 +32,14 @@ import yaml
 from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
 from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
-from .output import CsvLog, staged
+from .output import CsvLog, check_out, staged
 
 SCHEMA_VERSION = 1
 STILL_WATER = (currents.Stratum(0.0, (0.0, 0.0, 0.0)),)  # strata when a scenario gives none
 POSE_HEADER = ["time", "x", "y", "depth", "roll", "pitch", "yaw", "vn", "ve", "vd"]
+# A pose rotation times this is the body attitude relative to the level
+# FLU pose, which the pose log reports.
+_LEVEL_NED_TO_BODY = body_to_ned_rotation().T
 # Most steps (duration / dt) a run may take: about 1,700 times the demo's 600.
 MAX_STEPS = 1_000_000
 # Files every run writes under --out; coupling and vehicle files are named by id.
@@ -610,6 +613,7 @@ class Simulation:
         problems = validate(cfg)
         if problems:
             raise ScenarioError("invalid scenario: " + "; ".join(problems))
+        check_out(out_dir, directory=True)  # before the heightmap is read
         self.cfg, self.out_dir = cfg, out_dir
         self.heightmap = self.tile_manager = None
         if cfg.world is not None:
@@ -705,8 +709,7 @@ class Simulation:
 
     def _pose_row(self, t: float, v: _Vehicle) -> list[float]:
         p = v.pose.position
-        # Report the body attitude relative to the level FLU pose.
-        rel = v.pose.rotation @ body_to_ned_rotation().T
+        rel = v.pose.rotation @ _LEVEL_NED_TO_BODY
         return [t, p.x, p.y, p.depth, *rpy_from_rotation(rel), *v.velocity.tolist()]
 
     def _step_coupling(self, t: float, spec: CouplingSpec, log: CsvLog, advance: bool) -> None:

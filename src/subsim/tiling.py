@@ -171,6 +171,12 @@ def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     return Path(out_dir) / "tiles.csv"
 
 
+def _cell_range(lo: float, hi: float, first: int, last: int) -> range:
+    """Cell numbers from floor(lo) to floor(hi), clipped to [first, last];
+    an infinite lo or hi is clipped before it is floored."""
+    return range(math.floor(min(max(lo, first), last + 1)), math.floor(max(min(hi, last), first - 1)) + 1)
+
+
 @dataclass(frozen=True)
 class TileEvent:
     """A tile load or unload emitted by TileManager.update_tiles."""
@@ -186,6 +192,14 @@ class TileManager:
     vehicle and unloads only once beyond unload_radius of every vehicle,
     so positions oscillating across a tile boundary produce no event
     churn. Single-writer: call update_tiles from one thread.
+
+    A uniform grid indexes the cores once (Teschner et al., "Optimized
+    Spatial Hashing for Collision Detection of Deformable Objects", VMV
+    2003): each core sits in the square cell holding its lower-left
+    corner, and the cells are as wide as the largest core side or
+    unload_radius, whichever is larger. One vehicle's query window is then
+    at most three cells (and the padding) a side, so it visits 3 x 3 to
+    5 x 5 cells whatever the size of the world.
     """
 
     def __init__(
@@ -194,48 +208,82 @@ class TileManager:
         load_radius: float = DEFAULT_LOAD_RADIUS_M,
         unload_radius: float = DEFAULT_UNLOAD_RADIUS_M,
     ):
-        if load_radius <= 0.0:
+        if not load_radius > 0.0:
             raise ValueError("load_radius must be positive")
-        if unload_radius <= load_radius:
+        if not unload_radius > load_radius:
             raise ValueError("unload_radius must exceed load_radius (hysteresis)")
+        if not math.isfinite(unload_radius):
+            raise ValueError("unload_radius must be finite")
         self.load_radius = load_radius
         self.unload_radius = unload_radius
         bounds = {t.index: t.core_bounds for t in tiles}
-        self._indices = list(bounds)
-        self._bounds = list(bounds.values())
-        corners = np.array([(b.x0, b.y0, b.x1, b.y1) for b in self._bounds], dtype=float)
-        self._x0, self._y0, self._x1, self._y1 = corners.reshape(-1, 4).T.copy()
-        self.loaded: set[tuple[int, int]] = set()
+        if not all(map(math.isfinite, (v for b in bounds.values() for v in (b.x0, b.y0, b.x1, b.y1)))):
+            raise ValueError("tile core bounds must be finite")
+        # The largest core side (an inverted core counts as 0 wide).
+        self._side = max([0.0, *(max(b.x1 - b.x0, b.y1 - b.y0) for b in bounds.values())])
+        self._cell = cell = max(self._side, unload_radius)
+        self._cells: dict[tuple[int, int], list[tuple[tuple[int, int], Bounds]]] = {}
+        for index, b in bounds.items():
+            self._cells.setdefault((math.floor(b.x0 / cell), math.floor(b.y0 / cell)), []).append((index, b))
+        # The occupied cell range; a query is clipped to it, so a vehicle far
+        # off the map visits no cell.
+        cols, rows = {c for c, _ in self._cells}, {r for _, r in self._cells}
+        self._span = (min(cols, default=0), min(rows, default=0), max(cols, default=-1), max(rows, default=-1))
+        self._loaded: frozenset[tuple[int, int]] = frozenset()
+        self._positions: list[tuple[float, float]] | None = None
+
+    @property
+    def loaded(self) -> frozenset[tuple[int, int]]:
+        """Indices of the loaded tiles."""
+        return self._loaded
+
+    def _near(self, x: float, y: float):
+        """(index, bounds) of every core that may lie within unload_radius
+        of (x, y): those whose lower-left corner is in a cell that overlaps
+        [x - unload_radius - side, x + unload_radius] by
+        [y - unload_radius - side, y + unload_radius], where side is the
+        largest core side.
+
+        A core is within unload_radius only if both its gaps, as
+        Bounds.distance_to computes them, are: a correctly rounded hypot
+        is never below its larger argument. So its x0 is at most
+        unload_radius past x and its x1 at most unload_radius before x,
+        and x0 is at most side below x1; y likewise. The window is
+        widened by a relative 1e-9, far beyond the few units in the last
+        place by which the float gaps and the cell arithmetic can round,
+        and a cell number is monotone in the coordinate, so no core the
+        rule could load or keep is left out."""
+        reach, side, cell = self.unload_radius, self._side, self._cell
+        slack = 1e-9 * (abs(x) + abs(y) + reach + side)
+        c0, r0, c1, r1 = self._span
+        cells = self._cells
+        rows = _cell_range((y - reach - side - slack) / cell, (y + reach + slack) / cell, r0, r1)
+        for c in _cell_range((x - reach - side - slack) / cell, (x + reach + slack) / cell, c0, c1):
+            for r in rows:
+                yield from cells.get((c, r), ())
 
     def update_tiles(self, vehicles: Sequence[ProjectedCoord]) -> list[TileEvent]:
         """Apply the hysteresis rule; returns the minimal event list.
 
-        A box cull picks the candidate tiles: the per-axis gaps are
-        Bounds.distance_to's own float arithmetic, and a correctly
-        rounded hypot is never below its larger argument, so a tile with
-        either gap beyond unload_radius is out of reach of that vehicle.
-        The decision itself is distance_to (math.hypot) on the candidates.
-        """
+        The decision is Bounds.distance_to (math.hypot), made only for
+        the cores the grid index puts near each vehicle. The rule is
+        idempotent, so the previous call's positions give no events."""
         positions = [(v.x, v.y) for v in vehicles]
-        vx, vy = np.array(positions, dtype=float).reshape(-1, 2).T
-        dx = np.maximum(np.maximum(self._x0[:, None] - vx, 0.0), vx - self._x1[:, None])
-        dy = np.maximum(np.maximum(self._y0[:, None] - vy, 0.0), vy - self._y1[:, None])
-        reach = self.unload_radius
-        candidates = np.flatnonzero(((dx <= reach) & (dy <= reach)).any(axis=1))
-        needed = set()
-        keep = set()
-        for k in candidates.tolist():
-            index, bounds = self._indices[k], self._bounds[k]
-            for x, y in positions:
+        if positions == self._positions:
+            return []
+        loaded = self._loaded
+        new_loaded = set()
+        for x, y in positions:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                continue  # every core is infinitely far (or NaN) away
+            for index, bounds in self._near(x, y):
+                if index in new_loaded:
+                    continue
                 dist = bounds.distance_to(x, y)
-                if dist <= self.load_radius:
-                    needed.add(index)
-                    break
-                if index in self.loaded and dist <= self.unload_radius:
-                    keep.add(index)
-                    break
-        new_loaded = needed | (keep & self.loaded)
-        events = [TileEvent("load", i) for i in sorted(needed - self.loaded)]
-        events += [TileEvent("unload", i) for i in sorted(self.loaded - new_loaded)]
-        self.loaded = new_loaded
+                if dist <= self.load_radius or (index in loaded and dist <= self.unload_radius):
+                    new_loaded.add(index)
+        events = [TileEvent("load", i) for i in sorted(new_loaded - loaded)]
+        events += [TileEvent("unload", i) for i in sorted(loaded - new_loaded)]
+        self._loaded = frozenset(new_loaded)
+        self._positions = positions
         return events

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from subsim import bathymetry, cli, currents, dvl, lidar, meshtools, scenario, sonar, tiling
+from subsim import bathymetry, cli, currents, dvl, lidar, meshtools, output, scenario, sonar, tiling
 from subsim.bathymetry import save_heightmap
 
 from conftest import flat_heightmap
@@ -834,7 +834,7 @@ def test_run_into_an_empty_existing_out(tmp_path):
 
 
 def test_sigint_mid_run_is_one_error_line_and_leaves_nothing(tmp_path):
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"  # its parent is created, then removed again
     proc = subprocess.Popen(
         [sys.executable, "-m", "subsim.cli", "run", str(DEMO), "--duration", "600", "--out", str(out)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -842,7 +842,7 @@ def test_sigint_mid_run_is_one_error_line_and_leaves_nothing(tmp_path):
     )
     try:
         deadline = time.monotonic() + 60.0
-        while not list(tmp_path.glob(".out.partial-*")):  # the run has begun writing
+        while not list(out.parent.glob(".out.partial-*")):  # the run has begun writing
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         proc.send_signal(signal.SIGINT)
@@ -869,9 +869,9 @@ def _fail_on_call(monkeypatch, module, name, call):
     return calls
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "empty-out"])
+@pytest.mark.parametrize("existing", [False, True, None], ids=["new-out", "empty-out", "new-parents"])
 def test_run_failing_after_the_first_sonar_product_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
-    out = tmp_path / "out"
+    out = tmp_path / "out" if existing is not None else tmp_path / "new" / "runs" / "out"
     if existing:
         out.mkdir()
         before = os.stat(out)
@@ -894,14 +894,33 @@ def test_tiles_failing_on_the_third_tile_leaves_nothing(tmp_path, capsys, monkey
     assert cli.main(["tiles", str(dem), "--tile-size", "50", "--overlap", "5", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: disk full\n")
     assert len(calls) == 3
-    assert list((tmp_path / "mesh").iterdir()) == []
+    assert not (tmp_path / "mesh").exists()  # the parent the export created goes too
+
+
+def test_a_failed_output_removes_only_the_empty_parents_it_created(tmp_path):
+    (tmp_path / "a").mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        with output.staged(tmp_path / "a" / "b" / "c" / "out", directory=True) as root:
+            (root / "written").write_bytes(b"1")
+            (tmp_path / "a" / "b" / "other").write_bytes(b"2")  # not the output's to remove
+            raise OSError("disk full")
+    assert _tree(tmp_path) == {"a": None, "a/b": None, "a/b/other": b"2"}
+
+
+def test_a_whole_output_keeps_the_parents_it_created(tmp_path):
+    with output.staged(tmp_path / "a" / "b" / "out", directory=True) as root:
+        (root / "written").write_bytes(b"1")
+    assert _tree(tmp_path) == {"a": None, "a/b": None, "a/b/out": None, "a/b/out/written": b"1"}
 
 
 def _no_work(monkeypatch):
-    """Fail the test if a run steps or a tile export writes a tile."""
+    """Fail the test if a run or a tile export reads its DEM, builds a tile,
+    steps or writes a tile."""
     def refused(*args, **kwargs):
         raise AssertionError("the output should have been refused before this")
 
+    monkeypatch.setattr(bathymetry, "load_heightmap", refused)
+    monkeypatch.setattr(tiling, "generate_tiles", refused)
     monkeypatch.setattr(scenario.Simulation, "_advance_vehicles", refused)
     monkeypatch.setattr(tiling, "_write_obj", refused)
 
@@ -932,6 +951,7 @@ def test_distort_into_a_directory_is_refused_before_distorting(tmp_path, capsys,
     meshtools.save_obj(meshtools.unit_tetrahedron(), src)
     (tmp_path / "meshes").mkdir()
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(meshtools, "load_obj", lambda *args: pytest.fail("the mesh was read"))
     monkeypatch.setattr(meshtools, "distort", lambda *args: pytest.fail("the mesh was distorted"))
     assert cli.main(["distort", str(src), "--extent", "0.5", "--out", out]) == 1
     assert capsys.readouterr() == ("", f"error: {problem}\n")
@@ -948,6 +968,17 @@ def test_out_that_is_an_existing_file_is_refused_before_any_work(tmp_path, capsy
     assert capsys.readouterr() == ("", f"error: output {out} exists and is not a directory\n")
     assert out.read_bytes() == b"an earlier file\n"
     assert not list(tmp_path.glob(".out.partial-*"))
+
+
+@pytest.mark.parametrize("command", ["run", "tiles"])
+def test_non_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    (out / "earlier").mkdir(parents=True)
+    argv = _output_argv(command, tmp_path, str(out))
+    _no_work(monkeypatch)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: output directory {out} is not empty\n")
+    assert _tree(out) == {"earlier": None}
 
 
 def test_validate_reports_the_tile_count_from_the_dem_header_alone(tmp_path, capsys, monkeypatch):

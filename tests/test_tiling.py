@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subsim import tiling
-from subsim.geodesy import ProjectedCoord
+from subsim.bathymetry import Heightmap, load_heightmap
+from subsim.geodesy import GeodeticCoord, ProjectedCoord
 from subsim.meshtools import load_obj
 
 from conftest import make_heightmap
@@ -273,3 +275,145 @@ def test_update_matches_reference_off_a_corner(alt):
         _assert_matches_reference(specs, radius, 2.0 * radius, [corner, [(50.0, 50.0)]])
         # Keep decided at the radius, once loaded from inside the tile.
         _assert_matches_reference(specs, 0.5 * radius, radius, [[(50.0, 50.0)], corner])
+
+
+# --- The grid index against the full loop on hard layouts ---------------------
+
+DEMO_DEM = Path(__file__).resolve().parents[1] / "scenarios" / "demo_seafloor.asc"
+
+
+def _walk(rng, lo, hi, n_vehicles, n_steps, sigma):
+    """Random-walk positions starting uniformly in [lo, hi)^2."""
+    pos = rng.uniform(lo, hi, (n_vehicles, 2))
+    steps = []
+    for _ in range(n_steps):
+        steps.append(pos.tolist())
+        pos = pos + rng.normal(0.0, sigma, pos.shape)
+    return steps
+
+
+@pytest.mark.parametrize("tile_size", [400.0, 370.0, 1000.0])
+def test_update_matches_reference_on_the_demo_dem_edge_tiles(tile_size):
+    # No size divides the 3005.63 m extent, so the last row and column of
+    # cores are clipped: to 205.63 m at the demo's 400 m, to a 5.63 m sliver
+    # at 1000 m.
+    specs = tiling.grid_tile_specs(load_heightmap(DEMO_DEM), tile_size, 20.0)
+    x_max = max(s.core_bounds.x1 for s in specs)
+    assert min(s.core_bounds.x1 - s.core_bounds.x0 for s in specs) < tile_size - 5.0
+    rng = np.random.default_rng(int(tile_size))
+    steps = _walk(rng, -800.0, x_max + 800.0, 2, 40, 150.0)
+    steps += [[(x_max + r, x_max + r)] for r in (0.0, 499.0, 500.0, 699.0, 700.0, 701.0)]
+    assert _assert_matches_reference(specs, 500.0, 700.0, steps) > 0
+
+
+def test_update_matches_reference_on_negative_cores():
+    specs = [tiling.TileSpec(s.index, tiling.Bounds(s.core_bounds.x0 - 3000.5, s.core_bounds.y0 - 1234.25,
+                                                    s.core_bounds.x1 - 3000.5, s.core_bounds.y1 - 1234.25))
+             for s in specs_grid(20, 100.0)]
+    rng = np.random.default_rng(44)
+    assert _assert_matches_reference(specs, 150.0, 260.0, _walk(rng, -3300.0, -700.0, 4, 20, 150.0)) > 0
+
+
+def test_update_matches_reference_on_shuffled_mixed_size_cores():
+    # Cores of 20 to 400 m, some inverted or empty, listed in random order.
+    rng = np.random.default_rng(45)
+    specs = []
+    for r in range(12):
+        for c in range(12):
+            x0, y0 = c * 250.0 + rng.uniform(-50.0, 50.0), r * 250.0 + rng.uniform(-50.0, 50.0)
+            w, h = rng.choice([0.0, -10.0, 20.0, 120.0, 400.0], 2)
+            specs.append(tiling.TileSpec((r, c), tiling.Bounds(x0, y0, x0 + w, y0 + h)))
+    specs = [specs[k] for k in rng.permutation(len(specs))]
+    assert _assert_matches_reference(specs, 90.0, 140.0, _walk(rng, -300.0, 3300.0, 3, 40, 120.0)) > 0
+
+
+def test_update_matches_reference_at_exact_radii_off_corners():
+    # (150, 200) is exactly 250 m off a corner, (90, 120) exactly 150 m.
+    specs = specs_grid(5, 100.0)
+    steps = []
+    for a, b in ((150.0, 200.0), (90.0, 120.0)):
+        for ulp in (0.0, np.inf, -np.inf):
+            da = float(np.nextafter(a, ulp)) if ulp else a
+            for cx, cy, sx, sy in ((0.0, 0.0, -1, -1), (500.0, 500.0, 1, 1), (500.0, 0.0, 1, -1)):
+                corner = (cx + sx * da, cy + sy * b)
+                steps += [[(250.0, 250.0)], [corner], [corner[::-1]], [corner, (250.0, 250.0)]]
+    assert _assert_matches_reference(specs, 150.0, 250.0, steps) > 0
+
+
+def test_update_matches_reference_far_off_the_map():
+    specs = specs_grid(6, 100.0)
+    far = [(1e6, 1e6), (-1e9, 300.0), (300.0, 1e15), (1e300, -1e300), (-1.7e308, 1.7e308),
+           (math.inf, 0.0), (0.0, -math.inf), (math.nan, 300.0), (300.0, math.nan)]
+    steps = []
+    for p in far:
+        steps += [[(300.0, 300.0)], [p], [p, (300.0, 300.0)], [p, (300.0, 420.0)]]
+    assert _assert_matches_reference(specs, 150.0, 260.0, steps) > 0
+
+
+def test_update_matches_reference_on_teleports_and_repeated_positions():
+    rng = np.random.default_rng(46)
+    specs = specs_grid(30, 100.0)
+    jumps = rng.uniform(-500.0, 3500.0, (12, 3, 2)).tolist()
+    steps = []
+    for positions in jumps:
+        steps += [positions, positions, positions, positions[:2], positions[:2], positions]
+    assert _assert_matches_reference(specs, 150.0, 260.0, steps) > 0
+
+
+def test_update_matches_reference_with_no_vehicles():
+    specs = specs_grid(5, 100.0)
+    steps = [[], [(250.0, 250.0)], [], [], [(250.0, 250.0), (100.0, 100.0)], []]
+    assert _assert_matches_reference(specs, 150.0, 260.0, steps) > 0
+    assert _assert_matches_reference([], 150.0, 260.0, [[], [(0.0, 0.0)], []]) == 0
+
+
+def test_repeated_positions_skip_the_decision(monkeypatch):
+    mgr = tiling.TileManager(specs_grid(5, 100.0), load_radius=150.0, unload_radius=260.0)
+    vehicles = [ProjectedCoord(250.0, 250.0)]
+    assert mgr.update_tiles(vehicles)
+    monkeypatch.setattr(tiling.Bounds, "distance_to", lambda *args: pytest.fail("decided again"))
+    assert mgr.update_tiles([ProjectedCoord(250.0, 250.0)]) == []
+
+
+def test_non_finite_radii_or_cores_are_refused():
+    with pytest.raises(ValueError, match="load_radius must be positive"):
+        tiling.TileManager(specs_grid(2), load_radius=math.nan, unload_radius=10.0)
+    with pytest.raises(ValueError, match="unload_radius must be finite"):
+        tiling.TileManager(specs_grid(2), load_radius=10.0, unload_radius=math.inf)
+    bad = [tiling.TileSpec((0, 0), tiling.Bounds(0.0, 0.0, math.inf, 10.0))]
+    with pytest.raises(ValueError, match="tile core bounds must be finite"):
+        tiling.TileManager(bad, load_radius=10.0, unload_radius=20.0)
+
+
+def _large_world_specs():
+    """The 3,721 cores of the benchmark's large_world: a 2000 x 2000-node DEM
+    of 0.00027 deg cells at (0, 0), cut into 1 km tiles."""
+    cell = 1999 * 0.00027  # one cell spanning the whole grid: the same extent
+    dem = Heightmap(GeodeticCoord(0.0, 0.0), (cell, cell), np.full((2, 2), 40.0))
+    return tiling.grid_tile_specs(dem, 1000.0, 20.0)
+
+
+def test_update_visits_only_the_tiles_near_each_vehicle(monkeypatch):
+    # large_world's 12 vehicles crossing tile corners at 25 m/s for 4 s.
+    # A uniform grid query costs each vehicle at most its 4 x 4 cells of one
+    # 1 km core each, whatever the number of tiles.
+    specs = _large_world_specs()
+    assert len(specs) == 3721
+    rng = np.random.default_rng(1)
+    start = 1000.0 * rng.integers(2, 58, (12, 2)) + rng.uniform(-350.0, 350.0, (12, 2))
+    heading = rng.uniform(-np.pi, np.pi, 12)
+    velocity = 25.0 * np.stack([np.sin(heading), np.cos(heading)], axis=-1)
+    steps = [(start + velocity * (0.1 * k)).tolist() for k in range(41)]
+    calls = []
+    distance_to = tiling.Bounds.distance_to
+    monkeypatch.setattr(tiling.Bounds, "distance_to", lambda b, x, y: calls.append(b) or distance_to(b, x, y))
+    mgr = tiling.TileManager(specs, load_radius=300.0, unload_radius=500.0)
+    per_step = []
+    for positions in steps:
+        mgr.update_tiles([ProjectedCoord(x, y) for x, y in positions])
+        per_step.append(len(calls))
+        calls.clear()
+    assert max(per_step) <= 16 * 12
+    assert mgr.loaded
+    monkeypatch.setattr(tiling.Bounds, "distance_to", distance_to)
+    assert _assert_matches_reference(specs, 300.0, 500.0, steps) > 0
