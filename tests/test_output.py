@@ -478,6 +478,23 @@ def test_csv_log_bytes(tmp_path):
     assert log_text(-0.0) + log_text(math.nan) + log_text(1.0 / 3.0) == "-0nan0.333333333"
 
 
+LOG_CELLS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, np.float64(2.0) / 3.0, np.int64(-7), 12,
+             True, "bottom_track", ""]
+
+
+@pytest.mark.parametrize("rows", [
+    [LOG_CELLS],
+    [[c] for c in LOG_CELLS],
+    [LOG_CELLS, LOG_CELLS[::-1], LOG_CELLS, [0.5, "x"], ["x", 0.5], [np.float64(0.5), np.int64(5)], [], LOG_CELLS],
+], ids=["one-row", "one-cell-rows", "mixed-row-shapes"])
+def test_csv_log_rows_are_log_text_cells(tmp_path, rows):
+    with CsvLog(tmp_path / "log.csv", ["h"]) as log:
+        for row in rows:
+            log.row(row)
+    expected = "".join(",".join(log_text(c) for c in row) + "\n" for row in [["h"], *rows])
+    assert (tmp_path / "log.csv").read_bytes() == expected.encode("ascii")
+
+
 # --- golden digests ------------------------------------------------------------------
 #
 # Inputs use exact arithmetic only (integer ranges, divisions, powers of two), so the
@@ -645,20 +662,125 @@ GOLDEN_LOGS = {
 }
 
 
+def _golden_tree(tmp_path_factory, heightmap, scenario: str) -> Path:
+    root = tmp_path_factory.mktemp("golden")
+    save_heightmap(heightmap, root / "dem.asc")
+    (root / "scenario.yaml").write_text(scenario, encoding="ascii")
+    assert cli.main(["run", str(root / "scenario.yaml"), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     from conftest import flat_heightmap
 
-    root = tmp_path_factory.mktemp("golden")
-    save_heightmap(flat_heightmap(50.0, n=11, cell_m=10.0), root / "dem.asc")
-    (root / "scenario.yaml").write_text(GOLDEN_SCENARIO)
-    assert cli.main(["run", str(root / "scenario.yaml"), "--out", str(root / "out")]) == 0
-    return root / "out"
+    return _golden_tree(tmp_path_factory, flat_heightmap(50.0, n=11, cell_m=10.0), GOLDEN_SCENARIO)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
 def test_golden_run_log_digest(golden_run, name):
     assert hashlib.sha256((golden_run / name).read_bytes()).hexdigest() == GOLDEN_LOGS[name]
+
+
+# A second run over rippled terrain (depths are multiples of 0.25, so exact), under a
+# two-constituent tide with a heading: three DVL+ADCP vehicles, one too shallow for its
+# beams to reach the floor (water track), both ADCP modes, two sensors ticking on
+# one vehicle at the same times, segments that hold their attitude, and a vehicle whose
+# last waypoint's yaw is -0.0 after a segment at 0.0.
+GOLDEN_TIDE_SCENARIO = """\
+seed: 11
+duration: 2.0
+dt: 0.1
+epoch_utc: 3600.0
+world: {heightmap: dem.asc, tile_size: 50.0, overlap: 2.0, load_radius: 30.0, unload_radius: 60.0}
+currents:
+  strata:
+    - {depth: 0.0, velocity: [0.25, -0.125, 0.0]}
+    - {depth: 20.0, velocity: [0.125, 0.0, 0.0625]}
+    - {depth: 60.0, velocity: [0.0625, 0.0, 0.0]}
+  tide:
+    heading: 0.7
+    constituents:
+      - {amplitude: 0.15, period: 600.0, phase: 0.3}
+      - {amplitude: 0.05, period: 97.5, phase: -1.2}
+  gauss_markov: {mu: 0.1, sigma: 0.02, bound: 0.5}
+vehicles:
+  - id: deep
+    trajectory:
+      - {time: 0.0, x: 30.0, y: 40.0, depth: 28.0, yaw: 0.25}
+      - {time: 0.7, x: 80.0, y: 60.0, depth: 30.0, roll: 0.05, pitch: -0.1, yaw: 0.6}
+      - {time: 1.3, x: 120.0, y: 110.0, depth: 31.0, roll: 0.05, pitch: -0.1, yaw: 0.6}
+      - {time: 2.0, x: 150.0, y: 150.0, depth: 27.0, yaw: 0.6}
+    sensors:
+      - {type: dvl, name: dvl, rate: 5.0, noise_sigma: 0.01, bins: 3, bin_size: 4.0}
+      - {type: dvl, name: profiler, rate: 10.0, noise_sigma: 0.02, max_range: 60.0, bins: 5, bin_size: 6.0,
+         profile_mode: per_beam}
+  - id: shallow
+    trajectory:
+      - {time: 0.0, x: 170.0, y: 30.0, depth: 3.0, yaw: -1.0}
+      - {time: 2.0, x: 110.0, y: 90.0, depth: 3.0, yaw: -1.0}
+    sensors:
+      - {type: dvl, name: dvl, rate: 5.0, noise_sigma: 0.01, max_range: 25.0, bins: 4, bin_size: 5.0,
+         profile_mode: per_beam}
+  - id: still
+    trajectory:
+      - {time: 0.0, x: 100.0, y: 100.0, depth: 35.0, pitch: -0.2, yaw: 0.0}
+      - {time: 1.0, x: 100.0, y: 112.0, depth: 35.0, pitch: -0.2, yaw: -0.0}
+    sensors:
+      - {type: dvl, name: dvl, rate: 10.0, noise_sigma: 0.005, min_range: 1.0, bins: 2, bin_size: 3.0}
+"""
+
+GOLDEN_TIDE_LOGS = {
+    "deep/dvl.csv":
+        "aaeae04cc115705969294a032b1a06ae3c940fadd4434ad9c5c388752e3c4736",
+    "deep/dvl_adcp.csv":
+        "33c2ab7657c0eb60c6efc2a1c16c898f46a544d8c012729b74c65c3fab32ad2d",
+    "deep/pose.csv":
+        "b082f71df83da733e825df7c06c834f0fa2626a3e3ade7f4078a861ae53cda49",
+    "deep/profiler.csv":
+        "1c1ef0b2ee3bde49fb09fdb9c07ea0f10744bd5aea1a120d3af07fa47842e083",
+    "deep/profiler_adcp.csv":
+        "1724e362ea747fdf1c7ae47219b5e0cb181b331ea97e2836242d4fbfd6a534c6",
+    "shallow/dvl.csv":
+        "fc4a78cb590bb17cfc267acafab6dbf29ecb2e7bede138d35b0d1c5815f82a1a",
+    "shallow/dvl_adcp.csv":
+        "66ce33d7212911958093cb27487d6db5d49e47975ba1b0986d502ff522af219f",
+    "shallow/pose.csv":
+        "a86362796d3265ae05fb9b0f3cf6f949fbee70601ff253f44d9ab774114317ee",
+    "still/dvl.csv":
+        "d9a1ced7aa4c8c9f6019c01a7767851b7dfeac29c6efdb97dcedaf2e8471159a",
+    "still/dvl_adcp.csv":
+        "c0f019a6791dc1ff787764289db7340d0cc1c9bd35ea4a0cb4eef6db48efee30",
+    "still/pose.csv":
+        "cba5b9b3e755a47e7d156cb86363f03420bd98052cd7bc5bb7c3c4753840259d",
+    "tile_events.csv":
+        "ee60f03c41c934ede8c8d675340dd5cdad88952943eea7c802aff0d6d7969369",
+}
+
+
+def _rippled_heightmap():
+    from conftest import make_heightmap
+
+    i, j = np.mgrid[0:21, 0:21]
+    return make_heightmap(40.0 + 1.5 * np.abs((j + 2 * i) % 8 - 4) - 0.25 * i, cell_m=10.0)
+
+
+@pytest.fixture(scope="module")
+def golden_tide_run(tmp_path_factory):
+    return _golden_tree(tmp_path_factory, _rippled_heightmap(), GOLDEN_TIDE_SCENARIO)
+
+
+def test_golden_tide_run_writes_every_mode(golden_tide_run):
+    modes = {line.split(b",")[1] for path in golden_tide_run.glob("*/dvl.csv")
+             for line in path.read_bytes().splitlines()[1:]}
+    assert modes == {b"bottom_track", b"water_track"}
+    assert sorted(p.relative_to(golden_tide_run).as_posix() for p in golden_tide_run.rglob("*.csv")) == sorted(
+        GOLDEN_TIDE_LOGS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TIDE_LOGS))
+def test_golden_tide_run_log_digest(golden_tide_run, name):
+    assert hashlib.sha256((golden_tide_run / name).read_bytes()).hexdigest() == GOLDEN_TIDE_LOGS[name]
 
 
 # --- line endings ----------------------------------------------------------------------
