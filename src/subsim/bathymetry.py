@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -85,6 +86,11 @@ class Heightmap:
         """`depth` in C order as one flat array, for the raycasts' corner gathers."""
         return np.ascontiguousarray(self.depth).ravel()
 
+    @functools.cached_property
+    def _node_lists(self) -> tuple[list[float], list[float]]:
+        """`xs` and `ys` as Python lists, for `raycast`'s walk and `_cell_of`."""
+        return self.xs.tolist(), self.ys.tolist()
+
     @property
     def rows(self) -> int:
         return self.depth.shape[0]
@@ -97,7 +103,7 @@ class Heightmap:
     def nodata_mask(self) -> np.ndarray:
         return np.isnan(self.depth)
 
-    @property
+    @functools.cached_property
     def extent(self) -> tuple[float, float, float, float]:
         """World extent as (x_min, y_min, x_max, y_max), meters."""
         return float(self.xs[0]), float(self.ys[0]), float(self.xs[-1]), float(self.ys[-1])
@@ -366,9 +372,10 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     Returns None on a miss. `raycast_batch` applies the same rule to many
     rays at once.
 
-    The walk runs on plain Python floats: every value is the same IEEE
-    operation, in the same order, as in `raycast_batch`, so the two agree
-    bit for bit, without numpy's per-call cost on 0-d arrays.
+    The walk runs on plain Python floats, with the node coordinates as
+    lists the heightmap keeps: every value is the same IEEE operation, in
+    the same order, as in `raycast_batch`, so the two agree bit for bit,
+    without numpy's per-call cost on 0-d arrays.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (3,):
@@ -396,8 +403,8 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     if t_enter >= t_exit:
         return None
 
-    xs, ys, depth = h.xs, h.ys, h.depth
-    rows, cols = h.rows, h.cols
+    (xs, ys), depth = h._node_lists, h.depth
+    rows, cols = depth.shape
     eps_t = 1e-12 * max(1.0, max_range)
     t_lo = t_enter
     # Cell containing the current position, probed slightly inside.
@@ -413,14 +420,14 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     sign, crossing, max_pen = 0.0, math.nan, 0.0
     while t_lo < t_exit - eps_t:
         # Parametric exit of the current cell.
-        t_x = (xs.item(j + (de > 0.0)) - x0) / de if de != 0.0 else math.inf
-        t_y = (ys.item(i + (dn > 0.0)) - y0) / dn if dn != 0.0 else math.inf
+        t_x = (xs[j + (de > 0.0)] - x0) / de if de != 0.0 else math.inf
+        t_y = (ys[i + (dn > 0.0)] - y0) / dn if dn != 0.0 else math.inf
         t_hi = min(t_x, t_y, t_exit)
 
         # `_cell_patches` for one cell; a nodata corner makes q0 NaN.
-        x_j, y_i = xs.item(j), ys.item(i)
-        wx = xs.item(j + 1) - x_j
-        wy = ys.item(i + 1) - y_i
+        x_j, y_i = xs[j], ys[i]
+        wx = xs[j + 1] - x_j
+        wy = ys[i + 1] - y_i
         d00, d01 = depth.item(i, j), depth.item(i, j + 1)
         d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
         bu = d01 - d00
@@ -441,20 +448,20 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
             span = t_hi - t_lo
             seg_start = 0.0
             for stop in [s for s in _solve_quadratic(q2, q1, q0) if 0.0 < s <= span] + [span]:
-                # Penetration beyond the surface, measured into the side
-                # opposite the ray's original one. Signed (not |f|) so that
-                # near-tangent quadratics whose second root was lost to
-                # rounding cannot count original-side depth as penetration.
-                pen = max(-sign * _gap(q0, q1, q2, seg_start), -sign * _gap(q0, q1, q2, stop), 0.0)
-                if q2 != 0.0:
-                    vertex = -q1 / (2.0 * q2)
-                    if seg_start < vertex < stop:
-                        pen = max(pen, -sign * _gap(q0, q1, q2, vertex))
                 if (_gap(q0, q1, q2, (seg_start + stop) / 2.0) <= 0.0) == (sign < 0.0):
                     # Back (or still) on the original side: any pending
                     # shallow crossing was a graze.
                     crossing, max_pen = math.nan, 0.0
                 else:
+                    # Penetration beyond the surface, measured into the side
+                    # opposite the ray's original one. Signed (not |f|) so that
+                    # near-tangent quadratics whose second root was lost to
+                    # rounding cannot count original-side depth as penetration.
+                    pen = max(-sign * _gap(q0, q1, q2, seg_start), -sign * _gap(q0, q1, q2, stop), 0.0)
+                    if q2 != 0.0:
+                        vertex = -q1 / (2.0 * q2)
+                        if seg_start < vertex < stop:
+                            pen = max(pen, -sign * _gap(q0, q1, q2, vertex))
                     if math.isnan(crossing):
                         crossing, max_pen = t_lo + seg_start, 0.0
                     max_pen = max(max_pen, pen)
@@ -477,8 +484,9 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
 
 def _cell_of(h: Heightmap, x: float, y: float) -> tuple[int, int]:
     """`_cell_indices` for one point, as Python ints."""
-    j = min(max(int(h.xs.searchsorted(x, side="right")) - 1, 0), h.cols - 2)
-    i = min(max(int(h.ys.searchsorted(y, side="right")) - 1, 0), h.rows - 2)
+    xs, ys = h._node_lists
+    j = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    i = min(max(bisect_right(ys, y) - 1, 0), len(ys) - 2)
     return i, j
 
 

@@ -43,15 +43,17 @@ class StratifiedCurrentDB:
             raise CurrentError("strata velocities must be finite")
         self.depths = depths
         self.velocities = velocities
+        self._columns = [np.ascontiguousarray(velocities[:, k]) for k in range(3)]
 
     def interpolate(self, depth) -> np.ndarray:
         """Linear in depth between strata, clamped to the end strata.
 
         A float depth gives a (3,) velocity; an array of n depths gives
         (n, 3), each row equal to the float query's result."""
-        return np.stack(
-            [np.interp(depth, self.depths, self.velocities[:, k]) for k in range(3)], axis=-1
-        )
+        out = np.empty(np.shape(depth) + (3,))
+        for k, column in enumerate(self._columns):
+            out[..., k] = np.interp(depth, self.depths, column)
+        return out
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,7 @@ class TidalModel:
         else:
             self.series_times = None
             self.series_speeds = None
+        self._last = (math.nan, None)  # (time, velocity components) of the last velocity() call
 
     def speed(self, time: float) -> float:
         """Signed flood speed (m/s) at a UTC time in seconds."""
@@ -118,8 +121,15 @@ class TidalModel:
         return float(np.interp(time, self.series_times, self.series_speeds))
 
     def velocity(self, time: float) -> np.ndarray:
-        s = self.speed(time)
-        return np.array([s * math.cos(self.heading), s * math.sin(self.heading), 0.0])
+        """NED tide velocity at ``time``, a new array per call. Every sampler
+        of a field asks at the same times, so the components of the last
+        time asked are kept and reused."""
+        last_time, components = self._last
+        if time != last_time:
+            s = self.speed(time)
+            components = (s * math.cos(self.heading), s * math.sin(self.heading), 0.0)
+            self._last = (time, components)
+        return np.array(components)
 
 
 def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -176,18 +186,26 @@ class GaussMarkovState:
         self.bound = float(bound)
         self.delta_v = np.clip(np.asarray(delta_v, dtype=float), -bound, bound)
         self._rng = np.random.default_rng(seed)
+        self._step_terms = (math.nan, 0.0, 0.0)  # (dt, decay, noise scale) of the last step
 
     def step(self, dt: float) -> np.ndarray:
-        """Advance by dt seconds; returns a copy of the new perturbation."""
+        """Advance by dt seconds; returns a copy of the new perturbation.
+
+        The decay factor and the noise deviation depend on dt alone, so
+        they are computed when dt changes (a run steps by one dt); mu = 0
+        has decay 1, and 1 * x is x exactly."""
         if dt <= 0.0:
             raise CurrentError(f"dt must be positive, got {dt}")
-        if self.mu > 0.0:
-            decay = math.exp(-self.mu * dt)
-            var = self.sigma**2 * (1.0 - math.exp(-2.0 * self.mu * dt)) / (2.0 * self.mu)
-            noise = self._rng.normal(0.0, math.sqrt(var), 3)
-            self.delta_v = decay * self.delta_v + noise
-        else:
-            self.delta_v = self.delta_v + self._rng.normal(0.0, self.sigma * math.sqrt(dt), 3)
+        last_dt, decay, scale = self._step_terms
+        if dt != last_dt:
+            if self.mu > 0.0:
+                decay = math.exp(-self.mu * dt)
+                var = self.sigma**2 * (1.0 - math.exp(-2.0 * self.mu * dt)) / (2.0 * self.mu)
+                scale = math.sqrt(var)
+            else:
+                decay, scale = 1.0, self.sigma * math.sqrt(dt)
+            self._step_terms = (dt, decay, scale)
+        self.delta_v = decay * self.delta_v + self._rng.normal(0.0, scale, 3)
         np.clip(self.delta_v, -self.bound, self.bound, out=self.delta_v)
         return self.delta_v.copy()
 
@@ -220,7 +238,7 @@ class CurrentField:
     def mean_velocity(self, depth, time: float) -> np.ndarray:
         v = self.db.interpolate(depth)
         if self.tide is not None:
-            v = v + self.tide.velocity(time)
+            v += self.tide.velocity(time)
         return v
 
     def sampler(self, seed) -> "CurrentSampler":
@@ -244,4 +262,6 @@ class CurrentSampler:
 
         ``depth`` is a float, giving a (3,) NED velocity, or an array of n
         depths, giving (n, 3) rows equal to the float calls' results."""
-        return self.field.mean_velocity(depth, time) + self.state.delta_v
+        v = self.field.mean_velocity(depth, time)
+        v += self.state.delta_v
+        return v

@@ -12,6 +12,7 @@ the solution is computed from the noisy scalars.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -137,12 +138,23 @@ class AdcpProfile:
 def beam_ranges(pose: Pose, scene: Heightmap, cfg: DvlConfig) -> np.ndarray:
     """Raycast each beam into the terrain; NaN where there is no return
     inside [min_range, max_range]."""
-    out = np.full(4, np.nan)
-    for k in range(4):
-        r = raycast(scene, pose.position, pose.to_world(cfg.beams[k]), cfg.max_range)
-        if r is not None and r >= cfg.min_range:
-            out[k] = r
-    return out
+    out = []
+    for beam in cfg.beams:
+        r = raycast(scene, pose.position, pose.to_world(beam), cfg.max_range)
+        out.append(r if r is not None and r >= cfg.min_range else math.nan)
+    return np.array(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _world_beams(pose: Pose, cfg: DvlConfig) -> np.ndarray:
+    """The beams in world NED, (4, 3), read-only: ``pose.rotation @
+    cfg.beams.T``, formed once per tick for `measure`'s altitude and the
+    profile's bin depths (the cache keys on the pose and config objects,
+    both immutable). The ray directions stay one ``to_world`` per beam,
+    whose products differ from this matrix product in the last bits."""
+    world = (pose.rotation @ cfg.beams.T).T
+    world.setflags(write=False)
+    return world
 
 
 def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.ndarray:
@@ -166,15 +178,6 @@ def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.nda
     raise DegenerateBeamGeometryError(
         f"{len(s)} valid beams with rank {np.linalg.matrix_rank(b, tol=RANK_TOL) if len(s) else 0}"
     )
-
-
-def _altitude(pose: Pose, cfg: DvlConfig, ranges: np.ndarray) -> float | None:
-    hits = np.isfinite(ranges)
-    if not hits.any():
-        return None
-    world_beams = (pose.rotation @ cfg.beams.T).T
-    down = world_beams[hits, 2]
-    return float(np.mean(ranges[hits] * down))
 
 
 def measure(
@@ -201,9 +204,11 @@ def measure(
     hits = np.isfinite(ranges)
     vel_world = np.asarray(vel_world, dtype=float)
     mode, altitude, scalars = TrackingMode.NONE, None, np.full(4, np.nan)
-    if hits.sum() >= 3:
-        mode, altitude = TrackingMode.BOTTOM_TRACK, _altitude(pose, cfg, ranges)
-        scalars = np.where(hits, cfg.beams @ pose.to_body(vel_world), np.nan)
+    if np.count_nonzero(hits) >= 3:
+        mode = TrackingMode.BOTTOM_TRACK
+        altitude = float(np.mean(ranges[hits] * _world_beams(pose, cfg)[hits, 2]))
+        scalars = cfg.beams @ pose.to_body(vel_world)
+        scalars[~hits] = np.nan
     elif cfg.water_track_enabled and current_at is not None:
         mode = TrackingMode.WATER_TRACK
         current = np.asarray(current_at(pose.position.depth), dtype=float)
@@ -212,7 +217,8 @@ def measure(
     if mode is TrackingMode.NONE:
         return DvlSolution(None, None, mode, ranges, scalars)
     valid = np.isfinite(scalars)
-    scalars = np.where(valid, scalars + noise, np.nan)
+    scalars += noise
+    scalars[~valid] = np.nan
     return DvlSolution(solve_velocity(cfg.beams, scalars, valid=valid), altitude, mode, ranges, scalars)
 
 
@@ -240,11 +246,10 @@ def current_profile(
     """
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
-    world_beams = (pose.rotation @ cfg.beams.T).T
     centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
-    depths = pose.position.depth + centers[:, None] * world_beams[:, 2]  # (bins, 4)
-    current = np.broadcast_to(np.asarray(current_at(depths.ravel()), dtype=float), (depths.size, 3))
-    rel_world = np.asarray(vel_world, dtype=float) - current
+    depths = pose.position.depth + centers[:, None] * _world_beams(pose, cfg)[:, 2]  # (bins, 4)
+    rel_world = np.empty((depths.size, 3))  # a (3,) current broadcasts to every row
+    np.subtract(np.asarray(vel_world, dtype=float), np.asarray(current_at(depths.ravel()), dtype=float), out=rel_world)
     rel_sensor = np.ascontiguousarray((pose.rotation.T @ rel_world.T).T).reshape(cfg.bins, 4, 3, 1)
     scalars = np.matmul(cfg.beams[:, None, :], rel_sensor).reshape(cfg.bins, 4)
     noisy = scalars + rng.normal(0.0, cfg.noise_sigma, (cfg.bins, 4))

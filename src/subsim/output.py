@@ -487,17 +487,28 @@ def log_text(value) -> str:
 
 
 class CsvLog:
-    """A run log file, written row by row; closes as a context manager."""
+    """A run log file, written row by row; closes as a context manager.
+
+    A row is written with one ``%`` operation whose format puts ``%.9g``
+    where a cell is a float and ``%s`` elsewhere, which is `log_text`'s
+    rule. The format is built once per sequence of cell types."""
 
     def __init__(self, path: Path, header, preamble: str | None = None):
         path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "wb")
+        self._formats: dict[tuple[type, ...], str] = {}
         if preamble is not None:
             self._fh.write(preamble.encode("ascii") + b"\n")
         self.row(header)
 
     def row(self, cells) -> None:
-        self._fh.write(",".join([log_text(c) for c in cells]).encode("ascii") + b"\n")
+        cells = tuple(cells)
+        kinds = tuple(map(type, cells))
+        fmt = self._formats.get(kinds)
+        if fmt is None:
+            fmt = ",".join(["%.9g" if issubclass(k, float) else "%s" for k in kinds]) + "\n"
+            self._formats[kinds] = fmt
+        self._fh.write((fmt % cells).encode("ascii"))
 
     def __enter__(self) -> CsvLog:
         return self

@@ -20,9 +20,11 @@ import functools
 import hashlib
 import json
 import math
+import struct
 import sys
 import types
 import typing
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +33,7 @@ import yaml
 
 from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
-from .geometry import Pose, body_to_ned_rotation, rpy_from_rotation
+from .geometry import Pose, WorldPoint, body_to_ned_rotation, rpy_from_rotation
 from .output import CsvLog, check_out, staged
 
 SCHEMA_VERSION = 1
@@ -471,26 +473,52 @@ def _path_clashes(paths) -> list[str]:
             for path, who in owners.items() if len(who) > 1]
 
 
+_ATTITUDE_BITS = struct.Struct("<3d")
+
+
+class Trajectory(tuple):
+    """A timed waypoint tuple with what `interpolate_trajectory` looks up
+    on every step: the waypoint times, searched with `bisect`, and the
+    last rotation it built, keyed by the bits of its roll, pitch and yaw
+    (so -0.0 is not 0.0), which a segment of constant attitude reuses."""
+
+    def __new__(cls, waypoints):
+        self = super().__new__(cls, waypoints)
+        self.times = [w.time for w in self]
+        self._attitude = (b"", None)  # (angle bits, read-only rotation)
+        return self
+
+    def pose(self, x: float, y: float, depth: float, roll: float, pitch: float, yaw: float) -> Pose:
+        """`Pose.from_rpy`, with the rotation shared while the angles repeat."""
+        key = _ATTITUDE_BITS.pack(roll, pitch, yaw)
+        last_key, rotation = self._attitude
+        if key != last_key:
+            rotation = body_to_ned_rotation(roll, pitch, yaw)
+            rotation.setflags(write=False)
+            self._attitude = (key, rotation)
+        return Pose(WorldPoint(x, y, depth), rotation)
+
+
 def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
     """Pose and NED velocity along a timed waypoint list.
 
     Pose components interpolate linearly inside each segment. Segment
     velocity is an explicit waypoint velocity when given, otherwise the
     segment displacement rate; the vehicle holds pose with zero velocity
-    before the first and after the last waypoint.
+    before the first and after the last waypoint. Times must increase
+    strictly, as `validate` requires. A run passes a `Trajectory`; any
+    other sequence is wrapped in one per call.
     """
-    first, last = waypoints[0], waypoints[-1]
-    if t >= last.time:
-        return last.pose(), np.zeros(3)
-    if t < first.time:
-        return first.pose(), np.zeros(3)
-    hi = 0
-    while waypoints[hi].time <= t:
-        hi += 1
-    a, b = waypoints[hi - 1], waypoints[hi]
+    traj = waypoints if isinstance(waypoints, Trajectory) else Trajectory(waypoints)
+    first, last = traj[0], traj[-1]
+    if t >= last.time or t < first.time:
+        w = last if t >= last.time else first
+        return traj.pose(w.x, w.y, w.depth, w.roll, w.pitch, w.yaw), np.zeros(3)
+    hi = bisect_right(traj.times, t)
+    a, b = traj[hi - 1], traj[hi]
     span = b.time - a.time
     alpha = (t - a.time) / span
-    pose = Pose.from_rpy(
+    pose = traj.pose(
         a.x + alpha * (b.x - a.x),
         a.y + alpha * (b.y - a.y),
         a.depth + alpha * (b.depth - a.depth),
@@ -601,9 +629,13 @@ class _Vehicle:
 
     def __init__(self, spec: VehicleSpec, sampler: currents.CurrentSampler, sensors: list[Sensor]):
         self.spec, self.sampler, self.sensors = spec, sampler, sensors
+        self.trajectory = Trajectory(spec.waypoints)
         self.hold: Pose | None = None  # station pose after a teleport
         self.pose: Pose | None = None
         self.velocity = np.zeros(3)
+        # The pose log's roll, pitch and yaw of the last rotation logged; a
+        # trajectory hands out one rotation object while its angles repeat.
+        self.logged_attitude: tuple[np.ndarray | None, tuple[float, float, float]] = (None, (0.0, 0.0, 0.0))
 
 
 class Simulation:
@@ -705,12 +737,15 @@ class Simulation:
             if v.hold is not None:
                 v.pose, v.velocity = v.hold, np.zeros(3)
             else:
-                v.pose, v.velocity = interpolate_trajectory(v.spec.waypoints, t)
+                v.pose, v.velocity = interpolate_trajectory(v.trajectory, t)
 
     def _pose_row(self, t: float, v: _Vehicle) -> list[float]:
-        p = v.pose.position
-        rel = v.pose.rotation @ _LEVEL_NED_TO_BODY
-        return [t, p.x, p.y, p.depth, *rpy_from_rotation(rel), *v.velocity.tolist()]
+        p, rotation = v.pose.position, v.pose.rotation
+        logged, attitude = v.logged_attitude
+        if rotation is not logged:
+            attitude = rpy_from_rotation(rotation @ _LEVEL_NED_TO_BODY)
+            v.logged_attitude = (rotation, attitude)
+        return [t, p.x, p.y, p.depth, *attitude, *v.velocity.tolist()]
 
     def _step_coupling(self, t: float, spec: CouplingSpec, log: CsvLog, advance: bool) -> None:
         plug_pose: Pose = self._vehicles[spec.plug_vehicle].pose

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,80 @@ def test_trajectory_explicit_velocity_override():
     )
     _, vel = scenario.interpolate_trajectory(wps, 5.0)
     assert np.allclose(vel, [0.0, 1.5, 0.0])
+
+
+def _interpolate_by_linear_scan(waypoints, t):
+    """Reference: the segment found by a linear scan, a new rotation per call."""
+    first, last = waypoints[0], waypoints[-1]
+    if t >= last.time:
+        return last.pose(), np.zeros(3)
+    if t < first.time:
+        return first.pose(), np.zeros(3)
+    hi = 0
+    while waypoints[hi].time <= t:
+        hi += 1
+    a, b = waypoints[hi - 1], waypoints[hi]
+    span = b.time - a.time
+    alpha = (t - a.time) / span
+    pose = scenario.Pose.from_rpy(*(getattr(a, f) + alpha * (getattr(b, f) - getattr(a, f))
+                                    for f in ("x", "y", "depth", "roll", "pitch", "yaw")))
+    if a.velocity is not None and b.velocity is not None:
+        va, vb = np.asarray(a.velocity, dtype=float), np.asarray(b.velocity, dtype=float)
+        return pose, va + alpha * (vb - va)
+    if a.velocity is not None:
+        return pose, np.asarray(a.velocity, dtype=float)
+    return pose, np.array([(b.y - a.y) / span, (b.x - a.x) / span, (b.depth - a.depth) / span])
+
+
+def _pose_bytes(pose, vel) -> bytes:
+    p = pose.position
+    return np.array([p.x, p.y, p.depth]).tobytes() + pose.rotation.tobytes() + np.asarray(vel).tobytes()
+
+
+def _random_trajectory(rng, n):
+    """n waypoints: some segments hold their attitude, some angles are -0.0
+    next to 0.0, and some waypoints carry an explicit velocity."""
+    times = np.cumsum(rng.uniform(0.05, 3.0, n)) - 7.0
+    wps, rpy = [], (0.0, 0.0, 0.0)
+    for k, t in enumerate(times.tolist()):
+        pick = k % 5
+        if pick == 1:
+            rpy = tuple(rng.uniform(-0.5, 0.5, 3).tolist())
+        elif pick == 3:
+            rpy = tuple(math.copysign(0.0, -a) if a == 0.0 else a for a in (0.0, rpy[1], -0.0))
+        velocity = tuple(rng.uniform(-1.0, 1.0, 3).tolist()) if k % 7 in (2, 3) else None
+        wps.append(scenario.Waypoint(t, *rng.uniform(-500.0, 500.0, 2).tolist(), float(rng.uniform(0.0, 60.0)),
+                                     *rpy, velocity=velocity))
+    return wps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60])
+def test_trajectory_matches_linear_scan_at_and_between_waypoints(n):
+    rng = np.random.default_rng(n)
+    wps = _random_trajectory(rng, n)
+    times = [w.time for w in wps]
+    queries = [times[0] - 1.0, times[-1] + 1.0]
+    for a, b in zip(times, times[1:] + [times[-1] + 2.0]):
+        queries += [a, np.nextafter(a, -math.inf), np.nextafter(a, math.inf), (a + b) / 2.0,
+                    a + (b - a) / 3.0]
+    queries = [float(q) for q in queries]
+    trajectory = scenario.Trajectory(wps)
+    for t in queries + queries[::-1] + [queries[i] for i in rng.permutation(len(queries))]:
+        expected = _pose_bytes(*_interpolate_by_linear_scan(wps, t))
+        assert _pose_bytes(*scenario.interpolate_trajectory(trajectory, t)) == expected, t
+        assert _pose_bytes(*scenario.interpolate_trajectory(wps, t)) == expected, t
+
+
+def test_trajectory_reuses_a_rotation_only_for_bit_equal_angles():
+    wps = [scenario.Waypoint(0.0, 0.0, 0.0, 10.0, pitch=0.1, yaw=0.0),
+           scenario.Waypoint(1.0, 5.0, 0.0, 10.0, pitch=0.1, yaw=-0.0)]
+    trajectory = scenario.Trajectory(wps)
+    level, _ = scenario.interpolate_trajectory(trajectory, 0.25)  # yaw 0.0 + 0.25 * -0.0 is 0.0
+    again, _ = scenario.interpolate_trajectory(trajectory, 0.75)
+    assert again.rotation is level.rotation and not level.rotation.flags.writeable
+    held, _ = scenario.interpolate_trajectory(trajectory, 2.0)  # the last waypoint: yaw -0.0
+    assert held.rotation is not level.rotation
+    assert held.rotation.tobytes() == scenario.body_to_ned_rotation(0.0, 0.1, -0.0).tobytes()
 
 
 # --- running -------------------------------------------------------------------
