@@ -247,3 +247,29 @@ def test_sampler_velocity_array_matches_scalar_calls(tide):
         got = sampler.velocity(depths, t)
         assert got.shape == (depths.size, 3)
         assert np.array_equal(got, np.array([sampler.velocity(float(d), t) for d in depths]))
+
+
+def test_tide_velocity_reuse_gives_fresh_arrays_with_each_times_value():
+    tide = cur.TidalModel(0.7, [cur.TidalConstituent(0.15, 600.0, 0.3), cur.TidalConstituent(0.05, 97.5, -1.2)])
+    times = [3600.0, 3600.0, 3600.1, 3600.0, -0.0, 0.0, 3600.1]
+    got = [tide.velocity(t) for t in times]
+    for t, v in zip(times, got):
+        s = cur.TidalModel(0.7, tide.constituents).speed(t)
+        assert v.tolist() == [s * math.cos(0.7), s * math.sin(0.7), 0.0]
+    got[0][0] = 99.0  # no two calls share an array
+    assert tide.velocity(3600.0)[0] != 99.0 and got[1][0] != 99.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_gm_steps_of_changing_dt_match_the_formula_per_step(mu):
+    sigma, bound, dts = 0.01, 1.0, [0.1, 0.1, 0.25, 0.1, 1e-3, 0.25]
+    state = cur.GaussMarkovState(mu, sigma, bound=bound, seed=9, delta_v=(0.2, -0.1, 0.05))
+    rng, expected = np.random.default_rng(9), np.array([0.2, -0.1, 0.05])
+    for dt in dts:
+        if mu > 0.0:
+            var = sigma**2 * (1.0 - math.exp(-2.0 * mu * dt)) / (2.0 * mu)
+            expected = math.exp(-mu * dt) * expected + rng.normal(0.0, math.sqrt(var), 3)
+        else:
+            expected = expected + rng.normal(0.0, sigma * math.sqrt(dt), 3)
+        expected = np.clip(expected, -bound, bound)
+        assert state.step(dt).tobytes() == expected.tobytes()
