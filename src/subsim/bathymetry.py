@@ -351,13 +351,17 @@ def _gap(q0, q1, q2, s):
     return q2 * s * s + q1 * s + q0
 
 
-def _check_ray(norm: float, max_range: float) -> None:
+def _check_ray(origin: WorldPoint, norm: float, max_range: float) -> tuple[float, float, float]:
     """The input rule `raycast` and `raycast_batch` share: a unit direction
-    (``norm`` is its length) and a positive range."""
+    (``norm`` is its length), a positive range and a finite origin, returned as floats."""
     if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"direction must be a unit vector, |d| = {norm}")
     if not max_range > 0.0:
         raise ValueError("max_range must be positive")
+    x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
+    if not math.isfinite(x0 + y0 + z0):
+        raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
+    return x0, y0, z0
 
 
 def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> float | None:
@@ -381,10 +385,7 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     if direction.shape != (3,):
         raise ValueError(f"direction must have shape (3,), got {direction.shape}")
     dn, de, dd = direction.tolist()
-    _check_ray(math.sqrt(dn * dn + de * de + dd * dd), max_range)
-    x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
-    if not math.isfinite(x0 + y0 + z0):
-        raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
+    x0, y0, z0 = _check_ray(origin, math.sqrt(dn * dn + de * de + dd * dd), max_range)
     x_min, y_min, x_max, y_max = h.extent
 
     # Clip the ray to the horizontal extent.
@@ -515,10 +516,7 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
         raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
     norms = np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1] + dirs[:, 2] * dirs[:, 2])
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
-    _check_ray(float(norms[bad[0]]) if bad.size else 1.0, max_range)
-    x0, y0, z0 = origin.x, origin.y, origin.depth
-    if not math.isfinite(x0 + y0 + z0):
-        raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
+    x0, y0, z0 = _check_ray(origin, float(norms[bad[0]]) if bad.size else 1.0, max_range)
     eps_t = 1e-12 * max(1.0, max_range)
     ranges = np.full(len(dirs), np.nan)
 

@@ -71,6 +71,10 @@ class TidalConstituent:
             if not math.isfinite(getattr(self, name)):
                 raise CurrentError(f"constituent {name} must be finite, got {getattr(self, name)}")
 
+    def speed(self, time: float) -> float:
+        """Signed speed (m/s) at a UTC time in seconds; ValueError where the phase overflows."""
+        return self.amplitude * math.cos(2.0 * math.pi * time / self.period + self.phase)
+
 
 class TidalModel:
     """Tide speed from harmonic constituents or an interpolated series.
@@ -100,17 +104,11 @@ class TidalModel:
         else:
             self.series_times = None
             self.series_speeds = None
-        self._last = (math.nan, None)  # (time, velocity components) of the last velocity() call
 
     def speed(self, time: float) -> float:
         """Signed flood speed (m/s) at a UTC time in seconds."""
         if self.constituents is not None:
-            return float(
-                sum(
-                    c.amplitude * math.cos(2.0 * math.pi * time / c.period + c.phase)
-                    for c in self.constituents
-                )
-            )
+            return float(sum(c.speed(time) for c in self.constituents))
         if self.series_times is None:
             return 0.0
         if time < self.series_times[0] or time > self.series_times[-1]:
@@ -121,15 +119,9 @@ class TidalModel:
         return float(np.interp(time, self.series_times, self.series_speeds))
 
     def velocity(self, time: float) -> np.ndarray:
-        """NED tide velocity at ``time``, a new array per call. Every sampler
-        of a field asks at the same times, so the components of the last
-        time asked are kept and reused."""
-        last_time, components = self._last
-        if time != last_time:
-            s = self.speed(time)
-            components = (s * math.cos(self.heading), s * math.sin(self.heading), 0.0)
-            self._last = (time, components)
-        return np.array(components)
+        """NED tide velocity at ``time``."""
+        s = self.speed(time)
+        return np.array((s * math.cos(self.heading), s * math.sin(self.heading), 0.0))
 
 
 def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +149,27 @@ def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(speeds)
 
 
+@dataclass(frozen=True)
+class GaussMarkovParams:
+    mu: float = 0.0
+    sigma: float = 0.0
+    bound: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "bound"):
+            if not getattr(self, name) >= 0.0:
+                raise CurrentError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+    def step_terms(self, dt: float) -> tuple[float, float]:
+        """Decay factor and noise deviation of a step of dt seconds: the exact
+        Ornstein-Uhlenbeck transition, or for mu = 0 a random walk (decay 1,
+        and 1 * x is x). OverflowError where sigma**2 overflows."""
+        if self.mu > 0.0:
+            var = self.sigma**2 * (1.0 - math.exp(-2.0 * self.mu * dt)) / (2.0 * self.mu)
+            return math.exp(-self.mu * dt), math.sqrt(var)
+        return 1.0, self.sigma * math.sqrt(dt)
+
+
 class GaussMarkovState:
     """First-order Gauss-Markov perturbation, exactly discretized.
 
@@ -175,51 +188,18 @@ class GaussMarkovState:
         seed: int | np.random.SeedSequence = 0,
         delta_v=(0.0, 0.0, 0.0),
     ):
-        if mu < 0.0:
-            raise CurrentError("mu must be >= 0")
-        if sigma < 0.0:
-            raise CurrentError("sigma must be >= 0")
-        if bound < 0.0:
-            raise CurrentError("bound must be >= 0")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.bound = float(bound)
+        self.params = GaussMarkovParams(float(mu), float(sigma), float(bound))
         self.delta_v = np.clip(np.asarray(delta_v, dtype=float), -bound, bound)
         self._rng = np.random.default_rng(seed)
-        self._step_terms = (math.nan, 0.0, 0.0)  # (dt, decay, noise scale) of the last step
 
     def step(self, dt: float) -> np.ndarray:
-        """Advance by dt seconds; returns a copy of the new perturbation.
-
-        The decay factor and the noise deviation depend on dt alone, so
-        they are computed when dt changes (a run steps by one dt); mu = 0
-        has decay 1, and 1 * x is x exactly."""
+        """Advance by dt seconds; returns a copy of the new perturbation."""
         if dt <= 0.0:
             raise CurrentError(f"dt must be positive, got {dt}")
-        last_dt, decay, scale = self._step_terms
-        if dt != last_dt:
-            if self.mu > 0.0:
-                decay = math.exp(-self.mu * dt)
-                var = self.sigma**2 * (1.0 - math.exp(-2.0 * self.mu * dt)) / (2.0 * self.mu)
-                scale = math.sqrt(var)
-            else:
-                decay, scale = 1.0, self.sigma * math.sqrt(dt)
-            self._step_terms = (dt, decay, scale)
+        decay, scale = self.params.step_terms(dt)
         self.delta_v = decay * self.delta_v + self._rng.normal(0.0, scale, 3)
-        np.clip(self.delta_v, -self.bound, self.bound, out=self.delta_v)
+        np.clip(self.delta_v, -self.params.bound, self.params.bound, out=self.delta_v)
         return self.delta_v.copy()
-
-
-@dataclass(frozen=True)
-class GaussMarkovParams:
-    mu: float = 0.0
-    sigma: float = 0.0
-    bound: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("mu", "sigma", "bound"):
-            if not getattr(self, name) >= 0.0:
-                raise CurrentError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class CurrentField:

@@ -12,7 +12,6 @@ the solution is computed from the noisy scalars.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -145,16 +144,10 @@ def beam_ranges(pose: Pose, scene: Heightmap, cfg: DvlConfig) -> np.ndarray:
     return np.array(out)
 
 
-@functools.lru_cache(maxsize=1)
 def _world_beams(pose: Pose, cfg: DvlConfig) -> np.ndarray:
-    """The beams in world NED, (4, 3), read-only: ``pose.rotation @
-    cfg.beams.T``, formed once per tick for `measure`'s altitude and the
-    profile's bin depths (the cache keys on the pose and config objects,
-    both immutable). The ray directions stay one ``to_world`` per beam,
-    whose products differ from this matrix product in the last bits."""
-    world = (pose.rotation @ cfg.beams.T).T
-    world.setflags(write=False)
-    return world
+    """The beams in world NED, (4, 3), for `measure`'s altitude and the profile's bin depths.
+    The ray directions stay one ``to_world`` per beam, which differs in the last bits."""
+    return (pose.rotation @ cfg.beams.T).T
 
 
 def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.ndarray:

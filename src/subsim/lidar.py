@@ -89,8 +89,10 @@ def scan(
     Rays form a uniform angular grid of (rays_h * supersample) x
     (rays_v * supersample) directions spanning the field of view,
     oriented by pose and cfg's mount angles. Hits inside max_range each
-    emit one point, optionally displaced along the ray by N(0, range_noise_sigma).
+    emit one point, displaced along the ray by N(0, range_noise_sigma) from rng if that is > 0.
     """
+    if cfg.range_noise_sigma > 0.0 and rng is None:
+        raise ValueError("range noise requires an rng")
     n_h = cfg.rays_h * cfg.supersample
     n_v = cfg.rays_v * cfg.supersample
     az = np.radians(np.linspace(-cfg.fov_h_deg / 2.0, cfg.fov_h_deg / 2.0, n_h))
@@ -105,7 +107,7 @@ def scan(
     ])
     hit = np.flatnonzero(~np.isnan(ranges))
     r = ranges[hit]
-    if cfg.range_noise_sigma > 0.0 and rng is not None:
+    if cfg.range_noise_sigma > 0.0:
         r = r + rng.normal(0.0, cfg.range_noise_sigma, r.shape)
     d = dirs_world[hit]
     points = np.stack([o.x + d[:, 1] * r, o.y + d[:, 0] * r, o.depth + d[:, 2] * r], axis=-1)

@@ -377,8 +377,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         diags.append(f"dt must be positive and finite, got {cfg.dt}")
     if not duration_ok:
         diags.append(f"duration must be >= 0 and finite, got {cfg.duration}")
-    steps_ok = dt_ok and duration_ok and cfg.duration / cfg.dt <= MAX_STEPS + 0.5
-    if dt_ok and duration_ok and not steps_ok:
+    steps = _step_count(cfg) if dt_ok and duration_ok and cfg.duration / cfg.dt <= MAX_STEPS + 0.5 else None
+    if dt_ok and duration_ok and steps is None:
         diags.append(f"duration / dt is {cfg.duration / cfg.dt:.6g} steps; a run takes at most {MAX_STEPS}")
     if cfg.seed < 0:
         diags.append(f"seed must be >= 0, got {cfg.seed}")
@@ -388,22 +388,30 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             tiling.tile_counts(bathymetry.grid_extent(world.heightmap_path), world.tile_size, world.overlap)
         except (bathymetry.HeightmapError, OSError) as err:
             diags.append(str(err))
-        if world.load_radius <= 0.0:
-            diags.append("world.load_radius must be positive")
-        if world.unload_radius <= world.load_radius:
-            diags.append("world.unload_radius must exceed world.load_radius")
-    tide = cfg.current_field.tide
-    if tide is not None and tide.series_times is not None and steps_ok:
+        diags += [f"world.{problem}" for problem in tiling.radius_problems(world.load_radius, world.unload_radius)]
+    tide, gm = cfg.current_field.tide, cfg.current_field.gm
+    if tide is not None and steps is not None:
         # The run queries the tide at epoch_utc + k * dt for every step k.
-        start, end = cfg.epoch_utc, cfg.epoch_utc + _step_count(cfg) * cfg.dt
-        first, last = float(tide.series_times[0]), float(tide.series_times[-1])
-        uncovered = [f"[{start}, {first})"] if start < first else []
-        uncovered += [f"({last}, {end}]"] if end > last else []
-        if uncovered:
-            diags.append(
-                f"currents: tide series spans [{first}, {last}] s UTC; "
-                f"run times {' and '.join(uncovered)} are not covered"
-            )
+        start, end = cfg.epoch_utc, cfg.epoch_utc + steps * cfg.dt
+        if tide.series_times is not None:
+            first, last = float(tide.series_times[0]), float(tide.series_times[-1])
+            uncovered = [f"[{start}, {first})"] if start < first else []
+            uncovered += [f"({last}, {end}]"] if end > last else []
+            if uncovered:
+                diags.append(f"currents: tide series spans [{first}, {last}] s UTC; "
+                             f"run times {' and '.join(uncovered)} are not covered")
+        for i, constituent in enumerate(tide.constituents or ()):
+            try:  # the phase grows with |t|, so the first and last times cover the run
+                constituent.speed(start), constituent.speed(end)
+            except ValueError:
+                diags.append(f"currents tide constituents[{i}]: period {constituent.period} s gives no "
+                             "finite phase over the run's times")
+    try:  # the Gauss-Markov step a run of one step or more takes
+        gm_ok = not steps or all(map(math.isfinite, gm.step_terms(cfg.dt)))
+    except OverflowError:
+        gm_ok = False
+    if not gm_ok:
+        diags.append(f"currents gauss_markov: mu {gm.mu} and sigma {gm.sigma} give no finite step at dt {cfg.dt}")
 
     name_problems = _name_problems(cfg)
     diags += name_problems
@@ -416,17 +424,17 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             diags.append(f"vehicle {vid!r} trajectory times must be strictly increasing")
         for sensor in vehicle.sensors:
             label = f"vehicle {vid!r} sensor {sensor.name!r}"
-            if steps_ok:
-                period = 1.0 / sensor.rate
-                ratio = period / cfg.dt  # inf for a subnormal dt
-                steps = round(ratio) if math.isfinite(ratio) else 0
-                if steps < 1 or abs(period - steps * cfg.dt) > 1e-9 * max(1.0, period):
-                    diags.append(f"{label}: period {period} is not an integer multiple of dt {cfg.dt}")
+            if steps is not None and not sensor_steps(sensor.rate, cfg.dt):
+                diags.append(f"{label}: period {1.0 / sensor.rate} is not an integer multiple of dt {cfg.dt}")
             if SENSORS[sensor.kind].needs_world and cfg.world is None:
                 diags.append(f"{label}: requires a world heightmap")
-        for action in vehicle.teleports:
+        for i, action in enumerate(vehicle.teleports):
             if action.station not in cfg.stations:
                 diags.append(f"vehicle {vid!r}: unknown teleport station {action.station!r}")
+            inside = steps is not None and 0.0 <= action.time <= steps * cfg.dt
+            if inside and not teleport_steps(action.time, cfg.dt, steps):  # outside, it never fires
+                diags.append(f"vehicle {vid!r} teleports[{i}]: time {action.time} is half a step of dt "
+                             f"{cfg.dt} from the nearest steps, so no step fires it")
 
     vehicle_ids = {v.vehicle_id for v in cfg.vehicles}
     for spec in cfg.couplings:
@@ -438,6 +446,23 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if not name_problems:  # plain, unique names; now no two may name one path
         diags += _path_clashes(run_paths(cfg))
     return diags
+
+
+def sensor_steps(rate: float, dt: float) -> int:
+    """Steps between evaluations of a sensor at ``rate`` Hz: its period
+    1 / rate as a whole number of steps of dt, or 0 when it is none."""
+    period = 1.0 / rate
+    ratio = period / dt  # inf for a subnormal dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    return steps if steps >= 1 and abs(period - steps * dt) <= 1e-9 * max(1.0, period) else 0
+
+
+def teleport_steps(time: float, dt: float, steps: int) -> list[int]:
+    """The steps k = 0..steps at which a teleport at ``time`` fires: each with
+    |time - k * dt| < dt / 2. Only round(time / dt) and its neighbours can; a
+    ratio beyond the run (inf for a subnormal dt) is clamped to one step past it."""
+    k = round(min(max(time / dt, -1.0), steps + 1.0))
+    return [n for n in (k - 1, k, k + 1) if 0 <= n <= steps and abs(time - n * dt) < dt / 2.0]
 
 
 def run_paths(cfg: ScenarioConfig) -> list[tuple[str, str]]:
@@ -628,7 +653,7 @@ class _Vehicle:
     """Run state of one vehicle: its current sampler, sensors and pose."""
 
     def __init__(self, spec: VehicleSpec, sampler: currents.CurrentSampler, sensors: list[Sensor]):
-        self.spec, self.sampler, self.sensors = spec, sampler, sensors
+        self.sampler, self.sensors = sampler, sensors
         self.trajectory = Trajectory(spec.waypoints)
         self.hold: Pose | None = None  # station pose after a teleport
         self.pose: Pose | None = None
@@ -646,7 +671,7 @@ class Simulation:
         if problems:
             raise ScenarioError("invalid scenario: " + "; ".join(problems))
         check_out(out_dir, directory=True)  # before the heightmap is read
-        self.cfg, self.out_dir = cfg, out_dir
+        self.cfg, self.out_dir, self._steps = cfg, out_dir, _step_count(cfg)
         self.heightmap = self.tile_manager = None
         if cfg.world is not None:
             self.heightmap = bathymetry.load_heightmap(cfg.world.heightmap_path)
@@ -658,15 +683,27 @@ class Simulation:
         # Couplings draw no randomness.
         seeds = np.random.SeedSequence(cfg.seed)
         self._vehicles: dict[str, _Vehicle] = {}
+        # (vehicle id, station) of each teleport by the step it fires on,
+        # in vehicle and then script order; the last one a step applies wins.
+        self._teleports: dict[int, list[tuple[str, str]]] = {}
         for vspec in cfg.vehicles:
             sampler = cfg.current_field.sampler(seeds.spawn(1)[0])
             sensors = []
             for s in vspec.sensors:
                 rng = np.random.default_rng(seeds.spawn(1)[0])
-                steps = round((1.0 / s.rate) / cfg.dt)
-                sensors.append(SENSORS[s.kind](s, rng, steps, self.heightmap))
+                sensors.append(SENSORS[s.kind](s, rng, sensor_steps(s.rate, cfg.dt), self.heightmap))
             self._vehicles[vspec.vehicle_id] = _Vehicle(vspec, sampler, sensors)
+            for action in vspec.teleports:
+                for k in teleport_steps(action.time, cfg.dt, self._steps):
+                    self._teleports.setdefault(k, []).append((vspec.vehicle_id, action.station))
         self._coupling_states = {c.coupling_id: coupling.CouplingState() for c in cfg.couplings}
+        # Each coupling's force entry times, and one read-only force row per entry after a
+        # zero row: the count of entries at or before a time indexes the force then.
+        self._forces: dict[str, tuple[list[float], np.ndarray]] = {}
+        for c in cfg.couplings:
+            forces = np.array([[0.0, 0.0, 0.0]] + [[f.fx, f.fy, f.fz] for f in c.forces])
+            forces.setflags(write=False)
+            self._forces[c.coupling_id] = ([f.time for f in c.forces], forces)
 
     # -- public API ---------------------------------------------------------
 
@@ -684,8 +721,7 @@ class Simulation:
         last, into the output directory through ``output.staged``: a new or
         empty directory that holds the whole run or, on any failure, is
         left as it was. Returns the manifest dictionary."""
-        cfg = self.cfg
-        steps = _step_count(cfg)
+        cfg, steps = self.cfg, self._steps
 
         with staged(self.out_dir, directory=True) as root, contextlib.ExitStack() as stack:
             def log(path: str, header: list[str]) -> CsvLog:
@@ -701,7 +737,8 @@ class Simulation:
 
             for k in range(steps + 1):
                 t = k * cfg.dt
-                self._apply_teleports(t)
+                for vid, station in self._teleports.get(k, ()):
+                    self.teleport(vid, station)
                 self._advance_vehicles(t)
                 if self.tile_manager is not None:
                     events = self.tile_manager.update_tiles(
@@ -725,12 +762,6 @@ class Simulation:
             return self._write_manifest(root)
 
     # -- internals ----------------------------------------------------------
-
-    def _apply_teleports(self, t: float) -> None:
-        for vid, v in self._vehicles.items():
-            for action in v.spec.teleports:
-                if abs(action.time - t) < self.cfg.dt / 2.0:
-                    self.teleport(vid, action.station)
 
     def _advance_vehicles(self, t: float) -> None:
         for v in self._vehicles.values():
@@ -760,7 +791,8 @@ class Simulation:
         )
         offset = recep.rotation.T @ delta_ned
         rel_pose = coupling.RelativePose(offset, r_rel)
-        force = _force_at(spec.forces, t)
+        times, forces = self._forces[spec.coupling_id]
+        force = forces[bisect_right(times, t + 1e-12)]  # the last entry at or before t
         events: list[str] = []
         state = self._coupling_states[spec.coupling_id]
         if advance:
@@ -793,17 +825,6 @@ def _coupling_log(coupling_id: str) -> str:
 def _step_count(cfg: ScenarioConfig) -> int:
     """Steps after t = 0; the run visits t = k * dt for k = 0..steps."""
     return int(round(cfg.duration / cfg.dt)) if cfg.duration > 0 else 0
-
-
-def _force_at(forces, t: float) -> np.ndarray:
-    """Piecewise-constant force timeline: the last entry at or before t."""
-    current = np.zeros(3)
-    for entry in forces:
-        if entry.time <= t + 1e-12:
-            current = np.array([entry.fx, entry.fy, entry.fz])
-        else:
-            break
-    return current
 
 
 def run(cfg: ScenarioConfig, out_dir) -> dict:

@@ -85,6 +85,14 @@ def tile_counts(extent: tuple[float, float, float, float], tile_size: float, ove
     return int(nx), int(ny)
 
 
+def radius_problems(load_radius: float, unload_radius: float) -> list[str]:
+    """What is wrong with a pair of hysteresis radii, in the order `TileManager` checks it."""
+    problems = [] if load_radius > 0.0 else ["load_radius must be positive"]
+    if not unload_radius > load_radius:
+        problems.append("unload_radius must exceed load_radius")
+    return problems + ([] if math.isfinite(unload_radius) else ["unload_radius must be finite"])
+
+
 def grid_tile_specs(h: Heightmap, tile_size: float, overlap: float) -> list[TileSpec]:
     """Partition the heightmap extent into tile cores, row-major order."""
     nx, ny = tile_counts(h.extent, tile_size, overlap)
@@ -208,12 +216,9 @@ class TileManager:
         load_radius: float = DEFAULT_LOAD_RADIUS_M,
         unload_radius: float = DEFAULT_UNLOAD_RADIUS_M,
     ):
-        if not load_radius > 0.0:
-            raise ValueError("load_radius must be positive")
-        if not unload_radius > load_radius:
-            raise ValueError("unload_radius must exceed load_radius (hysteresis)")
-        if not math.isfinite(unload_radius):
-            raise ValueError("unload_radius must be finite")
+        problems = radius_problems(load_radius, unload_radius)
+        if problems:
+            raise ValueError(problems[0])
         self.load_radius = load_radius
         self.unload_radius = unload_radius
         bounds = {t.index: t.core_bounds for t in tiles}

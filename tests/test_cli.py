@@ -505,6 +505,15 @@ REPORTED = {
     "lidar-rays-h-inf": (("vehicles", 0, "sensors", 2, "rays_h"), float("inf")),
     "gauss-markov-bound-minus-one": (("currents", "gauss_markov", "bound"), -1),
     "duration-typo": (("duratoin",), 60.0),
+    "teleport-half-step": (("vehicles", 0, "teleports", 0, "time"), 0.05),
+    "gauss-markov-sigma-1e300": (("currents", "gauss_markov", "sigma"), 1e300),
+    "tide-period-subnormal": (("currents", "tide", "constituents", 0, "period"), 5e-324),
+}
+# The start of the one line of the finite extremes: each names its field.
+REPORTED_FIELDS = {
+    "teleport-half-step": "vehicle 'rov1' teleports[0]: time 0.05 is half a step of dt 0.1",
+    "gauss-markov-sigma-1e300": "currents gauss_markov: mu 0.05 and sigma 1e+300 give no finite step",
+    "tide-period-subnormal": "currents tide constituents[0]: period 5e-324 s gives no finite phase",
 }
 _REPORTED_PAIRS = {(path, repr(value)) for path, value in REPORTED.values()}
 DEMO_MUTATIONS = [
@@ -551,6 +560,12 @@ def test_reported_mutation_fails_validate_and_run(tmp_path, capsys, path, value)
     assert proc.returncode == 1
     assert proc.stderr == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", REPORTED_FIELDS)
+def test_reported_finite_extreme_names_its_field(tmp_path, capsys, key):
+    assert cli.main(["validate", str(_write_mutated(tmp_path, *REPORTED[key]))]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {REPORTED_FIELDS[key]}")
 
 
 @pytest.mark.parametrize(

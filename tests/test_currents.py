@@ -100,6 +100,19 @@ def test_gm_saturation_bound():
         assert np.all(np.abs(v) <= 0.3)
 
 
+@pytest.mark.parametrize("field", ["mu", "sigma", "bound"])
+def test_gm_state_rejects_nan_parameters(field):
+    params = {"mu": 0.1, "sigma": 0.1, "bound": 1.0, field: math.nan}
+    with pytest.raises(cur.CurrentError, match=f"^{field} must be >= 0, got nan$"):
+        cur.GaussMarkovState(**params)
+
+
+def test_gm_step_terms_overflow_where_sigma_squared_does():
+    assert cur.GaussMarkovParams(0.0, 1e300).step_terms(0.1) == (1.0, 1e300 * math.sqrt(0.1))
+    with pytest.raises(OverflowError):
+        cur.GaussMarkovParams(0.05, 1e300).step_terms(0.1)
+
+
 def test_gm_rejects_bad_dt():
     state = cur.GaussMarkovState(mu=0.1, sigma=0.1)
     with pytest.raises(cur.CurrentError):

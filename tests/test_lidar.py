@@ -167,6 +167,14 @@ def test_range_noise_deterministic_under_seed():
     assert not np.array_equal(a.points, c.points)
 
 
+def test_range_noise_without_an_rng_is_refused():
+    h = flat_heightmap(30.0, n=21, cell_m=10.0)
+    cfg = lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0, range_noise_sigma=0.05)
+    with pytest.raises(ValueError, match="range noise requires an rng"):
+        lidar.scan(down_pose(h, 5.0), h, cfg)
+    assert len(lidar.scan(down_pose(h, 5.0), h, dataclasses.replace(cfg, range_noise_sigma=0.0)).points) == 16
+
+
 def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
     """Rays are cast in chunks of _RAY_CHUNK, but the points, their ray
     indices and the range noise (one draw per hit, in ray order) are the

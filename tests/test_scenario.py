@@ -335,6 +335,83 @@ def test_teleport_to_current_pose_is_quiet(tmp_path):
     assert all(r.split(",")[0] == "0" for r in events)  # only initial loads
 
 
+def _scanned_teleport_steps(time, dt, steps):
+    """The steps a per-step scan fires a teleport on: each k with |time - k * dt| < dt / 2."""
+    return [k for k in range(steps + 1) if abs(time - k * dt) < dt / 2.0]
+
+
+@pytest.mark.parametrize("dt, steps", [(0.1, 600), (0.25, 40), (0.05, 100), (1.0 / 3.0, 30)])
+def test_teleport_steps_match_the_per_step_scan(dt, steps):
+    edges = [k * dt + h for k in (-2, -1, 0, 1, 2, 3, steps - 1, steps, steps + 1) for h in (0.0, dt / 2.0, -dt / 2.0)]
+    times = [0.0, -0.0, 0.05, 0.15, 0.25, 30.0, -1.0, 1e300, -1e300, 5e-324]
+    times += edges + [math.nextafter(t, d) for t in edges for d in (math.inf, -math.inf)]
+    times += np.random.default_rng(5).uniform(-2.0 * dt, (steps + 2) * dt, 300).tolist()
+    for time in times:
+        assert scenario.teleport_steps(time, dt, steps) == _scanned_teleport_steps(time, dt, steps), time
+
+
+@pytest.mark.parametrize("time, step", [(0.15, 1), (0.25, 2), (0.5, 5), (0.96, 10)])
+def test_teleport_fires_at_the_step_the_per_step_scan_fires_it(tmp_path, time, step):
+    assert _scanned_teleport_steps(time, 0.1, 10) == [step]
+    doc = small_world_doc(tmp_path, stations={"far": {"x": 190.0, "y": 190.0, "depth": 10.0}})
+    doc["vehicles"][0]["teleports"] = [{"time": time, "station": "far"}]
+    out = tmp_path / "out"
+    scenario.run(scenario.load_scenario(write_scenario(tmp_path, doc)), out)
+    xs = [float(r.split(",")[1]) for r in (out / "v1" / "pose.csv").read_text().splitlines()[1:]]
+    assert xs == [100.0] * step + [190.0] * (11 - step)
+
+
+def test_demo_teleport_fires_at_step_300(tmp_path):
+    import dataclasses
+
+    cfg = scenario.load_scenario(REPO_SCENARIOS / "demo.yaml")
+    assert scenario.teleport_steps(30.0, cfg.dt, 600) == _scanned_teleport_steps(30.0, cfg.dt, 600) == [300]
+    scenario.run(dataclasses.replace(cfg, duration=30.2), tmp_path / "out")
+    xs = [float(r.split(",")[1]) for r in (tmp_path / "out" / "rov1" / "pose.csv").read_text().splitlines()[1:]]
+    assert xs.index(2500.0) == 300 and xs[299] != 2500.0
+
+
+def test_validate_rejects_a_teleport_halfway_between_steps_inside_the_run(tmp_path):
+    import dataclasses
+
+    doc = small_world_doc(tmp_path, stations={"far": {"x": 190.0, "y": 190.0, "depth": 10.0}})
+    doc["vehicles"][0]["teleports"] = [{"time": 0.5, "station": "far"}, {"time": 0.05, "station": "far"}]
+    cfg = scenario.load_scenario(write_scenario(tmp_path, doc))
+    assert scenario.validate(cfg) == [
+        "vehicle 'v1' teleports[1]: time 0.05 is half a step of dt 0.1 from the nearest steps, so no step fires it"]
+    # A time outside the run never fires, and a shorter run may leave it out.
+    assert scenario.validate(dataclasses.replace(cfg, duration=0.0)) == []
+
+
+def _scanned_force(forces, t):
+    """The force a scan of the timeline applies at t: the last entry at or before t + 1e-12."""
+    current = [0.0, 0.0, 0.0]
+    for entry in forces:
+        if entry["time"] <= t + 1e-12:
+            current = [entry.get("fx", 0.0), entry.get("fy", 0.0), entry.get("fz", 0.0)]
+    return current
+
+
+def test_force_entries_apply_at_their_step_within_the_tolerance(tmp_path, monkeypatch):
+    from subsim import coupling
+
+    forces = [{"time": 0.3, "fx": 1.0},  # 3 * 0.1 is 0.30000000000000004
+              {"time": 0.5 + 5e-13, "fx": 2.0, "fz": -1.0},  # within 1e-12 of step 5
+              {"time": 0.7 + 2e-12, "fy": 3.0}]  # beyond it: step 8
+    doc = small_world_doc(tmp_path)
+    doc["couplings"] = [{"id": "c1", "plug_vehicle": "v1", "receptacle": {"x": 100.0, "y": 100.0, "depth": 10.0},
+                         "config": {"linear_tol": 0.05, "angular_tol": 0.1, "insertion_force": 60.0,
+                                    "extraction_force": 80.0, "travel_max": 0.3},
+                         "forces": forces}]
+    applied, log_row = [], coupling.log_row
+    monkeypatch.setattr(coupling, "log_row", lambda t, state, force, events: (
+        applied.append((t, force.tolist())), log_row(t, state, force, events))[1])
+    scenario.run(scenario.load_scenario(write_scenario(tmp_path, doc)), tmp_path / "out")
+    assert applied == [(k * 0.1, _scanned_force(forces, k * 0.1)) for k in range(11)]
+    assert [f for _, f in applied][2:9] == [[0.0, 0.0, 0.0]] + [[1.0, 0.0, 0.0]] * 2 + [[2.0, 0.0, -1.0]] * 3 + [
+        [0.0, 3.0, 0.0]]
+
+
 def test_unknown_station_teleport_raises_and_preserves_state(tmp_path):
     cfg = scenario.load_scenario(write_scenario(tmp_path, small_world_doc(tmp_path)))
     sim = scenario.Simulation(cfg, tmp_path / "out")

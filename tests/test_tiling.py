@@ -385,6 +385,16 @@ def test_non_finite_radii_or_cores_are_refused():
         tiling.TileManager(bad, load_radius=10.0, unload_radius=20.0)
 
 
+def test_radius_problems_lists_each_broken_rule_in_order():
+    assert tiling.radius_problems(10.0, 20.0) == []
+    assert tiling.radius_problems(0.0, -1.0) == ["load_radius must be positive", "unload_radius must exceed load_radius"]
+    assert tiling.radius_problems(math.nan, math.inf) == ["load_radius must be positive",
+                                                          "unload_radius must exceed load_radius",
+                                                          "unload_radius must be finite"]
+    with pytest.raises(ValueError, match="^unload_radius must exceed load_radius$"):
+        tiling.TileManager(specs_grid(2), load_radius=100.0, unload_radius=100.0)
+
+
 def _large_world_specs():
     """The 3,721 cores of the benchmark's large_world: a 2000 x 2000-node DEM
     of 0.00027 deg cells at (0, 0), cut into 1 km tiles."""
