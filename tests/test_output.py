@@ -783,6 +783,170 @@ def test_golden_tide_run_log_digest(golden_tide_run, name):
     assert hashlib.sha256((golden_tide_run / name).read_bytes()).hexdigest() == GOLDEN_TIDE_LOGS[name]
 
 
+# A third run in which vehicles hold their pose: "rov" teleports to a station
+# mid-run and holds there to the end, "park" hovers between two waypoints with one
+# pose and then holds after its last waypoint. Each carries a noisy DVL with an ADCP,
+# a small sonar with speckle and a lidar with range noise, so every held evaluation
+# draws new noise over the same rays. Every product's digest is pinned.
+GOLDEN_HELD_SCENARIO = """\
+seed: 23
+duration: 2.0
+dt: 0.1
+world: {heightmap: dem.asc, tile_size: 50.0, overlap: 2.0, load_radius: 30.0, unload_radius: 60.0}
+currents:
+  strata:
+    - {depth: 0.0, velocity: [0.25, -0.125, 0.0]}
+    - {depth: 60.0, velocity: [0.0625, 0.0, 0.0]}
+  gauss_markov: {mu: 0.05, sigma: 0.01, bound: 1.0}
+stations:
+  dock: {x: 120.0, y: 90.0, depth: 30.0, pitch: -0.4, yaw: 1.2}
+vehicles:
+  - id: rov
+    trajectory:
+      - {time: 0.0, x: 40.0, y: 60.0, depth: 28.0, pitch: -0.4, yaw: 0.3}
+      - {time: 1.6, x: 80.0, y: 70.0, depth: 30.0, pitch: -0.4, yaw: 0.5}
+    teleports:
+      - {time: 0.6, station: dock}
+    sensors: &sensors
+      - {type: dvl, name: dvl, rate: 10.0, noise_sigma: 0.01, bins: 3, bin_size: 5.0}
+      - {type: sonar, name: fls, rate: 2.5, n_beams: 8, rays_per_beam: 2, vertical_rays: 3,
+         spectral_bins: 64, bandwidth_hz: 1500.0, horizontal_fov_rad: 1.0, vertical_fov_rad: 0.6}
+      - {type: lidar, name: lidar, rate: 5.0, rays_h: 4, rays_v: 3, supersample: 2, max_range: 60.0,
+         range_noise_sigma: 0.02, tilt_deg: -20.0}
+  - id: park
+    trajectory:
+      - {time: 0.0, x: 150.0, y: 40.0, depth: 32.0, pitch: -0.3, yaw: -0.8}
+      - {time: 0.4, x: 140.0, y: 50.0, depth: 32.0, pitch: -0.3, yaw: -0.8}
+      - {time: 0.8, x: 140.0, y: 50.0, depth: 32.0, pitch: -0.3, yaw: -0.8}
+      - {time: 1.0, x: 135.0, y: 60.0, depth: 31.0, pitch: -0.35, yaw: -0.6}
+    sensors: *sensors
+"""
+
+GOLDEN_HELD_PRODUCTS = {
+    "park/dvl.csv":
+        "51b98ae2400f44046e89dc7e62510aa6d11451610a40a96831d27e9c99334ca5",
+    "park/dvl_adcp.csv":
+        "3ea25b9220e9bef3b99348dd0c36dc5550b5e1b71de959742f93ed9469d32e7e",
+    "park/fls/ping_00000.csv":
+        "2b0c23641038dc8e7bb0cd7871c6a8b11b75a913f1247eeeaf0938e88a75873e",
+    "park/fls/ping_00000.pgm":
+        "9e2560ca1591b1cc2acee87d47b866e464adefee603a1585edc66c26c79ce678",
+    "park/fls/ping_00001.csv":
+        "1950e44aab70819b9ab51ab5c4f7dad78b35ec325a40bd7d91044e94e1704e83",
+    "park/fls/ping_00001.pgm":
+        "f84c765a64171c9729eb2cc5d04132efeab8895c47dcaed5dbfa9a6e47e5d7c4",
+    "park/fls/ping_00002.csv":
+        "a751e04a90698e081c5bf288e7b06f87a61b13d36b4620e58614d11a17b672ad",
+    "park/fls/ping_00002.pgm":
+        "ca83acdfef9674ed9fb3f37c509587bada58f79793fec0970c2432986fa53c62",
+    "park/fls/ping_00003.csv":
+        "350f9329fcaedbaf585746e45d018661df7aacbaecc4ea63ca101d6de54f8770",
+    "park/fls/ping_00003.pgm":
+        "5b1e916e97ef58283fb83917c2660289746197ebda23730f5fa98468b4bf99a9",
+    "park/fls/ping_00004.csv":
+        "98376060d2e8eb083732fee254145168f5549b81d429d748416eb51adabd4fa1",
+    "park/fls/ping_00004.pgm":
+        "e94faada9192f79d3f166f02881205aaac3c8b341c905b1a687458c4cff805a5",
+    "park/fls/ping_00005.csv":
+        "dddfd1aaedab88420071609db4cb792874bf540b18ebea49139ae78affdca561",
+    "park/fls/ping_00005.pgm":
+        "2fd1b71ffabf0de595c7090bb8cb5c4a8609aa2befbd45549a65160aa8a83296",
+    "park/lidar/scan_00000.ply":
+        "a3a29e46b83d5062f4481418b09cfaf7f8276006f135d91257d237017da48535",
+    "park/lidar/scan_00001.ply":
+        "5d120e1eeda4bf64a43f4267cf3ce4c928ba1f54c325ad7e1d407c30458839e5",
+    "park/lidar/scan_00002.ply":
+        "b0baed706fb38c1c3eab91906de9a8e0ef40f9bb156270ee2b7130148fa77f40",
+    "park/lidar/scan_00003.ply":
+        "4b5732cf9ce6df1575aa1fed1404b1792e9df3609b5021114d8ee3ddbb4d2a96",
+    "park/lidar/scan_00004.ply":
+        "fb6f54f41e357623aa7f28a24f7683671e1bd6628698bc6145d85df941fbf93b",
+    "park/lidar/scan_00005.ply":
+        "db90036f27526a6b1a60d6554577dbfa32decbc2b9c0f139f3ad471afe2761c2",
+    "park/lidar/scan_00006.ply":
+        "3096b1389e5883345a1b785fed804839080bc5ebb57c8b4fa81a13c55bdefc3e",
+    "park/lidar/scan_00007.ply":
+        "5a58683334279aa06c348b61aeee7cd44a79b1261ded1154f692eb7d91d6efae",
+    "park/lidar/scan_00008.ply":
+        "cef17c3fdf21e24bdb0fe7dd4015f5603819870fb29310a90a23f22ac8cd304e",
+    "park/lidar/scan_00009.ply":
+        "516abb05a3cd1f9a156217792a659605d005228429fcda9909e9ba272c17a47e",
+    "park/lidar/scan_00010.ply":
+        "47e89093cef6311f9f15ba23ff273470236eca9e0dd33028a1a7e145ef7a5777",
+    "park/pose.csv":
+        "5ae86a12dd2994f1405d3fee532c68b964aba95540a19bba7cff162bdbcafde2",
+    "rov/dvl.csv":
+        "74ae0c9517d370c3e55b5539ad79fd1d54d2a3b5c23a248c03ba6acbce925783",
+    "rov/dvl_adcp.csv":
+        "8c60757148fb8c624441950120b4bbcfa01557c51d6063c48b8a9f46662a6d5d",
+    "rov/fls/ping_00000.csv":
+        "f475f9771c54c22d4322de3b9d6abf30da88e9a2da2e37626b26f37b8ab2b136",
+    "rov/fls/ping_00000.pgm":
+        "57eba92f280e40222cbf7459a93585d517ec6735ab10722170015e5782d00111",
+    "rov/fls/ping_00001.csv":
+        "2720220057e2e234c46deb7ef4748367eb2fde35a5c98434384783f354eaa5a1",
+    "rov/fls/ping_00001.pgm":
+        "92478f2b1a691482c5585413675eff91daca11add02487c6c0ddbde92ccc22b1",
+    "rov/fls/ping_00002.csv":
+        "40a92c7a6965ed224e6a37623fbda92460048cfcebcbc0fcbad4891ae5571726",
+    "rov/fls/ping_00002.pgm":
+        "e55081a87611ec457fb17c6d10256a2042c2a81ab72a4478ccd14c30a72558dd",
+    "rov/fls/ping_00003.csv":
+        "a7b2f583490bfebeab1beb30bcdd98d8eb5224d680de485fd77bf4ccbedb0ee4",
+    "rov/fls/ping_00003.pgm":
+        "7403d589cdc9179f32afcfb162e3088fd7acf2358e492466039c1886d29345d1",
+    "rov/fls/ping_00004.csv":
+        "039ff270d956ac4d40e9155a73ebfc5b917bb8b6ae5cfd74a2822add644d30cc",
+    "rov/fls/ping_00004.pgm":
+        "9b49ba6e8f2da9c4238afc73da6dbfb30ca5843d87c3cc743c7acb7a458c2336",
+    "rov/fls/ping_00005.csv":
+        "eb6f99aad64c8f648f874a92060076413f8d61645b985c4c67f883529b682c4c",
+    "rov/fls/ping_00005.pgm":
+        "cb6bdfbd92b90af41b2812686f26c2edd6da6ff77a20586d5d24d17686cc3972",
+    "rov/lidar/scan_00000.ply":
+        "58436266f76f3c033b75c81b67fbacbaf2c23055764f3f39a6ddeb5739451d5b",
+    "rov/lidar/scan_00001.ply":
+        "72d45c45344aea8be661b34fb15d3e67aed65407ef8528ab6556c5b2ffe00d99",
+    "rov/lidar/scan_00002.ply":
+        "9a071d329dbd3c9f0f453fe8706b5dcc2dcc67aabdd562d10f921c0ef89a5d0e",
+    "rov/lidar/scan_00003.ply":
+        "ae9f80a4facbf6b0b8b2e36e48494282da37c956ca15858542fdf76380eacf94",
+    "rov/lidar/scan_00004.ply":
+        "f7ef3e61322a041ebb320a0f611b2c941dee7662205c70c6f9daa2fd6660c5ec",
+    "rov/lidar/scan_00005.ply":
+        "b9122116e8347959b65c571d4945b691fe8f0e31ffbda3523d2d0cd8833ae176",
+    "rov/lidar/scan_00006.ply":
+        "213aead0cd73646c1f656264c339e15b72acbe1fc7131ae03f67b4673f88947b",
+    "rov/lidar/scan_00007.ply":
+        "e6f7c344f4628f1191d770f88c3795cf0e67e85bf5ffb2afa0f84811b482d39e",
+    "rov/lidar/scan_00008.ply":
+        "adc2bda50b6d8c1f61e693b3d5ede97281df597b2df46865a4314c4ee3ec33e9",
+    "rov/lidar/scan_00009.ply":
+        "f2c570cbfdadeba15840794d46161b60fad453c3a1751faf179241cbdd39374c",
+    "rov/lidar/scan_00010.ply":
+        "bccd002d18f2e130a4127ea4e1cf93b90aafce27f7f663c8284a6440267dd53f",
+    "rov/pose.csv":
+        "bf7dd0eccbcf6ad6fa4de468e57d2022c18ce05ae8fc1e3ad07abd5d7e144181",
+    "tile_events.csv":
+        "f7ec8247ed31000d5179a12a50a2c299046d86045d3c4092f64d722386d4a1cb",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_held_run(tmp_path_factory):
+    return _golden_tree(tmp_path_factory, _rippled_heightmap(), GOLDEN_HELD_SCENARIO)
+
+
+def test_golden_held_run_pins_every_product(golden_held_run):
+    written = sorted(p.relative_to(golden_held_run).as_posix() for p in golden_held_run.rglob("*") if p.is_file())
+    assert written == sorted([*GOLDEN_HELD_PRODUCTS, "manifest.json"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HELD_PRODUCTS))
+def test_golden_held_run_product_digest(golden_held_run, name):
+    assert hashlib.sha256((golden_held_run / name).read_bytes()).hexdigest() == GOLDEN_HELD_PRODUCTS[name]
+
+
 # --- line endings ----------------------------------------------------------------------
 
 
