@@ -359,7 +359,7 @@ def _check_ray(origin: WorldPoint, norm: float, max_range: float) -> tuple[float
     if not max_range > 0.0:
         raise ValueError("max_range must be positive")
     x0, y0, z0 = float(origin.x), float(origin.y), float(origin.depth)
-    if not math.isfinite(x0 + y0 + z0):
+    if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(z0)):
         raise ValueError(f"ray origin must be finite, got ({x0}, {y0}, {z0})")
     return x0, y0, z0
 
@@ -583,8 +583,9 @@ def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: 
     inside = np.ones(n, dtype=bool)
     for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
         moving = comp != 0.0
-        ta = (lo - pos) / comp
-        tb = (hi - pos) / comp
+        with np.errstate(over="ignore"):  # a far origin's parameters overflow to +/-inf, which clip alike
+            ta = (lo - pos) / comp
+            tb = (hi - pos) / comp
         t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
         t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
         inside &= moving | (lo <= pos <= hi)

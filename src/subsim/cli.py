@@ -66,13 +66,17 @@ def _dispatch(args) -> list[str]:
         overrides = {key: getattr(args, key, None) for key in ("seed", "duration", "dt")}
         cfg = dataclasses.replace(scenario.load_scenario(args.scenario),
                                   **{key: value for key, value in overrides.items() if value is not None})
-        problems = scenario.validate(cfg)
-        if not problems and args.command == "validate":
-            print("ok")
-        elif not problems:
+        if args.command == "validate":
+            problems = scenario.validate(cfg)
+            if not problems:
+                print("ok")
+            return problems
+        try:  # the run validates first, before it touches --out
             scenario.run(cfg, args.out)
-            print(f"wrote {args.out}")
-        return problems
+        except scenario.InvalidScenario as err:
+            return err.problems
+        print(f"wrote {args.out}")
+        return []
 
     if args.command == "tiles":
         output.check_out(args.out, directory=True)

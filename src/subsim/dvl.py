@@ -150,6 +150,25 @@ def _world_beams(pose: Pose, cfg: DvlConfig) -> np.ndarray:
     return (pose.rotation @ cfg.beams.T).T
 
 
+@dataclass(frozen=True, eq=False)
+class BeamGeometry:
+    """What a DVL tick at one pose is before its noise and currents: the
+    `beam_ranges` and the beams in world NED."""
+
+    ranges: np.ndarray  # (4,), NaN without a return
+    world_beams: np.ndarray  # (4, 3)
+
+
+def beam_geometry(pose: Pose, scene: Heightmap | None, cfg: DvlConfig) -> BeamGeometry:
+    """Cast the four beams from ``pose`` (none without a scene: every range
+    is NaN); no randomness is drawn. Both arrays are read-only."""
+    ranges = beam_ranges(pose, scene, cfg) if scene is not None else np.full(4, np.nan)
+    world_beams = _world_beams(pose, cfg)
+    ranges.setflags(write=False)
+    world_beams.setflags(write=False)
+    return BeamGeometry(ranges, world_beams)
+
+
 def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.ndarray:
     """Least-squares sensor velocity v from beam projections b_i . v = s_i.
 
@@ -180,9 +199,11 @@ def measure(
     current_at: CurrentFn | None,
     cfg: DvlConfig,
     rng: np.random.Generator,
+    geometry: BeamGeometry | None = None,
 ) -> DvlSolution:
     """One measurement: beam ranges, then the tracking mode, then beam
-    noise and one solve.
+    noise and one solve. ``geometry``, the `beam_geometry` of ``pose``,
+    stands in for casting the beams.
 
     Bottom track when at least three beams return: terrain is static, so
     each hitting beam's scalar is the projection of the sensor-frame
@@ -193,13 +214,15 @@ def measure(
     mode, keeping noise streams aligned across modes; the noisy valid
     scalars are solved once.
     """
-    ranges = beam_ranges(pose, scene, cfg) if scene is not None else np.full(4, np.nan)
+    if geometry is None:
+        geometry = beam_geometry(pose, scene, cfg)
+    ranges = geometry.ranges
     hits = np.isfinite(ranges)
     vel_world = np.asarray(vel_world, dtype=float)
     mode, altitude, scalars = TrackingMode.NONE, None, np.full(4, np.nan)
     if np.count_nonzero(hits) >= 3:
         mode = TrackingMode.BOTTOM_TRACK
-        altitude = float(np.mean(ranges[hits] * _world_beams(pose, cfg)[hits, 2]))
+        altitude = float(np.mean(ranges[hits] * geometry.world_beams[hits, 2]))
         scalars = cfg.beams @ pose.to_body(vel_world)
         scalars[~hits] = np.nan
     elif cfg.water_track_enabled and current_at is not None:
@@ -221,8 +244,10 @@ def current_profile(
     current_at: CurrentFn,
     cfg: DvlConfig,
     rng: np.random.Generator,
+    geometry: BeamGeometry | None = None,
 ) -> AdcpProfile:
-    """ADCP profile out to bins*bin_size along each beam.
+    """ADCP profile out to bins*bin_size along each beam; ``geometry``, the
+    `beam_geometry` of ``pose``, gives its world beams.
 
     Bin k's center range is min_range + (k + 1/2)*bin_size; the sampling
     depth per beam is the sensor depth plus the center range times the
@@ -240,7 +265,8 @@ def current_profile(
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
     centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
-    depths = pose.position.depth + centers[:, None] * _world_beams(pose, cfg)[:, 2]  # (bins, 4)
+    world_beams = _world_beams(pose, cfg) if geometry is None else geometry.world_beams
+    depths = pose.position.depth + centers[:, None] * world_beams[:, 2]  # (bins, 4)
     rel_world = np.empty((depths.size, 3))  # a (3,) current broadcasts to every row
     np.subtract(np.asarray(vel_world, dtype=float), np.asarray(current_at(depths.ravel()), dtype=float), out=rel_world)
     rel_sensor = np.ascontiguousarray((pose.rotation.T @ rel_world.T).T).reshape(cfg.bins, 4, 3, 1)

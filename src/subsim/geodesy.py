@@ -66,6 +66,12 @@ def mercator_xy(lat_deg, lon_deg):
     return x, y
 
 
+def beyond_mercator_square(coord_m):
+    """Whether a Pseudo-Mercator easting or northing (scalar or array) lies
+    outside the Mercator square, |coord| <= pi*R, by more than 1e-6 m."""
+    return np.abs(coord_m) > MERCATOR_LIMIT_M + _BOUNDS_SLACK_M
+
+
 def latlon_from_xy(x_m, y_m):
     """Inverse projection, meters to degrees (scalar or array).
 
@@ -73,8 +79,7 @@ def latlon_from_xy(x_m, y_m):
     """
     x = np.asarray(x_m, dtype=float)
     y = np.asarray(y_m, dtype=float)
-    limit = MERCATOR_LIMIT_M + _BOUNDS_SLACK_M
-    if np.any(np.abs(x) > limit) or np.any(np.abs(y) > limit):
+    if np.any(beyond_mercator_square(x)) or np.any(beyond_mercator_square(y)):
         raise ProjectionError(
             f"coordinates outside the Mercator square (+/-{MERCATOR_LIMIT_M:.3f} m)"
         )

@@ -9,6 +9,7 @@ a full 360 x 90 degrees.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bathymetry import Heightmap, raycast_batch
-from .geometry import Pose, fan_directions, rot_y, rot_z
+from .geometry import Pose, WorldPoint, fan_directions, rot_y, rot_z
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
@@ -78,21 +79,35 @@ class LidarScan:
     v_index: np.ndarray  # (N,)
 
 
-def scan(
-    pose: Pose,
-    scene: Heightmap,
-    cfg: LidarConfig,
-    rng: np.random.Generator | None = None,
-) -> LidarScan:
-    """One snapshot scan; deterministic for a fixed rng seed.
+@dataclass(frozen=True, eq=False)
+class ScanGeometry:
+    """What a scan from one pose is before its range noise: the world
+    directions, noise-free ranges and grid indices of the rays that hit."""
+
+    origin: WorldPoint
+    directions: np.ndarray  # (N, 3) NED unit vectors
+    ranges: np.ndarray  # (N,)
+    h_index: np.ndarray  # (N,)
+    v_index: np.ndarray  # (N,)
+
+    def cloud(self, ranges: np.ndarray) -> LidarScan:
+        """The scan with these ranges along the hit rays."""
+        o, d = self.origin, self.directions
+        points = np.stack([o.x + d[:, 1] * ranges, o.y + d[:, 0] * ranges, o.depth + d[:, 2] * ranges], axis=-1)
+        return LidarScan(points=points, ranges=ranges, h_index=self.h_index, v_index=self.v_index)
+
+    @functools.cached_property
+    def noise_free(self) -> LidarScan:
+        """The scan with no range noise, built once per geometry."""
+        return self.cloud(self.ranges)
+
+
+def scan_geometry(pose: Pose, scene: Heightmap, cfg: LidarConfig) -> ScanGeometry:
+    """Cast every ray of a scan from ``pose``; no randomness is drawn.
 
     Rays form a uniform angular grid of (rays_h * supersample) x
     (rays_v * supersample) directions spanning the field of view,
-    oriented by pose and cfg's mount angles. Hits inside max_range each
-    emit one point, displaced along the ray by N(0, range_noise_sigma) from rng if that is > 0.
-    """
-    if cfg.range_noise_sigma > 0.0 and rng is None:
-        raise ValueError("range noise requires an rng")
+    oriented by pose and cfg's mount angles."""
     n_h = cfg.rays_h * cfg.supersample
     n_v = cfg.rays_v * cfg.supersample
     az = np.radians(np.linspace(-cfg.fov_h_deg / 2.0, cfg.fov_h_deg / 2.0, n_h))
@@ -100,18 +115,35 @@ def scan(
     rot = pose.rotation @ mount_rotation(cfg)
     dirs_world = fan_directions(az, el) @ rot.T
 
-    o = pose.position
     ranges = np.concatenate([
-        raycast_batch(scene, o, dirs_world[start : start + _RAY_CHUNK], cfg.max_range).ranges
+        raycast_batch(scene, pose.position, dirs_world[start : start + _RAY_CHUNK], cfg.max_range).ranges
         for start in range(0, len(dirs_world), _RAY_CHUNK)
     ])
     hit = np.flatnonzero(~np.isnan(ranges))
-    r = ranges[hit]
+    return ScanGeometry(pose.position, dirs_world[hit], ranges[hit], hit // n_v, hit % n_v)
+
+
+def scan(
+    pose: Pose,
+    scene: Heightmap,
+    cfg: LidarConfig,
+    rng: np.random.Generator | None = None,
+    geometry: ScanGeometry | None = None,
+) -> LidarScan:
+    """One snapshot scan; deterministic for a fixed rng seed.
+
+    Hits inside max_range each emit one point, displaced along the ray by
+    N(0, range_noise_sigma) from rng if that is > 0. ``geometry``, the
+    `scan_geometry` of ``pose``, stands in for casting the rays; without
+    range noise its noise-free scan is returned as it is.
+    """
+    if cfg.range_noise_sigma > 0.0 and rng is None:
+        raise ValueError("range noise requires an rng")
+    if geometry is None:
+        geometry = scan_geometry(pose, scene, cfg)
     if cfg.range_noise_sigma > 0.0:
-        r = r + rng.normal(0.0, cfg.range_noise_sigma, r.shape)
-    d = dirs_world[hit]
-    points = np.stack([o.x + d[:, 1] * r, o.y + d[:, 0] * r, o.depth + d[:, 2] * r], axis=-1)
-    return LidarScan(points=points, ranges=r, h_index=hit // n_v, v_index=hit % n_v)
+        return geometry.cloud(geometry.ranges + rng.normal(0.0, cfg.range_noise_sigma, geometry.ranges.shape))
+    return geometry.noise_free
 
 
 # One PLY vertex: x/y/z in meters (z up = -depth) as float64, which keeps

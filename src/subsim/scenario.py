@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, bathymetry, coupling, currents, dvl, lidar, sonar, tiling
+from . import __version__, bathymetry, coupling, currents, dvl, geodesy, lidar, sonar, tiling
 from .geodesy import ProjectedCoord
 from .geometry import Pose, WorldPoint, body_to_ned_rotation, rpy_from_rotation
 from .output import CsvLog, check_out, staged
@@ -51,6 +51,14 @@ TILE_LOG = "tile_events.csv"
 
 class ScenarioError(ValueError):
     """Unusable scenario document; the message names the offending place."""
+
+
+class InvalidScenario(ScenarioError):
+    """A scenario `validate` refuses; ``problems`` holds its list."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid scenario: " + "; ".join(problems))
+        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -415,6 +423,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
 
     name_problems = _name_problems(cfg)
     diags += name_problems
+    for name, station in cfg.stations.items():
+        diags += _position_problems(f"station {name!r}", station.position)
     for vehicle in cfg.vehicles:
         vid = vehicle.vehicle_id
         times = [w.time for w in vehicle.waypoints]
@@ -422,6 +432,13 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             diags.append(f"vehicle {vid!r} needs at least one trajectory waypoint")
         elif any(b <= a for a, b in zip(times, times[1:])):
             diags.append(f"vehicle {vid!r} trajectory times must be strictly increasing")
+        else:
+            for i, (a, b) in enumerate(zip(vehicle.waypoints, vehicle.waypoints[1:]), 1):
+                if not all(map(math.isfinite, _segment_velocity(a, b, 0.0))):
+                    diags.append(f"vehicle {vid!r} trajectory[{i}]: time {b.time} s after {a.time} s "
+                                 "gives no finite segment velocity")
+        for i, w in enumerate(vehicle.waypoints):
+            diags += _position_problems(f"vehicle {vid!r} trajectory[{i}]", w)
         for sensor in vehicle.sensors:
             label = f"vehicle {vid!r} sensor {sensor.name!r}"
             if steps is not None and not sensor_steps(sensor.rate, cfg.dt):
@@ -440,12 +457,20 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     for spec in cfg.couplings:
         if spec.plug_vehicle not in vehicle_ids:
             diags.append(f"coupling {spec.coupling_id!r}: unknown plug vehicle {spec.plug_vehicle!r}")
+        diags += _position_problems(f"coupling {spec.coupling_id!r} receptacle", spec.receptacle.position)
         ftimes = [f.time for f in spec.forces]
         if any(b <= a for a, b in zip(ftimes, ftimes[1:])):
             diags.append(f"coupling {spec.coupling_id!r}: force times must be strictly increasing")
     if not name_problems:  # plain, unique names; now no two may name one path
         diags += _path_clashes(run_paths(cfg))
     return diags
+
+
+def _position_problems(where: str, point) -> list[str]:
+    """A problem for each of the x and y of ``point`` (a waypoint or a world
+    point) that lies outside the Mercator square, which holds every grid."""
+    return [f"{where}: {name} {value} m is outside the Mercator square (+/-{geodesy.MERCATOR_LIMIT_M:.3f} m)"
+            for name, value in (("x", point.x), ("y", point.y)) if geodesy.beyond_mercator_square(value)]
 
 
 def sensor_steps(rate: float, dt: float) -> int:
@@ -498,30 +523,38 @@ def _path_clashes(paths) -> list[str]:
             for path, who in owners.items() if len(who) > 1]
 
 
-_ATTITUDE_BITS = struct.Struct("<3d")
+_POSE_BITS = struct.Struct("<6d")  # x, y, depth, roll, pitch, yaw
+_ATTITUDE = slice(24, 48)  # the bits of roll, pitch and yaw in a _POSE_BITS key
 
 
 class Trajectory(tuple):
     """A timed waypoint tuple with what `interpolate_trajectory` looks up
     on every step: the waypoint times, searched with `bisect`, and the
-    last rotation it built, keyed by the bits of its roll, pitch and yaw
-    (so -0.0 is not 0.0), which a segment of constant attitude reuses."""
+    last pose it built, keyed by the bits of its six values (so -0.0 is
+    not 0.0). A hold or a hover repeats them, and gets the same `Pose`
+    object; a segment of constant attitude shares its rotation."""
 
     def __new__(cls, waypoints):
         self = super().__new__(cls, waypoints)
         self.times = [w.time for w in self]
-        self._attitude = (b"", None)  # (angle bits, read-only rotation)
+        self._last = (b"", None)  # (_POSE_BITS key, Pose)
         return self
 
     def pose(self, x: float, y: float, depth: float, roll: float, pitch: float, yaw: float) -> Pose:
-        """`Pose.from_rpy`, with the rotation shared while the angles repeat."""
-        key = _ATTITUDE_BITS.pack(roll, pitch, yaw)
-        last_key, rotation = self._attitude
-        if key != last_key:
+        """`Pose.from_rpy`, with the pose shared while all six values repeat
+        and its read-only rotation while the angles do."""
+        key = _POSE_BITS.pack(x, y, depth, roll, pitch, yaw)
+        last_key, last = self._last
+        if key == last_key:
+            return last
+        if key[_ATTITUDE] == last_key[_ATTITUDE]:
+            rotation = last.rotation
+        else:
             rotation = body_to_ned_rotation(roll, pitch, yaw)
             rotation.setflags(write=False)
-            self._attitude = (key, rotation)
-        return Pose(WorldPoint(x, y, depth), rotation)
+        pose = Pose(WorldPoint(x, y, depth), rotation)
+        self._last = (key, pose)
+        return pose
 
 
 def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
@@ -541,8 +574,7 @@ def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
         return traj.pose(w.x, w.y, w.depth, w.roll, w.pitch, w.yaw), np.zeros(3)
     hi = bisect_right(traj.times, t)
     a, b = traj[hi - 1], traj[hi]
-    span = b.time - a.time
-    alpha = (t - a.time) / span
+    alpha = (t - a.time) / (b.time - a.time)
     pose = traj.pose(
         a.x + alpha * (b.x - a.x),
         a.y + alpha * (b.y - a.y),
@@ -551,16 +583,20 @@ def interpolate_trajectory(waypoints, t: float) -> tuple[Pose, np.ndarray]:
         a.pitch + alpha * (b.pitch - a.pitch),
         a.yaw + alpha * (b.yaw - a.yaw),
     )
+    return pose, _segment_velocity(a, b, alpha)
+
+
+def _segment_velocity(a: Waypoint, b: Waypoint, alpha: float) -> np.ndarray:
+    """NED velocity at fraction ``alpha`` of the segment from ``a`` to ``b``:
+    interpolated between explicit waypoint velocities when both give one,
+    ``a``'s when only it does, else the displacement rate."""
     if a.velocity is not None and b.velocity is not None:
         va, vb = np.asarray(a.velocity, dtype=float), np.asarray(b.velocity, dtype=float)
-        vel = va + alpha * (vb - va)
-    elif a.velocity is not None:
-        vel = np.asarray(a.velocity, dtype=float)
-    else:
-        vel = np.array(
-            [(b.y - a.y) / span, (b.x - a.x) / span, (b.depth - a.depth) / span]
-        )
-    return pose, vel
+        return va + alpha * (vb - va)
+    if a.velocity is not None:
+        return np.asarray(a.velocity, dtype=float)
+    span = b.time - a.time
+    return np.array([(b.y - a.y) / span, (b.x - a.x) / span, (b.depth - a.depth) / span])
 
 
 # -- sensors -------------------------------------------------------------------
@@ -571,7 +607,9 @@ class Sensor:
 
     A subclass per kind names its config type and whether it needs the
     world heightmap, opens its logs under its vehicle's output directory
-    into the run's ExitStack, and turns one evaluation into products there."""
+    into the run's ExitStack, and turns one evaluation into products there.
+    What an evaluation's pose alone decides (its rays) is its geometry,
+    which `held_geometry` keeps while the vehicle holds that pose."""
 
     config_type: type
     needs_world = True
@@ -580,6 +618,23 @@ class Sensor:
         self.spec, self.config, self.rng, self.steps = spec, spec.config, rng, steps
         self.heightmap = heightmap
         self.count = 0  # products written
+        # The pose of the last evaluation, and its geometry once a second evaluation held it.
+        self._held: tuple[Pose | None, object] = (None, None)
+
+    def held_geometry(self, pose: Pose, build):
+        """The geometry of ``pose`` to reuse, or None for the first evaluation
+        at it: a pose that repeats is held, so the second evaluation at one
+        `Pose` object builds ``build(pose, heightmap, config)`` and keeps it
+        for the evaluations after, until the pose changes. A moving vehicle
+        keeps no geometry."""
+        last, geometry = self._held
+        if pose is not last:
+            self._held = (pose, None)
+            return None
+        if geometry is None:
+            geometry = build(pose, self.heightmap, self.config)
+            self._held = (pose, geometry)
+        return geometry
 
     @staticmethod
     def files(spec: SensorSpec) -> list[str]:
@@ -612,12 +667,14 @@ class DvlSensor(Sensor):
                                                        dvl.adcp_metadata_row(self.config)))
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        sampler = vehicle.sampler
+        sampler, pose = vehicle.sampler, vehicle.pose
         current_fn = lambda depth: sampler.velocity(depth, time_utc)
-        sol = dvl.measure(vehicle.pose, vehicle.velocity, self.heightmap, current_fn, self.config, self.rng)
+        # Built here when not held, so the tick and its profile share it.
+        geometry = self.held_geometry(pose, dvl.beam_geometry) or dvl.beam_geometry(pose, self.heightmap, self.config)
+        sol = dvl.measure(pose, vehicle.velocity, self.heightmap, current_fn, self.config, self.rng, geometry)
         self.log.row(dvl.log_row(t, sol))
         if self.adcp_log is not None:
-            profile = dvl.current_profile(vehicle.pose, vehicle.velocity, current_fn, self.config, self.rng)
+            profile = dvl.current_profile(pose, vehicle.velocity, current_fn, self.config, self.rng, geometry)
             for row in dvl.adcp_rows(t, profile):
                 self.adcp_log.row(row)
 
@@ -628,7 +685,8 @@ class SonarSensor(Sensor):
     config_type = sonar.SonarConfig
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng)
+        geometry = self.held_geometry(vehicle.pose, sonar.ping_geometry)
+        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng, geometry)
         stem = f"ping_{self.count:05d}"
         sonar.write_aplot_pgm(aplot, self.out / f"{stem}.pgm")
         sonar.write_aplot_csv(aplot, self.out / f"{stem}.csv")
@@ -641,7 +699,8 @@ class LidarSensor(Sensor):
     config_type = lidar.LidarConfig
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng)
+        geometry = self.held_geometry(vehicle.pose, lidar.scan_geometry)
+        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng, geometry)
         lidar.write_ply(cloud, self.out / f"scan_{self.count:05d}.ply")
         self.count += 1
 
@@ -669,7 +728,7 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, out_dir):
         problems = validate(cfg)
         if problems:
-            raise ScenarioError("invalid scenario: " + "; ".join(problems))
+            raise InvalidScenario(problems)
         check_out(out_dir, directory=True)  # before the heightmap is read
         self.cfg, self.out_dir, self._steps = cfg, out_dir, _step_count(cfg)
         self.heightmap = self.tile_manager = None

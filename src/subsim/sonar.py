@@ -83,6 +83,10 @@ class SonarConfig:
             raise ValueError(f"reflectivity must be finite and >= 0, got {self.reflectivity}")
         if self.window not in ("none", "hann"):
             raise ValueError(f"unknown window {self.window!r}")
+        if not (math.isfinite(self.range_bin_width) and math.isfinite(self.unambiguous_range)):
+            raise ValueError(f"sound_speed {self.sound_speed} and bandwidth_hz {self.bandwidth_hz} give no finite "
+                             f"range bins: width {self.range_bin_width} m, unambiguous range "
+                             f"{self.unambiguous_range} m")
         if self.beamwidth_rad is None:
             object.__setattr__(self, "beamwidth_rad", 2.0 * self.horizontal_fov_rad / self.n_beams)
         if self.max_range is None:
@@ -143,6 +147,34 @@ def beam_pattern(delta_rad, beamwidth_rad: float) -> np.ndarray:
     return out
 
 
+def _scatterer_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> ScattererSet:
+    """The scatterers of the fan from ``pose`` with zero micro phases; no
+    randomness is drawn."""
+    az = cfg.ray_azimuths()
+    el = cfg.ray_elevations()
+    dirs_world = fan_directions(az, el) @ pose.rotation.T
+    hits = raycast_batch(scene, pose.position, dirs_world, cfg.max_range)
+    mask = hits.hit
+    ranges = hits.ranges[mask]
+    d = dirs_world[mask]
+    normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
+    cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
+    incidence = np.arccos(cos_inc)
+    amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2
+    return ScattererSet(ranges, np.repeat(az, len(el))[mask], incidence, amplitude, np.zeros_like(ranges))
+
+
+def _speckled(scat: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | None) -> ScattererSet:
+    """``scat`` with this ping's micro phases: U[0, 2pi) draws when speckle
+    is enabled, else its own zeros."""
+    if not cfg.speckle_enabled:
+        return scat
+    if rng is None:
+        raise ValueError("speckle requires an rng")
+    micro = rng.uniform(0.0, 2.0 * np.pi, scat.ranges.shape)
+    return ScattererSet(scat.ranges, scat.azimuths, scat.incidences, scat.amplitudes, micro)
+
+
 def gather_scatterers(
     pose: Pose,
     scene: Heightmap,
@@ -156,24 +188,7 @@ def gather_scatterers(
     (two-way spherical spreading in the amplitude domain); micro phases
     are U[0, 2pi) when speckle is enabled, else zero.
     """
-    az = cfg.ray_azimuths()
-    el = cfg.ray_elevations()
-    dirs_world = fan_directions(az, el) @ pose.rotation.T
-    hits = raycast_batch(scene, pose.position, dirs_world, cfg.max_range)
-    mask = hits.hit
-    ranges = hits.ranges[mask]
-    d = dirs_world[mask]
-    normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
-    cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
-    incidence = np.arccos(cos_inc)
-    amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2
-    if cfg.speckle_enabled:
-        if rng is None:
-            raise ValueError("speckle requires an rng")
-        micro = rng.uniform(0.0, 2.0 * np.pi, ranges.shape)
-    else:
-        micro = np.zeros_like(ranges)
-    return ScattererSet(ranges, np.repeat(az, len(el))[mask], incidence, amplitude, micro)
+    return _speckled(_scatterer_geometry(pose, scene, cfg), cfg, rng)
 
 
 def _phase_matrix(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
@@ -216,16 +231,34 @@ def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> 
     return spectra.view(np.complex128)
 
 
-def beam_spectra(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
-    """Coherent spectra of every beam over all scatterers, shape
-    (n_beams, M): each scatterer's amplitude weighted by the beam pattern
-    at its bearing from the beam's steering angle. No scatterers give
-    zero spectra."""
-    # (n_scatterers, n_beams) beam-pattern-weighted amplitudes.
-    weights = scat.amplitudes[:, None] * beam_pattern(
+def beam_weights(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
+    """Each scatterer's amplitude weighted by the beam pattern at its
+    bearing from each beam's steering angle, shape (n_scatterers, n_beams)."""
+    return scat.amplitudes[:, None] * beam_pattern(
         scat.azimuths[:, None] - cfg.beam_angles()[None, :], cfg.beamwidth_rad
     )
-    return _coherent_sum(scat, weights, cfg)
+
+
+def beam_spectra(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
+    """Coherent spectra of every beam over all scatterers, shape
+    (n_beams, M), weighted by `beam_weights`. No scatterers give zero
+    spectra."""
+    return _coherent_sum(scat, beam_weights(scat, cfg), cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class PingGeometry:
+    """What a ping from one pose is before its speckle draw: the
+    scatterers (with zero micro phases) and their `beam_weights`."""
+
+    scatterers: ScattererSet
+    weights: np.ndarray  # (n_scatterers, n_beams)
+
+
+def ping_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> PingGeometry:
+    """Cast the fan of a ping from ``pose``; no randomness is drawn."""
+    scat = _scatterer_geometry(pose, scene, cfg)
+    return PingGeometry(scat, beam_weights(scat, cfg))
 
 
 def _window(cfg: SonarConfig) -> np.ndarray | None:
@@ -261,11 +294,20 @@ def ping(
     scene: Heightmap,
     cfg: SonarConfig,
     rng: np.random.Generator | None = None,
+    geometry: PingGeometry | None = None,
 ) -> APlot:
     """One full ping: gather scatterers once, then every beam's spectrum
-    as one (n_beams, M) array and their intensities in one pass."""
-    scat = gather_scatterers(pose, scene, cfg, rng)
-    intensities = beam_intensity(beam_spectra(scat, cfg), cfg)
+    as one (n_beams, M) array and their intensities in one pass.
+
+    ``geometry``, the `ping_geometry` of ``pose``, stands in for the
+    raycast and the beam weights: only the micro phases are drawn, the
+    same draw `gather_scatterers` makes."""
+    if geometry is None:
+        scat = gather_scatterers(pose, scene, cfg, rng)
+        weights = beam_weights(scat, cfg)
+    else:
+        scat, weights = _speckled(geometry.scatterers, cfg, rng), geometry.weights
+    intensities = beam_intensity(_coherent_sum(scat, weights, cfg), cfg)
     return APlot(intensities, np.arange(cfg.spectral_bins) * cfg.range_bin_width, cfg.beam_angles())
 
 

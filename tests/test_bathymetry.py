@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,18 @@ def test_non_finite_origin_rejected_by_both_raycasters():
     lines = proc.stdout.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("ray origin must be finite, got (") for line in lines), lines
+
+
+@pytest.mark.parametrize("origin", [(1e308, 1e308, 0.0), (-1e308, 1e308, 0.0), (1e308, -1e308, 1e308),
+                                    (1e308, 1e308, -1e308)])
+def test_finite_origin_far_outside_the_grid_is_a_miss(flat50, origin):
+    """Each coordinate is finite, though their sum is not: a miss, and no overflow warning."""
+    origin = WorldPoint(*origin)
+    dirs = np.array([[0.48, 0.36, 0.8], [0.0, 0.0, 1.0], [-0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [bat.raycast(flat50, origin, d, 100.0) for d in dirs] == [None] * 4
+        assert not bat.raycast_batch(flat50, origin, dirs, 100.0).hit.any()
 
 
 def test_normal_on_sloped_plane():

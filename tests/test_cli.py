@@ -508,12 +508,20 @@ REPORTED = {
     "teleport-half-step": (("vehicles", 0, "teleports", 0, "time"), 0.05),
     "gauss-markov-sigma-1e300": (("currents", "gauss_markov", "sigma"), 1e300),
     "tide-period-subnormal": (("currents", "tide", "constituents", 0, "period"), 5e-324),
+    "waypoint-x-1e308": (("vehicles", 0, "trajectory", 0, "x"), 1e308),
+    "waypoint-time-subnormal": (("vehicles", 0, "trajectory", 1, "time"), 5e-324),
+    "sonar-bandwidth-subnormal": (("vehicles", 0, "sensors", 1, "bandwidth_hz"), 5e-324),
 }
 # The start of the one line of the finite extremes: each names its field.
 REPORTED_FIELDS = {
     "teleport-half-step": "vehicle 'rov1' teleports[0]: time 0.05 is half a step of dt 0.1",
     "gauss-markov-sigma-1e300": "currents gauss_markov: mu 0.05 and sigma 1e+300 give no finite step",
     "tide-period-subnormal": "currents tide constituents[0]: period 5e-324 s gives no finite phase",
+    "waypoint-x-1e308": "vehicle 'rov1' trajectory[0]: x 1e+308 m is outside the Mercator square",
+    "waypoint-time-subnormal": "vehicle 'rov1' trajectory[1]: time 5e-324 s after 0.0 s gives no finite "
+                               "segment velocity",
+    "sonar-bandwidth-subnormal": "vehicle 'rov1' sensor 'fls': sound_speed 1500.0 and bandwidth_hz 5e-324 give "
+                                 "no finite range bins",
 }
 _REPORTED_PAIRS = {(path, repr(value)) for path, value in REPORTED.values()}
 DEMO_MUTATIONS = [
@@ -566,6 +574,37 @@ def test_reported_mutation_fails_validate_and_run(tmp_path, capsys, path, value)
 def test_reported_finite_extreme_names_its_field(tmp_path, capsys, key):
     assert cli.main(["validate", str(_write_mutated(tmp_path, *REPORTED[key]))]) == 1
     assert capsys.readouterr().err.startswith(f"error: {REPORTED_FIELDS[key]}")
+
+
+def _count_calls(monkeypatch, targets) -> collections.Counter:
+    calls = collections.Counter()
+    for module, name in targets:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_run_validates_once_and_reads_the_dem_header_once(tmp_path, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, [(scenario, "validate"), (bathymetry, "grid_extent")])
+    assert cli.main(["run", str(DEMO), "--out", str(tmp_path / "out"), "--duration", "1"]) == 0
+    assert calls == {"validate": 1, "grid_extent": 1}
+    assert capsys.readouterr().err == ""
+
+
+def test_an_invalid_run_validates_once_and_prints_each_problem(tmp_path, monkeypatch, capsys):
+    cfg = dataclasses.replace(scenario.load_scenario(DEMO), seed=-1, dt=0.3)
+    problems = scenario.validate(cfg)
+    assert len(problems) >= 2
+    calls = _count_calls(monkeypatch, [(scenario, "validate"), (bathymetry, "grid_extent")])
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMO), "--out", str(out), "--seed", "-1", "--dt", "0.3"]) == 1
+    assert calls == {"validate": 1, "grid_extent": 1}
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "".join(f"error: {problem}\n" for problem in problems)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -560,3 +560,29 @@ def test_adcp_bins_are_bounded_at_max_adcp_bins():
     assert dvl.DvlConfig(bins=10_000, bin_size=0.005, max_range=100.0).bins == 10_000
     with pytest.raises(ValueError, match="^bins must be <= 10000, got 10001$"):
         dvl.DvlConfig(bins=10_001, bin_size=0.005, max_range=100.0)
+
+
+@pytest.mark.parametrize("depth, mode", [(10.0, "bottom_track"), (-200.0, "water_track")])
+def test_measure_from_a_geometry_is_the_measure_that_casts_its_beams(depth, mode):
+    h = make_heightmap(40.0 + np.add.outer(np.arange(11.0), 0.5 * np.arange(11.0)), cell_m=10.0)
+    cfg = dvl.DvlConfig(noise_sigma=0.01, bins=3, bin_size=5.0)
+    pose = Pose.from_rpy(float(h.xs[5]), float(h.ys[5]), depth, roll=0.05, pitch=-0.1, yaw=0.7)
+    vel = ned(0.4, -0.2, 0.05)
+    current_at = lambda d: np.broadcast_to(np.array([0.1, 0.05, 0.0]), np.shape(d) + (3,))
+    geometry = dvl.beam_geometry(pose, h, cfg)
+    assert not geometry.ranges.flags.writeable and not geometry.world_beams.flags.writeable
+    rng_fresh, rng_held = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        fresh = dvl.measure(pose, vel, h, current_at, cfg, rng_fresh)
+        held = dvl.measure(pose, vel, h, current_at, cfg, rng_held, geometry)
+        assert held.mode.value == fresh.mode.value == mode
+        assert repr(dvl.log_row(0.0, held)) == repr(dvl.log_row(0.0, fresh))  # repr round-trips each float
+        fresh_profile = dvl.current_profile(pose, vel, current_at, cfg, rng_fresh)
+        held_profile = dvl.current_profile(pose, vel, current_at, cfg, rng_held, geometry)
+        assert held_profile.combined.tobytes() == fresh_profile.combined.tobytes()
+    assert rng_fresh.random() == rng_held.random()
+
+
+def test_beam_geometry_without_a_scene_has_no_returns():
+    geometry = dvl.beam_geometry(Pose.level(0.0, 0.0, 10.0), None, dvl.DvlConfig())
+    assert np.isnan(geometry.ranges).all() and geometry.world_beams.shape == (4, 3)

@@ -95,3 +95,20 @@ def test_coordinate_bounds_validated():
         geodesy.GeodeticCoord(91.0, 0.0)
     with pytest.raises(geodesy.ProjectionError):
         geodesy.GeodeticCoord(0.0, 181.0)
+
+
+def test_beyond_mercator_square_is_the_rule_of_latlon_from_xy():
+    limit = geodesy.MERCATOR_LIMIT_M
+    inside = [0.0, -0.0, limit, -limit, limit + 1e-6, np.nextafter(-limit - 1e-6, 0.0)]
+    outside = [limit + 2e-6, -limit - 2e-6, 1e308, -1e308, math.inf]
+    assert not np.any(geodesy.beyond_mercator_square(np.array(inside)))
+    assert np.all(geodesy.beyond_mercator_square(np.array(outside)))
+    for value in inside:
+        geodesy.latlon_from_xy(value, 0.0)
+        geodesy.latlon_from_xy(0.0, value)
+    for value in outside:
+        assert geodesy.beyond_mercator_square(value)
+        with pytest.raises(geodesy.ProjectionError):
+            geodesy.latlon_from_xy(value, 0.0)
+        with pytest.raises(geodesy.ProjectionError):
+            geodesy.latlon_from_xy(0.0, value)

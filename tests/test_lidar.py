@@ -227,3 +227,22 @@ def test_rays_per_scan_are_bounded_at_max_scan_rays():
         lidar.LidarConfig(rays_h=200_000, rays_v=200_000, supersample=10)
     with pytest.raises(ValueError, match="is 18446744073709551616, more than"):  # no int64 wrap to 0
         lidar.LidarConfig(rays_h=np.int64(2**32), rays_v=np.int64(2**32), supersample=np.int64(1))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_scan_from_a_geometry_is_the_scan_that_casts_its_rays(sigma):
+    h = flat_heightmap(40.0, n=21, cell_m=5.0)
+    cfg = lidar.LidarConfig(rays_h=8, rays_v=6, supersample=2, range_noise_sigma=sigma, tilt_deg=-30.0)
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 30.0, pitch=-0.4, yaw=0.3)
+    geometry = lidar.scan_geometry(pose, h, cfg)
+    assert 0 < len(geometry.ranges) <= 8 * 6 * 4
+    rng_fresh, rng_held = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        fresh = lidar.scan(pose, h, cfg, rng_fresh)
+        held = lidar.scan(pose, h, cfg, rng_held, geometry)
+        for name in ("points", "ranges", "h_index", "v_index"):
+            assert getattr(held, name).tobytes() == getattr(fresh, name).tobytes(), name
+    # Both streams made the draws of three fresh scans, and no more.
+    assert rng_fresh.random() == rng_held.random()
+    again = lidar.scan(pose, h, cfg, rng_held, geometry)
+    assert (again is held) == (sigma == 0.0)

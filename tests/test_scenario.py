@@ -252,6 +252,118 @@ def test_trajectory_reuses_a_rotation_only_for_bit_equal_angles():
     assert held.rotation.tobytes() == scenario.body_to_ned_rotation(0.0, 0.1, -0.0).tobytes()
 
 
+def test_trajectory_returns_one_pose_while_all_six_values_repeat():
+    wps = [scenario.Waypoint(0.0, 5.0, 0.0, 10.0, pitch=0.1),
+           scenario.Waypoint(1.0, 5.0, 0.0, 10.0, pitch=0.1),  # a hover segment
+           scenario.Waypoint(2.0, 8.0, 0.0, 10.0, pitch=0.1)]
+    trajectory = scenario.Trajectory(wps)
+    before, _ = scenario.interpolate_trajectory(trajectory, -1.0)
+    assert all(scenario.interpolate_trajectory(trajectory, t)[0] is before for t in (-0.5, 0.0, 0.25, 0.99))
+    moving = [scenario.interpolate_trajectory(trajectory, t)[0] for t in (1.25, 1.5)]
+    assert moving[0] is not before and moving[1] is not moving[0]
+    assert moving[0].rotation is moving[1].rotation is before.rotation
+    after = [scenario.interpolate_trajectory(trajectory, t)[0] for t in (2.0, 3.0, 60.0)]
+    assert after[0] is after[1] is after[2] and after[0] is not moving[1]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_trajectory_pose_is_new_when_one_value_changes_its_bits(index):
+    trajectory = scenario.Trajectory([scenario.Waypoint(0.0, 0.0, 0.0)])
+    values = [0.0] * 6
+    first = trajectory.pose(*values)
+    assert trajectory.pose(*values) is first
+    values[index] = -0.0  # equal to 0.0, other bits
+    flipped = trajectory.pose(*values)
+    assert flipped is not first and trajectory.pose(*values) is flipped
+    assert (flipped.rotation is first.rotation) == (index < 3)  # x, y and depth leave the attitude
+    assert flipped.rotation.tobytes() == scenario.body_to_ned_rotation(*values[3:]).tobytes()
+    assert (flipped.position.x, flipped.position.y, flipped.position.depth) == tuple(values[:3])
+
+
+def test_held_geometry_is_kept_from_the_second_evaluation_at_one_pose():
+    built = []
+
+    def build(pose, heightmap, config):
+        built.append(pose)
+        return object()
+
+    sensor = scenario.Sensor(scenario.SensorSpec("lidar", "l", 1.0, None), None, 1, None)
+    a, b = scenario.Pose.level(0.0, 0.0, 1.0), scenario.Pose.level(0.0, 0.0, 1.0)
+    assert sensor.held_geometry(a, build) is None and built == []  # a first evaluation: no geometry
+    kept = sensor.held_geometry(a, build)
+    assert kept is not None and built == [a]
+    assert sensor.held_geometry(a, build) is kept and sensor.held_geometry(a, build) is kept and built == [a]
+    assert sensor.held_geometry(b, build) is None  # an equal pose, but another object: moving
+    assert sensor._held == (b, None)
+    assert sensor.held_geometry(a, build) is None and sensor.held_geometry(b, build) is None
+    assert built == [a] and sensor._held == (b, None)  # a moving vehicle keeps no geometry
+
+
+HELD_DOC = {
+    "schema_version": 1, "seed": 4, "duration": 1.5, "dt": 0.1,
+    "world": {"heightmap": "w.asc", "tile_size": 60.0, "overlap": 5.0, "load_radius": 80.0,
+              "unload_radius": 120.0},
+    "stations": {"dock": {"x": 150.0, "y": 120.0, "depth": 25.0, "pitch": -0.5}},
+    "vehicles": [
+        {"id": "tele", "teleports": [{"time": 0.5, "station": "dock"}],
+         "trajectory": [{"time": 0.0, "x": 60.0, "y": 60.0, "depth": 25.0, "pitch": -0.5},
+                        {"time": 1.5, "x": 90.0, "y": 70.0, "depth": 25.0, "pitch": -0.5}]},
+        {"id": "park",
+         "trajectory": [{"time": 0.0, "x": 120.0, "y": 60.0, "depth": 25.0, "pitch": -0.5},
+                        {"time": 0.5, "x": 125.0, "y": 70.0, "depth": 25.0, "pitch": -0.4}]},
+    ],
+}
+HELD_SENSORS = [
+    {"type": "dvl", "name": "dvl", "rate": 10.0, "noise_sigma": 0.01, "bins": 2, "bin_size": 4.0},
+    {"type": "sonar", "name": "fls", "rate": 5.0, "n_beams": 8, "rays_per_beam": 2, "vertical_rays": 3,
+     "spectral_bins": 64, "bandwidth_hz": 2000.0},
+    {"type": "lidar", "name": "lidar", "rate": 5.0, "rays_h": 4, "rays_v": 3, "supersample": 2,
+     "range_noise_sigma": 0.01, "tilt_deg": -20.0},
+]
+
+
+def test_a_held_stretch_casts_rays_for_its_first_two_evaluations_only(tmp_path, monkeypatch):
+    from subsim import bathymetry, dvl, lidar, sonar
+
+    doc = small_world_doc(tmp_path, **HELD_DOC)
+    for vehicle in doc["vehicles"]:
+        vehicle["sensors"] = HELD_SENSORS
+    casts, now = {}, [None]
+
+    def counting(module, name):
+        cast = getattr(bathymetry, name)
+
+        def wrapper(*args, **kwargs):
+            casts[now[0]] = casts.get(now[0], 0) + 1
+            return cast(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((dvl, "raycast"), (sonar, "raycast_batch"), (lidar, "raycast_batch")):
+        counting(module, name)
+    for cls in scenario.SENSORS.values():
+        def timed(self, t, time_utc, vehicle, evaluate=cls.evaluate):
+            now[0] = (self, round(t, 9))
+            evaluate(self, t, time_utc, vehicle)
+            now[0] = None
+
+        monkeypatch.setattr(cls, "evaluate", timed)
+    sim = scenario.Simulation(scenario.load_scenario(write_scenario(tmp_path, doc)), tmp_path / "out")
+    sim.run()
+    assert None not in casts
+    for vehicle in sim._vehicles.values():
+        for sensor in vehicle.sensors:
+            period = 1.0 / sensor.spec.rate
+            times = [round(k * period, 9) for k in range(round(1.5 / period) + 1)]
+            counts = [casts.get((sensor, t), 0) for t in times]
+            moving = [c for t, c in zip(times, counts) if t < 0.5]
+            held = [c for t, c in zip(times, counts) if t >= 0.5]
+            per_evaluation = 4 if sensor.spec.kind == "dvl" else 1
+            assert moving == [per_evaluation] * len(moving), sensor.spec.name
+            assert len(held) >= 4
+            assert held == [per_evaluation] * 2 + [0] * (len(held) - 2), sensor.spec.name
+
+
 # --- running -------------------------------------------------------------------
 
 

@@ -515,3 +515,31 @@ def test_ping_matrix_entries_are_bounded_at_max_ping_entries():
         sonar.SonarConfig(n_beams=8193, rays_per_beam=1, vertical_rays=1, spectral_bins=2)
     with pytest.raises(ValueError, match="is 42535295904731389190053994725743001600, more than"):  # no int64 wrap
         sonar.SonarConfig(n_beams=np.int64(2**31), rays_per_beam=np.int64(2**31), vertical_rays=2**32, spectral_bins=2)
+
+
+@pytest.mark.parametrize("speckle", [True, False])
+def test_ping_from_a_geometry_is_the_ping_that_casts_its_rays(speckle):
+    h = make_heightmap(smooth_random_grid(np.random.default_rng(4), (21, 21), base=30.0), cell_m=5.0)
+    cfg = sonar.SonarConfig(n_beams=16, rays_per_beam=3, vertical_rays=3, spectral_bins=128,
+                            bandwidth_hz=5e3, speckle_enabled=speckle)
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 22.0, pitch=-0.6, yaw=0.2)
+    geometry = sonar.ping_geometry(pose, h, cfg)
+    assert len(geometry.scatterers) > 50 and not geometry.scatterers.micro_phases.any()
+    assert geometry.weights.shape == (len(geometry.scatterers), cfg.n_beams)
+    rng_fresh, rng_held = np.random.default_rng(8), np.random.default_rng(8)
+    pings = []
+    for _ in range(3):
+        fresh = sonar.ping(pose, h, cfg, rng_fresh)
+        held = sonar.ping(pose, h, cfg, rng_held, geometry)
+        assert held.intensities.tobytes() == fresh.intensities.tobytes()
+        assert held.range_axis.tobytes() == fresh.range_axis.tobytes()
+        pings.append(held.intensities.tobytes())
+    assert rng_fresh.random() == rng_held.random()
+    assert (len(set(pings)) == 3) == speckle  # speckle draws new micro phases each ping
+
+
+def test_sonar_config_refuses_range_bins_that_are_not_finite():
+    with pytest.raises(ValueError, match="bandwidth_hz 5e-324 give no finite range bins"):
+        sonar.SonarConfig(bandwidth_hz=5e-324)
+    with pytest.raises(ValueError, match="sound_speed 1e\\+308 and bandwidth_hz"):
+        sonar.SonarConfig(sound_speed=1e308, max_range=19.0)
