@@ -72,17 +72,17 @@ def rpy_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
     return roll, pitch, yaw
 
 
-def fan_directions(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+def fan_directions(az: np.ndarray, el: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Unit FLU directions of the (azimuth x elevation) ray grid, shape
     (len(az) * len(el), 3), azimuth-major: row a * len(el) + e points at
-    azimuth az[a] (radians, positive left) and elevation el[e] (positive up)."""
-    az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
-    az_flat = az_grid.ravel()
-    el_flat = el_grid.ravel()
-    return np.stack(
-        [np.cos(el_flat) * np.cos(az_flat), np.cos(el_flat) * np.sin(az_flat), np.sin(el_flat)],
-        axis=-1,
-    )
+    azimuth az[a] (radians, positive left) and elevation el[e] (positive up).
+    With ``rows``, an array of row indices, only those rows: a fan built a
+    chunk at a time gives the whole fan's rows bit for bit."""
+    if rows is None:
+        rows = np.arange(len(az) * len(el))
+    a, e = np.divmod(rows, len(el))
+    cos_el = np.cos(el)[e]
+    return np.stack([cos_el * np.cos(az)[a], cos_el * np.sin(az)[a], np.sin(el)[e]], axis=-1)
 
 
 def body_to_ned_rotation(roll: float = 0.0, pitch: float = 0.0, yaw: float = 0.0) -> np.ndarray:

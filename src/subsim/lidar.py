@@ -17,17 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .bathymetry import Heightmap, raycast_batch
+from .bathymetry import RAY_CHUNK, Heightmap, raycast_batch
 from .geometry import Pose, WorldPoint, fan_directions, rot_y, rot_z
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
 
-_RAY_CHUNK = 32768  # rays per raycast batch, bounds peak memory
+_RAY_CHUNK = RAY_CHUNK  # rays per chunk of the fan: its directions are built and cast a chunk at a time
 # Most rays one scan may cast, (rays_h * rays_v) * supersample^2: 2^22,
-# twice the 1450 x 1450 of the default config. A scan holds 70 to 170
-# bytes per ray at once (directions, ranges, points, PLY rows), so the
-# bound keeps one to about 700 MiB rather than ending in a MemoryError.
+# twice the 1450 x 1450 of the default config. A scan casts its fan a
+# chunk at a time and keeps only the hits, about 100 bytes each once
+# (directions, ranges, grid indices, points and PLY rows), so the bound
+# keeps a scan to about 400 MiB and its time to a few seconds.
 MAX_SCAN_RAYS = 4_194_304
 
 
@@ -78,6 +79,12 @@ class LidarScan:
     h_index: np.ndarray  # (N,) horizontal ray index on the supersampled grid
     v_index: np.ndarray  # (N,)
 
+    @functools.cached_property
+    def ply_records(self) -> np.ndarray:
+        """The scan as PLY_DTYPE records, built once per scan: a held
+        noise-free scan is one object, written at every evaluation."""
+        return _ply_records(self)
+
 
 @dataclass(frozen=True, eq=False)
 class ScanGeometry:
@@ -93,7 +100,10 @@ class ScanGeometry:
     def cloud(self, ranges: np.ndarray) -> LidarScan:
         """The scan with these ranges along the hit rays."""
         o, d = self.origin, self.directions
-        points = np.stack([o.x + d[:, 1] * ranges, o.y + d[:, 0] * ranges, o.depth + d[:, 2] * ranges], axis=-1)
+        points = np.empty((len(ranges), 3))
+        for column, (start, axis) in enumerate(((o.x, 1), (o.y, 0), (o.depth, 2))):
+            np.multiply(d[:, axis], ranges, out=points[:, column])
+            points[:, column] += start
         return LidarScan(points=points, ranges=ranges, h_index=self.h_index, v_index=self.v_index)
 
     @functools.cached_property
@@ -112,15 +122,36 @@ def scan_geometry(pose: Pose, scene: Heightmap, cfg: LidarConfig) -> ScanGeometr
     n_v = cfg.rays_v * cfg.supersample
     az = np.radians(np.linspace(-cfg.fov_h_deg / 2.0, cfg.fov_h_deg / 2.0, n_h))
     el = np.radians(np.linspace(-cfg.fov_v_deg / 2.0, cfg.fov_v_deg / 2.0, n_v))
-    rot = pose.rotation @ mount_rotation(cfg)
-    dirs_world = fan_directions(az, el) @ rot.T
+    rot_t = (pose.rotation @ mount_rotation(cfg)).T
+    rays, directions, ranges = [], [], []
+    for start, stop in _chunks(n_h * n_v):
+        ray = np.arange(start, stop)
+        dirs_world = fan_directions(az, el, ray) @ rot_t
+        chunk_ranges = raycast_batch(scene, pose.position, dirs_world, cfg.max_range).ranges
+        hit = np.flatnonzero(~np.isnan(chunk_ranges))
+        rays.append(ray[hit])
+        directions.append(dirs_world[hit])
+        ranges.append(chunk_ranges[hit])
+    directions, ranges, hit = _joined(directions), _joined(ranges), _joined(rays)
+    return ScanGeometry(pose.position, directions, ranges, hit // n_v, hit % n_v)
 
-    ranges = np.concatenate([
-        raycast_batch(scene, pose.position, dirs_world[start : start + _RAY_CHUNK], cfg.max_range).ranges
-        for start in range(0, len(dirs_world), _RAY_CHUNK)
-    ])
-    hit = np.flatnonzero(~np.isnan(ranges))
-    return ScanGeometry(pose.position, dirs_world[hit], ranges[hit], hit // n_v, hit % n_v)
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces as one array, each piece freed once copied."""
+    whole = np.concatenate(pieces)
+    pieces.clear()
+    return whole
+
+
+def _chunks(n: int):
+    """(start, stop) of each _RAY_CHUNK rays of an n-ray fan. A last chunk
+    of one ray joins the one before it: numpy rotates a single row through
+    gemv, which can round its last bit differently from the gemm that
+    rotates longer chunks and the whole fan."""
+    starts = list(range(0, n, _RAY_CHUNK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
 
 
 def scan(
@@ -155,18 +186,23 @@ _PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
 _PLY_HEADER_RE = re.compile(re.escape(_PLY_HEADER).replace(b"%d", rb"(\d+)"))
 
 
-def write_ply(scan_result: LidarScan, path) -> None:
-    """Binary little-endian PLY export: one PLY_DTYPE record per point."""
+def _ply_records(scan_result: LidarScan) -> np.ndarray:
     pts = scan_result.points
     rows = np.empty(len(pts), dtype=PLY_DTYPE)
     rows["x"] = pts[:, 0]
     rows["y"] = pts[:, 1]
-    rows["z"] = -pts[:, 2]
+    np.negative(pts[:, 2], out=rows["z"])
     rows["h_index"] = scan_result.h_index
     rows["v_index"] = scan_result.v_index
+    return rows
+
+
+def write_ply(scan_result: LidarScan, path) -> None:
+    """Binary little-endian PLY export: one PLY_DTYPE record per point."""
+    rows = scan_result.ply_records
     with open(path, "wb") as fh:
         fh.write(_PLY_HEADER % len(rows))
-        fh.write(rows.tobytes())
+        fh.write(rows.data)
 
 
 def read_ply(path) -> np.ndarray:

@@ -13,7 +13,8 @@ The phase matrix factors over the evenly spaced frequency grid: one
 exact exponential every _PHASE_STEP bins times a per-scatterer table of
 small phase steps. The coherent sum runs over fixed blocks of
 scatterers, so its rounding does not depend on how the BLAS library
-divides the work.
+divides the work, and builds one block of phases at a time, so a ping's
+memory does not grow with its scatterer count.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .output import write_g17
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
 _SCATTER_BLOCK = 128  # scatterers per partial sum in _coherent_sum
 PGM_DYNAMIC_RANGE_DB = 60.0  # dB below the ping's peak that map to PGM level 0
-# Most entries of a ping's per-ray matrices, rays * (spectral_bins +
-# n_beams): one complex phase per ray and bin (16 bytes), one float weight
-# per ray and beam. 2^26 is about 30 times dense_scan's 128-beam, 1024-bin
-# sonar and keeps one ping to about 1 GiB rather than a MemoryError.
+# Most entries of a ping's per-ray work, rays * (spectral_bins + n_beams):
+# one phase per ray and bin, built and summed one _SCATTER_BLOCK of
+# scatterers at a time, so the bins bound a ping's time rather than its
+# memory; and one float weight per ray and beam, held whole (at most
+# 512 MiB). 2^26 is about 30 times dense_scan's 128-beam, 1024-bin sonar.
 MAX_PING_ENTRIES = 67_108_864
 
 # SonarConfig count fields and their least values, and the float fields
@@ -140,11 +142,19 @@ class ScattererSet:
 def beam_pattern(delta_rad, beamwidth_rad: float) -> np.ndarray:
     """One-way amplitude response |sinc(pi * delta / beamwidth)| with the
     first null at one beamwidth off axis."""
-    x = np.pi * np.asarray(delta_rad, dtype=float) / beamwidth_rad
-    out = np.ones_like(x)
+    return _beam_pattern_of(np.array(delta_rad, dtype=float), beamwidth_rad)
+
+
+def _beam_pattern_of(delta: np.ndarray, beamwidth_rad: float) -> np.ndarray:
+    """`beam_pattern` of an array that it overwrites: a (scatterers x
+    beams) pattern then takes two arrays of that size and a mask."""
+    x = np.multiply(np.pi, delta, out=delta)
+    x /= beamwidth_rad
     nz = x != 0.0
-    out[nz] = np.abs(np.sin(x[nz]) / x[nz])
-    return out
+    out = np.ones_like(x)
+    np.sin(x, out=out, where=nz)
+    np.divide(out, x, out=out, where=nz)
+    return np.abs(out, out=out)
 
 
 def _scatterer_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> ScattererSet:
@@ -191,23 +201,26 @@ def gather_scatterers(
     return _speckled(_scatterer_geometry(pose, scene, cfg), cfg, rng)
 
 
-def _phase_matrix(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
-    """exp(-j 2 pi f_m tau_i + j phi_i), shape (n_scatterers, M).
+def _phase_matrix(scat: ScattererSet, cfg: SonarConfig, rows: slice = slice(None), out=None) -> np.ndarray:
+    """exp(-j 2 pi f_m tau_i + j phi_i) for the scatterers ``rows``, shape
+    (n, M); into ``out``, a complex (n, ceil(M/K), K) array, if given.
 
     With m = q*K + r and f_m = f_{qK} + r*B_w/M, each phasor is the exact
     exp(j(-2 pi f_{qK} tau_i + phi_i)) times exp(-j 2 pi r (B_w/M) tau_i):
     ceil(M/K) + K exponentials per scatterer instead of M. The products
     agree with the direct form to a few ulp of the ~1e5 rad argument,
-    which the direct form itself rounds to ~1e-11.
+    which the direct form itself rounds to ~1e-11. Every entry depends on
+    its own scatterer alone, so a block of rows equals those rows of the
+    whole matrix bit for bit.
     """
     k = _PHASE_STEP
-    tau = 2.0 * scat.ranges / cfg.sound_speed
+    tau = 2.0 * scat.ranges[rows] / cfg.sound_speed
     coarse = np.exp(
-        1j * (-2.0 * np.pi * np.outer(tau, cfg.frequencies()[::k]) + scat.micro_phases[:, None])
+        1j * (-2.0 * np.pi * np.outer(tau, cfg.frequencies()[::k]) + scat.micro_phases[rows, None])
     )
     step_hz = cfg.bandwidth_hz / cfg.spectral_bins
     steps = np.exp(-2j * np.pi * step_hz * np.outer(tau, np.arange(k)))
-    phases = coarse[:, :, None] * steps[:, None, :]
+    phases = np.multiply(coarse[:, :, None], steps[:, None, :], out=out)
     return phases.reshape(len(tau), coarse.shape[1] * k)[:, : cfg.spectral_bins]
 
 
@@ -222,21 +235,39 @@ def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> 
     points in its one-thread and multi-thread drivers, so a single
     product over all scatterers changes in its last bits with the BLAS
     thread count, while no block this short is split.
+
+    The ping's memory does not grow with its scatterer count: each
+    block's phases are built into one scratch array and its product into
+    another, both reused for every block and carved from one allocation.
+    glibc maps the first such scratch; freeing it raises glibc's mmap and
+    trim thresholds above its size, so later pings, and the lidar's
+    smaller arrays, take their memory from the heap and reuse its pages.
     """
-    flat = _phase_matrix(scat, cfg).view(np.float64)
-    b = _SCATTER_BLOCK
-    spectra = weights[:b].T @ flat[:b]
-    for k in range(b, len(scat), b):
-        spectra += weights[k : k + b].T @ flat[k : k + b]
+    n, b, k = len(scat), _SCATTER_BLOCK, _PHASE_STEP
+    beams, m = weights.shape[1], cfg.spectral_bins
+    if n == 0:
+        return np.zeros((beams, m), dtype=complex)
+    spectra = np.empty((beams, 2 * m))
+    block_rows, cols = min(n, b), -(-m // k) * k
+    scratch = np.empty(2 * beams * m + 2 * block_rows * cols)  # float64: the block's product, then its phases
+    partial = scratch[: 2 * beams * m].reshape(beams, 2 * m)
+    phases = scratch[2 * beams * m :].view(complex).reshape(block_rows, cols // k, k)
+    for start in range(0, n, b):
+        rows = slice(start, start + b)
+        flat = _phase_matrix(scat, cfg, rows, phases[: min(b, n - start)]).view(np.float64)
+        if start == 0:
+            np.matmul(weights[rows].T, flat, out=spectra)
+        else:
+            np.matmul(weights[rows].T, flat, out=partial)
+            np.add(spectra, partial, out=spectra)
     return spectra.view(np.complex128)
 
 
 def beam_weights(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
     """Each scatterer's amplitude weighted by the beam pattern at its
     bearing from each beam's steering angle, shape (n_scatterers, n_beams)."""
-    return scat.amplitudes[:, None] * beam_pattern(
-        scat.azimuths[:, None] - cfg.beam_angles()[None, :], cfg.beamwidth_rad
-    )
+    pattern = _beam_pattern_of(np.subtract.outer(scat.azimuths, cfg.beam_angles()), cfg.beamwidth_rad)
+    return np.multiply(pattern, scat.amplitudes[:, None], out=pattern)
 
 
 def beam_spectra(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
@@ -277,7 +308,8 @@ def beam_intensity(spectrum: np.ndarray, cfg: SonarConfig) -> np.ndarray:
     w = _window(cfg)
     if w is not None:
         spectrum = spectrum * w
-    return np.abs(np.fft.ifft(spectrum, axis=-1)) ** 2
+    intensities = np.abs(np.fft.ifft(spectrum, axis=-1))
+    return np.square(intensities, out=intensities)
 
 
 @dataclass(eq=False)

@@ -460,14 +460,15 @@ def test_non_finite_origin_rejected_by_both_raycasters():
 
 
 @pytest.mark.parametrize("origin", [(1e308, 1e308, 0.0), (-1e308, 1e308, 0.0), (1e308, -1e308, 1e308),
-                                    (1e308, 1e308, -1e308)])
+                                    (1e308, 1e308, -1e308), (50.0, 50.0, 1e308), (50.0, 50.0, -1e308)])
 def test_finite_origin_far_outside_the_grid_is_a_miss(flat50, origin):
-    """Each coordinate is finite, though their sum is not: a miss, and no overflow warning."""
+    """Each coordinate is finite, though their sum, or the gap of a ray
+    over the grid's cells, is not: a miss, and no overflow warning."""
     origin = WorldPoint(*origin)
-    dirs = np.array([[0.48, 0.36, 0.8], [0.0, 0.0, 1.0], [-0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+    dirs = np.array([[0.48, 0.36, 0.8], [0.0, 0.0, 1.0], [-0.6, 0.0, 0.8], [0.0, 0.6, -0.8], [0.0, 0.96, 0.28]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert [bat.raycast(flat50, origin, d, 100.0) for d in dirs] == [None] * 4
+        assert [bat.raycast(flat50, origin, d, 100.0) for d in dirs] == [None] * 5
         assert not bat.raycast_batch(flat50, origin, dirs, 100.0).hit.any()
 
 
@@ -582,6 +583,20 @@ def test_batch_matches_scalar_on_rough_terrain():
     for h, origin, dirs, max_range in cases:
         hits = _assert_batch_matches_scalar(h, origin, dirs, max_range)
         assert 0 < hits < len(dirs)
+
+
+@pytest.mark.parametrize("chunk", [61, 256, 1999])
+def test_batch_gives_the_same_ranges_in_any_chunk_of_rays(monkeypatch, chunk):
+    """raycast_batch walks RAY_CHUNK rays at a time; each ray's range does
+    not depend on the chunk it walks in."""
+    rng = np.random.default_rng(25)
+    jagged = make_heightmap(rng.uniform(30.0, 40.0, (60, 60)), cell_m=10.0)
+    origin = WorldPoint(float(jagged.xs[30]), float(jagged.ys[30]), 20.0)
+    dirs = _fan(rng, 2000, 0.01, 0.3)
+    whole = bat.raycast_batch(jagged, origin, dirs, 900.0).ranges
+    assert 0 < np.count_nonzero(~np.isnan(whole)) < len(dirs)
+    monkeypatch.setattr(bat, "RAY_CHUNK", chunk)
+    assert bat.raycast_batch(jagged, origin, dirs, 900.0).ranges.tobytes() == whole.tobytes()
 
 
 def _rough(seed, n=21):

@@ -576,6 +576,33 @@ def test_reported_finite_extreme_names_its_field(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith(f"error: {REPORTED_FIELDS[key]}")
 
 
+# Finite extremes that pass `validate`: each must run clean, with
+# RuntimeWarnings as errors.
+FINITE_EXTREMES_THAT_RUN = {
+    # A ray cast from 1e308 m down overflows its gap over every cell: a miss.
+    "waypoint-depth-1e308": (("vehicles", 0, "trajectory", 0, "depth"), 1e308),
+}
+
+
+@pytest.mark.parametrize("path, value", FINITE_EXTREMES_THAT_RUN.values(), ids=FINITE_EXTREMES_THAT_RUN.keys())
+def test_finite_extreme_validates_and_runs_clean(tmp_path, capsys, path, value):
+    scenario_path = _write_mutated(tmp_path, path, value)
+    assert cli.main(["validate", str(scenario_path)]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "subsim.cli", "run", str(scenario_path),
+         "--out", str(out), "--duration", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    pings = sorted((out / "rov1" / "fls").glob("ping_*.csv"))
+    assert pings
+    for ping in pings:
+        assert np.all(np.isfinite(sonar.load_aplot_csv(ping).intensities))
+
+
 def _count_calls(monkeypatch, targets) -> collections.Counter:
     calls = collections.Counter()
     for module, name in targets:

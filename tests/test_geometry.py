@@ -62,6 +62,24 @@ def test_fan_directions_are_azimuth_major_unit_vectors():
     assert np.array_equal(fan_directions(np.zeros(1), np.zeros(1)), [[1.0, 0.0, 0.0]])
 
 
+def _meshgrid_fan(az, el):
+    """The fan as first written: trig over a meshgrid of every ray."""
+    az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
+    a, e = az_grid.ravel(), el_grid.ravel()
+    return np.stack([np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)], axis=-1)
+
+
+@pytest.mark.parametrize("n_az, n_el", [(1, 1), (2, 2), (3, 7), (17, 1), (320, 320)])
+def test_fan_direction_rows_are_the_whole_fans_rows_bit_for_bit(n_az, n_el):
+    rng = np.random.default_rng(n_az * 1000 + n_el)
+    az, el = np.sort(rng.uniform(-1.5, 1.5, n_az)), np.sort(rng.uniform(-0.7, 0.7, n_el))
+    whole = fan_directions(az, el)
+    assert whole.tobytes() == _meshgrid_fan(az, el).tobytes()
+    n = n_az * n_el
+    for rows in (np.arange(n), np.arange(n // 2, n), np.sort(rng.choice(n, (n + 1) // 2, replace=False))):
+        assert fan_directions(az, el, rows).tobytes() == whole[rows].tobytes()
+
+
 def test_pose_world_body_round_trip():
     pose = Pose.from_rpy(1.0, 2.0, 3.0, roll=0.2, pitch=-0.4, yaw=1.1)
     v = np.array([0.3, -0.7, 0.5])

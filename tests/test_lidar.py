@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subsim import lidar
+from subsim import bathymetry, lidar
 from subsim.bathymetry import RAYCAST_TOL_M, depth_at_xy
-from subsim.geometry import Pose
+from subsim.geometry import Pose, fan_directions
 
 from conftest import flat_heightmap
 
@@ -189,6 +190,49 @@ def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
     assert 0 < len(whole.ranges) < 18 * 14
     for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(chunked)):
         assert np.array_equal(a, b)
+
+
+def test_chunked_scan_directions_are_the_whole_fans_rows(monkeypatch):
+    """Each chunk's directions are built and rotated on their own; each
+    hit's direction is its row of the whole fan rotated at once, bit for
+    bit, also where the fan leaves one ray over (numpy rotates a single
+    row through gemv)."""
+    h = flat_heightmap(30.0, n=21, cell_m=10.0)
+    cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, fov_h_deg=120.0, fov_v_deg=60.0,
+                            max_range=40.0)
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 5.0, roll=0.1, pitch=-0.6, yaw=0.4)
+    az = np.radians(np.linspace(-60.0, 60.0, 18))
+    el = np.radians(np.linspace(-30.0, 30.0, 14))
+    whole = fan_directions(az, el) @ (pose.rotation @ lidar.mount_rotation(cfg)).T
+    for chunk in (251, 25, 2):  # 252 rays: 251 leaves one over
+        monkeypatch.setattr(lidar, "_RAY_CHUNK", chunk)
+        bounds = list(lidar._chunks(252))
+        assert bounds[0][0] == 0 and bounds[-1][1] == 252
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+        assert all(stop - start >= 2 for start, stop in bounds)
+        geometry = lidar.scan_geometry(pose, h, cfg)
+        assert 0 < len(geometry.ranges) < 252
+        assert geometry.directions.tobytes() == whole[geometry.h_index * 14 + geometry.v_index].tobytes()
+
+
+def test_scan_memory_is_bounded_by_the_chunk_and_the_hits():
+    """dense_scan's 102,400-ray lidar: the fan is cast a chunk at a time and
+    only the hits are kept."""
+    h = flat_heightmap(30.0, n=41, cell_m=5.0)
+    cfg = lidar.LidarConfig(rays_h=80, rays_v=80, supersample=4, max_range=20.0, tilt_deg=-5.0)
+    pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 25.0, pitch=-0.3)
+    tracemalloc.start()
+    try:
+        hits = len(lidar.scan(pose, h, cfg).ranges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * 102_400 < hits < 102_400
+    # Per hit, what the scan keeps: its direction, range, grid indices and
+    # point (72 bytes). Per ray of a chunk in flight: the walk's per-ray
+    # arrays and the chunk's fan (under 400 bytes). Plus 1 MiB.
+    bound = 72 * hits + 400 * bathymetry.RAY_CHUNK + 2**20
+    assert peak <= bound, (peak, bound)
 
 
 def test_ply_export(tmp_path):

@@ -364,6 +364,33 @@ def test_a_held_stretch_casts_rays_for_its_first_two_evaluations_only(tmp_path, 
             assert held == [per_evaluation] * 2 + [0] * (len(held) - 2), sensor.spec.name
 
 
+def test_a_held_noise_free_lidar_builds_its_ply_rows_once(tmp_path, monkeypatch):
+    from subsim import lidar
+
+    doc = small_world_doc(tmp_path, **HELD_DOC)
+    for vehicle in doc["vehicles"]:
+        vehicle["sensors"] = [{**HELD_SENSORS[2], "range_noise_sigma": 0.0}]
+    built = []
+
+    def records(scan_result, build=lidar._ply_records):
+        built.append(scan_result)
+        return build(scan_result)
+
+    monkeypatch.setattr(lidar, "_ply_records", records)
+    scenario.Simulation(scenario.load_scenario(write_scenario(tmp_path, doc)), tmp_path / "out").run()
+    # Per vehicle: a scan at 0, 0.2 and 0.4 s while moving, then a held
+    # stretch from 0.5 s: the first evaluation at the pose and the kept
+    # geometry's noise-free scan build rows; the later ones reuse them.
+    assert len(built) == 2 * (3 + 2) == len({id(scan) for scan in built})
+    for vehicle in ("tele", "park"):
+        files = sorted((tmp_path / "out" / vehicle / "lidar").glob("scan_*.ply"))
+        assert len(files) == 8
+        rows = lidar.read_ply(files[-1])
+        assert len(rows) > 0
+        expected = lidar._PLY_HEADER % len(rows) + rows.tobytes()
+        assert [f.read_bytes() == expected for f in files] == [False] * 3 + [True] * 5
+
+
 # --- running -------------------------------------------------------------------
 
 

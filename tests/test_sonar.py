@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,48 @@ def test_factored_phase_matches_exact_reference(m, n):
         assert np.max(np.abs(phases - _phase_reference(scat, cfg).T)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", SCATTERER_COUNTS)
+@pytest.mark.parametrize("m", BIN_COUNTS)
+def test_blockwise_phases_give_the_whole_matrix_blocked_sum(m, n):
+    """`_coherent_sum` builds the phases one _SCATTER_BLOCK at a time into
+    reused scratch; its spectra are the blocked sum over the whole
+    `_phase_matrix`, bit for bit."""
+    cfg = sonar.SonarConfig(n_beams=16, spectral_bins=m, bandwidth_hz=40e3)
+    scat = _random_scatterers(n, cfg, seed=m * 7919 + n)
+    weights = sonar.beam_weights(scat, cfg)
+    flat, b = sonar._phase_matrix(scat, cfg).view(np.float64), sonar._SCATTER_BLOCK
+    expected = weights[:b].T @ flat[:b]
+    for k in range(b, n, b):
+        expected += weights[k : k + b].T @ flat[k : k + b]
+    spectra = sonar._coherent_sum(scat, weights, cfg)
+    assert spectra.shape == (cfg.n_beams, m)
+    assert spectra.tobytes() == expected.view(np.complex128).tobytes()
+
+
+def test_ping_memory_is_bounded_by_one_block_of_phases():
+    """A ping's traced peak grows with its weights, not with a phase per
+    scatterer and bin: a whole phase matrix here would be 30 MiB."""
+    h = flat_heightmap(30.0, n=41, cell_m=5.0)
+    cfg = sonar.SonarConfig(n_beams=128, rays_per_beam=3, vertical_rays=5, spectral_bins=1024,
+                            horizontal_fov_rad=math.radians(60.0), bandwidth_hz=40e3)
+    pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 18.0, pitch=-math.radians(60.0))
+    n = len(sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(1)))
+    assert n >= 1900
+    tracemalloc.start()
+    try:
+        sonar.ping(pose, h, cfg, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beams, m, b = cfg.n_beams, cfg.spectral_bins, sonar._SCATTER_BLOCK
+    cols = -(-m // sonar._PHASE_STEP) * sonar._PHASE_STEP
+    # float64s: the weights; the spectra, one block's product and its
+    # complex phases; and the intensities. Plus 1 MiB for the fan's
+    # raycast, the scatterers and each block's exponentials.
+    bound = 8 * (n * beams + 4 * beams * m + 2 * b * cols + beams * m) + 2**20
+    assert peak <= bound, (peak, bound)
+
+
 @pytest.mark.parametrize("window, speckle", [("none", True), ("hann", False)])
 @pytest.mark.parametrize("n", SCATTERER_COUNTS)
 @pytest.mark.parametrize("m", BIN_COUNTS)
@@ -369,9 +412,10 @@ def test_ping_flat_bottom_arc():
 
 
 # Demo sonar pings at rov1's poses at t = 0 and 12 s, with the demo's 48
-# beams and with 128 (371, 990, 366 and 978 scatterers). A single
-# contraction over all scatterers gave different A-plot bytes for these
-# with one and with two OpenBLAS threads.
+# beams, with 128, and with 128 beams of 10 vertical rays (371, 990, 2000,
+# 366, 978 and 1924 scatterers: up to 16 blocks of _SCATTER_BLOCK). A
+# single contraction over all scatterers gave different A-plot bytes for
+# these with one and with two OpenBLAS threads.
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -385,8 +429,8 @@ with open(sys.argv[1]) as fh:
 params = {k: v for k, v in entry.items() if k not in ("type", "name", "rate")}
 for t in (0.0, 12.0):
     pose, _ = scenario.interpolate_trajectory(rov.waypoints, t)
-    for n_beams in (48, 128):
-        scfg = sonar.SonarConfig(**{**params, "n_beams": n_beams})
+    for n_beams, vertical_rays in ((48, 5), (128, 5), (128, 10)):
+        scfg = sonar.SonarConfig(**{**params, "n_beams": n_beams, "vertical_rays": vertical_rays})
         aplot = sonar.ping(pose, heightmap, scfg, np.random.default_rng(3))
         n = len(sonar.gather_scatterers(pose, heightmap, scfg, np.random.default_rng(3)))
         print(t, n_beams, n, hashlib.sha256(aplot.intensities.tobytes()).hexdigest())
@@ -403,8 +447,8 @@ def test_ping_bit_identical_across_blas_thread_counts():
             capture_output=True, text=True, env=env, check=True,
         )
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 4
-    assert [line.split()[2] for line in outputs[0]] == ["371", "990", "366", "978"]
+    assert len(outputs[0]) == 6
+    assert [line.split()[2] for line in outputs[0]] == ["371", "990", "2000", "366", "978", "1924"]
     assert outputs[0] == outputs[1]
 
 
