@@ -20,16 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .geodesy import GeodeticCoord, ProjectionError, mercator_xy
-from .geometry import WorldPoint
+from .geometry import WorldPoint, fan_directions
 from .output import write_g17
 
 # Penetration past the surface that confirms a ray/terrain crossing as a hit;
 # shallower grazes are misses.
 RAYCAST_TOL_M = 1e-4
-# Rays per pass of `raycast_batch`'s walk. The walk holds some forty
-# per-ray arrays at once; at 8,192 rays each float array is 64 KiB, below
-# glibc's default 128 KiB mmap threshold, so the walk's temporaries are
-# reused from the heap instead of being mapped and faulted in anew.
+# Rays per chunk of a `cast_fan` fan. `raycast_batch`'s walk holds some
+# forty per-ray arrays at once; at 8,192 rays each float array is 64 KiB,
+# below glibc's default 128 KiB mmap threshold, so the walk's temporaries
+# are reused from the heap instead of being mapped and faulted in anew.
 RAY_CHUNK = 8192
 
 
@@ -513,10 +513,9 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     Each pass of the loop moves every unfinished ray one cell along its
     own traversal and runs `raycast`'s crossing tracker over that cell's
     patch, so hits and ranges are bit-identical to one `raycast` call per
-    ray. The rays walk RAY_CHUNK at a time, which bounds the walk's
-    per-ray temporaries whatever the fan's size. Used by the lidar and
-    sonar ray fans; `surface_normals` gives the terrain normals at the
-    hit points.
+    ray. Its per-ray temporaries grow with the rays given: `cast_fan`
+    hands it a sensor fan RAY_CHUNK rays at a time. `surface_normals`
+    gives the terrain normals at the hit points.
     """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
@@ -525,66 +524,58 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
     x0, y0, z0 = _check_ray(origin, float(norms[bad[0]]) if bad.size else 1.0, max_range)
     ranges = np.full(len(dirs), np.nan)
+    eps_t = 1e-12 * max(1.0, max_range)
     # A far origin's ray parameters and gaps overflow to +/-inf, which
     # clip and compare alike: such a ray is a miss.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, len(dirs), RAY_CHUNK):
-            chunk = slice(start, start + RAY_CHUNK)
-            _walk(h, x0, y0, z0, dirs[chunk], max_range, ranges[chunk])
+        # Per-ray state of the unfinished rays, indexed like `ray`.
+        ray, dn, de, dd, t_lo, t_exit, i, j = _entries(h, x0, y0, dirs, max_range, eps_t)
+        sign, crossing, max_pen = np.zeros(ray.size), np.full(ray.size, np.nan), np.zeros(ray.size)
+
+        while ray.size:
+            t_x, t_y, q0, q1, q2 = _cell_patches(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
+            t_hi = np.minimum(np.minimum(t_x, t_y), t_exit)
+            hole = np.isnan(q0)
+            sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
+            walk = ~hole & (t_hi > t_lo) & (t_hi > 0.0)
+            new = walk & (sign == 0.0)
+            sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
+            stops = _segment_stops(q0, q1, q2, t_hi - t_lo)
+            # A first segment whose midpoint is on the ray's original side
+            # is a graze, which resets the tracker. Only rays with a root in
+            # the cell, or off their side in it, enter the segment loop.
+            graze = walk & ((_gap(q0, q1, q2, stops[0] / 2.0) <= 0.0) == (sign < 0.0))
+            crossing[graze], max_pen[graze] = np.nan, 0.0
+            fired = np.zeros(ray.size, dtype=bool)
+            r = np.flatnonzero(walk & ~(graze & (stops[1] == np.inf)))
+            for k in range(3):
+                m = r[~graze[r]] if k == 0 else r[~fired[r] & (stops[k][r] < np.inf)]
+                a0, a1, a2, sg = q0[m], q1[m], q2[m], sign[m]
+                s0 = stops[k - 1][m] if k else np.zeros(m.size)
+                s1 = stops[k][m]
+                pen = np.maximum(np.maximum(-sg * _gap(a0, a1, a2, s0), -sg * _gap(a0, a1, a2, s1)), 0.0)
+                vertex = -a1 / (2.0 * a2)
+                inner = (a2 != 0.0) & (s0 < vertex) & (vertex < s1)
+                pen = np.where(inner, np.maximum(pen, -sg * _gap(a0, a1, a2, vertex)), pen)
+                off = (_gap(a0, a1, a2, (s0 + s1) / 2.0) <= 0.0) != (sg < 0.0)
+                pending = np.isnan(crossing[m])
+                cr = np.where(pending, t_lo[m] + s0, crossing[m])
+                mp = np.maximum(np.where(pending, 0.0, max_pen[m]), pen)
+                crossing[m] = np.where(off, cr, np.nan)
+                max_pen[m] = np.where(off, mp, 0.0)
+                fired[m] = off & (mp >= RAYCAST_TOL_M) & (cr > 1e-9)
+            got = fired & (crossing <= max_range)
+            ranges[ray[got]] = crossing[got]
+
+            # Advance to the neighbouring cell(s); ties cross the corner.
+            j = j + np.where(t_x <= t_y, np.where(de > 0.0, 1, -1), 0)
+            i = i + np.where(t_y <= t_x, np.where(dn > 0.0, 1, -1), 0)
+            on_grid = (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
+            keep = np.flatnonzero(~fired & (t_hi < t_exit - eps_t) & on_grid)
+            ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
+                a.take(keep) for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
+            )
     return BatchHits(ranges)
-
-
-def _walk(h: Heightmap, x0: float, y0: float, z0: float, dirs, max_range: float, ranges) -> None:
-    """`raycast_batch`'s walk of the rays ``dirs``, writing each hit's
-    range into ``ranges``."""
-    eps_t = 1e-12 * max(1.0, max_range)
-    # Per-ray state of the unfinished rays, indexed like `ray`.
-    ray, dn, de, dd, t_lo, t_exit, i, j = _entries(h, x0, y0, dirs, max_range, eps_t)
-    sign, crossing, max_pen = np.zeros(ray.size), np.full(ray.size, np.nan), np.zeros(ray.size)
-
-    while ray.size:
-        t_x, t_y, q0, q1, q2 = _cell_patches(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
-        t_hi = np.minimum(np.minimum(t_x, t_y), t_exit)
-        hole = np.isnan(q0)
-        sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
-        walk = ~hole & (t_hi > t_lo) & (t_hi > 0.0)
-        new = walk & (sign == 0.0)
-        sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
-        stops = _segment_stops(q0, q1, q2, t_hi - t_lo)
-        # A first segment whose midpoint is on the ray's original side
-        # is a graze, which resets the tracker. Only rays with a root in
-        # the cell, or off their side in it, enter the segment loop.
-        graze = walk & ((_gap(q0, q1, q2, stops[0] / 2.0) <= 0.0) == (sign < 0.0))
-        crossing[graze], max_pen[graze] = np.nan, 0.0
-        fired = np.zeros(ray.size, dtype=bool)
-        r = np.flatnonzero(walk & ~(graze & (stops[1] == np.inf)))
-        for k in range(3):
-            m = r[~graze[r]] if k == 0 else r[~fired[r] & (stops[k][r] < np.inf)]
-            a0, a1, a2, sg = q0[m], q1[m], q2[m], sign[m]
-            s0 = stops[k - 1][m] if k else np.zeros(m.size)
-            s1 = stops[k][m]
-            pen = np.maximum(np.maximum(-sg * _gap(a0, a1, a2, s0), -sg * _gap(a0, a1, a2, s1)), 0.0)
-            vertex = -a1 / (2.0 * a2)
-            inner = (a2 != 0.0) & (s0 < vertex) & (vertex < s1)
-            pen = np.where(inner, np.maximum(pen, -sg * _gap(a0, a1, a2, vertex)), pen)
-            off = (_gap(a0, a1, a2, (s0 + s1) / 2.0) <= 0.0) != (sg < 0.0)
-            pending = np.isnan(crossing[m])
-            cr = np.where(pending, t_lo[m] + s0, crossing[m])
-            mp = np.maximum(np.where(pending, 0.0, max_pen[m]), pen)
-            crossing[m] = np.where(off, cr, np.nan)
-            max_pen[m] = np.where(off, mp, 0.0)
-            fired[m] = off & (mp >= RAYCAST_TOL_M) & (cr > 1e-9)
-        got = fired & (crossing <= max_range)
-        ranges[ray[got]] = crossing[got]
-
-        # Advance to the neighbouring cell(s); ties cross the corner.
-        j = j + np.where(t_x <= t_y, np.where(de > 0.0, 1, -1), 0)
-        i = i + np.where(t_y <= t_x, np.where(dn > 0.0, 1, -1), 0)
-        on_grid = (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
-        keep = np.flatnonzero(~fired & (t_hi < t_exit - eps_t) & on_grid)
-        ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
-            a.take(keep) for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
-        )
 
 
 def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: float):
@@ -614,3 +605,36 @@ def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: 
     out = np.flatnonzero(~((h.xs[j0] <= x) & (x < h.xs[j0 + 1]) & (h.ys[i0] <= y) & (y < h.ys[i0 + 1])))
     i[out], j[out] = _cell_indices(h, x[out], y[out])
     return ray, dn, de, dd, t_lo, t_exit, i, j
+
+
+def cast_fan(h: Heightmap, origin: WorldPoint, rotation: np.ndarray, az: np.ndarray, el: np.ndarray,
+             max_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cast the `fan_directions(az, el)` fan, rotated into world NED by
+    ``rotation``, from ``origin``: the ray index, world direction and
+    range of every hit, in ray order.
+
+    The fan is built, rotated and cast RAY_CHUNK rays at a time and only
+    its hits are kept, each list of pieces freed as it is joined, so a
+    fan's memory is bounded by one chunk plus its hits. A last chunk of
+    one ray joins the chunk before it: numpy rotates a single row through
+    gemv, which can round its last bit differently from the gemm that
+    rotates longer chunks and the whole fan.
+    """
+    n = len(az) * len(el)
+    starts = list(range(0, n, RAY_CHUNK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    rays, directions, ranges = [], [], []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        ray = np.arange(start, stop)
+        dirs = fan_directions(az, el, ray) @ rotation.T
+        batch = raycast_batch(h, origin, dirs, max_range)
+        hit = np.flatnonzero(batch.hit)
+        rays.append(ray[hit])
+        directions.append(dirs[hit])
+        ranges.append(batch.ranges[hit])
+    hits = []
+    for pieces in (rays, directions, ranges):
+        hits.append(np.concatenate(pieces))
+        pieces.clear()
+    return tuple(hits)

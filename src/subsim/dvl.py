@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bathymetry import Heightmap, raycast
-from .geometry import Pose
+from .geometry import MAX_NOISE_SIGMA, Pose, WorldPoint
 from .output import log_text
 
 # current_at(depth_m) -> NED velocity; the caller binds time. depth_m is a
@@ -103,8 +103,8 @@ class DvlConfig:
             raise ValueError("bins * bin_size must not exceed max_range")
         if self.profile_mode not in (PROFILE_COMBINED, PROFILE_PER_BEAM):
             raise ValueError(f"unknown profile_mode {self.profile_mode!r}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {self.noise_sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +134,14 @@ class AdcpProfile:
     bins: int
 
 
-def beam_ranges(pose: Pose, scene: Heightmap, cfg: DvlConfig) -> np.ndarray:
-    """Raycast each beam into the terrain; NaN where there is no return
-    inside [min_range, max_range]."""
+def beam_ranges(scene: Heightmap, origin: WorldPoint, world_beams: np.ndarray, cfg: DvlConfig) -> np.ndarray:
+    """Raycast from ``origin`` along each row of ``world_beams``, the beams
+    in world NED; NaN where there is no return inside [min_range, max_range]."""
     out = []
-    for beam in cfg.beams:
-        r = raycast(scene, pose.position, pose.to_world(beam), cfg.max_range)
+    for beam in world_beams:
+        r = raycast(scene, origin, beam, cfg.max_range)
         out.append(r if r is not None and r >= cfg.min_range else math.nan)
     return np.array(out)
-
-
-def _world_beams(pose: Pose, cfg: DvlConfig) -> np.ndarray:
-    """The beams in world NED, (4, 3), for `measure`'s altitude and the profile's bin depths.
-    The ray directions stay one ``to_world`` per beam, which differs in the last bits."""
-    return (pose.rotation @ cfg.beams.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +154,11 @@ class BeamGeometry:
 
 
 def beam_geometry(pose: Pose, scene: Heightmap | None, cfg: DvlConfig) -> BeamGeometry:
-    """Cast the four beams from ``pose`` (none without a scene: every range
-    is NaN); no randomness is drawn. Both arrays are read-only."""
-    ranges = beam_ranges(pose, scene, cfg) if scene is not None else np.full(4, np.nan)
-    world_beams = _world_beams(pose, cfg)
+    """Rotate the four beams into world NED once and cast them from ``pose``
+    (none without a scene: every range is NaN); no randomness is drawn.
+    Both arrays are read-only."""
+    world_beams = (pose.rotation @ cfg.beams.T).T
+    ranges = beam_ranges(scene, pose.position, world_beams, cfg) if scene is not None else np.full(4, np.nan)
     ranges.setflags(write=False)
     world_beams.setflags(write=False)
     return BeamGeometry(ranges, world_beams)
@@ -265,8 +260,9 @@ def current_profile(
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
     centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
-    world_beams = _world_beams(pose, cfg) if geometry is None else geometry.world_beams
-    depths = pose.position.depth + centers[:, None] * world_beams[:, 2]  # (bins, 4)
+    if geometry is None:
+        geometry = beam_geometry(pose, None, cfg)
+    depths = pose.position.depth + centers[:, None] * geometry.world_beams[:, 2]  # (bins, 4)
     rel_world = np.empty((depths.size, 3))  # a (3,) current broadcasts to every row
     np.subtract(np.asarray(vel_world, dtype=float), np.asarray(current_at(depths.ravel()), dtype=float), out=rel_world)
     rel_sensor = np.ascontiguousarray((pose.rotation.T @ rel_world.T).T).reshape(cfg.bins, 4, 3, 1)

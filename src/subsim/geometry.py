@@ -17,6 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest Gaussian noise deviation a sensor config accepts: metres on a
+# lidar range, m/s on a DVL beam scalar. A draw is the deviation times a
+# standard normal deviate, and what is made of it (a point, a velocity
+# solve) scales it by a few units more. At 1e300 all of that stays eight
+# orders of magnitude inside float64's 1.8e308; at 1e308 a draw past 1.8
+# deviations is already inf, and the run would log it.
+MAX_NOISE_SIGMA = 1e300
+
 # Body FLU axes expressed in NED for a level, north-facing pose:
 # forward -> north, left -> west, up -> -down.
 _FLU_LEVEL = np.diag([1.0, -1.0, -1.0])

@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bathymetry import RAY_CHUNK, Heightmap, raycast_batch
-from .geometry import Pose, WorldPoint, fan_directions, rot_y, rot_z
+from .bathymetry import Heightmap, cast_fan
+from .geometry import MAX_NOISE_SIGMA, Pose, WorldPoint, rot_y, rot_z
 
 PAN_LIMIT_DEG = 175.0
 TILT_LIMIT_DEG = 30.0
 
-_RAY_CHUNK = RAY_CHUNK  # rays per chunk of the fan: its directions are built and cast a chunk at a time
 # Most rays one scan may cast, (rays_h * rays_v) * supersample^2: 2^22,
 # twice the 1450 x 1450 of the default config. A scan casts its fan a
 # chunk at a time and keeps only the hits, about 100 bytes each once
@@ -56,8 +55,8 @@ class LidarConfig:
         rays = int(self.rays_h) * int(self.rays_v) * int(self.supersample) ** 2  # Python ints: no wrap
         if rays > MAX_SCAN_RAYS:
             raise ValueError(f"rays_h * rays_v * supersample^2 is {rays}, more than {MAX_SCAN_RAYS}")
-        if self.range_noise_sigma < 0.0:
-            raise ValueError("range_noise_sigma must be >= 0")
+        if not 0.0 <= self.range_noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"range_noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {self.range_noise_sigma}")
         for name, limit in (("pan_deg", PAN_LIMIT_DEG), ("tilt_deg", TILT_LIMIT_DEG)):
             angle = getattr(self, name)
             if not abs(angle) <= limit:
@@ -122,36 +121,9 @@ def scan_geometry(pose: Pose, scene: Heightmap, cfg: LidarConfig) -> ScanGeometr
     n_v = cfg.rays_v * cfg.supersample
     az = np.radians(np.linspace(-cfg.fov_h_deg / 2.0, cfg.fov_h_deg / 2.0, n_h))
     el = np.radians(np.linspace(-cfg.fov_v_deg / 2.0, cfg.fov_v_deg / 2.0, n_v))
-    rot_t = (pose.rotation @ mount_rotation(cfg)).T
-    rays, directions, ranges = [], [], []
-    for start, stop in _chunks(n_h * n_v):
-        ray = np.arange(start, stop)
-        dirs_world = fan_directions(az, el, ray) @ rot_t
-        chunk_ranges = raycast_batch(scene, pose.position, dirs_world, cfg.max_range).ranges
-        hit = np.flatnonzero(~np.isnan(chunk_ranges))
-        rays.append(ray[hit])
-        directions.append(dirs_world[hit])
-        ranges.append(chunk_ranges[hit])
-    directions, ranges, hit = _joined(directions), _joined(ranges), _joined(rays)
+    hit, directions, ranges = cast_fan(scene, pose.position, pose.rotation @ mount_rotation(cfg), az, el,
+                                       cfg.max_range)
     return ScanGeometry(pose.position, directions, ranges, hit // n_v, hit % n_v)
-
-
-def _joined(pieces: list) -> np.ndarray:
-    """The pieces as one array, each piece freed once copied."""
-    whole = np.concatenate(pieces)
-    pieces.clear()
-    return whole
-
-
-def _chunks(n: int):
-    """(start, stop) of each _RAY_CHUNK rays of an n-ray fan. A last chunk
-    of one ray joins the one before it: numpy rotates a single row through
-    gemv, which can round its last bit differently from the gemm that
-    rotates longer chunks and the whole fan."""
-    starts = list(range(0, n, _RAY_CHUNK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
 
 
 def scan(

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bathymetry import Heightmap, raycast_batch, surface_normals
-from .geometry import Pose, fan_directions
+from .bathymetry import Heightmap, cast_fan, surface_normals
+from .geometry import Pose
 from .output import write_g17
 
 _PHASE_STEP = 32  # K: bins per exact exponential in _phase_matrix
@@ -36,8 +36,10 @@ PGM_DYNAMIC_RANGE_DB = 60.0  # dB below the ping's peak that map to PGM level 0
 # Most entries of a ping's per-ray work, rays * (spectral_bins + n_beams):
 # one phase per ray and bin, built and summed one _SCATTER_BLOCK of
 # scatterers at a time, so the bins bound a ping's time rather than its
-# memory; and one float weight per ray and beam, held whole (at most
-# 512 MiB). 2^26 is about 30 times dense_scan's 128-beam, 1024-bin sonar.
+# memory; and one float weight per scatterer (a ray's hit) and beam, the
+# only per-ray array a ping holds whole (at most 512 MiB): its fan is cast
+# a chunk at a time. 2^26 is about 30 times dense_scan's 128-beam,
+# 1024-bin sonar.
 MAX_PING_ENTRIES = 67_108_864
 
 # SonarConfig count fields and their least values, and the float fields
@@ -162,16 +164,12 @@ def _scatterer_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> Scatt
     randomness is drawn."""
     az = cfg.ray_azimuths()
     el = cfg.ray_elevations()
-    dirs_world = fan_directions(az, el) @ pose.rotation.T
-    hits = raycast_batch(scene, pose.position, dirs_world, cfg.max_range)
-    mask = hits.hit
-    ranges = hits.ranges[mask]
-    d = dirs_world[mask]
+    ray, d, ranges = cast_fan(scene, pose.position, pose.rotation, az, el, cfg.max_range)
     normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
     cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
     incidence = np.arccos(cos_inc)
     amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2
-    return ScattererSet(ranges, np.repeat(az, len(el))[mask], incidence, amplitude, np.zeros_like(ranges))
+    return ScattererSet(ranges, az[ray // len(el)], incidence, amplitude, np.zeros_like(ranges))
 
 
 def _speckled(scat: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | None) -> ScattererSet:
@@ -348,19 +346,26 @@ def ping(
 
 def write_aplot_pgm(aplot: APlot, path) -> None:
     """Write the A-plot as a P5 PGM, beams as rows, intensities log-scaled
-    from the peak (255) down to PGM_DYNAMIC_RANGE_DB below it (0)."""
+    from the peak (255) down to PGM_DYNAMIC_RANGE_DB below it (0): the
+    level 255 * (1 + 10 log10(I / peak) / PGM_DYNAMIC_RANGE_DB), computed
+    in place in one float array."""
     inten = aplot.intensities
     peak = inten.max() if inten.size else 0.0
     if peak <= 0.0:
         pixels = np.zeros(inten.shape, dtype=np.uint8)
     else:
+        level = np.divide(inten, peak, order="C")  # C order: written row by row, without a copy
         with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(inten / peak)
-        level = 255.0 * (1.0 + db / PGM_DYNAMIC_RANGE_DB)
-        pixels = np.clip(np.nan_to_num(level, nan=0.0, neginf=0.0), 0.0, 255.0).astype(np.uint8)
+            np.log10(level, out=level)
+        level *= 10.0
+        level /= PGM_DYNAMIC_RANGE_DB
+        level += 1.0
+        level *= 255.0
+        # fmax and fmin skip a NaN operand: NaN and -inf map to 0, +inf to 255.
+        pixels = np.fmin(np.fmax(level, 0.0, out=level), 255.0, out=level).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(pixels.data)
 
 
 def write_aplot_csv(aplot: APlot, path) -> None:

@@ -184,7 +184,7 @@ def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
     vel = ned(0.4, -0.1, 0.05)
     for pattern in itertools.product([True, False], repeat=4):
         ranges = np.where(pattern, 45.0, np.nan)
-        monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: ranges.copy())
+        monkeypatch.setattr(dvl, "beam_ranges", lambda scene, origin, world_beams, cfg: ranges.copy())
         for enabled in (True, False):
             c = dvl.DvlConfig(water_track_enabled=enabled)
             sol = dvl.measure(pose, vel, h, None, c, np.random.default_rng(0))

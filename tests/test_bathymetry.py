@@ -587,16 +587,26 @@ def test_batch_matches_scalar_on_rough_terrain():
 
 @pytest.mark.parametrize("chunk", [61, 256, 1999])
 def test_batch_gives_the_same_ranges_in_any_chunk_of_rays(monkeypatch, chunk):
-    """raycast_batch walks RAY_CHUNK rays at a time; each ray's range does
-    not depend on the chunk it walks in."""
+    """cast_fan casts a fan RAY_CHUNK rays at a time (1999 of 2,000 leaves
+    one ray over, which joins the chunk before it): its hits are the rays
+    that hit when the whole rotated fan goes to one raycast_batch call, with
+    the same directions and ranges bit for bit."""
+    from subsim.geometry import body_to_ned_rotation, fan_directions
+
     rng = np.random.default_rng(25)
     jagged = make_heightmap(rng.uniform(30.0, 40.0, (60, 60)), cell_m=10.0)
     origin = WorldPoint(float(jagged.xs[30]), float(jagged.ys[30]), 20.0)
-    dirs = _fan(rng, 2000, 0.01, 0.3)
+    rotation = body_to_ned_rotation(roll=0.1, pitch=-0.05, yaw=0.7)
+    az, el = np.linspace(-math.pi, math.pi, 50), np.linspace(-0.3, -0.01, 40)
+    dirs = fan_directions(az, el) @ rotation.T
     whole = bat.raycast_batch(jagged, origin, dirs, 900.0).ranges
-    assert 0 < np.count_nonzero(~np.isnan(whole)) < len(dirs)
+    hit = np.flatnonzero(~np.isnan(whole))
+    assert 0 < hit.size < len(dirs)
     monkeypatch.setattr(bat, "RAY_CHUNK", chunk)
-    assert bat.raycast_batch(jagged, origin, dirs, 900.0).ranges.tobytes() == whole.tobytes()
+    rays, directions, ranges = bat.cast_fan(jagged, origin, rotation, az, el, 900.0)
+    assert np.array_equal(rays, hit)
+    assert directions.tobytes() == dirs[hit].tobytes()
+    assert ranges.tobytes() == whole[hit].tobytes()
 
 
 def _rough(seed, n=21):

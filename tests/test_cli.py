@@ -461,7 +461,7 @@ def test_non_finite_tide_value_fails_validate_and_run(tmp_path, capsys, field):
 # aside) replaced in turn by each value below: the scenario must either
 # fail `validate` with `error:` lines on stderr, or run cleanly.
 MUTATIONS = {"nan": float("nan"), "inf": float("inf"), "minus-one": -1, "zero": 0, "abc": "abc",
-             "pair": [1, 2]}
+             "pair": [1, 2], "subnormal": 5e-324, "1e300": 1e300, "minus-1e300": -1e300, "1e308": 1e308}
 _NOT_MUTATED = {"id", "name", "type", "heightmap", "station", "plug_vehicle"}
 
 
@@ -511,6 +511,8 @@ REPORTED = {
     "waypoint-x-1e308": (("vehicles", 0, "trajectory", 0, "x"), 1e308),
     "waypoint-time-subnormal": (("vehicles", 0, "trajectory", 1, "time"), 5e-324),
     "sonar-bandwidth-subnormal": (("vehicles", 0, "sensors", 1, "bandwidth_hz"), 5e-324),
+    "dvl-noise-sigma-1e308": (("vehicles", 0, "sensors", 0, "noise_sigma"), 1e308),
+    "lidar-range-noise-sigma-1e308": (("vehicles", 0, "sensors", 2, "range_noise_sigma"), 1e308),
 }
 # The start of the one line of the finite extremes: each names its field.
 REPORTED_FIELDS = {
@@ -522,6 +524,9 @@ REPORTED_FIELDS = {
                                "segment velocity",
     "sonar-bandwidth-subnormal": "vehicle 'rov1' sensor 'fls': sound_speed 1500.0 and bandwidth_hz 5e-324 give "
                                  "no finite range bins",
+    "dvl-noise-sigma-1e308": "vehicle 'rov1' sensor 'dvl': noise_sigma must be in [0, 1e+300], got 1e+308",
+    "lidar-range-noise-sigma-1e308": "vehicle 'rov1' sensor 'lidar': range_noise_sigma must be in [0, 1e+300], "
+                                     "got 1e+308",
 }
 _REPORTED_PAIRS = {(path, repr(value)) for path, value in REPORTED.values()}
 DEMO_MUTATIONS = [
@@ -546,10 +551,25 @@ def test_demo_mutation_fails_validate_or_runs_clean(tmp_path, capsys, path, valu
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", str(scenario_path), "--out", str(out), "--duration", "1"]) == 0
+    _assert_products_finite(out)
+
+
+def _assert_products_finite(out: Path) -> None:
+    """A clean demo run's products are finite: every sonar intensity, every
+    run-log cell (``nan`` stays, for a value a tick did not have) and every
+    PLY coordinate."""
     pings = sorted((out / "rov1" / "fls").glob("ping_*.csv"))
     assert pings
     for ping in pings:
         assert np.all(np.isfinite(sonar.load_aplot_csv(ping).intensities))
+    for log in [*out.glob("*.csv"), *out.glob("*/*.csv")]:
+        cells = set(log.read_bytes().replace(b"\n", b",").split(b","))
+        assert not cells & {b"inf", b"-inf"}, log
+    plys = sorted(out.glob("*/*/scan_*.ply"))
+    assert plys
+    for ply in plys:
+        rows = lidar.read_ply(ply)
+        assert all(np.isfinite(rows[axis]).all() for axis in "xyz"), ply
 
 
 @pytest.mark.parametrize("path, value", REPORTED.values(), ids=REPORTED.keys())
@@ -597,10 +617,7 @@ def test_finite_extreme_validates_and_runs_clean(tmp_path, capsys, path, value):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    pings = sorted((out / "rov1" / "fls").glob("ping_*.csv"))
-    assert pings
-    for ping in pings:
-        assert np.all(np.isfinite(sonar.load_aplot_csv(ping).intensities))
+    _assert_products_finite(out)
 
 
 def _count_calls(monkeypatch, targets) -> collections.Counter:

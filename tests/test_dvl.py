@@ -27,7 +27,7 @@ def measure0(pose, vel, scene, cfg, current_at=None):
 def patch_ranges(monkeypatch, ranges):
     """Make every `measure` call see these beam ranges (it still needs a
     scene that is not None to ask for them)."""
-    monkeypatch.setattr(dvl, "beam_ranges", lambda pose, scene, cfg: np.array(ranges, dtype=float))
+    monkeypatch.setattr(dvl, "beam_ranges", lambda scene, origin, beams, cfg: np.array(ranges, dtype=float))
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def test_janus_beams_are_unit_and_tilted():
 
 def test_beam_ranges_level_over_flat_bottom(flat100):
     cfg = dvl.DvlConfig()
-    ranges = dvl.beam_ranges(level_pose(flat100), flat100, cfg)
+    ranges = dvl.beam_geometry(level_pose(flat100), flat100, cfg).ranges
     # 50 m altitude and 30 deg beams: slant range 50/cos(30 deg).
     assert np.allclose(ranges, 50.0 / math.cos(math.radians(30.0)), atol=1e-3)
 
@@ -53,7 +53,7 @@ def test_beam_ranges_level_over_flat_bottom(flat100):
 def test_beam_ranges_below_min_range():
     h = flat_heightmap(10.0, n=21, cell_m=10.0)
     cfg = dvl.DvlConfig(min_range=20.0)
-    ranges = dvl.beam_ranges(level_pose(h), h, cfg)
+    ranges = dvl.beam_geometry(level_pose(h), h, cfg).ranges
     assert np.all(np.isnan(ranges))
 
 
@@ -63,7 +63,7 @@ def test_beam_ranges_over_cliff_edge():
     grid[:, 11:] = 500.0
     h = make_heightmap(grid, cell_m=10.0)
     cfg = dvl.DvlConfig(max_range=60.0)
-    ranges = dvl.beam_ranges(level_pose(h), h, cfg)
+    ranges = dvl.beam_geometry(level_pose(h), h, cfg).ranges
     hits = np.isfinite(ranges)
     assert 0 < hits.sum() < 4  # east-side beams miss, west-side beams hit
 

@@ -177,15 +177,15 @@ def test_range_noise_without_an_rng_is_refused():
 
 
 def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
-    """Rays are cast in chunks of _RAY_CHUNK, but the points, their ray
-    indices and the range noise (one draw per hit, in ray order) are the
+    """Rays are cast in chunks of bathymetry.RAY_CHUNK, but the points, their
+    ray indices and the range noise (one draw per hit, in ray order) are the
     same as from one chunk."""
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, fov_h_deg=120.0, fov_v_deg=60.0,
                             max_range=40.0, range_noise_sigma=0.05)
     pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 5.0, pitch=-0.6)
     whole = lidar.scan(pose, h, cfg, np.random.default_rng(5))
-    monkeypatch.setattr(lidar, "_RAY_CHUNK", 25)
+    monkeypatch.setattr(bathymetry, "RAY_CHUNK", 25)
     chunked = lidar.scan(pose, h, cfg, np.random.default_rng(5))
     assert 0 < len(whole.ranges) < 18 * 14
     for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(chunked)):
@@ -205,14 +205,21 @@ def test_chunked_scan_directions_are_the_whole_fans_rows(monkeypatch):
     el = np.radians(np.linspace(-30.0, 30.0, 14))
     whole = fan_directions(az, el) @ (pose.rotation @ lidar.mount_rotation(cfg)).T
     for chunk in (251, 25, 2):  # 252 rays: 251 leaves one over
-        monkeypatch.setattr(lidar, "_RAY_CHUNK", chunk)
-        bounds = list(lidar._chunks(252))
-        assert bounds[0][0] == 0 and bounds[-1][1] == 252
-        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-        assert all(stop - start >= 2 for start, stop in bounds)
+        monkeypatch.setattr(bathymetry, "RAY_CHUNK", chunk)
+        casts = []
+
+        def counted(h, origin, directions, max_range, cast=bathymetry.raycast_batch):
+            casts.append(len(directions))
+            return cast(h, origin, directions, max_range)
+
+        monkeypatch.setattr(bathymetry, "raycast_batch", counted)
         geometry = lidar.scan_geometry(pose, h, cfg)
         assert 0 < len(geometry.ranges) < 252
         assert geometry.directions.tobytes() == whole[geometry.h_index * 14 + geometry.v_index].tobytes()
+        # Every ray is cast once, in chunks of `chunk` rays but for the
+        # last, and no chunk is a single ray.
+        assert sum(casts) == 252 and all(n == chunk for n in casts[:-1]) and min(casts) >= 2
+        monkeypatch.undo()
 
 
 def test_scan_memory_is_bounded_by_the_chunk_and_the_hits():

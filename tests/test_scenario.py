@@ -332,6 +332,7 @@ def test_a_held_stretch_casts_rays_for_its_first_two_evaluations_only(tmp_path, 
 
     def counting(module, name):
         cast = getattr(bathymetry, name)
+        assert getattr(module, name) is cast
 
         def wrapper(*args, **kwargs):
             casts[now[0]] = casts.get(now[0], 0) + 1
@@ -339,7 +340,7 @@ def test_a_held_stretch_casts_rays_for_its_first_two_evaluations_only(tmp_path, 
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((dvl, "raycast"), (sonar, "raycast_batch"), (lidar, "raycast_batch")):
+    for module, name in ((dvl, "raycast"), (sonar, "cast_fan"), (lidar, "cast_fan")):
         counting(module, name)
     for cls in scenario.SENSORS.values():
         def timed(self, t, time_utc, vehicle, evaluate=cls.evaluate):

@@ -370,6 +370,53 @@ def test_gather_incidence_uses_the_surface_normal_at_each_hit():
     assert np.array_equal(scat.incidences, np.arccos(np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)))
 
 
+@pytest.mark.parametrize("chunk", [25, 127])  # 255 rays: 127 leaves one ray over
+def test_chunked_fan_gives_the_whole_fans_scatterers_and_ping(monkeypatch, chunk):
+    """The fan is cast bathymetry.RAY_CHUNK rays at a time; the scatterers
+    and the ping equal those of the whole fan rotated and cast at once, bit
+    for bit."""
+    h = make_heightmap(smooth_random_grid(np.random.default_rng(8), (21, 21), base=35.0, relief=9.0))
+    cfg = sonar.SonarConfig(n_beams=17, rays_per_beam=3, vertical_rays=5, spectral_bins=4096,
+                            horizontal_fov_rad=math.radians(120.0), vertical_fov_rad=math.radians(40.0))
+    pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 12.0, roll=0.1, pitch=-math.radians(30.0), yaw=0.4)
+    az, el = cfg.ray_azimuths(), cfg.ray_elevations()
+    assert len(az) * len(el) == 255
+    whole = bathymetry.raycast_batch(h, pose.position, fan_directions(az, el) @ pose.rotation.T,
+                                     cfg.max_range).ranges
+    hit = ~np.isnan(whole)
+    assert 0 < hit.sum() < len(whole)
+    reference = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(2))
+    assert reference.ranges.tobytes() == whole[hit].tobytes()
+    assert reference.azimuths.tobytes() == np.repeat(az, len(el))[hit].tobytes()
+    reference_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
+    monkeypatch.setattr(bathymetry, "RAY_CHUNK", chunk)
+    chunked = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(2))
+    for name in ("ranges", "azimuths", "incidences", "amplitudes", "micro_phases"):
+        assert getattr(chunked, name).tobytes() == getattr(reference, name).tobytes(), name
+    chunked_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
+    assert chunked_ping.intensities.tobytes() == reference_ping.intensities.tobytes()
+
+
+def test_fan_memory_is_bounded_by_the_chunk_and_the_hits():
+    """A 131,072-ray fan pointed away from the seafloor is cast a chunk at a
+    time: its memory does not grow with its ray count."""
+    h = flat_heightmap(30.0, n=41, cell_m=5.0)
+    cfg = sonar.SonarConfig(n_beams=64, rays_per_beam=64, vertical_rays=32, spectral_bins=256)
+    pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 5.0, pitch=math.radians(60.0))
+    tracemalloc.start()
+    try:
+        hits = len(sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == 0
+    # Per ray of a chunk in flight: the walk's per-ray arrays and the
+    # chunk's fan (under 400 bytes). Per hit, what the fan keeps: its ray
+    # index, direction and range, then its scatterer (88 bytes). Plus 1 MiB.
+    bound = 400 * bathymetry.RAY_CHUNK + 88 * hits + 2**20
+    assert peak <= bound, (peak, bound)
+
+
 def test_gather_speckle_phases_seeded():
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = sonar.SonarConfig(n_beams=4, rays_per_beam=2, vertical_rays=2, spectral_bins=256,
@@ -499,6 +546,30 @@ def test_pgm_single_saturating_bin(tmp_path):
     pixels = data[data.index(b"255\n") + 4 :]
     assert pixels[2 * 8 + 5] == 255
     assert sum(1 for p in pixels if p == 255) == 1
+
+
+def test_pgm_levels_are_computed_in_one_float_array(tmp_path):
+    """A 128 x 1,024 A-plot's PGM holds the pixels of the level formula,
+    zeros (-inf dB) at 0, and writing it takes one float array of levels."""
+    rng = np.random.default_rng(4)
+    inten = rng.exponential(1.0, (128, 1024)) ** 4
+    inten[:, :100] = 0.0
+    with np.errstate(divide="ignore"):
+        level = 255.0 * (1.0 + 10.0 * np.log10(inten / inten.max()) / sonar.PGM_DYNAMIC_RANGE_DB)
+    expected = np.clip(np.nan_to_num(level, nan=0.0, neginf=0.0), 0.0, 255.0).astype(np.uint8)
+    assert 0 < np.count_nonzero(expected == 0) < np.count_nonzero(expected < 255) < inten.size
+    aplot = sonar.APlot(inten, np.arange(1024.0), np.arange(128.0))
+    path = tmp_path / "a.pgm"
+    tracemalloc.start()
+    try:
+        sonar.write_aplot_pgm(aplot, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == b"P5\n1024 128\n255\n" + expected.tobytes()
+    # One float64 level per pixel, the uint8 pixels, and 64 KiB.
+    bound = 8 * inten.size + inten.size + 2**16
+    assert peak <= bound, (peak, bound)
 
 
 def test_csv_round_trip(tmp_path):
