@@ -325,20 +325,25 @@ def _segment_stops(q0, q1, q2, span) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first, second, np.where(lo_in & hi_in, span, np.inf)
 
 
-def _cell_patches(h: Heightmap, i, j, x0, y0, z0, dn, de, dd, t_lo):
-    """For rays in cells (i, j) entered at t_lo: the ray parameters t_x
-    and t_y at which each leaves its cell through an x and a y edge, and
-    the gap f(s) = q2 s^2 + q1 s + q0 of the ray's depth over the cell's
-    bilinear surface at t_lo + s (s counts from the cell entry, for
-    conditioning) as (q0, q1, q2); a nodata corner makes q0 NaN."""
+def _cell_patches(h: Heightmap, i, j, x0, y0, dn, de, dd, x, y, z):
+    """For rays from (x0, y0) along (dn, de, dd) that enter cells (i, j)
+    at the points (x, y, z): the ray parameters t_x and t_y at which each
+    leaves its cell through an x and a y edge, and the gap
+    f(s) = q2 s^2 + q1 s + q0 of the ray's depth over the cell's bilinear
+    surface at s past the entry point (s counts from the cell entry, for
+    conditioning) as (q0, q1, q2); a nodata corner makes q0 NaN.
+
+    Scalar cells and entry points (every ray enters the origin's cell at
+    the origin) give scalar corners, widths, u0, v0 and q0: the same
+    operations, done once for the whole fan."""
     x_j, x_j1, y_i, y_i1 = h.xs.take(j), h.xs[1:].take(j), h.ys.take(i), h.ys[1:].take(i)
     t_x = np.where(de != 0.0, (np.where(de > 0.0, x_j1, x_j) - x0) / de, np.inf)
     t_y = np.where(dn != 0.0, (np.where(dn > 0.0, y_i1, y_i) - y0) / dn, np.inf)
     wx, wy = x_j1 - x_j, y_i1 - y_i
-    u0, v0, du, dv = (x0 + de * t_lo - x_j) / wx, (y0 + dn * t_lo - y_i) / wy, de / wx, dn / wy
+    u0, v0, du, dv = (x - x_j) / wx, (y - y_i) / wy, de / wx, dn / wy
     del x_j, x_j1, y_i, y_i1, wx, wy  # a large fan's peak memory is here
     d00, bu, cv, e = _patch_terms(h, i, j)
-    q0 = z0 + dd * t_lo - d00 - bu * u0 - cv * v0 - e * u0 * v0
+    q0 = z - d00 - bu * u0 - cv * v0 - e * u0 * v0
     q1 = dd - bu * du - cv * dv - e * (u0 * dv + v0 * du)
     q2 = -e * du * dv
     return t_x, t_y, q0, q1, q2
@@ -513,9 +518,14 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
     Each pass of the loop moves every unfinished ray one cell along its
     own traversal and runs `raycast`'s crossing tracker over that cell's
     patch, so hits and ranges are bit-identical to one `raycast` call per
-    ray. Its per-ray temporaries grow with the rays given: `cast_fan`
-    hands it a sensor fan RAY_CHUNK rays at a time. `surface_normals`
-    gives the terrain normals at the hit points.
+    ray. A pass does per ray only the work that differs per ray: when
+    every ray enters the origin's cell at the origin (`_entries`), the
+    first pass computes that cell's patch terms once for the fan; a pass
+    compacts its per-ray state only when a ray finished, resets trackers
+    only in a hole, and skips segments that hold no ray. Its per-ray
+    temporaries grow with the rays given: `cast_fan` hands it a sensor
+    fan RAY_CHUNK rays at a time. `surface_normals` gives the terrain
+    normals at the hit points.
     """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
@@ -531,15 +541,26 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
         # Per-ray state of the unfinished rays, indexed like `ray`.
         ray, dn, de, dd, t_lo, t_exit, i, j = _entries(h, x0, y0, dirs, max_range, eps_t)
         sign, crossing, max_pen = np.zeros(ray.size), np.full(ray.size, np.nan), np.zeros(ray.size)
+        # Scalar cell indices: every ray enters the origin's cell at t = 0,
+        # so its entry point is the origin, as x0 + de * 0.0 is x0 for a
+        # nonzero x0 (-0.0 + 0.0 is +0.0).
+        at_origin = np.ndim(i) == 0 and x0 != 0.0 and y0 != 0.0 and z0 != 0.0
 
         while ray.size:
-            t_x, t_y, q0, q1, q2 = _cell_patches(h, i, j, x0, y0, z0, dn, de, dd, t_lo)
+            entry = (x0, y0, z0) if at_origin else (x0 + de * t_lo, y0 + dn * t_lo, z0 + dd * t_lo)
+            at_origin = False
+            t_x, t_y, q0, q1, q2 = _cell_patches(h, i, j, x0, y0, dn, de, dd, *entry)
+            q0 = np.broadcast_to(q0, ray.shape)  # one value for the fan at the origin
             t_hi = np.minimum(np.minimum(t_x, t_y), t_exit)
             hole = np.isnan(q0)
-            sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
+            if hole.any():
+                sign[hole], crossing[hole], max_pen[hole] = 0.0, np.nan, 0.0
             walk = ~hole & (t_hi > t_lo) & (t_hi > 0.0)
             new = walk & (sign == 0.0)
-            sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
+            if new.all():
+                sign = np.where(_gap(q0, q1, q2, 0.0) <= 0.0, -1.0, 1.0)
+            else:
+                sign[new] = np.where(_gap(q0[new], q1[new], q2[new], 0.0) <= 0.0, -1.0, 1.0)
             stops = _segment_stops(q0, q1, q2, t_hi - t_lo)
             # A first segment whose midpoint is on the ray's original side
             # is a graze, which resets the tracker. Only rays with a root in
@@ -550,6 +571,8 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
             r = np.flatnonzero(walk & ~(graze & (stops[1] == np.inf)))
             for k in range(3):
                 m = r[~graze[r]] if k == 0 else r[~fired[r] & (stops[k][r] < np.inf)]
+                if not m.size:
+                    continue
                 a0, a1, a2, sg = q0[m], q1[m], q2[m], sign[m]
                 s0 = stops[k - 1][m] if k else np.zeros(m.size)
                 s1 = stops[k][m]
@@ -572,10 +595,17 @@ def raycast_batch(h: Heightmap, origin: WorldPoint, directions: np.ndarray, max_
             i = i + np.where(t_y <= t_x, np.where(dn > 0.0, 1, -1), 0)
             on_grid = (i >= 0) & (i < h.rows - 1) & (j >= 0) & (j < h.cols - 1)
             keep = np.flatnonzero(~fired & (t_hi < t_exit - eps_t) & on_grid)
-            ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
-                a.take(keep) for a in (ray, dn, de, dd, t_hi, t_exit, i, j, sign, crossing, max_pen)
-            )
+            t_lo = t_hi
+            if keep.size < ray.size:  # some ray finished
+                ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen = (
+                    a.take(keep) for a in (ray, dn, de, dd, t_lo, t_exit, i, j, sign, crossing, max_pen)
+                )
     return BatchHits(ranges)
+
+
+# Reach of a ray past max_range that `_entries` allows for: |direction|
+# may be 1 + 1e-9, and the margin covers the rounding of the clip.
+_REACH = 1.0 + 1e-6
 
 
 def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: float):
@@ -583,26 +613,40 @@ def _entries(h: Heightmap, x0: float, y0: float, dirs, max_range: float, eps_t: 
     (ray, dn, de, dd, t_lo, t_exit, i, j): index, direction, the ray
     parameters where each enters and leaves the extent, and the cell
     holding its position probed slightly past t_lo, as in `raycast`
-    (searched for only where the probe leaves the origin's cell)."""
+    (searched for only where the probe leaves the origin's cell).
+
+    The clip to the extent is skipped when the origin lies farther inside
+    every edge than max_range * _REACH and max_range - eps_t is positive:
+    every ray then enters at t = 0 and leaves at max_range, which is what
+    the clip computes. If, too, no probe leaves the origin's cell, i and
+    j are that cell's indices as Python ints."""
     n = len(dirs)
     x_min, y_min, x_max, y_max = h.extent
-    t_enter, t_exit = np.zeros(n), np.full(n, float(max_range))
-    inside = np.ones(n, dtype=bool)
-    for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
-        moving = comp != 0.0
-        ta = (lo - pos) / comp
-        tb = (hi - pos) / comp
-        t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
-        t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
-        inside &= moving | (lo <= pos <= hi)
-    ray = np.flatnonzero(inside & (t_enter < t_exit - eps_t))
-    dn, de, dd = dirs[ray, 0], dirs[ray, 1], dirs[ray, 2]
-    t_lo, t_exit = t_enter[ray], t_exit[ray]
+    reach = max_range * _REACH
+    inner = min(x0 - x_min, x_max - x0, y0 - y_min, y_max - y0) > reach and 0.0 < max_range - eps_t
+    if inner:
+        ray, t_lo, t_exit = np.arange(n), np.zeros(n), np.full(n, float(max_range))
+    else:
+        t_enter, t_exit = np.zeros(n), np.full(n, float(max_range))
+        inside = np.ones(n, dtype=bool)
+        for comp, lo, hi, pos in ((dirs[:, 1], x_min, x_max, x0), (dirs[:, 0], y_min, y_max, y0)):
+            moving = comp != 0.0
+            ta = (lo - pos) / comp
+            tb = (hi - pos) / comp
+            t_enter = np.where(moving, np.maximum(t_enter, np.minimum(ta, tb)), t_enter)
+            t_exit = np.where(moving, np.minimum(t_exit, np.maximum(ta, tb)), t_exit)
+            inside &= moving | (lo <= pos <= hi)
+        ray = np.flatnonzero(inside & (t_enter < t_exit - eps_t))
+        t_lo, t_exit = t_enter[ray], t_exit[ray]
+        dirs = dirs[ray]
+    dn, de, dd = np.ascontiguousarray(dirs.T)
     probe = np.minimum(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
     x, y = x0 + de * probe, y0 + dn * probe
     i0, j0 = _cell_of(h, x0, y0)
-    i, j = np.full(ray.size, i0), np.full(ray.size, j0)
     out = np.flatnonzero(~((h.xs[j0] <= x) & (x < h.xs[j0 + 1]) & (h.ys[i0] <= y) & (y < h.ys[i0 + 1])))
+    if inner and not out.size:
+        return ray, dn, de, dd, t_lo, t_exit, i0, j0
+    i, j = np.full(ray.size, i0), np.full(ray.size, j0)
     i[out], j[out] = _cell_indices(h, x[out], y[out])
     return ray, dn, de, dd, t_lo, t_exit, i, j
 
@@ -618,10 +662,11 @@ def cast_fan(h: Heightmap, origin: WorldPoint, rotation: np.ndarray, az: np.ndar
     fan's memory is bounded by one chunk plus its hits. A last chunk of
     one ray joins the chunk before it: numpy rotates a single row through
     gemv, which can round its last bit differently from the gemm that
-    rotates longer chunks and the whole fan.
+    rotates longer chunks and the whole fan. A fan of no rays is one
+    empty chunk, so it gives three empty arrays.
     """
     n = len(az) * len(el)
-    starts = list(range(0, n, RAY_CHUNK))
+    starts = list(range(0, n, RAY_CHUNK)) or [0]
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     rays, directions, ranges = [], [], []

@@ -12,7 +12,7 @@ from subsim import bathymetry as bat
 from subsim.geodesy import GeodeticCoord
 from subsim.geometry import WorldPoint, ned
 
-from conftest import make_heightmap, normal_at
+from conftest import METERS_PER_DEG, make_heightmap, normal_at
 
 
 # --- loading ----------------------------------------------------------------
@@ -609,6 +609,15 @@ def test_batch_gives_the_same_ranges_in_any_chunk_of_rays(monkeypatch, chunk):
     assert ranges.tobytes() == whole[hit].tobytes()
 
 
+@pytest.mark.parametrize("n_az, n_el", [(0, 5), (5, 0), (0, 0)])
+def test_cast_fan_of_no_rays_gives_three_empty_arrays(flat50, n_az, n_el):
+    origin = WorldPoint(float(flat50.xs[5]), float(flat50.ys[5]), 0.0)
+    rays, directions, ranges = bat.cast_fan(flat50, origin, np.eye(3), np.zeros(n_az), np.zeros(n_el), 100.0)
+    assert rays.shape == (0,) and rays.dtype.kind == "i"
+    assert directions.shape == (0, 3) and directions.dtype == np.float64
+    assert ranges.shape == (0,) and ranges.dtype == np.float64
+
+
 def _rough(seed, n=21):
     from conftest import smooth_random_grid
 
@@ -668,14 +677,134 @@ def _shortcut_cases():
                       _fan(rng, 1500, 0.05, 1.0), 400.0),
         "crossing-at-cell-edge": (flat, flat_origin,
                                   _edge_crossings(flat, flat_origin, range(4, 20), (1e-6, 3e-5, 9e-5)), 300.0),
+        **_reach_cases(rng),
     }
+
+
+def _reach_cases(rng):
+    """Cases on both sides of each guard of `_entries`' unclipped entry,
+    the first pass at the origin and the pass's skipped bookkeeping: the
+    fan's reach inside the extent or across its edge, an origin near a
+    cell edge, zero origin coordinates, a range below eps_t, a hole at the
+    origin, rays that pass under the surface in a hole, and a first pass
+    in which no ray finishes."""
+    big = _rough(33, n=41)  # 400 m square, 10 m cells
+    centre = WorldPoint(float(big.xs[20]) + 5.0, float(big.ys[20]) + 5.0, 0.0)
+    above = float(bat.depth_at_xy(big, centre.x, centre.y))
+    # Steep rays hit in the origin's cell, shallow ones beyond it.
+    steep_and_shallow = np.concatenate([_fan(rng, 300, 1.3, 1.55), _fan(rng, 700, 0.1, 0.6)])
+    inside = WorldPoint(centre.x, centre.y, above - 15.0)
+    east = WorldPoint(float(big.xs[-1]) - 15.0, centre.y, above - 15.0)
+    # A grid shifted 105 m south-west puts x = 0 and y = 0 mid-cell, 100 m inside.
+    shifted = make_heightmap(big.depth, lat0=-105.0 / METERS_PER_DEG, lon0=-105.0 / METERS_PER_DEG)
+    holed_grid = big.depth.copy()
+    holed_grid[21, 20] = np.nan  # the north-west corner of the origin's cell
+    holed = make_heightmap(holed_grid)
+    # East of the origin a band of holes, 30-70 m away, in a flat bottom
+    # 10 m below it: the shallower rays pass under the surface in the
+    # band, whose reset makes them leave it below, on their new side.
+    band_grid = np.full((41, 41), 50.0)
+    band_grid[:, 24:27] = np.nan
+    band = make_heightmap(band_grid)
+    eastward = _fan(rng, 3000, 0.1, 0.8)
+    eastward = eastward[eastward[:, 1] > 0.6]
+    return {
+        "reach-inside-hits-in-and-beyond-origin-cell": (big, inside, steep_and_shallow, 60.0),
+        "reach-crosses-extent-edge": (big, east, _fan(rng, 1000, 0.02, 0.8), 60.0),
+        "origin-near-cell-edge-reach-inside": (big, WorldPoint(float(big.xs[20]) - 4e-10, float(big.ys[20]) + 4e-10,
+                                                               above - 15.0), _fan(rng, 1500, 0.02, 1.2), 60.0),
+        "origin-on-south-west-node": (big, WorldPoint(0.0, 0.0, 20.0), _fan(rng, 800, 0.1, 1.2), 60.0),
+        "origin-at-x-zero-inside": (shifted, WorldPoint(0.0, 50.0, 20.0), steep_and_shallow, 60.0),
+        "origin-at-y-zero-inside": (shifted, WorldPoint(50.0, 0.0, 20.0), steep_and_shallow, 60.0),
+        "origin-at-depth-zero": (big, WorldPoint(centre.x, centre.y, 0.0), _fan(rng, 1000, 0.4, 1.5), 120.0),
+        "max-range-below-eps_t": (big, inside, steep_and_shallow, 5e-13),
+        "nodata-corner-in-origin-cell": (holed, inside, steep_and_shallow, 60.0),
+        "no-ray-finishes-in-first-pass": (big, WorldPoint(centre.x, centre.y, above - 30.0),
+                                          _fan(rng, 1000, 0.2, 0.5), 150.0),
+        "dives-under-terrain-in-a-hole": (band, WorldPoint(float(band.xs[20]) + 5.0, centre.y, 40.0), eastward, 150.0),
+    }
+
+
+# Cases in which no ray can hit: the extent clip keeps no ray.
+_NO_HIT_CASES = {"max-range-below-eps_t"}
 
 
 @pytest.mark.parametrize("case", _shortcut_cases().keys())
 def test_batch_matches_scalar_at_each_shortcut(case):
     h, origin, dirs, max_range = _shortcut_cases()[case]
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    assert _assert_batch_matches_scalar(h, origin, dirs, max_range) > 0
+    assert (_assert_batch_matches_scalar(h, origin, dirs, max_range) > 0) == (case not in _NO_HIT_CASES)
+
+
+def _record_patch_calls(monkeypatch) -> list[tuple[bool, bool, int]]:
+    """Wrap `_cell_patches` through the module global, as the benchmark's
+    tracer wraps a layer. Each call records whether it got scalar cell
+    indices, whether it got a scalar entry point, and its ray count."""
+    calls = []
+    patches = bat._cell_patches
+
+    def recorded(h, i, j, x0, y0, dn, de, dd, x, y, z):
+        calls.append((np.ndim(i) == 0 and np.ndim(j) == 0, np.ndim(x) == np.ndim(y) == np.ndim(z) == 0, len(dn)))
+        return patches(h, i, j, x0, y0, dn, de, dd, x, y, z)
+
+    monkeypatch.setattr(bat, "_cell_patches", recorded)
+    return calls
+
+
+def test_a_fan_inside_the_grid_takes_its_first_pass_at_the_origin(monkeypatch):
+    """A dense-scan-like lidar fan, its origin well inside the grid and
+    every ray starting in the origin's cell: the first pass of each chunk
+    gets that cell's scalar indices and the origin as its entry point,
+    and no later pass does. A guard that is never true would pass every
+    differential test while the fan paid per ray for per-fan terms."""
+    from subsim.geometry import body_to_ned_rotation
+
+    h = _rough(34, n=41)
+    x, y = float(h.xs[20]) + 5.0, float(h.ys[20]) + 5.0
+    origin = WorldPoint(x, y, float(bat.depth_at_xy(h, x, y)) - 6.0)
+    rotation = body_to_ned_rotation(pitch=-0.3, yaw=1.5708)
+    az = el = np.radians(np.linspace(-15.0, 15.0, 160))
+    calls = _record_patch_calls(monkeypatch)
+    rays, _, _ = bat.cast_fan(h, origin, rotation, az, el, 20.0)
+    assert 0 < rays.size < len(az) * len(el)
+    chunks = [bat.RAY_CHUNK] * 3 + [len(az) * len(el) - 3 * bat.RAY_CHUNK]
+    assert [(scalar_cell, n) for scalar_cell, _, n in calls if scalar_cell] == [(True, n) for n in chunks]
+    assert all(at_origin == scalar_cell for scalar_cell, at_origin, _ in calls)
+    assert len(calls) > len(chunks)
+
+
+@pytest.mark.parametrize("case, first_pass", [
+    ("reach-inside-hits-in-and-beyond-origin-cell", (True, True)),
+    ("nodata-corner-in-origin-cell", (True, True)),
+    ("no-ray-finishes-in-first-pass", (True, True)),
+    ("origin-at-x-zero-inside", (True, False)),
+    ("origin-at-y-zero-inside", (True, False)),
+    ("origin-at-depth-zero", (True, False)),
+    ("reach-crosses-extent-edge", (False, False)),
+    ("origin-near-cell-edge-reach-inside", (False, False)),
+    ("origin-on-south-west-node", (False, False)),
+    ("max-range-below-eps_t", None),
+])
+def test_each_reach_case_takes_the_first_pass_it_stands_for(monkeypatch, case, first_pass):
+    """Which side of each guard the `_reach_cases` fall on: (scalar cell
+    indices, the origin as entry point) of the first pass, or None where
+    no ray is cast. Only a first pass gets scalar indices."""
+    h, origin, dirs, max_range = _shortcut_cases()[case]
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    calls = _record_patch_calls(monkeypatch)
+    ranges = bat.raycast_batch(h, origin, dirs, max_range).ranges
+    if first_pass is None:
+        assert calls == []
+        return
+    assert calls[0][:2] == first_pass
+    assert not any(scalar_cell for scalar_cell, _, _ in calls[1:])
+    if case == "no-ray-finishes-in-first-pass":
+        assert calls[1][2] == calls[0][2] == len(dirs)
+    if case == "reach-inside-hits-in-and-beyond-origin-cell":
+        hit = ~np.isnan(ranges)
+        x, y = origin.x + dirs[hit, 1] * ranges[hit], origin.y + dirs[hit, 0] * ranges[hit]
+        in_cell = (x >= h.xs[20]) & (x < h.xs[21]) & (y >= h.ys[20]) & (y < h.ys[21])
+        assert 0 < in_cell.sum() < hit.sum()
 
 
 def test_surface_normals_on_cell_edges_match_reference():
