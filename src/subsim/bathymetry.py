@@ -313,16 +313,18 @@ def _segment_stops(q0, q1, q2, span) -> tuple[np.ndarray, np.ndarray, np.ndarray
     the gap keeps one sign. A second stop of inf means no root."""
     sq = np.sqrt(q1 * q1 - 4.0 * q2 * q0)  # NaN: no real root
     tmp = np.where(q1 >= 0.0, -(q1 + sq) / 2.0, -(q1 - sq) / 2.0)
-    r_a = np.where(tmp != 0.0, tmp / q2, 0.0)
-    r_b = np.where(tmp != 0.0, q0 / tmp, -q1 / q2)
+    nonzero = tmp != 0.0
+    r_a = np.where(nonzero, tmp / q2, 0.0)
+    r_b = np.where(nonzero, q0 / tmp, -q1 / q2)
     quad = q2 != 0.0
     lo = np.where(quad, np.minimum(r_a, r_b), -q0 / q1)
     hi = np.where(quad, np.maximum(r_a, r_b), np.nan)
     lo_in, hi_in = (lo > 0.0) & (lo <= span), (hi > 0.0) & (hi <= span)
+    both = lo_in & hi_in
     # lo <= hi: the roots inside come first, in this order, then span.
     first = np.where(lo_in, lo, np.where(hi_in, hi, span))
-    second = np.where(lo_in & hi_in, hi, np.where(lo_in | hi_in, span, np.inf))
-    return first, second, np.where(lo_in & hi_in, span, np.inf)
+    second = np.where(both, hi, np.where(lo_in | hi_in, span, np.inf))
+    return first, second, np.where(both, span, np.inf)
 
 
 def _cell_patches(h: Heightmap, i, j, x0, y0, dn, de, dd, x, y, z):

@@ -109,18 +109,25 @@ def subdivide(mesh: TriMesh) -> TriMesh:
     tris = mesh.triangles
     a, b, c = tris.T
     # Edge occurrences in walk order: triangle-major, then ab, bc, ca.
-    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1).reshape(-1, 2)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    start, end = tris.reshape(-1), np.roll(tris, -1, axis=1).reshape(-1)
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
     _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # unique edges by first occurrence
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    # The first occurrences, in walk order, are the unique edges by first
+    # occurrence; an edge's rank counts the first occurrences up to its own.
+    is_first = np.zeros(len(lo), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first)[first] - 1
     ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
     children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    edge_lo, edge_hi = lo[first[order]], hi[first[order]]
+    edge_lo, edge_hi = lo[is_first], hi[is_first]
 
     def with_midpoints(values):
-        return np.concatenate([values, 0.5 * (values[edge_lo] + values[edge_hi])])
+        out = np.empty((len(values) + len(edge_lo), 3))
+        out[:len(values)] = values
+        mid = values.take(edge_lo, axis=0, out=out[len(values):])
+        mid += values.take(edge_hi, axis=0)
+        mid *= 0.5
+        return out
 
     colors = None if mesh.colors is None else with_midpoints(mesh.colors)
     return TriMesh(with_midpoints(mesh.vertices), children, colors)

@@ -18,8 +18,12 @@ formatting every value on its own in Python, but compute them with
 array arithmetic over chunks of ``CHUNK_VALUES`` values: ``write_g17``
 (``%.17g``: OBJ vertices, DEM grids and the A-plot CSV, all of which
 read back bit for bit) and ``write_ints`` (``%d``, OBJ faces). Each call
-allocates its temporaries once (``_Scratch``) and reuses them for every
-chunk.
+allocates its temporaries once (``_Scratch``, 137 bytes a float value)
+and reuses them for every chunk. An integer takes a slot of 4 * (g + 2)
+bytes, g the 4-digit groups of the call's largest magnitude: 16 bytes
+for OBJ face indices below 10^8, at most 28. The tables both encoders
+read are built once per process, from exact integers and array
+expressions (about 3 ms).
 
 Digits of a float. A positive double x with decimal exponent E (10^E <=
 x < 10^(E+1)) is scaled to V = x * 10^(16 - E), in [10^16, 10^17): its
@@ -47,8 +51,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Values per encoded chunk.
-CHUNK_VALUES = 4096
+# Values per encoded chunk: 16,384 was faster than 4,096 and 8,192 on the
+# mesh export's rows (fewer fixed costs per value), and its scratch, 2.2 MB
+# for floats, is still a small share of a run's peak memory.
+CHUNK_VALUES = 16384
 
 # Decimal exponents on the array path: there neither x nor 10^(16 - E)
 # overflows when split, and the lo part of the power stays a normal double.
@@ -75,9 +81,16 @@ _REGION = slice(6, 24)  # d0, point, d1..d16
 # Form classes: 0..20 fixed notation with X = class - 4, 21 scientific with a
 # 2-digit exponent, 22 with a 3-digit one; each times 17 digit counts.
 _N_CLASSES = 23 * 17
-# Byte columns of one encoded integer (W = 28, seven 4-byte words): 3 sign |
-# 4-23 twenty digits | 25-27 the tail.
-_INT_W = 28
+# Byte columns of one encoded integer in a slot of g 4-digit groups (one
+# 4-byte word each): 3 sign | 4 .. 4g + 3 the digits | the last three the
+# tail. A call's slot holds its largest magnitude; int64 needs 5 groups.
+_INT_GROUPS = 5
+
+
+def _int_width(groups: int) -> int:
+    """Bytes of an integer slot of ``groups`` 4-digit groups: the sign word,
+    the group words and the tail word."""
+    return 4 * (groups + 2)
 
 
 def _split(a, hi, lo):
@@ -93,94 +106,99 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
+def _power(k: int) -> tuple[float, float]:
+    """10^k rounded to a double, hi, and the rest 10^k - hi rounded, from
+    exact integers (int / int and int to float are correctly rounded)."""
+    if k >= 0:
+        p = 10**k
+        hi = float(p)
+        return hi, float(p - int(hi))
+    q = 10**-k
+    hi = 1 / q
+    hn, hd = hi.as_integer_ratio()
+    return hi, (hd - hn * q) / (q * hd)
+
+
 class _Tables:
-    """Exact tables for the array encoders, built from integers; see _tables."""
+    """Exact tables for the array encoders: one list of exact powers of
+    ten, the rest array expressions; see _tables."""
 
     def __init__(self) -> None:
-        exps = range(_E_MIN, _E_MAX + 2)  # a carry can print _E_MAX + 1
-        thresholds, hi, lo = [], [], []
-        for e in exps:
-            # the least double >= 10^e, compared as exact integer ratios
-            num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-            f = num / den  # int / int is correctly rounded
-            fn, fd = f.as_integer_ratio()
-            thresholds.append(f if fn * den >= num * fd else math.nextafter(f, math.inf))
-            if e > _E_MAX:
-                continue
-            k = 16 - e
-            num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-            h = num / den
-            hn, hd = h.as_integer_ratio()
-            hi.append(h)
-            lo.append((num * hd - hn * den) / (den * hd))
-        self.thresholds = np.array(thresholds)  # per E index, and one past _E_MAX
+        # 10^k for k = 16 - _E_MAX .. _E_MAX + 1 (a carry can print _E_MAX + 1):
+        # the rest's sign says on which side of 10^k its double lies.
+        k0 = 16 - _E_MAX
+        pow_hi, pow_lo = np.array([_power(k) for k in range(k0, _E_MAX + 2)]).T
+        # per E index, and one past _E_MAX: the least double >= 10^E
+        e_hi, e_lo = pow_hi[_E_MIN - k0:], pow_lo[_E_MIN - k0:]
+        self.thresholds = np.where(e_lo > 0.0, np.nextafter(e_hi, np.inf), e_hi)
         # per biased binary exponent: the E index of 2^e, clipped to the tables
         binade = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
         e_index = np.searchsorted(self.thresholds, binade, side="right") - 1
         self.binade_e = np.clip(e_index, 0, _E_MAX - _E_MIN)
-        # 10^(16-E) rounded, as its Dekker halves, and the rest 10^(16-E) - hi, rounded
-        self.pow_hi_hi, self.pow_hi_lo = _split(np.array(hi), *np.empty((2, len(hi))))
-        self.pow_lo = np.array(lo)
+        # per E index: 10^(16-E) rounded, as its Dekker halves, and the rest
+        # 10^(16-E) - hi, rounded; k = 16 - E runs down from 16 - _E_MIN to k0
+        hi = pow_hi[_E_MAX - _E_MIN::-1].copy()
+        self.pow_hi_hi, self.pow_hi_lo = _split(hi, *np.empty((2, len(hi))))
+        self.pow_lo = pow_lo[_E_MAX - _E_MIN::-1].copy()
 
-        groups = np.arange(10000)
-        chars = np.stack([groups // 10**p % 10 for p in (3, 2, 1, 0)], axis=1) + ord("0")
-        self.digits4 = np.ascontiguousarray(chars.astype(np.uint8)).view("<u4").ravel()
-        tz = np.zeros(10000, dtype=np.int8)
-        for p in (10, 100, 1000):
-            tz += (groups % p == 0)
+        groups = np.arange(10000)[:, None]
+        chars = groups // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+        self.digits4 = chars.astype(np.uint8).view("<u4").ravel()
         # significant digits of a 4-digit group, -16 for 0000
-        self.sig4 = np.where(groups == 0, -16, 4 - tz).astype(np.int8)
-        self.lead = np.array([_word(b"00%d." % d) for d in range(10)], dtype="<u4")  # columns 4-7
-        texts = [b"e%+03d" % x for x in exps]
-        self.exp_word = np.array([_word(t[:4]) for t in texts], dtype="<u4")  # "e-XX", or "e-XX" of "e-XXX"
-        self.exp_tail = np.array([_word(t[4:]) for t in texts], dtype="<u4")  # the third exponent digit
-        # Moving the point after d_X, X = 0..16, on the 8-byte words 0-2 of a
-        # value: word k takes the next column's byte where ``shift``, keeps
-        # its own where ``keep``, and gains the point from ``point``.
-        shift = np.zeros((17, 24), dtype=np.uint8)
-        point = np.zeros((17, 24), dtype=np.uint8)
-        for x in range(1, 17):
-            shift[x, 7:7 + x] = 0xFF
-            point[x, 7 + x] = ord(".")
+        tz = np.count_nonzero(groups % np.array([10, 100, 1000]) == 0, axis=1)
+        self.sig4 = np.where(groups[:, 0] == 0, -16, 4 - tz).astype(np.int8)
+        self.lead = np.frombuffer(b"".join(b"00%d." % d for d in range(10)), dtype="<u4")  # columns 4-7
+        # "e-XX", or "e-XX" of "e-XXX", then the third exponent digit, per printed exponent
+        x = np.arange(_E_MIN, _E_MAX + 2)
+        ax, wide = np.abs(x), np.abs(x) >= 100
+        text = np.zeros((len(x), 8), dtype=np.uint8)
+        text[:, 0] = ord("e")
+        text[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+        three = ax[:, None] // [100, 10, 1] % 10 + ord("0")
+        text[:, 2:5] = np.where(wide[:, None], three, three[:, [1, 2, 2]] * [1, 1, 0])  # or two digits
+        self.exp_word, self.exp_tail = text.view("<u4").T.copy()
+        # Moving the point after d_X, X = 0..16, on the 8-byte words 1 and 2
+        # (columns 8-23) of a value: word k takes the next column's byte
+        # where ``shift[k - 1]``, keeps its own where ``keep[k - 1]``, and
+        # gains the point from ``point[k - 1]``. (Word 0 only takes d1 into
+        # column 7, for every X >= 1.)
+        col, moved = np.arange(8, 24), np.arange(17)[:, None]
+        shift = np.where(col < 7 + moved, 0xFF, 0).astype(np.uint8)
+        point = np.where((col == 7 + moved) & (moved >= 1), ord("."), 0).astype(np.uint8)
         keep = np.where((shift | point) > 0, 0, 0xFF).astype(np.uint8)
-        self.shift, self.keep, self.point = (a.view("<u8").T.copy() for a in (shift, keep, point))  # (3, 17)
+        self.shift, self.keep, self.point = (a.view("<u8").T.copy() for a in (shift, keep, point))  # (2, 17)
 
         # The text layout: per printed exponent X, 17 * (form class) - 1, and
         # per form class and digit count, the byte mask.
-        self.form = np.array([17 * (x + 4 if -4 <= x < _FIXED_END else 21 if abs(x) < 100 else 22) - 1
-                              for x in exps])
-        masks = np.zeros((_N_CLASSES, _W), dtype=bool)
-        # region columns: d0, point, d1..d16, or in fixed notation with X >= 1,
-        # once moved, d0..dX, point, d(X+1)..d16
-        r = np.arange(18)
-        for c in range(23):
-            for nd in range(1, 18):
-                m = masks[c * 17 + nd - 1]
-                if c >= 21:  # scientific: d0 "." d1..d(nd-1) "e+XX"
-                    region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
-                    m[24:28] = True
-                    m[28] = c == 22
-                elif c < 4:  # X < 0: "0." then -X - 1 zeros then the digits
-                    m[1:3] = True
-                    m[3:3 + 3 - c] = True
-                    region = (r == 0) | ((r >= 2) & (r <= nd))
-                else:  # d0..dX, then "." and the rest if any remain
-                    x = c - 4
-                    region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
-                m[_REGION] = region
-        self.masks = masks.view("<u4")  # (classes, 8): the byte mask of each form class
+        self.form = 17 * np.where((x >= -4) & (x < _FIXED_END), x + 4, np.where(ax < 100, 21, 22)) - 1
+        # region columns r = 0..17: d0, point, d1..d16, or in fixed notation
+        # with X >= 1, once moved, d0..dX, point, d(X+1)..d16. Scientific
+        # notation and X < 0 keep d0 before the point as X = 0 does, but
+        # X < 0 takes its point from the "0." prefix.
+        c, nd, col = np.arange(23)[:, None, None], np.arange(1, 18)[None, :, None], np.arange(_W)
+        sci, below = c >= 21, c < 4
+        fixed = np.where(sci | below, 0, c - 4)
+        r = col - _REGION.start
+        region = (r <= fixed) | ((r == fixed + 1) & (nd > fixed + 1) & ~below) | ((r >= fixed + 2) & (r <= nd))
+        masks = region & (r >= 0) & (col < _REGION.stop)
+        masks |= sci & (col >= 24) & (col < 28 + (c == 22))  # "e+XX" or "e+XXX"
+        masks |= below & (col >= 1) & (col < 6 - c)  # "0." then -X - 1 zeros
+        self.masks = masks.reshape(_N_CLASSES, _W).view("<u4")  # (classes, 8): the byte mask of each form class
 
-        # integers: 10^k for k = 0..19, and the mask of each digit count
+        # integers: 10^k for k = 0..19, and per slot of g 4-digit groups
+        # (width 4 * (g + 2), see _int_width) the byte mask of each digit count
         self.pow10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-        int_masks = np.zeros((21, _INT_W), dtype=bool)
-        for nd in range(21):
-            int_masks[nd, 24 - nd:24] = True
-        self.int_masks = int_masks.view("<u4")
+        digits = np.arange(21)[:, None]
+        col = np.arange(_int_width(_INT_GROUPS))
+        tail = _int_width(_INT_GROUPS) - 4  # the first column past the digits
+        full = (col >= tail - digits) & (col < tail)
+        self.int_masks = {g: np.ascontiguousarray(full[:4 * g + 1, 4 * (_INT_GROUPS - g):]).view("<u4")
+                          for g in range(1, _INT_GROUPS + 1)}
 
 
 @functools.cache
 def _tables() -> _Tables:
-    """The tables, built on first use (about 10 ms), not at import."""
+    """The tables, built on first use (about 3 ms), not at import."""
     return _Tables()
 
 
@@ -192,8 +210,9 @@ class _Scratch(NamedTuple):
     ``out`` and ``mask`` are the (chunk, width) text and byte-mask
     matrices and ``gather`` a uint32 row; ``f``, ``i`` and ``b`` are
     stacks of float64, int64 and bool rows, one value per chunk position.
-    Each function below unpacks the rows it uses by name and says which
-    they are."""
+    An int64 work row lives in a float row that is free at the time, as
+    its int64 view. Each function below unpacks the rows it uses by name
+    and says which they are."""
 
     out: np.ndarray
     mask: np.ndarray
@@ -205,11 +224,12 @@ class _Scratch(NamedTuple):
     @classmethod
     def empty(cls, size: int, width: int) -> _Scratch:
         """The buffers for chunks of ``size`` values, carved from one block
-        (8-byte rows first, so every row is aligned): about 185 bytes a
-        value, in one allocation. glibc maps the first such block; freeing
-        it raises glibc's mmap and trim thresholds above its size, so later
-        calls take their block from the heap and reuse its pages."""
-        layout = [("f", (6, size), np.float64), ("i", (8, size), np.int64),
+        (8-byte rows first, so every row is aligned): 73 + 2 * ``width``
+        bytes a value (137 for a float), in one allocation. glibc maps the
+        first such block; freeing it raises glibc's mmap and trim thresholds
+        above its size, so later calls take their block from the heap and
+        reuse its pages."""
+        layout = [("f", (6, size), np.float64), ("i", (2, size), np.int64),
                   ("out", (size, width), np.uint8), ("mask", (size, width), np.bool_),
                   ("gather", (size,), np.uint32), ("b", (5, size), np.bool_)]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
@@ -232,9 +252,10 @@ def _scaled(t: _Tables, x: np.ndarray, s: _Scratch):
     inexact, slow, zero): ei indexes E in the tables, inexact marks a
     rounded V, slow the values Python must format (nan, inf, subnormals,
     magnitudes outside the tables) and zero the zeros; their V is that of
-    1.0. Returns rows i[:2], f[1] and b[:3], and works in f, i[2]."""
+    1.0. Returns rows i, f[1] and b[:3], and works in f."""
     a, frac, bhi, blo, ahi, alo = s.f
-    ei, p, ei1 = s.i[:3]
+    ei, p = s.i
+    ei1 = alo.view(np.int64)  # until alo is split off a
     zero, fast, test = s.b[:3]
     np.abs(x, out=a)
     np.equal(a, 0.0, out=zero)
@@ -274,10 +295,11 @@ def _round17(t: _Tables, x: np.ndarray, s: _Scratch):
     """(N, X, fallback) per value of x: the 17 significant digits of |x| as
     an integer N, with a carry to 10^17 moved into the printed exponent X
     (zeros have N = 0 and X = 0), and where Python must format x instead.
-    Returns rows i[:2] and b[1], and works in f[2:4], i[2] and b[3:5]."""
+    Returns rows i and b[1], and works in f[0] and f[2:4] (all of f is
+    free after it) and b[3:5]."""
     ei, digits, frac, inexact, slow, zero = _scaled(t, x, s)
     r, dist = s.f[2:4]
-    r_int = s.i[2]
+    r_int = s.f[0].view(np.int64)
     near_tie, carry = s.b[3:5]
     np.rint(frac, out=r)  # p is an even integer (>= 2^53): half-even as a whole
     np.abs(np.subtract(frac, r, out=dist), out=dist)
@@ -297,11 +319,12 @@ def _round17(t: _Tables, x: np.ndarray, s: _Scratch):
 
 def _encode(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
     """Write the %.17g text of each value of x into ``s.out``, with its
-    byte mask in ``s.mask``; the tail bytes are left zero. Works in f,
-    i[2:8], ``gather`` and b[3:5] besides _round17's rows."""
+    byte mask in ``s.mask``; the tail bytes are left zero. Works in f (as
+    six int64 rows, then as the moved words), ``gather`` and b[3:5]
+    besides _round17's rows."""
     digits, x_exp, fallback = _round17(t, x, s)
     out, mask = s.out, s.mask
-    top, lead, half, high, low, nd = s.i[2:8]
+    top, lead, half, high, low, nd = s.f.view(np.int64)
     gather = s.gather
     inside, test = s.b[3:5]
     sig = test.view(np.int8)
@@ -330,21 +353,26 @@ def _encode(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
     mask[:, 0] = np.signbit(x, out=test)  # not out=mask[:, 0]: numpy 2.4 writes wrong bits to a strided out
 
     # Fixed notation with X >= 1: d1..dX move one column down and the point
-    # follows them; X = 0 leaves a value as it is.
+    # follows them; X = 0 leaves a value as it is. The point lands in word 1
+    # (columns 8-15) for X <= 8, and word 2 then keeps its bytes.
     np.greater_equal(x_exp, 1, out=inside)
     inside &= np.less(x_exp, _FIXED_END, out=test)
     if inside.any():
-        moved = np.multiply(x_exp, inside, out=low)
+        moved = np.multiply(x_exp, inside, out=digits)  # the digits are spent
+        words_moved = 3 if moved.max() > 8 else 2
         w = out.view("<u8")
-        old, shifted, part = (rows.view(np.uint64) for rows in (s.f[:4], s.f[4], s.f[5]))
-        np.copyto(old, w.T)  # the four 8-byte words, each contiguous
-        for k in range(3):
+        old, shifted, part = (rows.view(np.uint64) for rows in (s.f[:words_moved + 1], s.f[4], s.f[5]))
+        np.copyto(old, w[:, :words_moved + 1].T)  # the 8-byte words read, each contiguous
+        for k in range(1, words_moved):
             np.right_shift(old[k], np.uint64(8), out=shifted)
             shifted |= np.left_shift(old[k + 1], np.uint64(56), out=part)
-            shifted &= t.shift[k].take(moved, out=part, mode="clip")
-            shifted |= np.bitwise_and(old[k], t.keep[k].take(moved, out=part, mode="clip"), out=part)
-            shifted |= t.point[k].take(moved, out=part, mode="clip")
+            shifted &= t.shift[k - 1].take(moved, out=part, mode="clip")
+            shifted |= np.bitwise_and(old[k], t.keep[k - 1].take(moved, out=part, mode="clip"), out=part)
+            shifted |= t.point[k - 1].take(moved, out=part, mode="clip")
             w[:, k] = shifted
+        np.bitwise_and(old[0], np.uint64(2**56 - 1), out=shifted)  # column 7 takes d1
+        shifted |= np.left_shift(old[1], np.uint64(56), out=part)
+        np.copyto(w[:, 0], shifted, where=inside)
 
     index = np.flatnonzero(fallback)
     for i, value in zip(index.tolist(), x[index].tolist()):
@@ -353,22 +381,23 @@ def _encode(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
         mask[i, :_W - 3] = np.arange(_W - 3) < len(text)  # at most 24 bytes
 
 
-def _encode_ints(t: _Tables, x: np.ndarray, s: _Scratch) -> None:
-    """Write the %d text of each value of the int64 array x into ``s.out``;
-    see _encode. Works in i[:3], ``gather`` and b[0]."""
+def _encode_ints(t: _Tables, groups: int, x: np.ndarray, s: _Scratch) -> None:
+    """Write the %d text of each value of the int64 array x, at most
+    ``groups`` 4-digit groups long, into ``s.out`` (``_int_width(groups)``
+    columns); see _encode. Works in f[:3], ``gather`` and b[0]."""
     out, mask = s.out, s.mask
-    rest, high, low = (row.view(np.uint64) for row in s.i[:3])
+    rest, high, low = s.f[:3].view(np.uint64)
     gather, negative = s.gather, s.b[0]
     np.less(x, 0, out=negative)
     np.copyto(rest, x.view(np.uint64))
     np.negative(rest, out=rest, where=negative)  # |x| mod 2^64, exact for -2^63 too
     nd = np.searchsorted(t.pow10, rest, side="right")
-    t.int_masks.take(np.maximum(nd, 1, out=nd), axis=0, out=mask.view("<u4"), mode="clip")
+    t.int_masks[groups].take(np.maximum(nd, 1, out=nd), axis=0, out=mask.view("<u4"), mode="clip")
     mask[:, 3] = negative
     words = out.view("<u4")
     words[:, 0] = _word(b"   -")
-    words[:, 6] = 0
-    for word in range(5, 0, -1):  # 4-digit groups from the last; the masks skip unset ones
+    words[:, groups + 1] = 0
+    for word in range(groups, 0, -1):  # 4-digit groups from the last; the masks skip unset ones
         np.floor_divide(rest, 10**4, out=high)
         np.subtract(rest, np.multiply(high, 10**4, out=low), out=low)
         words[:, word] = t.digits4.take(low.view(np.int64), out=gather, mode="clip")
@@ -425,7 +454,11 @@ def write_ints(fh, rows, sep: bytes, prefix: bytes = b"") -> None:
     ``prefix + sep.join(b"%d" % v for v in row) + b"\\n"``, byte for byte.
 
     ``sep`` is one byte and ``prefix`` at most two."""
-    _write(fh, rows, np.int64, _INT_W, functools.partial(_encode_ints, _tables()), sep, prefix)
+    rows = np.asarray(rows, dtype=np.int64)
+    top = max(int(rows.max()), -int(rows.min())) if rows.size else 0
+    groups = max(1, -(-len(str(top)) // 4))  # the slot of the largest magnitude
+    _write(fh, rows, np.int64, _int_width(groups), functools.partial(_encode_ints, _tables(), groups),
+           sep, prefix)
 
 
 def check_out(path, *, directory: bool) -> Path:

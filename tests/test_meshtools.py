@@ -112,6 +112,21 @@ def test_subdivide_matches_reference_over_two_levels():
     _assert_same_mesh(mt.subdivide(mt.subdivide(tet)), _subdivide_reference(_subdivide_reference(tet)))
 
 
+def test_subdivide_matches_reference_on_edges_listed_both_ways():
+    """Each edge's lower and higher end are taken from its two end columns,
+    whichever way round a triangle lists it: edge {1, 2} occurs as (1, 2),
+    (2, 1) and (1, 2), edge {0, 2} as (2, 0) and (0, 2), and it is the
+    first occurrence that places each midpoint."""
+    verts = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 1.0], [0.0, 4.0, 2.0], [4.0, 4.0, 3.0], [2.0, -4.0, 5.0]])
+    tris = [[0, 1, 2], [2, 1, 3], [1, 2, 4], [0, 2, 3], [3, 4, 0]]
+    mesh = mt.TriMesh(verts, tris, colors=verts[::-1] / 5.0)
+    out = mt.subdivide(mesh)
+    _assert_same_mesh(out, _subdivide_reference(mesh))
+    # midpoints in first-occurrence order: {0,1}, {1,2}, {2,0}, {1,3}, {3,2}, {2,4}, ...
+    assert np.array_equal(out.vertices[5:11], 0.5 * (verts[[0, 1, 2, 1, 3, 2]] + verts[[1, 2, 0, 3, 2, 4]]))
+    _assert_same_mesh(mt.subdivide(out), _subdivide_reference(_subdivide_reference(mesh)))
+
+
 def test_subdivide_without_triangles_keeps_vertices():
     mesh = mt.TriMesh([[0.0, 1.0, 2.0]], np.zeros((0, 3)), colors=[[0.5, 0.5, 0.5]])
     out = mt.subdivide(mesh)

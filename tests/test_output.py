@@ -20,12 +20,13 @@ import hashlib
 import io
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subsim import cli, lidar, meshtools, sonar, tiling
+from subsim import cli, lidar, meshtools, output, sonar, tiling
 from subsim.bathymetry import Heightmap, load_heightmap, save_heightmap
 from subsim.geodesy import GeodeticCoord
 from subsim.output import CHUNK_VALUES, CsvLog, log_text, write_g17, write_ints
@@ -288,6 +289,161 @@ def test_interleaved_encoder_calls_keep_their_bytes():
         buf = io.BytesIO()
         write(buf, rows, sep)
         assert buf.getvalue() == b"".join(sep.join([rule % v for v in row]) + b"\n" for row in rows.tolist())
+
+
+def _percent_d(rows, sep=b" ", prefix=b"") -> bytes:
+    return b"".join(prefix + sep.join([b"%d" % v for v in row]) + b"\n" for row in rows.tolist())
+
+
+def _ints(rows, sep=b" ", prefix=b"") -> bytes:
+    buf = io.BytesIO()
+    write_ints(buf, rows, sep, prefix)
+    return buf.getvalue()
+
+
+# The largest magnitude of each slot width (4 * g digits), the least of the
+# next, and the int64 extremes.
+SLOT_EDGES = [0, *[s * v for g in range(1, 5) for v in (10**(4 * g) - 1, 10**(4 * g)) for s in (1, -1)],
+              -2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("top", SLOT_EDGES)
+def test_ints_at_every_slot_width_edge(top):
+    """A call's slot is sized by its largest magnitude alone: each edge value,
+    on its own and among many small values whose slot it widens."""
+    assert _ints(np.array([[top]])) == b"%d\n" % top
+    small = np.resize(np.array([0, 1, -1, 9, -10, 99, 1000, -9999]), 3 * CHUNK_VALUES + 2)
+    for where in (0, CHUNK_VALUES - 1, CHUNK_VALUES, len(small) - 1):  # first, either side of a chunk edge, last
+        rows = small.copy()
+        rows[where] = top
+        rows = rows.reshape(-1, 2)
+        assert _ints(rows, b" ", b"f ") == _percent_d(rows, b" ", b"f ")
+
+
+def test_ints_slot_edges_together_across_chunk_edges():
+    rng = np.random.default_rng(29)
+    for n_values in (CHUNK_VALUES - 1, CHUNK_VALUES, CHUNK_VALUES + 1, 2 * CHUNK_VALUES + 5):
+        for groups in range(1, 5):  # the largest magnitude below 10^(4 * groups)
+            values = np.array([v for v in SLOT_EDGES if abs(v) < 10**(4 * groups)], dtype=np.int64)
+            rows = rng.choice(values, size=n_values * 3).reshape(-1, 3)
+            assert _ints(rows, b",") == _percent_d(rows, b",")
+
+
+# --- the encoders' tables and memory ----------------------------------------------------
+
+
+def _loop_tables() -> dict:
+    """The encoder tables built one entry at a time from Python integers and
+    formatting: the reference the array-built tables must equal."""
+    e_min, e_max, width = output._E_MIN, output._E_MAX, output._W
+    word = output._word
+    exps = range(e_min, e_max + 2)
+    thresholds, hi, lo = [], [], []
+    for e in exps:
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        f = num / den
+        fn, fd = f.as_integer_ratio()
+        thresholds.append(f if fn * den >= num * fd else math.nextafter(f, math.inf))
+        if e > e_max:
+            continue
+        k = 16 - e
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    t = {"thresholds": np.array(thresholds), "pow_lo": np.array(lo)}
+    binade = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
+    t["binade_e"] = np.clip(np.searchsorted(t["thresholds"], binade, side="right") - 1, 0, e_max - e_min)
+    t["pow_hi_hi"], t["pow_hi_lo"] = output._split(np.array(hi), *np.empty((2, len(hi))))
+    t["digits4"] = np.array([word(b"%04d" % g) for g in range(10000)], dtype="<u4")
+    t["sig4"] = np.array([len((b"%04d" % g).rstrip(b"0")) or -16 for g in range(10000)], dtype=np.int8)
+    t["lead"] = np.array([word(b"00%d." % d) for d in range(10)], dtype="<u4")
+    texts = [b"e%+03d" % x for x in exps]
+    t["exp_word"] = np.array([word(x[:4]) for x in texts], dtype="<u4")
+    t["exp_tail"] = np.array([word(x[4:]) for x in texts], dtype="<u4")
+    shift = np.zeros((17, 24), dtype=np.uint8)
+    point = np.zeros((17, 24), dtype=np.uint8)
+    for x in range(1, 17):
+        shift[x, 7:7 + x] = 0xFF
+        point[x, 7 + x] = ord(".")
+    keep = np.where((shift | point) > 0, 0, 0xFF).astype(np.uint8)
+    t["shift"], t["keep"], t["point"] = (a.view("<u8").T[1:].copy() for a in (shift, keep, point))  # words 1, 2
+    t["form"] = np.array([17 * (x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22) - 1 for x in exps])
+    masks = np.zeros((23 * 17, width), dtype=bool)
+    r = np.arange(18)
+    for c in range(23):
+        for nd in range(1, 18):
+            m = masks[c * 17 + nd - 1]
+            if c >= 21:
+                region = (r == 0) | ((r == 1) & (nd > 1)) | ((r >= 2) & (r <= nd))
+                m[24:28] = True
+                m[28] = c == 22
+            elif c < 4:
+                m[1:3] = True
+                m[3:3 + 3 - c] = True
+                region = (r == 0) | ((r >= 2) & (r <= nd))
+            else:
+                x = c - 4
+                region = (r <= x) | ((r == x + 1) & (nd > x + 1)) | ((r >= x + 2) & (r <= nd))
+            m[6:24] = region
+    t["masks"] = masks.view("<u4")
+    t["pow10"] = np.array([10**k for k in range(20)], dtype=np.uint64)
+    t["int_masks"] = {}
+    for g in range(1, 6):
+        int_masks = np.zeros((4 * g + 1, 4 * (g + 2)), dtype=bool)
+        for nd in range(4 * g + 1):
+            int_masks[nd, 4 * g + 4 - nd:4 * g + 4] = True
+        t["int_masks"][g] = int_masks.view("<u4")
+    return t
+
+
+def test_array_built_tables_equal_the_loop_built_ones():
+    got, want = vars(output._Tables()), _loop_tables()
+    assert sorted(got) == sorted(want)
+    for name, table in want.items():
+        if name == "int_masks":
+            assert sorted(got[name]) == sorted(table)
+            for g in table:
+                assert got[name][g].dtype == table[g].dtype and np.array_equal(got[name][g], table[g]), (name, g)
+        else:
+            assert got[name].dtype == table.dtype and np.array_equal(got[name], table), name
+
+
+class _Sink:
+    """A binary file that keeps only its byte count."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+
+@pytest.mark.parametrize("kind", ["g17", "ints"])
+def test_encoder_memory_is_bounded_by_one_chunk(kind):
+    """One encoder call over many chunks holds one chunk's scratch and one
+    chunk's text at a time, whatever the number of rows."""
+    rng = np.random.default_rng(31)
+    n = 5 * CHUNK_VALUES + 7
+    if kind == "g17":
+        rows, write, width = rng.normal(0.0, 1e4, (n, 3)), write_g17, output._W
+    else:
+        rows, write, width = rng.integers(1, 10**8, (n, 3)), write_ints, output._int_width(2)
+    output._tables()
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write(sink, rows, b" ", b"v ")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 3 * n
+    # The scratch block, 73 + 2 * width bytes a value; a chunk's text, at
+    # most ``width`` bytes a value, and for integers the digit counts (8
+    # bytes a value). Plus 64 KiB.
+    bound = (73 + 2 * width) * CHUNK_VALUES + (width + 8) * CHUNK_VALUES + 2**16
+    assert peak <= bound, (peak, bound)
 
 
 # --- per-writer byte contracts --------------------------------------------------------
