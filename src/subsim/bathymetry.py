@@ -96,6 +96,12 @@ class Heightmap:
         """`xs` and `ys` as Python lists, for `raycast`'s walk and `_cell_of`."""
         return self.xs.tolist(), self.ys.tolist()
 
+    @functools.cached_property
+    def _depth_cells(self) -> memoryview:
+        """`depth` as a memoryview: [i, j] gives node (i, j) as a Python float,
+        for `raycast`'s walk, without copying the grid."""
+        return memoryview(self.depth)
+
     @property
     def rows(self) -> int:
         return self.depth.shape[0]
@@ -389,9 +395,10 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     rays at once.
 
     The walk runs on plain Python floats, with the node coordinates as
-    lists the heightmap keeps: every value is the same IEEE operation, in
-    the same order, as in `raycast_batch`, so the two agree bit for bit,
-    without numpy's per-call cost on 0-d arrays.
+    lists and the depths as a memoryview the heightmap keeps: every value
+    is the same IEEE operation, in the same order, as in `raycast_batch`,
+    so the two agree bit for bit, without numpy's per-call cost on 0-d
+    arrays.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (3,):
@@ -411,18 +418,23 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
             tb = (hi - pos) / comp
             if ta > tb:
                 ta, tb = tb, ta
-            t_enter = max(t_enter, ta)
-            t_exit = min(t_exit, tb)
+            if ta > t_enter:
+                t_enter = ta
+            if tb < t_exit:
+                t_exit = tb
     if t_enter >= t_exit:
         return None
 
-    (xs, ys), depth = h._node_lists, h.depth
-    rows, cols = depth.shape
+    (xs, ys), depth = h._node_lists, h._depth_cells
+    last_i, last_j = len(ys) - 2, len(xs) - 2
     eps_t = 1e-12 * max(1.0, max_range)
     t_lo = t_enter
     # Cell containing the current position, probed slightly inside.
     probe = min(t_lo + 1e-9, (t_lo + t_exit) / 2.0)
     i, j = _cell_of(h, x0 + de * probe, y0 + dn * probe)
+    # The node index of each exit edge past the cell's own, and the cell steps.
+    east, north = de > 0.0, dn > 0.0
+    step_j, step_i = (1 if east else -1), (1 if north else -1)
 
     # Crossing tracker: a sign change of the gap only becomes a hit once
     # the ray has penetrated the surface by at least RAYCAST_TOL_M;
@@ -433,16 +445,16 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
     sign, crossing, max_pen = 0.0, math.nan, 0.0
     while t_lo < t_exit - eps_t:
         # Parametric exit of the current cell.
-        t_x = (xs[j + (de > 0.0)] - x0) / de if de != 0.0 else math.inf
-        t_y = (ys[i + (dn > 0.0)] - y0) / dn if dn != 0.0 else math.inf
+        t_x = (xs[j + east] - x0) / de if de != 0.0 else math.inf
+        t_y = (ys[i + north] - y0) / dn if dn != 0.0 else math.inf
         t_hi = min(t_x, t_y, t_exit)
 
         # `_cell_patches` for one cell; a nodata corner makes q0 NaN.
         x_j, y_i = xs[j], ys[i]
         wx = xs[j + 1] - x_j
         wy = ys[i + 1] - y_i
-        d00, d01 = depth.item(i, j), depth.item(i, j + 1)
-        d10, d11 = depth.item(i + 1, j), depth.item(i + 1, j + 1)
+        d00, d01 = depth[i, j], depth[i, j + 1]
+        d10, d11 = depth[i + 1, j], depth[i + 1, j + 1]
         bu = d01 - d00
         cv = d10 - d00
         e = d00 - d01 - d10 + d11
@@ -486,21 +498,20 @@ def raycast(h: Heightmap, origin: WorldPoint, direction, max_range: float) -> fl
             break
         # Advance to the neighbouring cell(s); ties cross the corner.
         if t_x <= t_y:
-            j += 1 if de > 0.0 else -1
+            j += step_j
         if t_y <= t_x:
-            i += 1 if dn > 0.0 else -1
-        if not (0 <= i < rows - 1 and 0 <= j < cols - 1):
+            i += step_i
+        if not (0 <= i <= last_i and 0 <= j <= last_j):
             break
         t_lo = t_hi
     return None
 
 
 def _cell_of(h: Heightmap, x: float, y: float) -> tuple[int, int]:
-    """`_cell_indices` for one point, as Python ints."""
+    """`_cell_indices` for one point, as Python ints: a search of the nodes
+    after the first and before the last is the full search clipped."""
     xs, ys = h._node_lists
-    j = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
-    i = min(max(bisect_right(ys, y) - 1, 0), len(ys) - 2)
-    return i, j
+    return bisect_right(ys, y, 1, len(ys) - 1) - 1, bisect_right(xs, x, 1, len(xs) - 1) - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,6 +87,7 @@ class TidalModel:
         self.heading = float(heading)
         if not math.isfinite(self.heading):
             raise CurrentError(f"tide heading must be finite, got {self.heading}")
+        self._flood = (math.cos(self.heading), math.sin(self.heading))  # north, east of a unit speed
         if constituents is not None and series_times is not None:
             raise CurrentError("choose constituents or a time series, not both")
         self.constituents = list(constituents) if constituents is not None else None
@@ -121,7 +122,8 @@ class TidalModel:
     def velocity(self, time: float) -> np.ndarray:
         """NED tide velocity at ``time``."""
         s = self.speed(time)
-        return np.array((s * math.cos(self.heading), s * math.sin(self.heading), 0.0))
+        north, east = self._flood
+        return np.array((s * north, s * east, 0.0))
 
 
 def load_tide_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +193,20 @@ class GaussMarkovState:
         self.params = GaussMarkovParams(float(mu), float(sigma), float(bound))
         self.delta_v = np.clip(np.asarray(delta_v, dtype=float), -bound, bound)
         self._rng = np.random.default_rng(seed)
+        # The dt of the last step and its `GaussMarkovParams.step_terms`.
+        self._dt = self._terms = None
 
     def step(self, dt: float) -> np.ndarray:
-        """Advance by dt seconds; returns a copy of the new perturbation."""
-        if dt <= 0.0:
+        """Advance by dt seconds; returns a copy of the new perturbation.
+        A dt that is not positive (NaN too) raises CurrentError."""
+        if not dt > 0.0:
             raise CurrentError(f"dt must be positive, got {dt}")
-        decay, scale = self.params.step_terms(dt)
+        if dt != self._dt:
+            self._terms, self._dt = self.params.step_terms(dt), dt
+        decay, scale = self._terms
+        bound = self.params.bound
         self.delta_v = decay * self.delta_v + self._rng.normal(0.0, scale, 3)
-        np.clip(self.delta_v, -self.params.bound, self.params.bound, out=self.delta_v)
+        self.delta_v.clip(-bound, bound, out=self.delta_v)
         return self.delta_v.copy()
 
 

@@ -12,6 +12,7 @@ the solution is computed from the noisy scalars.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -106,6 +107,14 @@ class DvlConfig:
         if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
             raise ValueError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {self.noise_sigma}")
 
+    @functools.cached_property
+    def bin_centers(self) -> np.ndarray:
+        """The ADCP bins' center ranges along each beam, m: bin k's is
+        min_range + (k + 1/2) * bin_size. Built once; read-only."""
+        centers = self.min_range + (np.arange(self.bins) + 0.5) * self.bin_size
+        centers.setflags(write=False)
+        return centers
+
 
 @dataclass(frozen=True, eq=False)
 class DvlSolution:
@@ -165,22 +174,23 @@ def beam_geometry(pose: Pose, scene: Heightmap | None, cfg: DvlConfig) -> BeamGe
 
 
 def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.ndarray:
-    """Least-squares sensor velocity v from beam projections b_i . v = s_i.
+    """Least-squares sensor velocity v from beam projections b_i . v = s_i,
+    for (n, 3) ``beams`` and (n,) ``scalars`` arrays; ``valid`` (n,)
+    picks the beams used, by default those with a finite scalar.
 
     Needs >= 3 valid beams spanning full rank, else raises
     DegenerateBeamGeometryError. The rank is read from the singular
-    values `lstsq` returns, so no separate SVD runs. `DvlConfig` rejects
-    beams for which any three or all four would fail here.
+    values `lstsq` returns, smallest last, so no separate SVD runs.
+    `DvlConfig` rejects beams for which any three or all four would fail
+    here.
     """
-    beams = np.asarray(beams, dtype=float)
-    scalars = np.asarray(scalars, dtype=float)
     if valid is None:
         valid = np.isfinite(scalars)
     b = beams[valid]
     s = scalars[valid]
     if len(s) >= 3:
         v, _, _, singular = np.linalg.lstsq(b, s, rcond=None)
-        if np.count_nonzero(singular > RANK_TOL) == 3:
+        if singular[-1] > RANK_TOL:
             return v
     raise DegenerateBeamGeometryError(
         f"{len(s)} valid beams with rank {np.linalg.matrix_rank(b, tol=RANK_TOL) if len(s) else 0}"
@@ -207,30 +217,30 @@ def measure(
     relative to the current at the sensor's depth. Otherwise mode NONE.
     Four N(0, noise_sigma^2) draws are consumed in beam order in every
     mode, keeping noise streams aligned across modes; the noisy valid
-    scalars are solved once.
+    scalars are solved once. The altitude is the mean of the hitting
+    beams' vertical ranges, as `np.mean` sums and divides them.
     """
     if geometry is None:
         geometry = beam_geometry(pose, scene, cfg)
     ranges = geometry.ranges
-    hits = np.isfinite(ranges)
+    tracked = np.isfinite(ranges)  # the beams whose scalars are solved
+    n_hits = np.count_nonzero(tracked)
     vel_world = np.asarray(vel_world, dtype=float)
-    mode, altitude, scalars = TrackingMode.NONE, None, np.full(4, np.nan)
-    if np.count_nonzero(hits) >= 3:
+    altitude = None
+    if n_hits >= 3:
         mode = TrackingMode.BOTTOM_TRACK
-        altitude = float(np.mean(ranges[hits] * geometry.world_beams[hits, 2]))
-        scalars = cfg.beams @ pose.to_body(vel_world)
-        scalars[~hits] = np.nan
+        altitude = float(np.add.reduce((ranges * geometry.world_beams[:, 2])[tracked]) / n_hits)
     elif cfg.water_track_enabled and current_at is not None:
-        mode = TrackingMode.WATER_TRACK
-        current = np.asarray(current_at(pose.position.depth), dtype=float)
-        scalars = cfg.beams @ pose.to_body(vel_world - current)
-    noise = rng.normal(0.0, cfg.noise_sigma, 4)
-    if mode is TrackingMode.NONE:
-        return DvlSolution(None, None, mode, ranges, scalars)
-    valid = np.isfinite(scalars)
-    scalars += noise
+        mode, tracked = TrackingMode.WATER_TRACK, True  # all four
+        vel_world = vel_world - np.asarray(current_at(pose.position.depth), dtype=float)
+    else:
+        rng.normal(0.0, cfg.noise_sigma, 4)
+        return DvlSolution(None, None, TrackingMode.NONE, ranges, np.full(4, np.nan))
+    scalars = cfg.beams @ pose.to_body(vel_world)
+    valid = np.isfinite(scalars) & tracked
+    scalars += rng.normal(0.0, cfg.noise_sigma, 4)
     scalars[~valid] = np.nan
-    return DvlSolution(solve_velocity(cfg.beams, scalars, valid=valid), altitude, mode, ranges, scalars)
+    return DvlSolution(solve_velocity(cfg.beams, scalars, valid), altitude, mode, ranges, scalars)
 
 
 def current_profile(
@@ -244,22 +254,26 @@ def current_profile(
     """ADCP profile out to bins*bin_size along each beam; ``geometry``, the
     `beam_geometry` of ``pose``, gives its world beams.
 
-    Bin k's center range is min_range + (k + 1/2)*bin_size; the sampling
-    depth per beam is the sensor depth plus the center range times the
-    beam's world-frame downward component. Combined mode noises the four
-    scalars and solves per bin exactly like the track solutions; PerBeam
-    mode returns (scalar + noise) * beam unit vector per beam.
+    Bin k's center range is `DvlConfig.bin_centers`; the sampling depth
+    per beam is the sensor depth plus the center range times the beam's
+    world-frame downward component. Combined mode noises the four scalars
+    and solves per bin like the track solutions; PerBeam mode returns
+    (scalar + noise) * beam unit vector per beam.
 
     All bins x 4 beams are computed at once, with one ``current_at`` call
     on every sampling depth and one (bins, 4) noise draw, which is the
-    stream of one 4-draw per bin. The products are the same IEEE
-    operations as per bin and beam (`Pose.to_body` on each relative
-    velocity, a dot product per beam, one `lstsq` column per bin), so the
-    profile is bit-identical to a per-bin loop.
+    stream of one 4-draw per bin. The sampling depths, relative
+    velocities and noise are the same IEEE operations as per bin and
+    beam. The three products are BLAS calls: one rotation of every
+    relative velocity into the sensor frame, one stacked beam dot and one
+    `lstsq` over all bins as columns. Their bits depend on the BLAS
+    kernel and on those call shapes: a per-bin loop of `Pose.to_body`,
+    beam dots and one-column solves rounds the same on some kernels and
+    differently on others (OpenBLAS's Haswell and Prescott kernels).
     """
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
-    centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
+    centers = cfg.bin_centers
     if geometry is None:
         geometry = beam_geometry(pose, None, cfg)
     depths = pose.position.depth + centers[:, None] * geometry.world_beams[:, 2]  # (bins, 4)
@@ -296,10 +310,11 @@ LOG_HEADER = [
 
 
 def log_row(time: float, sol: DvlSolution) -> list:
-    """One per-tick log record matching LOG_HEADER; nan where a value is missing."""
-    velocity = sol.velocity if sol.velocity is not None else [math.nan] * 3
+    """One per-tick log record matching LOG_HEADER, the arrays' values as
+    Python floats; nan where a value is missing."""
+    velocity = sol.velocity.tolist() if sol.velocity is not None else [math.nan] * 3
     altitude = sol.altitude if sol.altitude is not None else math.nan
-    return [time, sol.mode.value, *velocity, altitude, *sol.beam_ranges, *sol.beam_velocities]
+    return [time, sol.mode.value, *velocity, altitude, *sol.beam_ranges.tolist(), *sol.beam_velocities.tolist()]
 
 
 ADCP_HEADER = ["time", "bin", "beam", "center_range", "vx", "vy", "vz"]
@@ -312,11 +327,8 @@ def adcp_metadata_row(cfg: DvlConfig) -> str:
 
 def adcp_rows(time: float, profile: AdcpProfile) -> list[list]:
     """Flatten a profile into CSV records; beam is 'all' in Combined mode."""
-    rows = []
-    for k, r_k in enumerate(profile.bin_ranges.tolist()):
-        if profile.combined is not None:
-            rows.append([time, k, "all", r_k, *profile.combined[k].tolist()])
-        else:
-            for b in range(4):
-                rows.append([time, k, b, r_k, *profile.per_beam[k, b].tolist()])
-    return rows
+    ranges = profile.bin_ranges.tolist()
+    if profile.combined is not None:
+        return [[time, k, "all", r_k, *v] for k, (r_k, v) in enumerate(zip(ranges, profile.combined.tolist()))]
+    return [[time, k, b, r_k, *v] for k, (r_k, beams) in enumerate(zip(ranges, profile.per_beam.tolist()))
+            for b, v in enumerate(beams)]

@@ -9,9 +9,10 @@ output or absent (as it was). ``check_out`` is its refusal rule, which
 a command applies before its expensive work.
 
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
-a header line, then one comma-separated row per call, each ended by
-``\n``. ``log_text`` is its one cell rule: a float as ``%.9g`` (nan
-prints ``nan``), anything else as ``str``.
+a header line, then comma-separated rows, one per ``row`` call and any
+number in one write per ``rows`` call, each ended by ``\n``.
+``log_text`` is its one cell rule: a float as ``%.9g`` (nan prints
+``nan``), anything else as ``str``.
 
 Two array encoders write rows of numbers with the same bytes as
 formatting every value on its own in Python, but compute them with
@@ -522,7 +523,7 @@ def log_text(value) -> str:
 class CsvLog:
     """A run log file, written row by row; closes as a context manager.
 
-    A row is written with one ``%`` operation whose format puts ``%.9g``
+    A row is formatted with one ``%`` operation whose format puts ``%.9g``
     where a cell is a float and ``%s`` elsewhere, which is `log_text`'s
     rule. The format is built once per sequence of cell types."""
 
@@ -534,14 +535,21 @@ class CsvLog:
             self._fh.write(preamble.encode("ascii") + b"\n")
         self.row(header)
 
-    def row(self, cells) -> None:
+    def _line(self, cells) -> str:
         cells = tuple(cells)
         kinds = tuple(map(type, cells))
         fmt = self._formats.get(kinds)
         if fmt is None:
             fmt = ",".join(["%.9g" if issubclass(k, float) else "%s" for k in kinds]) + "\n"
             self._formats[kinds] = fmt
-        self._fh.write((fmt % cells).encode("ascii"))
+        return fmt % cells
+
+    def row(self, cells) -> None:
+        self._fh.write(self._line(cells).encode("ascii"))
+
+    def rows(self, rows) -> None:
+        """Several rows in one write, each with the bytes `row` writes."""
+        self._fh.write("".join(map(self._line, rows)).encode("ascii"))
 
     def __enter__(self) -> CsvLog:
         return self

@@ -675,8 +675,7 @@ class DvlSensor(Sensor):
         self.log.row(dvl.log_row(t, sol))
         if self.adcp_log is not None:
             profile = dvl.current_profile(pose, vehicle.velocity, current_fn, self.config, self.rng, geometry)
-            for row in dvl.adcp_rows(t, profile):
-                self.adcp_log.row(row)
+            self.adcp_log.rows(dvl.adcp_rows(t, profile))
 
 
 class SonarSensor(Sensor):

@@ -235,19 +235,24 @@ class TileManager:
         cols, rows = {c for c, _ in self._cells}, {r for _, r in self._cells}
         self._span = (min(cols, default=0), min(rows, default=0), max(cols, default=-1), max(rows, default=-1))
         self._loaded: frozenset[tuple[int, int]] = frozenset()
+        # The positions of the last decision, and per vehicle how far it may
+        # move from its own before the decision could change.
         self._positions: list[tuple[float, float]] | None = None
+        self._margins: list[float] = []
+        self.decisions = 0  # calls that applied the rule
+        self.skipped = 0  # calls that returned [] without deciding
 
     @property
     def loaded(self) -> frozenset[tuple[int, int]]:
         """Indices of the loaded tiles."""
         return self._loaded
 
-    def _near(self, x: float, y: float):
-        """(index, bounds) of every core that may lie within unload_radius
-        of (x, y): those whose lower-left corner is in a cell that overlaps
+    def _window(self, x: float, y: float) -> tuple[range, range]:
+        """The cell columns and rows holding every core that may lie within
+        unload_radius of (x, y): those that overlap
         [x - unload_radius - side, x + unload_radius] by
         [y - unload_radius - side, y + unload_radius], where side is the
-        largest core side.
+        largest core side, clipped to the occupied cells.
 
         A core is within unload_radius only if both its gaps, as
         Bounds.distance_to computes them, are: a correctly rounded hypot
@@ -261,34 +266,86 @@ class TileManager:
         reach, side, cell = self.unload_radius, self._side, self._cell
         slack = 1e-9 * (abs(x) + abs(y) + reach + side)
         c0, r0, c1, r1 = self._span
-        cells = self._cells
-        rows = _cell_range((y - reach - side - slack) / cell, (y + reach + slack) / cell, r0, r1)
-        for c in _cell_range((x - reach - side - slack) / cell, (x + reach + slack) / cell, c0, c1):
-            for r in rows:
-                yield from cells.get((c, r), ())
+        return (_cell_range((x - reach - side - slack) / cell, (x + reach + slack) / cell, c0, c1),
+                _cell_range((y - reach - side - slack) / cell, (y + reach + slack) / cell, r0, r1))
+
+    def _outside_gap(self, x: float, y: float, cols: range, rows: range) -> float:
+        """A lower bound on the distance from (x, y) to every core outside the
+        cells cols x rows (inf when there is none): a core in a column left of
+        the window has x0 below its first cell edge and x1 at most side above
+        x0, and one right of it has x0 at or past its last cell edge; rows
+        likewise. The window reaches past unload_radius on every side."""
+        c0, r0, c1, r1 = self._span
+        cell, side = self._cell, self._side
+        gap = math.inf
+        if cols.start > c0:
+            gap = min(gap, x - side - cols.start * cell)
+        if cols.stop <= c1:
+            gap = min(gap, cols.stop * cell - x)
+        if rows.start > r0:
+            gap = min(gap, y - side - rows.start * cell)
+        if rows.stop <= r1:
+            gap = min(gap, rows.stop * cell - y)
+        return gap
 
     def update_tiles(self, vehicles: Sequence[ProjectedCoord]) -> list[TileEvent]:
         """Apply the hysteresis rule; returns the minimal event list.
 
-        The decision is Bounds.distance_to (math.hypot), made only for
-        the cores the grid index puts near each vehicle. The rule is
-        idempotent, so the previous call's positions give no events."""
+        The decision is Bounds.distance_to (math.hypot), made only for the
+        cores in the grid cells around each vehicle (`_window`). The rule is
+        idempotent, so positions that leave every decision it makes as it
+        was give no events, and the call returns [] without deciding: when
+        the vehicle count is that of the last decision and each vehicle is
+        at its position then, or closer to it than its margin.
+
+        A decision gives each vehicle at a finite position the least
+        distance it must move before a core's distance_to could cross the
+        radius that decides that core (Verlet's neighbour-list skin,
+        Phys. Rev. 159, 98, 1967). A distance moves no faster than the
+        vehicle, and only these crossings change the rule's outcome: a
+        core the vehicle loads or keeps (the first vehicle to do so
+        measures it; later ones skip it) stays loaded while that vehicle
+        is within unload_radius of it (unload_radius - distance), and a core left
+        unloaded stays so while every vehicle is beyond load_radius
+        (distance - load_radius), cores outside the window too
+        (`_outside_gap`). The margin is less a relative 1e-9, as in
+        `_window`, for the rounding of the distances, so a vehicle exactly
+        on a deciding radius has none. A vehicle at a NaN or infinite
+        position has none either."""
         positions = [(v.x, v.y) for v in vehicles]
-        if positions == self._positions:
+        last = self._positions
+        if last is not None and len(positions) == len(last) and all(
+            p == q or math.hypot(p[0] - q[0], p[1] - q[1]) < m for p, q, m in zip(positions, last, self._margins)
+        ):
+            self.skipped += 1
             return []
-        loaded = self._loaded
+        self.decisions += 1
+        load, unload, loaded = self.load_radius, self.unload_radius, self._loaded
+        cells = self._cells
         new_loaded = set()
+        margins = []
         for x, y in positions:
             if not (math.isfinite(x) and math.isfinite(y)):
+                margins.append(0.0)
                 continue  # every core is infinitely far (or NaN) away
-            for index, bounds in self._near(x, y):
-                if index in new_loaded:
-                    continue
-                dist = bounds.distance_to(x, y)
-                if dist <= self.load_radius or (index in loaded and dist <= self.unload_radius):
-                    new_loaded.add(index)
+            cols, rows = self._window(x, y)
+            margin = self._outside_gap(x, y, cols, rows) - load
+            for c in cols:
+                for r in rows:
+                    for index, bounds in cells.get((c, r), ()):
+                        if index in new_loaded:
+                            continue
+                        dist = bounds.distance_to(x, y)
+                        if dist <= load or (index in loaded and dist <= unload):
+                            new_loaded.add(index)
+                            to_cross = unload - dist
+                        else:
+                            to_cross = dist - load
+                        if to_cross < margin:
+                            margin = to_cross
+            margins.append(margin * (1.0 - 1e-9) - 1e-9 * (abs(x) + abs(y) + unload + self._side))
         events = [TileEvent("load", i) for i in sorted(new_loaded - loaded)]
         events += [TileEvent("unload", i) for i in sorted(loaded - new_loaded)]
         self._loaded = frozenset(new_loaded)
-        self._positions = positions
+        self._positions, self._margins = positions, margins
         return events

@@ -850,3 +850,16 @@ def test_grid_extent_refuses_what_load_heightmap_refuses_with_its_message(tmp_pa
         with pytest.raises(bat.HeightmapError) as info:
             read(f)
         assert str(info.value) == f"{f}: {problem}"
+
+
+def test_cell_of_is_the_search_clipped_to_the_grid():
+    # On nodes, between them, past either end, and at the float extremes.
+    h = make_heightmap(np.zeros((4, 6)), cell_m=10.0)
+    points = np.concatenate([h.xs, h.ys, h.xs + 0.5, np.nextafter(h.ys, -np.inf),
+                             [-1e300, -5.0, 1e6, 1e300, -math.inf, math.inf]])
+    for x in points.tolist():
+        for y in points.tolist():
+            j = min(max(int(np.searchsorted(h.xs, x, side="right")) - 1, 0), h.cols - 2)
+            i = min(max(int(np.searchsorted(h.ys, y, side="right")) - 1, 0), h.rows - 2)
+            assert bat._cell_of(h, x, y) == (i, j)
+            assert tuple(a.item() for a in bat._cell_indices(h, np.array([x]), np.array([y]))) == (i, j)

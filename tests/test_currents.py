@@ -121,6 +121,33 @@ def test_gm_rejects_bad_dt():
         state.step(-1.0)
 
 
+def test_gm_rejects_a_nan_dt_and_keeps_its_state():
+    state = cur.GaussMarkovState(mu=0.1, sigma=0.1, seed=3)
+    before = state.step(0.1)
+    with pytest.raises(cur.CurrentError, match="^dt must be positive, got nan$"):
+        state.step(math.nan)
+    assert np.array_equal(state.delta_v, before)
+    assert np.isfinite(state.step(0.1)).all()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_gm_steps_of_alternating_dt_match_terms_computed_every_step(monkeypatch, mu):
+    params = cur.GaussMarkovParams(mu, 0.02, 0.05)
+    state = cur.GaussMarkovState(params.mu, params.sigma, params.bound, seed=11, delta_v=(0.01, -0.02, 0.03))
+    rng, delta_v = np.random.default_rng(11), np.array([0.01, -0.02, 0.03])
+    dts = [0.1, 0.1, 0.25, 0.1, 0.05, 0.05, 0.25, 3.0, 0.1, 1e-9, 0.1] * 5
+    expected = []
+    for dt in dts:
+        decay, scale = params.step_terms(dt)
+        delta_v = np.clip(decay * delta_v + rng.normal(0.0, scale, 3), -params.bound, params.bound)
+        expected.append(delta_v.tobytes())
+    calls = []
+    step_terms = cur.GaussMarkovParams.step_terms
+    monkeypatch.setattr(cur.GaussMarkovParams, "step_terms", lambda p, dt: calls.append(dt) or step_terms(p, dt))
+    assert [state.step(dt).tobytes() for dt in dts] == expected
+    assert calls == [dt for k, dt in enumerate(dts) if k == 0 or dt != dts[k - 1]]  # once per change of dt
+
+
 # --- tides ---------------------------------------------------------------------
 
 
@@ -153,6 +180,15 @@ def test_tide_velocity_follows_heading():
     assert v[0] == pytest.approx(0.0, abs=1e-12)
     assert v[1] == pytest.approx(2.0, abs=1e-12)
     assert v[2] == 0.0
+
+
+def test_tide_velocity_is_the_speed_along_the_heading():
+    rng = np.random.default_rng(12)
+    for heading in rng.uniform(-7.0, 7.0, 20).tolist():
+        tide = cur.TidalModel(heading=heading, constituents=[cur.TidalConstituent(0.3, 44712.0, 0.4)])
+        for t in rng.uniform(0.0, 1e5, 5).tolist():
+            s = tide.speed(t)
+            assert tide.velocity(t).tolist() == [s * math.cos(heading), s * math.sin(heading), 0.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -343,6 +343,34 @@ def test_profile_metadata_echoes_config():
     assert len(profile.bin_ranges) == 4
 
 
+def test_bin_centers_are_built_once_per_config():
+    cfg = dvl.DvlConfig(bins=7, bin_size=3.3, min_range=0.7)
+    centers = cfg.bin_centers
+    assert centers.tolist() == [0.7 + (k + 0.5) * 3.3 for k in range(7)]
+    assert not centers.flags.writeable
+    for _ in range(2):
+        profile = dvl.current_profile(Pose.level(0, 0, 5.0), ned(0, 0, 0), lambda d: np.zeros(3), cfg,
+                                      np.random.default_rng(0))
+        assert profile.bin_ranges is centers
+    assert dvl.DvlConfig().bin_centers.shape == (0,)
+
+
+@pytest.mark.parametrize("mode", [dvl.PROFILE_COMBINED, dvl.PROFILE_PER_BEAM])
+def test_adcp_rows_are_one_row_per_bin_and_beam(mode):
+    cfg = dvl.DvlConfig(bins=3, bin_size=5.0, noise_sigma=0.01, profile_mode=mode)
+    profile = dvl.current_profile(Pose.from_rpy(0.0, 0.0, 5.0, yaw=0.4), ned(0.3, -0.1, 0.0),
+                                  lambda d: np.zeros(3), cfg, np.random.default_rng(4))
+    expected = []
+    for k, r_k in enumerate(profile.bin_ranges.tolist()):
+        if mode == dvl.PROFILE_COMBINED:
+            expected.append([2.5, k, "all", r_k, *profile.combined[k].tolist()])
+        else:
+            expected += [[2.5, k, b, r_k, *profile.per_beam[k, b].tolist()] for b in range(4)]
+    rows = dvl.adcp_rows(2.5, profile)
+    assert rows == expected
+    assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in expected]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         dvl.DvlConfig(min_range=10.0, max_range=5.0)
@@ -427,26 +455,27 @@ def _random_pose(rng):
 
 
 def _profile_reference(pose, vel_world, current_at, cfg, rng):
-    """The per-bin, per-beam ADCP loop that `current_profile` replaces:
-    one scalar current query per sampling depth, one 4-draw and one solve
-    per bin."""
+    """The per-bin, per-beam ADCP loop that `current_profile` replaces: one
+    scalar current query per sampling depth and one 4-draw per bin. Its
+    three BLAS products take `current_profile`'s call shapes (one rotation
+    of every relative velocity, the stacked beam dot, one solve with a
+    column per bin), whose bits depend on the BLAS kernel; so the per-bin
+    depths, currents and noise are checked bit for bit on every kernel."""
     world_beams = (pose.rotation @ cfg.beams.T).T
     down = world_beams[:, 2]
     vel_world = np.asarray(vel_world, dtype=float)
     centers = cfg.min_range + (np.arange(cfg.bins) + 0.5) * cfg.bin_size
-    combined = np.zeros((cfg.bins, 3))
-    per_beam = np.zeros((cfg.bins, 4, 3))
+    rel_world = np.zeros((cfg.bins, 4, 3))
+    noise = np.zeros((cfg.bins, 4))
     for k, r_k in enumerate(centers):
-        scalars = np.zeros(4)
         for b in range(4):
             bin_depth = pose.position.depth + r_k * down[b]
-            rel_sensor = pose.to_body(vel_world - np.asarray(current_at(bin_depth), dtype=float))
-            scalars[b] = cfg.beams[b] @ rel_sensor
-        noise = rng.normal(0.0, cfg.noise_sigma, 4)
-        if cfg.profile_mode == dvl.PROFILE_COMBINED:
-            combined[k] = np.linalg.lstsq(cfg.beams, scalars + noise, rcond=None)[0]
-        else:
-            per_beam[k] = (scalars + noise)[:, None] * cfg.beams
+            rel_world[k, b] = vel_world - np.asarray(current_at(bin_depth), dtype=float)
+        noise[k] = rng.normal(0.0, cfg.noise_sigma, 4)
+    rel_sensor = np.ascontiguousarray((pose.rotation.T @ rel_world.reshape(-1, 3).T).T).reshape(cfg.bins, 4, 3, 1)
+    noisy = np.matmul(cfg.beams[:, None, :], rel_sensor).reshape(cfg.bins, 4) + noise
+    combined = np.linalg.lstsq(cfg.beams, noisy.T, rcond=None)[0].T
+    per_beam = noisy[:, :, None] * cfg.beams
     return centers, combined, per_beam
 
 

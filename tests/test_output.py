@@ -643,10 +643,17 @@ LOG_CELLS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, np.float64(2.0)
     [[c] for c in LOG_CELLS],
     [LOG_CELLS, LOG_CELLS[::-1], LOG_CELLS, [0.5, "x"], ["x", 0.5], [np.float64(0.5), np.int64(5)], [], LOG_CELLS],
 ], ids=["one-row", "one-cell-rows", "mixed-row-shapes"])
-def test_csv_log_rows_are_log_text_cells(tmp_path, rows):
+@pytest.mark.parametrize("write", ["row", "rows", "rows-in-two"])
+def test_csv_log_rows_are_log_text_cells(tmp_path, rows, write):
     with CsvLog(tmp_path / "log.csv", ["h"]) as log:
-        for row in rows:
-            log.row(row)
+        if write == "row":
+            for row in rows:
+                log.row(row)
+        elif write == "rows":
+            log.rows(rows)
+        else:
+            log.rows(iter(rows[:1]))
+            log.rows(tuple(row) for row in rows[1:])
     expected = "".join(",".join(log_text(c) for c in row) + "\n" for row in [["h"], *rows])
     assert (tmp_path / "log.csv").read_bytes() == expected.encode("ascii")
 

@@ -195,8 +195,9 @@ def _update_reference(bounds, loaded, load_radius, unload_radius, vehicles):
     return events, new_loaded
 
 
-def _assert_matches_reference(specs, load_radius, unload_radius, steps):
-    """Run both rules over `steps` (lists of positions); returns the event count."""
+def _check_against_reference(specs, load_radius, unload_radius, steps):
+    """Run `TileManager` and the reference, which decides on every call, over
+    `steps` (lists of positions); returns the event count and the manager."""
     mgr = tiling.TileManager(specs, load_radius, unload_radius)
     bounds = {s.index: s.core_bounds for s in specs}
     loaded = set()
@@ -207,7 +208,13 @@ def _assert_matches_reference(specs, load_radius, unload_radius, steps):
         assert mgr.update_tiles(vehicles) == expected, f"step {k}"
         assert mgr.loaded == loaded, f"step {k}"
         n_events += len(expected)
-    return n_events
+    assert mgr.decisions + mgr.skipped == len(steps)
+    return n_events, mgr
+
+
+def _assert_matches_reference(specs, load_radius, unload_radius, steps):
+    """Run both rules over `steps` (lists of positions); returns the event count."""
+    return _check_against_reference(specs, load_radius, unload_radius, steps)[0]
 
 
 @pytest.mark.parametrize("n_vehicles", [1, 3, 12])
@@ -427,3 +434,109 @@ def test_update_visits_only_the_tiles_near_each_vehicle(monkeypatch):
     assert mgr.loaded
     monkeypatch.setattr(tiling.Bounds, "distance_to", distance_to)
     assert _assert_matches_reference(specs, 300.0, 500.0, steps) > 0
+
+
+# --- Skipped decisions against the rule decided on every call -------------------
+
+
+@pytest.mark.parametrize("n_vehicles", [1, 2, 5, 12])
+def test_skips_match_a_decision_on_every_call_on_random_walks(n_vehicles):
+    # Steps of 0.5 m to 150 m against margins of up to about 100 m, with
+    # vehicles that hold, a NaN or infinite position now and then, calls
+    # that repeat the last positions and a vehicle count that changes.
+    rng = np.random.default_rng(200 + n_vehicles)
+    specs = specs_grid(12, 100.0)
+    pos = rng.uniform(-200.0, 1400.0, (n_vehicles, 2))
+    steps = []
+    for k in range(200):
+        sigma = (0.5, 3.0, 20.0, 150.0)[k // 10 % 4]
+        moving = rng.uniform(size=n_vehicles) < 0.7
+        pos = pos + np.where(moving[:, None], rng.normal(0.0, sigma, pos.shape), 0.0)
+        positions = pos.tolist()
+        if k % 17 == 5:
+            positions[int(rng.integers(n_vehicles))] = [(math.nan, 300.0), (math.inf, 300.0), (300.0, -math.inf)][k % 3]
+        if k % 23 == 7:
+            positions = positions[: int(rng.integers(n_vehicles))]
+        steps.append(positions)
+        if k % 13 == 3:
+            steps.append(list(positions))
+    n_events, mgr = _check_against_reference(specs, 150.0, 260.0, steps)
+    assert n_events > 0 and mgr.decisions > 10 and mgr.skipped > 10
+
+
+def test_skips_match_a_decision_on_every_call_on_and_beside_the_radii():
+    # One vehicle loads core (0, 0), or keeps it, from exactly load_radius
+    # or unload_radius, or one ulp either side, then runs parallel to its
+    # edge in 1 cm steps; a second vehicle holds or moves inside (2, 2).
+    specs = specs_grid(5, 100.0)
+    load_r, unload_r = 150.0, 250.0
+    steps = []
+    for r in (load_r, unload_r):
+        for gap in (float(np.nextafter(r, 0.0)), r, float(np.nextafter(r, np.inf))):
+            for other in ((250.0, 250.0), None):
+                steps.append([(50.0, 50.0), (250.0, 250.0)])
+                for k in range(30):
+                    second = other or (250.0 + 0.3 * k, 250.0)
+                    steps.append([(100.0 + gap, 20.0 + 0.01 * k), second])
+                    steps.append([(20.0 + 0.01 * k, 100.0 + gap), second])
+    assert _check_against_reference(specs, load_r, unload_r, steps)[0] > 0
+
+
+def test_skips_match_a_decision_on_every_call_on_the_demo_run():
+    # The demo's rov1 runs along y = 700 from x = 700 to 760, 500.0 m
+    # (load_radius) from tile (3, 1)'s core, then jumps to its station;
+    # rov2 holds at (1500, 800).
+    specs = tiling.grid_tile_specs(load_heightmap(DEMO_DEM), 400.0, 20.0)
+    assert next(s.core_bounds.y0 for s in specs if s.index == (3, 1)) - 700.0 == 500.0
+    steps = [[(700.0 + 0.1 * k, 700.0), (1500.0, 800.0)] for k in range(300)]
+    steps += [[(2500.0, 1500.0), (1500.0, 800.0)]] * 301
+    n_events, mgr = _check_against_reference(specs, 500.0, 700.0, steps)
+    assert n_events > 0 and mgr.skipped > mgr.decisions
+
+
+def test_skips_match_a_decision_on_every_call_toward_lone_cores():
+    # Cores kilometres apart, so a vehicle's margin is set by the cores
+    # outside its query window. The grid cells are 400 m, the widest core;
+    # each far core sits as close to the window's edge as the bound allows:
+    # a lower-left corner on a cell edge to the east and north, and just
+    # below one, 400 m wide, to the west and south. A vehicle jumps to 300
+    # to 700 m from a far core's near edge and walks at it in 2 m steps
+    # until 100 m past load_radius; another holds on the middle core.
+    below = -2800.0 - 1e-6
+    cores = {(1, 1): (0.0, 0.0, 100.0), (1, 0): (below, 0.0, 400.0), (1, 2): (2800.0, 0.0, 50.0),
+             (0, 1): (0.0, below, 400.0), (2, 1): (0.0, 2800.0, 100.0)}
+    specs = [tiling.TileSpec(index, tiling.Bounds(x0, y0, x0 + side, y0 + side)) for index, (x0, y0, side) in cores.items()]
+    # (a point on the near edge, the unit step away from the core)
+    edges = [((below + 400.0, 50.0), (1.0, 0.0)), ((2800.0, 25.0), (-1.0, 0.0)),
+             ((50.0, below + 400.0), (0.0, 1.0)), ((50.0, 2800.0), (0.0, -1.0))]
+    steps = []
+    for (ex, ey), (ux, uy) in edges:
+        for offset in np.linspace(300.0, 700.0, 9):
+            steps += [[(ex + ux * r, ey + uy * r), (50.0, 50.0)] for r in np.arange(offset, 49.0, -2.0)]
+            steps.append([(50.0, 50.0), (50.0, 50.0)])
+    n_events, mgr = _check_against_reference(specs, 150.0, 260.0, steps)
+    assert n_events == 1 + 2 * 36 and mgr.skipped > 10 * mgr.decisions  # (1, 1) stays loaded
+
+
+def test_a_moving_vehicle_skips_decisions():
+    # 0.5 m a call across tile (2, 2), whose nearest deciding crossings are
+    # 5 to 10 m away: it decides again only once it has moved that far.
+    steps = [[(240.0 + 0.5 * k, 250.0)] for k in range(40)]
+    _, mgr = _check_against_reference(specs_grid(5, 100.0), 150.0, 250.0, steps)
+    assert 1 < mgr.decisions < mgr.skipped
+
+
+@pytest.mark.parametrize("radius", ["load", "unload"])
+def test_a_vehicle_on_a_deciding_radius_never_skips(radius):
+    # Core (0, 0) spans [0, 100] x [0, 100]. A vehicle 250 m (unload_radius)
+    # east of it keeps it loaded; one ulp past 150 m (load_radius) leaves it
+    # unloaded. Either way a move of any length could change the decision.
+    load_r, unload_r = 150.0, 250.0
+    x = 350.0 if radius == "unload" else 100.0 + float(np.nextafter(load_r, np.inf))
+    steps = [[(50.0, 50.0)]] if radius == "unload" else []
+    steps += [[(x, 1.0 + 0.25 * k)] for k in range(40)]
+    _, mgr = _check_against_reference(specs_grid(5, 100.0), load_r, unload_r, steps)
+    assert ((0, 0) in mgr.loaded) == (radius == "unload")
+    assert (mgr.decisions, mgr.skipped) == (len(steps), 0)
+    assert mgr.update_tiles([ProjectedCoord(*steps[-1][0])]) == []  # a repeat still skips
+    assert (mgr.decisions, mgr.skipped) == (len(steps), 1)
