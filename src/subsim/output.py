@@ -11,8 +11,8 @@ a command applies before its expensive work.
 ``CsvLog`` writes every run log (pose, DVL, ADCP, coupling, tile events):
 a header line, then comma-separated rows, one per ``row`` call and any
 number in one write per ``rows`` call, each ended by ``\n``.
-``log_text`` is its one cell rule: a float as ``%.9g`` (nan prints
-``nan``), anything else as ``str``.
+``log_text`` is its one cell rule: a float as ``LOG_FLOAT_FORMAT``,
+``%.9g`` (nan prints ``nan``), anything else as ``str``.
 
 Two array encoders write rows of numbers with the same bytes as
 formatting every value on its own in Python, but compute them with
@@ -515,17 +515,21 @@ def staged(path, *, directory: bool):
         raise
 
 
+LOG_FLOAT_FORMAT = "%.9g"  # a float cell of a run log
+
+
 def log_text(value) -> str:
-    """One run-log cell: a float as ``%.9g``, anything else as ``str``."""
-    return "%.9g" % value if isinstance(value, float) else str(value)
+    """One run-log cell: a float as ``LOG_FLOAT_FORMAT``, anything else as ``str``."""
+    return LOG_FLOAT_FORMAT % value if isinstance(value, float) else str(value)
 
 
 class CsvLog:
     """A run log file, written row by row; closes as a context manager.
 
-    A row is formatted with one ``%`` operation whose format puts ``%.9g``
-    where a cell is a float and ``%s`` elsewhere, which is `log_text`'s
-    rule. The format is built once per sequence of cell types."""
+    A row is formatted with one ``%`` operation whose format puts
+    ``LOG_FLOAT_FORMAT`` where a cell is a float and ``%s`` elsewhere,
+    which is `log_text`'s rule. The format is built once per sequence of
+    cell types."""
 
     def __init__(self, path: Path, header, preamble: str | None = None):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -540,7 +544,7 @@ class CsvLog:
         kinds = tuple(map(type, cells))
         fmt = self._formats.get(kinds)
         if fmt is None:
-            fmt = ",".join(["%.9g" if issubclass(k, float) else "%s" for k in kinds]) + "\n"
+            fmt = ",".join([LOG_FLOAT_FORMAT if issubclass(k, float) else "%s" for k in kinds]) + "\n"
             self._formats[kinds] = fmt
         return fmt % cells
 

@@ -490,6 +490,15 @@ def teleport_steps(time: float, dt: float, steps: int) -> list[int]:
     return [n for n in (k - 1, k, k + 1) if 0 <= n <= steps and abs(time - n * dt) < dt / 2.0]
 
 
+def force_step(time: float, dt: float, steps: int) -> int:
+    """The first step at which a force entry at ``time`` applies: the least k
+    with k * dt at or after ``time``, less 1e-12 * max(1, |time|) for the
+    rounding of decimal times and of k * dt. A ratio beyond the run (inf
+    for a subnormal dt) is clamped to one step either side of it."""
+    ratio = (time - 1e-12 * max(1.0, abs(time))) / dt
+    return math.ceil(min(max(ratio, -1.0), steps + 1.0))
+
+
 def run_paths(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     """Every path a run of ``cfg`` writes, relative to its output directory,
     with the owner that writes it. A directory of products ends in "/"."""
@@ -755,13 +764,13 @@ class Simulation:
                 for k in teleport_steps(action.time, cfg.dt, self._steps):
                     self._teleports.setdefault(k, []).append((vspec.vehicle_id, action.station))
         self._coupling_states = {c.coupling_id: coupling.CouplingState() for c in cfg.couplings}
-        # Each coupling's force entry times, and one read-only force row per entry after a
-        # zero row: the count of entries at or before a time indexes the force then.
-        self._forces: dict[str, tuple[list[float], np.ndarray]] = {}
+        # Each coupling's force entry steps, and one read-only force row per entry after a
+        # zero row: the count of entries at or before a step indexes the force then.
+        self._forces: dict[str, tuple[list[int], np.ndarray]] = {}
         for c in cfg.couplings:
             forces = np.array([[0.0, 0.0, 0.0]] + [[f.fx, f.fy, f.fz] for f in c.forces])
             forces.setflags(write=False)
-            self._forces[c.coupling_id] = ([f.time for f in c.forces], forces)
+            self._forces[c.coupling_id] = ([force_step(f.time, cfg.dt, self._steps) for f in c.forces], forces)
 
     # -- public API ---------------------------------------------------------
 
@@ -813,7 +822,7 @@ class Simulation:
                 for spec in cfg.couplings:
                     # The step at t advances over the preceding interval,
                     # so the logged row holds the state valid at t.
-                    self._step_coupling(t, spec, coupling_logs[spec.coupling_id], advance=k > 0)
+                    self._step_coupling(k, t, spec, coupling_logs[spec.coupling_id])
                 if k < steps:
                     for v in self._vehicles.values():
                         v.sampler.step(cfg.dt)
@@ -836,7 +845,7 @@ class Simulation:
             v.logged_attitude = (rotation, attitude)
         return [t, p.x, p.y, p.depth, *attitude, *v.velocity.tolist()]
 
-    def _step_coupling(self, t: float, spec: CouplingSpec, log: CsvLog, advance: bool) -> None:
+    def _step_coupling(self, k: int, t: float, spec: CouplingSpec, log: CsvLog) -> None:
         plug_pose: Pose = self._vehicles[spec.plug_vehicle].pose
         recep: Pose = spec.receptacle
         r_rel = recep.rotation.T @ plug_pose.rotation
@@ -849,11 +858,11 @@ class Simulation:
         )
         offset = recep.rotation.T @ delta_ned
         rel_pose = coupling.RelativePose(offset, r_rel)
-        times, forces = self._forces[spec.coupling_id]
-        force = forces[bisect_right(times, t + 1e-12)]  # the last entry at or before t
+        first_steps, forces = self._forces[spec.coupling_id]
+        force = forces[bisect_right(first_steps, k)]  # the last entry at or before step k
         events: list[str] = []
         state = self._coupling_states[spec.coupling_id]
-        if advance:
+        if k > 0:
             state, events = coupling.step(state, rel_pose, force[0], self.cfg.dt, spec.config)
             self._coupling_states[spec.coupling_id] = state
         log.row(coupling.log_row(t, state, force, events))

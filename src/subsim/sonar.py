@@ -368,16 +368,17 @@ def write_aplot_pgm(aplot: APlot, path) -> None:
         fh.write(pixels.data)
 
 
+_APLOT_HEADER = b"# aplot beams=%d bins=%d\n"
+_APLOT_HEADER_RE = re.compile(re.escape(_APLOT_HEADER[:-1]).replace(b"%d", rb"(\d+)"))  # the line, without its newline
+
+
 def write_aplot_csv(aplot: APlot, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(b"# aplot beams=%d bins=%d\n" % (len(aplot.beam_axis), len(aplot.range_axis)))
+        fh.write(_APLOT_HEADER % (len(aplot.beam_axis), len(aplot.range_axis)))
         for name, axis in ((b"beam_axis,", aplot.beam_axis), (b"range_axis,", aplot.range_axis)):
             fh.write(name)
             write_g17(fh, np.reshape(axis, (1, -1)), b",")
         write_g17(fh, aplot.intensities, b",")
-
-
-_APLOT_HEADER_RE = re.compile(rb"# aplot beams=(\d+) bins=(\d+)")
 
 
 def load_aplot_csv(path) -> APlot:

@@ -179,12 +179,6 @@ def write_tiles(tiles: Sequence[Tile], out_dir) -> Path:
     return Path(out_dir) / "tiles.csv"
 
 
-def _cell_range(lo: float, hi: float, first: int, last: int) -> range:
-    """Cell numbers from floor(lo) to floor(hi), clipped to [first, last];
-    an infinite lo or hi is clipped before it is floored."""
-    return range(math.floor(min(max(lo, first), last + 1)), math.floor(max(min(hi, last), first - 1)) + 1)
-
-
 @dataclass(frozen=True)
 class TileEvent:
     """A tile load or unload emitted by TileManager.update_tiles."""
@@ -201,13 +195,11 @@ class TileManager:
     so positions oscillating across a tile boundary produce no event
     churn. Single-writer: call update_tiles from one thread.
 
-    A uniform grid indexes the cores once (Teschner et al., "Optimized
-    Spatial Hashing for Collision Detection of Deformable Objects", VMV
-    2003): each core sits in the square cell holding its lower-left
-    corner, and the cells are as wide as the largest core side or
-    unload_radius, whichever is larger. One vehicle's query window is then
-    at most three cells (and the padding) a side, so it visits 3 x 3 to
-    5 x 5 cells whatever the size of the world.
+    A decision measures, per vehicle, only the cores one array cull keeps:
+    those whose four gaps to it, x0 - x, x - x1, y0 - y and y - y1 as
+    Bounds.distance_to computes them, are all within unload_radius. A
+    correctly rounded hypot is never below its larger argument, so every
+    core the cull drops is beyond unload_radius of that vehicle.
     """
 
     def __init__(
@@ -222,18 +214,15 @@ class TileManager:
         self.load_radius = load_radius
         self.unload_radius = unload_radius
         bounds = {t.index: t.core_bounds for t in tiles}
+        # Cores cut from a heightmap extent are finite; a NaN bound would have
+        # no distance (distance_to's max keeps or drops a NaN by its place),
+        # so non-finite bounds are refused as bad input.
         if not all(map(math.isfinite, (v for b in bounds.values() for v in (b.x0, b.y0, b.x1, b.y1)))):
             raise ValueError("tile core bounds must be finite")
-        # The largest core side (an inverted core counts as 0 wide).
-        self._side = max([0.0, *(max(b.x1 - b.x0, b.y1 - b.y0) for b in bounds.values())])
-        self._cell = cell = max(self._side, unload_radius)
-        self._cells: dict[tuple[int, int], list[tuple[tuple[int, int], Bounds]]] = {}
-        for index, b in bounds.items():
-            self._cells.setdefault((math.floor(b.x0 / cell), math.floor(b.y0 / cell)), []).append((index, b))
-        # The occupied cell range; a query is clipped to it, so a vehicle far
-        # off the map visits no cell.
-        cols, rows = {c for c, _ in self._cells}, {r for _, r in self._cells}
-        self._span = (min(cols, default=0), min(rows, default=0), max(cols, default=-1), max(rows, default=-1))
+        self._cores = list(bounds.items())
+        # x0, x1, y0 and y1 of every core, in the order of _cores.
+        self._x0, self._x1, self._y0, self._y1 = (
+            np.array([getattr(b, side) for b in bounds.values()], dtype=np.float64) for side in ("x0", "x1", "y0", "y1"))
         self._loaded: frozenset[tuple[int, int]] = frozenset()
         # The positions of the last decision, and per vehicle how far it may
         # move from its own before the decision could change.
@@ -247,52 +236,11 @@ class TileManager:
         """Indices of the loaded tiles."""
         return self._loaded
 
-    def _window(self, x: float, y: float) -> tuple[range, range]:
-        """The cell columns and rows holding every core that may lie within
-        unload_radius of (x, y): those that overlap
-        [x - unload_radius - side, x + unload_radius] by
-        [y - unload_radius - side, y + unload_radius], where side is the
-        largest core side, clipped to the occupied cells.
-
-        A core is within unload_radius only if both its gaps, as
-        Bounds.distance_to computes them, are: a correctly rounded hypot
-        is never below its larger argument. So its x0 is at most
-        unload_radius past x and its x1 at most unload_radius before x,
-        and x0 is at most side below x1; y likewise. The window is
-        widened by a relative 1e-9, far beyond the few units in the last
-        place by which the float gaps and the cell arithmetic can round,
-        and a cell number is monotone in the coordinate, so no core the
-        rule could load or keep is left out."""
-        reach, side, cell = self.unload_radius, self._side, self._cell
-        slack = 1e-9 * (abs(x) + abs(y) + reach + side)
-        c0, r0, c1, r1 = self._span
-        return (_cell_range((x - reach - side - slack) / cell, (x + reach + slack) / cell, c0, c1),
-                _cell_range((y - reach - side - slack) / cell, (y + reach + slack) / cell, r0, r1))
-
-    def _outside_gap(self, x: float, y: float, cols: range, rows: range) -> float:
-        """A lower bound on the distance from (x, y) to every core outside the
-        cells cols x rows (inf when there is none): a core in a column left of
-        the window has x0 below its first cell edge and x1 at most side above
-        x0, and one right of it has x0 at or past its last cell edge; rows
-        likewise. The window reaches past unload_radius on every side."""
-        c0, r0, c1, r1 = self._span
-        cell, side = self._cell, self._side
-        gap = math.inf
-        if cols.start > c0:
-            gap = min(gap, x - side - cols.start * cell)
-        if cols.stop <= c1:
-            gap = min(gap, cols.stop * cell - x)
-        if rows.start > r0:
-            gap = min(gap, y - side - rows.start * cell)
-        if rows.stop <= r1:
-            gap = min(gap, rows.stop * cell - y)
-        return gap
-
     def update_tiles(self, vehicles: Sequence[ProjectedCoord]) -> list[TileEvent]:
         """Apply the hysteresis rule; returns the minimal event list.
 
         The decision is Bounds.distance_to (math.hypot), made only for the
-        cores in the grid cells around each vehicle (`_window`). The rule is
+        cores the cull keeps for each vehicle (see the class). The rule is
         idempotent, so positions that leave every decision it makes as it
         was give no events, and the call returns [] without deciding: when
         the vehicle count is that of the last decision and each vehicle is
@@ -307,11 +255,11 @@ class TileManager:
         measures it; later ones skip it) stays loaded while that vehicle
         is within unload_radius of it (unload_radius - distance), and a core left
         unloaded stays so while every vehicle is beyond load_radius
-        (distance - load_radius), cores outside the window too
-        (`_outside_gap`). The margin is less a relative 1e-9, as in
-        `_window`, for the rounding of the distances, so a vehicle exactly
-        on a deciding radius has none. A vehicle at a NaN or infinite
-        position has none either."""
+        (distance - load_radius). The margin starts at
+        unload_radius - load_radius, which every core the cull drops
+        exceeds. It is less a relative 1e-9 for the rounding of the
+        distances, so a vehicle exactly on a deciding radius has none. A
+        vehicle at a NaN or infinite position has none either."""
         positions = [(v.x, v.y) for v in vehicles]
         last = self._positions
         if last is not None and len(positions) == len(last) and all(
@@ -321,29 +269,29 @@ class TileManager:
             return []
         self.decisions += 1
         load, unload, loaded = self.load_radius, self.unload_radius, self._loaded
-        cells = self._cells
+        cores, x0, x1, y0, y1 = self._cores, self._x0, self._x1, self._y0, self._y1
         new_loaded = set()
         margins = []
         for x, y in positions:
             if not (math.isfinite(x) and math.isfinite(y)):
                 margins.append(0.0)
                 continue  # every core is infinitely far (or NaN) away
-            cols, rows = self._window(x, y)
-            margin = self._outside_gap(x, y, cols, rows) - load
-            for c in cols:
-                for r in rows:
-                    for index, bounds in cells.get((c, r), ()):
-                        if index in new_loaded:
-                            continue
-                        dist = bounds.distance_to(x, y)
-                        if dist <= load or (index in loaded and dist <= unload):
-                            new_loaded.add(index)
-                            to_cross = unload - dist
-                        else:
-                            to_cross = dist - load
-                        if to_cross < margin:
-                            margin = to_cross
-            margins.append(margin * (1.0 - 1e-9) - 1e-9 * (abs(x) + abs(y) + unload + self._side))
+            with np.errstate(over="ignore"):  # a gap past the float range is inf, and culled
+                near = (x0 - x <= unload) & (x - x1 <= unload) & (y0 - y <= unload) & (y - y1 <= unload)
+            margin = unload - load
+            for k in np.flatnonzero(near).tolist():
+                index, bounds = cores[k]
+                if index in new_loaded:
+                    continue
+                dist = bounds.distance_to(x, y)
+                if dist <= load or (index in loaded and dist <= unload):
+                    new_loaded.add(index)
+                    to_cross = unload - dist
+                else:
+                    to_cross = dist - load
+                if to_cross < margin:
+                    margin = to_cross
+            margins.append(margin * (1.0 - 1e-9) - 1e-9 * (abs(x) + abs(y) + unload))
         events = [TileEvent("load", i) for i in sorted(new_loaded - loaded)]
         events += [TileEvent("unload", i) for i in sorted(loaded - new_loaded)]
         self._loaded = frozenset(new_loaded)

@@ -552,6 +552,34 @@ def test_force_entries_apply_at_their_step_within_the_tolerance(tmp_path, monkey
         [0.0, 3.0, 0.0]]
 
 
+def test_a_force_entry_past_16384_s_applies_on_its_step(tmp_path, monkeypatch):
+    # At dt 1260.8 s, step 13 is t = 16390.399999999998, 3.6e-12 s before
+    # an entry at 16390.4 s, the run's last step; the entry applies there.
+    from subsim import coupling
+
+    doc = small_world_doc(tmp_path, dt=1260.8, duration=16390.4)
+    doc["vehicles"][0]["sensors"] = []
+    doc["couplings"] = [{"id": "c1", "plug_vehicle": "v1", "receptacle": {"x": 100.0, "y": 100.0, "depth": 10.0},
+                         "config": {"linear_tol": 0.05, "angular_tol": 0.1, "insertion_force": 60.0,
+                                    "extraction_force": 80.0, "travel_max": 0.3},
+                         "forces": [{"time": 16390.4, "fx": 1.0}]}]
+    applied, log_row = [], coupling.log_row
+    monkeypatch.setattr(coupling, "log_row", lambda t, state, force, events: (
+        applied.append((t, force.tolist())), log_row(t, state, force, events))[1])
+    cfg = scenario.load_scenario(write_scenario(tmp_path, doc))
+    assert scenario.validate(cfg) == []
+    scenario.run(cfg, tmp_path / "out")
+    assert 13 * 1260.8 < 16390.4 - 1e-12
+    assert applied[-2:] == [(12 * 1260.8, [0.0, 0.0, 0.0]), (13 * 1260.8, [1.0, 0.0, 0.0])]
+    # At dt 0.3, an entry at 16385.4 s applies from step 54,618, the step a
+    # teleport then fires on. The demo's entries at dt 0.1 keep their steps,
+    # and a time outside the run is clamped to one step beside it.
+    assert scenario.force_step(16385.4, 0.3, 60000) == 54618
+    assert scenario.teleport_steps(16385.4, 0.3, 60000) == [54618]
+    assert [scenario.force_step(t, 0.1, 600) for t in (0.0, 10.0, 12.0, 20.0, 21.0)] == [0, 100, 120, 200, 210]
+    assert [scenario.force_step(t, dt, 600) for t, dt in ((-3.0, 0.1), (1e300, 0.1), (1.0, 5e-324))] == [-1, 601, 601]
+
+
 def test_unknown_station_teleport_raises_and_preserves_state(tmp_path):
     cfg = scenario.load_scenario(write_scenario(tmp_path, small_world_doc(tmp_path)))
     sim = scenario.Simulation(cfg, tmp_path / "out")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +285,7 @@ def test_update_matches_reference_off_a_corner(alt):
         _assert_matches_reference(specs, 0.5 * radius, radius, [[(50.0, 50.0)], corner])
 
 
-# --- The grid index against the full loop on hard layouts ---------------------
+# --- The culled decision against the full loop on hard layouts ----------------
 
 DEMO_DEM = Path(__file__).resolve().parents[1] / "scenarios" / "demo_seafloor.asc"
 
@@ -321,16 +322,21 @@ def test_update_matches_reference_on_negative_cores():
     assert _assert_matches_reference(specs, 150.0, 260.0, _walk(rng, -3300.0, -700.0, 4, 20, 150.0)) > 0
 
 
-def test_update_matches_reference_on_shuffled_mixed_size_cores():
-    # Cores of 20 to 400 m, some inverted or empty, listed in random order.
-    rng = np.random.default_rng(45)
+def _shuffled_mixed_size_cores(rng):
+    """12 x 12 cores of 20 to 400 m about 250 m apart, some inverted or
+    empty, listed in random order."""
     specs = []
     for r in range(12):
         for c in range(12):
             x0, y0 = c * 250.0 + rng.uniform(-50.0, 50.0), r * 250.0 + rng.uniform(-50.0, 50.0)
             w, h = rng.choice([0.0, -10.0, 20.0, 120.0, 400.0], 2)
             specs.append(tiling.TileSpec((r, c), tiling.Bounds(x0, y0, x0 + w, y0 + h)))
-    specs = [specs[k] for k in rng.permutation(len(specs))]
+    return [specs[k] for k in rng.permutation(len(specs))]
+
+
+def test_update_matches_reference_on_shuffled_mixed_size_cores():
+    rng = np.random.default_rng(45)
+    specs = _shuffled_mixed_size_cores(rng)
     assert _assert_matches_reference(specs, 90.0, 140.0, _walk(rng, -300.0, 3300.0, 3, 40, 120.0)) > 0
 
 
@@ -355,6 +361,18 @@ def test_update_matches_reference_far_off_the_map():
     for p in far:
         steps += [[(300.0, 300.0)], [p], [p, (300.0, 300.0)], [p, (300.0, 420.0)]]
     assert _assert_matches_reference(specs, 150.0, 260.0, steps) > 0
+
+
+def test_update_matches_reference_on_cores_near_the_float_limit():
+    # A gap past the float range is inf in distance_to and in the cull alike,
+    # and the cull's overflow is no RuntimeWarning.
+    specs = [tiling.TileSpec((0, 0), tiling.Bounds(1e308, 1e308, 1.5e308, 1.5e308)),
+             tiling.TileSpec((0, 1), tiling.Bounds(-1.5e308, -1.5e308, -1e308, -1e308))]
+    steps = [[(1.2e308, 1.2e308)], [(-1.7e308, -1.7e308)], [(1.2e308, 1.2e308), (-1.2e308, -1.1e308)],
+             [(-1.7e308, 1.7e308), (1.7e308, -1.7e308)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _assert_matches_reference(specs, 150.0, 260.0, steps) == 6
 
 
 def test_update_matches_reference_on_teleports_and_repeated_positions():
@@ -412,8 +430,9 @@ def _large_world_specs():
 
 def test_update_visits_only_the_tiles_near_each_vehicle(monkeypatch):
     # large_world's 12 vehicles crossing tile corners at 25 m/s for 4 s.
-    # A uniform grid query costs each vehicle at most its 4 x 4 cells of one
-    # 1 km core each, whatever the number of tiles.
+    # The cull keeps for each vehicle at most 3 x 3 of the 1 km cores, those
+    # whose gaps are all within 500 m, whatever the number of tiles (the
+    # bound below allows 4 x 4).
     specs = _large_world_specs()
     assert len(specs) == 3721
     rng = np.random.default_rng(1)
@@ -434,6 +453,47 @@ def test_update_visits_only_the_tiles_near_each_vehicle(monkeypatch):
     assert mgr.loaded
     monkeypatch.setattr(tiling.Bounds, "distance_to", distance_to)
     assert _assert_matches_reference(specs, 300.0, 500.0, steps) > 0
+
+
+@pytest.mark.parametrize("layout", ["large_world", "shuffled_mixed_size"])
+def test_a_decision_measures_exactly_the_cores_within_reach(layout, monkeypatch):
+    # Every distance_to call is a core whose two gaps to the vehicle are
+    # within unload_radius, and every core within unload_radius of a
+    # vehicle is measured, unless an earlier vehicle loaded or kept it.
+    rng = np.random.default_rng(47)
+    if layout == "large_world":
+        specs, load_r, unload_r = _large_world_specs(), 300.0, 500.0
+        steps = _walk(rng, -1000.0, 61000.0, 12, 30, 400.0)
+    else:
+        specs, load_r, unload_r = _shuffled_mixed_size_cores(rng), 90.0, 140.0
+        steps = _walk(rng, -300.0, 3300.0, 12, 30, 120.0)
+    index_of = {id(s.core_bounds): s.index for s in specs}
+    distance_to = tiling.Bounds.distance_to
+    calls = []
+    monkeypatch.setattr(tiling.Bounds, "distance_to", lambda b, x, y: calls.append((b, x, y)) or distance_to(b, x, y))
+    mgr = tiling.TileManager(specs, load_r, unload_r)
+    n_measured = 0
+    for positions in steps:
+        loaded, decisions = mgr.loaded, mgr.decisions
+        calls.clear()
+        mgr.update_tiles([ProjectedCoord(x, y) for x, y in positions])
+        assert mgr.decisions == decisions + 1
+        for b, x, y in calls:
+            assert max(b.x0 - x, x - b.x1) <= unload_r and max(b.y0 - y, y - b.y1) <= unload_r
+        measured = {(index_of[id(b)], x, y) for b, x, y in calls}
+        new_loaded = set()
+        for x, y in positions:
+            for s in specs:
+                if s.index in new_loaded:
+                    continue
+                dist = distance_to(s.core_bounds, x, y)
+                if dist <= unload_r:
+                    assert (s.index, x, y) in measured
+                if dist <= load_r or (s.index in loaded and dist <= unload_r):
+                    new_loaded.add(s.index)
+        assert mgr.loaded == new_loaded
+        n_measured += len(calls)
+    assert n_measured > len(steps)
 
 
 # --- Skipped decisions against the rule decided on every call -------------------
@@ -495,13 +555,14 @@ def test_skips_match_a_decision_on_every_call_on_the_demo_run():
 
 
 def test_skips_match_a_decision_on_every_call_toward_lone_cores():
-    # Cores kilometres apart, so a vehicle's margin is set by the cores
-    # outside its query window. The grid cells are 400 m, the widest core;
-    # each far core sits as close to the window's edge as the bound allows:
-    # a lower-left corner on a cell edge to the east and north, and just
-    # below one, 400 m wide, to the west and south. A vehicle jumps to 300
-    # to 700 m from a far core's near edge and walks at it in 2 m steps
-    # until 100 m past load_radius; another holds on the middle core.
+    # Cores kilometres apart, so a vehicle's margin is often the cap,
+    # unload_radius - load_radius, which bounds the cores the cull drops.
+    # Four far cores surround a 100 m one at the origin: to the east and
+    # north, 50 and 100 m wide with a lower-left corner 2800 m out; to the
+    # west and south, 400 m wide with one just past -2800 m. A vehicle
+    # jumps to 300 to 700 m from a far core's near edge and walks at it in
+    # 2 m steps until 100 m past load_radius; another holds on the middle
+    # core.
     below = -2800.0 - 1e-6
     cores = {(1, 1): (0.0, 0.0, 100.0), (1, 0): (below, 0.0, 400.0), (1, 2): (2800.0, 0.0, 50.0),
              (0, 1): (0.0, below, 400.0), (2, 1): (0.0, 2800.0, 100.0)}
