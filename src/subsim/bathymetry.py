@@ -45,8 +45,8 @@ def _check_grid(shape: tuple[int, ...], cell_lat: float, cell_lon: float) -> Non
     """The checks a Heightmap makes on its grid shape and cell size."""
     if len(shape) != 2 or shape[0] < 2 or shape[1] < 2:
         raise HeightmapError(f"depth grid must be at least 2x2, got {shape}")
-    if cell_lat <= 0.0 or cell_lon <= 0.0:
-        raise HeightmapError("cell_size must be positive")
+    if not (math.isfinite(cell_lat) and math.isfinite(cell_lon) and cell_lat > 0.0 and cell_lon > 0.0):
+        raise HeightmapError("cell_size must be finite and positive")
 
 
 class Heightmap:

@@ -43,7 +43,7 @@ class CouplingConfig:
     def __post_init__(self) -> None:
         for name in ("linear_tol", "angular_tol", "insertion_force",
                      "extraction_force", "travel_max", "align_duration", "cooldown"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN too
                 raise ValueError(f"{name} must be positive")
 
 
@@ -94,7 +94,7 @@ def step(
     are inclusive (>=). While the cooldown runs, alignment does not
     accumulate.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN too: a NaN align_timer never reaches align_duration
         raise ValueError("dt must be positive")
     events: list[str] = []
 

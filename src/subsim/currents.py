@@ -36,8 +36,8 @@ class StratifiedCurrentDB:
         if not strata:
             raise CurrentError("at least one stratum required")
         depths = np.array([s.depth for s in strata], dtype=float)
-        if np.any(np.diff(depths) <= 0.0):
-            raise CurrentError("strata depths must be strictly increasing")
+        if not (np.all(np.isfinite(depths)) and np.all(np.diff(depths) > 0.0)):
+            raise CurrentError("strata depths must be finite and strictly increasing")
         velocities = np.array([s.velocity for s in strata], dtype=float)
         if not np.all(np.isfinite(velocities)):
             raise CurrentError("strata velocities must be finite")

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bathymetry import Heightmap, raycast
-from .geometry import MAX_NOISE_SIGMA, Pose, WorldPoint
+from .geometry import MAX_NOISE_SIGMA, Pose
 from .output import log_text
 
 # current_at(depth_m) -> NED velocity; the caller binds time. depth_m is a
@@ -96,7 +96,7 @@ class DvlConfig:
                 )
         if not 0.0 <= self.min_range < self.max_range:
             raise ValueError("need 0 <= min_range < max_range")
-        if self.bins < 0 or self.bin_size <= 0.0:
+        if self.bins < 0 or not self.bin_size > 0.0:  # NaN too
             raise ValueError("bins must be >= 0 and bin_size positive")
         if self.bins > MAX_ADCP_BINS:
             raise ValueError(f"bins must be <= {MAX_ADCP_BINS}, got {self.bins}")
@@ -143,31 +143,27 @@ class AdcpProfile:
     bins: int
 
 
-def beam_ranges(scene: Heightmap, origin: WorldPoint, world_beams: np.ndarray, cfg: DvlConfig) -> np.ndarray:
-    """Raycast from ``origin`` along each row of ``world_beams``, the beams
-    in world NED; NaN where there is no return inside [min_range, max_range]."""
-    out = []
-    for beam in world_beams:
-        r = raycast(scene, origin, beam, cfg.max_range)
-        out.append(r if r is not None and r >= cfg.min_range else math.nan)
-    return np.array(out)
-
-
 @dataclass(frozen=True, eq=False)
 class BeamGeometry:
-    """What a DVL tick at one pose is before its noise and currents: the
-    `beam_ranges` and the beams in world NED."""
+    """What a DVL tick at one pose is before its noise and currents: each
+    beam's range and the beams in world NED."""
 
     ranges: np.ndarray  # (4,), NaN without a return
     world_beams: np.ndarray  # (4, 3)
 
 
 def beam_geometry(pose: Pose, scene: Heightmap | None, cfg: DvlConfig) -> BeamGeometry:
-    """Rotate the four beams into world NED once and cast them from ``pose``
-    (none without a scene: every range is NaN); no randomness is drawn.
-    Both arrays are read-only."""
+    """Rotate the four beams into world NED once and cast each from
+    ``pose``: its range is NaN without a return inside [min_range,
+    max_range], and every range is NaN without a scene. No randomness is
+    drawn. Both arrays are read-only."""
     world_beams = (pose.rotation @ cfg.beams.T).T
-    ranges = beam_ranges(scene, pose.position, world_beams, cfg) if scene is not None else np.full(4, np.nan)
+    ranges = np.full(4, np.nan)
+    if scene is not None:
+        for k, beam in enumerate(world_beams):
+            r = raycast(scene, pose.position, beam, cfg.max_range)
+            if r is not None and r >= cfg.min_range:
+                ranges[k] = r
     ranges.setflags(write=False)
     world_beams.setflags(write=False)
     return BeamGeometry(ranges, world_beams)

@@ -46,9 +46,9 @@ class LidarConfig:
     def __post_init__(self) -> None:
         if self.rays_h < 2 or self.rays_v < 2:
             raise ValueError("need at least 2 rays per axis")
-        if self.fov_h_deg <= 0.0 or self.fov_v_deg <= 0.0:
+        if not (self.fov_h_deg > 0.0 and self.fov_v_deg > 0.0):  # NaN too
             raise ValueError("fov must be positive")
-        if self.max_range <= 0.0:
+        if not self.max_range > 0.0:
             raise ValueError("max_range must be positive")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")

@@ -60,10 +60,12 @@ class TriMesh:
         return len(self.triangles)
 
     def bbox_diagonal(self) -> float:
+        """The bounding box's diagonal: inf past the float range, NaN with a NaN coordinate."""
         if not len(self.vertices):
             return 0.0
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+            return float(np.linalg.norm(span))
 
     def surface_area(self) -> float:
         v = self.vertices
@@ -133,12 +135,24 @@ def subdivide(mesh: TriMesh) -> TriMesh:
     return TriMesh(with_midpoints(mesh.vertices), children, colors)
 
 
+def _displacement_bound(mesh: TriMesh, params: DistortionParams) -> float:
+    """The jitter's bound per axis, extent * scale: 0 at extent 0, whatever
+    the mesh; MeshError when the draw's range [-bound, bound] is not finite."""
+    if params.extent == 0.0:
+        return 0.0
+    diagonal = mesh.bbox_diagonal() if params.scale is None else None
+    bound = params.extent * (params.scale if diagonal is None else 0.02 * diagonal)
+    if not math.isfinite(2.0 * bound):
+        source = f"scale {params.scale}" if diagonal is None else f"2% of the bounding-box diagonal {diagonal}"
+        raise MeshError(f"no finite displacement bound: extent {params.extent} x {source}")
+    return bound
+
+
 def jitter_vertices(mesh: TriMesh, params: DistortionParams) -> TriMesh:
     """Displace each vertex by an independent uniform vector bounded by
     extent*scale per axis. Connectivity is unchanged; deterministic for a
     fixed seed; extent 0 returns the input unchanged."""
-    scale = params.scale if params.scale is not None else 0.02 * mesh.bbox_diagonal()
-    bound = params.extent * scale
+    bound = _displacement_bound(mesh, params)
     vertices = mesh.vertices.copy()
     if bound != 0.0:
         vertices += np.random.default_rng(params.seed).uniform(-bound, bound, size=vertices.shape)
@@ -147,12 +161,14 @@ def jitter_vertices(mesh: TriMesh, params: DistortionParams) -> TriMesh:
 
 def distort(mesh: TriMesh, params: DistortionParams) -> TriMesh:
     """Subdivide ``subdivision_levels`` times, then jitter. Refuses, before
-    any work, a result of more than MAX_TRIANGLES triangles."""
+    any work, a result of more than MAX_TRIANGLES triangles and a mesh
+    whose jitter bound is not finite."""
     levels = params.subdivision_levels
     made = len(mesh.triangles) * 4**levels
     if made > MAX_TRIANGLES:
         raise MeshError(f"{levels} subdivision levels make {made} triangles from "
                         f"{len(mesh.triangles)}; distort makes at most {MAX_TRIANGLES}")
+    _displacement_bound(mesh, params)
     out = mesh
     for _ in range(levels):
         out = subdivide(out)

@@ -84,7 +84,7 @@ class SensorSpec:
     config: object  # SENSORS[kind].config_type, built and checked
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:  # NaN too
             raise ValueError("rate must be positive")
 
 
@@ -618,7 +618,7 @@ class Sensor:
     world heightmap, opens its logs under its vehicle's output directory
     into the run's ExitStack, and turns one evaluation into products there.
     What an evaluation's pose alone decides (its rays) is its geometry,
-    which `held_geometry` keeps while the vehicle holds that pose."""
+    which every evaluation takes from `geometry`."""
 
     config_type: type
     needs_world = True
@@ -630,19 +630,17 @@ class Sensor:
         # The pose of the last evaluation, and its geometry once a second evaluation held it.
         self._held: tuple[Pose | None, object] = (None, None)
 
-    def held_geometry(self, pose: Pose, build):
-        """The geometry of ``pose`` to reuse, or None for the first evaluation
-        at it: a pose that repeats is held, so the second evaluation at one
-        `Pose` object builds ``build(pose, heightmap, config)`` and keeps it
-        for the evaluations after, until the pose changes. A moving vehicle
+    def geometry(self, pose: Pose, build):
+        """The geometry of ``pose``: ``build(pose, heightmap, config)``, or the
+        kept one while the `Pose` object repeats. A pose that repeats is
+        held, so the second evaluation at one `Pose` object keeps its build
+        for the evaluations after, until the pose changes; a moving vehicle
         keeps no geometry."""
-        last, geometry = self._held
-        if pose is not last:
-            self._held = (pose, None)
-            return None
-        if geometry is None:
-            geometry = build(pose, self.heightmap, self.config)
-            self._held = (pose, geometry)
+        last, kept = self._held
+        if pose is last and kept is not None:
+            return kept
+        geometry = build(pose, self.heightmap, self.config)
+        self._held = (pose, geometry if pose is last else None)
         return geometry
 
     @staticmethod
@@ -678,8 +676,7 @@ class DvlSensor(Sensor):
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         sampler, pose = vehicle.sampler, vehicle.pose
         current_fn = lambda depth: sampler.velocity(depth, time_utc)
-        # Built here when not held, so the tick and its profile share it.
-        geometry = self.held_geometry(pose, dvl.beam_geometry) or dvl.beam_geometry(pose, self.heightmap, self.config)
+        geometry = self.geometry(pose, dvl.beam_geometry)  # the tick's and its profile's
         sol = dvl.measure(pose, vehicle.velocity, self.heightmap, current_fn, self.config, self.rng, geometry)
         self.log.row(dvl.log_row(t, sol))
         if self.adcp_log is not None:
@@ -693,8 +690,9 @@ class SonarSensor(Sensor):
     config_type = sonar.SonarConfig
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        geometry = self.held_geometry(vehicle.pose, sonar.ping_geometry)
-        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng, geometry)
+        # The geometry is an argument, not a local: a moving ping's is freed before the writers run.
+        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng,
+                           self.geometry(vehicle.pose, sonar.ping_geometry))
         stem = f"ping_{self.count:05d}"
         sonar.write_aplot_pgm(aplot, self.out / f"{stem}.pgm")
         sonar.write_aplot_csv(aplot, self.out / f"{stem}.csv")
@@ -707,8 +705,8 @@ class LidarSensor(Sensor):
     config_type = lidar.LidarConfig
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        geometry = self.held_geometry(vehicle.pose, lidar.scan_geometry)
-        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng, geometry)
+        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng,
+                           self.geometry(vehicle.pose, lidar.scan_geometry))  # freed before write_ply, as in ping
         lidar.write_ply(cloud, self.out / f"scan_{self.count:05d}.ply")
         self.count += 1
 

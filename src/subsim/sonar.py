@@ -130,10 +130,9 @@ class SonarConfig:
 class ScattererSet:
     """Parallel arrays describing point scatterers in the sonar frame."""
 
-    def __init__(self, ranges, azimuths, incidences, amplitudes, micro_phases):
+    def __init__(self, ranges, azimuths, amplitudes, micro_phases):
         self.ranges = np.asarray(ranges, dtype=float)
         self.azimuths = np.asarray(azimuths, dtype=float)
-        self.incidences = np.asarray(incidences, dtype=float)
         self.amplitudes = np.asarray(amplitudes, dtype=float)
         self.micro_phases = np.asarray(micro_phases, dtype=float)
 
@@ -159,17 +158,21 @@ def _beam_pattern_of(delta: np.ndarray, beamwidth_rad: float) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def _scatterer_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> ScattererSet:
-    """The scatterers of the fan from ``pose`` with zero micro phases; no
-    randomness is drawn."""
+def gather_scatterers(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> ScattererSet:
+    """Raycast the full (azimuth x elevation) fan from ``pose`` and convert
+    its hits to scatterers with zero micro phases; no randomness is drawn.
+
+    Amplitude is source_level * reflectivity * cos(incidence) / range^2
+    (two-way spherical spreading in the amplitude domain), the incidence
+    taken against the surface normal at each scatterer's own hit point.
+    """
     az = cfg.ray_azimuths()
     el = cfg.ray_elevations()
     ray, d, ranges = cast_fan(scene, pose.position, pose.rotation, az, el, cfg.max_range)
     normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
     cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
-    incidence = np.arccos(cos_inc)
     amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2
-    return ScattererSet(ranges, az[ray // len(el)], incidence, amplitude, np.zeros_like(ranges))
+    return ScattererSet(ranges, az[ray // len(el)], amplitude, np.zeros_like(ranges))
 
 
 def _speckled(scat: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | None) -> ScattererSet:
@@ -180,23 +183,7 @@ def _speckled(scat: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | N
     if rng is None:
         raise ValueError("speckle requires an rng")
     micro = rng.uniform(0.0, 2.0 * np.pi, scat.ranges.shape)
-    return ScattererSet(scat.ranges, scat.azimuths, scat.incidences, scat.amplitudes, micro)
-
-
-def gather_scatterers(
-    pose: Pose,
-    scene: Heightmap,
-    cfg: SonarConfig,
-    rng: np.random.Generator | None = None,
-) -> ScattererSet:
-    """Raycast the full (azimuth x elevation) fan and convert hits to
-    scatterers.
-
-    Amplitude is source_level * reflectivity * cos(incidence) / range^2
-    (two-way spherical spreading in the amplitude domain); micro phases
-    are U[0, 2pi) when speckle is enabled, else zero.
-    """
-    return _speckled(_scatterer_geometry(pose, scene, cfg), cfg, rng)
+    return ScattererSet(scat.ranges, scat.azimuths, scat.amplitudes, micro)
 
 
 def _phase_matrix(scat: ScattererSet, cfg: SonarConfig, rows: slice = slice(None), out=None) -> np.ndarray:
@@ -285,8 +272,9 @@ class PingGeometry:
 
 
 def ping_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> PingGeometry:
-    """Cast the fan of a ping from ``pose``; no randomness is drawn."""
-    scat = _scatterer_geometry(pose, scene, cfg)
+    """The `gather_scatterers` of ``pose`` and their `beam_weights`; no
+    randomness is drawn."""
+    scat = gather_scatterers(pose, scene, cfg)
     return PingGeometry(scat, beam_weights(scat, cfg))
 
 
@@ -326,18 +314,14 @@ def ping(
     rng: np.random.Generator | None = None,
     geometry: PingGeometry | None = None,
 ) -> APlot:
-    """One full ping: gather scatterers once, then every beam's spectrum
-    as one (n_beams, M) array and their intensities in one pass.
-
-    ``geometry``, the `ping_geometry` of ``pose``, stands in for the
-    raycast and the beam weights: only the micro phases are drawn, the
-    same draw `gather_scatterers` makes."""
+    """One full ping: the `ping_geometry` of ``pose`` (``geometry``, when
+    given, stands in for it), then this ping's micro phases, drawn from
+    ``rng`` when speckle is enabled, every beam's spectrum as one
+    (n_beams, M) array and their intensities in one pass."""
     if geometry is None:
-        scat = gather_scatterers(pose, scene, cfg, rng)
-        weights = beam_weights(scat, cfg)
-    else:
-        scat, weights = _speckled(geometry.scatterers, cfg, rng), geometry.weights
-    intensities = beam_intensity(_coherent_sum(scat, weights, cfg), cfg)
+        geometry = ping_geometry(pose, scene, cfg)
+    spectra = _coherent_sum(_speckled(geometry.scatterers, cfg, rng), geometry.weights, cfg)
+    intensities = beam_intensity(spectra, cfg)
     return APlot(intensities, np.arange(cfg.spectral_bins) * cfg.range_bin_width, cfg.beam_angles())
 
 

@@ -75,7 +75,7 @@ def tile_counts(extent: tuple[float, float, float, float], tile_size: float, ove
         raise HeightmapError("tile_size must exceed twice the overlap")
     x_min, y_min, x_max, y_max = extent
     width, height = x_max - x_min, y_max - y_min
-    if width <= 0.0 or height <= 0.0:
+    if not (width > 0.0 and height > 0.0):  # a NaN extent too
         raise HeightmapError("degenerate heightmap extent")
     # The 1e-6 slack absorbs sub-micrometre slivers from Mercator stretch.
     nx, ny = (max(1.0, np.ceil(side / tile_size - 1e-6)) for side in (width, height))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from subsim import dvl
 from subsim.bathymetry import Heightmap
 from subsim.geodesy import GeodeticCoord
 
@@ -32,6 +33,18 @@ def smooth_random_grid(rng, shape, base=40.0, relief=8.0, passes=4):
     for _ in range(passes):
         g = (g + np.roll(g, 1, 0) + np.roll(g, -1, 0) + np.roll(g, 1, 1) + np.roll(g, -1, 1)) / 5.0
     return base + relief * g / np.max(np.abs(g))
+
+
+def ranges_geometry(ranges):
+    """A `dvl.beam_geometry` whose casts, with a scene, return these beam
+    ranges."""
+    build = dvl.beam_geometry
+
+    def geometry(pose, scene, cfg):
+        uncast = build(pose, None, cfg)  # the world beams, and no raycast
+        return uncast if scene is None else dvl.BeamGeometry(np.array(ranges, dtype=float), uncast.world_beams)
+
+    return geometry
 
 
 def normal_at(h, x, y):

@@ -17,7 +17,7 @@ from subsim import bathymetry as bat
 from subsim.geodesy import ProjectedCoord
 from subsim.geometry import Pose, WorldPoint, ned
 
-from conftest import flat_heightmap, make_heightmap
+from conftest import flat_heightmap, make_heightmap, ranges_geometry
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -184,7 +184,7 @@ def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
     vel = ned(0.4, -0.1, 0.05)
     for pattern in itertools.product([True, False], repeat=4):
         ranges = np.where(pattern, 45.0, np.nan)
-        monkeypatch.setattr(dvl, "beam_ranges", lambda scene, origin, world_beams, cfg: ranges.copy())
+        monkeypatch.setattr(dvl, "beam_geometry", ranges_geometry(ranges))
         for enabled in (True, False):
             c = dvl.DvlConfig(water_track_enabled=enabled)
             sol = dvl.measure(pose, vel, h, None, c, np.random.default_rng(0))
@@ -243,7 +243,7 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     rng = np.random.default_rng(107)
     for _ in range(50):
         r = rng.uniform(0.2, cfg.max_range * 0.95)
-        scat = sonar.ScattererSet([r], [axis], [0.0], [1.0], [0.0])
+        scat = sonar.ScattererSet([r], [axis], [1.0], [0.0])
         intensity = sonar.beam_intensity(sonar.beam_spectra(scat, cfg)[64], cfg)
         expected_bin = round(2.0 * r * cfg.bandwidth_hz / cfg.sound_speed)
         assert abs(int(np.argmax(intensity)) - expected_bin) <= 1
@@ -256,7 +256,7 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     for trial in range(500):
         ranges = r0 + rng.uniform(0.0, scfg.range_bin_width * 0.25, n_scat)
         scat = sonar.ScattererSet(
-            ranges, np.full(n_scat, scfg.beam_angles()[0]), np.zeros(n_scat), np.ones(n_scat),
+            ranges, np.full(n_scat, scfg.beam_angles()[0]), np.ones(n_scat),
             rng.uniform(0.0, 2.0 * np.pi, n_scat),
         )
         intensity = sonar.beam_intensity(sonar.beam_spectra(scat, scfg)[0], scfg)
@@ -267,7 +267,7 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     # Adjacent-beam leakage follows the beam pattern.
     lcfg = sonar.SonarConfig(n_beams=32, spectral_bins=256, speckle_enabled=False)
     angles = lcfg.beam_angles()
-    target = sonar.ScattererSet([2.0], [float(angles[16])], [0.0], [1.0], [0.0])
+    target = sonar.ScattererSet([2.0], [float(angles[16])], [1.0], [0.0])
     peak = sonar.beam_intensity(sonar.beam_spectra(target, lcfg)[16:18], lcfg).max(axis=1)
     ratio = math.sqrt(peak[1] / peak[0])
     expected = float(sonar.beam_pattern(angles[17] - angles[16], lcfg.beamwidth_rad))

@@ -838,11 +838,12 @@ def test_grid_extent_is_the_loaded_extent_without_reading_a_value(tmp_path, monk
 
 @pytest.mark.parametrize("header, problem", [
     ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "depth grid must be at least 2x2, got (1, 2)"),
-    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", "cell_size must be positive"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", "cell_size must be finite and positive"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize nan\n", "cell_size must be finite and positive"),
     ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 85\ncellsize 0.1\n",
      "latitude beyond +/-85.051129 deg cannot be projected"),
     ("ncols -2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "ncols/nrows must be positive, got -2 and 2"),
-], ids=["one-row", "zero-cell", "beyond-85", "negative-ncols"])
+], ids=["one-row", "zero-cell", "nan-cell", "beyond-85", "negative-ncols"])
 def test_grid_extent_refuses_what_load_heightmap_refuses_with_its_message(tmp_path, header, problem):
     f = tmp_path / "g.asc"
     f.write_text(header + ("40 41\n" if "nrows 1\n" in header else "40 41\n42 43\n"))

@@ -232,7 +232,9 @@ def test_dem_outside_the_mercator_domain_fails_tiles_and_run(tmp_path, capsys, c
 # (header and values, problem): grids the Heightmap constructor refuses.
 REFUSED_DEMS = {
     "cellsize-0": ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n40 41\n42 43\n",
-                   "cell_size must be positive"),
+                   "cell_size must be finite and positive"),
+    "cellsize-nan": ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize nan\n40 41\n42 43\n",
+                     "cell_size must be finite and positive"),
     "one-row": ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 41\n",
                 "depth grid must be at least 2x2, got (1, 2)"),
     "inf-depth": ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n40 inf\n42 43\n",
@@ -358,6 +360,35 @@ def test_distort_rejects_non_finite_scale(tmp_path, capsys, scale):
     assert cli.main(["distort", str(src), "--extent", "0.5", "--scale", scale, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: scale must be finite and >= 0, got {scale}\n"
     assert not out.exists()
+
+
+# (OBJ text, its bounding-box diagonal): meshes whose jitter has no finite bound.
+NON_FINITE_OBJS = {
+    "nan-vertex": (b"v 0 0 0\nv 1 0 0\nv 0 nan 0\nf 1 2 3\n", "nan"),
+    "inf-vertex": (b"v 0 0 0\nv 1 0 0\nv 0 inf 0\nf 1 2 3\n", "inf"),
+    "diagonal-past-the-float-range": (b"v -1e308 0 0\nv 1e308 0 0\nv 0 1 0\nf 1 2 3\n", "inf"),
+}
+
+
+@pytest.mark.parametrize("text, diagonal", NON_FINITE_OBJS.values(), ids=NON_FINITE_OBJS.keys())
+def test_distort_refuses_a_mesh_without_a_finite_bound_before_subdividing(tmp_path, capsys, monkeypatch,
+                                                                           text, diagonal):
+    monkeypatch.setattr(meshtools, "subdivide", lambda mesh: pytest.fail("subdivided a refused mesh"))
+    src = tmp_path / "m.obj"
+    src.write_bytes(text)
+    out = tmp_path / "distorted.obj"
+    assert cli.main(["distort", str(src), "--extent", "0.5", "--subdivide", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: no finite displacement bound: extent 0.5 x 2% of the bounding-box diagonal {diagonal}\n")
+    assert not out.exists()
+
+
+def test_distort_at_extent_zero_writes_a_nan_vertex_back_byte_for_byte(tmp_path):
+    src = tmp_path / "m.obj"
+    src.write_bytes(NON_FINITE_OBJS["nan-vertex"][0])
+    out = tmp_path / "again.obj"
+    assert cli.main(["distort", str(src), "--extent", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
 
 
 COPLANAR_BEAMS = [[0.0, -0.479425538604203, -0.8775825618903728], [0.0, 0.0, -1.0],
@@ -686,6 +717,17 @@ def _assert_fails_validate_and_run(tmp_path, capsys, scenario_path, problem):
     assert cli.main(["run", str(scenario_path), "--out", str(out), "--duration", "1"]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not out.exists()
+
+
+def test_a_demo_dem_with_a_nan_cellsize_fails_validate_and_run(tmp_path, capsys):
+    dem = tmp_path / "demo_seafloor.asc"
+    text = (REPO / "scenarios" / "demo_seafloor.asc").read_text()
+    assert "\ncellsize 0.00027\n" in text
+    dem.write_text(text.replace("\ncellsize 0.00027\n", "\ncellsize nan\n"))
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["world"]["heightmap"] = str(dem)
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"{dem}: cell_size must be finite and positive")
 
 
 @pytest.mark.parametrize("sensor, name, field", [(0, "dvl", "pan_deg"), (0, "dvl", "tilt_deg"),

@@ -31,6 +31,20 @@ def run_steps(state, cfg, steps, rel=ALIGNED, force=0.0, dt=0.1):
     return state, events
 
 
+@pytest.mark.parametrize("field", ["linear_tol", "angular_tol", "insertion_force", "extraction_force",
+                                   "travel_max", "align_duration", "cooldown"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_config_fields_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_step_refuses_a_dt_that_is_not_positive(dt):
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        cpl.step(cpl.CouplingState(cpl.Phase.FREE, 0.0, 0.0, 0.0), ALIGNED, 0.0, dt, config())
+
+
 # --- alignment -------------------------------------------------------------------
 
 

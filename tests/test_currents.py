@@ -43,6 +43,10 @@ def test_db_validation():
         cur.StratifiedCurrentDB([])
     with pytest.raises(cur.CurrentError):
         cur.StratifiedCurrentDB([cur.Stratum(10.0, (0, 0, 0)), cur.Stratum(10.0, (0, 0, 0))])
+    for depths in ([math.nan], [0.0, math.nan], [math.nan, 10.0], [0.0, 10.0, math.nan], [0.0, math.inf],
+                   [-math.inf, 0.0]):
+        with pytest.raises(cur.CurrentError, match="^strata depths must be finite and strictly increasing$"):
+            cur.StratifiedCurrentDB([cur.Stratum(d, (0, 0, 0)) for d in depths])
 
 
 # --- Gauss-Markov ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from subsim import dvl
 from subsim.geometry import Pose, ned
 from subsim.output import CsvLog
 
-from conftest import make_heightmap, flat_heightmap
+from conftest import make_heightmap, flat_heightmap, ranges_geometry
 
 
 def level_pose(h, depth=0.0):
@@ -27,7 +27,7 @@ def measure0(pose, vel, scene, cfg, current_at=None):
 def patch_ranges(monkeypatch, ranges):
     """Make every `measure` call see these beam ranges (it still needs a
     scene that is not None to ask for them)."""
-    monkeypatch.setattr(dvl, "beam_ranges", lambda scene, origin, beams, cfg: np.array(ranges, dtype=float))
+    monkeypatch.setattr(dvl, "beam_geometry", ranges_geometry(ranges))
 
 
 @pytest.fixture
@@ -376,6 +376,9 @@ def test_config_validation():
         dvl.DvlConfig(min_range=10.0, max_range=5.0)
     with pytest.raises(ValueError):
         dvl.DvlConfig(bins=30, bin_size=10.0, max_range=100.0)
+    for bin_size in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="bin_size positive"):
+            dvl.DvlConfig(bins=2, bin_size=bin_size)
     up = dvl.janus_beams()
     up[0, 2] = abs(up[0, 2])
     up[0] /= np.linalg.norm(up[0])

@@ -265,6 +265,10 @@ def test_config_validation():
         lidar.LidarConfig(supersample=0)
     with pytest.raises(ValueError):
         lidar.LidarConfig(pan_deg=200.0)
+    for field in ("fov_h_deg", "fov_v_deg", "max_range"):
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                lidar.LidarConfig(**{field: value})
 
 
 def test_rays_per_scan_are_bounded_at_max_scan_rays():

@@ -142,6 +142,21 @@ def test_jitter_extent_zero_is_identity():
     assert np.array_equal(out.triangles, mesh.triangles)
 
 
+def test_jitter_extent_zero_leaves_non_finite_vertices_as_they_are():
+    mesh = mt.TriMesh([[0.0, 0.0, 0.0], [1.0, math.nan, 0.0], [0.0, 1.0, -math.inf]], [[0, 1, 2]])
+    for scale in (None, 0.5):
+        out = mt.jitter_vertices(mesh, mt.DistortionParams(extent=0.0, scale=scale, seed=3))
+        assert out.vertices.tobytes() == mesh.vertices.tobytes()
+
+
+def test_jitter_refuses_a_draw_range_past_the_float_range():
+    mesh = mt.unit_tetrahedron()
+    largest = mt.jitter_vertices(mesh, mt.DistortionParams(extent=1.0, scale=8e307, seed=3))
+    assert np.all(np.isfinite(largest.vertices))
+    with pytest.raises(mt.MeshError, match="^no finite displacement bound: extent 1.0 x scale 1e\\+308$"):
+        mt.jitter_vertices(mesh, mt.DistortionParams(extent=1.0, scale=1e308, seed=3))
+
+
 def test_jitter_bound_holds():
     rng = np.random.default_rng(41)
     mesh = mt.TriMesh(rng.normal(size=(200, 3)), [[0, 1, 2]])

@@ -280,7 +280,13 @@ def test_trajectory_pose_is_new_when_one_value_changes_its_bits(index):
     assert (flipped.position.x, flipped.position.y, flipped.position.depth) == tuple(values[:3])
 
 
-def test_held_geometry_is_kept_from_the_second_evaluation_at_one_pose():
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+def test_a_sensor_spec_refuses_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match="^rate must be positive$"):
+        scenario.SensorSpec("lidar", "l", rate, None)
+
+
+def test_geometry_is_kept_from_the_second_evaluation_at_one_pose():
     built = []
 
     def build(pose, heightmap, config):
@@ -289,14 +295,16 @@ def test_held_geometry_is_kept_from_the_second_evaluation_at_one_pose():
 
     sensor = scenario.Sensor(scenario.SensorSpec("lidar", "l", 1.0, None), None, 1, None)
     a, b = scenario.Pose.level(0.0, 0.0, 1.0), scenario.Pose.level(0.0, 0.0, 1.0)
-    assert sensor.held_geometry(a, build) is None and built == []  # a first evaluation: no geometry
-    kept = sensor.held_geometry(a, build)
-    assert kept is not None and built == [a]
-    assert sensor.held_geometry(a, build) is kept and sensor.held_geometry(a, build) is kept and built == [a]
-    assert sensor.held_geometry(b, build) is None  # an equal pose, but another object: moving
+    first = sensor.geometry(a, build)  # a first evaluation: built, not kept
+    assert first is not None and built == [a] and sensor._held == (a, None)
+    kept = sensor.geometry(a, build)
+    assert kept is not first and built == [a, a] and sensor._held == (a, kept)
+    assert sensor.geometry(a, build) is kept and sensor.geometry(a, build) is kept and built == [a, a]
+    moved = sensor.geometry(b, build)  # an equal pose, but another object: moving
+    assert moved is not kept and built == [a, a, b]
     assert sensor._held == (b, None)
-    assert sensor.held_geometry(a, build) is None and sensor.held_geometry(b, build) is None
-    assert built == [a] and sensor._held == (b, None)  # a moving vehicle keeps no geometry
+    assert sensor.geometry(a, build) is not sensor.geometry(b, build)
+    assert built == [a, a, b, a, b] and sensor._held == (b, None)  # a moving vehicle keeps no geometry
 
 
 HELD_DOC = {

@@ -21,7 +21,7 @@ def on_beam(cfg, k, ranges, amplitudes=None, phases=None):
     """Scatterers at beam k's steering angle, whose spectrum is row k of
     beam_spectra: each weighted by its amplitude alone."""
     n = len(ranges)
-    return sonar.ScattererSet(ranges, np.full(n, cfg.beam_angles()[k]), np.zeros(n),
+    return sonar.ScattererSet(ranges, np.full(n, cfg.beam_angles()[k]),
                               np.ones(n) if amplitudes is None else amplitudes,
                               np.zeros(n) if phases is None else phases)
 
@@ -48,7 +48,7 @@ def test_beam_pattern_peak_and_null():
 
 
 def test_zero_scatterers_zero_spectrum():
-    s = sonar.beam_spectra(sonar.ScattererSet(*[np.zeros(0)] * 5), SMALL)
+    s = sonar.beam_spectra(sonar.ScattererSet(*[np.zeros(0)] * 4), SMALL)
     assert s.shape == (SMALL.n_beams, SMALL.spectral_bins)
     assert np.all(s == 0.0)
 
@@ -176,13 +176,22 @@ def _random_scatterers(n, cfg, seed, speckle=True):
     """n scatterers 0.5-20 m out (the demo sonar's ranges) across the fan."""
     rng = np.random.default_rng(seed)
     half = cfg.horizontal_fov_rad / 2.0
+    ranges, azimuths = rng.uniform(0.5, 20.0, n), rng.uniform(-half, half, n)
+    rng.uniform(0.0, 1.2, n)  # an unused draw, which fixes each seed's amplitudes and phases
     return sonar.ScattererSet(
-        rng.uniform(0.5, 20.0, n),
-        rng.uniform(-half, half, n),
-        rng.uniform(0.0, 1.2, n),
+        ranges,
+        azimuths,
         rng.uniform(1e-4, 1e-2, n),
         rng.uniform(0.0, 2.0 * np.pi, n) if speckle else np.zeros(n),
     )
+
+
+def _drawn_phases(scat, cfg, rng):
+    """``scat`` with the micro phases a ping draws from ``rng``: U[0, 2pi),
+    one per scatterer, when speckle is enabled, else zeros."""
+    n = len(scat)
+    micro = rng.uniform(0.0, 2.0 * np.pi, n) if cfg.speckle_enabled else np.zeros(n)
+    return sonar.ScattererSet(scat.ranges, scat.azimuths, scat.amplitudes, micro)
 
 
 def _pgm_pixels(aplot, path):
@@ -231,7 +240,7 @@ def test_ping_memory_is_bounded_by_one_block_of_phases():
     cfg = sonar.SonarConfig(n_beams=128, rays_per_beam=3, vertical_rays=5, spectral_bins=1024,
                             horizontal_fov_rad=math.radians(60.0), bandwidth_hz=40e3)
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 18.0, pitch=-math.radians(60.0))
-    n = len(sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(1)))
+    n = len(sonar.gather_scatterers(pose, h, cfg))
     assert n >= 1900
     tracemalloc.start()
     try:
@@ -254,11 +263,11 @@ def test_ping_memory_is_bounded_by_one_block_of_phases():
 def test_ping_matches_exact_reference(monkeypatch, tmp_path, m, n, window, speckle):
     cfg = sonar.SonarConfig(n_beams=16, spectral_bins=m, bandwidth_hz=40e3, window=window,
                             speckle_enabled=speckle)
-    scat = _random_scatterers(n, cfg, seed=m * 7919 + n, speckle=speckle)
+    scat = _random_scatterers(n, cfg, seed=m * 7919 + n, speckle=False)
     monkeypatch.setattr(sonar, "gather_scatterers", lambda *args: scat)
     h = flat_heightmap(30.0, n=11, cell_m=10.0)
     aplot = sonar.ping(Pose.level(0.0, 0.0, 10.0), h, cfg, np.random.default_rng(0))
-    expected = _reference_intensities(scat, cfg)
+    expected = _reference_intensities(_drawn_phases(scat, cfg, np.random.default_rng(0)), cfg)
     assert aplot.intensities.shape == expected.shape == (cfg.n_beams, m)
     assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
     reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
@@ -277,9 +286,9 @@ def test_terrain_ping_matches_exact_reference(tmp_path, window, speckle):
     )
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 18.0, pitch=-math.radians(60.0))
     aplot = sonar.ping(pose, h, cfg, np.random.default_rng(5))
-    scat = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(5))
+    scat = sonar.gather_scatterers(pose, h, cfg)
     assert len(scat) > 900
-    expected = _reference_intensities(scat, cfg)
+    expected = _reference_intensities(_drawn_phases(scat, cfg, np.random.default_rng(5)), cfg)
     assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
     reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
     pixels = _pgm_pixels(aplot, tmp_path / "fast.pgm")
@@ -307,16 +316,17 @@ def test_gather_open_water_is_empty():
     h = flat_heightmap(500.0, n=11, cell_m=10.0)
     cfg = sonar.SonarConfig(n_beams=8, rays_per_beam=2, vertical_rays=3, spectral_bins=256,
                             speckle_enabled=False)
-    scat = sonar.gather_scatterers(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, cfg)
+    pose = Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0)
+    scat = sonar.gather_scatterers(pose, h, cfg)
     assert len(scat) == 0
     # No hits take the same path as any other fan: size-0 arrays, and a
-    # speckle draw of size 0 leaves the rng where it was.
+    # ping's speckle draw of size 0 leaves the rng where it was.
+    for a in (scat.ranges, scat.azimuths, scat.amplitudes, scat.micro_phases):
+        assert a.shape == (0,) and a.dtype == np.float64
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    scat = sonar.gather_scatterers(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h,
-                                   dataclasses.replace(cfg, speckle_enabled=True), rng)
-    for a in (scat.ranges, scat.azimuths, scat.incidences, scat.amplitudes, scat.micro_phases):
-        assert a.shape == (0,) and a.dtype == np.float64
+    aplot = sonar.ping(pose, h, dataclasses.replace(cfg, speckle_enabled=True), rng)
+    assert not aplot.intensities.any()
     assert rng.bit_generator.state == state
 
 
@@ -330,7 +340,8 @@ def test_gather_normal_plate_at_10m():
     scat = sonar.gather_scatterers(down_pose(h, 20.0), h, cfg)
     assert len(scat) == cfg.n_beams * cfg.rays_per_beam * cfg.vertical_rays
     assert np.all((scat.ranges >= 10.0 - 1e-3) & (scat.ranges <= 10.08))
-    assert np.all(scat.incidences <= math.radians(7.2))
+    cos_incidence = scat.amplitudes * scat.ranges**2 / (cfg.source_level * cfg.reflectivity)
+    assert np.all(cos_incidence >= math.cos(math.radians(7.2)))
     # amplitude = SL * G * cos(i) / r^2 ~ 2 * 0.5 / 100 within a few %.
     assert np.allclose(scat.amplitudes, 2.0 * 0.5 / 100.0, rtol=0.03)
 
@@ -345,29 +356,43 @@ def test_gather_amplitude_formula_and_grazing():
     pose = Pose.from_rpy(float(h.xs[30]), float(h.ys[30]), 28.0, pitch=-math.radians(8.0))
     scat = sonar.gather_scatterers(pose, h, cfg)
     assert len(scat) > 0
-    expected = cfg.source_level * cfg.reflectivity * np.cos(scat.incidences) / scat.ranges**2
+    d, r = _hit_directions_and_ranges(pose, h, cfg)
+    assert np.array_equal(scat.ranges, r)
+    normals = np.array([normal_at(h, x, y) for x, y in zip(pose.position.x + d[:, 1] * r,
+                                                            pose.position.y + d[:, 0] * r)])
+    cos_incidence = np.abs(np.sum(d * normals, axis=1))
+    expected = cfg.source_level * cfg.reflectivity * cos_incidence / r**2
     assert np.allclose(scat.amplitudes, expected, rtol=1e-9)
-    assert np.all(np.cos(scat.incidences) < 0.25)  # near-grazing geometry
+    assert np.all(cos_incidence < 0.25)  # near-grazing geometry
+
+
+def _hit_directions_and_ranges(pose, h, cfg):
+    """The world directions and exact `raycast` ranges of the fan's rays
+    that hit, in fan order."""
+    dirs = fan_directions(cfg.ray_azimuths(), cfg.ray_elevations()) @ pose.rotation.T
+    ranges = np.array([bathymetry.raycast(h, pose.position, d, cfg.max_range) for d in dirs], dtype=float)
+    hit = ~np.isnan(ranges)
+    assert 0 < hit.sum() <= len(dirs)
+    return dirs[hit], ranges[hit]
 
 
 def test_gather_incidence_uses_the_surface_normal_at_each_hit():
-    """Ranges are the exact raycast's and each incidence comes from the
-    bilinear surface normal at the scatterer's own hit point, bit for bit."""
+    """Ranges are the exact raycast's and each amplitude's incidence comes
+    from the bilinear surface normal at the scatterer's own hit point, bit
+    for bit."""
     h = make_heightmap(smooth_random_grid(np.random.default_rng(8), (21, 21), base=35.0, relief=9.0))
     cfg = sonar.SonarConfig(n_beams=16, rays_per_beam=3, vertical_rays=5, spectral_bins=4096,
                             horizontal_fov_rad=math.radians(120.0), vertical_fov_rad=math.radians(40.0),
                             speckle_enabled=False)
     pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 12.0, pitch=-math.radians(30.0))
     scat = sonar.gather_scatterers(pose, h, cfg)
-    dirs = fan_directions(cfg.ray_azimuths(), cfg.ray_elevations()) @ pose.rotation.T
-    ranges = np.array([bathymetry.raycast(h, pose.position, d, cfg.max_range) for d in dirs], dtype=float)
-    hit = ~np.isnan(ranges)
-    assert 0 < hit.sum() < len(dirs)
-    assert np.array_equal(scat.ranges, ranges[hit])
-    d, r = dirs[hit], ranges[hit]
+    d, r = _hit_directions_and_ranges(pose, h, cfg)
+    assert len(r) < cfg.n_beams * cfg.rays_per_beam * cfg.vertical_rays
+    assert np.array_equal(scat.ranges, r)
     normals = np.array([normal_at(h, x, y) for x, y in zip(pose.position.x + d[:, 1] * r,
                                                             pose.position.y + d[:, 0] * r)])
-    assert np.array_equal(scat.incidences, np.arccos(np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)))
+    cos_incidence = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
+    assert np.array_equal(scat.amplitudes, cfg.source_level * cfg.reflectivity * cos_incidence / r**2)
 
 
 @pytest.mark.parametrize("chunk", [25, 127])  # 255 rays: 127 leaves one ray over
@@ -385,13 +410,13 @@ def test_chunked_fan_gives_the_whole_fans_scatterers_and_ping(monkeypatch, chunk
                                      cfg.max_range).ranges
     hit = ~np.isnan(whole)
     assert 0 < hit.sum() < len(whole)
-    reference = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(2))
+    reference = sonar.gather_scatterers(pose, h, cfg)
     assert reference.ranges.tobytes() == whole[hit].tobytes()
     assert reference.azimuths.tobytes() == np.repeat(az, len(el))[hit].tobytes()
     reference_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
     monkeypatch.setattr(bathymetry, "RAY_CHUNK", chunk)
-    chunked = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(2))
-    for name in ("ranges", "azimuths", "incidences", "amplitudes", "micro_phases"):
+    chunked = sonar.gather_scatterers(pose, h, cfg)
+    for name in ("ranges", "azimuths", "amplitudes", "micro_phases"):
         assert getattr(chunked, name).tobytes() == getattr(reference, name).tobytes(), name
     chunked_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
     assert chunked_ping.intensities.tobytes() == reference_ping.intensities.tobytes()
@@ -405,7 +430,7 @@ def test_fan_memory_is_bounded_by_the_chunk_and_the_hits():
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 5.0, pitch=math.radians(60.0))
     tracemalloc.start()
     try:
-        hits = len(sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(1)))
+        hits = len(sonar.gather_scatterers(pose, h, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,14 +443,19 @@ def test_fan_memory_is_bounded_by_the_chunk_and_the_hits():
 
 
 def test_gather_speckle_phases_seeded():
+    """Gathering draws no speckle, even with speckle enabled: its micro
+    phases are zero, and a ping's one draw of U[0, 2pi) phases, one per
+    scatterer, is all it takes from its rng."""
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = sonar.SonarConfig(n_beams=4, rays_per_beam=2, vertical_rays=2, spectral_bins=256,
                             bandwidth_hz=15e3)
-    pose = down_pose(h, 10.0)
-    a = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(9))
-    b = sonar.gather_scatterers(pose, h, cfg, np.random.default_rng(9))
-    assert np.array_equal(a.micro_phases, b.micro_phases)
-    assert np.all((0.0 <= a.micro_phases) & (a.micro_phases < 2.0 * np.pi))
+    pose = down_pose(h, 20.0)  # 10 m above the bottom, inside the 12.8 m max_range
+    scat = sonar.gather_scatterers(pose, h, cfg)
+    assert len(scat) > 0 and not scat.micro_phases.any()
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    sonar.ping(pose, h, cfg, rng)
+    reference.uniform(0.0, 2.0 * np.pi, len(scat))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # --- ping ----------------------------------------------------------------------
@@ -479,7 +509,7 @@ for t in (0.0, 12.0):
     for n_beams, vertical_rays in ((48, 5), (128, 5), (128, 10)):
         scfg = sonar.SonarConfig(**{**params, "n_beams": n_beams, "vertical_rays": vertical_rays})
         aplot = sonar.ping(pose, heightmap, scfg, np.random.default_rng(3))
-        n = len(sonar.gather_scatterers(pose, heightmap, scfg, np.random.default_rng(3)))
+        n = len(sonar.gather_scatterers(pose, heightmap, scfg))
         print(t, n_beams, n, hashlib.sha256(aplot.intensities.tobytes()).hexdigest())
 """
 
@@ -503,10 +533,10 @@ def test_ping_deterministic_under_seed():
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = sonar.SonarConfig(n_beams=8, rays_per_beam=2, vertical_rays=2, spectral_bins=256,
                             bandwidth_hz=15e3)
-    pose = down_pose(h, 10.0)
+    pose = down_pose(h, 20.0)  # 10 m above the bottom, inside the 12.8 m max_range
     a = sonar.ping(pose, h, cfg, np.random.default_rng(11))
     b = sonar.ping(pose, h, cfg, np.random.default_rng(11))
-    assert np.array_equal(a.intensities, b.intensities)
+    assert np.array_equal(a.intensities, b.intensities) and a.intensities.any()
 
 
 def test_config_range_ambiguity_guard():

@@ -81,6 +81,15 @@ def test_tile_count_is_bounded_before_any_spec_is_built(map100, monkeypatch):
         tiling.grid_tile_specs(map100, 50.0, 5.0)
 
 
+@pytest.mark.parametrize("extent", [
+    (0.0, 0.0, 0.0, 100.0), (0.0, 0.0, 100.0, -1.0), (math.nan, 0.0, 100.0, 100.0),
+    (0.0, 0.0, 100.0, math.nan), (math.nan,) * 4,
+], ids=["zero-width", "negative-height", "nan-x-min", "nan-y-max", "all-nan"])
+def test_a_degenerate_or_nan_extent_counts_no_tiles(extent):
+    with pytest.raises(tiling.HeightmapError, match="^degenerate heightmap extent$"):
+        tiling.tile_counts(extent, 50.0, 5.0)
+
+
 def test_write_tiles_manifest_and_objs(tmp_path, map100):
     tiles = tiling.generate_tiles(map100, tile_size=50.0, overlap=5.0)
     manifest = tiling.write_tiles(tiles, tmp_path)
