@@ -69,6 +69,8 @@ def _dispatch(args) -> list[str]:
         if args.command == "validate":
             problems = scenario.validate(cfg)
             if not problems:
+                if cfg.world is not None:  # the DEM's values, read as a run reads them
+                    bathymetry.load_heightmap(cfg.world.heightmap_path)
                 print("ok")
             return problems
         try:  # the run validates first, before it touches --out

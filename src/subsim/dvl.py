@@ -194,17 +194,15 @@ def solve_velocity(beams: np.ndarray, scalars: np.ndarray, valid=None) -> np.nda
 
 
 def measure(
+    geometry: BeamGeometry,
     pose: Pose,
     vel_world: np.ndarray,
-    scene: Heightmap | None,
     current_at: CurrentFn | None,
     cfg: DvlConfig,
     rng: np.random.Generator,
-    geometry: BeamGeometry | None = None,
 ) -> DvlSolution:
-    """One measurement: beam ranges, then the tracking mode, then beam
-    noise and one solve. ``geometry``, the `beam_geometry` of ``pose``,
-    stands in for casting the beams.
+    """One measurement from the `beam_geometry` of ``pose``: the tracking
+    mode from its beam ranges, then beam noise and one solve.
 
     Bottom track when at least three beams return: terrain is static, so
     each hitting beam's scalar is the projection of the sensor-frame
@@ -216,8 +214,6 @@ def measure(
     scalars are solved once. The altitude is the mean of the hitting
     beams' vertical ranges, as `np.mean` sums and divides them.
     """
-    if geometry is None:
-        geometry = beam_geometry(pose, scene, cfg)
     ranges = geometry.ranges
     tracked = np.isfinite(ranges)  # the beams whose scalars are solved
     n_hits = np.count_nonzero(tracked)
@@ -240,12 +236,12 @@ def measure(
 
 
 def current_profile(
+    geometry: BeamGeometry,
     pose: Pose,
     vel_world: np.ndarray,
     current_at: CurrentFn,
     cfg: DvlConfig,
     rng: np.random.Generator,
-    geometry: BeamGeometry | None = None,
 ) -> AdcpProfile:
     """ADCP profile out to bins*bin_size along each beam; ``geometry``, the
     `beam_geometry` of ``pose``, gives its world beams.
@@ -270,8 +266,6 @@ def current_profile(
     if cfg.bins < 1:
         raise ValueError("profiling requires bins >= 1")
     centers = cfg.bin_centers
-    if geometry is None:
-        geometry = beam_geometry(pose, None, cfg)
     depths = pose.position.depth + centers[:, None] * geometry.world_beams[:, 2]  # (bins, 4)
     rel_world = np.empty((depths.size, 3))  # a (3,) current broadcasts to every row
     np.subtract(np.asarray(vel_world, dtype=float), np.asarray(current_at(depths.ravel()), dtype=float), out=rel_world)

@@ -126,27 +126,19 @@ def scan_geometry(pose: Pose, scene: Heightmap, cfg: LidarConfig) -> ScanGeometr
     return ScanGeometry(pose.position, directions, ranges, hit // n_v, hit % n_v)
 
 
-def scan(
-    pose: Pose,
-    scene: Heightmap,
-    cfg: LidarConfig,
-    rng: np.random.Generator | None = None,
-    geometry: ScanGeometry | None = None,
-) -> LidarScan:
-    """One snapshot scan; deterministic for a fixed rng seed.
+def scan(geometry: ScanGeometry, cfg: LidarConfig, rng: np.random.Generator | None = None) -> LidarScan:
+    """One snapshot scan of the `scan_geometry` of a pose; deterministic
+    for a fixed rng seed.
 
     Hits inside max_range each emit one point, displaced along the ray by
-    N(0, range_noise_sigma) from rng if that is > 0. ``geometry``, the
-    `scan_geometry` of ``pose``, stands in for casting the rays; without
-    range noise its noise-free scan is returned as it is.
+    N(0, range_noise_sigma) from rng if that is > 0; without range noise
+    the geometry's noise-free scan is returned as it is.
     """
-    if cfg.range_noise_sigma > 0.0 and rng is None:
+    if cfg.range_noise_sigma == 0.0:
+        return geometry.noise_free
+    if rng is None:
         raise ValueError("range noise requires an rng")
-    if geometry is None:
-        geometry = scan_geometry(pose, scene, cfg)
-    if cfg.range_noise_sigma > 0.0:
-        return geometry.cloud(geometry.ranges + rng.normal(0.0, cfg.range_noise_sigma, geometry.ranges.shape))
-    return geometry.noise_free
+    return geometry.cloud(geometry.ranges + rng.normal(0.0, cfg.range_noise_sigma, geometry.ranges.shape))
 
 
 # One PLY vertex: x/y/z in meters (z up = -depth) as float64, which keeps

@@ -126,9 +126,13 @@ def subdivide(mesh: TriMesh) -> TriMesh:
     def with_midpoints(values):
         out = np.empty((len(values) + len(edge_lo), 3))
         out[:len(values)] = values
+        # Each end halved before the sum, which cannot overflow; for normal
+        # values a*0.5 + b*0.5 is (a + b)*0.5 bit for bit.
         mid = values.take(edge_lo, axis=0, out=out[len(values):])
-        mid += values.take(edge_hi, axis=0)
         mid *= 0.5
+        half_hi = values.take(edge_hi, axis=0)
+        half_hi *= 0.5
+        mid += half_hi
         return out
 
     colors = None if mesh.colors is None else with_midpoints(mesh.colors)

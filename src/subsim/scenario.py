@@ -677,10 +677,10 @@ class DvlSensor(Sensor):
         sampler, pose = vehicle.sampler, vehicle.pose
         current_fn = lambda depth: sampler.velocity(depth, time_utc)
         geometry = self.geometry(pose, dvl.beam_geometry)  # the tick's and its profile's
-        sol = dvl.measure(pose, vehicle.velocity, self.heightmap, current_fn, self.config, self.rng, geometry)
+        sol = dvl.measure(geometry, pose, vehicle.velocity, current_fn, self.config, self.rng)
         self.log.row(dvl.log_row(t, sol))
         if self.adcp_log is not None:
-            profile = dvl.current_profile(pose, vehicle.velocity, current_fn, self.config, self.rng, geometry)
+            profile = dvl.current_profile(geometry, pose, vehicle.velocity, current_fn, self.config, self.rng)
             self.adcp_log.rows(dvl.adcp_rows(t, profile))
 
 
@@ -691,8 +691,7 @@ class SonarSensor(Sensor):
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
         # The geometry is an argument, not a local: a moving ping's is freed before the writers run.
-        aplot = sonar.ping(vehicle.pose, self.heightmap, self.config, self.rng,
-                           self.geometry(vehicle.pose, sonar.ping_geometry))
+        aplot = sonar.ping(self.geometry(vehicle.pose, sonar.gather_scatterers), self.config, self.rng)
         stem = f"ping_{self.count:05d}"
         sonar.write_aplot_pgm(aplot, self.out / f"{stem}.pgm")
         sonar.write_aplot_csv(aplot, self.out / f"{stem}.csv")
@@ -705,8 +704,8 @@ class LidarSensor(Sensor):
     config_type = lidar.LidarConfig
 
     def evaluate(self, t: float, time_utc: float, vehicle: _Vehicle) -> None:
-        cloud = lidar.scan(vehicle.pose, self.heightmap, self.config, self.rng,
-                           self.geometry(vehicle.pose, lidar.scan_geometry))  # freed before write_ply, as in ping
+        # The geometry is an argument, as in ping: a moving scan's is freed before write_ply runs.
+        cloud = lidar.scan(self.geometry(vehicle.pose, lidar.scan_geometry), self.config, self.rng)
         lidar.write_ply(cloud, self.out / f"scan_{self.count:05d}.ply")
         self.count += 1
 

@@ -128,13 +128,18 @@ class SonarConfig:
 
 
 class ScattererSet:
-    """Parallel arrays describing point scatterers in the sonar frame."""
+    """What a ping from one pose is before its speckle draw: parallel
+    arrays describing point scatterers in the sonar frame, and
+    ``beam_weights``, each scatterer's amplitude weighted by the beam
+    pattern at its bearing from each of ``cfg``'s steering angles, shape
+    (n_scatterers, n_beams)."""
 
-    def __init__(self, ranges, azimuths, amplitudes, micro_phases):
+    def __init__(self, ranges, azimuths, amplitudes, cfg: SonarConfig):
         self.ranges = np.asarray(ranges, dtype=float)
         self.azimuths = np.asarray(azimuths, dtype=float)
         self.amplitudes = np.asarray(amplitudes, dtype=float)
-        self.micro_phases = np.asarray(micro_phases, dtype=float)
+        pattern = _beam_pattern_of(np.subtract.outer(self.azimuths, cfg.beam_angles()), cfg.beamwidth_rad)
+        self.beam_weights = np.multiply(pattern, self.amplitudes[:, None], out=pattern)
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -160,7 +165,7 @@ def _beam_pattern_of(delta: np.ndarray, beamwidth_rad: float) -> np.ndarray:
 
 def gather_scatterers(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> ScattererSet:
     """Raycast the full (azimuth x elevation) fan from ``pose`` and convert
-    its hits to scatterers with zero micro phases; no randomness is drawn.
+    its hits to scatterers; no randomness is drawn.
 
     Amplitude is source_level * reflectivity * cos(incidence) / range^2
     (two-way spherical spreading in the amplitude domain), the incidence
@@ -172,23 +177,14 @@ def gather_scatterers(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> Scatter
     normals = surface_normals(scene, pose.position.x + d[:, 1] * ranges, pose.position.y + d[:, 0] * ranges)
     cos_inc = np.clip(np.abs(np.sum(d * normals, axis=1)), 0.0, 1.0)
     amplitude = cfg.source_level * cfg.reflectivity * cos_inc / ranges**2
-    return ScattererSet(ranges, az[ray // len(el)], amplitude, np.zeros_like(ranges))
+    return ScattererSet(ranges, az[ray // len(el)], amplitude, cfg)
 
 
-def _speckled(scat: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | None) -> ScattererSet:
-    """``scat`` with this ping's micro phases: U[0, 2pi) draws when speckle
-    is enabled, else its own zeros."""
-    if not cfg.speckle_enabled:
-        return scat
-    if rng is None:
-        raise ValueError("speckle requires an rng")
-    micro = rng.uniform(0.0, 2.0 * np.pi, scat.ranges.shape)
-    return ScattererSet(scat.ranges, scat.azimuths, scat.amplitudes, micro)
-
-
-def _phase_matrix(scat: ScattererSet, cfg: SonarConfig, rows: slice = slice(None), out=None) -> np.ndarray:
-    """exp(-j 2 pi f_m tau_i + j phi_i) for the scatterers ``rows``, shape
-    (n, M); into ``out``, a complex (n, ceil(M/K), K) array, if given.
+def _phase_matrix(scat: ScattererSet, micro_phases: np.ndarray, cfg: SonarConfig, rows: slice = slice(None),
+                  out=None) -> np.ndarray:
+    """exp(-j 2 pi f_m tau_i + j phi_i) for the scatterers ``rows`` and
+    their ``micro_phases`` phi, shape (n, M); into ``out``, a complex (n,
+    ceil(M/K), K) array, if given.
 
     With m = q*K + r and f_m = f_{qK} + r*B_w/M, each phasor is the exact
     exp(j(-2 pi f_{qK} tau_i + phi_i)) times exp(-j 2 pi r (B_w/M) tau_i):
@@ -201,7 +197,7 @@ def _phase_matrix(scat: ScattererSet, cfg: SonarConfig, rows: slice = slice(None
     k = _PHASE_STEP
     tau = 2.0 * scat.ranges[rows] / cfg.sound_speed
     coarse = np.exp(
-        1j * (-2.0 * np.pi * np.outer(tau, cfg.frequencies()[::k]) + scat.micro_phases[rows, None])
+        1j * (-2.0 * np.pi * np.outer(tau, cfg.frequencies()[::k]) + micro_phases[rows, None])
     )
     step_hz = cfg.bandwidth_hz / cfg.spectral_bins
     steps = np.exp(-2j * np.pi * step_hz * np.outer(tau, np.arange(k)))
@@ -209,9 +205,10 @@ def _phase_matrix(scat: ScattererSet, cfg: SonarConfig, rows: slice = slice(None
     return phases.reshape(len(tau), coarse.shape[1] * k)[:, : cfg.spectral_bins]
 
 
-def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> np.ndarray:
-    """Spectra sum_i weights[i, b] * phase[i, m], shape (beams, M), for a
-    weight matrix (n_scatterers, beams).
+def _coherent_sum(scat: ScattererSet, micro_phases: np.ndarray, cfg: SonarConfig) -> np.ndarray:
+    """Spectra sum_i weights[i, b] * phase[i, m], shape (beams, M), for the
+    scatterers' beam_weights (n_scatterers, beams) and their phases with
+    these ``micro_phases``.
 
     The weights are real, so the product runs on the phases' float view
     (re and im interleaved along M), half the arithmetic of a complex
@@ -229,6 +226,7 @@ def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> 
     smaller arrays, take their memory from the heap and reuse its pages.
     """
     n, b, k = len(scat), _SCATTER_BLOCK, _PHASE_STEP
+    weights = scat.beam_weights
     beams, m = weights.shape[1], cfg.spectral_bins
     if n == 0:
         return np.zeros((beams, m), dtype=complex)
@@ -239,43 +237,13 @@ def _coherent_sum(scat: ScattererSet, weights: np.ndarray, cfg: SonarConfig) -> 
     phases = scratch[2 * beams * m :].view(complex).reshape(block_rows, cols // k, k)
     for start in range(0, n, b):
         rows = slice(start, start + b)
-        flat = _phase_matrix(scat, cfg, rows, phases[: min(b, n - start)]).view(np.float64)
+        flat = _phase_matrix(scat, micro_phases, cfg, rows, phases[: min(b, n - start)]).view(np.float64)
         if start == 0:
             np.matmul(weights[rows].T, flat, out=spectra)
         else:
             np.matmul(weights[rows].T, flat, out=partial)
             np.add(spectra, partial, out=spectra)
     return spectra.view(np.complex128)
-
-
-def beam_weights(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
-    """Each scatterer's amplitude weighted by the beam pattern at its
-    bearing from each beam's steering angle, shape (n_scatterers, n_beams)."""
-    pattern = _beam_pattern_of(np.subtract.outer(scat.azimuths, cfg.beam_angles()), cfg.beamwidth_rad)
-    return np.multiply(pattern, scat.amplitudes[:, None], out=pattern)
-
-
-def beam_spectra(scat: ScattererSet, cfg: SonarConfig) -> np.ndarray:
-    """Coherent spectra of every beam over all scatterers, shape
-    (n_beams, M), weighted by `beam_weights`. No scatterers give zero
-    spectra."""
-    return _coherent_sum(scat, beam_weights(scat, cfg), cfg)
-
-
-@dataclass(frozen=True, eq=False)
-class PingGeometry:
-    """What a ping from one pose is before its speckle draw: the
-    scatterers (with zero micro phases) and their `beam_weights`."""
-
-    scatterers: ScattererSet
-    weights: np.ndarray  # (n_scatterers, n_beams)
-
-
-def ping_geometry(pose: Pose, scene: Heightmap, cfg: SonarConfig) -> PingGeometry:
-    """The `gather_scatterers` of ``pose`` and their `beam_weights`; no
-    randomness is drawn."""
-    scat = gather_scatterers(pose, scene, cfg)
-    return PingGeometry(scat, beam_weights(scat, cfg))
 
 
 def _window(cfg: SonarConfig) -> np.ndarray | None:
@@ -307,21 +275,18 @@ class APlot:
     beam_axis: np.ndarray  # (n_beams,) steering angles, radians
 
 
-def ping(
-    pose: Pose,
-    scene: Heightmap,
-    cfg: SonarConfig,
-    rng: np.random.Generator | None = None,
-    geometry: PingGeometry | None = None,
-) -> APlot:
-    """One full ping: the `ping_geometry` of ``pose`` (``geometry``, when
-    given, stands in for it), then this ping's micro phases, drawn from
-    ``rng`` when speckle is enabled, every beam's spectrum as one
-    (n_beams, M) array and their intensities in one pass."""
-    if geometry is None:
-        geometry = ping_geometry(pose, scene, cfg)
-    spectra = _coherent_sum(_speckled(geometry.scatterers, cfg, rng), geometry.weights, cfg)
-    intensities = beam_intensity(spectra, cfg)
+def ping(scatterers: ScattererSet, cfg: SonarConfig, rng: np.random.Generator | None = None) -> APlot:
+    """One full ping of the `gather_scatterers` of a pose: this ping's
+    micro phases, U[0, 2pi) drawn from ``rng`` when speckle is enabled,
+    else zeros, then every beam's spectrum as one (n_beams, M) array and
+    their intensities in one pass."""
+    if not cfg.speckle_enabled:
+        micro_phases = np.zeros(len(scatterers))
+    elif rng is None:
+        raise ValueError("speckle requires an rng")
+    else:
+        micro_phases = rng.uniform(0.0, 2.0 * np.pi, len(scatterers))
+    intensities = beam_intensity(_coherent_sum(scatterers, micro_phases, cfg), cfg)
     return APlot(intensities, np.arange(cfg.spectral_bins) * cfg.range_bin_width, cfg.beam_angles())
 
 

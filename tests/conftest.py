@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subsim import dvl
+from subsim import dvl, sonar
 from subsim.bathymetry import Heightmap
 from subsim.geodesy import GeodeticCoord
 
@@ -35,16 +35,18 @@ def smooth_random_grid(rng, shape, base=40.0, relief=8.0, passes=4):
     return base + relief * g / np.max(np.abs(g))
 
 
-def ranges_geometry(ranges):
-    """A `dvl.beam_geometry` whose casts, with a scene, return these beam
-    ranges."""
-    build = dvl.beam_geometry
+def ranges_geometry(pose, cfg, ranges):
+    """The `dvl.beam_geometry` of ``pose`` with these beam ranges in place
+    of its casts."""
+    uncast = dvl.beam_geometry(pose, None, cfg)  # the world beams, and no raycast
+    return dvl.BeamGeometry(np.array(ranges, dtype=float), uncast.world_beams)
 
-    def geometry(pose, scene, cfg):
-        uncast = build(pose, None, cfg)  # the world beams, and no raycast
-        return uncast if scene is None else dvl.BeamGeometry(np.array(ranges, dtype=float), uncast.world_beams)
 
-    return geometry
+def beam_spectra(scat, cfg, micro_phases=None):
+    """Coherent spectra of every beam over the scatterers ``scat``, shape
+    (n_beams, M), with these micro phases (zeros by default). No
+    scatterers give zero spectra."""
+    return sonar._coherent_sum(scat, np.zeros(len(scat)) if micro_phases is None else micro_phases, cfg)
 
 
 def normal_at(h, x, y):

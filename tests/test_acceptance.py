@@ -17,7 +17,7 @@ from subsim import bathymetry as bat
 from subsim.geodesy import ProjectedCoord
 from subsim.geometry import Pose, WorldPoint, ned
 
-from conftest import flat_heightmap, make_heightmap, ranges_geometry
+from conftest import beam_spectra, flat_heightmap, make_heightmap, ranges_geometry
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -163,7 +163,7 @@ def test_criterion_4_ou_current_statistics():
     )
 
 
-def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
+def test_criterion_5_dvl_round_trip_and_mode_rule():
     h = flat_heightmap(50.0, n=21, cell_m=10.0)
     cfg = dvl.DvlConfig()
     rng = np.random.default_rng(105)
@@ -175,7 +175,8 @@ def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
             yaw=rng.uniform(-math.pi, math.pi),
         )
         vel = rng.uniform(-2.0, 2.0, 3)
-        sol = dvl.measure(pose, vel, h, None, cfg, np.random.default_rng(0))  # noise_sigma 0
+        sol = dvl.measure(dvl.beam_geometry(pose, h, cfg), pose, vel, None, cfg,
+                          np.random.default_rng(0))  # noise_sigma 0
         assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
         worst = max(worst, float(np.max(np.abs(sol.velocity - pose.to_body(vel)))))
     assert worst < 1e-9
@@ -184,16 +185,16 @@ def test_criterion_5_dvl_round_trip_and_mode_rule(monkeypatch):
     vel = ned(0.4, -0.1, 0.05)
     for pattern in itertools.product([True, False], repeat=4):
         ranges = np.where(pattern, 45.0, np.nan)
-        monkeypatch.setattr(dvl, "beam_geometry", ranges_geometry(ranges))
         for enabled in (True, False):
             c = dvl.DvlConfig(water_track_enabled=enabled)
-            sol = dvl.measure(pose, vel, h, None, c, np.random.default_rng(0))
+            sol = dvl.measure(ranges_geometry(pose, c, ranges), pose, vel, None, c, np.random.default_rng(0))
             if sum(pattern) >= 3:
                 assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
             else:
                 assert sol.mode is dvl.TrackingMode.NONE
                 fallback = dvl.measure(
-                    pose, vel, None, lambda depth: np.zeros(3), c, np.random.default_rng(0)
+                    dvl.beam_geometry(pose, None, c), pose, vel, lambda depth: np.zeros(3), c,
+                    np.random.default_rng(0),
                 )
                 assert fallback.mode is (
                     dvl.TrackingMode.WATER_TRACK if enabled else dvl.TrackingMode.NONE
@@ -208,7 +209,7 @@ def test_criterion_6_adcp_two_strata_fixture():
     cfg = dvl.DvlConfig(bins=5, bin_size=12.0, min_range=0.0, noise_sigma=0.0)
     pose = Pose.from_rpy(0.0, 0.0, 8.0, yaw=0.7)
     profile = dvl.current_profile(
-        pose, ned(0, 0, 0), db.interpolate, cfg, np.random.default_rng(0)
+        dvl.beam_geometry(pose, None, cfg), pose, ned(0, 0, 0), db.interpolate, cfg, np.random.default_rng(0)
     )
     beams = np.asarray(cfg.beams)
     world_beams = (pose.rotation @ beams.T).T
@@ -225,7 +226,8 @@ def test_criterion_6_adcp_two_strata_fixture():
     per_cfg = dvl.DvlConfig(bins=5, bin_size=12.0, min_range=0.0,
                             profile_mode=dvl.PROFILE_PER_BEAM, noise_sigma=0.01)
     per = dvl.current_profile(
-        pose, ned(0.3, 0.0, 0.0), db.interpolate, per_cfg, np.random.default_rng(6)
+        dvl.beam_geometry(pose, None, per_cfg), pose, ned(0.3, 0.0, 0.0), db.interpolate, per_cfg,
+        np.random.default_rng(6),
     )
     for k in range(per_cfg.bins):
         for b in range(4):
@@ -243,8 +245,8 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     rng = np.random.default_rng(107)
     for _ in range(50):
         r = rng.uniform(0.2, cfg.max_range * 0.95)
-        scat = sonar.ScattererSet([r], [axis], [1.0], [0.0])
-        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, cfg)[64], cfg)
+        scat = sonar.ScattererSet([r], [axis], [1.0], cfg)
+        intensity = sonar.beam_intensity(beam_spectra(scat, cfg)[64], cfg)
         expected_bin = round(2.0 * r * cfg.bandwidth_hz / cfg.sound_speed)
         assert abs(int(np.argmax(intensity)) - expected_bin) <= 1
 
@@ -255,11 +257,9 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     peaks = np.empty(500)
     for trial in range(500):
         ranges = r0 + rng.uniform(0.0, scfg.range_bin_width * 0.25, n_scat)
-        scat = sonar.ScattererSet(
-            ranges, np.full(n_scat, scfg.beam_angles()[0]), np.ones(n_scat),
-            rng.uniform(0.0, 2.0 * np.pi, n_scat),
-        )
-        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, scfg)[0], scfg)
+        scat = sonar.ScattererSet(ranges, np.full(n_scat, scfg.beam_angles()[0]), np.ones(n_scat), scfg)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n_scat)
+        intensity = sonar.beam_intensity(beam_spectra(scat, scfg, phases)[0], scfg)
         peaks[trial] = intensity[round(2.0 * r0 * scfg.bandwidth_hz / scfg.sound_speed)]
     cov = float(peaks.std() / peaks.mean())
     assert 0.85 <= cov <= 1.15
@@ -267,8 +267,8 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     # Adjacent-beam leakage follows the beam pattern.
     lcfg = sonar.SonarConfig(n_beams=32, spectral_bins=256, speckle_enabled=False)
     angles = lcfg.beam_angles()
-    target = sonar.ScattererSet([2.0], [float(angles[16])], [1.0], [0.0])
-    peak = sonar.beam_intensity(sonar.beam_spectra(target, lcfg)[16:18], lcfg).max(axis=1)
+    target = sonar.ScattererSet([2.0], [float(angles[16])], [1.0], lcfg)
+    peak = sonar.beam_intensity(beam_spectra(target, lcfg)[16:18], lcfg).max(axis=1)
     ratio = math.sqrt(peak[1] / peak[0])
     expected = float(sonar.beam_pattern(angles[17] - angles[16], lcfg.beamwidth_rad))
     assert abs(ratio - expected) / expected < 0.05
@@ -277,11 +277,11 @@ def test_criterion_7_sonar_range_law_speckle_leakage_performance():
     h = flat_heightmap(30.0, n=41, cell_m=5.0)
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 24.5, pitch=-math.radians(60.0))
     t0 = time.perf_counter()
-    one = sonar.ping(pose, h, cfg, np.random.default_rng(9))
+    one = sonar.ping(sonar.gather_scatterers(pose, h, cfg), cfg, np.random.default_rng(9))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
     assert one.intensities.max() > 0.0
-    again = sonar.ping(pose, h, cfg, np.random.default_rng(9))
+    again = sonar.ping(sonar.gather_scatterers(pose, h, cfg), cfg, np.random.default_rng(9))
     assert np.array_equal(one.intensities, again.intensities)
     report(7, f"range law 50/50, speckle CoV {cov:.3f}, leakage ratio {ratio:.3f} "
               f"(expected {expected:.3f}), desk ping {elapsed:.2f} s, repeatable under seed")
@@ -342,7 +342,7 @@ def test_criterion_9_lidar_defaults_and_mount_limits():
     h = flat_heightmap(40.0, n=41, cell_m=10.0)
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 30.0, pitch=-math.pi / 2.0)
     cfg = lidar.LidarConfig()  # 145x145 rays, 30x30 deg, 20 m, supersample 10
-    cloud = lidar.scan(pose, h, cfg)
+    cloud = lidar.scan(lidar.scan_geometry(pose, h, cfg), cfg)
     assert len(cloud.points) <= 1450 * 1450
     assert len(cloud.points) > 0
     assert np.all(cloud.ranges <= 20.0)

@@ -383,6 +383,18 @@ def test_distort_refuses_a_mesh_without_a_finite_bound_before_subdividing(tmp_pa
     assert not out.exists()
 
 
+def test_distort_subdivides_coordinates_near_the_float_limit(tmp_path):
+    """Midpoints of coordinates past about 8.9e307 halve each end before the
+    sum, which then cannot overflow to inf."""
+    src = tmp_path / "m.obj"
+    src.write_bytes(b"v 1e308 0 0\nv 1.5e308 0 0\nv 1e308 1 0\nf 1 2 3\n")
+    out = tmp_path / "subdivided.obj"
+    assert cli.main(["distort", str(src), "--extent", "0", "--subdivide", "1", "--out", str(out)]) == 0
+    vertices = meshtools.load_obj(out).vertices
+    assert len(vertices) == 6 and np.isfinite(vertices).all()
+    assert vertices[3:, 0].tolist() == [1.25e308, 1.25e308, 1e308]
+
+
 def test_distort_at_extent_zero_writes_a_nan_vertex_back_byte_for_byte(tmp_path):
     src = tmp_path / "m.obj"
     src.write_bytes(NON_FINITE_OBJS["nan-vertex"][0])
@@ -730,6 +742,20 @@ def test_a_demo_dem_with_a_nan_cellsize_fails_validate_and_run(tmp_path, capsys)
                                    f"{dem}: cell_size must be finite and positive")
 
 
+def test_a_demo_dem_with_an_inf_depth_fails_validate_and_run(tmp_path, capsys):
+    """`validate` reads the DEM's values as a run does: a depth the
+    heightmap refuses is the run's one error line there too."""
+    dem = tmp_path / "demo_seafloor.asc"
+    lines = (REPO / "scenarios" / "demo_seafloor.asc").read_text().split("\n")
+    assert lines[5].startswith("nodata_value")  # the header's last line
+    lines[6] = "inf " + lines[6].split(" ", 1)[1]
+    dem.write_text("\n".join(lines))
+    doc = copy.deepcopy(_DEMO_DOC)
+    doc["world"]["heightmap"] = str(dem)
+    _assert_fails_validate_and_run(tmp_path, capsys, _write_doc(tmp_path, doc),
+                                   f"{dem}: non-nodata depths must be finite")
+
+
 @pytest.mark.parametrize("sensor, name, field", [(0, "dvl", "pan_deg"), (0, "dvl", "tilt_deg"),
                                                  (1, "fls", "pan_deg"), (1, "fls", "tilt_deg")])
 def test_mount_field_on_a_sensor_without_mount_fails_validate(tmp_path, capsys, sensor, name, field):
@@ -912,8 +938,8 @@ def test_bad_dem_token_leaves_no_output_directory(tmp_path, capsys):
     doc = {"schema_version": 1, "duration": 1.0, "dt": 0.1,
            "world": {"heightmap": "w.asc", "tile_size": 50.0, "overlap": 5.0}}
     scenario_path = _write_doc(tmp_path, doc)
-    assert cli.main(["validate", str(scenario_path)]) == 0
-    capsys.readouterr()
+    assert cli.main(["validate", str(scenario_path)]) == 1  # validate reads the depths as the run does
+    assert capsys.readouterr().err == f"error: {dem}:7: bad depth value 'x'\n"
     out = tmp_path / "out"
     assert cli.main(["run", str(scenario_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {dem}:7: bad depth value 'x'\n"

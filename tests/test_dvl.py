@@ -19,15 +19,20 @@ def level_pose(h, depth=0.0):
 
 
 def measure0(pose, vel, scene, cfg, current_at=None):
-    """`measure` at the config's noise_sigma, 0 by default: numpy then
-    draws exact zeros, so the solution is the noise-free one."""
-    return dvl.measure(pose, vel, scene, current_at, cfg, np.random.default_rng(0))
+    """`measure` of the beams cast from ``pose`` into ``scene``, at the
+    config's noise_sigma, 0 by default: numpy then draws exact zeros, so
+    the solution is the noise-free one."""
+    return dvl.measure(dvl.beam_geometry(pose, scene, cfg), pose, vel, current_at, cfg, np.random.default_rng(0))
 
 
-def patch_ranges(monkeypatch, ranges):
-    """Make every `measure` call see these beam ranges (it still needs a
-    scene that is not None to ask for them)."""
-    monkeypatch.setattr(dvl, "beam_geometry", ranges_geometry(ranges))
+def measure_ranges(ranges, pose, vel, cfg, current_at=None):
+    """`measure0` with these beam ranges in place of the casts."""
+    return dvl.measure(ranges_geometry(pose, cfg, ranges), pose, vel, current_at, cfg, np.random.default_rng(0))
+
+
+def profile_of(pose, vel, current_at, cfg, rng):
+    """`current_profile` from the `beam_geometry` of ``pose``."""
+    return dvl.current_profile(dvl.beam_geometry(pose, None, cfg), pose, vel, current_at, cfg, rng)
 
 
 @pytest.fixture
@@ -147,24 +152,23 @@ def test_bottom_track_random_attitudes(flat100):
         assert np.allclose(sol.velocity, pose.to_body(vel), atol=1e-9)
 
 
-def test_two_beam_hit_is_not_bottom_track(monkeypatch, flat100):
+def test_two_beam_hit_is_not_bottom_track():
     pose = Pose.level(0.0, 0.0, 0.0)
     cfg = dvl.DvlConfig()
-    patch_ranges(monkeypatch, [40.0, 40.0, np.nan, np.nan])
-    sol = measure0(pose, ned(1, 0, 0), flat100, cfg)
+    sol = measure_ranges([40.0, 40.0, np.nan, np.nan], pose, ned(1, 0, 0), cfg)
     assert sol.mode is not dvl.TrackingMode.BOTTOM_TRACK
 
 
-def test_mode_priority_all_16_patterns(monkeypatch, flat100):
+def test_mode_priority_all_16_patterns():
     pose = Pose.level(0.0, 0.0, 0.0)
     vel = ned(0.5, -0.2, 0.1)
     for pattern in itertools.product([True, False], repeat=4):
-        patch_ranges(monkeypatch, np.where(pattern, 45.0, np.nan))
+        ranges = np.where(pattern, 45.0, np.nan)
         n_hits = sum(pattern)
         for enabled in (True, False):
             cfg = dvl.DvlConfig(water_track_enabled=enabled)
-            sol = measure0(pose, vel, flat100, cfg)  # no current: no water track
-            with_current = measure0(pose, vel, flat100, cfg, lambda depth: np.zeros(3))
+            sol = measure_ranges(ranges, pose, vel, cfg)  # no current: no water track
+            with_current = measure_ranges(ranges, pose, vel, cfg, lambda depth: np.zeros(3))
             if n_hits >= 3:
                 assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
                 assert with_current.mode is dvl.TrackingMode.BOTTOM_TRACK
@@ -172,10 +176,7 @@ def test_mode_priority_all_16_patterns(monkeypatch, flat100):
                 assert sol.mode is dvl.TrackingMode.NONE
                 expected = dvl.TrackingMode.WATER_TRACK if enabled else dvl.TrackingMode.NONE
                 assert with_current.mode is expected
-                fallback = dvl.measure(
-                    pose, vel, None, lambda depth: np.zeros(3), cfg,
-                    np.random.default_rng(0),
-                )
+                fallback = measure0(pose, vel, None, cfg, lambda depth: np.zeros(3))
                 expected = dvl.TrackingMode.WATER_TRACK if enabled else dvl.TrackingMode.NONE
                 assert fallback.mode is expected
 
@@ -209,10 +210,7 @@ def test_water_track_samples_sensor_depth():
 
 def test_measure_none_when_water_track_disabled():
     cfg = dvl.DvlConfig(water_track_enabled=False)
-    sol = dvl.measure(
-        Pose.level(0, 0, 0), ned(1, 0, 0), None, lambda d: np.zeros(3), cfg,
-        np.random.default_rng(0),
-    )
+    sol = measure0(Pose.level(0, 0, 0), ned(1, 0, 0), None, cfg, lambda d: np.zeros(3))
     assert sol.mode is dvl.TrackingMode.NONE
     assert sol.velocity is None
 
@@ -222,7 +220,7 @@ def test_zero_noise_is_identity(flat100):
     pose = level_pose(flat100)
     vel = ned(0.7, 0.2, 0.0)
     rng = np.random.default_rng(3)
-    sol = dvl.measure(pose, vel, flat100, None, cfg, rng)
+    sol = dvl.measure(dvl.beam_geometry(pose, flat100, cfg), pose, vel, None, cfg, rng)
     clean = cfg.beams @ pose.to_body(vel)
     assert np.array_equal(sol.beam_velocities, clean)
     assert np.array_equal(sol.velocity, dvl.solve_velocity(cfg.beams, clean))
@@ -234,22 +232,24 @@ def test_zero_noise_is_identity(flat100):
 def test_noise_deterministic_under_seed(flat100):
     cfg = dvl.DvlConfig(noise_sigma=0.01)
     pose = level_pose(flat100)
-    a = dvl.measure(pose, ned(0.7, 0.2, 0.0), flat100, None, cfg, np.random.default_rng(42))
-    b = dvl.measure(pose, ned(0.7, 0.2, 0.0), flat100, None, cfg, np.random.default_rng(42))
+    a = dvl.measure(dvl.beam_geometry(pose, flat100, cfg), pose, ned(0.7, 0.2, 0.0), None, cfg,
+                    np.random.default_rng(42))
+    b = dvl.measure(dvl.beam_geometry(pose, flat100, cfg), pose, ned(0.7, 0.2, 0.0), None, cfg,
+                    np.random.default_rng(42))
     assert np.array_equal(a.velocity, b.velocity)
 
 
-def test_noise_covariance_matches_linear_propagation(monkeypatch, flat100):
+def test_noise_covariance_matches_linear_propagation():
     # Velocity noise should follow (B^T B)^-1 sigma^2 through the solve.
     sigma = 0.01
     cfg = dvl.DvlConfig(noise_sigma=sigma)
     pose = Pose.level(0.0, 0.0, 0.0)
-    patch_ranges(monkeypatch, np.full(4, 40.0))
+    geometry = ranges_geometry(pose, cfg, np.full(4, 40.0))
     rng = np.random.default_rng(63)
     trials = 10_000
     vs = np.empty((trials, 3))
     for k in range(trials):
-        vs[k] = dvl.measure(pose, ned(0, 0, 0), flat100, None, cfg, rng).velocity
+        vs[k] = dvl.measure(geometry, pose, ned(0, 0, 0), None, cfg, rng).velocity
     b = np.asarray(cfg.beams)
     cov_expected = np.linalg.inv(b.T @ b) * sigma**2
     assert np.allclose(np.abs(vs.mean(axis=0)), 0.0, atol=5e-4)
@@ -262,7 +262,7 @@ def test_noise_covariance_matches_linear_propagation(monkeypatch, flat100):
 def test_profile_uniform_current_combined():
     cfg = dvl.DvlConfig(bins=4, bin_size=10.0, noise_sigma=0.0)
     current = ned(0.25, -0.1, 0.0)
-    profile = dvl.current_profile(
+    profile = profile_of(
         Pose.level(0, 0, 5.0), ned(0, 0, 0), lambda d: current, cfg, np.random.default_rng(0)
     )
     # Stationary level sensor in uniform current: every bin reads the
@@ -280,7 +280,7 @@ def test_profile_two_strata_matches_interpolation_oracle():
     )
     cfg = dvl.DvlConfig(bins=5, bin_size=12.0, min_range=0.0)
     pose = Pose.level(0, 0, 8.0)
-    profile = dvl.current_profile(
+    profile = profile_of(
         pose, ned(0, 0, 0), db.interpolate, cfg, np.random.default_rng(0)
     )
     world_beams = (pose.rotation @ np.asarray(cfg.beams).T).T
@@ -300,7 +300,7 @@ def test_profile_two_strata_matches_interpolation_oracle():
 def test_profile_per_beam_parallel_to_beams():
     cfg = dvl.DvlConfig(bins=3, bin_size=8.0, profile_mode=dvl.PROFILE_PER_BEAM,
                         noise_sigma=0.02)
-    profile = dvl.current_profile(
+    profile = profile_of(
         Pose.level(0, 0, 5.0), ned(0.4, 0.0, 0.0), lambda d: ned(0.1, 0.0, 0.0),
         cfg, np.random.default_rng(7),
     )
@@ -315,7 +315,7 @@ def test_profile_per_beam_parallel_to_beams():
 def test_profile_per_beam_zero_when_no_relative_motion():
     cfg = dvl.DvlConfig(bins=3, bin_size=8.0, profile_mode=dvl.PROFILE_PER_BEAM)
     current = ned(0.2, 0.1, 0.0)
-    profile = dvl.current_profile(
+    profile = profile_of(
         Pose.level(0, 0, 5.0), current, lambda d: current, cfg, np.random.default_rng(0)
     )
     assert np.allclose(profile.per_beam, 0.0, atol=1e-12)
@@ -333,7 +333,7 @@ def test_profile_bin_depths_increase_for_down_beams():
 
 def test_profile_metadata_echoes_config():
     cfg = dvl.DvlConfig(bins=4, bin_size=10.0)
-    profile = dvl.current_profile(
+    profile = profile_of(
         Pose.level(0, 0, 5.0), ned(0, 0, 0), lambda d: np.zeros(3), cfg,
         np.random.default_rng(0),
     )
@@ -349,8 +349,8 @@ def test_bin_centers_are_built_once_per_config():
     assert centers.tolist() == [0.7 + (k + 0.5) * 3.3 for k in range(7)]
     assert not centers.flags.writeable
     for _ in range(2):
-        profile = dvl.current_profile(Pose.level(0, 0, 5.0), ned(0, 0, 0), lambda d: np.zeros(3), cfg,
-                                      np.random.default_rng(0))
+        profile = profile_of(Pose.level(0, 0, 5.0), ned(0, 0, 0), lambda d: np.zeros(3), cfg,
+                             np.random.default_rng(0))
         assert profile.bin_ranges is centers
     assert dvl.DvlConfig().bin_centers.shape == (0,)
 
@@ -358,8 +358,8 @@ def test_bin_centers_are_built_once_per_config():
 @pytest.mark.parametrize("mode", [dvl.PROFILE_COMBINED, dvl.PROFILE_PER_BEAM])
 def test_adcp_rows_are_one_row_per_bin_and_beam(mode):
     cfg = dvl.DvlConfig(bins=3, bin_size=5.0, noise_sigma=0.01, profile_mode=mode)
-    profile = dvl.current_profile(Pose.from_rpy(0.0, 0.0, 5.0, yaw=0.4), ned(0.3, -0.1, 0.0),
-                                  lambda d: np.zeros(3), cfg, np.random.default_rng(4))
+    profile = profile_of(Pose.from_rpy(0.0, 0.0, 5.0, yaw=0.4), ned(0.3, -0.1, 0.0),
+                         lambda d: np.zeros(3), cfg, np.random.default_rng(4))
     expected = []
     for k, r_k in enumerate(profile.bin_ranges.tolist()):
         if mode == dvl.PROFILE_COMBINED:
@@ -407,8 +407,9 @@ def test_log_row_format(flat100, tmp_path):
 
 def test_measure_full_chain_bottom_with_noise(flat100):
     cfg = dvl.DvlConfig(noise_sigma=0.01, bins=2, bin_size=10.0)
+    pose = level_pose(flat100)
     sol = dvl.measure(
-        level_pose(flat100), ned(0.5, 0.0, 0.0), flat100, lambda d: np.zeros(3),
+        dvl.beam_geometry(pose, flat100, cfg), pose, ned(0.5, 0.0, 0.0), lambda d: np.zeros(3),
         cfg, np.random.default_rng(12),
     )
     assert sol.mode is dvl.TrackingMode.BOTTOM_TRACK
@@ -520,7 +521,7 @@ def test_profile_matches_per_bin_reference(mode, sigma):
             current_at = lambda d: constant  # (3,) for any query
         seed = int(rng.integers(1 << 30))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = dvl.current_profile(pose, vel, current_at, cfg, got_rng)
+        got = profile_of(pose, vel, current_at, cfg, got_rng)
         centers, combined, per_beam = _profile_reference(pose, vel, current_at, cfg, ref_rng)
         assert np.array_equal(got.bin_ranges, centers)
         if mode == dvl.PROFILE_COMBINED:
@@ -563,19 +564,18 @@ def _measure_reference(pose, vel_world, ranges, current_at, cfg, rng):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
-def test_measure_matches_two_solve_reference(monkeypatch, flat100, sigma):
+def test_measure_matches_two_solve_reference(sigma):
     rng = np.random.default_rng(65)
     sampler = _full_field_sampler(1)
     for pattern in itertools.product([True, False], repeat=4):
         for enabled in (True, False):
             cfg = dvl.DvlConfig(noise_sigma=sigma, water_track_enabled=enabled)
             ranges = np.where(pattern, rng.uniform(5.0, 60.0, 4), np.nan)
-            patch_ranges(monkeypatch, ranges)
             pose = _random_pose(rng)
             vel = rng.uniform(-2.0, 2.0, 3)
             current_at = lambda d: sampler.velocity(d, 100.0)
             got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-            got = dvl.measure(pose, vel, flat100, current_at, cfg, got_rng)
+            got = dvl.measure(ranges_geometry(pose, cfg, ranges), pose, vel, current_at, cfg, got_rng)
             ref = _measure_reference(pose, vel, ranges, current_at, cfg, ref_rng)
             assert got.mode is ref.mode
             assert (got.velocity is None) == (ref.velocity is None)
@@ -605,12 +605,13 @@ def test_measure_from_a_geometry_is_the_measure_that_casts_its_beams(depth, mode
     assert not geometry.ranges.flags.writeable and not geometry.world_beams.flags.writeable
     rng_fresh, rng_held = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(3):
-        fresh = dvl.measure(pose, vel, h, current_at, cfg, rng_fresh)
-        held = dvl.measure(pose, vel, h, current_at, cfg, rng_held, geometry)
+        fresh = dvl.measure(dvl.beam_geometry(pose, h, cfg), pose, vel, current_at, cfg, rng_fresh)
+        held = dvl.measure(geometry, pose, vel, current_at, cfg, rng_held)
         assert held.mode.value == fresh.mode.value == mode
         assert repr(dvl.log_row(0.0, held)) == repr(dvl.log_row(0.0, fresh))  # repr round-trips each float
-        fresh_profile = dvl.current_profile(pose, vel, current_at, cfg, rng_fresh)
-        held_profile = dvl.current_profile(pose, vel, current_at, cfg, rng_held, geometry)
+        fresh_profile = dvl.current_profile(dvl.beam_geometry(pose, h, cfg), pose, vel, current_at, cfg,
+                                            rng_fresh)
+        held_profile = dvl.current_profile(geometry, pose, vel, current_at, cfg, rng_held)
         assert held_profile.combined.tobytes() == fresh_profile.combined.tobytes()
     assert rng_fresh.random() == rng_held.random()
 

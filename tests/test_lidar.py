@@ -19,6 +19,12 @@ def down_pose(h, depth):
     return Pose.from_rpy(float(h.xs[mid]), float(h.ys[mid]), depth, pitch=-math.pi / 2.0)
 
 
+def cast_scan(pose, h, cfg, rng=None):
+    """The scan of the rays cast from ``pose``, as a run's lidar evaluates
+    it."""
+    return lidar.scan(lidar.scan_geometry(pose, h, cfg), cfg, rng)
+
+
 SMALL = lidar.LidarConfig(rays_h=12, rays_v=12, supersample=2)
 
 
@@ -83,14 +89,14 @@ def test_pan_sweep_covers_full_circle():
 
 def test_empty_scene_gives_empty_cloud():
     h = flat_heightmap(500.0, n=11, cell_m=10.0)  # bottom far beyond range
-    cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h, SMALL)
+    cloud = cast_scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h, SMALL)
     assert len(cloud.points) == 0
     # No hits take the same path as any other scan: size-0 arrays, and a
     # range-noise draw of size 0 leaves the rng where it was.
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    cloud = lidar.scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h,
-                       dataclasses.replace(SMALL, range_noise_sigma=0.05), rng)
+    cloud = cast_scan(Pose.level(float(h.xs[5]), float(h.ys[5]), 0.0), h,
+                      dataclasses.replace(SMALL, range_noise_sigma=0.05), rng)
     assert cloud.points.shape == (0, 3) and cloud.points.dtype == np.float64
     assert cloud.ranges.shape == (0,) and cloud.ranges.dtype == np.float64
     assert cloud.h_index.shape == cloud.v_index.shape == (0,)
@@ -100,15 +106,15 @@ def test_empty_scene_gives_empty_cloud():
 
 def test_wall_beyond_max_range_gives_empty_cloud():
     h = flat_heightmap(50.0, n=11, cell_m=10.0)
-    cloud = lidar.scan(down_pose(h, 25.0), h,
-                       lidar.LidarConfig(rays_h=8, rays_v=8, supersample=1, max_range=20.0))
+    cloud = cast_scan(down_pose(h, 25.0), h,
+                      lidar.LidarConfig(rays_h=8, rays_v=8, supersample=1, max_range=20.0))
     assert len(cloud.points) == 0  # floor 25 m away, range 20 m
 
 
 def test_perpendicular_wall_at_10m():
     h = flat_heightmap(50.0, n=41, cell_m=5.0)
     cfg = lidar.LidarConfig(rays_h=10, rays_v=10, supersample=3, max_range=20.0)
-    cloud = lidar.scan(down_pose(h, 40.0), h, cfg)
+    cloud = cast_scan(down_pose(h, 40.0), h, cfg)
     n_rays = (cfg.rays_h * cfg.supersample) * (cfg.rays_v * cfg.supersample)
     assert len(cloud.points) == n_rays  # every ray lands on the floor
     # Sector geometry: ranges between 10 and 10/cos(15 deg * sqrt(2)).
@@ -124,7 +130,7 @@ def test_points_lie_on_surface_zero_noise():
 
     h = make_heightmap(rng.uniform(20.0, 35.0, (21, 21)), cell_m=10.0)
     pose = down_pose(h, 5.0)
-    cloud = lidar.scan(pose, h, lidar.LidarConfig(
+    cloud = cast_scan(pose, h, lidar.LidarConfig(
         rays_h=12, rays_v=12, supersample=2, max_range=40.0))
     assert len(cloud.points) > 0
     surface = depth_at_xy(h, cloud.points[:, 0], cloud.points[:, 1])
@@ -134,7 +140,7 @@ def test_points_lie_on_surface_zero_noise():
 def test_point_count_and_range_bounds():
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, max_range=35.0)
-    cloud = lidar.scan(down_pose(h, 0.0), h, cfg)
+    cloud = cast_scan(down_pose(h, 0.0), h, cfg)
     assert len(cloud.points) <= (9 * 2) * (7 * 2)
     assert np.all(cloud.ranges <= 35.0)
 
@@ -146,12 +152,12 @@ def test_mount_steers_the_sector():
     # 30-deg sector. Tilting down 30 deg brings it in at ~40 m... use a
     # short range so only the tilted mount sees returns.
     cfg = lidar.LidarConfig(rays_h=8, rays_v=8, supersample=1, max_range=60.0)
-    level_cloud = lidar.scan(pose, h, cfg)
-    tilted_cloud = lidar.scan(pose, h, dataclasses.replace(cfg, tilt_deg=-30.0))
+    level_cloud = cast_scan(pose, h, cfg)
+    tilted_cloud = cast_scan(pose, h, dataclasses.replace(cfg, tilt_deg=-30.0))
     assert len(tilted_cloud.points) > len(level_cloud.points)
     assert np.all(tilted_cloud.points[:, 1] > pose.position.y)  # ahead, to the north
     # Panning 90 deg left turns the tilted sector to the west.
-    panned_cloud = lidar.scan(pose, h, dataclasses.replace(cfg, pan_deg=90.0, tilt_deg=-30.0))
+    panned_cloud = cast_scan(pose, h, dataclasses.replace(cfg, pan_deg=90.0, tilt_deg=-30.0))
     assert len(panned_cloud.points) == len(tilted_cloud.points)
     assert np.all(panned_cloud.points[:, 0] < pose.position.x)
 
@@ -161,9 +167,9 @@ def test_range_noise_deterministic_under_seed():
     cfg = lidar.LidarConfig(rays_h=6, rays_v=6, supersample=1, max_range=40.0,
                             range_noise_sigma=0.05)
     pose = down_pose(h, 5.0)
-    a = lidar.scan(pose, h, cfg, np.random.default_rng(5))
-    b = lidar.scan(pose, h, cfg, np.random.default_rng(5))
-    c = lidar.scan(pose, h, cfg, np.random.default_rng(6))
+    a = cast_scan(pose, h, cfg, np.random.default_rng(5))
+    b = cast_scan(pose, h, cfg, np.random.default_rng(5))
+    c = cast_scan(pose, h, cfg, np.random.default_rng(6))
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
@@ -172,8 +178,8 @@ def test_range_noise_without_an_rng_is_refused():
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0, range_noise_sigma=0.05)
     with pytest.raises(ValueError, match="range noise requires an rng"):
-        lidar.scan(down_pose(h, 5.0), h, cfg)
-    assert len(lidar.scan(down_pose(h, 5.0), h, dataclasses.replace(cfg, range_noise_sigma=0.0)).points) == 16
+        cast_scan(down_pose(h, 5.0), h, cfg)
+    assert len(cast_scan(down_pose(h, 5.0), h, dataclasses.replace(cfg, range_noise_sigma=0.0)).points) == 16
 
 
 def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
@@ -184,9 +190,9 @@ def test_scan_does_not_depend_on_the_ray_chunk(monkeypatch):
     cfg = lidar.LidarConfig(rays_h=9, rays_v=7, supersample=2, fov_h_deg=120.0, fov_v_deg=60.0,
                             max_range=40.0, range_noise_sigma=0.05)
     pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 5.0, pitch=-0.6)
-    whole = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    whole = cast_scan(pose, h, cfg, np.random.default_rng(5))
     monkeypatch.setattr(bathymetry, "RAY_CHUNK", 25)
-    chunked = lidar.scan(pose, h, cfg, np.random.default_rng(5))
+    chunked = cast_scan(pose, h, cfg, np.random.default_rng(5))
     assert 0 < len(whole.ranges) < 18 * 14
     for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(chunked)):
         assert np.array_equal(a, b)
@@ -230,7 +236,7 @@ def test_scan_memory_is_bounded_by_the_chunk_and_the_hits():
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 25.0, pitch=-0.3)
     tracemalloc.start()
     try:
-        hits = len(lidar.scan(pose, h, cfg).ranges)
+        hits = len(cast_scan(pose, h, cfg).ranges)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -244,8 +250,8 @@ def test_scan_memory_is_bounded_by_the_chunk_and_the_hits():
 
 def test_ply_export(tmp_path):
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
-    cloud = lidar.scan(down_pose(h, 5.0), h,
-                       lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0))
+    cloud = cast_scan(down_pose(h, 5.0), h,
+                      lidar.LidarConfig(rays_h=4, rays_v=4, supersample=1, max_range=40.0))
     out = tmp_path / "scan.ply"
     lidar.write_ply(cloud, out)
     assert out.read_bytes().startswith(b"ply\nformat binary_little_endian 1.0\n")
@@ -293,11 +299,11 @@ def test_scan_from_a_geometry_is_the_scan_that_casts_its_rays(sigma):
     assert 0 < len(geometry.ranges) <= 8 * 6 * 4
     rng_fresh, rng_held = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(3):
-        fresh = lidar.scan(pose, h, cfg, rng_fresh)
-        held = lidar.scan(pose, h, cfg, rng_held, geometry)
+        fresh = cast_scan(pose, h, cfg, rng_fresh)
+        held = lidar.scan(geometry, cfg, rng_held)
         for name in ("points", "ranges", "h_index", "v_index"):
             assert getattr(held, name).tobytes() == getattr(fresh, name).tobytes(), name
     # Both streams made the draws of three fresh scans, and no more.
     assert rng_fresh.random() == rng_held.random()
-    again = lidar.scan(pose, h, cfg, rng_held, geometry)
+    again = lidar.scan(geometry, cfg, rng_held)
     assert (again is held) == (sigma == 0.0)

@@ -104,6 +104,28 @@ def test_subdivide_matches_reference_on_open_lattice_with_colors():
         _assert_same_mesh(mt.subdivide(mesh), _subdivide_reference(mesh))
 
 
+def test_subdivide_midpoints_do_not_overflow_near_the_float_limit():
+    mesh = mt.TriMesh([[1e308, 0.0, 0.0], [1.5e308, 0.0, 0.0], [1e308, 1.0, -1.5e308]], [[0, 1, 2]],
+                      colors=[[1e308, 0.0, 1.0], [1.7e308, 0.0, 1.0], [1.7e308, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = mt.subdivide(mesh)
+    assert np.isfinite(out.vertices).all() and np.isfinite(out.colors).all()
+    assert out.vertices[3:].tolist() == [[1.25e308, 0.0, 0.0], [1.25e308, 0.5, -0.75e308], [1e308, 0.5, -0.75e308]]
+    assert out.colors[4].tolist() == [1.7e308, 0.0, 1.0]
+
+
+def test_subdivide_midpoints_are_the_halved_sums_bit_for_bit():
+    """Each end is halved before the sum; for normal values that rounds as
+    the reference's 0.5 * (a + b), bit for bit, at every scale."""
+    rng = np.random.default_rng(79)
+    for _ in range(5):
+        lattice = _random_open_lattice(rng)
+        mesh = mt.TriMesh(lattice.vertices * 10.0 ** rng.integers(-300, 300, 3), lattice.triangles,
+                          lattice.colors * 10.0 ** rng.integers(-300, 300))
+        _assert_same_mesh(mt.subdivide(mesh), _subdivide_reference(mesh))
+
+
 def test_subdivide_matches_reference_over_two_levels():
     mesh = _random_open_lattice(np.random.default_rng(78))
     _assert_same_mesh(mt.subdivide(mt.subdivide(mesh)),

@@ -12,18 +12,23 @@ import pytest
 from subsim import bathymetry, sonar
 from subsim.geometry import Pose, fan_directions
 
-from conftest import flat_heightmap, make_heightmap, normal_at, smooth_random_grid
+from conftest import beam_spectra, flat_heightmap, make_heightmap, normal_at, smooth_random_grid
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def on_beam(cfg, k, ranges, amplitudes=None, phases=None):
+def on_beam(cfg, k, ranges, amplitudes=None):
     """Scatterers at beam k's steering angle, whose spectrum is row k of
     beam_spectra: each weighted by its amplitude alone."""
     n = len(ranges)
     return sonar.ScattererSet(ranges, np.full(n, cfg.beam_angles()[k]),
-                              np.ones(n) if amplitudes is None else amplitudes,
-                              np.zeros(n) if phases is None else phases)
+                              np.ones(n) if amplitudes is None else amplitudes, cfg)
+
+
+def cast_ping(pose, h, cfg, rng=None):
+    """The ping of the scatterers gathered from ``pose``, as a run's sonar
+    evaluates it."""
+    return sonar.ping(sonar.gather_scatterers(pose, h, cfg), cfg, rng)
 
 
 def brute_force_intensity(spectrum):
@@ -48,14 +53,14 @@ def test_beam_pattern_peak_and_null():
 
 
 def test_zero_scatterers_zero_spectrum():
-    s = sonar.beam_spectra(sonar.ScattererSet(*[np.zeros(0)] * 4), SMALL)
+    s = beam_spectra(sonar.ScattererSet(*[np.zeros(0)] * 3, SMALL), SMALL)
     assert s.shape == (SMALL.n_beams, SMALL.spectral_bins)
     assert np.all(s == 0.0)
 
 
 def test_single_on_axis_scatterer_flat_magnitude():
     amp = 0.7
-    s = sonar.beam_spectra(on_beam(SMALL, 3, [3.0], [amp]), SMALL)[3]
+    s = beam_spectra(on_beam(SMALL, 3, [3.0], [amp]), SMALL)[3]
     assert np.allclose(np.abs(s), amp, atol=1e-12)
 
 
@@ -64,7 +69,7 @@ def test_two_phasor_cancellation_at_center_freq():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=512, speckle_enabled=False)
     r1 = 3.0
     r2 = r1 + cfg.sound_speed / (4.0 * cfg.center_freq_hz)
-    s = sonar.beam_spectra(on_beam(cfg, 1, [r1, r2]), cfg)[1]
+    s = beam_spectra(on_beam(cfg, 1, [r1, r2]), cfg)[1]
     m_center = cfg.spectral_bins // 2  # f_c is exactly on the grid
     assert abs(cfg.frequencies()[m_center] - cfg.center_freq_hz) < 1e-6
     # Hand-evaluated two-phasor sum: 1 + exp(-j pi) = 0.
@@ -84,7 +89,7 @@ def test_range_bin_law_against_dft_oracle():
     rng = np.random.default_rng(81)
     for _ in range(20):
         r = rng.uniform(0.3, cfg.max_range * 0.95)
-        spectrum = sonar.beam_spectra(on_beam(cfg, 2, [r]), cfg)[2]
+        spectrum = beam_spectra(on_beam(cfg, 2, [r]), cfg)[2]
         intensity = sonar.beam_intensity(spectrum, cfg)
         expected_bin = round(2.0 * r * cfg.bandwidth_hz / cfg.sound_speed)
         assert abs(int(np.argmax(intensity)) - expected_bin) <= 1
@@ -95,7 +100,7 @@ def test_two_targets_at_twice_range_resolution_resolve():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=512, speckle_enabled=False)
     r1 = 2.0
     r2 = r1 + 2.0 * cfg.range_bin_width
-    intensity = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 0, [r1, r2]), cfg)[0], cfg)
+    intensity = sonar.beam_intensity(beam_spectra(on_beam(cfg, 0, [r1, r2]), cfg)[0], cfg)
     b1 = round(2.0 * r1 * cfg.bandwidth_hz / cfg.sound_speed)
     b2 = round(2.0 * r2 * cfg.bandwidth_hz / cfg.sound_speed)
     top_two = set(np.argsort(intensity)[-2:])
@@ -105,8 +110,8 @@ def test_two_targets_at_twice_range_resolution_resolve():
 
 def test_intensity_linearity():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=256, speckle_enabled=False)
-    one = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 3, [2.5]), cfg), cfg)
-    double = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 3, [2.5], [2.0]), cfg), cfg)
+    one = sonar.beam_intensity(beam_spectra(on_beam(cfg, 3, [2.5]), cfg), cfg)
+    double = sonar.beam_intensity(beam_spectra(on_beam(cfg, 3, [2.5], [2.0]), cfg), cfg)
     assert one[3].max() > 0.0
     assert np.allclose(double, 4.0 * one, rtol=1e-12)
 
@@ -114,7 +119,7 @@ def test_intensity_linearity():
 def test_adjacent_beam_leakage_matches_pattern():
     cfg = sonar.SonarConfig(n_beams=16, spectral_bins=256, speckle_enabled=False)
     angles = cfg.beam_angles()
-    intensity = sonar.beam_intensity(sonar.beam_spectra(on_beam(cfg, 8, [2.0]), cfg), cfg)
+    intensity = sonar.beam_intensity(beam_spectra(on_beam(cfg, 8, [2.0]), cfg), cfg)
     peak = intensity[8:10].max(axis=1)
     ratio = math.sqrt(peak[1] / peak[0])
     expected = float(
@@ -136,8 +141,8 @@ def test_speckle_intensity_statistics():
     peaks = np.empty(400)
     for trial in range(len(peaks)):
         ranges = r0 + rng.uniform(0.0, cfg.range_bin_width * 0.2, n_scat)
-        scat = on_beam(cfg, 0, ranges, phases=rng.uniform(0.0, 2.0 * np.pi, n_scat))
-        intensity = sonar.beam_intensity(sonar.beam_spectra(scat, cfg)[0], cfg)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n_scat)
+        intensity = sonar.beam_intensity(beam_spectra(on_beam(cfg, 0, ranges), cfg, phases)[0], cfg)
         peaks[trial] = intensity[round(2.0 * r0 * cfg.bandwidth_hz / cfg.sound_speed)]
     cov = peaks.std() / peaks.mean()
     assert 0.85 <= cov <= 1.15
@@ -146,52 +151,48 @@ def test_speckle_intensity_statistics():
 # --- factored phase vs the exact reference --------------------------------------
 
 
-def _phase_reference(scat, cfg):
+def _phase_reference(scat, micro_phases, cfg):
     """The direct form: one complex exp per (bin, scatterer), shape (M, n)."""
     tau = 2.0 * scat.ranges / cfg.sound_speed
-    phase = -2.0 * np.pi * np.outer(cfg.frequencies(), tau) + scat.micro_phases[None, :]
+    phase = -2.0 * np.pi * np.outer(cfg.frequencies(), tau) + micro_phases[None, :]
     return np.exp(1j * phase)
 
 
-def _reference_spectra(scat, cfg):
+def _reference_spectra(scat, micro_phases, cfg):
     """Beam spectra (beams, M) from the exact phase, one plain product over
     all scatterers."""
     angles = cfg.beam_angles()
     weights = scat.amplitudes[:, None] * sonar.beam_pattern(
         scat.azimuths[:, None] - angles[None, :], cfg.beamwidth_rad
     )
-    return (_phase_reference(scat, cfg) @ weights).T
+    return (_phase_reference(scat, micro_phases, cfg) @ weights).T
 
 
-def _reference_intensities(scat, cfg):
+def _reference_intensities(scat, micro_phases, cfg):
     """Ping intensities (beams, M): the reference spectra through a per-beam
     inverse DFT."""
-    spectra = _reference_spectra(scat, cfg)
+    spectra = _reference_spectra(scat, micro_phases, cfg)
     if cfg.window == "hann":
         spectra = spectra * np.hanning(cfg.spectral_bins)
     return np.abs(np.fft.ifft(spectra, axis=1)) ** 2
 
 
 def _random_scatterers(n, cfg, seed, speckle=True):
-    """n scatterers 0.5-20 m out (the demo sonar's ranges) across the fan."""
+    """n scatterers 0.5-20 m out (the demo sonar's ranges) across the fan,
+    and their micro phases."""
     rng = np.random.default_rng(seed)
     half = cfg.horizontal_fov_rad / 2.0
     ranges, azimuths = rng.uniform(0.5, 20.0, n), rng.uniform(-half, half, n)
     rng.uniform(0.0, 1.2, n)  # an unused draw, which fixes each seed's amplitudes and phases
-    return sonar.ScattererSet(
-        ranges,
-        azimuths,
-        rng.uniform(1e-4, 1e-2, n),
-        rng.uniform(0.0, 2.0 * np.pi, n) if speckle else np.zeros(n),
-    )
+    scat = sonar.ScattererSet(ranges, azimuths, rng.uniform(1e-4, 1e-2, n), cfg)
+    return scat, rng.uniform(0.0, 2.0 * np.pi, n) if speckle else np.zeros(n)
 
 
 def _drawn_phases(scat, cfg, rng):
-    """``scat`` with the micro phases a ping draws from ``rng``: U[0, 2pi),
+    """The micro phases a ping of ``scat`` draws from ``rng``: U[0, 2pi),
     one per scatterer, when speckle is enabled, else zeros."""
     n = len(scat)
-    micro = rng.uniform(0.0, 2.0 * np.pi, n) if cfg.speckle_enabled else np.zeros(n)
-    return sonar.ScattererSet(scat.ranges, scat.azimuths, scat.amplitudes, micro)
+    return rng.uniform(0.0, 2.0 * np.pi, n) if cfg.speckle_enabled else np.zeros(n)
 
 
 def _pgm_pixels(aplot, path):
@@ -208,11 +209,11 @@ SCATTERER_COUNTS = [0, 1, 127, 128, 129, 1000]
 @pytest.mark.parametrize("m", BIN_COUNTS)
 def test_factored_phase_matches_exact_reference(m, n):
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=m, bandwidth_hz=40e3)
-    scat = _random_scatterers(n, cfg, seed=m * 7919 + n)
-    phases = sonar._phase_matrix(scat, cfg)
+    scat, micro = _random_scatterers(n, cfg, seed=m * 7919 + n)
+    phases = sonar._phase_matrix(scat, micro, cfg)
     assert phases.shape == (n, m)
     if n:
-        assert np.max(np.abs(phases - _phase_reference(scat, cfg).T)) <= 1e-10
+        assert np.max(np.abs(phases - _phase_reference(scat, micro, cfg).T)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", SCATTERER_COUNTS)
@@ -222,13 +223,13 @@ def test_blockwise_phases_give_the_whole_matrix_blocked_sum(m, n):
     reused scratch; its spectra are the blocked sum over the whole
     `_phase_matrix`, bit for bit."""
     cfg = sonar.SonarConfig(n_beams=16, spectral_bins=m, bandwidth_hz=40e3)
-    scat = _random_scatterers(n, cfg, seed=m * 7919 + n)
-    weights = sonar.beam_weights(scat, cfg)
-    flat, b = sonar._phase_matrix(scat, cfg).view(np.float64), sonar._SCATTER_BLOCK
+    scat, micro = _random_scatterers(n, cfg, seed=m * 7919 + n)
+    weights = scat.beam_weights
+    flat, b = sonar._phase_matrix(scat, micro, cfg).view(np.float64), sonar._SCATTER_BLOCK
     expected = weights[:b].T @ flat[:b]
     for k in range(b, n, b):
         expected += weights[k : k + b].T @ flat[k : k + b]
-    spectra = sonar._coherent_sum(scat, weights, cfg)
+    spectra = sonar._coherent_sum(scat, micro, cfg)
     assert spectra.shape == (cfg.n_beams, m)
     assert spectra.tobytes() == expected.view(np.complex128).tobytes()
 
@@ -244,7 +245,7 @@ def test_ping_memory_is_bounded_by_one_block_of_phases():
     assert n >= 1900
     tracemalloc.start()
     try:
-        sonar.ping(pose, h, cfg, np.random.default_rng(1))
+        cast_ping(pose, h, cfg, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,14 +261,12 @@ def test_ping_memory_is_bounded_by_one_block_of_phases():
 @pytest.mark.parametrize("window, speckle", [("none", True), ("hann", False)])
 @pytest.mark.parametrize("n", SCATTERER_COUNTS)
 @pytest.mark.parametrize("m", BIN_COUNTS)
-def test_ping_matches_exact_reference(monkeypatch, tmp_path, m, n, window, speckle):
+def test_ping_matches_exact_reference(tmp_path, m, n, window, speckle):
     cfg = sonar.SonarConfig(n_beams=16, spectral_bins=m, bandwidth_hz=40e3, window=window,
                             speckle_enabled=speckle)
-    scat = _random_scatterers(n, cfg, seed=m * 7919 + n, speckle=False)
-    monkeypatch.setattr(sonar, "gather_scatterers", lambda *args: scat)
-    h = flat_heightmap(30.0, n=11, cell_m=10.0)
-    aplot = sonar.ping(Pose.level(0.0, 0.0, 10.0), h, cfg, np.random.default_rng(0))
-    expected = _reference_intensities(_drawn_phases(scat, cfg, np.random.default_rng(0)), cfg)
+    scat, _ = _random_scatterers(n, cfg, seed=m * 7919 + n, speckle=False)
+    aplot = sonar.ping(scat, cfg, np.random.default_rng(0))
+    expected = _reference_intensities(scat, _drawn_phases(scat, cfg, np.random.default_rng(0)), cfg)
     assert aplot.intensities.shape == expected.shape == (cfg.n_beams, m)
     assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
     reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
@@ -285,10 +284,10 @@ def test_terrain_ping_matches_exact_reference(tmp_path, window, speckle):
         speckle_enabled=speckle,
     )
     pose = Pose.from_rpy(float(h.xs[20]), float(h.ys[20]), 18.0, pitch=-math.radians(60.0))
-    aplot = sonar.ping(pose, h, cfg, np.random.default_rng(5))
+    aplot = cast_ping(pose, h, cfg, np.random.default_rng(5))
     scat = sonar.gather_scatterers(pose, h, cfg)
     assert len(scat) > 900
-    expected = _reference_intensities(_drawn_phases(scat, cfg, np.random.default_rng(5)), cfg)
+    expected = _reference_intensities(scat, _drawn_phases(scat, cfg, np.random.default_rng(5)), cfg)
     assert np.max(np.abs(aplot.intensities - expected)) <= 1e-10 * expected.max()
     reference = sonar.APlot(expected, aplot.range_axis, aplot.beam_axis)
     pixels = _pgm_pixels(aplot, tmp_path / "fast.pgm")
@@ -297,9 +296,9 @@ def test_terrain_ping_matches_exact_reference(tmp_path, window, speckle):
 
 def test_beam_spectra_match_exact_reference():
     cfg = sonar.SonarConfig(n_beams=8, spectral_bins=1000, bandwidth_hz=40e3)
-    scat = _random_scatterers(300, cfg, seed=84)
-    expected = _reference_spectra(scat, cfg)
-    spectra = sonar.beam_spectra(scat, cfg)
+    scat, micro = _random_scatterers(300, cfg, seed=84)
+    expected = _reference_spectra(scat, micro, cfg)
+    spectra = beam_spectra(scat, cfg, micro)
     assert spectra.shape == expected.shape == (cfg.n_beams, cfg.spectral_bins)
     assert np.max(np.abs(spectra - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -321,11 +320,12 @@ def test_gather_open_water_is_empty():
     assert len(scat) == 0
     # No hits take the same path as any other fan: size-0 arrays, and a
     # ping's speckle draw of size 0 leaves the rng where it was.
-    for a in (scat.ranges, scat.azimuths, scat.amplitudes, scat.micro_phases):
+    for a in (scat.ranges, scat.azimuths, scat.amplitudes):
         assert a.shape == (0,) and a.dtype == np.float64
+    assert scat.beam_weights.shape == (0, cfg.n_beams) and scat.beam_weights.dtype == np.float64
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    aplot = sonar.ping(pose, h, dataclasses.replace(cfg, speckle_enabled=True), rng)
+    aplot = sonar.ping(scat, dataclasses.replace(cfg, speckle_enabled=True), rng)
     assert not aplot.intensities.any()
     assert rng.bit_generator.state == state
 
@@ -413,12 +413,12 @@ def test_chunked_fan_gives_the_whole_fans_scatterers_and_ping(monkeypatch, chunk
     reference = sonar.gather_scatterers(pose, h, cfg)
     assert reference.ranges.tobytes() == whole[hit].tobytes()
     assert reference.azimuths.tobytes() == np.repeat(az, len(el))[hit].tobytes()
-    reference_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
+    reference_ping = sonar.ping(reference, cfg, np.random.default_rng(3))
     monkeypatch.setattr(bathymetry, "RAY_CHUNK", chunk)
     chunked = sonar.gather_scatterers(pose, h, cfg)
-    for name in ("ranges", "azimuths", "amplitudes", "micro_phases"):
+    for name in ("ranges", "azimuths", "amplitudes", "beam_weights"):
         assert getattr(chunked, name).tobytes() == getattr(reference, name).tobytes(), name
-    chunked_ping = sonar.ping(pose, h, cfg, np.random.default_rng(3))
+    chunked_ping = sonar.ping(chunked, cfg, np.random.default_rng(3))
     assert chunked_ping.intensities.tobytes() == reference_ping.intensities.tobytes()
 
 
@@ -443,17 +443,17 @@ def test_fan_memory_is_bounded_by_the_chunk_and_the_hits():
 
 
 def test_gather_speckle_phases_seeded():
-    """Gathering draws no speckle, even with speckle enabled: its micro
-    phases are zero, and a ping's one draw of U[0, 2pi) phases, one per
-    scatterer, is all it takes from its rng."""
+    """Gathering draws no speckle, even with speckle enabled: it takes no
+    rng, and a ping's one draw of U[0, 2pi) phases, one per scatterer, is
+    all it takes from its rng."""
     h = flat_heightmap(30.0, n=21, cell_m=10.0)
     cfg = sonar.SonarConfig(n_beams=4, rays_per_beam=2, vertical_rays=2, spectral_bins=256,
                             bandwidth_hz=15e3)
     pose = down_pose(h, 20.0)  # 10 m above the bottom, inside the 12.8 m max_range
     scat = sonar.gather_scatterers(pose, h, cfg)
-    assert len(scat) > 0 and not scat.micro_phases.any()
+    assert len(scat) > 0
     rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-    sonar.ping(pose, h, cfg, rng)
+    sonar.ping(scat, cfg, rng)
     reference.uniform(0.0, 2.0 * np.pi, len(scat))
     assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -463,7 +463,7 @@ def test_gather_speckle_phases_seeded():
 
 def test_ping_empty_scene_all_zero():
     h = flat_heightmap(500.0, n=11, cell_m=10.0)
-    aplot = sonar.ping(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, SMALL)
+    aplot = cast_ping(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, SMALL)
     assert np.all(aplot.intensities == 0.0)
     assert aplot.intensities.shape == (SMALL.n_beams, SMALL.spectral_bins)
 
@@ -476,7 +476,7 @@ def test_ping_flat_bottom_arc():
         bandwidth_hz=40e3, speckle_enabled=False,
     )
     pose = down_pose(h, 18.0)  # 12 m above the bottom, looking straight down
-    aplot = sonar.ping(pose, h, cfg)
+    aplot = cast_ping(pose, h, cfg)
     # Each beam's peak must land between the shortest slant range of its
     # rays (12/cos az at zero elevation) and the longest (half the
     # vertical fov off axis), forming an arc consistent across beams.
@@ -508,9 +508,9 @@ for t in (0.0, 12.0):
     pose, _ = scenario.interpolate_trajectory(rov.waypoints, t)
     for n_beams, vertical_rays in ((48, 5), (128, 5), (128, 10)):
         scfg = sonar.SonarConfig(**{**params, "n_beams": n_beams, "vertical_rays": vertical_rays})
-        aplot = sonar.ping(pose, heightmap, scfg, np.random.default_rng(3))
-        n = len(sonar.gather_scatterers(pose, heightmap, scfg))
-        print(t, n_beams, n, hashlib.sha256(aplot.intensities.tobytes()).hexdigest())
+        scat = sonar.gather_scatterers(pose, heightmap, scfg)
+        aplot = sonar.ping(scat, scfg, np.random.default_rng(3))
+        print(t, n_beams, len(scat), hashlib.sha256(aplot.intensities.tobytes()).hexdigest())
 """
 
 
@@ -534,8 +534,8 @@ def test_ping_deterministic_under_seed():
     cfg = sonar.SonarConfig(n_beams=8, rays_per_beam=2, vertical_rays=2, spectral_bins=256,
                             bandwidth_hz=15e3)
     pose = down_pose(h, 20.0)  # 10 m above the bottom, inside the 12.8 m max_range
-    a = sonar.ping(pose, h, cfg, np.random.default_rng(11))
-    b = sonar.ping(pose, h, cfg, np.random.default_rng(11))
+    a = cast_ping(pose, h, cfg, np.random.default_rng(11))
+    b = cast_ping(pose, h, cfg, np.random.default_rng(11))
     assert np.array_equal(a.intensities, b.intensities) and a.intensities.any()
 
 
@@ -643,8 +643,7 @@ def test_load_aplot_csv_rejects_damaged_files(tmp_path, damage):
 def test_range_axis_spacing_is_half_wavelength_per_bandwidth():
     cfg = sonar.SonarConfig(n_beams=4, spectral_bins=128, bandwidth_hz=50e3)
     h = flat_heightmap(500.0, n=11, cell_m=10.0)
-    aplot = sonar.ping(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, cfg,
-                       np.random.default_rng(0))
+    aplot = cast_ping(Pose.level(float(h.xs[5]), float(h.ys[5]), 10.0), h, cfg, np.random.default_rng(0))
     spacing = np.diff(aplot.range_axis)
     assert np.allclose(spacing, cfg.sound_speed / (2.0 * cfg.bandwidth_hz))
 
@@ -668,14 +667,14 @@ def test_ping_from_a_geometry_is_the_ping_that_casts_its_rays(speckle):
     cfg = sonar.SonarConfig(n_beams=16, rays_per_beam=3, vertical_rays=3, spectral_bins=128,
                             bandwidth_hz=5e3, speckle_enabled=speckle)
     pose = Pose.from_rpy(float(h.xs[10]), float(h.ys[10]), 22.0, pitch=-0.6, yaw=0.2)
-    geometry = sonar.ping_geometry(pose, h, cfg)
-    assert len(geometry.scatterers) > 50 and not geometry.scatterers.micro_phases.any()
-    assert geometry.weights.shape == (len(geometry.scatterers), cfg.n_beams)
+    geometry = sonar.gather_scatterers(pose, h, cfg)
+    assert len(geometry) > 50
+    assert geometry.beam_weights.shape == (len(geometry), cfg.n_beams)
     rng_fresh, rng_held = np.random.default_rng(8), np.random.default_rng(8)
     pings = []
     for _ in range(3):
-        fresh = sonar.ping(pose, h, cfg, rng_fresh)
-        held = sonar.ping(pose, h, cfg, rng_held, geometry)
+        fresh = cast_ping(pose, h, cfg, rng_fresh)
+        held = sonar.ping(geometry, cfg, rng_held)
         assert held.intensities.tobytes() == fresh.intensities.tobytes()
         assert held.range_axis.tobytes() == fresh.range_axis.tobytes()
         pings.append(held.intensities.tobytes())
