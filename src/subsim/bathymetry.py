@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .geodesy import GeodeticCoord, ProjectionError, mercator_xy
 from .geometry import WorldPoint, fan_directions
-from .output import write_g17
+from .output import carve, write_g17
 
 # Penetration past the surface that confirms a ray/terrain crossing as a hit;
 # shallower grazes are misses.
@@ -31,6 +33,9 @@ RAYCAST_TOL_M = 1e-4
 # below glibc's default 128 KiB mmap threshold, so the walk's temporaries
 # are reused from the heap instead of being mapped and faulted in anew.
 RAY_CHUNK = 8192
+# Bytes per block of a grid body read as plain decimals (`_read_plain`).
+# Its scratch, about 16 bytes a block byte, is reused for every block.
+BODY_BLOCK = 1 << 18
 
 
 class HeightmapError(ValueError):
@@ -69,7 +74,9 @@ class Heightmap:
             cell_size = (float(cell_size), float(cell_size))
         cell_lat, cell_lon = float(cell_size[0]), float(cell_size[1])
         _check_grid(depth.shape, cell_lat, cell_lon)
-        if np.isinf(depth).any():  # NaN marks nodata; any other non-finite depth is an error
+        # NaN marks nodata; any other non-finite depth is an error. The
+        # extremes skip NaN and need no mask the size of the grid.
+        if np.isinf(np.fmax.reduce(depth, axis=None)) or np.isinf(np.fmin.reduce(depth, axis=None)):
             raise HeightmapError("non-nodata depths must be finite")
 
         self.origin = origin
@@ -124,9 +131,9 @@ def load_heightmap(path) -> Heightmap:
     """Parse an ESRI ASCII grid (.asc).
 
     Header keys: ncols, nrows, xllcorner, yllcorner, cellsize, and an
-    optional nodata_value; values follow row-major with the north row
-    first. Raises HeightmapError naming the offending line on parse
-    problems, and naming the file on value-count mismatches, on a grid
+    optional nodata_value, each at most once; values follow row-major with
+    the north row first. Raises HeightmapError naming the offending line on
+    parse problems, and naming the file on value-count mismatches, on a grid
     outside the Pseudo-Mercator domain, and on a grid `Heightmap` refuses.
     """
     path = Path(path)
@@ -135,13 +142,9 @@ def load_heightmap(path) -> Heightmap:
         raise HeightmapError(
             f"{path}: expected {nrows * ncols} values for {nrows}x{ncols} grid, got {values.size}"
         )
-
-    grid = values.reshape(nrows, ncols)
-    nodata = header.get("nodata_value")
-    if nodata is not None:
-        grid[grid == nodata] = np.nan
     # File rows run north to south; store south row first.
-    grid = grid[::-1]
+    grid = values.reshape(nrows, ncols)[::-1]
+    nodata = header.get("nodata_value")
     try:
         origin = GeodeticCoord(header["yllcorner"], header["xllcorner"])
         return Heightmap(origin, header["cellsize"], grid, nodata_value=nodata)
@@ -166,12 +169,15 @@ def grid_extent(path) -> tuple[float, float, float, float]:
 
 
 def _read_grid(path: Path, values: bool):
-    """The header, (nrows, ncols) and, if ``values``, the flat values of a grid file."""
+    """The header, (nrows, ncols) and, if ``values``, the flat values of a
+    grid file, nodata cells as NaN."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             header, first = _read_header(path, fh)
             shape = _grid_shape(path, header)
-            return header, shape, _read_values(path, fh, *first) if first and values else np.empty(0)
+            if not (first and values):
+                return header, shape, np.empty(0)
+            return header, shape, _read_values(path, fh, *first, shape[0] * shape[1], header.get("nodata_value"))
     except UnicodeDecodeError as err:
         bad = err.object[err.start : err.end]
         raise HeightmapError(f"{path}: not an ASCII grid: non-ASCII byte {bad!r}") from None
@@ -180,24 +186,49 @@ def _read_grid(path: Path, values: bool):
 _HEADER_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
 
 
-def _read_header(path: Path, fh) -> tuple[dict[str, float], tuple[int, str] | None]:
-    """Parse header lines; returns the header and the line number and text
-    of the first value line (None if the file ends first)."""
-    header: dict[str, float] = {}
-    for lineno, line in enumerate(fh, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        key = tokens[0].lower()
-        if key not in _HEADER_KEYS:
-            return header, (lineno, line)
-        if len(tokens) != 2:
-            raise HeightmapError(f"{path}:{lineno}: malformed header line {line!r}")
-        try:
-            header[key] = float(tokens[1])
-        except ValueError:
-            raise HeightmapError(f"{path}:{lineno}: bad header value {tokens[1]!r}") from None
-    return header, None
+def _read_header(path: Path, fh) -> tuple[dict[str, float], tuple[int, int] | None]:
+    """Parse the header lines at the start of the binary file ``fh``; returns
+    the header and the line number and byte offset of the first value line
+    (None if the file ends first).
+
+    The lines and tokens are those text mode reads: lines end at \\n, \\r
+    or \\r\\n, and a non-ASCII byte in what was read raises
+    UnicodeDecodeError. The file is read in doubling pieces, from 8 KiB, until
+    the header lines are whole and the first value line's first token is.
+    """
+    head = b""
+    while True:
+        more = fh.read(max(len(head), 1 << 13))
+        head += more
+        head.decode("ascii")
+        header: dict[str, float] = {}
+        offset = 0
+        for lineno, line in enumerate(head.splitlines(keepends=True), start=1):
+            # The last piece of a file read in part may go on (a \r may be half of \r\n).
+            partial = bool(more) and offset + len(line) == len(head) and not line.endswith(b"\n")
+            text = line.rstrip(b"\r\n").decode("ascii") + "\n" * (line[-1:] in (b"\r", b"\n"))
+            tokens = text.split()
+            if tokens and tokens[0].lower() not in _HEADER_KEYS:
+                if partial and len(tokens) == 1 and not text[-1].isspace():
+                    break  # the first token may go on
+                return header, (lineno, offset)
+            if partial:
+                break
+            offset += len(line)
+            if not tokens:
+                continue
+            key = tokens[0].lower()
+            if len(tokens) != 2:
+                raise HeightmapError(f"{path}:{lineno}: malformed header line {text!r}")
+            if key in header:
+                raise HeightmapError(f"{path}:{lineno}: repeated header key {key!r}")
+            try:
+                header[key] = float(tokens[1])
+            except ValueError:
+                raise HeightmapError(f"{path}:{lineno}: bad header value {tokens[1]!r}") from None
+        else:
+            if not more:
+                return header, None
 
 
 def _grid_shape(path: Path, header: dict[str, float]) -> tuple[int, int]:
@@ -214,27 +245,227 @@ def _grid_shape(path: Path, header: dict[str, float]) -> tuple[int, int]:
     return int(nrows), int(ncols)
 
 
-def _read_values(path: Path, fh, lineno: int, line: str) -> np.ndarray:
-    """Read the values from ``line`` (line ``lineno``) to the end of ``fh``,
-    flat, in file order.
+def _read_values(path: Path, fh, lineno: int, offset: int, count: int, nodata: float | None) -> np.ndarray:
+    """Read the values from line ``lineno``, at byte ``offset`` of ``fh``, to
+    the end of the file, flat, in file order, nodata cells as NaN.
 
-    One ``np.loadtxt`` pass parses regular rows. When it raises (rows
+    A body of plain decimals is read by `_read_plain`. Any other body is
+    read in text mode by one ``np.loadtxt`` pass; when that raises (rows
     wrapped unevenly across lines, tokens such as ``1_0`` that only
     ``float()`` accepts, or a bad token), a per-token ``float()`` pass
     reads the body again and names the line of any bad token.
     """
-    try:
-        return np.loadtxt(chain([line], fh), dtype=float, comments=None, ndmin=2).ravel()
-    except ValueError:
-        fh.seek(0)
-    values: list[float] = []
-    for lineno, line in enumerate(islice(fh, lineno - 1, None), start=lineno):
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
-    return np.array(values, dtype=float)
+    fh.seek(offset)
+    values = _read_plain(fh, count, nodata)
+    if values is not None:
+        return values
+    with open(path, "r", encoding="ascii") as text:
+        try:
+            values = np.loadtxt(islice(text, lineno - 1, None), dtype=float, comments=None, ndmin=2).ravel()
+        except ValueError:
+            text.seek(0)
+            tokens: list[float] = []
+            for lineno, line in enumerate(islice(text, lineno - 1, None), start=lineno):
+                for tok in line.split():
+                    try:
+                        tokens.append(float(tok))
+                    except ValueError:
+                        raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
+            values = np.array(tokens, dtype=float)
+    if nodata is not None:
+        values[values == nodata] = np.nan
+    return values
+
+
+# Plain decimals (`_read_plain`) as little-endian words of 8 ASCII bytes,
+# the token's last byte on top: SWAR constants, the mask of a word's top
+# k bytes, and the exact powers of ten that scale the digits.
+_ZEROS = np.uint64(0x3030303030303030)  # eight '0'
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # eight '.'
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_HIGH = np.uint64(0x8080808080808080)
+_ONES = np.uint64(0x0101010101010101)
+_DIGIT_TOP = np.uint64(0x4646464646464646)  # + 0x46 sets the high bit of a byte above '9'
+_TOP_ZERO = np.uint64(0x30 << 56)
+_EIGHT_MASK = np.uint64(0x000000FF000000FF)
+_EIGHT_MUL1 = np.uint64(100 + (1000000 << 32))
+_EIGHT_MUL2 = np.uint64(1 + (10000 << 32))
+_TOP_BYTES = np.array([((1 << 8 * k) - 1) << (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+_POW10 = np.array([float(10**k) for k in range(9)])
+
+
+class _BodyScratch(NamedTuple):
+    """The buffers of one `_read_plain` call, carved from one allocation and
+    reused for every block, as `output._Scratch` is.
+
+    ``text`` holds 8 spaces, then a block after the token carried over
+    from the block before, then a closing space at the end of the file;
+    ``sep`` and ``edge`` hold a bool per byte of it. ``rows`` (two uint64
+    rows), ``length`` and ``first`` hold an entry per token."""
+
+    text: np.ndarray
+    sep: np.ndarray
+    edge: np.ndarray
+    rows: np.ndarray
+    length: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int) -> _BodyScratch:
+        """The buffers for blocks of ``size`` bytes. A block with its carried
+        token and spaces is at most ``size`` + 10 bytes, which hold at most
+        half as many tokens; ``text`` is whole 8-byte words, with one to
+        spare past the block, so every row is aligned."""
+        nbytes, tokens = (size + 25) // 8 * 8, (size + 10) // 2
+        return cls(**carve([("text", (nbytes,), np.uint8), ("rows", (2, tokens), np.uint64),
+                            ("length", (tokens,), np.int64), ("sep", (nbytes,), np.bool_),
+                            ("edge", (nbytes,), np.bool_), ("first", (tokens,), np.uint8)]))
+
+
+def _read_plain(fh, count: int, nodata: float | None) -> np.ndarray | None:
+    """The values from the position of the binary file ``fh`` to its end,
+    if every token there is a plain decimal; None, having read some of
+    them, if any is not.
+
+    A plain decimal is ``-?digits[.digits]`` of at most 8 bytes with at
+    least one digit, and the tokens are separated by spaces, tabs, \\n and
+    \\r. Its value is m / 10**f, m < 10**8 being its digits as an integer
+    and f <= 8: both are exact doubles, so the one division is correctly
+    rounded, as ``float()`` is (Clinger's fast path). The file is read
+    BODY_BLOCK bytes at a time, each block cut after its last separator,
+    into one scratch allocation sized to the body or the block, whichever
+    is smaller; the values go straight to the result, nodata cells as NaN.
+    """
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    size = max(min(body, BODY_BLOCK), 1)
+    s = _BodyScratch.empty(size)
+    s.text[:8] = ord(" ")
+    # No body holds more values than half its bytes, whatever the header says.
+    values = np.empty(min(count, (body + 1) // 2))
+    done, carry = 0, 0
+    while True:
+        got = fh.readinto(memoryview(s.text)[8 + carry : 8 + carry + size])
+        end = 8 + carry + got
+        if not got:
+            s.text[end] = ord(" ")  # the last token ends with the file
+            end += 1
+        edges = _token_edges(s, end)
+        if edges is None:
+            return None
+        tokens = len(edges) // 2
+        if done + tokens > len(values):
+            return None
+        if tokens and not _plain_tokens(s, edges[: 2 * tokens], values[done : done + tokens], nodata):
+            return None
+        done += tokens
+        if not got:
+            return values[:done]
+        # A token still open at the end of the block starts the next one.
+        carry = end - 8 - edges[-1] if len(edges) % 2 else 0
+        if carry > 8:
+            return None
+        s.text[8 : 8 + carry] = s.text[end - carry : end]
+
+
+def _token_edges(s: _BodyScratch, end: int) -> np.ndarray | None:
+    """The token boundaries in ``s.text[8:end]``, which follows a space: the
+    index, less 8, of each token's first byte and of the byte after its last,
+    in turn. None if a control byte other than \\t, \\n and \\r is there."""
+    text = s.text[7:end]
+    n = len(text)
+    sep, flag = s.sep[:n], s.edge[:n]
+    controls = np.count_nonzero(np.less(text, 32, out=flag))
+    for byte in b"\n\r\t":
+        if controls:
+            controls -= np.count_nonzero(np.equal(text, byte, out=flag))
+    if controls:
+        return None
+    np.less_equal(text, 32, out=sep)
+    return np.flatnonzero(np.not_equal(sep[1:], sep[:-1], out=flag[: n - 1]))
+
+
+def _plain_tokens(s: _BodyScratch, edges: np.ndarray, out: np.ndarray, nodata: float | None) -> bool:
+    """Write the values of the tokens bounded by ``edges`` to ``out``, if
+    each is a plain decimal (see `_read_plain`); False if one is not.
+
+    Each token's last 8 bytes are one word, read as two aligned words of
+    ``s.text`` and a funnel shift. The bytes before the token and a leading
+    minus become '0' and the point is taken out, which leaves 8 digits: the
+    token's, then a '0' if it had a point. Three multiply-shift steps
+    (Lemire's eight-digit SWAR) make them the integer m."""
+    n = len(out)
+    starts, ends = edges[0::2], edges[1::2]
+    a, c = s.rows[:, :n]
+    length, first = s.length[:n], s.first[:n]
+    w = out.view(np.uint64)  # free until the values are written
+    # w: bytes ends .. ends + 7 of s.text, the token's last byte on top.
+    # Every take is in range; its default mode would write to a copy of out.
+    index = c.view(np.int64)
+    np.right_shift(ends, 3, out=index)
+    text = s.text.view(np.uint64)
+    np.take(text, index, out=w, mode="clip")
+    index += 1
+    np.take(text, index, out=a, mode="clip")
+    np.bitwise_and(ends, 7, out=index)
+    index <<= 3
+    w >>= c
+    np.subtract(64, c, out=c)
+    a <<= c  # by 64, for a word that is aligned: 0
+    w |= a
+    np.subtract(ends, starts, out=length)
+    if length.max() > 8:
+        return False
+    np.copyto(index, starts)  # take copies an index array that is not contiguous
+    neg = first.view(np.bool_)
+    np.equal(np.take(s.text[8:], index, out=first, mode="clip"), ord("-"), out=neg)
+    length -= neg  # the digits and point
+    np.take(_TOP_BYTES, length, out=a, mode="clip")
+    w ^= _ZEROS
+    w &= a
+    w ^= _ZEROS
+    # c: 0x80 in each byte of w that is a point (an exact zero-byte test).
+    # Of two or more, the first is taken out and the last stays a point.
+    np.bitwise_xor(w, _POINTS, out=a)
+    np.bitwise_and(a, _LOW7, out=c)
+    c += _LOW7
+    c |= a
+    np.invert(c, out=c)
+    c &= _HIGH
+    c >>= 7
+    c -= 1  # the bytes before the point; all of them without one
+    np.bitwise_and(w, c, out=a)
+    np.invert(c, out=c)  # the point and the bytes after it
+    w >>= 8
+    w |= _TOP_ZERO
+    w &= c
+    w |= a
+    c &= _ONES
+    c *= _ONES
+    c >>= 56  # f: the bytes from the point on, 0 without one
+    if np.less_equal(length, np.minimum(c, 1, out=a).view(np.int64), out=s.sep[:n]).any():
+        return False  # no digit: '-', '.' or '-.'
+    d = length.view(np.uint64)
+    np.subtract(w, _ZEROS, out=a)
+    np.add(w, _DIGIT_TOP, out=d)
+    d |= a
+    if np.bitwise_and(d, _HIGH, out=d).any():
+        return False  # a byte that is not a digit: a second minus, or the last of two points
+    np.multiply(a, 10, out=d)
+    a >>= 8
+    a += d
+    np.bitwise_and(a, _EIGHT_MASK, out=d)
+    d *= _EIGHT_MUL1
+    a >>= 16
+    a &= _EIGHT_MASK
+    a *= _EIGHT_MUL2
+    a += d
+    a >>= 32  # m
+    scale = np.take(_POW10, c.view(np.int64), out=d.view(np.float64), mode="clip")
+    np.divide(a.view(np.int64), scale, out=out)  # m < 2**27: int64 converts faster than uint64
+    np.negative(out, out=out, where=neg)
+    if nodata is not None:
+        np.copyto(out, np.nan, where=np.equal(out, nodata, out=s.sep[:n]))
+    return True
 
 
 def save_heightmap(h: Heightmap, path) -> None:

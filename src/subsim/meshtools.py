@@ -113,7 +113,17 @@ def subdivide(mesh: TriMesh) -> TriMesh:
     # Edge occurrences in walk order: triangle-major, then ab, bc, ca.
     start, end = tris.reshape(-1), np.roll(tris, -1, axis=1).reshape(-1)
     lo, hi = np.minimum(start, end), np.maximum(start, end)
-    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    # Group the occurrences of each edge with one stable sort of the keys:
+    # a group's first entry is the edge's first occurrence in walk order.
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = order[head]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
     # The first occurrences, in walk order, are the unique edges by first
     # occurrence; an edge's rank counts the first occurrences up to its own.
     is_first = np.zeros(len(lo), dtype=bool)
@@ -128,7 +138,9 @@ def subdivide(mesh: TriMesh) -> TriMesh:
         out[:len(values)] = values
         # Each end halved before the sum, which cannot overflow; for normal
         # values a*0.5 + b*0.5 is (a + b)*0.5 bit for bit.
-        mid = values.take(edge_lo, axis=0, out=out[len(values):])
+        # The edges index existing vertices; in its default mode take would
+        # write to a temporary copy of out and copy it back.
+        mid = values.take(edge_lo, axis=0, out=out[len(values):], mode="clip")
         mid *= 0.5
         half_hi = values.take(edge_hi, axis=0)
         half_hi *= 0.5

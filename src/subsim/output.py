@@ -203,6 +203,20 @@ def _tables() -> _Tables:
     return _Tables()
 
 
+def carve(layout) -> dict[str, np.ndarray]:
+    """Arrays carved in order from one uint8 allocation, by name, for a
+    layout of (name, shape, dtype): one allocation for a call's scratch.
+    Each array starts where the one before ends, so rows whose itemsize
+    divides every size before them are aligned."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
+    block = np.empty(sum(sizes), dtype=np.uint8)
+    parts, start = {}, 0
+    for (name, shape, dtype), n in zip(layout, sizes):
+        parts[name] = block[start:start + n].view(dtype).reshape(shape)
+        start += n
+    return parts
+
+
 class _Scratch(NamedTuple):
     """The temporaries of one encoder call, allocated once and reused for
     every chunk, so that the encoders' cost does not depend on what the
@@ -230,16 +244,9 @@ class _Scratch(NamedTuple):
         first such block; freeing it raises glibc's mmap and trim thresholds
         above its size, so later calls take their block from the heap and
         reuse its pages."""
-        layout = [("f", (6, size), np.float64), ("i", (2, size), np.int64),
-                  ("out", (size, width), np.uint8), ("mask", (size, width), np.bool_),
-                  ("gather", (size,), np.uint32), ("b", (5, size), np.bool_)]
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
-        block = np.empty(sum(sizes), dtype=np.uint8)
-        parts, start = {}, 0
-        for (name, shape, dtype), n in zip(layout, sizes):
-            parts[name] = block[start:start + n].view(dtype).reshape(shape)
-            start += n
-        return cls(**parts)
+        return cls(**carve([("f", (6, size), np.float64), ("i", (2, size), np.int64),
+                            ("out", (size, width), np.uint8), ("mask", (size, width), np.bool_),
+                            ("gather", (size,), np.uint32), ("b", (5, size), np.bool_)]))
 
     def head(self, n: int) -> _Scratch:
         """The same buffers, cut to a chunk of ``n`` values."""

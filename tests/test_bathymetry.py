@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def _load_reference(path):
                 continue
             key = tokens[0].lower()
             if not values and key in header_keys:
+                if key in header:
+                    raise bat.HeightmapError(f"{path}:{lineno}: repeated header key {key!r}")
                 header[key] = float(tokens[1])
                 continue
             for tok in tokens:
@@ -196,6 +199,29 @@ def _reprs(values):
     return [repr(float(v)) for v in values]
 
 
+def _random_plain_body(seed=46, nrows=300, ncols=400):
+    """A grid file of plain decimals: values of 0 to 3 decimals and up to 8
+    bytes, 2% nodata cells, lines of 1 to 60 tokens with single and double
+    spaces and tabs between them, LF and CRLF line ends, and no newline
+    after the last line. The default body is 780 KB, three 256 KiB blocks."""
+    rng = np.random.default_rng(seed)
+    n = nrows * ncols
+    values = rng.uniform(-9999.0, 9999.0, n) / 10.0 ** rng.integers(0, 4, n)
+    tokens = [f"{v:.{d}f}"[:8].rstrip(".") or "0" for v, d in zip(values.tolist(), rng.integers(0, 4, n).tolist())]
+    for k in np.flatnonzero(rng.random(n) < 0.02).tolist():
+        tokens[k] = "-9999"
+    lines, k = [], 0
+    while k < n:
+        take = int(rng.integers(1, 61))
+        seps = rng.choice([" ", "  ", "\t"], take).tolist()
+        lines.append("".join(sep + tok for sep, tok in zip(seps, tokens[k : k + take]))[1:])
+        k += take
+    ends = rng.choice(["\n", "\r\n"], len(lines)).tolist()
+    ends[-1] = ""
+    body = "".join(line + end for line, end in zip(lines, ends))
+    return f"ncols {ncols}\nnrows {nrows}\nxllcorner 10.0\nyllcorner 20.0\ncellsize 0.001\nnodata_value -9999\n" + body
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -234,6 +260,28 @@ def _reprs(values):
         ),
         pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12\nnodata_value 0\n", id="late-header"),
         pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 1,5\n", id="bad-token"),
+        # Plain decimals (bathymetry._read_plain): the forms it reads, ...
+        pytest.param(_HEADER + "-0 -0.000 5. .5\n-.5 00012.5 -1234.56 12345678\n.1234567 -9 0 7\n", id="plain-forms"),
+        # ... tokens with no digit, which fail naming their line, ...
+        pytest.param(_HEADER + "1 2 3 4\n5 - 7 8\n9 10 11 12\n", id="lone-minus"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 10 . 12\n", id="lone-point"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 -. 8\n9 10 11 12\n", id="minus-point"),
+        # ... 8 bytes, then 9, which the text parser reads, ...
+        pytest.param(_HEADER + "1 2 3 4\n5 -1234.56 7 8\n9 10 11 12\n", id="eight-bytes"),
+        pytest.param(_HEADER + "1 2 3 4\n5 -1234.56 -1234.567 8\n9 10 11 12\n", id="nine-bytes"),
+        # ... separators and control bytes, ...
+        pytest.param(_HEADER + "1\t2\t3\t4\n5 6\t 7 8\n9\t10 11 12\n", id="tabs"),
+        pytest.param((_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 12").replace("\n", "\r"), id="cr"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6\x0b7 8\n9 10 11 12\n", id="vertical-tab"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\x0c\n9 10 11 12\n", id="form-feed"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7\x008\n9 10 11 12\n", id="nul"),
+        # ... tokens it hands to the text parser, ...
+        pytest.param(_HEADER + "+1 2 3 4\n5 6 7 8\n9 10 11 12\n", id="plus"),
+        pytest.param(_HEADER + "1 2 3 4\n5 1e5 7 8\n9 10 11 12\n", id="exponent"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 1.2.3 8\n9 10 11 12\n", id="two-points"),
+        pytest.param(_HEADER + "1 2 3 4\n5 6 7 8\n9 1-2 11 12\n", id="inner-minus"),
+        # ... and a body of several blocks, nodata cells, no final newline.
+        pytest.param(_random_plain_body(), id="random-blocks"),
     ],
 )
 def test_load_matches_per_token_reference(tmp_path, text):
@@ -250,6 +298,76 @@ def test_load_matches_per_token_reference_on_saved_grid(tmp_path):
     bat.save_heightmap(make_heightmap(depth), f)
     h = _assert_loads_like_reference(f)
     assert np.array_equal(h.depth, depth, equal_nan=True)
+
+
+@pytest.mark.parametrize("start", [8184, 8187, 8191, 8192])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_load_reads_header_lines_across_the_first_8_kib(tmp_path, start, eol):
+    # Blank lines move the cellsize line, and then the first value line, to
+    # start at ``start``: the header is read 8 KiB first.
+    head = eol.join(["ncols 2", "nrows 2", "xllcorner 10.0", "yllcorner 20.0", ""])
+    for rest in ("cellsize 0.001" + eol + "1 2" + eol + "3 4" + eol, "1.5 2" + eol + "3 4" + eol):
+        cellsize = "" if rest.startswith("cellsize") else "cellsize 0.001" + eol
+        pad = start - len(head) - len(cellsize)
+        f = tmp_path / "g.asc"
+        f.write_bytes((head + cellsize + eol * (pad // len(eol)) + " " * (pad % len(eol)) + rest).encode("ascii"))
+        assert _assert_loads_like_reference(f) is not None
+
+
+@pytest.mark.parametrize("token, plain", [
+    ("-0", True), ("-0.000", True), ("5.", True), (".5", True), ("-.5", True), ("00012.5", True),
+    ("-1234.56", True), ("12345678", True), (".1234567", True), ("-.123456", True),
+    ("-1234.567", False), ("123456789", False), ("-", False), (".", False), ("-.", False),
+    ("+1", False), ("1e5", False), ("1.2.3", False), ("1-2", False), ("--1", False), ("1-", False),
+    ("1/2", False), ("nan", False), ("1\x002", False), ("1\x0b2", False), ("1\x0c2", False),
+    ("1\x1f2", False), ("1\x7f", False), ("\xb5", False),
+])
+def test_plain_reader_takes_exactly_the_plain_decimals(tmp_path, token, plain):
+    f = tmp_path / "body"
+    f.write_bytes(b"7\t" + token.encode("latin-1") + b"\r\n8")
+    with open(f, "rb") as fh:
+        values = bat._read_plain(fh, 3, None)
+    if not plain:
+        assert values is None
+        return
+    # Bit for bit what float() gives, -0.0 included.
+    assert values.view(np.int64).tolist() == np.array([7.0, float(token), 8.0]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 9, 64, 4099])
+def test_plain_read_gives_the_same_values_in_any_block_size(tmp_path, monkeypatch, block):
+    f = tmp_path / "g.asc"
+    f.write_bytes(_random_plain_body(seed=48, nrows=20, ncols=30).encode("ascii"))
+    ref = _load_reference(f)
+    monkeypatch.setattr(bat, "BODY_BLOCK", block)
+    monkeypatch.setattr(bat.np, "loadtxt", lambda *args, **kwargs: pytest.fail("took the text parser"))
+    h = bat.load_heightmap(f)
+    assert np.array_equal(h.depth.view(np.int64), ref.depth.view(np.int64))
+
+
+def test_plain_read_never_holds_the_text(tmp_path):
+    # About 1M values of 8 bytes each and a separator: 9 MB of text.
+    n = 1000
+    depth = np.random.default_rng(49).uniform(1000.0, 9999.0, (n, n))
+    f = tmp_path / "big.asc"
+    row = " ".join(["%.3f"] * n) + "\n"
+    with open(f, "w", encoding="ascii") as fh:
+        fh.write(f"ncols {n}\nnrows {n}\nxllcorner 10.0\nyllcorner 20.0\ncellsize 0.0001\n")
+        fh.writelines(row % tuple(r) for r in depth.tolist())
+    # The bound: the grid, one block's scratch and boundaries, and 256 KiB
+    # for everything else. It does not grow with the file, and is less
+    # than the text.
+    scratch = sum(buf.nbytes for buf in bat._BodyScratch.empty(bat.BODY_BLOCK))
+    fixed = scratch + 8 * (bat.BODY_BLOCK + 10) + 2**18
+    assert fixed < f.stat().st_size
+    tracemalloc.start()
+    try:
+        h = bat.load_heightmap(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + fixed
+    assert np.array_equal(h.depth[::-1], np.round(depth, 3))
 
 
 # --- depth queries ------------------------------------------------------------
@@ -837,20 +955,22 @@ def test_grid_extent_is_the_loaded_extent_without_reading_a_value(tmp_path, monk
 
 
 @pytest.mark.parametrize("header, problem", [
-    ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "depth grid must be at least 2x2, got (1, 2)"),
-    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", "cell_size must be finite and positive"),
-    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize nan\n", "cell_size must be finite and positive"),
+    ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", ": depth grid must be at least 2x2, got (1, 2)"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", ": cell_size must be finite and positive"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize nan\n", ": cell_size must be finite and positive"),
     ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 85\ncellsize 0.1\n",
-     "latitude beyond +/-85.051129 deg cannot be projected"),
-    ("ncols -2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", "ncols/nrows must be positive, got -2 and 2"),
-], ids=["one-row", "zero-cell", "nan-cell", "beyond-85", "negative-ncols"])
+     ": latitude beyond +/-85.051129 deg cannot be projected"),
+    ("ncols -2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", ": ncols/nrows must be positive, got -2 and 2"),
+    # Without the rule, the second ncols would win and four values would load as a 2x2 grid.
+    ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\nNCOLS 2\n", ":6: repeated header key 'ncols'"),
+], ids=["one-row", "zero-cell", "nan-cell", "beyond-85", "negative-ncols", "repeated-key"])
 def test_grid_extent_refuses_what_load_heightmap_refuses_with_its_message(tmp_path, header, problem):
     f = tmp_path / "g.asc"
     f.write_text(header + ("40 41\n" if "nrows 1\n" in header else "40 41\n42 43\n"))
     for read in (bat.load_heightmap, bat.grid_extent):
         with pytest.raises(bat.HeightmapError) as info:
             read(f)
-        assert str(info.value) == f"{f}: {problem}"
+        assert str(info.value) == f"{f}{problem}"
 
 
 def test_cell_of_is_the_search_clipped_to_the_grid():
