@@ -11,11 +11,11 @@ against the bilinear surface over those world-space nodes.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,6 +54,12 @@ def _check_grid(shape: tuple[int, ...], cell_lat: float, cell_lon: float) -> Non
         raise HeightmapError("cell_size must be finite and positive")
 
 
+def _node_xy(origin: GeodeticCoord, cell_lat: float, cell_lon: float, rows: int, cols: int):
+    """Node eastings and northings, meters, of a grid whose node (0, 0) is ``origin``."""
+    xs = mercator_xy(0.0, origin.lon + cell_lon * np.arange(cols))[0]
+    return xs, mercator_xy(origin.lat + cell_lat * np.arange(rows), 0.0)[1]
+
+
 class Heightmap:
     """Immutable georeferenced depth grid.
 
@@ -85,11 +91,7 @@ class Heightmap:
         self.depth.setflags(write=False)
         self.nodata_value = nodata_value
 
-        rows, cols = depth.shape
-        lats = origin.lat + cell_lat * np.arange(rows)
-        lons = origin.lon + cell_lon * np.arange(cols)
-        self.xs = mercator_xy(0.0, lons)[0]  # node eastings, meters
-        self.ys = mercator_xy(lats, 0.0)[1]  # node northings, meters
+        self.xs, self.ys = _node_xy(origin, cell_lat, cell_lon, *depth.shape)
         self.xs.setflags(write=False)
         self.ys.setflags(write=False)
 
@@ -132,10 +134,10 @@ def load_heightmap(path) -> Heightmap:
 
     Header keys: ncols, nrows, xllcorner, yllcorner, cellsize, and an
     optional nodata_value, each at most once; values follow row-major with
-    the north row first. Raises HeightmapError naming the offending line on
-    parse problems, and naming the file on value-count mismatches, on a grid
-    outside the Pseudo-Mercator domain, and on a grid `Heightmap` refuses.
-    """
+    the north row first, each the double ``float()`` gives its token.
+    Raises HeightmapError naming the offending line on parse problems, and
+    naming the file on value-count mismatches, on a grid outside the
+    Pseudo-Mercator domain, and on a grid `Heightmap` refuses."""
     path = Path(path)
     header, (nrows, ncols), values = _read_grid(path, values=True)
     if values.size != nrows * ncols:
@@ -160,12 +162,10 @@ def grid_extent(path) -> tuple[float, float, float, float]:
     cell = header["cellsize"]
     try:
         _check_grid((nrows, ncols), cell, cell)
-        corner = GeodeticCoord(header["yllcorner"], header["xllcorner"])
-        (x0, x1), (y0, y1) = mercator_xy(corner.lat + cell * np.array([0.0, nrows - 1]),
-                                         corner.lon + cell * np.array([0.0, ncols - 1]))
+        xs, ys = _node_xy(GeodeticCoord(header["yllcorner"], header["xllcorner"]), cell, cell, nrows, ncols)
     except (ProjectionError, HeightmapError) as err:
         raise HeightmapError(f"{path}: {err}") from None
-    return float(x0), float(y0), float(x1), float(y1)
+    return float(xs[0]), float(ys[0]), float(xs[-1]), float(ys[-1])
 
 
 def _read_grid(path: Path, values: bool):
@@ -246,35 +246,35 @@ def _grid_shape(path: Path, header: dict[str, float]) -> tuple[int, int]:
 
 
 def _read_values(path: Path, fh, lineno: int, offset: int, count: int, nodata: float | None) -> np.ndarray:
-    """Read the values from line ``lineno``, at byte ``offset`` of ``fh``, to
-    the end of the file, flat, in file order, nodata cells as NaN.
-
-    A body of plain decimals is read by `_read_plain`. Any other body is
-    read in text mode by one ``np.loadtxt`` pass; when that raises (rows
-    wrapped unevenly across lines, tokens such as ``1_0`` that only
-    ``float()`` accepts, or a bad token), a per-token ``float()`` pass
-    reads the body again and names the line of any bad token.
-    """
+    """The values from line ``lineno``, at byte ``offset`` of ``fh``, to the
+    end of the file, flat, in file order, nodata cells as NaN: a body of
+    plain decimals read by `_read_plain`, any other by `_read_general`."""
     fh.seek(offset)
     values = _read_plain(fh, count, nodata)
-    if values is not None:
-        return values
-    with open(path, "r", encoding="ascii") as text:
+    return _read_general(path, fh, lineno, offset, nodata) if values is None else values
+
+
+def _read_general(path: Path, fh, lineno: int, offset: int, nodata: float | None) -> np.ndarray:
+    """`_read_values` in one pass over the lines text mode reads: tokens as
+    ``float()`` reads them, nodata as NaN, line by line; a bad token raises."""
+    fh.seek(offset)
+    text, rows = io.TextIOWrapper(fh, encoding="ascii"), []
+    for lineno, line in enumerate(text, start=lineno):
+        tokens = line.split()
         try:
-            values = np.loadtxt(islice(text, lineno - 1, None), dtype=float, comments=None, ndmin=2).ravel()
+            row = np.array(tokens, dtype=float)  # float() on each str
         except ValueError:
-            text.seek(0)
-            tokens: list[float] = []
-            for lineno, line in enumerate(islice(text, lineno - 1, None), start=lineno):
-                for tok in line.split():
-                    try:
-                        tokens.append(float(tok))
-                    except ValueError:
-                        raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
-            values = np.array(tokens, dtype=float)
-    if nodata is not None:
-        values[values == nodata] = np.nan
-    return values
+            for tok in tokens:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise HeightmapError(f"{path}:{lineno}: bad depth value {tok!r}") from None
+            raise
+        if nodata is not None:
+            row[row == nodata] = np.nan
+        rows.append(row)
+    text.detach()  # ``fh`` stays open for its owner
+    return np.concatenate(rows)
 
 
 # Plain decimals (`_read_plain`) as little-endian words of 8 ASCII bytes,

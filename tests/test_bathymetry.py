@@ -340,9 +340,51 @@ def test_plain_read_gives_the_same_values_in_any_block_size(tmp_path, monkeypatc
     f.write_bytes(_random_plain_body(seed=48, nrows=20, ncols=30).encode("ascii"))
     ref = _load_reference(f)
     monkeypatch.setattr(bat, "BODY_BLOCK", block)
-    monkeypatch.setattr(bat.np, "loadtxt", lambda *args, **kwargs: pytest.fail("took the text parser"))
+    monkeypatch.setattr(bat, "_read_general", lambda *args: pytest.fail("took the general reader"))
     h = bat.load_heightmap(f)
     assert np.array_equal(h.depth.view(np.int64), ref.depth.view(np.int64))
+
+
+def test_general_read_is_one_pass_through_one_open(tmp_path, monkeypatch):
+    # A body the plain reader refuses: rows re-wrapped unevenly at 20 to 60
+    # tokens a line, a +44.000, a 1_0 and a nodata cell, CRLF line ends.
+    nrows, ncols = 300, 400
+    rng = np.random.default_rng(50)
+    tokens = [f"{v:.3f}" for v in rng.uniform(30.0, 60.0, nrows * ncols).tolist()]
+    tokens[61_000], tokens[7], tokens[119_000] = "+44.000", "1_0", "-9999"
+    lines, k = [], 0
+    while k < len(tokens):
+        take = int(rng.integers(20, 61))
+        lines.append(" ".join(tokens[k : k + take]))
+        k += take
+    head = [f"ncols {ncols}", f"nrows {nrows}", "xllcorner 10.0", "yllcorner 20.0", "cellsize 0.0001",
+            "nodata_value -9999"]
+    f = tmp_path / "g.asc"
+    f.write_bytes("\r\n".join(head + lines + [""]).encode("ascii"))
+    ref = _load_reference(f)
+    # A small block, so that the plain attempt's scratch does not set the peak.
+    monkeypatch.setattr(bat, "BODY_BLOCK", 1 << 12)
+    monkeypatch.setattr(bat.np, "loadtxt", lambda *args, **kwargs: pytest.fail("took np.loadtxt"))
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(bat, "open", counted_open, raising=False)
+    tracemalloc.start()
+    try:
+        h = bat.load_heightmap(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(opened) == 1
+    assert np.array_equal(h.nodata_mask, ref.nodata_mask) and h.nodata_mask.sum() == 1
+    valid = ~ref.nodata_mask
+    assert np.array_equal(h.depth[valid].view(np.int64), ref.depth[valid].view(np.int64))
+    # One double a value, and one more for each line's array until they
+    # are joined: no Python float per value.
+    assert peak < 28 * nrows * ncols
 
 
 def test_plain_read_never_holds_the_text(tmp_path):
@@ -939,7 +981,8 @@ def test_surface_normals_on_cell_edges_match_reference():
     ((10.0, 20.0), 0.001, (3, 2)),
     ((179.8, 84.96), 0.01, (9, 15)),  # the far edges reach 85.04 and 179.94 degrees
     ((100.0, 1.0), 0.000123, (257, 301)),
-], ids=["small", "mercator-edge", "odd-cell"])
+    ((-179.99, 84.9811), 0.007, (11, 9)),  # the north row is at 85.0511, 3e-5 degrees from the limit
+], ids=["small", "mercator-edge", "odd-cell", "mercator-limit"])
 def test_grid_extent_is_the_loaded_extent_without_reading_a_value(tmp_path, monkeypatch, corner, cellsize, shape):
     f = tmp_path / "g.asc"
     nrows, ncols = shape
@@ -960,10 +1003,12 @@ def test_grid_extent_is_the_loaded_extent_without_reading_a_value(tmp_path, monk
     ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize nan\n", ": cell_size must be finite and positive"),
     ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 85\ncellsize 0.1\n",
      ": latitude beyond +/-85.051129 deg cannot be projected"),
+    # Both far edges out: the first axis `Heightmap` projects names the error.
+    ("ncols 2\nnrows 2\nxllcorner 179.95\nyllcorner 85\ncellsize 0.1\n", ": longitude outside [-180, 180]"),
     ("ncols -2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\n", ": ncols/nrows must be positive, got -2 and 2"),
     # Without the rule, the second ncols would win and four values would load as a 2x2 grid.
     ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0.1\nNCOLS 2\n", ":6: repeated header key 'ncols'"),
-], ids=["one-row", "zero-cell", "nan-cell", "beyond-85", "negative-ncols", "repeated-key"])
+], ids=["one-row", "zero-cell", "nan-cell", "beyond-85", "beyond-both", "negative-ncols", "repeated-key"])
 def test_grid_extent_refuses_what_load_heightmap_refuses_with_its_message(tmp_path, header, problem):
     f = tmp_path / "g.asc"
     f.write_text(header + ("40 41\n" if "nrows 1\n" in header else "40 41\n42 43\n"))

@@ -1,6 +1,7 @@
 """The benchmark's tracer over subsim: every layer it wraps is found, called
 and annotated, so a renamed function, parameter or result attribute that
-the benchmark reads fails here and not only in a benchmark run."""
+the benchmark reads fails here and not only in a benchmark run. And the
+benchmark's DEMs: each takes the reader the workloads are measured on."""
 
 import importlib.util
 import json
@@ -9,14 +10,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from subsim import bathymetry
+
 REPO = Path(__file__).resolve().parents[1]
 CHILD = REPO / "bench" / "child.py"
 
 
-def _child_module():
-    """bench/child.py as a module; importing it wraps nothing."""
-    spec = importlib.util.spec_from_file_location("bench_child", CHILD)
+def _bench_module(name):
+    """bench/<name>.py as a module; importing bench/child.py wraps nothing."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
     spec.loader.exec_module(module)
     return module
 
@@ -39,7 +45,7 @@ def _traced(tmp_path, name, kind, argv):
 def test_every_traced_layer_is_wrapped_called_and_annotated(tmp_path):
     """A one-second demo run, a tile export of its DEM and a distort of one
     tile, each with every target of the tracer wrapped."""
-    child = _child_module()
+    child = _bench_module("child")
     records = [
         _traced(tmp_path, "run", "run", ["run", str(REPO / "scenarios" / "demo.yaml"), "--out",
                                          str(tmp_path / "run"), "--duration", "1"]),
@@ -59,3 +65,13 @@ def test_every_traced_layer_is_wrapped_called_and_annotated(tmp_path):
     annotated = child._annotators({m: importlib.import_module(f"subsim.{m}") for m in child.LAYERS})
     for span in spans:
         assert (span["counts"] is not None) == (span["name"] in annotated), span["name"]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_no_workload_dem_takes_the_general_reader(tmp_path, monkeypatch, seed):
+    """The shipped demo DEM, which demo and dense_scan load, and mesh_export's
+    301 x 301 DEM, written as large_world writes its own, are plain decimals."""
+    _bench_module("workloads").mesh_export(tmp_path, seed, REPO)
+    monkeypatch.setattr(bathymetry, "_read_general", lambda *args: pytest.fail("took the general reader"))
+    for path in (REPO / "scenarios" / "demo_seafloor.asc", tmp_path / "mesh.asc"):
+        bathymetry.load_heightmap(path)
